@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigError, NumericalError, OutsideGoodSetError
 from .goodset import GoodSetQuery, membership
@@ -37,7 +36,8 @@ from .potentials import (
     DOMAIN_Z_STAR,
     FuzzyOperator,
     Potential,
-    _arm_tail_bracket,
+    _smallest_radius,
+    _tail_bracket,
     fuzzy_Q,
     p_norm,
 )
@@ -195,6 +195,9 @@ class _WindowOperator:
         self.Q_win = self.Q2[R : 3 * R + 1]
         self.use_fft = 2 * R + 1 > _FFT_WINDOW
         if self.use_fft:
+            import scipy.fft  # deferred: only wide windows need it
+
+            self.fft = scipy.fft
             self.nfft = scipy.fft.next_fast_len(4 * R + 1)
             self.kernel_f = scipy.fft.rfft(self.Q2, self.nfft)
 
@@ -212,7 +215,7 @@ class _WindowOperator:
         w = x**self.d
         w[R] = 1.0
         if self.use_fft:
-            c = scipy.fft.irfft(self.kernel_f * scipy.fft.rfft(w, self.nfft), self.nfft)
+            c = self.fft.irfft(self.kernel_f * self.fft.rfft(w, self.nfft), self.nfft)
             num = c[2 * R : 4 * R + 1]
         else:
             num = np.convolve(self.Q2, w)[2 * R : 4 * R + 1]
@@ -296,28 +299,13 @@ def truncation_radius(pot: Potential, p: float, bound: float) -> int:
     if bound <= 0:
         raise ConfigError("bound must be positive")
 
-    def tail_norm(R: int) -> float:
-        hi = _arm_tail_bracket(pot, p, R)[1]
-        return (2.0 * hi) ** (1.0 / p)
-
-    lo = max(1, pot.table_end)
-    if tail_norm(lo) <= bound:
-        return lo
-    hi = lo
-    while tail_norm(hi) > bound:
-        hi *= 2
-        if hi > _MAX_WINDOW_RADIUS:
-            raise NumericalError(
-                f"truncation radius beyond {_MAX_WINDOW_RADIUS} needed for tail bound "
-                f"{bound:.3g}; loosen tol (slowly decaying operator)"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail_norm(mid) <= bound:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _smallest_radius(
+        lambda R: (2.0 * _tail_bracket(pot, R + 1, 1, p)[1]) ** (1.0 / p) <= bound,
+        max(1, pot.table_end),
+        _MAX_WINDOW_RADIUS,
+        f"truncation radius beyond {_MAX_WINDOW_RADIUS} needed for tail bound "
+        f"{bound:.3g}; loosen tol (slowly decaying operator)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +421,7 @@ def solve_fixed_point(
 
     if config.radius is not None:
         R = config.radius
-        tail = (2.0 * _arm_tail_bracket(pot, d + 1, max(R, pot.table_end))[1]) ** (
+        tail = (2.0 * _tail_bracket(pot, max(R, pot.table_end) + 1, 1, d + 1)[1]) ** (
             1.0 / (d + 1)
         )
         if tail > config.tol:
@@ -573,6 +561,12 @@ def single_site_marginal(law: BoundaryLaw) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _write_meta(fh, meta: dict | None) -> None:
+    """Write the sorted `# key=value` metadata block that heads every CSV."""
+    for key in sorted(meta or {}):
+        fh.write(f"# {key}={meta[key]}\n")
+
+
 def write_law_csv(law: BoundaryLaw, fh, meta: dict | None = None) -> None:
     """Write `index,x,lambda,marginal` rows with `#` metadata lines."""
     meta = dict(meta or {})
@@ -584,8 +578,7 @@ def write_law_csv(law: BoundaryLaw, fh, meta: dict | None = None) -> None:
         meta.setdefault("q", law.q)
     meta.setdefault("residual", f"{law.residual:.17g}")
     meta.setdefault("certified", str(law.certified).lower())
-    for key in sorted(meta):
-        fh.write(f"# {key}={meta[key]}\n")
+    _write_meta(fh, meta)
     fh.write("index,x,lambda,marginal\n")
     marg = single_site_marginal(law)
     lam = law.lam

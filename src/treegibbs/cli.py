@@ -26,6 +26,7 @@ from . import __version__
 from .boundary_law import (
     MODE_AUTO,
     SolveConfig,
+    _write_meta,
     periodic_solve,
     single_site_marginal,
     solve_fixed_point,
@@ -157,8 +158,7 @@ def _meta(args, **extra) -> dict:
 
 def _emit_csv(meta: dict, header: str, rows: list[str]) -> str:
     out = io.StringIO()
-    for key in sorted(meta):
-        out.write(f"# {key}={meta[key]}\n")
+    _write_meta(out, meta)
     out.write(header + "\n")
     for row in rows:
         out.write(row + "\n")
@@ -404,9 +404,7 @@ def cmd_simulate(args) -> str:
                 "increments": inc, "states": states, "total": int(inc.sum()),
             })
         out = io.StringIO()
-        meta = _meta(args)
-        write_samples_csv(inc, states, out,
-                          meta={k: meta[k] for k in sorted(meta)})
+        write_samples_csv(inc, states, out, meta=_meta(args))
         return out.getvalue()
 
     ns = _parse_int_list(args.n)
@@ -419,8 +417,7 @@ def cmd_simulate(args) -> str:
             for d in dists
         ]})
     out = io.StringIO()
-    meta = _meta(args)
-    write_wn_csv(dists, out, meta={k: meta[k] for k in sorted(meta)})
+    write_wn_csv(dists, out, meta=_meta(args))
     return out.getvalue()
 
 

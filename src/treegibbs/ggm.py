@@ -19,7 +19,7 @@ import numpy as np
 
 from .boundary_law import SUPPORT_PERIODIC, BoundaryLaw, single_site_marginal
 from .errors import ConfigError, NumericalError
-from .potentials import FuzzyOperator, Potential, _arm_tail_bracket, fuzzy_Q
+from .potentials import FuzzyOperator, Potential, _smallest_radius, _tail_bracket, fuzzy_Q
 
 __all__ = [
     "FuzzyChain",
@@ -130,25 +130,15 @@ def increment_law(
     mass = qq.at(residue) - qq.residual_tail
 
     def tail(R: int) -> float:
-        return 2.0 * _arm_tail_bracket(pot, 1.0, R)[1] / mass
+        return 2.0 * _tail_bracket(pot, R + 1, 1, 1.0)[1] / mass
 
     if radius is None:
-        radius = max(1, pot.table_end, residue)
-        while tail(radius) > tail_bound:
-            radius *= 2
-            if radius > (1 << 30):
-                raise NumericalError(
-                    f"increment window beyond 2^30 needed for tail bound {tail_bound:.3g}"
-                )
-        lo = max(1, pot.table_end, residue)
-        hi = radius
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if tail(mid) <= tail_bound:
-                hi = mid
-            else:
-                lo = mid
-        radius = hi if tail(lo) > tail_bound else lo
+        radius = _smallest_radius(
+            lambda R: tail(R) <= tail_bound,
+            max(1, pot.table_end, residue),
+            1 << 30,
+            f"increment window beyond 2^30 needed for tail bound {tail_bound:.3g}",
+        )
     elif radius < residue or radius < 1:
         raise ConfigError(f"radius {radius} cannot hold residue {residue}")
 

@@ -28,6 +28,7 @@ from .boundary_law import (
     SUPPORT_TRUNCATED,
     BoundaryLaw,
     SolveConfig,
+    _write_meta,
     apply_T_periodic,
     single_site_marginal,
     solve_fixed_point,
@@ -589,11 +590,6 @@ def recover_period(path, q_tilde_list, d: int, pot) -> list[RecoveryReport]:
 # ---------------------------------------------------------------------------
 # csv output
 # ---------------------------------------------------------------------------
-
-
-def _write_meta(fh, meta):
-    for key in sorted(meta or {}):
-        fh.write(f"# {key}={meta[key]}\n")
 
 
 def write_wn_csv(dists, fh, meta=None) -> None:

@@ -17,11 +17,15 @@ Built-in families:
   tail model ("exp" with a rate, or "power" with an exponent) that extends
   U monotonically beyond the table.
 
-Series values carry certified error bounds.  Power-law tails are estimated
-as partial sum plus the midpoint of the integral bracket
-``integral <= remainder <= integral + first omitted term``; the reported
-``tail_bound`` is half the bracket width.  Exponential tails are summed in
-closed form.
+Series values carry certified error bounds from one tail engine.  Every
+tail the package bounds is sum_{n>=0} Q(l0 + n*step)^p beyond the table,
+and ``_tail_bracket`` brackets it: exp tails in closed geometric form,
+power tails by ``integral <= remainder <= integral + first term``.  One
+loop (``_certified_sum``) adds the bracket midpoint to an fsum partial sum
+and doubles the term count until half the width certifies the tolerance;
+the reported ``tail_bound`` is that half width.  One search
+(``_smallest_radius``) picks the smallest radius whose tail fits a bound,
+for window truncation and increment laws alike.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -213,8 +216,10 @@ def custom(beta: float, table, tail: TailModel | dict | None = None) -> Potentia
     may be a TailModel or the JSON dict form {"type": "exp", "rate": r} /
     {"type": "power", "exponent": e}.
     """
-    rows = [(int(j), float(u)) for j, u in table]
-    rows.sort()
+    try:
+        rows = sorted((int(j), float(u)) for j, u in table)
+    except (TypeError, ValueError):
+        raise ConfigError("custom table must be a list of [j, U(j)] pairs") from None
     shift = 0.0
     if rows and rows[0][0] == 0:
         shift = rows[0][1]
@@ -224,17 +229,29 @@ def custom(beta: float, table, tail: TailModel | dict | None = None) -> Potentia
     js = [j for j, _ in rows]
     if js != list(range(1, len(js) + 1)):
         raise ConfigError(f"custom table indices must be consecutive 1..J, got {js}")
-    if isinstance(tail, dict):
+    if tail is not None and not isinstance(tail, TailModel):
         tail = _tail_from_dict(tail)
     return Potential("custom", float(beta), tuple(u - shift for _, u in rows), tail)
 
 
+def _number(obj: dict, key: str) -> float:
+    """obj[key] as a float, with a ConfigError when it is missing or not a number."""
+    if key not in obj:
+        raise ConfigError(f"missing key {key!r}")
+    try:
+        return float(obj[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {obj[key]!r}") from None
+
+
 def _tail_from_dict(d: dict) -> TailModel:
+    if not isinstance(d, dict):
+        raise ConfigError(f"tail must be a JSON object, got {d!r}")
     kind = d.get("type")
     if kind == "exp":
-        return TailModel("exp", float(d["rate"]))
+        return TailModel("exp", _number(d, "rate"))
     if kind == "power":
-        return TailModel("power", float(d["exponent"]))
+        return TailModel("power", _number(d, "exponent"))
     raise ConfigError(f"unknown tail type {kind!r}")
 
 
@@ -249,13 +266,15 @@ def potential_from_json(text: str) -> Potential:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid potential JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"potential JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "sos":
-        return sos(obj["beta"])
+        return sos(_number(obj, "beta"))
     if kind == "log":
-        return log_potential(obj["beta"])
+        return log_potential(_number(obj, "beta"))
     if kind == "custom":
-        return custom(obj["beta"], obj["table"], obj.get("tail"))
+        return custom(_number(obj, "beta"), obj.get("table"), obj.get("tail"))
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
@@ -265,33 +284,40 @@ def load_potential(path) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# certified one-arm sums  sum_{j>R} Q(j)^p
+# the tail engine: one bracket, one certified summation loop, one radius search
 # ---------------------------------------------------------------------------
 
 
-def _arm_tail_bracket(pot: Potential, p: float, R: int) -> tuple[float, float]:
-    """Bracket [lo, hi] of sum_{j > R} Q(j)^p, requires R >= table end."""
+def _exp(x: float) -> float:
+    """exp(x), flushed to 0 below -745 and to inf where it overflows."""
+    try:
+        return math.exp(x) if x > -745 else 0.0
+    except OverflowError:
+        return math.inf
+
+
+def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> tuple[float, float]:
+    """Bracket [lo, hi] of sum_{n>=0} Q(l0 + n*step)^p, requires l0 beyond the table.
+
+    Exp tails are an exact geometric sum (lo == hi).  Power tails
+    f(l) = C (1+l)^(-s) decrease, so the sum lies between the integral of f
+    from l0 on (over step) and that integral plus the first term f(l0).
+    Divergent power tails bracket as (inf, inf), and so does float overflow.
+    """
     kind, expo, lq, J = pot._decay()
-    if R < J:
-        raise ValueError("tail bracket requires R >= table end")
-    if kind == "exp":
-        # exact geometric sum: Q(j)^p = e^{p*lq} e^{-p*beta*expo*(j-J)}
-        r = p * pot.beta * expo
-        log_t = p * lq - r * (R + 1 - J) - _log1mexp(r)
-        t = math.exp(log_t) if log_t > -745 else 0.0
-        return (t, t)
+    if l0 <= J:
+        raise ValueError("tail bracket requires l0 beyond the table end")
     s = p * pot.beta * expo
+    if kind == "exp":
+        # Q(l)^p = e^{p*lq} e^{-s*(l-J)}, a geometric series of ratio e^{-s*step}
+        t = _exp(p * lq - s * (l0 - J) - _log1mexp(s * step))
+        return (t, t)
     if s <= 1.0:
         return (math.inf, math.inf)
-    # Q(j)^p = C (1+j)^{-s} with log C = p*lq + s*log(1+J)
+    # Q(l)^p = C (1+l)^{-s} with log C = p*lq + s*log(1+J)
     logC = p * lq + s * math.log1p(J)
-
-    def integral(x):
-        # int_x^inf C (1+t)^{-s} dt
-        lg = logC + (1.0 - s) * math.log1p(x) - math.log(s - 1.0)
-        return math.exp(lg) if lg > -745 else 0.0
-
-    return (integral(R + 1), integral(R))
+    integral = _exp(logC + (1.0 - s) * math.log1p(l0)) / (step * (s - 1.0))
+    return (integral, integral + _exp(logC - s * math.log1p(l0)))
 
 
 def _log1mexp(x: float) -> float:
@@ -303,59 +329,68 @@ def _log1mexp(x: float) -> float:
     return math.log1p(-math.exp(-x))
 
 
-def _fsum_chunks(chunks: list[float]) -> float:
-    return math.fsum(chunks)
+def _certified_sum(terms, tail, start: int, rel_tol: float, what: str) -> tuple[float, float, int]:
+    """(value, error_bound, N) for the series sum_{n>=0} terms(n).
 
-
-class _ArmSeries:
-    """Incremental compensated summation of sum_{j=1}^{R} Q(j)^p."""
-
-    def __init__(self, pot: Potential, p: float):
-        self.pot = pot
-        self.p = p
-        self.upto = 0
-        self.chunks: list[float] = []
-
-    def extend(self, R: int):
-        while self.upto < R:
-            hi = min(self.upto + _CHUNK, R)
-            j = np.arange(self.upto + 1, hi + 1)
-            terms = self.pot.Q(j) ** self.p
-            self.chunks.append(math.fsum(terms.tolist()))
-            self.upto = hi
-
-    @property
-    def value(self) -> float:
-        return _fsum_chunks(self.chunks)
-
-
-def _arm_sum_certified(pot: Potential, p: float, rel_tol: float) -> tuple[float, float, int]:
-    """(value, error_bound, radius) for sum_{j >= 1} Q(j)^p.
-
-    Value includes the certified midpoint of the tail bracket; the error
-    bound is half the bracket width plus a float-accumulation allowance.
+    Sums the first N terms in math.fsum chunks and adds the midpoint of the
+    remainder bracket, given by tail(N) as (lower bound, width).  N doubles
+    from start until half the width plus a float-accumulation allowance
+    certifies rel_tol; an infinite bracket stops the loop at once.
     """
-    witness = pot.divergence_witness(p)
-    if witness:
-        return (math.inf, math.inf, 0)
-    series = _ArmSeries(pot, p)
-    R = max(_START_RADIUS, pot.table_end)
+    chunks: list[float] = []
+    upto, N = 0, start
     while True:
-        series.extend(R)
-        lo, hi = _arm_tail_bracket(pot, p, R)
-        partial = series.value
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        value = partial + mid
-        err = half + 4e-16 * value
-        if err <= rel_tol * value or value == 0.0:
-            return (value, err, R)
-        if R >= _MAX_RADIUS:
+        while upto < N:
+            hi = min(upto + _CHUNK, N)
+            chunks.append(math.fsum(terms(np.arange(upto, hi)).tolist()))
+            upto = hi
+        lo, width = tail(N)
+        if not math.isfinite(lo + width):
             raise NumericalError(
-                f"series for p={p} did not certify rel_tol={rel_tol} within radius {R}; "
+                f"{what}: the tail bracket after {N} terms is not finite (float overflow)"
+            )
+        value = math.fsum(chunks) + lo + 0.5 * width
+        err = 0.5 * width + 4e-16 * value
+        if err <= rel_tol * value or value == 0.0:
+            return (value, err, N)
+        if N >= _MAX_RADIUS:
+            raise NumericalError(
+                f"{what} did not certify rel_tol={rel_tol} within {N} terms; "
                 "loosen rel_tol (slowly decaying tails need it)"
             )
-        R *= 2
+        N *= 2
+
+
+def _progression_sum(pot: Potential, l0: int, step: int, p: float,
+                     rel_tol: float) -> tuple[float, float, int]:
+    """(value, error_bound, N) for sum_{n>=0} Q(l0 + n*step)^p, certified to rel_tol.
+
+    The direct part always clears the table, so the bracket applies to the rest.
+    """
+    def tail(N):
+        lo, hi = _tail_bracket(pot, l0 + N * step, step, p)
+        return (lo, hi - lo)
+
+    start = max(_START_RADIUS, (pot.table_end - l0) // step + 1)
+    return _certified_sum(lambda n: pot.Q(l0 + step * n) ** p, tail, start, rel_tol,
+                          f"series for p={p}")
+
+
+def _smallest_radius(fits, start: int, cap: int, failure: str) -> int:
+    """Smallest R >= start with fits(R), for fits monotone in R.
+
+    Doubles R from start until it fits, refusing with NumericalError(failure)
+    once R would pass cap, then bisects between the last miss and the hit.
+    """
+    lo = hi = start
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+        if hi > cap:
+            raise NumericalError(failure)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +400,8 @@ def _arm_sum_certified(pot: Potential, p: float, rel_tol: float) -> tuple[float,
 
 def _zeta_m1(s: float) -> float:
     """zeta(s) - 1 without float64 cancellation (mpmath at 30 digits)."""
+    import mpmath  # deferred: only log-potential closed forms need it
+
     with mpmath.workdps(30):
         return float(mpmath.zeta(s) - 1)
 
@@ -447,7 +484,7 @@ def p_norm(
     closed = _closed_power_sum(pot, p, include_zero)
     run_series = closed is None or cross_check
     if run_series:
-        arm, err, radius = _arm_sum_certified(pot, p, rel_tol)
+        arm, err, radius = _progression_sum(pot, 1, 1, p, rel_tol)
         series_sum = (1.0 if include_zero else 0.0) + 2.0 * arm
         series_err = 2.0 * err
     if closed is not None:
@@ -495,35 +532,20 @@ def hurwitz_zeta(s: float, a: float, rel_tol: float = 1e-12) -> tuple[float, flo
     """(value, error_bound) for zeta(s, a) = sum_{n>=0} (n+a)^(-s), s > 1, a > 0.
 
     Direct summation of N terms plus the integral bracket
-    [(N+a)^(1-s)/(s-1), same + (N+a)^(-s)] for the remainder; the returned
-    value uses the bracket midpoint.  N doubles until the half width
-    certifies rel_tol.  Exponents near 1 need loose tolerances to stay fast.
+    [(N+a)^(1-s)/(s-1), same + (N+a)^(-s)] for the remainder, through the
+    engine's certified summation loop.  Exponents near 1 need loose
+    tolerances to stay fast.
     """
     if s <= 1.0:
         raise ConfigError(f"hurwitz_zeta needs s > 1, got {s}")
     if a <= 0.0:
         raise ConfigError(f"hurwitz_zeta needs a > 0, got {a}")
-    N = _START_RADIUS
-    chunks: list[float] = []
-    upto = 0
-    while True:
-        while upto < N:
-            hi = min(upto + _CHUNK, N)
-            n = np.arange(upto, hi, dtype=float)
-            chunks.append(math.fsum(((n + a) ** (-s)).tolist()))
-            upto = hi
-        partial = math.fsum(chunks)
-        f_N = (N + a) ** (-s)
-        integral = (N + a) ** (1.0 - s) / (s - 1.0)
-        value = partial + integral + 0.5 * f_N
-        err = 0.5 * f_N + 4e-16 * value
-        if err <= rel_tol * value:
-            return (value, err)
-        if N >= _MAX_RADIUS:
-            raise NumericalError(
-                f"hurwitz_zeta(s={s}, a={a}) did not certify rel_tol={rel_tol}; loosen it"
-            )
-        N *= 2
+    value, err, _ = _certified_sum(
+        lambda n: (n + a) ** (-s),
+        lambda N: ((N + a) ** (1.0 - s) / (s - 1.0), (N + a) ** (-s)),
+        _START_RADIUS, rel_tol, f"hurwitz_zeta(s={s}, a={a})",
+    )
+    return (value, err)
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +597,13 @@ class FuzzyOperator:
 
 
 def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
-    """Residue-class sums of Q mod q, certified to rel_tol of the smallest class.
+    """Residue-class sums of Q mod q, each class certified to rel_tol.
 
     Requires Q in l1(Z); otherwise raises NotSummableError since q-periodic
     boundary laws are undefined.  sos classes are exact geometric sums, log
     classes evaluate as q^(-beta) (zeta(beta,(1+j)/q) + zeta(beta,(q+1-j)/q))
-    via the certified Hurwitz routine, and custom potentials combine exact
-    table sums with analytic arm tails.
+    via the certified Hurwitz routine, and custom classes sum the same two
+    arms through the certified series engine.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ConfigError(f"q must be a positive integer, got {q!r}")
@@ -602,60 +624,18 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
         err = 4e-16 * float(values.sum())
         return FuzzyOperator(q, values, err, meta={"method": "geometric"})
 
+    # arm r sums Q(r + nq) over n >= 0 for r = 0..q; class j joins the arm
+    # l = j + nq and the mirrored arm |l| = (q-j) + nq
     if pot.kind == "log":
-        b = pot.beta
-        values = np.empty(q)
-        errs = 0.0
-        for j in range(q):
-            # positive arm l = j + nq and negative arm |l| = (q-j) + nq
-            z1, e1 = hurwitz_zeta(b, (1 + j) / q, rel_tol / 4)
-            z2, e2 = hurwitz_zeta(b, (q + 1 - j) / q, rel_tol / 4)
-            values[j] = q ** (-b) * (z1 + z2)
-            errs += q ** (-b) * (e1 + e2)
-        return FuzzyOperator(q, values, errs, meta={"method": "hurwitz"})
-
-    return _fuzzy_custom(pot, q, rel_tol)
-
-
-def _fuzzy_custom(pot: Potential, q: int, rel_tol: float) -> FuzzyOperator:
-    kind, expo, lq, J = pot._decay()
-    R = max(_START_RADIUS, J)
-    while True:
-        values = np.zeros(q)
-        ls = np.arange(1, R + 1)
-        qs = pot.Q(ls)
-        np.add.at(values, ls % q, qs)
-        np.add.at(values, (-ls) % q, qs)
-        values[0] += 1.0
-        half_total = 0.0
-        for j in range(q):
-            for arm_cls in (j, (-j) % q):
-                l0 = R + 1 + ((arm_cls - (R + 1)) % q)
-                lo, hi = _progression_tail(pot, l0, q)
-                values[j] += 0.5 * (lo + hi)
-                half_total += 0.5 * (hi - lo)
-        if half_total <= rel_tol * float(values.min()):
-            return FuzzyOperator(q, values, half_total + 4e-16 * float(values.sum()),
-                                 meta={"method": "series", "radius": R})
-        if R >= _MAX_RADIUS:
-            raise NumericalError(f"fuzzy class sums did not certify rel_tol={rel_tol}")
-        R *= 2
-
-
-def _progression_tail(pot: Potential, l0: int, step: int) -> tuple[float, float]:
-    """Bracket of sum_{n>=0} Q(l0 + n*step) for l0 beyond the table."""
-    kind, expo, lq, J = pot._decay()
-    b = pot.beta
-    if kind == "exp":
-        r = b * expo
-        log_t = lq - r * (l0 - J) - _log1mexp(r * step)
-        t = math.exp(log_t) if log_t > -745 else 0.0
-        return (t, t)
-    s = b * expo
-    logC = lq + s * math.log1p(J)
-    f0 = math.exp(logC - s * math.log1p(l0))
-    integral = math.exp(logC + (1.0 - s) * math.log1p(l0)) / (step * (s - 1.0))
-    return (integral, integral + f0)
+        # (1 + r + nq)^(-beta) summed over n is q^(-beta) zeta(beta, (1+r)/q)
+        scale, method = q ** (-pot.beta), "hurwitz"
+        arms = [hurwitz_zeta(pot.beta, (1 + r) / q, rel_tol / 4) for r in range(q + 1)]
+    else:
+        scale, method = 1.0, "series"
+        arms = [_progression_sum(pot, r, q, 1.0, rel_tol / 4)[:2] for r in range(q + 1)]
+    values = np.array([scale * (arms[j][0] + arms[q - j][0]) for j in range(q)])
+    errs = sum(scale * (arms[j][1] + arms[q - j][1]) for j in range(q))
+    return FuzzyOperator(q, values, errs, meta={"method": method})
 
 
 # ---------------------------------------------------------------------------
@@ -735,18 +715,9 @@ class _MonotoneEnvelope:
         j_direct = max(jmax, self.J // i + 1)
         js = np.arange(1, j_direct + 1)
         partial = math.fsum(self(i * js).tolist())
-        j0 = j_direct + 1
-        if self.kind == "exp":
-            # env(i j) = e^{lq} e^{-b expo (i j - J)} for i j > J, exact geometric
-            r = self.pot.beta * self.expo
-            log_t = self.lq - r * (i * j0 - self.J) - _log1mexp(r * i)
-            t = math.exp(log_t) if log_t > -745 else 0.0
-            return (partial + t, partial + t)
-        s = self.pot.beta * self.expo
-        logC = self.lq + s * math.log1p(self.J)
-        f0 = math.exp(logC - s * math.log1p(i * j0))
-        integral = math.exp(logC + (1.0 - s) * math.log1p(i * j0)) / (i * (s - 1.0))
-        return (partial + integral, partial + integral + f0)
+        # beyond the table the envelope is Q itself
+        lo, hi = _tail_bracket(self.pot, i * (j_direct + 1), i, 1.0)
+        return (partial + lo, partial + hi)
 
     def outer_tail_bracket(self, p: float, I: int) -> tuple[float, float]:
         """Bracket of sum_{i>I} inner(i)^p from the analytic envelope."""

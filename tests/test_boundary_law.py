@@ -185,13 +185,13 @@ class TestTruncationRadius:
 
     @pytest.mark.parametrize("bound", [1e-6, 1e-10])
     def test_minimality(self, bound):
-        from treegibbs.potentials import _arm_tail_bracket
+        from treegibbs.potentials import _tail_bracket
 
         pot = log_potential(3.0)
         R = truncation_radius(pot, 3.0, bound)
 
         def tail(r):
-            return (2.0 * _arm_tail_bracket(pot, 3.0, r)[1]) ** (1.0 / 3.0)
+            return (2.0 * _tail_bracket(pot, r + 1, 1, 3.0)[1]) ** (1.0 / 3.0)
 
         assert tail(R) <= bound
         assert tail(R - 1) > bound

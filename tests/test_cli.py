@@ -7,9 +7,13 @@ captured with capsys; file output goes through tmp_path.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import treegibbs
 from treegibbs.cli import main
 
 BETA_STAR_SOS_D2 = 1.996589869260788
@@ -334,6 +338,15 @@ class TestCustomModel:
                            "--d", "2")
         assert code == 2
 
+    def test_malformed_tail(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"kind": "custom", "beta": 2.0, "table": [[1, 1.0]], '
+                        '"tail": {"type": "power"}}')
+        code, out, err = run(capsys, "norms", "--model", f"custom:{path}",
+                             "--d", "2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+
 
 class TestOutputFile:
     def test_out_writes_file(self, capsys, tmp_path):
@@ -362,9 +375,28 @@ class TestErrorContract:
         assert payload["type"] == "ConfigError"
         assert payload["exit_code"] == 2
 
+    def test_tiny_beta_is_a_typed_error(self, capsys):
+        code, out, err = run(capsys, "solve", "--model", "sos", "--beta",
+                             "1e-320", "--d", "2")
+        assert code in (3, 4) and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["exit_code"] == code
+
     def test_stderr_is_parseable_json(self, capsys):
         code, out, err = run(capsys, "solve", "--model", "sos", "--beta",
                              "1.0", "--d", "2")
         assert out == ""
         payload = json.loads(err)
         assert set(payload["error"]) == {"type", "message", "exit_code"}
+
+
+class TestImports:
+    def test_cli_import_skips_heavy_modules(self):
+        src = os.path.dirname(os.path.dirname(treegibbs.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, treegibbs.cli; "
+                "print(sorted(m for m in ('scipy.fft', 'mpmath') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"

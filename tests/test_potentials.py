@@ -20,6 +20,7 @@ from treegibbs.potentials import (
     DOMAIN_ZQ,
     DOMAIN_ZQ_STAR,
     TailModel,
+    _tail_bracket,
     check_double_sum,
     custom,
     fuzzy_Q,
@@ -158,6 +159,18 @@ class TestCustomPotential:
             potential_from_json(
                 '{"kind": "custom", "beta": 1.0, "table": [[1, 0.5]], "tail": {"type": "cubic"}}'
             )
+        custom_head = '{"kind": "custom", "beta": 1.0, "table": [[1, 0.5]], '
+        for text in (
+            "[1, 2]",
+            '"sos"',
+            '{"kind": "sos"}',
+            '{"kind": "sos", "beta": "abc"}',
+            custom_head + '"tail": [1]}',
+            custom_head + '"tail": {"type": "power"}}',
+            '{"kind": "custom", "beta": 1.0, "table": 5}',
+        ):
+            with pytest.raises(ConfigError):
+                potential_from_json(text)
 
 
 class TestNorms:
@@ -347,3 +360,66 @@ class TestDoubleSum:
     def test_d_validation(self):
         with pytest.raises(ConfigError):
             check_double_sum(sos(1.0), 1)
+
+
+@st.composite
+def tail_cases(draw):
+    """(potential, decay kind, rate or exponent, l0, step, p) with l0 beyond the table."""
+    family = draw(st.sampled_from(["sos", "log", "custom_exp", "custom_power"]))
+    p = draw(st.floats(1.0, 4.0))
+    if family == "sos":
+        pot, kind, expo = sos(draw(st.floats(0.2, 3.0))), "exp", 1.0
+    elif family == "log":
+        # p * beta >= 2.5 keeps the brute-force remainder within reach
+        pot, kind, expo = log_potential(draw(st.floats(2.5, 5.0))), "power", 1.0
+    else:
+        kind = "exp" if family == "custom_exp" else "power"
+        expo = draw(st.floats(0.5, 2.0) if kind == "exp" else st.floats(1.0, 2.0))
+        us = draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5))
+        table = [[j, u] for j, u in enumerate(us, start=1)]
+        beta = draw(st.floats(0.5, 3.0) if kind == "exp" else st.floats(2.5, 4.0))
+        pot = custom(beta, table, TailModel(kind, expo))
+    l0 = pot.table_end + 1 + draw(st.integers(0, 100))
+    step = draw(st.integers(1, 8))
+    return pot, kind, expo, l0, step, p
+
+
+class TestTailBracket:
+    @given(case=tail_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_brackets_brute_force_sum(self, case):
+        pot, kind, expo, l0, step, p = case
+        lo, hi = _tail_bracket(pot, l0, step, p)
+        assert 0.0 <= lo <= hi < math.inf
+        s = p * pot.beta * expo
+
+        def f(x):
+            return pot.Q(x) ** p
+
+        def remainder(M):
+            # bound on the terms n >= M, from the decay law alone
+            if kind == "exp":
+                return f(l0 + M * step) / -math.expm1(-s * step)
+            a = l0 + (M - 1) * step
+            return f(a) * (1.0 + a) / ((s - 1.0) * step)
+
+        # brute force runs until its own remainder is below the bracket width
+        target = max(0.1 * (hi - lo), 1e-13 * lo, 1e-300)
+        M = 64
+        while remainder(M) > target:
+            M *= 2
+        assert M <= 1 << 22
+        brute = math.fsum(f(l0 + step * np.arange(M)).tolist())
+        rem = remainder(M)
+        # relative slack for rounding, absolute slack for subnormal tails
+        assert brute <= hi * (1.0 + 1e-12) + 1e-300
+        assert lo <= (brute + rem) * (1.0 + 1e-12) + 1e-300
+
+    def test_divergent_and_overflowing_tails_are_infinite(self):
+        assert _tail_bracket(log_potential(0.8), 1, 1, 1.0) == (math.inf, math.inf)
+        assert _tail_bracket(sos(1e-320), 65, 1, 1.5) == (math.inf, math.inf)
+
+    def test_requires_l0_beyond_table(self):
+        pot = custom(2.0, [[1, 0.5], [2, 1.0]], TailModel("exp", 1.0))
+        with pytest.raises(ValueError):
+            _tail_bracket(pot, 2, 1, 1.0)
