@@ -19,7 +19,14 @@ import numpy as np
 
 from .boundary_law import SUPPORT_PERIODIC, BoundaryLaw, single_site_marginal
 from .errors import ConfigError, NumericalError
-from .potentials import FuzzyOperator, Potential, _smallest_radius, _tail_bracket, fuzzy_Q
+from .potentials import (
+    FuzzyOperator,
+    Potential,
+    _float_stream,
+    _smallest_radius,
+    _tail_bracket,
+    fuzzy_Q,
+)
 
 __all__ = [
     "FuzzyChain",
@@ -32,6 +39,10 @@ __all__ = [
 ]
 
 _STATIONARITY_TOL = 1e-10
+
+# dense kernels (the q x q class chain here, the m x m height chain in
+# pathsim) refuse sizes beyond this many states per side
+_MAX_DENSE = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +107,11 @@ def fuzzy_chain(bl: BoundaryLaw, qq: FuzzyOperator) -> FuzzyChain:
     if qq.q != bl.q:
         raise ConfigError(f"operator has q={qq.q}, boundary law has q={bl.q}")
     q = bl.q
+    if q > _MAX_DENSE:
+        raise NumericalError(
+            f"q={q} exceeds {_MAX_DENSE}: the dense class chain needs a "
+            f"{q}x{q} matrix ({q * q * 8 / 2**30:.3g} GiB)"
+        )
     lam = bl.lam
     idx = np.arange(q)
     Qmat = np.asarray(qq.values, dtype=float)[(idx[:, None] - idx[None, :]) % q]
@@ -125,12 +141,23 @@ def increment_law(
     below tail_bound.  Requires Q summable (the class masses are the
     normalizers).
     """
-    qq = fuzzy_Q(pot, q)
+    return _increment_law(pot, fuzzy_Q(pot, q), residue, radius, tail_bound)
+
+
+def _increment_law(
+    pot: Potential, qq: FuzzyOperator, residue: int, radius: int | None, tail_bound: float
+) -> IncrementLaw:
+    q = qq.q
     residue %= q
     mass = qq.at(residue) - qq.residual_tail
 
     def tail(R: int) -> float:
-        return 2.0 * _tail_bracket(pot, R + 1, 1, 1.0)[1] / mass
+        end = pot.table_end
+        if R >= end:
+            return 2.0 * _tail_bracket(pot, R + 1, 1, 1.0)[1] / mass
+        # a radius inside a custom table also leaves out the table terms beyond it
+        inside = math.fsum(pot.Q(np.arange(R + 1, end + 1)).tolist())
+        return 2.0 * (inside + _tail_bracket(pot, end + 1, 1, 1.0)[1]) / mass
 
     if radius is None:
         radius = _smallest_radius(
@@ -159,8 +186,9 @@ def increment_law(
 def increment_laws(
     pot: Potential, q: int, radius: int | None = None, tail_bound: float = 1e-10
 ) -> list[IncrementLaw]:
-    """One IncrementLaw per residue class 0..q-1."""
-    return [increment_law(pot, q, s, radius, tail_bound) for s in range(q)]
+    """One IncrementLaw per residue class 0..q-1, sharing one fuzzy_Q."""
+    qq = fuzzy_Q(pot, q)
+    return [_increment_law(pot, qq, s, radius, tail_bound) for s in range(q)]
 
 
 def _check_laws(fc: FuzzyChain, laws) -> list[IncrementLaw]:
@@ -173,28 +201,36 @@ def _check_laws(fc: FuzzyChain, laws) -> list[IncrementLaw]:
     return laws
 
 
+def _class_step_law(fc: FuzzyChain) -> np.ndarray:
+    """Stationary law of the class step: entry s is sum_i alpha(i) P(i, i+s).
+
+    Each entry is an exactly rounded sum of the q products.
+    """
+    i = np.arange(fc.q)
+    return np.array([
+        math.fsum((fc.alpha * fc.P[i, (i + s) % fc.q]).tolist()) for s in range(fc.q)
+    ])
+
+
 def ggm_edge_marginal(
     fc: FuzzyChain, laws, window: int, tail_tol: float = 1e-9
 ) -> np.ndarray:
     """Single-edge increment law nu(j) on the window [-K, K].
 
     nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
-    jbar = j mod q.  The result is symmetric with zero tilt.  Errors out
-    when the window cannot hold enough mass for tail_tol.
+    jbar = j mod q.  The result is symmetric with zero tilt.  Each residue
+    class s adds step(s) * rho(. | s) in one scatter over the support
+    points inside the window (repeated points accumulate in support order),
+    and the mass the window leaks is one minus an exactly rounded sum.
+    Errors out when the window cannot hold enough mass for tail_tol.
     """
     laws = _check_laws(fc, laws)
-    q = fc.q
     need = max(law.radius for law in laws)
     nu = np.zeros(2 * window + 1)
-    for s, law in enumerate(laws):
-        # stationary probability of a class step s: sum_i alpha(i) P(i, i+s)
-        step = math.fsum(
-            float(fc.alpha[i] * fc.P[i, (i + s) % q]) for i in range(q)
-        )
-        for j, w in zip(law.support.tolist(), law.weights.tolist()):
-            if abs(j) <= window:
-                nu[j + window] += step * w
-    deficit = 1.0 - math.fsum(nu.tolist())
+    for step, law in zip(_class_step_law(fc), laws):
+        keep = np.abs(law.support) <= window
+        np.add.at(nu, law.support[keep] + window, step * law.weights[keep])
+    deficit = 1.0 - math.fsum(_float_stream(nu))
     if deficit > tail_tol:
         raise NumericalError(
             f"window {window} leaks mass {deficit:.3g} > {tail_tol:.3g}; "

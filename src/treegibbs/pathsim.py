@@ -18,6 +18,7 @@ sums mod q-tilde.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ from .boundary_law import (
     periodic_solve,
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
-from .ggm import FuzzyChain, _check_laws
-from .potentials import fuzzy_Q
+from .ggm import _MAX_DENSE, FuzzyChain, _check_laws, _class_step_law
+from .potentials import _float_stream, fuzzy_Q
 
 __all__ = [
     "MODE_GIBBS",
@@ -61,9 +62,6 @@ MODE_GGM = "ggm"
 VERDICT_ACCEPT = "accept"
 VERDICT_REJECT = "reject"
 VERDICT_UNKNOWN = "unknown"
-
-# dense height kernels are m x m with m = 2R + 1; refuse silly sizes
-_MAX_DENSE = 4096
 
 # effective sample size for the period test discounts serial correlation
 # of the height chain by a fixed factor; crude but calibrated on the
@@ -234,13 +232,9 @@ def wn_localized_exact(
 
 def _step_second_moment(fc: FuzzyChain, laws) -> float:
     """Second moment of the stationary one-step increment."""
-    q = fc.q
     total = 0.0
-    for s in range(q):
-        step_prob = math.fsum(
-            (fc.alpha * fc.P[np.arange(q), (np.arange(q) + s) % q]).tolist()
-        )
-        total += step_prob * laws[s].second_moment()
+    for step_prob, law in zip(_class_step_law(fc).tolist(), laws):
+        total += step_prob * law.second_moment()
     return total
 
 
@@ -329,6 +323,25 @@ def _cumulative_rows(P: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _walk(cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States of the inverse-CDF chain driven by the uniforms u.
+
+    u[0] draws the start from cum_start, u[k] moves along row cum_rows[s].
+    bisect_right makes the same comparisons as searchsorted(side="right"),
+    without its per-call overhead; a row becomes a list when first visited.
+    """
+    rows = [None] * len(cum_rows)
+    s = bisect.bisect_right(cum_start.tolist(), float(u[0]))
+    states = [s]
+    for x in _float_stream(u[1:]):
+        row = rows[s]
+        if row is None:
+            row = rows[s] = cum_rows[s].tolist()
+        s = bisect.bisect_right(row, x)
+        states.append(s)
+    return np.array(states, dtype=np.int64)
+
+
 def _dispatch(source):
     """Sort a sampling source into gibbs (BoundaryLaw) or ggm (chain, laws)."""
     if isinstance(source, BoundaryLaw):
@@ -355,29 +368,15 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     rng = _stream(seed, replicate)
     if mode == MODE_GIBBS:
         P, alpha = _height_kernel(payload)
-        cumP = _cumulative_rows(P)
-        cum_alpha = _cumulative_rows(alpha)
-        u = rng.random(n + 1)
-        states = np.empty(n + 1, dtype=np.int64)
-        s = int(np.searchsorted(cum_alpha, u[0], side="right"))
-        states[0] = s
-        for k in range(1, n + 1):
-            s = int(np.searchsorted(cumP[s], u[k], side="right"))
-            states[k] = s
+        states = _walk(_cumulative_rows(alpha), _cumulative_rows(P), rng.random(n + 1))
         heights = payload.indices[states]
         return np.diff(heights), heights
     fc, laws = payload
     q = fc.q
-    classes = np.zeros(n + 1, dtype=np.int64)
     if q > 1:
-        cumP = _cumulative_rows(fc.P)
-        cum_alpha = _cumulative_rows(fc.alpha)
-        u = rng.random(n + 1)
-        c = int(np.searchsorted(cum_alpha, u[0], side="right"))
-        classes[0] = c
-        for k in range(1, n + 1):
-            c = int(np.searchsorted(cumP[c], u[k], side="right"))
-            classes[k] = c
+        classes = _walk(_cumulative_rows(fc.alpha), _cumulative_rows(fc.P), rng.random(n + 1))
+    else:
+        classes = np.zeros(n + 1, dtype=np.int64)
     residues = (classes[1:] - classes[:-1]) % q
     u = rng.random(n)
     increments = np.empty(n, dtype=np.int64)

@@ -30,6 +30,7 @@ for window truncation and increment laws alike.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,6 +74,17 @@ DOMAIN_ZQ_STAR = "Z_q_without_zero"
 _START_RADIUS = 64
 _MAX_RADIUS = 1 << 26
 _CHUNK = 1 << 16
+
+
+def _float_stream(a: np.ndarray):
+    """The entries of a 1-d array as Python floats, converted _CHUNK at a time.
+
+    Walks a long array at the cost of one chunk's list instead of a list
+    of every entry.
+    """
+    return itertools.chain.from_iterable(
+        a[lo:lo + _CHUNK].tolist() for lo in range(0, len(a), _CHUNK)
+    )
 
 
 @dataclass(frozen=True)

@@ -383,6 +383,17 @@ class TestErrorContract:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["exit_code"] == code
 
+    def test_huge_q_is_a_typed_error(self, capsys):
+        # the dense q x q class chain is refused before it is allocated
+        code, out, err = run(capsys, "ggm", "--model", "sos", "--beta", "2",
+                             "--d", "2", "--q", "100000")
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])["error"]
+        assert payload["type"] == "NumericalError"
+        assert "100000x100000" in payload["message"]
+
     def test_stderr_is_parseable_json(self, capsys):
         code, out, err = run(capsys, "solve", "--model", "sos", "--beta",
                              "1.0", "--d", "2")

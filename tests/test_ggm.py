@@ -6,27 +6,33 @@ chain has P = [[1/(1+s*lam), s*lam/(1+s*lam)], [s/(s+lam), lam/(s+lam)]]
 and alpha proportional to (1, lam^{3/2}) for d=2.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegibbs.boundary_law import (
+    MODE_AUTO,
     SUPPORT_PERIODIC,
     BoundaryLaw,
+    SolveConfig,
     periodic_solve,
     single_site_marginal,
 )
 from treegibbs.errors import ConfigError, NotSummableError, NumericalError
 from treegibbs.ggm import (
     FuzzyChain,
+    IncrementLaw,
     fuzzy_chain,
     ggm_edge_marginal,
     increment_law,
     increment_laws,
     star_marginal,
 )
-from treegibbs.potentials import fuzzy_Q, log_potential, sos
+from treegibbs.potentials import TailModel, custom, fuzzy_Q, log_potential, sos
 
 Q2_S_B25 = 0.16307123192997783
 Q2_LAM_B25 = 0.041153547508175042
@@ -95,6 +101,12 @@ class TestFuzzyChain:
         with pytest.raises(ConfigError, match="q="):
             fuzzy_chain(law, fuzzy_Q(sos(2.0), 3))
 
+    def test_huge_q_refused_before_allocating(self):
+        q = 5000
+        bl = BoundaryLaw(kind=SUPPORT_PERIODIC, d=2, x=np.ones(q), q=q, free_state=True)
+        with pytest.raises(NumericalError, match="5000x5000"):
+            fuzzy_chain(bl, fuzzy_Q(sos(2.0), q))
+
     def test_needs_periodic_law(self):
         from treegibbs.boundary_law import solve_fixed_point
 
@@ -141,6 +153,14 @@ class TestIncrementLaw:
         assert law.radius == 5
         assert law.support.tolist() == [-5, -3, -1, 1, 3, 5]
 
+    def test_radius_inside_custom_table(self):
+        # the certified tail covers the table entries beyond the radius
+        pot = custom(3.0, [[1, 1.0], [2, 1.5], [3, 1.8]], TailModel("power", 2.0))
+        law = increment_law(pot, 1, 0, radius=1)
+        assert law.support.tolist() == [-1, 0, 1]
+        missing = 1.0 - math.fsum(law.weights.tolist())
+        assert missing - 1e-12 <= law.tail_mass_bound <= 1.1 * missing
+
     def test_radius_too_small_for_residue(self):
         with pytest.raises(ConfigError, match="residue"):
             increment_law(sos(2.0), 5, 3, radius=2)
@@ -153,6 +173,14 @@ class TestIncrementLaw:
         laws = increment_laws(sos(2.0), 2)
         assert [l.residue for l in laws] == [0, 1]
         assert all(l.q == 2 for l in laws)
+
+    @pytest.mark.parametrize("pot", [sos(2.0), log_potential(3.0)], ids=["sos", "log"])
+    def test_all_classes_match_single_calls(self, pot):
+        for law, s in zip(increment_laws(pot, 4), range(4)):
+            ref = increment_law(pot, 4, s)
+            assert np.array_equal(law.support, ref.support)
+            assert np.array_equal(law.weights, ref.weights)
+            assert law.tail_mass_bound == ref.tail_mass_bound
 
     def test_moments(self):
         law = increment_law(sos(2.0), 1, 0)
@@ -219,6 +247,96 @@ class TestEdgeMarginal:
             ggm_edge_marginal(chain20, laws[:1], window=8)
         with pytest.raises(ConfigError, match="residue"):
             ggm_edge_marginal(chain20, laws[::-1], window=8)
+
+
+def _reference_edge_marginal(fc, laws, window, tail_tol=1e-9):
+    """The per-support-point loop that ggm_edge_marginal replaced, as an oracle."""
+    q = fc.q
+    need = max(law.radius for law in laws)
+    nu = np.zeros(2 * window + 1)
+    for s, law in enumerate(laws):
+        step = math.fsum(
+            float(fc.alpha[i] * fc.P[i, (i + s) % q]) for i in range(q)
+        )
+        for j, w in zip(law.support.tolist(), law.weights.tolist()):
+            if abs(j) <= window:
+                nu[j + window] += step * w
+    deficit = 1.0 - math.fsum(nu.tolist())
+    if deficit > tail_tol:
+        raise NumericalError(
+            f"window {window} leaks mass {deficit:.3g} > {tail_tol:.3g}; "
+            f"use window >= {need}"
+        )
+    return nu
+
+
+def _marginal_or_message(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except NumericalError as exc:
+        return str(exc)
+
+
+_BIT_POTENTIALS = {
+    "sos": sos(2.0),
+    "log": log_potential(6.0),
+    "custom": custom(3.0, [[1, 1.0], [2, 1.5]], TailModel("power", 2.0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_chain(family, q):
+    pot = _BIT_POTENTIALS[family]
+    law, _ = periodic_solve(pot, 2, q, SolveConfig(mode=MODE_AUTO))
+    return fuzzy_chain(law, fuzzy_Q(pot, q))
+
+
+class TestEdgeMarginalBitIdentity:
+    """The scatter form reproduces the old loop bit for bit, leak message included."""
+
+    @given(
+        family=st.sampled_from(sorted(_BIT_POTENTIALS)),
+        q=st.integers(1, 6),
+        radius=st.none() | st.integers(1, 400),
+        shrink=st.just(0) | st.integers(1, 400),
+        hand_built=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_loop(self, family, q, radius, shrink, hand_built, seed):
+        pot = _BIT_POTENTIALS[family]
+        fc = _bit_chain(family, q)
+        laws = increment_laws(pot, q, radius=None if radius is None else max(radius, q))
+        if hand_built:
+            # shuffled support with repeated points: accumulation order matters
+            rng = np.random.default_rng(seed)
+            rebuilt = []
+            for law in laws:
+                idx = rng.permutation(np.concatenate([
+                    np.arange(len(law.support)),
+                    rng.integers(0, len(law.support), size=len(law.support) // 2),
+                ]))
+                rebuilt.append(IncrementLaw(
+                    q=law.q, residue=law.residue, support=law.support[idx],
+                    weights=law.weights[idx], tail_mass_bound=law.tail_mass_bound,
+                ))
+            laws = rebuilt
+        need = max(law.radius for law in laws)
+        window = max(need - shrink, 0)
+        kwargs = {} if window == need else {"tail_tol": 1.0}
+        got = _marginal_or_message(ggm_edge_marginal, fc, laws, window, **kwargs)
+        want = _marginal_or_message(_reference_edge_marginal, fc, laws, window, **kwargs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_leak_message_unchanged(self, chain20):
+        laws = increment_laws(sos(2.0), 2, radius=4)
+        with pytest.raises(NumericalError) as exc:
+            ggm_edge_marginal(chain20, laws, window=6)
+        assert str(exc.value) == _marginal_or_message(
+            _reference_edge_marginal, chain20, laws, 6)
 
 
 class TestStarMarginal:

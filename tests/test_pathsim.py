@@ -27,6 +27,9 @@ from treegibbs.pathsim import (
     MODE_GIBBS,
     VERDICT_ACCEPT,
     PathDistribution,
+    _cumulative_rows,
+    _height_kernel,
+    _stream,
     default_window,
     recover_period,
     sample_path,
@@ -362,6 +365,58 @@ class TestSampling:
             sample_path(sos25, 10, seed=1, replicate=2.5)
         with pytest.raises(ConfigError, match="replicates"):
             sample_wn(chain2, 4, 0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def chain3():
+    pot = sos(2.0)
+    law, _ = periodic_solve(pot, 2, 3)
+    return fuzzy_chain(law, fuzzy_Q(pot, 3)), increment_laws(pot, 3)
+
+
+def _reference_states(cum_start, cum_rows, u):
+    """The per-step np.searchsorted loop that sample_path replaced, as an oracle."""
+    states = np.empty(len(u), dtype=np.int64)
+    s = int(np.searchsorted(cum_start, u[0], side="right"))
+    states[0] = s
+    for k in range(1, len(u)):
+        s = int(np.searchsorted(cum_rows[s], u[k], side="right"))
+        states[k] = s
+    return states
+
+
+class TestSamplePathReference:
+    """sample_path draws the same states as the searchsorted loop it replaced."""
+
+    @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
+    def test_gibbs_heights(self, sos20, seed, replicate):
+        n = 5000
+        P, alpha = _height_kernel(sos20)
+        u = _stream(seed, replicate).random(n + 1)
+        states = _reference_states(_cumulative_rows(alpha), _cumulative_rows(P), u)
+        assert len(np.unique(states)) > 1
+        inc, heights = sample_path(sos20, n, seed=seed, replicate=replicate)
+        np.testing.assert_array_equal(heights, sos20.indices[states])
+        np.testing.assert_array_equal(inc, np.diff(heights))
+
+    @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
+    def test_ggm_classes_and_increments(self, chain3, seed, replicate):
+        fc, laws = chain3
+        n = 5000
+        rng = _stream(seed, replicate)
+        classes = _reference_states(
+            _cumulative_rows(fc.alpha), _cumulative_rows(fc.P), rng.random(n + 1))
+        assert len(np.unique(classes)) == 3
+        residues = (classes[1:] - classes[:-1]) % 3
+        u = rng.random(n)
+        increments = np.empty(n, dtype=np.int64)
+        for s, law in enumerate(laws):
+            mask = residues == s
+            increments[mask] = law.support[
+                np.searchsorted(_cumulative_rows(law.weights), u[mask], side="right")]
+        inc, got = sample_path(chain3, n, seed=seed, replicate=replicate)
+        np.testing.assert_array_equal(got, classes)
+        np.testing.assert_array_equal(inc, increments)
 
 
 @pytest.fixture(scope="module")
