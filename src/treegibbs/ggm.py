@@ -232,9 +232,13 @@ def ggm_edge_marginal(
         np.add.at(nu, law.support[keep] + window, step * law.weights[keep])
     deficit = 1.0 - math.fsum(_float_stream(nu))
     if deficit > tail_tol:
+        # a window past every law radius holds all support points: the
+        # leak is the mass the increment truncation gave away
+        hint = (f"use window >= {need}" if window < need else
+                f"the increment laws are truncated at radius {need}; "
+                "raise the increment radius (--truncation)")
         raise NumericalError(
-            f"window {window} leaks mass {deficit:.3g} > {tail_tol:.3g}; "
-            f"use window >= {need}"
+            f"window {window} leaks mass {deficit:.3g} > {tail_tol:.3g}; {hint}"
         )
     return nu
 

@@ -1,19 +1,20 @@
 """Total increment of the height field along a tree path.
 
-Both measure families induce a Markov chain on the vertices of a path: the
-localized measure moves an integer height with kernel
-P(i,j) = Q(i-j) lam(j) / N(i) on the truncated window, the delocalized one
-moves a height class with the fuzzy kernel and then draws the actual
-increment from the conditional class law.  The total increment after n
-steps, W_n, separates the two regimes: under the localized chain its law
-converges to the fixed vector sum_i alpha(i) alpha(i+k), under a class
-chain the sup of the law decays to zero at a diffusive rate.
+Both measure families drive one Markov-additive walk along a path: a state
+chain plus an increment per step.  The localized measure moves an integer
+height with kernel P(i,j) = Q(i-j) lam(j) / N(i) on the truncated window,
+and its increment is the deterministic j - i; the delocalized one moves a
+height class with the fuzzy kernel and draws the increment from the
+conditional class law.  The total increment after n steps, W_n, separates
+the two regimes: under the localized chain its law converges to the fixed
+vector sum_i alpha(i) alpha(i+k), under a class chain the sup of the law
+decays to zero at a diffusive rate.
 
 The module computes W_n laws exactly (matrix powers for heights, dynamic
-programming over (class, displacement) for classes), samples paths with
-counter-based streams keyed by (seed, replicate), and recovers the height
-period of an unknown source from the empirical distribution of its partial
-sums mod q-tilde.
+programming over (class, displacement) for classes), samples both walks
+through one stepping kernel with counter-based streams keyed by (seed,
+replicate), and recovers the height period of an unknown source from the
+empirical distribution of its partial sums mod q-tilde.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ VERDICT_UNKNOWN = "unknown"
 # of the height chain by a fixed factor; crude but calibrated on the
 # exactly solvable two-class chain
 _N_EFF_FACTOR = 10.0
+
+# a sampler refuses a uniform buffer beyond this many float64 draws (512 MiB)
+_MAX_UNIFORMS = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,14 +346,60 @@ def _walk(cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndar
     return np.array(states, dtype=np.int64)
 
 
-def _dispatch(source):
-    """Sort a sampling source into gibbs (BoundaryLaw) or ggm (chain, laws)."""
+def _check_sizes(n, *replicates) -> None:
+    """Sizes are integers >= 1 whose uniform buffer fits in _MAX_UNIFORMS."""
+    named = list(zip(("n", "replicates"), (n, *replicates)))
+    for name, v in named:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+    name, v = named[-1]
+    size = int(v) + (name == "n")  # n + 1 for a path, one per walker per step
+    if size > _MAX_UNIFORMS:
+        raise NumericalError(
+            f"{name}={v} needs {size} uniforms in one buffer "
+            f"({size * 8 / 2**30:.3g} GiB), beyond {_MAX_UNIFORMS}; "
+            "use smaller runs on distinct replicate keys")
+
+
+def _draw(cum_rows, keys, u: np.ndarray, values=None) -> np.ndarray:
+    """Inverse-CDF draw of each u[k] on row keys[k] of cum_rows.
+
+    One searchsorted per occupied row; slot j of row s is values[s][j] if given.
+    """
+    out = np.empty(len(keys), dtype=np.int64)
+    for s in np.flatnonzero(np.bincount(keys, minlength=len(cum_rows))):
+        mask = keys == s
+        slots = np.searchsorted(cum_rows[s], u[mask], side="right")
+        out[mask] = slots if values is None else values[s][slots]
+    return out
+
+
+def _markov_additive(source):
+    """(labels, cum_start, cum_rows, increment) of a sampling source.
+
+    increment(a, b, rng) is the height change of the steps a -> b: for a
+    truncated BoundaryLaw (labels = heights) the deterministic
+    labels[b] - labels[a], for a (FuzzyChain, laws) pair (labels = classes)
+    one draw per step from the law of the class step (b - a) mod q.
+    """
     if isinstance(source, BoundaryLaw):
-        return MODE_GIBBS, source
+        P, alpha = _height_kernel(source)
+        idx = source.indices
+
+        def increment(a, b, rng):
+            return idx[b] - idx[a]
+        return idx, _cumulative_rows(alpha), _cumulative_rows(P), increment
     if isinstance(source, (tuple, list)) and len(source) == 2 \
             and isinstance(source[0], FuzzyChain):
         fc = source[0]
-        return MODE_GGM, (fc, _check_laws(fc, source[1]))
+        laws = _check_laws(fc, source[1])
+        cum_w = [_cumulative_rows(law.weights) for law in laws]
+        supports = [law.support for law in laws]
+
+        def increment(a, b, rng):
+            return _draw(cum_w, (b - a) % fc.q, rng.random(len(a)), supports)
+        return (np.arange(fc.q), _cumulative_rows(fc.alpha),
+                _cumulative_rows(fc.P), increment)
     raise ConfigError(
         "source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair"
     )
@@ -362,33 +412,14 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     in gibbs mode, classes in ggm mode.  Equal (seed, replicate) always
     reproduces the same path; replicates are independent streams.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    mode, payload = _dispatch(source)
+    _check_sizes(n)
+    labels, cum_start, cum_rows, increment = _markov_additive(source)
     rng = _stream(seed, replicate)
-    if mode == MODE_GIBBS:
-        P, alpha = _height_kernel(payload)
-        states = _walk(_cumulative_rows(alpha), _cumulative_rows(P), rng.random(n + 1))
-        heights = payload.indices[states]
-        return np.diff(heights), heights
-    fc, laws = payload
-    q = fc.q
-    if q > 1:
-        classes = _walk(_cumulative_rows(fc.alpha), _cumulative_rows(fc.P), rng.random(n + 1))
+    if len(labels) > 1:
+        states = _walk(cum_start, cum_rows, rng.random(n + 1))
     else:
-        classes = np.zeros(n + 1, dtype=np.int64)
-    residues = (classes[1:] - classes[:-1]) % q
-    u = rng.random(n)
-    increments = np.empty(n, dtype=np.int64)
-    for s in range(q):
-        mask = residues == s
-        if not mask.any():
-            continue
-        cumw = _cumulative_rows(laws[s].weights)
-        increments[mask] = laws[s].support[
-            np.searchsorted(cumw, u[mask], side="right")
-        ]
-    return increments, classes
+        states = np.zeros(n + 1, dtype=np.int64)
+    return increment(states[:-1], states[1:], rng), labels[states]
 
 
 def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
@@ -398,51 +429,16 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     by (seed, replicate) like sample_path; parallel batches should use
     distinct replicate keys.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    mode, payload = _dispatch(source)
+    _check_sizes(n, replicates)
+    labels, cum_start, cum_rows, increment = _markov_additive(source)
     rng = _stream(seed, replicate)
     N = int(replicates)
-    if mode == MODE_GIBBS:
-        P, alpha = _height_kernel(payload)
-        cumP = _cumulative_rows(P)
-        cum_alpha = _cumulative_rows(alpha)
-        states = np.searchsorted(cum_alpha, rng.random(N), side="right")
-        start = states.copy()
-        for _ in range(n):
-            u = rng.random(N)
-            nxt = np.empty_like(states)
-            for s in np.unique(states):
-                mask = states == s
-                nxt[mask] = np.searchsorted(cumP[s], u[mask], side="right")
-            states = nxt
-        idx = payload.indices
-        return (idx[states] - idx[start]).astype(np.int64)
-    fc, laws = payload
-    q = fc.q
-    cum_alpha = _cumulative_rows(fc.alpha)
-    cumP = _cumulative_rows(fc.P)
-    cumw = [_cumulative_rows(law.weights) for law in laws]
-    classes = np.searchsorted(cum_alpha, rng.random(N), side="right")
+    states = np.searchsorted(cum_start, rng.random(N), side="right")
     W = np.zeros(N, dtype=np.int64)
     for _ in range(n):
-        u = rng.random(N)
-        nxt = np.empty_like(classes)
-        for i in range(q):
-            mask = classes == i
-            if mask.any():
-                nxt[mask] = np.searchsorted(cumP[i], u[mask], side="right")
-        residues = (nxt - classes) % q
-        u = rng.random(N)
-        for s in range(q):
-            mask = residues == s
-            if mask.any():
-                W[mask] += laws[s].support[
-                    np.searchsorted(cumw[s], u[mask], side="right")
-                ]
-        classes = nxt
+        nxt = _draw(cum_rows, states, rng.random(N))
+        W += increment(states, nxt, rng)
+        states = nxt
     return W
 
 

@@ -394,6 +394,27 @@ class TestErrorContract:
         assert payload["type"] == "NumericalError"
         assert "100000x100000" in payload["message"]
 
+    def test_huge_sample_steps_is_a_typed_error(self, capsys):
+        # the path's uniform buffer (745 GiB) is refused before it is allocated
+        code, out, err = run(capsys, "simulate", "--model", "sos", "--beta", "2",
+                             "--d", "2", "--q", "2", "--sample-steps",
+                             "100000000000")
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])["error"]
+        assert payload["type"] == "NumericalError"
+        assert "100000000001 uniforms" in payload["message"]
+
+    def test_truncation_leak_points_at_increment_radius(self, capsys):
+        # window 7 already holds every radius-4 increment; widening it cannot help
+        code, out, err = run(capsys, "ggm", "--model", "sos", "--beta", "2",
+                             "--d", "2", "--q", "3", "--truncation", "4")
+        assert code == 3 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("window 7 leaks mass")
+        assert "--truncation" in message and "use window" not in message
+
     def test_stderr_is_parseable_json(self, capsys):
         code, out, err = run(capsys, "solve", "--model", "sos", "--beta",
                              "1.0", "--d", "2")

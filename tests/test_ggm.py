@@ -241,6 +241,24 @@ class TestEdgeMarginal:
         with pytest.raises(NumericalError, match="window"):
             ggm_edge_marginal(chain20, laws, window=1)
 
+    def test_leak_hint_asks_for_a_wider_window(self, chain20):
+        laws = increment_laws(sos(2.0), 2)
+        need = max(l.radius for l in laws)
+        with pytest.raises(NumericalError) as exc:
+            ggm_edge_marginal(chain20, laws, window=1)
+        assert str(exc.value).endswith(f"; use window >= {need}")
+
+    def test_leak_hint_blames_increment_truncation(self, chain20):
+        # every support point of radius-4 laws sits inside window 6, so no
+        # window helps: the hint points at the increment radius instead
+        laws = increment_laws(sos(2.0), 2, radius=4)
+        with pytest.raises(NumericalError) as exc:
+            ggm_edge_marginal(chain20, laws, window=6)
+        msg = str(exc.value)
+        assert "use window" not in msg
+        assert msg.endswith("the increment laws are truncated at radius 4; "
+                            "raise the increment radius (--truncation)")
+
     def test_law_validation(self, chain20):
         laws = increment_laws(sos(2.0), 2)
         with pytest.raises(ConfigError, match="increment laws"):
@@ -263,9 +281,11 @@ def _reference_edge_marginal(fc, laws, window, tail_tol=1e-9):
                 nu[j + window] += step * w
     deficit = 1.0 - math.fsum(nu.tolist())
     if deficit > tail_tol:
+        hint = (f"use window >= {need}" if window < need else
+                f"the increment laws are truncated at radius {need}; "
+                "raise the increment radius (--truncation)")
         raise NumericalError(
-            f"window {window} leaks mass {deficit:.3g} > {tail_tol:.3g}; "
-            f"use window >= {need}"
+            f"window {window} leaks mass {deficit:.3g} > {tail_tol:.3g}; {hint}"
         )
     return nu
 

@@ -366,12 +366,40 @@ class TestSampling:
         with pytest.raises(ConfigError, match="replicates"):
             sample_wn(chain2, 4, 0, seed=1)
 
+    def test_sizes_must_be_integers(self, sos25, chain2):
+        with pytest.raises(ConfigError, match="n must be an integer >= 1, got 2.5"):
+            sample_wn(sos25, 2.5, 10, seed=1)
+        with pytest.raises(ConfigError, match="n must be an integer >= 1, got 2.5"):
+            sample_path(sos25, 2.5, seed=1)
+        with pytest.raises(ConfigError, match="replicates must be an integer"):
+            sample_wn(chain2, 4, 2.5, seed=1)
+        with pytest.raises(ConfigError, match="replicates must be an integer"):
+            sample_wn(chain2, 4, True, seed=1)
+        w = sample_wn(sos25, np.int64(3), np.int32(5), seed=1)
+        assert w.shape == (5,) and w.dtype == np.int64
+
+    def test_huge_buffers_refused_before_allocating(self, sos25, chain2):
+        # 7.28 TiB of walkers and a 745 GiB path: both named, neither allocated
+        with pytest.raises(NumericalError, match=r"replicates=1000000000000 needs "
+                           r"1000000000000 uniforms .*7\.45e\+03 GiB"):
+            sample_wn(sos25, 2, 10**12, seed=1)
+        with pytest.raises(NumericalError, match=r"n=100000000000 needs "
+                           r"100000000001 uniforms .*745 GiB"):
+            sample_path(chain2, 10**11, seed=1)
+
 
 @pytest.fixture(scope="module")
 def chain3():
     pot = sos(2.0)
     law, _ = periodic_solve(pot, 2, 3)
     return fuzzy_chain(law, fuzzy_Q(pot, 3)), increment_laws(pot, 3)
+
+
+@pytest.fixture(scope="module")
+def chain_log():
+    pot = log_potential(4.0)
+    law, _ = periodic_solve(pot, 2, 2)
+    return fuzzy_chain(law, fuzzy_Q(pot, 2)), increment_laws(pot, 2)
 
 
 def _reference_states(cum_start, cum_rows, u):
@@ -383,6 +411,25 @@ def _reference_states(cum_start, cum_rows, u):
         s = int(np.searchsorted(cum_rows[s], u[k], side="right"))
         states[k] = s
     return states
+
+
+def _reference_ggm_path(fc, laws, n, seed, replicate):
+    """Classes (no draws for q = 1), then one per-residue searchsorted loop."""
+    q = fc.q
+    rng = _stream(seed, replicate)
+    if q > 1:
+        classes = _reference_states(
+            _cumulative_rows(fc.alpha), _cumulative_rows(fc.P), rng.random(n + 1))
+    else:
+        classes = np.zeros(n + 1, dtype=np.int64)
+    residues = (classes[1:] - classes[:-1]) % q
+    u = rng.random(n)
+    increments = np.empty(n, dtype=np.int64)
+    for s, law in enumerate(laws):
+        mask = residues == s
+        increments[mask] = law.support[
+            np.searchsorted(_cumulative_rows(law.weights), u[mask], side="right")]
+    return increments, classes
 
 
 class TestSamplePathReference:
@@ -403,20 +450,84 @@ class TestSamplePathReference:
     def test_ggm_classes_and_increments(self, chain3, seed, replicate):
         fc, laws = chain3
         n = 5000
-        rng = _stream(seed, replicate)
-        classes = _reference_states(
-            _cumulative_rows(fc.alpha), _cumulative_rows(fc.P), rng.random(n + 1))
+        increments, classes = _reference_ggm_path(fc, laws, n, seed, replicate)
         assert len(np.unique(classes)) == 3
-        residues = (classes[1:] - classes[:-1]) % 3
-        u = rng.random(n)
-        increments = np.empty(n, dtype=np.int64)
-        for s, law in enumerate(laws):
-            mask = residues == s
-            increments[mask] = law.support[
-                np.searchsorted(_cumulative_rows(law.weights), u[mask], side="right")]
         inc, got = sample_path(chain3, n, seed=seed, replicate=replicate)
         np.testing.assert_array_equal(got, classes)
         np.testing.assert_array_equal(inc, increments)
+
+    @pytest.mark.parametrize("chain", ["chain_free", "chain_log"])
+    @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
+    def test_free_state_and_log_chain(self, request, chain, seed, replicate):
+        fc, laws = request.getfixturevalue(chain)
+        n = 5000
+        increments, classes = _reference_ggm_path(fc, laws, n, seed, replicate)
+        inc, got = sample_path((fc, laws), n, seed=seed, replicate=replicate)
+        assert got.dtype == classes.dtype and inc.dtype == increments.dtype
+        np.testing.assert_array_equal(got, classes)
+        np.testing.assert_array_equal(inc, increments)
+        assert len(np.unique(inc)) > 1
+
+
+def _reference_wn(source, n, replicates, seed, replicate=0):
+    """The two-branch sample_wn that one Markov-additive walk replaced, as an oracle."""
+    rng = _stream(seed, replicate)
+    N = int(replicates)
+    if isinstance(source, BoundaryLaw):
+        P, alpha = _height_kernel(source)
+        cumP = _cumulative_rows(P)
+        cum_alpha = _cumulative_rows(alpha)
+        states = np.searchsorted(cum_alpha, rng.random(N), side="right")
+        start = states.copy()
+        for _ in range(n):
+            u = rng.random(N)
+            nxt = np.empty_like(states)
+            for s in np.unique(states):
+                mask = states == s
+                nxt[mask] = np.searchsorted(cumP[s], u[mask], side="right")
+            states = nxt
+        idx = source.indices
+        return (idx[states] - idx[start]).astype(np.int64)
+    fc, laws = source
+    q = fc.q
+    cum_alpha = _cumulative_rows(fc.alpha)
+    cumP = _cumulative_rows(fc.P)
+    cumw = [_cumulative_rows(law.weights) for law in laws]
+    classes = np.searchsorted(cum_alpha, rng.random(N), side="right")
+    W = np.zeros(N, dtype=np.int64)
+    for _ in range(n):
+        u = rng.random(N)
+        nxt = np.empty_like(classes)
+        for i in range(q):
+            mask = classes == i
+            if mask.any():
+                nxt[mask] = np.searchsorted(cumP[i], u[mask], side="right")
+        residues = (nxt - classes) % q
+        u = rng.random(N)
+        for s in range(q):
+            mask = residues == s
+            if mask.any():
+                W[mask] += laws[s].support[
+                    np.searchsorted(cumw[s], u[mask], side="right")
+                ]
+        classes = nxt
+    return W
+
+
+class TestSampleWnReference:
+    """sample_wn draws the same W_n, bit for bit, as the two-branch sampler."""
+
+    @pytest.mark.parametrize("source", [
+        "sos20", "sos25", "chain_free", "chain2", "chain3", "chain_log"])
+    @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
+    def test_matches_two_branch_sampler(self, request, source, seed, replicate):
+        src = request.getfixturevalue(source)
+        for n, N in ((1, 7), (6, 3000), (17, 20000)):
+            want = _reference_wn(src, n, N, seed, replicate)
+            got = sample_wn(src, n, N, seed=seed, replicate=replicate)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (n, N)
+        assert len(np.unique(want)) > 1
 
 
 @pytest.fixture(scope="module")
