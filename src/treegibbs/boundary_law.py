@@ -11,20 +11,24 @@ around Q in the l_{d+1} norm, and Banach iteration from x0 = Q converges to
 the unique fixed point there; lambda = x^d is the boundary law and
 lambda^{(d+1)/d} normalizes to the single-site marginal.
 
-On Z_q the same operator runs with the normalized class-sum operator
-Qbar_q = Q_q / Q_q(0) and circular convolution; the q = 1 case degenerates
-to the free state lambda == 1.
+One operator serves two supports; only its convolution differs.  On the
+window [-R, R] it is a linear convolution against Q on [-2R, 2R]; on Z_q it
+is a circular convolution against the normalized class-sum operator
+Qbar_q = Q_q / Q_q(0), and the q = 1 case degenerates to the free state
+lambda == 1.  Large sizes convolve through one cached FFT.
 
-Solves are certified by default: refusal outside the good set, a-posteriori
-Banach stopping ||x_{n+1} - x_n|| * L/(1-L) < tol, and a truncation radius
-chosen so the discarded tail of Q at exponent d+1 stays below 0.01*tol.
-The best-effort mode drops the certificates (plain iteration, divergence
-and trivial-branch detection) and labels the result uncertified.
+One solve core certifies both: refusal outside the good set, a-posteriori
+Banach stopping ||x_{n+1} - x_n|| * L/(1-L) < tol, the ball check, and on
+the window a truncation radius chosen so the discarded tail of Q at
+exponent d+1 stays below 0.01*tol.  The best-effort mode drops the
+certificates (plain iteration, divergence and trivial-branch detection)
+and labels the result uncertified.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,85 +184,85 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-class _WindowOperator:
+@dataclass(frozen=True, eq=False)
+class _Operator:
+    """T on one support: w = x^d with w(zero) = 1, numerator convolve(w),
+    renormalized to 1 at the zero slot.
+
+    ``base`` is the kernel restricted to the support, which is also the
+    start vector Q; ``zero`` is the slot of index 0 (the radius R on a
+    window, 0 on Z_q).
+    """
+
+    d: int
+    base: np.ndarray
+    zero: int
+    convolve: Callable[[np.ndarray], np.ndarray]
+
+    def start(self, kind: str = "Q") -> np.ndarray:
+        x = np.zeros(self.base.size) if kind == "zero" else self.base.copy()
+        x[self.zero] = 1.0
+        return x
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        w = x**self.d
+        w[self.zero] = 1.0
+        num = self.convolve(w)
+        return num / num[self.zero]
+
+
+def _fft_convolve(kernel: np.ndarray, n: int, lo: int, hi: int):
+    """Circular convolution of length n against a cached kernel transform,
+    keeping lags [lo, hi)."""
+    kernel_f = np.fft.rfft(kernel, n)
+
+    def convolve(w):
+        return np.fft.irfft(kernel_f * np.fft.rfft(w, n), n)[lo:hi]
+
+    return convolve
+
+
+def _window_operator(pot: Potential, d: int, R: int) -> _Operator:
     """T on the window [-R, R] by linear convolution against Q on [-2R, 2R].
 
     The full convolution of Q2 (length 4R+1) with w (length 2R+1) is needed
     only at lags [2R, 4R]; a circular transform of length >= 4R+1 leaves
-    that slice alias-free, so the FFT path caches one kernel transform.
+    that slice alias-free.  The transform length fixes the output bits, so
+    it stays scipy's next fast length.
     """
+    Q2 = pot.Q(np.arange(-2 * R, 2 * R + 1))
+    if 2 * R + 1 > _FFT_WINDOW:
+        from scipy.fft import next_fast_len  # deferred: only wide windows need it
 
-    def __init__(self, pot: Potential, d: int, R: int):
-        self.d = d
-        self.R = R
-        self.Q2 = pot.Q(np.arange(-2 * R, 2 * R + 1))
-        self.Q_win = self.Q2[R : 3 * R + 1]
-        self.use_fft = 2 * R + 1 > _FFT_WINDOW
-        if self.use_fft:
-            import scipy.fft  # deferred: only wide windows need it
+        convolve = _fft_convolve(Q2, next_fast_len(4 * R + 1), 2 * R, 4 * R + 1)
+    else:
 
-            self.fft = scipy.fft
-            self.nfft = scipy.fft.next_fast_len(4 * R + 1)
-            self.kernel_f = scipy.fft.rfft(self.Q2, self.nfft)
+        def convolve(w):
+            return np.convolve(Q2, w)[2 * R : 4 * R + 1]
 
-    def start(self, kind: str = "Q") -> np.ndarray:
-        if kind == "zero":
-            x = np.zeros(2 * self.R + 1)
-            x[self.R] = 1.0
-            return x
-        x = self.Q_win.copy()
-        x[self.R] = 1.0
-        return x
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        R = self.R
-        w = x**self.d
-        w[R] = 1.0
-        if self.use_fft:
-            c = self.fft.irfft(self.kernel_f * self.fft.rfft(w, self.nfft), self.nfft)
-            num = c[2 * R : 4 * R + 1]
-        else:
-            num = np.convolve(self.Q2, w)[2 * R : 4 * R + 1]
-        return num / num[R]
-
-    def zero_slot(self) -> int:
-        return self.R
+    return _Operator(d, Q2[R : 3 * R + 1], R, convolve)
 
 
-class _PeriodicOperator:
+def _periodic_operator(qbar: FuzzyOperator, d: int) -> _Operator:
     """T on Z_q with the normalized class operator, circular convolution."""
+    q = qbar.q
+    values = np.asarray(qbar.values, dtype=float)
+    if q > 64:
+        convolve = _fft_convolve(values, q, 0, q)
+    else:
+        idx = np.arange(q)
+        matrix = values[(idx[:, None] - idx[None, :]) % q]
+        convolve = matrix.__matmul__
+    return _Operator(d, values, 0, convolve)
 
-    def __init__(self, qbar: FuzzyOperator, d: int):
-        self.d = d
-        self.q = qbar.q
-        self.values = np.asarray(qbar.values, dtype=float)
-        self.use_fft = self.q > 64
-        if self.use_fft:
-            self.kernel_f = np.fft.rfft(self.values)
-        else:
-            idx = np.arange(self.q)
-            self.matrix = self.values[(idx[:, None] - idx[None, :]) % self.q]
 
-    def start(self, kind: str = "Q") -> np.ndarray:
-        if kind == "zero":
-            x = np.zeros(self.q)
-            x[0] = 1.0
-            return x
-        x = self.values.copy()
-        x[0] = 1.0
-        return x
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        w = x**self.d
-        w[0] = 1.0
-        if self.use_fft:
-            num = np.fft.irfft(self.kernel_f * np.fft.rfft(w), self.q)
-        else:
-            num = self.matrix @ w
-        return num / num[0]
-
-    def zero_slot(self) -> int:
-        return 0
+def _checked_input(x, n: int, length: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ConfigError(f"x must have length {length}")
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise ConfigError("x must be finite and nonnegative")
+    return x
 
 
 def apply_T(pot: Potential, d: int, x: np.ndarray, radius: int) -> np.ndarray:
@@ -268,21 +272,16 @@ def apply_T(pot: Potential, d: int, x: np.ndarray, radius: int) -> np.ndarray:
     participates as w(0) = 1 regardless of its stored value, and the output
     has value 1 there.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2 * radius + 1,):
-        raise ConfigError(f"x must have length {2 * radius + 1} for radius {radius}")
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise ConfigError("x must be finite and nonnegative")
-    return _WindowOperator(pot, d, radius).apply(x.copy())
+    n = 2 * radius + 1
+    x = _checked_input(x, n, f"{n} for radius {radius}")
+    return _window_operator(pot, d, radius).apply(x)
 
 
 def apply_T_periodic(qbar: FuzzyOperator, d: int, x: np.ndarray) -> np.ndarray:
-    """One application of the operator on Z_q against a normalized class operator."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (qbar.q,):
-        raise ConfigError(f"x must have length q={qbar.q}")
-    op = _PeriodicOperator(qbar.normalized_op(), d)
-    return op.apply(x.copy())
+    """One application of the operator on Z_q against a normalized class
+    operator; ``x`` is checked like the window input of `apply_T`."""
+    x = _checked_input(x, qbar.q, f"q={qbar.q}")
+    return _periodic_operator(qbar.normalized_op(), d).apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +307,22 @@ def truncation_radius(pot: Potential, p: float, bound: float) -> int:
     )
 
 
+def _window_radius(pot: Potential, d: int, config: SolveConfig) -> int:
+    """The configured radius if its dropped tail stays below tol, else the
+    certified radius for a tail below 0.01*tol (at least 4)."""
+    if config.radius is None:
+        return max(truncation_radius(pot, d + 1, 0.01 * config.tol), 4)
+    R = config.radius
+    tail = (2.0 * _tail_bracket(pot, max(R, pot.table_end) + 1, 1, d + 1)[1]) ** (
+        1.0 / (d + 1)
+    )
+    if tail > config.tol:
+        raise ConfigError(
+            f"radius {R} leaves a truncated tail of {tail:.3g} > tol {config.tol:.3g}"
+        )
+    return R
+
+
 # ---------------------------------------------------------------------------
 # the iteration core
 # ---------------------------------------------------------------------------
@@ -325,7 +340,6 @@ def _iterate(op, d: int, tol: float, max_iter: int, L: float | None, start: str 
     step smallness plus divergence detection.  The threshold never exceeds
     tol so the final residual stays below tol even for tiny L.
     """
-    zero = op.zero_slot()
     x = op.start(start)
     steps: list[float] = []
     if L is not None and L > 0:
@@ -335,7 +349,7 @@ def _iterate(op, d: int, tol: float, max_iter: int, L: float | None, start: str 
     grow = 0
     for n in range(1, max_iter + 1):
         x_next = op.apply(x)
-        step = _offzero_dp1(x_next - x, zero, d)
+        step = _offzero_dp1(x_next - x, op.zero, d)
         steps.append(step)
         x = x_next
         if not np.all(np.isfinite(x)) or step > 1e12:
@@ -359,21 +373,41 @@ def _contraction_estimate(steps: list[float], floor: float) -> float | None:
     return max(ratios) if ratios else None
 
 
-def _finish(op, d, x, n_iter, steps, tol, L, eps, gamma, delta, certified, mode):
+def _solve(d: int, gamma: float, delta: float, config: SolveConfig, refusal: str,
+           make_op, check=None):
+    """The certified solve shared by both supports.
+
+    Membership of (gamma, delta) decides the certificate; certified mode
+    refuses outside the good set with ``refusal`` as the message prefix.
+    ``make_op`` builds the operator only after that refusal, ``check(x)``
+    vets the fixed point before the ball test.  Returns (op, x,
+    sup_residual, report).
+    """
+    verdict = membership(GoodSetQuery(d, gamma, delta))
+    certified = verdict.in_good_set
+    if not certified and config.mode == MODE_CERTIFIED:
+        raise OutsideGoodSetError(f"{refusal} (reason: {verdict.reason})", verdict=verdict)
+    op = make_op()
+    L = verdict.lipschitz if certified else None
+    eps = verdict.epsilon if certified else None
+    x, n_iter, steps = _iterate(op, d, config.tol, config.max_iter, L, config.start)
+    if check is not None:
+        check(x)
+    if certified:
+        ball = _offzero_dp1(x, op.zero, d)
+        if ball > eps * (1.0 + 1e-9):
+            raise NumericalError(
+                f"solution left the certified ball: |x| = {ball!r} > eps = {eps!r}"
+            )
     resid_vec = op.apply(x) - x
-    zero = op.zero_slot()
-    final_residual = _offzero_dp1(resid_vec, zero, d)
-    sup_residual = float(np.max(np.abs(resid_vec)))
-    floor = max(100.0 * tol, 1e-13)
-    contraction = _contraction_estimate(steps, floor)
     a_priori = a_post = None
     if L is not None and L > 0:
-        a_priori = L**n_iter / (1.0 - L) * steps[0] if steps else 0.0
-        a_post = steps[-1] * L / (1.0 - L) if steps else 0.0
+        a_priori = L**n_iter / (1.0 - L) * steps[0]
+        a_post = steps[-1] * L / (1.0 - L)
     report = SolveReport(
         iterations=n_iter,
-        final_residual=final_residual,
-        contraction_estimate=contraction,
+        final_residual=_offzero_dp1(resid_vec, op.zero, d),
+        contraction_estimate=_contraction_estimate(steps, max(100.0 * config.tol, 1e-13)),
         a_priori_bound=a_priori,
         a_posteriori_bound=a_post,
         lipschitz=L,
@@ -381,9 +415,9 @@ def _finish(op, d, x, n_iter, steps, tol, L, eps, gamma, delta, certified, mode)
         gamma=gamma,
         delta=delta,
         certified=certified,
-        mode=mode,
+        mode=config.mode,
     )
-    return sup_residual, report
+    return op, x, float(np.max(np.abs(resid_vec))), report
 
 
 def solve_fixed_point(
@@ -411,50 +445,14 @@ def solve_fixed_point(
             f"a norm of Q is infinite ({g.witness or dl.witness}); "
             "no meaningful truncated solve exists"
         )
-    verdict = membership(GoodSetQuery(d, g.value, dl.value))
-    certified = verdict.in_good_set
-    if not certified and config.mode == MODE_CERTIFIED:
-        raise OutsideGoodSetError(
-            f"outside good set - no contraction certificate (reason: {verdict.reason})",
-            verdict=verdict,
-        )
-
-    if config.radius is not None:
-        R = config.radius
-        tail = (2.0 * _tail_bracket(pot, max(R, pot.table_end) + 1, 1, d + 1)[1]) ** (
-            1.0 / (d + 1)
-        )
-        if tail > config.tol:
-            raise ConfigError(
-                f"radius {R} leaves a truncated tail of {tail:.3g} > tol {config.tol:.3g}"
-            )
-    else:
-        R = truncation_radius(pot, d + 1, 0.01 * config.tol)
-        R = max(R, 4)
-
-    op = _WindowOperator(pot, d, R)
-    L = verdict.lipschitz if certified else None
-    eps = verdict.epsilon if certified else None
-    x, n_iter, steps = _iterate(op, d, config.tol, config.max_iter, L, config.start)
-    if certified:
-        ball = _offzero_dp1(x, op.zero_slot(), d)
-        if ball > eps * (1.0 + 1e-9):
-            raise NumericalError(
-                f"solution left the certified ball: |x| = {ball!r} > eps = {eps!r}"
-            )
-    sup_residual, report = _finish(
-        op, d, x, n_iter, steps, config.tol, L, eps, g.value, dl.value,
-        certified, config.mode,
+    op, x, residual, report = _solve(
+        d, g.value, dl.value, config,
+        "outside good set - no contraction certificate",
+        lambda: _window_operator(pot, d, _window_radius(pot, d, config)),
     )
     law = BoundaryLaw(
-        kind=SUPPORT_TRUNCATED,
-        d=d,
-        x=x,
-        radius=R,
-        ball_radius=eps,
-        residual=sup_residual,
-        certified=certified,
-        pot=pot,
+        kind=SUPPORT_TRUNCATED, d=d, x=x, radius=op.zero, ball_radius=report.epsilon,
+        residual=residual, certified=report.certified, pot=pot,
     )
     return law, report
 
@@ -486,39 +484,26 @@ def periodic_solve(
         )
         return law, report
 
-    g = qbar.p_norm((d + 1) / 2.0)
-    dl = qbar.p_norm(float(d + 1), without_zero=True)
-    verdict = membership(GoodSetQuery(d, g.value, dl.value))
-    certified = verdict.in_good_set
-    if not certified and config.mode == MODE_CERTIFIED:
-        raise OutsideGoodSetError(
-            f"(gamma_q, delta_q) outside good set for q={q} (reason: {verdict.reason})",
-            verdict=verdict,
-        )
-
-    op = _PeriodicOperator(qbar, d)
-    L = verdict.lipschitz if certified else None
-    eps = verdict.epsilon if certified else None
-    x, n_iter, steps = _iterate(op, d, config.tol, config.max_iter, L, config.start)
-    lam = x**d
-    if float(lam.max() - lam.min()) < 1e-6:
-        raise NumericalError(
-            "converged to the trivial branch (lambda constant == free state); "
-            "no non-trivial q-periodic solution found at these parameters"
-        )
-    if certified:
-        ball = _offzero_dp1(x, 0, d)
-        if ball > eps * (1.0 + 1e-9):
+    def nontrivial(x):
+        lam = x**d
+        if float(lam.max() - lam.min()) < 1e-6:
             raise NumericalError(
-                f"solution left the certified ball: |x| = {ball!r} > eps = {eps!r}"
+                "converged to the trivial branch (lambda constant == free state); "
+                "no non-trivial q-periodic solution found at these parameters"
             )
-    sup_residual, report = _finish(
-        op, d, x, n_iter, steps, config.tol, L, eps, g.value, dl.value,
-        certified, config.mode,
+
+    _, x, residual, report = _solve(
+        d,
+        qbar.p_norm((d + 1) / 2.0).value,
+        qbar.p_norm(float(d + 1), without_zero=True).value,
+        config,
+        f"(gamma_q, delta_q) outside good set for q={q}",
+        lambda: _periodic_operator(qbar, d),
+        nontrivial,
     )
     law = BoundaryLaw(
-        kind=SUPPORT_PERIODIC, d=d, x=x, q=q,
-        ball_radius=eps, residual=sup_residual, certified=certified, pot=pot,
+        kind=SUPPORT_PERIODIC, d=d, x=x, q=q, ball_radius=report.epsilon,
+        residual=residual, certified=report.certified, pot=pot,
     )
     return law, report
 

@@ -14,6 +14,7 @@ errors print one machine-readable JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -278,24 +279,8 @@ def cmd_threshold(args) -> str:
     return _emit_csv(meta, "model,d,pairing,beta_star,display", [row])
 
 
-def _report_dict(report) -> dict:
-    return {
-        "iterations": report.iterations,
-        "final_residual": report.final_residual,
-        "contraction_estimate": report.contraction_estimate,
-        "a_priori_bound": report.a_priori_bound,
-        "a_posteriori_bound": report.a_posteriori_bound,
-        "lipschitz": report.lipschitz,
-        "epsilon": report.epsilon,
-        "gamma": report.gamma,
-        "delta": report.delta,
-        "certified": report.certified,
-        "mode": report.mode,
-    }
-
-
 def _law_output(args, law, report) -> str:
-    rep = {k: v for k, v in _report_dict(report).items() if v is not None}
+    rep = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
     if args.format == "json":
         return _emit_json(_meta(args), {
             "law": {
@@ -368,7 +353,7 @@ def cmd_ggm(args) -> str:
                  "weights": inc.weights, "tail_mass_bound": inc.tail_mass_bound}
                 for inc in laws
             ],
-            "report": {k: v for k, v in _report_dict(report).items()
+            "report": {k: v for k, v in dataclasses.asdict(report).items()
                        if v is not None},
         })
     meta = _meta(args, window=window, certified=str(law.certified).lower(),
@@ -490,7 +475,8 @@ def cmd_table(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, degree=True):
+def _add_common(parser, degree=True,
+                truncation="not used by this subcommand; recorded in the metadata"):
     parser.add_argument("--model", default="sos",
                         help="sos, log, or custom:<json path>")
     parser.add_argument("--beta", type=float, default=None)
@@ -498,7 +484,7 @@ def _add_common(parser, degree=True):
         parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--pairing", choices=("half", "one"), default="half")
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--truncation", type=int, default=None)
+    parser.add_argument("--truncation", type=int, default=None, help=truncation)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="-")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -524,18 +510,21 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("solve", help="certified truncated boundary law")
-    _add_common(p)
+    _add_common(p, truncation="window radius R of the solve on [-R, R]; default: "
+                              "the certified radius for --tol")
 
     p = sub.add_parser("periodic", help="q-periodic boundary law")
     _add_common(p)
     p.add_argument("--q", type=int, default=None)
 
     p = sub.add_parser("ggm", help="fuzzy chain and edge increment marginal")
-    _add_common(p)
+    _add_common(p, truncation="radius of the class-conditional increment laws; "
+                              "default: the radius leaving tail mass <= 1e-10")
     p.add_argument("--q", type=int, default=None)
 
     p = sub.add_parser("simulate", help="exact W_n tables or sampled paths")
-    _add_common(p)
+    _add_common(p, truncation="half-width K of the exact W_n tables (k in [-K, K]); "
+                              "default: sized from the chain; sampled paths ignore it")
     p.add_argument("--q", type=int, default=None,
                    help="class count; omit for the localized chain")
     p.add_argument("--n", default="1,8,64",

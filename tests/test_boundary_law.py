@@ -6,6 +6,7 @@ iterations in extended precision (longdouble FFT convolution up to radius
 equation is the scalar cubic (x-1)(s*x^2+(s-1)*x+s) = 0 with s = sech(beta).
 """
 
+import dataclasses
 import io
 import math
 
@@ -161,6 +162,10 @@ class TestApplyT:
         bad[2] = np.nan
         with pytest.raises(ConfigError, match="finite"):
             apply_T(pot, 2, bad, 3)
+        qbar = fuzzy_Q(sos(1.0), 3).normalized_op()
+        for bad in ([1.0, np.nan, 0.2], [1.0, -0.5, 0.2], [1.0, np.inf, 0.2]):
+            with pytest.raises(ConfigError, match="finite and nonnegative"):
+                apply_T_periodic(qbar, 2, np.array(bad))
 
     def test_periodic_matches_hand_convolution(self):
         qbar = fuzzy_Q(sos(1.0), 3).normalized_op()
@@ -526,3 +531,151 @@ class TestCsvOutput:
         assert len(data) == 3
         first = data[1].split(",")
         assert first[0] == "0" and float(first[1]) == 1.0
+
+
+# Reference operators: the two operator classes the shared operator replaced,
+# kept verbatim (scipy.fft transforms on the window included) so every output
+# bit of the window, periodic and FFT paths is pinned.  ``zero`` exposes the
+# zero slot the way the solve core reads it.
+
+
+class _RefWindowOperator:
+    def __init__(self, pot, d, R):
+        self.d = d
+        self.R = R
+        self.Q2 = pot.Q(np.arange(-2 * R, 2 * R + 1))
+        self.Q_win = self.Q2[R : 3 * R + 1]
+        self.use_fft = 2 * R + 1 > 2048
+        if self.use_fft:
+            import scipy.fft
+
+            self.fft = scipy.fft
+            self.nfft = scipy.fft.next_fast_len(4 * R + 1)
+            self.kernel_f = scipy.fft.rfft(self.Q2, self.nfft)
+
+    def start(self, kind="Q"):
+        if kind == "zero":
+            x = np.zeros(2 * self.R + 1)
+            x[self.R] = 1.0
+            return x
+        x = self.Q_win.copy()
+        x[self.R] = 1.0
+        return x
+
+    def apply(self, x):
+        R = self.R
+        w = x**self.d
+        w[R] = 1.0
+        if self.use_fft:
+            c = self.fft.irfft(self.kernel_f * self.fft.rfft(w, self.nfft), self.nfft)
+            num = c[2 * R : 4 * R + 1]
+        else:
+            num = np.convolve(self.Q2, w)[2 * R : 4 * R + 1]
+        return num / num[R]
+
+    @property
+    def zero(self):
+        return self.R
+
+
+class _RefPeriodicOperator:
+    def __init__(self, qbar, d):
+        self.d = d
+        self.q = qbar.q
+        self.values = np.asarray(qbar.values, dtype=float)
+        self.use_fft = self.q > 64
+        if self.use_fft:
+            self.kernel_f = np.fft.rfft(self.values)
+        else:
+            idx = np.arange(self.q)
+            self.matrix = self.values[(idx[:, None] - idx[None, :]) % self.q]
+
+    def start(self, kind="Q"):
+        if kind == "zero":
+            x = np.zeros(self.q)
+            x[0] = 1.0
+            return x
+        x = self.values.copy()
+        x[0] = 1.0
+        return x
+
+    def apply(self, x):
+        w = x**self.d
+        w[0] = 1.0
+        if self.use_fft:
+            num = np.fft.irfft(self.kernel_f * np.fft.rfft(w), self.q)
+        else:
+            num = self.matrix @ w
+        return num / num[0]
+
+    zero = 0
+
+
+def _outcome(solve):
+    """x, law fields and report of one solve, or the error it raised."""
+    try:
+        law, report = solve()
+    except (ConfigError, NumericalError, OutsideGoodSetError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    fields = (law.radius, law.q, law.ball_radius, law.residual, law.certified)
+    return law.x.tobytes(), fields, dataclasses.astuple(report)
+
+
+class TestOperatorOracle:
+    """The shared operator and solve core reproduce the reference operators
+    bit for bit: np.array_equal on every vector, == on every report field."""
+
+    @pytest.mark.parametrize("R", [3, 50, 1100])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_window_apply(self, R, d):
+        rng = np.random.default_rng(R * 10 + d)
+        for pot in (sos(2.0), log_potential(3.0)):
+            for x in (np.zeros(2 * R + 1), rng.random(2 * R + 1) * 0.3):
+                ref = _RefWindowOperator(pot, d, R).apply(x.copy())
+                assert np.array_equal(apply_T(pot, d, x, R), ref)
+
+    @pytest.mark.parametrize("q", [2, 3, 64, 65, 256])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_periodic_apply(self, q, d):
+        rng = np.random.default_rng(q * 10 + d)
+        for pot in (sos(2.0), log_potential(3.0)):
+            qq = fuzzy_Q(pot, q)
+            x = rng.random(q) * 0.3
+            ref = _RefPeriodicOperator(qq.normalized_op(), d).apply(x.copy())
+            assert np.array_equal(apply_T_periodic(qq, d, x), ref)
+
+    @pytest.mark.parametrize("start", ["Q", "zero"])
+    @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_BEST_EFFORT])
+    def test_window_solves(self, monkeypatch, start, mode):
+        import treegibbs.boundary_law as bl
+
+        cases = [
+            (sos(2.5), 2, SolveConfig(start=start, mode=mode)),
+            (sos(2.5), 3, SolveConfig(start=start, mode=mode)),
+            (sos(1.5), 2, SolveConfig(start=start, mode=mode)),
+            (sos(2.5), 2, SolveConfig(radius=1100, start=start, mode=mode)),
+            (log_potential(3.0), 2,
+             SolveConfig(radius=1100, tol=1e-8, start=start, mode=mode)),
+        ]
+        new = [_outcome(lambda: solve_fixed_point(*c)) for c in cases]
+        monkeypatch.setattr(bl, "_window_operator", _RefWindowOperator)
+        ref = [_outcome(lambda: solve_fixed_point(*c)) for c in cases]
+        assert new == ref
+        assert not isinstance(new[0], str)
+
+    @pytest.mark.parametrize("start", ["Q", "zero"])
+    @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_BEST_EFFORT])
+    def test_periodic_solves(self, monkeypatch, start, mode):
+        import treegibbs.boundary_law as bl
+
+        cases = [
+            (pot, d, q, SolveConfig(start=start, mode=mode))
+            for pot in (sos(3.0), sos(2.0), sos(1.5))
+            for d in (2, 3)
+            for q in (2, 3, 64, 65, 256)
+        ]
+        new = [_outcome(lambda: periodic_solve(*c)) for c in cases]
+        monkeypatch.setattr(bl, "_periodic_operator", _RefPeriodicOperator)
+        ref = [_outcome(lambda: periodic_solve(*c)) for c in cases]
+        assert new == ref
+        assert sum(not isinstance(o, str) for o in new) >= 10
