@@ -20,9 +20,9 @@ lambda == 1.  Large sizes convolve through one cached FFT.
 One solve core certifies both: refusal outside the good set, a-posteriori
 Banach stopping ||x_{n+1} - x_n|| * L/(1-L) < tol, the ball check, and on
 the window a truncation radius chosen so the discarded tail of Q at
-exponent d+1 stays below 0.01*tol.  The best-effort mode drops the
-certificates (plain iteration, divergence and trivial-branch detection)
-and labels the result uncertified.
+exponent d+1 stays below 0.01*tol.  Outside the good set the "certified"
+mode refuses and "auto" iterates plainly (divergence and trivial-branch
+detection), labelling the result uncertified; inside, both certify.
 """
 
 from __future__ import annotations
@@ -66,11 +66,12 @@ SUPPORT_TRUNCATED = "Z_truncated"
 SUPPORT_PERIODIC = "Z_q"
 
 MODE_CERTIFIED = "certified"
-MODE_BEST_EFFORT = "best_effort"
 MODE_AUTO = "auto"
 
 _FFT_WINDOW = 2048
 _MAX_WINDOW_RADIUS = 1 << 25
+_MAX_ITER = 20000
+_NORM_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +82,7 @@ class BoundaryLaw:
     (pinned to 1): index i lives at x[i + radius] on a truncated window,
     at x[i] on Z_q.  The law itself is lambda = x**d.  ``residual`` is the
     sup norm of x - T(x); ``ball_radius`` the certified eps (None when the
-    solve was best-effort); ``certified`` whether the contraction
+    solve was uncertified); ``certified`` whether the contraction
     certificate held.  ``pot`` keeps the generating potential so consumers
     can rebuild the height chain P(i,j) = Q(i-j) lambda(j) / N(i).
     """
@@ -133,21 +134,19 @@ class BoundaryLaw:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration controls.  radius None picks the certified truncation
-    automatically; mode "auto" certifies when the good-set test passes and
-    degrades to best-effort otherwise."""
+    """Solve controls: radius None picks the certified truncation; mode
+    "certified" refuses outside the good set, "auto" iterates uncertified
+    there; start "zero" iterates from 0 instead of Q."""
 
     radius: int | None = None
     tol: float = 1e-12
-    max_iter: int = 20000
     mode: str = MODE_CERTIFIED
-    norm_rel_tol: float = 1e-10
     start: str = "Q"
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.mode not in (MODE_CERTIFIED, MODE_BEST_EFFORT, MODE_AUTO):
+        if self.mode not in (MODE_CERTIFIED, MODE_AUTO):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.radius is not None and self.radius < 1:
             raise ConfigError(f"radius must be >= 1, got {self.radius}")
@@ -333,7 +332,7 @@ def _offzero_dp1(v: np.ndarray, zero_slot: int, d: int) -> float:
     return max(s, 0.0) ** (1.0 / (d + 1))
 
 
-def _iterate(op, d: int, tol: float, max_iter: int, L: float | None, start: str = "Q"):
+def _iterate(op, d: int, tol: float, L: float | None, start: str = "Q"):
     """Banach loop; returns (x, iterations, step_norms).
 
     With L the stop is the certified a-posteriori bound; without it, plain
@@ -347,7 +346,7 @@ def _iterate(op, d: int, tol: float, max_iter: int, L: float | None, start: str 
     else:
         threshold = tol
     grow = 0
-    for n in range(1, max_iter + 1):
+    for n in range(1, _MAX_ITER + 1):
         x_next = op.apply(x)
         step = _offzero_dp1(x_next - x, op.zero, d)
         steps.append(step)
@@ -361,7 +360,7 @@ def _iterate(op, d: int, tol: float, max_iter: int, L: float | None, start: str 
             if grow >= 50:
                 raise NumericalError("iteration is not contracting (50 growing steps)")
     raise NumericalError(
-        f"no convergence in {max_iter} iterations (last step {steps[-1]:.3g}, "
+        f"no convergence in {_MAX_ITER} iterations (last step {steps[-1]:.3g}, "
         f"threshold {threshold:.3g})"
     )
 
@@ -390,7 +389,7 @@ def _solve(d: int, gamma: float, delta: float, config: SolveConfig, refusal: str
     op = make_op()
     L = verdict.lipschitz if certified else None
     eps = verdict.epsilon if certified else None
-    x, n_iter, steps = _iterate(op, d, config.tol, config.max_iter, L, config.start)
+    x, n_iter, steps = _iterate(op, d, config.tol, L, config.start)
     if check is not None:
         check(x)
     if certified:
@@ -428,13 +427,13 @@ def solve_fixed_point(
     The norm pair is computed with series cross-checks, membership decides
     whether the contraction certificate applies, and the window is sized so
     the discarded tail cannot move the solution by more than the tolerance.
-    Outside the good set the default mode refuses; "auto" and "best_effort"
-    iterate uncertified instead.
+    Outside the good set the default mode refuses; "auto" iterates
+    uncertified instead.
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
-    g = p_norm(pot, (d + 1) / 2.0, DOMAIN_Z, config.norm_rel_tol)
-    dl = p_norm(pot, float(d + 1), DOMAIN_Z_STAR, config.norm_rel_tol)
+    g = p_norm(pot, (d + 1) / 2.0, DOMAIN_Z, _NORM_REL_TOL)
+    dl = p_norm(pot, float(d + 1), DOMAIN_Z_STAR, _NORM_REL_TOL)
     if g.is_infinite or dl.is_infinite:
         if config.mode == MODE_CERTIFIED:
             raise OutsideGoodSetError(
@@ -465,7 +464,7 @@ def periodic_solve(
     q = 1 returns the free state immediately (the single class forces
     lambda == 1).  For q >= 2 the good-set test runs on the Z_q norms of
     Qbar_q; membership gives a certified contraction, otherwise mode
-    decides between refusal and best-effort iteration.  A best-effort run
+    decides between refusal and uncertified iteration.  An uncertified run
     that lands on the constant law fails loudly: the trivial branch exists
     at every temperature and is not the sought solution.
     """

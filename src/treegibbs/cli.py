@@ -50,17 +50,14 @@ from .pathsim import (
 )
 from .potentials import (
     DOMAIN_Z,
+    _FAMILIES,
     fuzzy_Q,
     load_potential,
-    log_potential,
     norm_pair,
     p_norm,
-    sos,
 )
 
 __all__ = ["main"]
-
-_FAMILIES = {"sos": sos, "log": log_potential}
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +363,7 @@ def cmd_ggm(args) -> str:
 def cmd_simulate(args) -> str:
     pot = _resolve_model(args)
     if args.q is not None:
-        config = SolveConfig(tol=1e-12, mode=MODE_AUTO)
-        law, _ = periodic_solve(pot, args.d, args.q, config)
+        law, _ = periodic_solve(pot, args.d, args.q)
         fc = fuzzy_chain(law, fuzzy_Q(pot, args.q))
         laws = increment_laws(pot, args.q)
         source = (fc, laws)
@@ -475,23 +471,36 @@ def cmd_table(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, degree=True,
-                truncation="not used by this subcommand; recorded in the metadata"):
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 as one JSON stderr line; no abbreviated flags
+    (--beta would select --beta-range).  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _add_common(parser, beta=True, degree=True, tol=True, truncation=None):
     parser.add_argument("--model", default="sos",
                         help="sos, log, or custom:<json path>")
-    parser.add_argument("--beta", type=float, default=None)
+    if beta:
+        parser.add_argument("--beta", type=float, default=None)
     if degree:
         parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--pairing", choices=("half", "one"), default="half")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--truncation", type=int, default=None, help=truncation)
+    if tol:
+        parser.add_argument("--tol", type=float, default=None)
+    if truncation:
+        parser.add_argument("--truncation", type=int, help=truncation)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="-")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treegibbs",
         description="Localized and q-periodic boundary laws for integer "
                     "gradient models on regular trees",
@@ -507,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
 
     p = sub.add_parser("threshold", help="smallest beta inside the good set")
-    _add_common(p)
+    _add_common(p, beta=False)
 
     p = sub.add_parser("solve", help="certified truncated boundary law")
     _add_common(p, truncation="window radius R of the solve on [-R, R]; default: "
@@ -523,8 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
 
     p = sub.add_parser("simulate", help="exact W_n tables or sampled paths")
-    _add_common(p, truncation="half-width K of the exact W_n tables (k in [-K, K]); "
-                              "default: sized from the chain; sampled paths ignore it")
+    _add_common(p, tol=False,
+                truncation="half-width K of the exact W_n tables (k in [-K, K]); "
+                           "default: sized from the chain; sampled paths ignore it")
     p.add_argument("--q", type=int, default=None,
                    help="class count; omit for the localized chain")
     p.add_argument("--n", default="1,8,64",
@@ -534,14 +544,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicate", type=int, default=0)
 
     p = sub.add_parser("phase-diagram", help="membership over a (beta, d) grid")
-    _add_common(p)
+    _add_common(p, beta=False)
     p.add_argument("--beta-range", dest="beta_range", required=True,
                    help="a:b:step")
     p.add_argument("--d-list", dest="d_list", required=True,
                    help="comma list of degrees")
 
     p = sub.add_parser("table", help="threshold column over degrees")
-    _add_common(p, degree=False)
+    _add_common(p, beta=False, degree=False)
     p.add_argument("--d", default="2,3,6,7,100,1000",
                    help="comma list of degrees")
     return parser
@@ -564,15 +574,17 @@ def _write_out(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        text = _HANDLERS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        _write_out(args.out, _HANDLERS[args.command](args))
     except TreeGibbsError as exc:
         if isinstance(exc, OutsideGoodSetError):
             code = 4
@@ -586,7 +598,6 @@ def main(argv=None) -> int:
             "exit_code": code,
         }}, sort_keys=True) + "\n")
         return code
-    _write_out(args.out, text)
     return 0
 
 

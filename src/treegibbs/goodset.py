@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericalError
-from .potentials import Potential, log_potential, norm_pair, sos
+from .potentials import _FAMILIES, Potential, norm_pair
 
 __all__ = [
     "GoodSetQuery",
@@ -204,13 +204,11 @@ def binary_delta_boundary(gamma: float, abs_tol: float = 1e-14) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _potential_family(family) -> "tuple[str, object]":
+def _potential_family(family):
     if callable(family):
-        return ("custom", family)
-    if family == "sos":
-        return ("sos", sos)
-    if family == "log":
-        return ("log", log_potential)
+        return family
+    if isinstance(family, str) and family in _FAMILIES:
+        return _FAMILIES[family]
     raise ConfigError(f"unknown potential family {family!r}, expected 'sos', 'log', or a callable")
 
 
@@ -233,7 +231,7 @@ def beta_threshold(
         raise ConfigError(f"d must be >= 2, got {d}")
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
-    _, make = _potential_family(family)
+    make = _potential_family(family)
 
     def is_member(beta: float) -> bool:
         g, dl = norm_pair(make(beta), d, pairing, rel_tol=rel_tol, cross_check=False)
@@ -308,7 +306,7 @@ def large_degree_scan(family, A: float, d_range, rel_tol: float = 1e-10) -> Scan
     Requires A > 1/v with v = inf_{j != 0} U(j) > 0; that schedule is the
     regime where the good-set conditions kick in for all large d.
     """
-    _, make = _potential_family(family)
+    make = _potential_family(family)
     probe = make(1.0)
     v = _min_potential_value(probe)
     if v <= 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -501,7 +501,7 @@ def recover_period(path, q_tilde_list, d: int, pot) -> list[RecoveryReport]:
     except TreeGibbsError:
         pass
 
-    rows = []
+    reports, accepted, informative = [], [], []
     for qt in q_list:
         counts = np.bincount(heights % qt, minlength=qt)
         empirical = counts / n_obs
@@ -553,33 +553,23 @@ def recover_period(path, q_tilde_list, d: int, pot) -> list[RecoveryReport]:
                 d_alpha is None or d_loc <= d_alpha
             )
 
-        rows.append(dict(
+        reports.append(RecoveryReport(
             q_tested=qt, empirical=empirical, lam_tilde=lam_tilde,
             residual=residual, stat_error=stat_error, verdict=verdict,
-            matched_alpha=matched, gibbs_like=gibbs_like,
-            non_constant=non_constant,
+            matched_alpha=matched, gibbs_like=gibbs_like, minimal_period=None,
         ))
+        if verdict == VERDICT_ACCEPT and not gibbs_like:
+            accepted.append(qt)
+            if non_constant:
+                informative.append(qt)
 
-    accepted = [r for r in rows if r["verdict"] == VERDICT_ACCEPT
-                and not r["gibbs_like"]]
-    informative = [r["q_tested"] for r in accepted if r["non_constant"]]
     if informative:
-        period = math.gcd(*informative) if len(informative) > 1 else informative[0]
+        period = math.gcd(*informative)
     elif accepted:
         period = 1
     else:
         period = None
-
-    return [
-        RecoveryReport(
-            q_tested=r["q_tested"], empirical=r["empirical"],
-            lam_tilde=r["lam_tilde"], residual=r["residual"],
-            stat_error=r["stat_error"], verdict=r["verdict"],
-            matched_alpha=r["matched_alpha"], gibbs_like=r["gibbs_like"],
-            minimal_period=period,
-        )
-        for r in rows
-    ]
+    return [replace(r, minimal_period=period) for r in reports]
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,10 @@ def log_potential(beta: float) -> Potential:
     return Potential("log", float(beta))
 
 
+# the parametric families by name: CLI models, JSON kinds, beta_threshold
+_FAMILIES = {"sos": sos, "log": log_potential}
+
+
 def custom(beta: float, table, tail: TailModel | dict | None = None) -> Potential:
     """Custom potential from a table of (j, U(j)) pairs.
 
@@ -281,10 +285,8 @@ def potential_from_json(text: str) -> Potential:
     if not isinstance(obj, dict):
         raise ConfigError(f"potential JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "sos":
-        return sos(_number(obj, "beta"))
-    if kind == "log":
-        return log_potential(_number(obj, "beta"))
+    if isinstance(kind, str) and kind in _FAMILIES:
+        return _FAMILIES[kind](_number(obj, "beta"))
     if kind == "custom":
         return custom(_number(obj, "beta"), obj.get("table"), obj.get("tail"))
     raise ConfigError(f"unknown potential kind {kind!r}")

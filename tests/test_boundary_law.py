@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegibbs.boundary_law import (
-    MODE_BEST_EFFORT,
+    MODE_AUTO,
     MODE_CERTIFIED,
     SUPPORT_PERIODIC,
     SUPPORT_TRUNCATED,
@@ -323,7 +323,7 @@ class TestSolveTruncated:
 
     def test_best_effort_outside_good_set(self):
         law, report = solve_fixed_point(
-            sos(1.5), 2, SolveConfig(mode=MODE_BEST_EFFORT)
+            sos(1.5), 2, SolveConfig(mode=MODE_AUTO)
         )
         assert not law.certified
         assert law.ball_radius is None
@@ -343,7 +343,7 @@ class TestSolveTruncated:
             solve_fixed_point(log_potential(0.6), 2)
         with pytest.raises(NumericalError, match="no meaningful truncated solve"):
             solve_fixed_point(
-                log_potential(0.6), 2, SolveConfig(mode=MODE_BEST_EFFORT)
+                log_potential(0.6), 2, SolveConfig(mode=MODE_AUTO)
             )
 
     def test_user_radius_too_small(self):
@@ -357,8 +357,11 @@ class TestSolveTruncated:
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="tol"):
             SolveConfig(tol=0.0)
-        with pytest.raises(ConfigError, match="mode"):
-            SolveConfig(mode="sloppy")
+        for mode in ("sloppy", "best_effort"):
+            with pytest.raises(ConfigError, match="mode"):
+                SolveConfig(mode=mode)
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == [
+            "radius", "tol", "mode", "start"]
         with pytest.raises(ConfigError, match="radius"):
             SolveConfig(radius=0)
         with pytest.raises(ConfigError, match="start"):
@@ -645,7 +648,7 @@ class TestOperatorOracle:
             assert np.array_equal(apply_T_periodic(qq, d, x), ref)
 
     @pytest.mark.parametrize("start", ["Q", "zero"])
-    @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_BEST_EFFORT])
+    @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_AUTO])
     def test_window_solves(self, monkeypatch, start, mode):
         import treegibbs.boundary_law as bl
 
@@ -664,7 +667,7 @@ class TestOperatorOracle:
         assert not isinstance(new[0], str)
 
     @pytest.mark.parametrize("start", ["Q", "zero"])
-    @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_BEST_EFFORT])
+    @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_AUTO])
     def test_periodic_solves(self, monkeypatch, start, mode):
         import treegibbs.boundary_law as bl
 

@@ -5,6 +5,7 @@ real argument parsing, dispatch, formatting, and exit-code paths.  Output is
 captured with capsys; file output goes through tmp_path.
 """
 
+import argparse
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 import treegibbs
-from treegibbs.cli import main
+from treegibbs.cli import _build_parser, main
 
 BETA_STAR_SOS_D2 = 1.996589869260788
 BETA_STAR_SOS_D3 = 1.3211449086666107
@@ -415,12 +416,93 @@ class TestErrorContract:
         assert message.startswith("window 7 leaks mass")
         assert "--truncation" in message and "use window" not in message
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--d", "x"),
+        ("bogus",),
+        (),
+        ("norms", "--model", "sos", "--beta", "2.5", "--form", "json"),
+    ])
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ConfigError"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--truncation" in capsys.readouterr().out
+
+    def test_unwritable_out_names_the_path(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run(capsys, "norms", "--model", "sos", "--beta", "2.5",
+                             "--out", target)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])["error"]
+        assert payload["type"] == "ConfigError"
+        assert payload["message"].startswith(f"cannot write output file {target}:")
+
     def test_stderr_is_parseable_json(self, capsys):
         code, out, err = run(capsys, "solve", "--model", "sos", "--beta",
                              "1.0", "--d", "2")
         assert out == ""
         payload = json.loads(err)
         assert set(payload["error"]) == {"type", "message", "exit_code"}
+
+
+_SHARED = {"--model", "--pairing", "--seed", "--out", "--format"}
+
+# every flag of every subcommand; each one is read by its handler or prints
+# a metadata line that the output has always carried
+FLAGS = {
+    "norms": _SHARED | {"--beta", "--d", "--tol"},
+    "goodset": _SHARED | {"--beta", "--d", "--tol", "--gamma", "--delta"},
+    "threshold": _SHARED | {"--d", "--tol"},
+    "solve": _SHARED | {"--beta", "--d", "--tol", "--truncation"},
+    "periodic": _SHARED | {"--beta", "--d", "--tol", "--q"},
+    "ggm": _SHARED | {"--beta", "--d", "--tol", "--truncation", "--q"},
+    "simulate": _SHARED | {"--beta", "--d", "--truncation", "--q", "--n",
+                           "--sample-steps", "--replicate"},
+    "phase-diagram": _SHARED | {"--d", "--tol", "--beta-range", "--d-list"},
+    "table": _SHARED | {"--d", "--tol"},
+}
+
+# flags no handler reads, with a valid invocation to append them to
+REMOVED = [
+    ("--truncation", "3", ("norms", "--model", "sos", "--beta", "2.5")),
+    ("--truncation", "3", ("goodset", "--gamma", "1.5", "--delta", "0.05")),
+    ("--truncation", "3", ("threshold", "--model", "sos")),
+    ("--truncation", "3", ("periodic", "--model", "sos", "--beta", "2", "--q", "2")),
+    ("--truncation", "3", ("phase-diagram", "--beta-range", "2:2:1", "--d-list", "2")),
+    ("--truncation", "3", ("table", "--d", "2")),
+    ("--beta", "2.0", ("threshold", "--model", "sos")),
+    ("--beta", "2.0", ("phase-diagram", "--beta-range", "2:2:1", "--d-list", "2")),
+    ("--beta", "2.0", ("table", "--d", "2")),
+    ("--tol", "1e-9", ("simulate", "--model", "sos", "--beta", "2", "--n", "1")),
+]
+
+
+class TestSurface:
+    def test_flag_table_and_removed_flags(self, capsys):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+        assert got == FLAGS
+        assert sum(map(len, got.values())) == 81
+        for flag, value, argv in REMOVED:
+            assert flag not in FLAGS[argv[0]]
+            code, out, err = run(capsys, *argv, flag, value)
+            assert code == 2 and out == "", (argv, flag)
+            lines = err.splitlines()
+            assert len(lines) == 1
+            payload = json.loads(lines[0])["error"]
+            assert payload["type"] == "ConfigError"
+            assert f"unrecognized arguments: {flag} {value}" in payload["message"]
 
 
 class TestImports:

@@ -205,6 +205,8 @@ class TestBetaThreshold:
     def test_bad_family(self):
         with pytest.raises(ConfigError):
             beta_threshold("ising", 2)
+        with pytest.raises(ConfigError, match="unknown potential family"):
+            beta_threshold(["sos"], 2)
 
 
 class TestLargeDegreeScan:

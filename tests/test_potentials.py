@@ -171,6 +171,8 @@ class TestCustomPotential:
         ):
             with pytest.raises(ConfigError):
                 potential_from_json(text)
+        with pytest.raises(ConfigError, match=r"^unknown potential kind \[1\]$"):
+            potential_from_json('{"kind": [1], "beta": 1.0}')
 
 
 class TestNorms:
