@@ -69,6 +69,7 @@ MODE_CERTIFIED = "certified"
 MODE_AUTO = "auto"
 
 _FFT_WINDOW = 2048
+_UNIT_ROUNDOFF = 2.0**-53
 _MAX_WINDOW_RADIUS = 1 << 25
 _MAX_ITER = 20000
 _NORM_REL_TOL = 1e-10
@@ -221,24 +222,116 @@ def _fft_convolve(kernel: np.ndarray, n: int, lo: int, hi: int):
     return convolve
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2*3*5*7*11-smooth integer >= n >= 1.
+
+    The same choice as scipy.fft.next_fast_len for complex transforms, so
+    the transform lengths, and with them the output bits, do not depend on
+    importing scipy.fft.  Each {3,5,7,11}-smooth p below the best length so
+    far is completed by the least power of two that reaches n.
+    """
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    best = min(best, p3 << ((n - 1) // p3).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
+def _linear_convolver(kernel: np.ndarray, R: int):
+    """(convolve, L) for the linear convolution of a kernel on lags [-r, r]
+    with vectors on [-R, R], kept on [-R, R].
+
+    Direct np.convolve while the kernel or the vector has at most
+    _FFT_WINDOW entries (every output is then a dot product of at most that
+    many terms); otherwise one circular transform of length L, the next
+    fast length >= r + 2R + 1, which leaves the kept lags alias-free.  L is
+    None on the direct path.  The choice and L fix the output bits.
+    """
+    r = (len(kernel) - 1) // 2
+    n = 2 * R + 1
+    if min(len(kernel), n) > _FFT_WINDOW:
+        L = _next_fast_len(r + n)
+        return _fft_convolve(kernel, L, r, r + n), L
+
+    def convolve(v):
+        return np.convolve(kernel, v)[r : r + n]
+
+    return convolve, None
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def _convolution_error(L: int | None, m: int, g1: float, g2: float):
+    """(a, b, c) with |computed - exact|_inf <= a|v|_inf + b|v|_1 + c|v|_2
+    for one call of a `_linear_convolver` whose kernel g has |g|_1 <= g1 and
+    |g|_2 <= g2; ``m`` is the number of terms of a direct dot product.
+
+    Direct: every output is a dot product of at most m terms, so its error
+    is at most gamma_m |g|_1 |v|_inf in any summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.5).
+
+    FFT: the analysis of Higham section 24.1 (Theorem 24.2), applied pass
+    by pass to a mixed-radix transform of length L = prod p_k.  A radix-p
+    pass multiplies each block by a twiddle diagonal and a p-point DFT, an
+    operator of 2-norm sqrt(p); with twiddles accurate to mu = 4u, every
+    output is a complex inner product of p terms with coefficient error at
+    most e_p = 2 mu + mu^2 + (1 + mu)^2 sqrt(2) gamma_{p+3}, so the pass
+    errs by at most eta_p = sqrt(p) e_p times its norm times the input norm.
+    By induction over the passes the computed transform satisfies
+    |fl(Fx) - Fx|_2 <= phi |Fx|_2 with phi = prod (1 + eta_p) - 1 <= s/(1-s),
+    s = sum eta_p (evaluated in that form, free of cancellation), and the
+    inverse, with its 1/L scaling, the same with phi' = (1 + phi)(1 +
+    gamma_2) - 1.  Underflow is neglected here and below.  With A = Fg, B = Fv (|A|_inf <= |g|_1, |B|_inf <= |v|_1,
+    |B|_2 = sqrt(L)|v|_2) and complex products accurate to sqrt(2) gamma_2,
+
+        |C^ - AB|_2 / sqrt(L) <= (1 + sqrt(2) gamma_2) (phi |g|_2 |v|_1
+            + phi^2 sqrt(L) |g|_2 |v|_2 + phi |g|_1 |v|_2)
+            + sqrt(2) gamma_2 |g|_1 |v|_2,
+
+    and the inverse transform adds phi' |g|_1 |v|_2 while scaling that
+    difference by (1 + phi').  The inf-norm of the kept slice is at most
+    the 2-norm of the whole circular result.
+    """
+    if L is None:
+        return _gamma(m) * g1, 0.0, 0.0
+    mu = 4.0 * _UNIT_ROUNDOFF
+    total, rest = 0.0, L
+    for p in (2, 3, 5, 7, 11):
+        while rest % p == 0:
+            rest //= p
+            e_p = 2.0 * mu + mu * mu + (1.0 + mu) ** 2 * math.sqrt(2.0) * _gamma(p + 3)
+            total += math.sqrt(p) * e_p
+    phi = total / (1.0 - total)
+    phi_inv = phi + _gamma(2) * (1.0 + phi)
+    mult = math.sqrt(2.0) * _gamma(2)
+    b = (1.0 + phi_inv) * (1.0 + mult) * phi * g2
+    c = phi_inv * g1 + (1.0 + phi_inv) * (
+        (1.0 + mult) * (phi * phi * math.sqrt(L) * g2 + phi * g1) + mult * g1)
+    return 0.0, b, c
+
+
 def _window_operator(pot: Potential, d: int, R: int) -> _Operator:
     """T on the window [-R, R] by linear convolution against Q on [-2R, 2R].
 
-    The full convolution of Q2 (length 4R+1) with w (length 2R+1) is needed
-    only at lags [2R, 4R]; a circular transform of length >= 4R+1 leaves
-    that slice alias-free.  The transform length fixes the output bits, so
-    it stays scipy's next fast length.
+    With r = 2R the convolver switches to the FFT above 2R+1 = _FFT_WINDOW
+    entries and transforms at the next fast length >= 4R+1.
     """
     Q2 = pot.Q(np.arange(-2 * R, 2 * R + 1))
-    if 2 * R + 1 > _FFT_WINDOW:
-        from scipy.fft import next_fast_len  # deferred: only wide windows need it
-
-        convolve = _fft_convolve(Q2, next_fast_len(4 * R + 1), 2 * R, 4 * R + 1)
-    else:
-
-        def convolve(w):
-            return np.convolve(Q2, w)[2 * R : 4 * R + 1]
-
+    convolve, _ = _linear_convolver(Q2, R)
     return _Operator(d, Q2[R : 3 * R + 1], R, convolve)
 
 

@@ -10,11 +10,13 @@ the two regimes: under the localized chain its law converges to the fixed
 vector sum_i alpha(i) alpha(i+k), under a class chain the sup of the law
 decays to zero at a diffusive rate.
 
-The module computes W_n laws exactly (matrix powers for heights, dynamic
-programming over (class, displacement) for classes), samples both walks
-through one stepping kernel with counter-based streams keyed by (seed,
-replicate), and recovers the height period of an unknown source from the
-empirical distribution of its partial sums mod q-tilde.
+The module computes W_n laws exactly (matrix powers for heights; for
+classes, dynamic programming over (class, displacement) with one linear
+convolution per class row and class step, direct or by FFT, and a rigorous
+bound on its rounding), samples both walks through one stepping kernel
+with counter-based streams keyed by (seed, replicate), and recovers the
+height period of an unknown source from the empirical distribution of its
+partial sums mod q-tilde.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .boundary_law import (
     SUPPORT_TRUNCATED,
     BoundaryLaw,
     SolveConfig,
+    _convolution_error,
+    _gamma,
+    _linear_convolver,
     _write_meta,
     apply_T_periodic,
     single_site_marginal,
@@ -77,10 +82,14 @@ _MAX_UNIFORMS = 1 << 26
 class PathDistribution:
     """Law of the total increment W_n on the window {-window, ..., window}.
 
-    ``leaked_mass`` is the exact defect 1 - sum(law): probability that the
-    walk left the window, plus whatever the increment truncation already
-    gave away.  ``limit`` is only set in gibbs mode and holds the n -> inf
-    vector sum_i alpha(i) alpha(i+k) on the same window.
+    ``leaked_mass`` is 1 - sum of the computed law (an exactly rounded sum,
+    clipped at 0): probability that the walk left the window, plus whatever
+    the increment truncation already gave away, plus the law's rounding.
+    ``roundoff_bound`` is set in ggm mode only: a rigorous bound on
+    max_k |law_k - the same dynamic programming in exact arithmetic|_k (see
+    `wn_ggm_exact`); it is None in gibbs mode, where it is not computed.
+    ``limit`` is only set in gibbs mode and holds the n -> inf vector
+    sum_i alpha(i) alpha(i+k) on the same window.
     """
 
     n: int
@@ -90,6 +99,7 @@ class PathDistribution:
     mode: str
     q: int | None = None
     limit: np.ndarray | None = None
+    roundoff_bound: float | None = None
 
     def __post_init__(self):
         if self.law.shape != (2 * self.window + 1,):
@@ -254,17 +264,68 @@ def default_window(fc: FuzzyChain, laws, n: int) -> int:
     return math.ceil(8.0 * sigma * math.sqrt(n)) + fc.q + reach
 
 
+def _increment_kernels(laws, K: int):
+    """(convolvers, coef, mult) of the increment laws for the DP on [-K, K].
+
+    Kernel s sums the weights of law s on lags [-r, r], r the largest
+    |j| <= 2K with a nonzero weight (farther points cannot reach the
+    window), with np.add.at so that repeated support points add up.  Row s
+    of coef holds (a, b, c) of its convolver's rounding
+    (`_convolution_error`), G >= sum |w|, which bounds the 1-norm of the
+    exact kernel, and zeta = gamma_{m-1} G, which bounds the kernel's own
+    rounding; mult is the largest multiplicity m of a support point.
+    """
+    convolvers, coef, mult = [], [], 1
+    for law in laws:
+        keep = (np.abs(law.support) <= 2 * K) & (law.weights != 0.0)
+        j, w = law.support[keep], law.weights[keep]
+        r = int(np.max(np.abs(j))) if j.size else 0
+        kernel = np.zeros(2 * r + 1)
+        np.add.at(kernel, j + r, w)
+        convolve, L = _linear_convolver(kernel, K)
+        size = max(kernel.size, j.size)
+        G = float(np.abs(w).sum()) / (1.0 - _gamma(size))
+        m = int(np.bincount(j + r).max()) if j.size else 1
+        zeta = _gamma(m - 1) * G
+        g2 = math.sqrt(float(kernel @ kernel)) / (1.0 - _gamma(size + 2))
+        error = _convolution_error(L, min(kernel.size, 2 * K + 1), G + zeta, g2)
+        convolvers.append(convolve)
+        coef.append((*error, G, zeta))
+        mult = max(mult, m)
+    return convolvers, np.array(coef), mult
+
+
 def wn_ggm_exact(
     fc: FuzzyChain, laws, n: int, window: int | None = None, tail_tol: float = 1e-9
 ) -> PathDistribution:
     """Exact law of W_n under the class chain with conditional increments.
 
-    Dynamic programming over (class, displacement): each step first moves
-    the class with the fuzzy kernel, then convolves the displacement with
-    the increment law of the class difference.  States outside the window
-    are dropped and accounted for in leaked_mass, together with the mass
-    the increment truncation gives away (at most n times the per-law tail
-    bound, which tail_tol does not need to cover).
+    Dynamic programming over (class, displacement): each step moves the
+    class with the fuzzy kernel and convolves the displacement with the
+    increment law of the class difference.  The first step scatters the
+    support points from the point mass at 0; every later step is one
+    linear convolution per (row i, residue s) against the kernel of law s
+    (`_linear_convolver`: direct for narrow kernels or windows, FFT beyond),
+    scaled by P(i, i+s).  Results are kept on the window, so states that
+    leave it are dropped each step and counted in leaked_mass, together
+    with the mass the increment truncation gives away (at most n times the
+    per-law tail bound, which tail_tol does not need to cover).
+
+    roundoff_bound bounds max_k |law_k - the same DP in exact arithmetic on
+    the same float inputs|.  With E_t = sum_c |D^_t[c] - D_t[c]|_inf over the
+    class rows of the computed and exact DP, the exact step maps E to at
+    most kappa E, kappa = max_i sum_s P(i, i+s) G_s.  Step 1 errs by at most
+    gamma_{N+1} kappa sum_i alpha(i) (N = q times the largest support
+    multiplicity terms per entry, two roundings each).  A later step from
+    rows v_i errs by sum_{i,s} P(i, i+s) [eps_is + gamma_q (G_s |v_i|_inf +
+    eps_is)], where eps_is = a_s|v_i|_inf + b_s|v_i|_1 + c_s|v_i|_2 +
+    zeta_s|v_i|_inf is the convolution's rounding plus the kernel's own and
+    gamma_q covers the q products and sums into row c.  Summing the rows
+    adds gamma_{q-1} sum_c |D^_n[c]|_inf.  Every term is evaluated from the
+    computed rows, in floating point on nonnegative numbers with fewer than
+    width + q^2 + (q + 3) n + 128 roundings on any path (a row norm, kappa^n,
+    the convolver coefficients), and the result is divided by one minus
+    gamma of that count.  Underflow is neglected.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
@@ -274,26 +335,43 @@ def wn_ggm_exact(
     if K < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     width = 2 * K + 1
+    convolvers, coef, mult = _increment_kernels(laws, K)
+    a, b, c, G, zeta = coef.T
+    idx = np.arange(q)
+    step = fc.P[idx[:, None], (idx[:, None] + idx[None, :]) % q]  # P(i, i+s)
+    kappa = float(np.max(step @ G))
+
     D = np.zeros((q, width))
-    D[:, K] = fc.alpha
-    for _ in range(n):
+    for i in range(q):
+        for s in range(q):
+            p = step[i, s]
+            if p == 0.0:
+                continue
+            law = laws[s]
+            keep = np.abs(law.support) <= K
+            np.add.at(D[(i + s) % q], law.support[keep] + K,
+                      law.weights[keep] * (fc.alpha[i] * p))
+    bound = _gamma(q * mult + 1) * kappa * float(np.abs(fc.alpha).sum())
+
+    for _ in range(n - 1):
+        absD = np.abs(D)
+        vinf = absD.max(axis=1)[:, None]
+        v1 = absD.sum(axis=1)[:, None]
+        v2 = np.sqrt((D * D).sum(axis=1))[:, None]
+        eps = vinf * (a + zeta) + v1 * b + v2 * c
+        bound = kappa * bound + float(
+            (step * (eps + _gamma(q) * (vinf * G + eps))).sum())
         newD = np.zeros_like(D)
         for i in range(q):
             for s in range(q):
-                c = (i + s) % q
-                p = fc.P[i, c]
-                if p == 0.0:
-                    continue
-                row = D[i] * p
-                for j, w in zip(laws[s].support.tolist(), laws[s].weights.tolist()):
-                    if abs(j) >= width:
-                        continue
-                    if j >= 0:
-                        newD[c, j:] += w * row[: width - j]
-                    else:
-                        newD[c, : width + j] += w * row[-j:]
+                p = step[i, s]
+                if p != 0.0:
+                    newD[(i + s) % q] += p * convolvers[s](D[i])
         D = newD
     law = D.sum(axis=0)
+    bound += _gamma(q - 1) * float(np.abs(D).max(axis=1).sum())
+    rounds = width + q * q + (q + 3) * n + 128
+    bound = math.nextafter(bound / (1.0 - _gamma(rounds)), math.inf)
     leaked = max(0.0, 1.0 - math.fsum(law.tolist()))
     budget = tail_tol + n * max(law_.tail_mass_bound for law_ in laws)
     if leaked > budget:
@@ -303,7 +381,8 @@ def wn_ggm_exact(
             f"use window >= {need}"
         )
     return PathDistribution(
-        n=n, window=K, law=law, leaked_mass=leaked, mode=MODE_GGM, q=q
+        n=n, window=K, law=law, leaked_mass=leaked, mode=MODE_GGM, q=q,
+        roundoff_bound=bound,
     )
 
 

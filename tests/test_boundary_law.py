@@ -9,12 +9,16 @@ equation is the scalar cubic (x-1)(s*x^2+(s-1)*x+s) = 0 with s = sech(beta).
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treegibbs
 from treegibbs.boundary_law import (
     MODE_AUTO,
     MODE_CERTIFIED,
@@ -149,6 +153,37 @@ class TestApplyT:
         monkeypatch.setattr(bl, "_FFT_WINDOW", 10**9)
         slow = apply_T(pot, 2, x, R)
         assert np.allclose(fast, slow, rtol=0, atol=1e-14)
+
+    def test_next_fast_len_is_scipys(self):
+        from scipy.fft import next_fast_len
+
+        from treegibbs.boundary_law import _next_fast_len
+
+        # every small length, the window of the log beta=3.0 solve and the
+        # wide W_n lengths r + 2K + 1 of the benchmark
+        for n in [*range(1, 20001), 4 * 149534 + 1, 1864 + 7385, 3665 + 7385]:
+            assert _next_fast_len(n) == next_fast_len(n), n
+
+    def test_fft_paths_skip_scipy_fft(self):
+        src = os.path.dirname(os.path.dirname(treegibbs.__file__))
+        code = (
+            "import sys\n"
+            "from treegibbs.boundary_law import SolveConfig, periodic_solve, "
+            "solve_fixed_point\n"
+            "from treegibbs.ggm import fuzzy_chain, increment_laws\n"
+            "from treegibbs.pathsim import wn_ggm_exact\n"
+            "from treegibbs.potentials import fuzzy_Q, log_potential, sos\n"
+            "solve_fixed_point(sos(2.5), 2, SolveConfig(radius=1100))\n"
+            "pot = log_potential(4.0)\n"
+            "law, _ = periodic_solve(pot, 2, 2)\n"
+            "wn_ggm_exact(fuzzy_chain(law, fuzzy_Q(pot, 2)), increment_laws(pot, 2), 2,\n"
+            "             window=1100, tail_tol=1.0)\n"
+            "print('scipy.fft' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
     def test_input_validation(self):
         pot = sos(2.0)

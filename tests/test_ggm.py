@@ -358,6 +358,32 @@ class TestEdgeMarginalBitIdentity:
         assert str(exc.value) == _marginal_or_message(
             _reference_edge_marginal, chain20, laws, 6)
 
+    def test_exact_sum_decides_inside_the_band(self, chain20, monkeypatch):
+        # tail_tol at the exactly rounded deficit and one ulp below it sits
+        # inside the chunked-sum band: only the exact sum can tell the two
+        import treegibbs.ggm as ggm_mod
+
+        laws = increment_laws(sos(2.0), 2, radius=4)
+        deficit = 1.0 - math.fsum(
+            _reference_edge_marginal(chain20, laws, 4, tail_tol=1.0).tolist())
+        exact_sums, stream = [], ggm_mod._float_stream
+
+        def spy(a):
+            exact_sums.append(len(a))
+            return stream(a)
+
+        monkeypatch.setattr(ggm_mod, "_float_stream", spy)
+        for tol in (deficit, math.nextafter(deficit, 0.0), deficit + 1e-6):
+            exact_sums.clear()
+            got = _marginal_or_message(ggm_edge_marginal, chain20, laws, 4, tail_tol=tol)
+            want = _marginal_or_message(_reference_edge_marginal, chain20, laws, 4,
+                                        tail_tol=tol)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+            assert exact_sums == ([] if tol > deficit else [9])
+
 
 class TestStarMarginal:
     def test_single_edge_matches_marginal(self, chain20):

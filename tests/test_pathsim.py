@@ -21,7 +21,7 @@ from treegibbs.boundary_law import (
     solve_fixed_point,
 )
 from treegibbs.errors import ConfigError, NumericalError
-from treegibbs.ggm import fuzzy_chain, ggm_edge_marginal, increment_laws
+from treegibbs.ggm import IncrementLaw, fuzzy_chain, ggm_edge_marginal, increment_laws
 from treegibbs.pathsim import (
     MODE_GGM,
     MODE_GIBBS,
@@ -528,6 +528,96 @@ class TestSampleWnReference:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (n, N)
         assert len(np.unique(want)) > 1
+
+
+def _reference_wn_ggm(fc, laws, n, K):
+    """The class DP before per-residue convolutions, kept verbatim as an
+    oracle: one shifted row per support point per step."""
+    q = fc.q
+    width = 2 * K + 1
+    D = np.zeros((q, width))
+    D[:, K] = fc.alpha
+    for _ in range(n):
+        newD = np.zeros_like(D)
+        for i in range(q):
+            for s in range(q):
+                c = (i + s) % q
+                p = fc.P[i, c]
+                if p == 0.0:
+                    continue
+                row = D[i] * p
+                for j, w in zip(laws[s].support.tolist(), laws[s].weights.tolist()):
+                    if abs(j) >= width:
+                        continue
+                    if j >= 0:
+                        newD[c, j:] += w * row[: width - j]
+                    else:
+                        newD[c, : width + j] += w * row[-j:]
+        D = newD
+    return D.sum(axis=0)
+
+
+def _sos_chain(q):
+    pot = sos(2.0)
+    law, _ = periodic_solve(pot, 2, q)
+    return fuzzy_chain(law, fuzzy_Q(pot, q)), increment_laws(pot, q)
+
+
+def _split_points(chain, seed):
+    """The same laws with shuffled support and some points split in two."""
+    fc, laws = chain
+    rng = np.random.default_rng(seed)
+    rebuilt = []
+    for law in laws:
+        dup = rng.choice(len(law.support), size=len(law.support) // 2 + 1, replace=False)
+        frac = rng.random(dup.size)
+        weights = law.weights.copy()
+        weights[dup] *= frac
+        support = np.concatenate([law.support, law.support[dup]])
+        weights = np.concatenate([weights, law.weights[dup] * (1.0 - frac)])
+        order = rng.permutation(support.size)
+        rebuilt.append(IncrementLaw(
+            q=law.q, residue=law.residue, support=support[order],
+            weights=weights[order], tail_mass_bound=law.tail_mass_bound))
+    return fc, rebuilt
+
+
+class TestWnGgmOracle:
+    """The per-residue convolution DP against the per-support-point loop:
+    bit for bit at n = 1, within roundoff_bound beyond."""
+
+    @staticmethod
+    def _check(chain, n, window=None, tail_tol=1e-9):
+        fc, laws = chain
+        dist = wn_ggm_exact(fc, laws, n, window=window, tail_tol=tail_tol)
+        ref = _reference_wn_ggm(fc, laws, n, dist.window)
+        if n == 1:
+            assert np.array_equal(dist.law, ref)
+        err = float(np.max(np.abs(dist.law - ref)))
+        assert err <= dist.roundoff_bound, (err, dist.roundoff_bound)
+        return dist
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_sos(self, q, n):
+        self._check(_sos_chain(q), n)
+
+    @pytest.mark.parametrize("window", [1023, 1100])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_log_both_sides_of_the_fft_switch(self, chain_log, window, n):
+        self._check(chain_log, n, window=window, tail_tol=1.0)
+
+    def test_bench_wide_case(self, chain_log):
+        dist = self._check(chain_log, 32)
+        assert dist.roundoff_bound <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_repeated_support_points(self, seed, n):
+        self._check(_split_points(_sos_chain(3), seed), n, window=30)
+
+    def test_gibbs_mode_has_no_bound(self, sos25):
+        assert wn_localized_exact(sos25, 2).roundoff_bound is None
 
 
 @pytest.fixture(scope="module")
