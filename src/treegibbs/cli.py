@@ -3,8 +3,10 @@
 Every subcommand resolves a model, runs the matching library call, and
 emits CSV (metadata comment block, value columns at 17 significant digits
 plus a rounded 4-digit display column) or JSON (a "meta" object plus the
-payload, keys sorted).  Outputs carry the full configuration and library
-versions, so equal configuration and seed reproduce byte-identical files.
+payload, keys sorted).  One table, `_FLAGS`, specifies every flag; each
+subcommand takes only the flags its handler reads, and the metadata records
+every value parsed (bar --out) plus the package and numpy versions, so equal
+flags reproduce byte-identical files.
 
 Exit codes: 0 success, 2 configuration errors (including non-summable
 operators), 3 numerical failures, 4 refusals outside the good set.  Module
@@ -21,7 +23,6 @@ import math
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .boundary_law import (
@@ -69,7 +70,7 @@ def _resolve_model(args):
     """Potential from --model/--beta; custom files carry their own beta."""
     spec = args.model
     if spec.startswith("custom:"):
-        if getattr(args, "beta", None) is not None:
+        if args.beta is not None:
             raise ConfigError("custom model files fix beta; drop --beta")
         path = spec[len("custom:"):]
         try:
@@ -80,10 +81,9 @@ def _resolve_model(args):
         raise ConfigError(
             f"unknown model {spec!r}, expected sos, log, or custom:<path>"
         )
-    beta = getattr(args, "beta", None)
-    if beta is None:
+    if args.beta is None:
         raise ConfigError(f"model {spec!r} needs --beta")
-    return _FAMILIES[spec](beta)
+    return _FAMILIES[spec](args.beta)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -137,19 +137,10 @@ def _jsonify(obj):
 
 
 def _meta(args, **extra) -> dict:
-    meta = {
-        "command": args.command,
-        "format": args.format,
-        "version": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-    for key in ("model", "beta", "d", "q", "pairing", "truncation", "tol",
-                "seed", "replicate", "n", "beta_range", "d_list",
-                "gamma", "delta", "sample_steps"):
-        val = getattr(args, key, None)
-        if val is not None:
-            meta[key] = val
+    """Versions plus every flag value the subcommand parsed, bar --out."""
+    meta = {"version": __version__, "numpy": np.__version__}
+    meta.update((k, v) for k, v in vars(args).items()
+                if v is not None and k != "out")
     meta.update(extra)
     return meta
 
@@ -455,7 +446,6 @@ def cmd_table(args) -> str:
         beta_star = beta_threshold(args.model, d, args.pairing, tol=tol)
         rows.append((d, beta_star))
     meta = _meta(args, tol_used=_f17(tol))
-    meta["d"] = args.d
     if args.format == "json":
         return _emit_json(meta, {"rows": [
             {"model": args.model, "d": d, "beta_star": b, "display": _f4(b)}
@@ -482,21 +472,45 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _add_common(parser, beta=True, degree=True, tol=True, truncation=None):
-    parser.add_argument("--model", default="sos",
-                        help="sos, log, or custom:<json path>")
-    if beta:
-        parser.add_argument("--beta", type=float, default=None)
-    if degree:
-        parser.add_argument("--d", type=int, default=2)
-    parser.add_argument("--pairing", choices=("half", "one"), default="half")
-    if tol:
-        parser.add_argument("--tol", type=float, default=None)
-    if truncation:
-        parser.add_argument("--truncation", type=int, help=truncation)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="-")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+# Every flag of the CLI, keyed by its dest.  A subcommand takes the flags its
+# handler reads (`_subcommand`), and `_meta` records what was parsed, so this
+# table and the subcommand list below are the only record of the inputs.
+_FLAGS = {
+    "model": {"default": "sos", "help": "sos, log, or custom:<json path>"},
+    "beta": {"type": float},
+    "d": {"type": int, "default": 2},
+    "pairing": {"choices": ("half", "one"), "default": "half"},
+    "tol": {"type": float},
+    "truncation": {"type": int},
+    "q": {"type": int},
+    "gamma": {"type": float},
+    "delta": {"type": float},
+    "n": {"default": "1,8,64",
+          "help": "comma list of path lengths for exact tables"},
+    "sample_steps": {"type": int, "help": "emit one sampled path instead"},
+    "seed": {"type": int, "default": 0},
+    "replicate": {"type": int, "default": 0},
+    "beta_range": {"required": True, "help": "a:b:step"},
+    "d_list": {"required": True, "help": "comma list of degrees"},
+    "out": {"default": "-"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+}
+
+_TOL_SERIES = {"help": "relative tolerance of the norm series (default 1e-10)"}
+_TOL_BISECTION = {"help": "width of the beta bisection (default 1e-7)"}
+_TOL_SOLVE = {"help": "stopping tolerance of the solve (default 1e-12)"}
+
+
+def _subcommand(sub, name, summary, flags, **specs):
+    """Add subcommand `name` taking --out, --format and the table's `flags`
+    (space-separated dests); a keyword adds one more flag and overrides its
+    table spec for this subcommand."""
+    parser = sub.add_parser(name, help=summary)
+    names = set(flags.split()) | set(specs) | {"out", "format"}
+    for dest, spec in _FLAGS.items():
+        if dest in names:
+            parser.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                                **{**spec, **specs.get(dest, {})})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -506,54 +520,35 @@ def _build_parser() -> argparse.ArgumentParser:
                     "gradient models on regular trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("norms", help="certified norm pair and l1 norm")
-    _add_common(p)
-
-    p = sub.add_parser("goodset", help="good-set membership for a norm pair")
-    _add_common(p)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-
-    p = sub.add_parser("threshold", help="smallest beta inside the good set")
-    _add_common(p, beta=False)
-
-    p = sub.add_parser("solve", help="certified truncated boundary law")
-    _add_common(p, truncation="window radius R of the solve on [-R, R]; default: "
-                              "the certified radius for --tol")
-
-    p = sub.add_parser("periodic", help="q-periodic boundary law")
-    _add_common(p)
-    p.add_argument("--q", type=int, default=None)
-
-    p = sub.add_parser("ggm", help="fuzzy chain and edge increment marginal")
-    _add_common(p, truncation="radius of the class-conditional increment laws; "
-                              "default: the radius leaving tail mass <= 1e-10")
-    p.add_argument("--q", type=int, default=None)
-
-    p = sub.add_parser("simulate", help="exact W_n tables or sampled paths")
-    _add_common(p, tol=False,
-                truncation="half-width K of the exact W_n tables (k in [-K, K]); "
-                           "default: sized from the chain; sampled paths ignore it")
-    p.add_argument("--q", type=int, default=None,
-                   help="class count; omit for the localized chain")
-    p.add_argument("--n", default="1,8,64",
-                   help="comma list of path lengths for exact tables")
-    p.add_argument("--sample-steps", dest="sample_steps", type=int,
-                   default=None, help="emit one sampled path instead")
-    p.add_argument("--replicate", type=int, default=0)
-
-    p = sub.add_parser("phase-diagram", help="membership over a (beta, d) grid")
-    _add_common(p, beta=False)
-    p.add_argument("--beta-range", dest="beta_range", required=True,
-                   help="a:b:step")
-    p.add_argument("--d-list", dest="d_list", required=True,
-                   help="comma list of degrees")
-
-    p = sub.add_parser("table", help="threshold column over degrees")
-    _add_common(p, beta=False, degree=False)
-    p.add_argument("--d", default="2,3,6,7,100,1000",
-                   help="comma list of degrees")
+    _subcommand(sub, "norms", "certified norm pair and l1 norm",
+                "model beta d pairing", tol=_TOL_SERIES)
+    _subcommand(sub, "goodset", "good-set membership for a norm pair",
+                "model beta d pairing gamma delta", tol=_TOL_SERIES)
+    _subcommand(sub, "threshold", "smallest beta inside the good set",
+                "model d pairing", tol=_TOL_BISECTION)
+    _subcommand(sub, "solve", "certified truncated boundary law",
+                "model beta d", tol=_TOL_SOLVE,
+                truncation={"help": "window radius R of the solve on [-R, R]; "
+                                    "default: the certified radius for --tol"})
+    _subcommand(sub, "periodic", "q-periodic boundary law",
+                "model beta d q", tol=_TOL_SOLVE)
+    _subcommand(sub, "ggm", "fuzzy chain and edge increment marginal",
+                "model beta d q", tol=_TOL_SOLVE,
+                truncation={"help": "radius of the class-conditional increment "
+                                    "laws; default: the radius leaving tail "
+                                    "mass <= 1e-10"})
+    _subcommand(sub, "simulate", "exact W_n tables or sampled paths",
+                "model beta d n sample_steps seed replicate",
+                q={"help": "class count; omit for the localized chain"},
+                truncation={"help": "half-width K of the exact W_n tables "
+                                    "(k in [-K, K]); default: sized from the "
+                                    "chain; sampled paths ignore it"})
+    _subcommand(sub, "phase-diagram", "membership over a (beta, d) grid",
+                "model pairing beta_range d_list", tol=_TOL_SERIES)
+    _subcommand(sub, "table", "threshold column over degrees",
+                "model pairing", tol=_TOL_BISECTION,
+                d={"type": str, "default": "2,3,6,7,100,1000",
+                   "help": "comma list of degrees"})
     return parser
 
 

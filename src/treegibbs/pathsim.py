@@ -325,7 +325,10 @@ def wn_ggm_exact(
     computed rows, in floating point on nonnegative numbers with fewer than
     width + q^2 + (q + 3) n + 128 roundings on any path (a row norm, kappa^n,
     the convolver coefficients), and the result is divided by one minus
-    gamma of that count.  Underflow is neglected.
+    gamma of that count.  Underflow is neglected.  The law is clipped at 0
+    (FFT rounding leaves entries near -1e-16): the exact DP, like the float
+    reference DP, is nonnegative, so clipping never moves an entry away from
+    it and the bound still holds.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
@@ -368,8 +371,8 @@ def wn_ggm_exact(
                 if p != 0.0:
                     newD[(i + s) % q] += p * convolvers[s](D[i])
         D = newD
-    law = D.sum(axis=0)
     bound += _gamma(q - 1) * float(np.abs(D).max(axis=1).sum())
+    law = np.maximum(D.sum(axis=0), 0.0)
     rounds = width + q * q + (q + 3) * n + 128
     bound = math.nextafter(bound / (1.0 - _gamma(rounds)), math.inf)
     leaked = max(0.0, 1.0 - math.fsum(law.tolist()))

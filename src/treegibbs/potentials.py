@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -581,7 +581,6 @@ class FuzzyOperator:
     values: np.ndarray
     residual_tail: float
     normalized: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -594,7 +593,7 @@ class FuzzyOperator:
             return self
         v0 = float(self.values[0])
         err = self.residual_tail / v0 * (1.0 + float(self.values.max()) / v0)
-        return FuzzyOperator(self.q, self.values / v0, err, True, dict(self.meta))
+        return FuzzyOperator(self.q, self.values / v0, err, True)
 
     def p_norm(self, p: float, without_zero: bool = False) -> NormReport:
         if p < 1:
@@ -636,20 +635,20 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
         values = (np.exp(-b * j) + np.exp(-b * (q - j))) / denom
         # the zero class includes l = 0 once: (1 + e^{-bq})/(1 - e^{-bq})
         err = 4e-16 * float(values.sum())
-        return FuzzyOperator(q, values, err, meta={"method": "geometric"})
+        return FuzzyOperator(q, values, err)
 
     # arm r sums Q(r + nq) over n >= 0 for r = 0..q; class j joins the arm
     # l = j + nq and the mirrored arm |l| = (q-j) + nq
     if pot.kind == "log":
         # (1 + r + nq)^(-beta) summed over n is q^(-beta) zeta(beta, (1+r)/q)
-        scale, method = q ** (-pot.beta), "hurwitz"
+        scale = q ** (-pot.beta)
         arms = [hurwitz_zeta(pot.beta, (1 + r) / q, rel_tol / 4) for r in range(q + 1)]
     else:
-        scale, method = 1.0, "series"
+        scale = 1.0
         arms = [_progression_sum(pot, r, q, 1.0, rel_tol / 4)[:2] for r in range(q + 1)]
     values = np.array([scale * (arms[j][0] + arms[q - j][0]) for j in range(q)])
     errs = sum(scale * (arms[j][1] + arms[q - j][1]) for j in range(q))
-    return FuzzyOperator(q, values, errs, meta={"method": method})
+    return FuzzyOperator(q, values, errs)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,17 @@ class TestSimulate:
         _, second, _ = run(capsys, *base, "--replicate", "1")
         assert first != second
 
+    def test_fft_path_prints_no_negative_prob(self, capsys):
+        # the log 4 window is wide enough for FFT convolutions, whose
+        # rounding left entries near -1e-16 before the law was clipped
+        code, out, _ = run(capsys, "simulate", "--model", "log", "--beta", "4",
+                           "--d", "2", "--q", "2", "--n", "32")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == "n,k,prob,leaked_mass"
+        assert len(rows) > 2048
+        assert not any(r[2].startswith("-") for r in rows)
+
     def test_window_too_small_exits_3(self, capsys):
         code, _, err = run(capsys, "simulate", "--model", "sos", "--beta",
                            "2", "--d", "2", "--q", "2", "--n", "8",
@@ -363,8 +374,8 @@ class TestOutputFile:
         code, out, _ = run(capsys, "threshold", "--model", "sos", "--d", "2")
         assert code == 0
         meta, _, _ = parse_csv(out)
-        assert meta["version"]
-        assert meta["numpy"] and meta["scipy"]
+        assert meta["version"] and meta["numpy"]
+        assert "scipy" not in meta
 
 
 class TestErrorContract:
@@ -454,35 +465,50 @@ class TestErrorContract:
         assert set(payload["error"]) == {"type", "message", "exit_code"}
 
 
-_SHARED = {"--model", "--pairing", "--seed", "--out", "--format"}
+_IO = {"--out", "--format"}
 
-# every flag of every subcommand; each one is read by its handler or prints
-# a metadata line that the output has always carried
+# every flag of every subcommand, each one read by its handler
 FLAGS = {
-    "norms": _SHARED | {"--beta", "--d", "--tol"},
-    "goodset": _SHARED | {"--beta", "--d", "--tol", "--gamma", "--delta"},
-    "threshold": _SHARED | {"--d", "--tol"},
-    "solve": _SHARED | {"--beta", "--d", "--tol", "--truncation"},
-    "periodic": _SHARED | {"--beta", "--d", "--tol", "--q"},
-    "ggm": _SHARED | {"--beta", "--d", "--tol", "--truncation", "--q"},
-    "simulate": _SHARED | {"--beta", "--d", "--truncation", "--q", "--n",
-                           "--sample-steps", "--replicate"},
-    "phase-diagram": _SHARED | {"--d", "--tol", "--beta-range", "--d-list"},
-    "table": _SHARED | {"--d", "--tol"},
+    "norms": _IO | {"--model", "--beta", "--d", "--pairing", "--tol"},
+    "goodset": _IO | {"--model", "--beta", "--d", "--pairing", "--tol",
+                      "--gamma", "--delta"},
+    "threshold": _IO | {"--model", "--d", "--pairing", "--tol"},
+    "solve": _IO | {"--model", "--beta", "--d", "--tol", "--truncation"},
+    "periodic": _IO | {"--model", "--beta", "--d", "--tol", "--q"},
+    "ggm": _IO | {"--model", "--beta", "--d", "--tol", "--truncation", "--q"},
+    "simulate": _IO | {"--model", "--beta", "--d", "--truncation", "--q", "--n",
+                       "--sample-steps", "--seed", "--replicate"},
+    "phase-diagram": _IO | {"--model", "--pairing", "--tol", "--beta-range",
+                            "--d-list"},
+    "table": _IO | {"--model", "--d", "--pairing", "--tol"},
 }
+
+_NORMS = ("norms", "--model", "sos", "--beta", "2.5")
+_GOODSET = ("goodset", "--gamma", "1.5", "--delta", "0.05")
+_THRESHOLD = ("threshold", "--model", "sos")
+_SOLVE = ("solve", "--model", "sos", "--beta", "2.5")
+_PERIODIC = ("periodic", "--model", "sos", "--beta", "2", "--q", "2")
+_GGM = ("ggm", "--model", "sos", "--beta", "2", "--q", "2")
+_SIMULATE = ("simulate", "--model", "sos", "--beta", "2", "--n", "1")
+_PHASE = ("phase-diagram", "--beta-range", "2:2:1", "--d-list", "2")
+_TABLE = ("table", "--d", "2")
 
 # flags no handler reads, with a valid invocation to append them to
 REMOVED = [
-    ("--truncation", "3", ("norms", "--model", "sos", "--beta", "2.5")),
-    ("--truncation", "3", ("goodset", "--gamma", "1.5", "--delta", "0.05")),
-    ("--truncation", "3", ("threshold", "--model", "sos")),
-    ("--truncation", "3", ("periodic", "--model", "sos", "--beta", "2", "--q", "2")),
-    ("--truncation", "3", ("phase-diagram", "--beta-range", "2:2:1", "--d-list", "2")),
-    ("--truncation", "3", ("table", "--d", "2")),
-    ("--beta", "2.0", ("threshold", "--model", "sos")),
-    ("--beta", "2.0", ("phase-diagram", "--beta-range", "2:2:1", "--d-list", "2")),
-    ("--beta", "2.0", ("table", "--d", "2")),
-    ("--tol", "1e-9", ("simulate", "--model", "sos", "--beta", "2", "--n", "1")),
+    ("--truncation", "3", _NORMS),
+    ("--truncation", "3", _GOODSET),
+    ("--truncation", "3", _THRESHOLD),
+    ("--truncation", "3", _PERIODIC),
+    ("--truncation", "3", _PHASE),
+    ("--truncation", "3", _TABLE),
+    ("--beta", "2.0", _THRESHOLD),
+    ("--beta", "2.0", _PHASE),
+    ("--beta", "2.0", _TABLE),
+    ("--tol", "1e-9", _SIMULATE),
+    *(("--seed", "99", argv) for argv in (_NORMS, _GOODSET, _THRESHOLD, _SOLVE,
+                                          _PERIODIC, _GGM, _PHASE, _TABLE)),
+    *(("--pairing", "one", argv) for argv in (_SOLVE, _PERIODIC, _GGM, _SIMULATE)),
+    ("--d", "7", _PHASE),
 ]
 
 
@@ -493,7 +519,8 @@ class TestSurface:
         got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                for name, p in sub.choices.items()}
         assert got == FLAGS
-        assert sum(map(len, got.values())) == 81
+        assert sum(map(len, got.values())) == 68
+        assert len(REMOVED) == 23
         for flag, value, argv in REMOVED:
             assert flag not in FLAGS[argv[0]]
             code, out, err = run(capsys, *argv, flag, value)
@@ -509,8 +536,34 @@ class TestImports:
     def test_cli_import_skips_heavy_modules(self):
         src = os.path.dirname(os.path.dirname(treegibbs.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, treegibbs.cli; "
-                "print(sorted(m for m in ('scipy.fft', 'mpmath') if m in sys.modules))")
+        code = ("import sys, treegibbs.cli; print(sorted(m for m in "
+                "('scipy', 'scipy.fft', 'mpmath') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_readme_commands_run_without_scipy(self, capsys):
+        # scipy is a test oracle only: a child that cannot import it prints
+        # the README commands' outputs byte for byte
+        src = os.path.dirname(os.path.dirname(treegibbs.__file__))
+        with open(os.path.join(os.path.dirname(src), "README.md")) as fh:
+            commands = [line.split()[1:] for line in fh
+                        if line.startswith("treegibbs ")]
+        assert len(commands) == 10
+        code = ("import contextlib, io, json, sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from treegibbs.cli import main\n"
+                "results = []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    buf = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(buf):\n"
+                "        results.append([main(argv), buf.getvalue()])\n"
+                "print(json.dumps(results))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        blocked = json.loads(out)
+        for argv, (exit_code, stdout) in zip(commands, blocked, strict=True):
+            assert exit_code == 0, argv
+            assert stdout == run(capsys, *argv)[1], argv

@@ -620,6 +620,13 @@ class TestWnGgmOracle:
         assert wn_localized_exact(sos25, 2).roundoff_bound is None
 
 
+def test_fft_law_is_nonnegative(chain_log):
+    # FFT rounding leaves entries near -1e-16; the exact DP is nonnegative
+    dist = wn_ggm_exact(*chain_log, 32)
+    assert dist.window > 1023
+    assert float(dist.law.min()) >= 0.0
+
+
 @pytest.fixture(scope="module")
 def ggm_path(chain2):
     inc, _ = sample_path(chain2, 100_000, seed=20260814)
