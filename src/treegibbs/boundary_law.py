@@ -41,7 +41,7 @@ from .potentials import (
     FuzzyOperator,
     Potential,
     _smallest_radius,
-    _tail_bracket,
+    _tail_beyond,
     fuzzy_Q,
     p_norm,
 )
@@ -391,7 +391,7 @@ def truncation_radius(pot: Potential, p: float, bound: float) -> int:
         raise ConfigError("bound must be positive")
 
     return _smallest_radius(
-        lambda R: (2.0 * _tail_bracket(pot, R + 1, 1, p)[1]) ** (1.0 / p) <= bound,
+        lambda R: _tail_beyond(pot, R, p) ** (1.0 / p) <= bound,
         max(1, pot.table_end),
         _MAX_WINDOW_RADIUS,
         f"truncation radius beyond {_MAX_WINDOW_RADIUS} needed for tail bound "
@@ -405,9 +405,7 @@ def _window_radius(pot: Potential, d: int, config: SolveConfig) -> int:
     if config.radius is None:
         return max(truncation_radius(pot, d + 1, 0.01 * config.tol), 4)
     R = config.radius
-    tail = (2.0 * _tail_bracket(pot, max(R, pot.table_end) + 1, 1, d + 1)[1]) ** (
-        1.0 / (d + 1)
-    )
+    tail = _tail_beyond(pot, R, d + 1) ** (1.0 / (d + 1))
     if tail > config.tol:
         raise ConfigError(
             f"radius {R} leaves a truncated tail of {tail:.3g} > tol {config.tol:.3g}"

@@ -25,7 +25,7 @@ from .potentials import (
     _CHUNK,
     _float_stream,
     _smallest_radius,
-    _tail_bracket,
+    _tail_beyond,
     fuzzy_Q,
 )
 
@@ -95,6 +95,17 @@ class IncrementLaw:
         return math.fsum((self.support.astype(float) ** 2 * self.weights).tolist())
 
 
+def _dense_chain(bl: BoundaryLaw, kernel,
+                 refusal: str) -> tuple[np.ndarray, np.ndarray]:
+    """(P, alpha) for P(a, b) = kernel(a - b) lam(b) / N(a) on the law's sites;
+    beyond _MAX_DENSE sites, NumericalError(refusal) before anything is allocated."""
+    if len(bl.x) > _MAX_DENSE:
+        raise NumericalError(refusal)
+    idx = bl.indices
+    num = kernel(idx[:, None] - idx[None, :]) * bl.lam[None, :]
+    return num / num.sum(axis=1, keepdims=True), single_site_marginal(bl)
+
+
 def fuzzy_chain(bl: BoundaryLaw, qq: FuzzyOperator) -> FuzzyChain:
     """Build the class chain P(ibar, jbar) = Q_q(ibar-jbar) lam(jbar) / N(ibar).
 
@@ -108,17 +119,10 @@ def fuzzy_chain(bl: BoundaryLaw, qq: FuzzyOperator) -> FuzzyChain:
     if qq.q != bl.q:
         raise ConfigError(f"operator has q={qq.q}, boundary law has q={bl.q}")
     q = bl.q
-    if q > _MAX_DENSE:
-        raise NumericalError(
-            f"q={q} exceeds {_MAX_DENSE}: the dense class chain needs a "
-            f"{q}x{q} matrix ({q * q * 8 / 2**30:.3g} GiB)"
-        )
-    lam = bl.lam
-    idx = np.arange(q)
-    Qmat = np.asarray(qq.values, dtype=float)[(idx[:, None] - idx[None, :]) % q]
-    num = Qmat * lam[None, :]
-    P = num / num.sum(axis=1, keepdims=True)
-    alpha = single_site_marginal(bl)
+    values = np.asarray(qq.values, dtype=float)
+    P, alpha = _dense_chain(bl, lambda diff: values[diff % q], (
+        f"q={q} exceeds {_MAX_DENSE}: the dense class chain needs a "
+        f"{q}x{q} matrix ({q * q * 8 / 2**30:.3g} GiB)"))
     if q > 1:
         resid = float(np.max(np.abs(alpha @ P - alpha)))
         if resid > _STATIONARITY_TOL:
@@ -151,18 +155,9 @@ def _increment_law(
     q = qq.q
     residue %= q
     mass = qq.at(residue) - qq.residual_tail
-
-    def tail(R: int) -> float:
-        end = pot.table_end
-        if R >= end:
-            return 2.0 * _tail_bracket(pot, R + 1, 1, 1.0)[1] / mass
-        # a radius inside a custom table also leaves out the table terms beyond it
-        inside = math.fsum(pot.Q(np.arange(R + 1, end + 1)).tolist())
-        return 2.0 * (inside + _tail_bracket(pot, end + 1, 1, 1.0)[1]) / mass
-
     if radius is None:
         radius = _smallest_radius(
-            lambda R: tail(R) <= tail_bound,
+            lambda R: _tail_beyond(pot, R, 1.0) / mass <= tail_bound,
             max(1, pot.table_end, residue),
             1 << 30,
             f"increment window beyond 2^30 needed for tail bound {tail_bound:.3g}",
@@ -180,7 +175,7 @@ def _increment_law(
         residue=residue,
         support=support,
         weights=weights,
-        tail_mass_bound=max(tail(radius), 0.0),
+        tail_mass_bound=max(_tail_beyond(pot, radius, 1.0) / mass, 0.0),
     )
 
 
@@ -239,17 +234,24 @@ def ggm_edge_marginal(
     mass = math.fsum(float(nu[lo:lo + _CHUNK].sum()) for lo in range(0, nu.size, _CHUNK))
     if nu.min() >= 0.0 and 1.0 - mass * (1.0 - 2.0 * _gamma(_CHUNK + 2)) <= tail_tol:
         return nu
-    deficit = 1.0 - math.fsum(_float_stream(nu))
-    if deficit > tail_tol:
-        # a window past every law radius holds all support points: the
-        # leak is the mass the increment truncation gave away
-        hint = (f"use window >= {need}" if window < need else
-                f"the increment laws are truncated at radius {need}; "
-                "raise the increment radius (--truncation)")
-        raise NumericalError(
-            f"window {window} leaks mass {deficit:.3g} > {tail_tol:.3g}; {hint}"
-        )
+    # a window past every law radius holds all support points: the leak is
+    # the mass the increment truncation gave away
+    _window_leak(nu, window, tail_tol, lambda: (
+        f"use window >= {need}" if window < need else
+        f"the increment laws are truncated at radius {need}; "
+        "raise the increment radius (--truncation)"))
     return nu
+
+
+def _window_leak(law: np.ndarray, window: int, budget: float, hint) -> float:
+    """The leak max(0, 1 - sum(law)) from one exactly rounded sum; a leak above
+    budget raises NumericalError with a message ending in hint(), called only then."""
+    leaked = max(0.0, 1.0 - math.fsum(_float_stream(law)))
+    if leaked > budget:
+        raise NumericalError(
+            f"window {window} leaks mass {leaked:.3g} > {budget:.3g}; {hint()}"
+        )
+    return leaked
 
 
 def star_marginal(fc: FuzzyChain, laws, increments) -> float:
@@ -267,8 +269,8 @@ def star_marginal(fc: FuzzyChain, laws, increments) -> float:
     rho = []
     for j in increments:
         law = laws[j % q]
-        hit = np.nonzero(law.support == j)[0]
-        rho.append(float(law.weights[hit[0]]) if hit.size else 0.0)
+        # repeated support points add up, as in the edge marginal
+        rho.append(math.fsum(law.weights[law.support == j].tolist()))
     total = 0.0
     for i in range(q):
         term = float(fc.alpha[i])

@@ -42,8 +42,8 @@ from .boundary_law import (
     periodic_solve,
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
-from .ggm import _MAX_DENSE, FuzzyChain, _check_laws, _class_step_law
-from .potentials import _float_stream, fuzzy_Q
+from .ggm import FuzzyChain, _check_laws, _class_step_law, _dense_chain, _window_leak
+from .potentials import _float_stream, _smallest_radius, fuzzy_Q
 
 __all__ = [
     "MODE_GIBBS",
@@ -109,7 +109,7 @@ class PathDistribution:
             )
         if float(self.law.min()) < -1e-12:
             raise NumericalError("negative probability in the W_n law")
-        total = math.fsum(self.law.tolist()) + self.leaked_mass
+        total = math.fsum(_float_stream(self.law)) + self.leaked_mass
         if not (1.0 - 1e-9 <= total <= 1.0 + 1e-12):
             raise NumericalError(
                 f"law plus leaked mass sums to {total!r}, expected 1 within 1e-9"
@@ -180,16 +180,9 @@ def _height_kernel(bl: BoundaryLaw) -> tuple[np.ndarray, np.ndarray]:
     if bl.pot is None:
         raise ConfigError("boundary law carries no potential; rebuild it "
                           "with solve_fixed_point")
-    m = len(bl.x)
-    if m > _MAX_DENSE:
-        raise NumericalError(
-            f"window holds {m} sites; the dense height kernel needs m^2 "
-            "entries, solve with a looser tol or smaller radius"
-        )
-    idx = bl.indices
-    num = bl.pot.Q(idx[:, None] - idx[None, :]) * bl.lam[None, :]
-    P = num / num.sum(axis=1, keepdims=True)
-    return P, single_site_marginal(bl)
+    return _dense_chain(bl, bl.pot.Q, (
+        f"window holds {len(bl.x)} sites; the dense height kernel needs m^2 "
+        "entries, solve with a looser tol or smaller radius"))
 
 
 def _slice_to_window(full: np.ndarray, center: int, window: int) -> np.ndarray:
@@ -228,17 +221,13 @@ def wn_localized_exact(
         raise ConfigError(f"window must be >= 0, got {window}")
     law = _slice_to_window(full, m - 1, K)
     limit = _slice_to_window(limit_full, m - 1, K)
-    leaked = max(0.0, 1.0 - math.fsum(law.tolist()))
-    if leaked > tail_tol:
-        need = K
-        while need < m - 1:
-            need += 1
-            if 1.0 - math.fsum(_slice_to_window(full, m - 1, need).tolist()) <= tail_tol:
-                break
-        raise NumericalError(
-            f"window {K} leaks mass {leaked:.3g} > {tail_tol:.3g}; "
-            f"use window >= {need}"
-        )
+
+    def fits(R: int) -> bool:  # monotone: a wider window sums more entries >= 0
+        return R >= m - 1 or 1.0 - math.fsum(
+            _float_stream(_slice_to_window(full, m - 1, R))) <= tail_tol
+
+    leaked = _window_leak(law, K, tail_tol, lambda: "use window >= " + str(
+        K if K >= m - 1 else _smallest_radius(fits, K + 1, 2 * m, "")))
     return PathDistribution(
         n=n, window=K, law=law, leaked_mass=leaked, mode=MODE_GIBBS, limit=limit
     )
@@ -375,14 +364,9 @@ def wn_ggm_exact(
     law = np.maximum(D.sum(axis=0), 0.0)
     rounds = width + q * q + (q + 3) * n + 128
     bound = math.nextafter(bound / (1.0 - _gamma(rounds)), math.inf)
-    leaked = max(0.0, 1.0 - math.fsum(law.tolist()))
     budget = tail_tol + n * max(law_.tail_mass_bound for law_ in laws)
-    if leaked > budget:
-        need = max(default_window(fc, laws, n), 2 * K)
-        raise NumericalError(
-            f"window {K} leaks mass {leaked:.3g} > {budget:.3g}; "
-            f"use window >= {need}"
-        )
+    leaked = _window_leak(law, K, budget, lambda: (
+        f"use window >= {max(default_window(fc, laws, n), 2 * K)}"))
     return PathDistribution(
         n=n, window=K, law=law, leaked_mass=leaked, mode=MODE_GGM, q=q,
         roundoff_bound=bound,

@@ -23,9 +23,10 @@ and ``_tail_bracket`` brackets it: exp tails in closed geometric form,
 power tails by ``integral <= remainder <= integral + first term``.  One
 loop (``_certified_sum``) adds the bracket midpoint to an fsum partial sum
 and doubles the term count until half the width certifies the tolerance;
-the reported ``tail_bound`` is that half width.  One search
-(``_smallest_radius``) picks the smallest radius whose tail fits a bound,
-for window truncation and increment laws alike.
+the reported ``tail_bound`` is that half width.  ``_tail_beyond`` bounds
+what a radius R leaves out, sum_{|j|>R} Q(j)^p, table terms included, and
+one search (``_smallest_radius``) picks the smallest radius whose tail fits
+a bound, for window truncation and increment laws alike.
 """
 
 from __future__ import annotations
@@ -332,6 +333,15 @@ def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> tuple[float, 
     logC = p * lq + s * math.log1p(J)
     integral = _exp(logC + (1.0 - s) * math.log1p(l0)) / (step * (s - 1.0))
     return (integral, integral + _exp(logC - s * math.log1p(l0)))
+
+
+def _tail_beyond(pot: Potential, R: int, p: float) -> float:
+    """Certified upper bound on sum_{|j|>R} Q(j)^p: 2 * (fsum of the table terms
+    past R + upper end of the bracket beyond the table), which for R at or past
+    the table end is exactly 2 * _tail_bracket(pot, R + 1, 1, p)[1]."""
+    end = max(R, pot.table_end)
+    inside = math.fsum((pot.Q(np.arange(R + 1, end + 1)) ** p).tolist())
+    return 2.0 * (inside + _tail_bracket(pot, end + 1, 1, p)[1])
 
 
 def _log1mexp(x: float) -> float:

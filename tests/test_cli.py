@@ -345,6 +345,24 @@ class TestCustomModel:
         assert code == 2
         assert "fix beta" in json.loads(err)["error"]["message"]
 
+    def test_solve_radius_inside_table_counts_table_terms(self, capsys, tmp_path):
+        # radius 1 drops Q(2..5) = e^-3 each: (2 * 4 e^-9 + ...)^(1/3) = 0.0996
+        spec = {"kind": "custom", "beta": 3.0,
+                "table": [[j, 1.0] for j in range(1, 6)],
+                "tail": {"type": "exp", "rate": 1.0}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "solve", "--model", f"custom:{path}", "--d", "2",
+                             "--truncation", "1", "--tol", "0.01")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["message"] == (
+            "radius 1 leaves a truncated tail of 0.0996 > tol 0.01")
+        code, out, _ = run(capsys, "solve", "--model", f"custom:{path}", "--d", "2",
+                           "--truncation", "7", "--tol", "0.01")
+        assert code == 0 and "certified=true" in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "norms", "--model", "custom:/nope.json",
                            "--d", "2")

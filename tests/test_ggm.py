@@ -37,6 +37,8 @@ from treegibbs.potentials import TailModel, custom, fuzzy_Q, log_potential, sos
 Q2_S_B25 = 0.16307123192997783
 Q2_LAM_B25 = 0.041153547508175042
 Q2_LAM_B20 = 0.18361737639648509
+# edge marginal nu(1), SOS beta=2 d=2 q=2 (the W_n reference in test_pathsim)
+Q2_NU1_EXACT = 0.042350257597783661
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +415,25 @@ class TestStarMarginal:
         )
         deficit = 1.0 - math.fsum(nu.tolist())
         assert total == pytest.approx(float(nu[K + j1]), abs=deficit + 1e-13)
+
+    def test_repeated_support_points_add_up(self, chain20):
+        # the weight at j = 1 split into two equal entries: the same law
+        laws = increment_laws(sos(2.0), 2)
+        odd = laws[1]
+        at = int(np.flatnonzero(odd.support == 1)[0])
+        w = odd.weights.copy()
+        w[at] /= 2.0
+        split = [laws[0], IncrementLaw(
+            q=2, residue=1, support=np.insert(odd.support, at, 1),
+            weights=np.insert(w, at, w[at]), tail_mass_bound=odd.tail_mass_bound)]
+        K = max(l.radius for l in laws)
+        nu = ggm_edge_marginal(chain20, split, window=K)
+        assert nu[K + 1] == pytest.approx(Q2_NU1_EXACT, rel=1e-12)
+        for increments in ([1], [1, 1, -2], [3, 1, 0]):
+            assert star_marginal(chain20, split, increments) == star_marginal(
+                chain20, laws, increments)
+        assert star_marginal(chain20, split, [1]) == pytest.approx(
+            float(nu[K + 1]), rel=1e-12)
 
     def test_missing_support_gives_zero(self, chain20):
         laws = increment_laws(sos(2.0), 2, radius=5)

@@ -214,6 +214,65 @@ class TestWnLocalized:
             wn_localized_exact(huge, 1)
 
 
+def _reference_leak_message(bl, n, K, tail_tol):
+    """The leak error of wn_localized_exact before its window search bisected:
+    one exactly rounded sum per candidate window, K + 1 up to m - 1."""
+    P, alpha = _height_kernel(bl)
+    m = len(alpha)
+    Pn = np.linalg.matrix_power(P, n)
+    full = np.array([
+        math.fsum((alpha[max(0, -k): m - max(0, k)]
+                   * np.diagonal(Pn, offset=k)).tolist())
+        for k in range(-(m - 1), m)
+    ])
+
+    def window_law(R):
+        out = np.zeros(2 * R + 1)
+        lo, hi = max(0, m - 1 - R), min(len(full), m + R)
+        out[lo - (m - 1) + R: hi - (m - 1) + R] = full[lo:hi]
+        return out
+
+    leaked = max(0.0, 1.0 - math.fsum(window_law(K).tolist()))
+    if leaked <= tail_tol:
+        return None
+    need = K
+    while need < m - 1:
+        need += 1
+        if 1.0 - math.fsum(window_law(need).tolist()) <= tail_tol:
+            break
+    return f"window {K} leaks mass {leaked:.3g} > {tail_tol:.3g}; use window >= {need}"
+
+
+class TestWnLocalizedLeakOracle:
+    @pytest.mark.parametrize("tail_tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_leak_message_matches_linear_search(self, sos25, n, tail_tol):
+        m = len(sos25.x)
+        refused = 0
+        for K in range(m - 1):
+            expected = _reference_leak_message(sos25, n, K, tail_tol)
+            try:
+                wn_localized_exact(sos25, n, window=K, tail_tol=tail_tol)
+                got = None
+            except NumericalError as exc:
+                got = str(exc)
+            assert got == expected, K
+            refused += expected is not None
+        assert refused > 0
+
+    def test_no_fitting_window_asks_for_the_full_one(self):
+        # this flat law's full window sums to 1 - 1.11e-16, so at tail_tol 0
+        # no window fits: the hint is m - 1 below it and K itself from there
+        flat = BoundaryLaw(kind=SUPPORT_TRUNCATED, d=2, x=np.ones(9), radius=4,
+                           pot=sos(0.1))
+        for K in range(12):
+            message = _reference_leak_message(flat, 3, K, 0.0)
+            assert message.endswith(f"use window >= {max(K, 8)}")
+            with pytest.raises(NumericalError) as exc:
+                wn_localized_exact(flat, 3, window=K, tail_tol=0.0)
+            assert str(exc.value) == message
+
+
 class TestWnGgm:
     def test_frozen_sups(self, chain2):
         fc, laws = chain2

@@ -20,6 +20,7 @@ from treegibbs.potentials import (
     DOMAIN_ZQ,
     DOMAIN_ZQ_STAR,
     TailModel,
+    _tail_beyond,
     _tail_bracket,
     check_double_sum,
     custom,
@@ -416,6 +417,38 @@ class TestTailBracket:
         # relative slack for rounding, absolute slack for subnormal tails
         assert brute <= hi * (1.0 + 1e-12) + 1e-300
         assert lo <= (brute + rem) * (1.0 + 1e-12) + 1e-300
+
+    @given(case=tail_cases(), offset=st.integers(-5, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_tail_beyond_bounds_brute_force_sum(self, case, offset):
+        # R inside, at and beyond a custom table; at and beyond 0 for sos and log
+        pot, kind, expo, _, _, p = case
+        end = pot.table_end
+        R = max(0, end + offset)
+        bound = _tail_beyond(pot, R, p)
+        lo, hi = _tail_bracket(pot, max(R, end) + 1, 1, p)
+        if R >= end:
+            assert bound == 2.0 * hi
+        s = p * pot.beta * expo
+
+        def f(x):
+            return pot.Q(x) ** p
+
+        def remainder(L):
+            # bound on the terms j > L, from the decay law alone
+            if kind == "exp":
+                return f(L + 1) / -math.expm1(-s)
+            return f(L) * (1.0 + L) / (s - 1.0)
+
+        target = max(0.1 * (hi - lo), 1e-13 * lo, 1e-300)
+        L = max(R, end) + 64
+        while remainder(L) > target:
+            L *= 2
+        assert L <= 1 << 23
+        brute = math.fsum(f(np.arange(R + 1, L + 1)).tolist())
+        # the two sides of sum_{|j|>R} Q(j)^p; relative slack for rounding
+        assert 2.0 * brute <= bound * (1.0 + 1e-12) + 1e-300
+        assert bound <= 2.0 * (brute + remainder(L) + (hi - lo)) * (1.0 + 1e-12) + 1e-300
 
     def test_divergent_and_overflowing_tails_are_infinite(self):
         assert _tail_bracket(log_potential(0.8), 1, 1, 1.0) == (math.inf, math.inf)
