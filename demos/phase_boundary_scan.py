@@ -10,12 +10,11 @@ gradient measure from nothing but a sampled increment path.
 import numpy as np
 
 from treegibbs import (
-    GoodSetQuery,
     beta_threshold,
     fuzzy_Q,
     fuzzy_chain,
     increment_laws,
-    membership,
+    norm_membership,
     norm_pair,
     periodic_solve,
     recover_period,
@@ -29,12 +28,12 @@ print("degree   beta*")
 for d in (2, 3, 6, 10, 30, 100):
     print(f"{d:6d}   {beta_threshold('sos', d, tol=1e-7):.6f}")
 
-# Membership is a two-inequality check on the norm pair (gamma, delta).
+# Membership is a two-inequality check on the norm pair (gamma, delta);
+# norm_membership takes the pair as norm_pair certifies it.
 pot = sos(2.2)
 for d in (2, 3, 4):
-    g, dl = norm_pair(pot, d)
-    v = membership(GoodSetQuery(d, g.value, dl.value))
-    print(f"d = {d}: gamma = {g.value:.4f}, delta = {dl.value:.4f}, "
+    v = norm_membership(d, *norm_pair(pot, d))
+    print(f"d = {d}: gamma = {v.gamma:.4f}, delta = {v.delta:.4f}, "
           f"in good set: {v.in_good_set} ({v.reason})")
 
 # Blind identification: sample a 2-periodic gradient measure and ask which

@@ -46,6 +46,7 @@ from .goodset import (
     large_degree_scan,
     lipschitz_constant,
     membership,
+    norm_membership,
     smallest_epsilon,
 )
 from .boundary_law import (
@@ -92,6 +93,7 @@ __all__ = [
     "fuzzy_Q", "hurwitz_zeta", "check_double_sum",
     "GoodSetQuery", "MembershipVerdict", "ScanRow", "ScanReport",
     "smallest_epsilon", "lipschitz_constant", "membership",
+    "norm_membership",
     "binary_delta_boundary", "binary_delta_boundary_radical",
     "beta_threshold", "large_degree_scan",
     "BoundaryLaw", "SolveConfig", "SolveReport", "apply_T",

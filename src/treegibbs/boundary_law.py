@@ -17,12 +17,13 @@ is a circular convolution against the normalized class-sum operator
 Qbar_q = Q_q / Q_q(0), and the q = 1 case degenerates to the free state
 lambda == 1.  Large sizes convolve through one cached FFT.
 
-One solve core certifies both: refusal outside the good set, a-posteriori
-Banach stopping ||x_{n+1} - x_n|| * L/(1-L) < tol, the ball check, and on
-the window a truncation radius chosen so the discarded tail of Q at
-exponent d+1 stays below 0.01*tol.  Outside the good set the "certified"
-mode refuses and "auto" iterates plainly (divergence and trivial-branch
-detection), labelling the result uncertified; inside, both certify.
+One solve core certifies both from `goodset.norm_membership` of the
+support's norm pair: refusal outside the good set, a-posteriori Banach
+stopping ||x_{n+1} - x_n|| * L/(1-L) < tol, the ball check, and on the
+window a truncation radius chosen so the discarded tail of Q at exponent
+d+1 stays below 0.01*tol.  Outside the good set "certified" mode refuses
+and "auto" iterates plainly (divergence and trivial-branch detection),
+labelling the result uncertified; an infinite norm is refused in both.
 """
 
 from __future__ import annotations
@@ -34,16 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, OutsideGoodSetError
-from .goodset import GoodSetQuery, membership
+from .goodset import REASON_NORM_INFINITE, GoodSetQuery, membership, norm_membership
 from .potentials import (
-    DOMAIN_Z,
-    DOMAIN_Z_STAR,
     FuzzyOperator,
+    NormReport,
     Potential,
     _smallest_radius,
     _tail_beyond,
     fuzzy_Q,
-    p_norm,
+    norm_pair,
 )
 
 __all__ = [
@@ -137,12 +137,11 @@ class BoundaryLaw:
 class SolveConfig:
     """Solve controls: radius None picks the certified truncation; mode
     "certified" refuses outside the good set, "auto" iterates uncertified
-    there; start "zero" iterates from 0 instead of Q."""
+    there."""
 
     radius: int | None = None
     tol: float = 1e-12
     mode: str = MODE_CERTIFIED
-    start: str = "Q"
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -151,8 +150,6 @@ class SolveConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.radius is not None and self.radius < 1:
             raise ConfigError(f"radius must be >= 1, got {self.radius}")
-        if self.start not in ("Q", "zero"):
-            raise ConfigError(f"start must be 'Q' or 'zero', got {self.start!r}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +196,8 @@ class _Operator:
     zero: int
     convolve: Callable[[np.ndarray], np.ndarray]
 
-    def start(self, kind: str = "Q") -> np.ndarray:
-        x = np.zeros(self.base.size) if kind == "zero" else self.base.copy()
+    def start(self) -> np.ndarray:
+        x = self.base.copy()
         x[self.zero] = 1.0
         return x
 
@@ -386,13 +383,14 @@ def truncation_radius(pot: Potential, p: float, bound: float) -> int:
 
     The tail norm is (2 * sum_{j>R} Q(j)^p)^(1/p); brackets come from the
     potential's declared decay, so this is exact up to the bracket width.
+    Table terms past R count too, so R may lie inside a custom table.
     """
     if bound <= 0:
         raise ConfigError("bound must be positive")
 
     return _smallest_radius(
         lambda R: _tail_beyond(pot, R, p) ** (1.0 / p) <= bound,
-        max(1, pot.table_end),
+        1,
         _MAX_WINDOW_RADIUS,
         f"truncation radius beyond {_MAX_WINDOW_RADIUS} needed for tail bound "
         f"{bound:.3g}; loosen tol (slowly decaying operator)",
@@ -423,14 +421,14 @@ def _offzero_dp1(v: np.ndarray, zero_slot: int, d: int) -> float:
     return max(s, 0.0) ** (1.0 / (d + 1))
 
 
-def _iterate(op, d: int, tol: float, L: float | None, start: str = "Q"):
+def _iterate(op, d: int, tol: float, L: float | None):
     """Banach loop; returns (x, iterations, step_norms).
 
     With L the stop is the certified a-posteriori bound; without it, plain
     step smallness plus divergence detection.  The threshold never exceeds
     tol so the final residual stays below tol even for tiny L.
     """
-    x = op.start(start)
+    x = op.start()
     steps: list[float] = []
     if L is not None and L > 0:
         threshold = tol * min(1.0, (1.0 - L) / L)
@@ -463,24 +461,33 @@ def _contraction_estimate(steps: list[float], floor: float) -> float | None:
     return max(ratios) if ratios else None
 
 
-def _solve(d: int, gamma: float, delta: float, config: SolveConfig, refusal: str,
-           make_op, check=None):
+def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
+           refusal: str, make_op, check=None):
     """The certified solve shared by both supports.
 
-    Membership of (gamma, delta) decides the certificate; certified mode
-    refuses outside the good set with ``refusal`` as the message prefix.
-    ``make_op`` builds the operator only after that refusal, ``check(x)``
-    vets the fixed point before the ball test.  Returns (op, x,
-    sup_residual, report).
+    `norm_membership` of the NormReports (gamma, delta) decides the
+    certificate; certified mode refuses outside the good set with
+    ``refusal`` as the message prefix, and both modes refuse an infinite
+    norm.  ``make_op`` builds the operator only after that refusal,
+    ``check(x)`` vets the fixed point before the ball test.  Returns (op,
+    x, sup_residual, report).
     """
-    verdict = membership(GoodSetQuery(d, gamma, delta))
+    verdict = norm_membership(d, gamma, delta)
     certified = verdict.in_good_set
+    if verdict.reason == REASON_NORM_INFINITE:
+        witness = gamma.witness or delta.witness
+        if config.mode == MODE_CERTIFIED:
+            raise OutsideGoodSetError(f"{refusal} (a norm is infinite: {witness})",
+                                      verdict=verdict)
+        raise NumericalError(
+            f"a norm of Q is infinite ({witness}); no meaningful truncated solve exists"
+        )
     if not certified and config.mode == MODE_CERTIFIED:
         raise OutsideGoodSetError(f"{refusal} (reason: {verdict.reason})", verdict=verdict)
     op = make_op()
     L = verdict.lipschitz if certified else None
     eps = verdict.epsilon if certified else None
-    x, n_iter, steps = _iterate(op, d, config.tol, L, config.start)
+    x, n_iter, steps = _iterate(op, d, config.tol, L)
     if check is not None:
         check(x)
     if certified:
@@ -502,8 +509,8 @@ def _solve(d: int, gamma: float, delta: float, config: SolveConfig, refusal: str
         a_posteriori_bound=a_post,
         lipschitz=L,
         epsilon=eps,
-        gamma=gamma,
-        delta=delta,
+        gamma=verdict.gamma,
+        delta=verdict.delta,
         certified=certified,
         mode=config.mode,
     )
@@ -523,20 +530,8 @@ def solve_fixed_point(
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
-    g = p_norm(pot, (d + 1) / 2.0, DOMAIN_Z, _NORM_REL_TOL)
-    dl = p_norm(pot, float(d + 1), DOMAIN_Z_STAR, _NORM_REL_TOL)
-    if g.is_infinite or dl.is_infinite:
-        if config.mode == MODE_CERTIFIED:
-            raise OutsideGoodSetError(
-                "outside good set - no contraction certificate (a norm is infinite: "
-                f"{g.witness or dl.witness})"
-            )
-        raise NumericalError(
-            f"a norm of Q is infinite ({g.witness or dl.witness}); "
-            "no meaningful truncated solve exists"
-        )
     op, x, residual, report = _solve(
-        d, g.value, dl.value, config,
+        d, *norm_pair(pot, d, "half", _NORM_REL_TOL), config,
         "outside good set - no contraction certificate",
         lambda: _window_operator(pot, d, _window_radius(pot, d, config)),
     )
@@ -584,8 +579,8 @@ def periodic_solve(
 
     _, x, residual, report = _solve(
         d,
-        qbar.p_norm((d + 1) / 2.0).value,
-        qbar.p_norm(float(d + 1), without_zero=True).value,
+        qbar.p_norm((d + 1) / 2.0),
+        qbar.p_norm(float(d + 1), without_zero=True),
         config,
         f"(gamma_q, delta_q) outside good set for q={q}",
         lambda: _periodic_operator(qbar, d),

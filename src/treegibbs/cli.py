@@ -36,12 +36,11 @@ from .boundary_law import (
 )
 from .errors import (
     ConfigError,
-    NumericalError,
     OutsideGoodSetError,
     TreeGibbsError,
 )
 from .ggm import fuzzy_chain, ggm_edge_marginal, increment_laws
-from .goodset import GoodSetQuery, beta_threshold, membership
+from .goodset import GoodSetQuery, beta_threshold, membership, norm_membership
 from .pathsim import (
     sample_path,
     wn_ggm_exact,
@@ -59,6 +58,9 @@ from .potentials import (
 )
 
 __all__ = ["main"]
+
+# phase-diagram refuses (beta, d) grids with more cells than this
+_MAX_GRID_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,8 @@ def _parse_int_list(text: str) -> list[int]:
     return items
 
 
-def _parse_beta_range(text: str) -> list[float]:
+def _parse_beta_range(text: str, n_degrees: int) -> list[float]:
+    """a, a+step, ... <= b, checked to fit the grid cap before it is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected a:b:step, got {text!r}")
@@ -104,9 +107,15 @@ def _parse_beta_range(text: str) -> list[float]:
         a, b, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"expected numeric a:b:step, got {text!r}") from exc
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ConfigError(f"a, b and step must be finite in {text!r}")
     if step <= 0 or b < a:
         raise ConfigError(f"need a <= b and step > 0 in {text!r}")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
+    count = math.floor(min((b - a) / step + 1e-9, _MAX_GRID_CELLS)) + 1
+    if count * n_degrees > _MAX_GRID_CELLS:
+        raise ConfigError(
+            f"{text!r} gives {(b - a) / step + 1:.6g} betas x {n_degrees} "
+            f"degrees, above the cap of {_MAX_GRID_CELLS} grid cells")
     return [a + i * step for i in range(count)]
 
 
@@ -213,31 +222,17 @@ def cmd_goodset(args) -> str:
     if (args.gamma is None) != (args.delta is None):
         raise ConfigError("--gamma and --delta come together")
     if args.gamma is not None:
-        gamma, delta = args.gamma, args.delta
-        source = "explicit"
+        verdict = membership(GoodSetQuery(args.d, args.gamma, args.delta))
     else:
         pot = _resolve_model(args)
         rel_tol = args.tol if args.tol is not None else 1e-10
-        g, dl = norm_pair(pot, args.d, args.pairing, rel_tol=rel_tol)
-        if g.is_infinite or dl.is_infinite:
-            raise NumericalError(
-                "norm pair is infinite; membership is vacuously false "
-                f"(witness: {g.witness or dl.witness})"
-            )
-        gamma, delta = g.value, dl.value
-        source = "model"
-    verdict = membership(GoodSetQuery(args.d, gamma, delta))
-    meta = _meta(args, source=source)
+        pair = norm_pair(pot, args.d, args.pairing, rel_tol=rel_tol)
+        verdict = norm_membership(args.d, *pair)
+    meta = _meta(args, source="explicit" if args.gamma is not None else "model")
     if args.format == "json":
-        return _emit_json(meta, {
-            "d": verdict.d,
-            "gamma": verdict.gamma,
-            "delta": verdict.delta,
-            "in_good_set": verdict.in_good_set,
-            "epsilon": verdict.epsilon,
-            "L": verdict.lipschitz,
-            "reason": verdict.reason,
-        })
+        payload = dataclasses.asdict(verdict)
+        payload["L"] = payload.pop("lipschitz")
+        return _emit_json(meta, payload)
     row = ",".join([
         str(verdict.d), _f17(verdict.gamma), _f17(verdict.delta),
         str(verdict.in_good_set).lower(), _f17(verdict.epsilon),
@@ -397,8 +392,8 @@ def cmd_phase_diagram(args) -> str:
     if args.model not in _FAMILIES:
         raise ConfigError("phase-diagram needs a parametric family: sos or log")
     make = _FAMILIES[args.model]
-    betas = _parse_beta_range(args.beta_range)
     ds = _parse_int_list(args.d_list)
+    betas = _parse_beta_range(args.beta_range, len(ds))
     rel_tol = args.tol if args.tol is not None else 1e-10
     points = []
     for d in sorted(ds):
@@ -410,14 +405,9 @@ def cmd_phase_diagram(args) -> str:
                 g, dl = norm_pair(make(beta), d, args.pairing, rel_tol=rel_tol,
                                   cross_check=False)
                 entry["gamma"], entry["delta"] = g.value, dl.value
-                if g.is_infinite or dl.is_infinite:
-                    entry["in_good_set"] = False
-                    entry["reason"] = "norm_infinite"
-                else:
-                    verdict = membership(GoodSetQuery(d, g.value, dl.value))
-                    entry.update(in_good_set=verdict.in_good_set,
-                                 epsilon=verdict.epsilon, L=verdict.lipschitz,
-                                 reason=verdict.reason)
+                v = norm_membership(d, g, dl)
+                entry.update(in_good_set=v.in_good_set, epsilon=v.epsilon,
+                             L=v.lipschitz, reason=v.reason)
             except TreeGibbsError as exc:
                 entry["error"] = f"{type(exc).__name__}: {exc}"
             points.append(entry)

@@ -158,7 +158,7 @@ def _increment_law(
     if radius is None:
         radius = _smallest_radius(
             lambda R: _tail_beyond(pot, R, 1.0) / mass <= tail_bound,
-            max(1, pot.table_end, residue),
+            max(1, residue),
             1 << 30,
             f"increment window beyond 2^30 needed for tail bound {tail_bound:.3g}",
         )

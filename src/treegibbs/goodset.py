@@ -11,7 +11,8 @@ operator into itself and contracts, which yields a localized Gibbs measure
 per center.  This module finds the minimal eps, evaluates L there (optimal,
 since L is increasing in eps), maps out the exact d = 2 boundary curve,
 locates inverse-temperature thresholds by bisection, and scans large
-degrees along the beta_{A,d} = A*log(d)/(d+1) schedule.
+degrees along the beta_{A,d} = A*log(d)/(d+1) schedule.  Every caller
+holding certified norms decides through `norm_membership`.
 
 All root finding is plain bisection with interval certificates; the sizes
 involved make speed irrelevant and the bracket widths double as error
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericalError
-from .potentials import _FAMILIES, Potential, norm_pair
+from .potentials import _FAMILIES, NormReport, Potential, norm_pair
 
 __all__ = [
     "GoodSetQuery",
@@ -34,6 +35,7 @@ __all__ = [
     "smallest_epsilon",
     "lipschitz_constant",
     "membership",
+    "norm_membership",
     "binary_delta_boundary",
     "binary_delta_boundary_radical",
     "beta_threshold",
@@ -44,6 +46,7 @@ REASON_OK = "ok"
 REASON_NO_EPSILON = "no_epsilon_exists"
 REASON_LIPSCHITZ = "lipschitz_ge_one"
 REASON_GAMMA_FLAG = "gamma_out_of_domain_flag"
+REASON_NORM_INFINITE = "norm_infinite"
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,8 @@ class MembershipVerdict:
     The pairs with gamma <= 1 sit outside the region the theory is stated
     for (the full norm always dominates the zero term, so gamma >= 1 with
     equality only in the Dirac limit); the inequalities are evaluated
-    anyway and the reason records the caveat.
+    anyway and the reason records the caveat.  A pair with an infinite norm
+    is outside with reason "norm_infinite" and no epsilon.
     """
 
     d: int
@@ -141,6 +145,17 @@ def membership(query: GoodSetQuery, abs_tol: float = 1e-13) -> MembershipVerdict
     else:
         reason = REASON_OK if member else REASON_LIPSCHITZ
     return MembershipVerdict(query.d, query.gamma, query.delta, member, eps, L, reason)
+
+
+def norm_membership(d: int, gamma: NormReport, delta: NormReport) -> MembershipVerdict:
+    """`membership` of two NormReports; an infinite norm is outside with
+    reason "norm_infinite" and no epsilon, without calling `membership`.
+    Both branches refuse d < 2 as GoodSetQuery does."""
+    query = GoodSetQuery(d, gamma.value, delta.value)
+    if gamma.is_infinite or delta.is_infinite:
+        return MembershipVerdict(d, query.gamma, query.delta, False, None, None,
+                                 REASON_NORM_INFINITE)
+    return membership(query)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +249,8 @@ def beta_threshold(
     make = _potential_family(family)
 
     def is_member(beta: float) -> bool:
-        g, dl = norm_pair(make(beta), d, pairing, rel_tol=rel_tol, cross_check=False)
-        if g.is_infinite or dl.is_infinite:
-            return False
-        return membership(GoodSetQuery(d, g.value, dl.value)).in_good_set
+        pair = norm_pair(make(beta), d, pairing, rel_tol=rel_tol, cross_check=False)
+        return norm_membership(d, *pair).in_good_set
 
     hi = 1.0
     while not is_member(hi):
@@ -319,15 +332,14 @@ def large_degree_scan(family, A: float, d_range, rel_tol: float = 1e-10) -> Scan
         if d < 2:
             raise ConfigError(f"degrees must be >= 2, got {d}")
         beta = A * math.log(d) / (d + 1)
-        g, dl = norm_pair(make(beta), d, "half", rel_tol=rel_tol, cross_check=False)
-        if g.is_infinite or dl.is_infinite:
-            rows.append(ScanRow(d, beta, math.inf, dl.value, False, None, "gamma_infinite"))
-            continue
-        verdict = membership(GoodSetQuery(d, g.value, dl.value))
+        pair = norm_pair(make(beta), d, "half", rel_tol=rel_tol, cross_check=False)
+        verdict = norm_membership(d, *pair)
         ratio = None
         if verdict.in_good_set:
-            ratio = _localization_ratio(d, g.value, dl.value, verdict.epsilon)
-        rows.append(ScanRow(d, beta, g.value, dl.value, verdict.in_good_set, ratio))
+            ratio = _localization_ratio(d, verdict.gamma, verdict.delta, verdict.epsilon)
+        flag = "gamma_infinite" if verdict.reason == REASON_NORM_INFINITE else None
+        rows.append(ScanRow(d, beta, verdict.gamma, verdict.delta, verdict.in_good_set,
+                            ratio, flag))
     d0 = None
     for row in reversed(rows):
         if not row.in_good_set:

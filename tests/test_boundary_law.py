@@ -36,7 +36,7 @@ from treegibbs.boundary_law import (
     write_law_csv,
 )
 from treegibbs.errors import ConfigError, NumericalError, OutsideGoodSetError
-from treegibbs.goodset import REASON_NO_EPSILON
+from treegibbs.goodset import REASON_NO_EPSILON, REASON_NORM_INFINITE
 from treegibbs.potentials import TailModel, custom, fuzzy_Q, log_potential, sos
 
 # longdouble window oracle, radius 40, threshold 1e-16
@@ -89,6 +89,16 @@ def ball_vector(rng, R, d, eps):
     x *= scale
     x[R] = 1.0
     return x
+
+
+def _iterate_to_rest(apply, x, steps=500):
+    """Iterate a public operator from x until a step moves nothing above 1e-15."""
+    for _ in range(steps):
+        x_next = apply(x)
+        if np.max(np.abs(x_next - x)) <= 1e-15:
+            return x_next
+        x = x_next
+    raise AssertionError(f"no rest within {steps} steps")
 
 
 class TestApplyT:
@@ -237,9 +247,30 @@ class TestTruncationRadius:
         assert tail(R - 1) > bound
 
     def test_table_end_floor(self):
+        # the table end is no floor: R is the smallest radius whose tail
+        # (table terms past R included) fits, inside the table or not
+        from treegibbs.potentials import _tail_beyond
+
         table = [[j, float(j)] for j in range(1, 7)]
         pot = custom(2.0, table, TailModel("exp", 3.0))
-        assert truncation_radius(pot, 3.0, 0.5) == 6
+        radii = []
+        for bound in (0.5, 1e-2, 1e-3, 1e-4, 1e-6):
+            R = truncation_radius(pot, 3.0, bound)
+
+            def fits(r):
+                return _tail_beyond(pot, r, 3.0) ** (1.0 / 3.0) <= bound
+
+            assert fits(R)
+            assert R == 1 or not fits(R - 1)
+            radii.append(R)
+        assert radii[1:-1] == [2, 3, 4]  # inside the table, which ends at 6
+
+    def test_radius_inside_table_matches_builtin(self):
+        # U(j) = j tabulated on 1..40 is sos(3) there; the search starts at 1
+        table = [[j, float(j)] for j in range(1, 41)]
+        pot = custom(3.0, table, TailModel("exp", 1.0))
+        assert truncation_radius(pot, 3.0, 1e-14) == 10
+        assert truncation_radius(sos(3.0), 3.0, 1e-14) == 10
 
     def test_bad_bound(self):
         with pytest.raises(ConfigError, match="positive"):
@@ -315,8 +346,10 @@ class TestSolveTruncated:
 
     def test_uniqueness_from_zero_start(self, sos25):
         law, _ = sos25
-        law0, _ = solve_fixed_point(sos(2.5), 2, SolveConfig(start="zero"))
-        assert np.max(np.abs(law.x - law0.x)) <= 2e-12
+        x0 = np.zeros(2 * law.radius + 1)
+        x0[law.radius] = 1.0
+        x = _iterate_to_rest(lambda v: apply_T(sos(2.5), 2, v, law.radius), x0)
+        assert np.max(np.abs(law.x - x)) <= 2e-12
 
     def test_truncation_stability(self, sos25):
         law, _ = sos25
@@ -372,6 +405,18 @@ class TestSolveTruncated:
         law, _ = solve_fixed_point(sos(2.5), 2, SolveConfig(mode="auto"))
         assert law.certified
 
+    def test_infinite_norm_refusal_carries_verdict(self):
+        with pytest.raises(OutsideGoodSetError) as exc:
+            solve_fixed_point(log_potential(0.5), 2)
+        assert str(exc.value) == (
+            "outside good set - no contraction certificate "
+            "(a norm is infinite: p*beta = 0.75 <= 1)")
+        verdict = exc.value.verdict
+        assert verdict.reason == REASON_NORM_INFINITE
+        assert not verdict.in_good_set
+        assert verdict.epsilon is None and verdict.lipschitz is None
+        assert math.isinf(verdict.gamma)
+
     def test_infinite_norm_refusal(self):
         # 1.5 * 0.6 < 1 makes the gamma series diverge
         with pytest.raises(OutsideGoodSetError, match="infinite"):
@@ -396,11 +441,9 @@ class TestSolveTruncated:
             with pytest.raises(ConfigError, match="mode"):
                 SolveConfig(mode=mode)
         assert [f.name for f in dataclasses.fields(SolveConfig)] == [
-            "radius", "tol", "mode", "start"]
+            "radius", "tol", "mode"]
         with pytest.raises(ConfigError, match="radius"):
             SolveConfig(radius=0)
-        with pytest.raises(ConfigError, match="start"):
-            SolveConfig(start="ones")
 
 
 class TestDetailedBalance:
@@ -473,8 +516,9 @@ class TestPeriodicSolve:
 
     def test_uniqueness_from_zero_start(self):
         law, _ = periodic_solve(sos(2.5), 2, 2)
-        law0, _ = periodic_solve(sos(2.5), 2, 2, SolveConfig(start="zero"))
-        assert np.max(np.abs(law.x - law0.x)) <= 2e-12
+        qq = fuzzy_Q(sos(2.5), 2)
+        x = _iterate_to_rest(lambda v: apply_T_periodic(qq, 2, v), np.array([1.0, 0.0]))
+        assert np.max(np.abs(law.x - x)) <= 2e-12
 
     def test_larger_period_certified(self):
         law, report = periodic_solve(sos(2.5), 2, 5)
@@ -591,11 +635,7 @@ class _RefWindowOperator:
             self.nfft = scipy.fft.next_fast_len(4 * R + 1)
             self.kernel_f = scipy.fft.rfft(self.Q2, self.nfft)
 
-    def start(self, kind="Q"):
-        if kind == "zero":
-            x = np.zeros(2 * self.R + 1)
-            x[self.R] = 1.0
-            return x
+    def start(self):
         x = self.Q_win.copy()
         x[self.R] = 1.0
         return x
@@ -628,11 +668,7 @@ class _RefPeriodicOperator:
             idx = np.arange(self.q)
             self.matrix = self.values[(idx[:, None] - idx[None, :]) % self.q]
 
-    def start(self, kind="Q"):
-        if kind == "zero":
-            x = np.zeros(self.q)
-            x[0] = 1.0
-            return x
+    def start(self):
         x = self.values.copy()
         x[0] = 1.0
         return x
@@ -682,18 +718,16 @@ class TestOperatorOracle:
             ref = _RefPeriodicOperator(qq.normalized_op(), d).apply(x.copy())
             assert np.array_equal(apply_T_periodic(qq, d, x), ref)
 
-    @pytest.mark.parametrize("start", ["Q", "zero"])
     @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_AUTO])
-    def test_window_solves(self, monkeypatch, start, mode):
+    def test_window_solves(self, monkeypatch, mode):
         import treegibbs.boundary_law as bl
 
         cases = [
-            (sos(2.5), 2, SolveConfig(start=start, mode=mode)),
-            (sos(2.5), 3, SolveConfig(start=start, mode=mode)),
-            (sos(1.5), 2, SolveConfig(start=start, mode=mode)),
-            (sos(2.5), 2, SolveConfig(radius=1100, start=start, mode=mode)),
-            (log_potential(3.0), 2,
-             SolveConfig(radius=1100, tol=1e-8, start=start, mode=mode)),
+            (sos(2.5), 2, SolveConfig(mode=mode)),
+            (sos(2.5), 3, SolveConfig(mode=mode)),
+            (sos(1.5), 2, SolveConfig(mode=mode)),
+            (sos(2.5), 2, SolveConfig(radius=1100, mode=mode)),
+            (log_potential(3.0), 2, SolveConfig(radius=1100, tol=1e-8, mode=mode)),
         ]
         new = [_outcome(lambda: solve_fixed_point(*c)) for c in cases]
         monkeypatch.setattr(bl, "_window_operator", _RefWindowOperator)
@@ -701,13 +735,12 @@ class TestOperatorOracle:
         assert new == ref
         assert not isinstance(new[0], str)
 
-    @pytest.mark.parametrize("start", ["Q", "zero"])
     @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_AUTO])
-    def test_periodic_solves(self, monkeypatch, start, mode):
+    def test_periodic_solves(self, monkeypatch, mode):
         import treegibbs.boundary_law as bl
 
         cases = [
-            (pot, d, q, SolveConfig(start=start, mode=mode))
+            (pot, d, q, SolveConfig(mode=mode))
             for pot in (sos(3.0), sos(2.0), sos(1.5))
             for d in (2, 3)
             for q in (2, 3, 64, 65, 256)

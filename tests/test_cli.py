@@ -16,6 +16,7 @@ import pytest
 
 import treegibbs
 from treegibbs.cli import _build_parser, main
+from treegibbs.errors import ConfigError
 
 BETA_STAR_SOS_D2 = 1.996589869260788
 BETA_STAR_SOS_D3 = 1.3211449086666107
@@ -99,6 +100,24 @@ class TestGoodset:
         assert obj["in_good_set"] is True
         assert obj["gamma"] == pytest.approx(1.031859771415085, rel=1e-12)
 
+    def test_infinite_norm_is_a_verdict_row(self, capsys):
+        # log beta=0.5 at d=2: p*beta = 0.75 <= 1, so gamma diverges
+        code, out, err = run(capsys, "goodset", "--model", "log", "--beta",
+                             "0.5", "--d", "2")
+        assert code == 0 and err == ""
+        meta, _, rows = parse_csv(out)
+        assert meta["source"] == "model"
+        assert rows == [["2", "inf", "1.4774021106059929", "false", "", "", "",
+                         "", "norm_infinite"]]
+
+    def test_explicit_infinite_gamma_has_no_epsilon(self, capsys):
+        code, out, _ = run(capsys, "goodset", "--d", "2", "--gamma", "inf",
+                           "--delta", "0.1")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows == [["2", "inf", "0.10000000000000001", "false", "", "", "",
+                         "", "no_epsilon_exists"]]
+
     def test_gamma_without_delta_rejected(self, capsys):
         code, _, err = run(capsys, "goodset", "--d", "2", "--gamma", "1.5")
         assert code == 2
@@ -162,6 +181,17 @@ class TestSolve:
         payload = json.loads(err)["error"]
         assert payload["type"] == "OutsideGoodSetError"
         assert payload["exit_code"] == 4
+
+    def test_infinite_norm_exits_4(self, capsys):
+        code, out, err = run(capsys, "solve", "--model", "log", "--beta",
+                             "0.5", "--d", "2")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "OutsideGoodSetError",
+            "message": "outside good set - no contraction certificate "
+                       "(a norm is infinite: p*beta = 0.75 <= 1)",
+            "exit_code": 4,
+        }
 
 
 class TestPeriodic:
@@ -298,6 +328,49 @@ class TestPhaseDiagram:
         bad = [r for r in rows if r[-1]]
         assert len(bad) == 1
         assert bad[0][1] == "0" and "ConfigError" in bad[0][-1]
+
+    def test_infinite_norm_row(self, capsys):
+        code, out, _ = run(capsys, "phase-diagram", "--model", "log",
+                           "--beta-range", "0.4:1.2:0.4", "--d-list", "2")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows[0] == ["log", "0.40000000000000002", "2", "inf",
+                           "2.0941002116740708", "false", "", "", "norm_infinite", ""]
+        assert [r[8] for r in rows[1:]] == ["no_epsilon_exists"] * 2
+
+    @pytest.mark.parametrize("text", ["0:inf:1", "nan:1:0.1", "0:1:inf"])
+    def test_non_finite_range_refused(self, capsys, text):
+        code, out, err = run(capsys, "phase-diagram", "--beta-range", text,
+                             "--d-list", "2")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])["error"]
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == f"a, b and step must be finite in {text!r}"
+
+    def test_huge_grid_refused_before_allocating(self, capsys, monkeypatch):
+        import treegibbs.cli as cli
+
+        def guarded_range(*args):
+            assert max(args) <= cli._MAX_GRID_CELLS, "grid built past the cap"
+            return range(*args)
+
+        monkeypatch.setattr(cli, "range", guarded_range, raising=False)
+        code, out, err = run(capsys, "phase-diagram", "--beta-range", "0:1:1e-12",
+                             "--d-list", "2")
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "1e+12 betas x 1 degrees" in message
+        assert str(cli._MAX_GRID_CELLS) in message
+
+    def test_grid_cap_counts_degrees(self, capsys):
+        import treegibbs.cli as cli
+
+        half = cli._MAX_GRID_CELLS // 2
+        assert cli._parse_beta_range("1:2:1", half) == [1.0, 2.0]
+        with pytest.raises(ConfigError, match=f"2 betas x {half + 1} degrees"):
+            cli._parse_beta_range("1:2:1", half + 1)
 
     def test_json_points(self, capsys):
         code, out, _ = run(capsys, "phase-diagram", "--model", "sos",

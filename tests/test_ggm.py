@@ -163,6 +163,13 @@ class TestIncrementLaw:
         missing = 1.0 - math.fsum(law.weights.tolist())
         assert missing - 1e-12 <= law.tail_mass_bound <= 1.1 * missing
 
+    def test_default_radius_inside_custom_table(self):
+        # U(j) = j tabulated on 1..40 is sos(3) there; the search starts at
+        # max(1, residue), not at the table end
+        pot = custom(3.0, [[j, float(j)] for j in range(1, 41)], TailModel("exp", 1.0))
+        radii = [law.radius for law in increment_laws(pot, 3)]
+        assert radii == [law.radius for law in increment_laws(sos(3.0), 3)] == [6, 8, 8]
+
     def test_radius_too_small_for_residue(self):
         with pytest.raises(ConfigError, match="residue"):
             increment_law(sos(2.0), 5, 3, radius=2)

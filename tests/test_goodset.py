@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treegibbs
+from treegibbs import goodset
 from treegibbs.errors import ConfigError, NumericalError
 from treegibbs.goodset import (
+    REASON_NORM_INFINITE,
     GoodSetQuery,
     beta_threshold,
     binary_delta_boundary,
@@ -19,9 +22,10 @@ from treegibbs.goodset import (
     large_degree_scan,
     lipschitz_constant,
     membership,
+    norm_membership,
     smallest_epsilon,
 )
-from treegibbs.potentials import TailModel, custom
+from treegibbs.potentials import TailModel, custom, log_potential, norm_pair, sos
 
 # mpmath bisection oracle
 EPS_CASES = [
@@ -134,6 +138,48 @@ class TestMembership:
     def test_monotone_in_delta(self, d, g, dl):
         if membership(GoodSetQuery(d, g, dl)).in_good_set:
             assert membership(GoodSetQuery(d, g, dl / 2)).in_good_set
+
+
+class TestNormMembership:
+    @given(
+        family=st.sampled_from(["sos", "log"]),
+        pairing=st.sampled_from(["half", "one"]),
+        d=st.integers(2, 7),
+        beta=st.floats(0.3, 5.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_membership_on_finite_pairs(self, family, pairing, d, beta):
+        pot = sos(beta) if family == "sos" else log_potential(beta)
+        g, dl = norm_pair(pot, d, pairing, cross_check=False)
+        v = norm_membership(d, g, dl)
+        if g.is_infinite or dl.is_infinite:
+            assert (v.in_good_set, v.epsilon, v.lipschitz, v.reason) == (
+                False, None, None, REASON_NORM_INFINITE)
+        else:
+            assert v == membership(GoodSetQuery(d, g.value, dl.value))
+
+    def test_infinite_norm_skips_membership(self, monkeypatch):
+        g, dl = norm_pair(log_potential(0.5), 2, "half")
+        assert g.is_infinite and not dl.is_infinite
+
+        def fail(query):
+            raise AssertionError("membership called on an infinite norm")
+
+        monkeypatch.setattr(goodset, "membership", fail)
+        v = norm_membership(2, g, dl)
+        assert v == goodset.MembershipVerdict(
+            2, math.inf, dl.value, False, None, None, "norm_infinite")
+        assert not v
+
+    @pytest.mark.parametrize("pot", [log_potential(0.5), sos(2.5)], ids=["infinite", "finite"])
+    def test_degree_below_two_refused(self, pot):
+        with pytest.raises(ConfigError, match="d must be an integer >= 2"):
+            norm_membership(1, *norm_pair(pot, 1, "half"))
+
+    def test_exported(self):
+        assert "norm_membership" in goodset.__all__
+        assert "norm_membership" in treegibbs.__all__
+        assert treegibbs.norm_membership is norm_membership
 
 
 class TestBinaryBoundary:
