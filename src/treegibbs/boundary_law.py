@@ -24,6 +24,11 @@ window a truncation radius chosen so the discarded tail of Q at exponent
 d+1 stays below 0.01*tol.  Outside the good set "certified" mode refuses
 and "auto" iterates plainly (divergence and trivial-branch detection),
 labelling the result uncertified; an infinite norm is refused in both.
+
+Step norms are known as rounding bands (`potentials._banded_sum`): every
+stop, growth, divergence and ball test is decided exactly as on the exactly
+rounded norm, with one fsum only when the band straddles the threshold, and
+the reported norms and the bounds built on them are the bands' upper ends.
 """
 
 from __future__ import annotations
@@ -37,9 +42,13 @@ import numpy as np
 from .errors import ConfigError, NumericalError, OutsideGoodSetError
 from .goodset import REASON_NORM_INFINITE, GoodSetQuery, membership, norm_membership
 from .potentials import (
+    _UNIT_ROUNDOFF,
     FuzzyOperator,
     NormReport,
     Potential,
+    _banded_sum,
+    _float_stream,
+    _gamma,
     _smallest_radius,
     _tail_beyond,
     fuzzy_Q,
@@ -69,7 +78,6 @@ MODE_CERTIFIED = "certified"
 MODE_AUTO = "auto"
 
 _FFT_WINDOW = 2048
-_UNIT_ROUNDOFF = 2.0**-53
 _MAX_WINDOW_RADIUS = 1 << 25
 _MAX_ITER = 20000
 _NORM_REL_TOL = 1e-10
@@ -161,6 +169,13 @@ class SolveReport:
     runs keep it at or below the good-set Lipschitz constant.  a_priori and
     a_posteriori are the standard Banach error bounds; both None without a
     contraction certificate.
+
+    The step norms behind final_residual and the two bounds are the upper
+    ends of rounding bands around the exactly rounded norms, at most about
+    7.3e-12/(d+1) above them; contraction_estimate divides such an upper end
+    by the previous step's lower end.  So the reported values stay upper
+    bounds, while iterations and the certificate are decided on the exact
+    norms.
     """
 
     iterations: int
@@ -264,12 +279,6 @@ def _linear_convolver(kernel: np.ndarray, R: int):
         return np.convolve(kernel, v)[r : r + n]
 
     return convolve, None
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
-    ku = k * _UNIT_ROUNDOFF
-    return ku / (1.0 - ku)
 
 
 def _convolution_error(L: int | None, m: int, g1: float, g2: float):
@@ -416,17 +425,55 @@ def _window_radius(pot: Potential, d: int, config: SolveConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _offzero_dp1(v: np.ndarray, zero_slot: int, d: int) -> float:
-    s = math.fsum((np.abs(v) ** (d + 1)).tolist()) - abs(v[zero_slot]) ** (d + 1)
-    return max(s, 0.0) ** (1.0 / (d + 1))
+class _OffzeroNorm:
+    """The l_{d+1} norm of v off the zero slot, known as a band [lo, hi].
+
+    The exact value is (fsum(|v|^(d+1)) - |v(zero)|^(d+1))^(1/(d+1)) with
+    the sum exactly rounded; [lo, hi] applies the same float steps to the
+    ends of the `_banded_sum` band, widened by one ulp each since the power
+    is faithful, hence monotone to within one ulp.  So a comparison decided
+    by the band agrees with the exact value, and `exact()` runs its fsum
+    only when a comparison falls inside the band.
+    """
+
+    def __init__(self, v: np.ndarray, zero_slot: int, d: int):
+        self._terms = np.abs(v) ** (d + 1)
+        self._zero_term = abs(v[zero_slot]) ** (d + 1)
+        self._root = 1.0 / (d + 1)
+        self._exact = None
+        lo, hi = _banded_sum(self._terms)
+        self.lo = math.nextafter(self._from_sum(lo), -math.inf)
+        self.hi = math.nextafter(self._from_sum(hi), math.inf)
+
+    def _from_sum(self, s: float) -> float:
+        return float(max(s - self._zero_term, 0.0) ** self._root)
+
+    def exact(self) -> float:
+        if self._exact is None:
+            self._exact = self._from_sum(math.fsum(_float_stream(self._terms)))
+        return self._exact
+
+    def exceeds(self, other: "float | _OffzeroNorm") -> bool:
+        """Whether the exact norm exceeds a threshold or another exact norm."""
+        norm = isinstance(other, _OffzeroNorm)
+        lo, hi = (other.lo, other.hi) if norm else (other, other)
+        if self.lo > hi:
+            return True
+        if self.hi <= lo:
+            return False
+        return self.exact() > (other.exact() if norm else other)
 
 
 def _iterate(op, d: int, tol: float, L: float | None):
-    """Banach loop; returns (x, iterations, step_norms).
+    """Banach loop; returns (x, iterations, step_norms, contraction_estimate).
 
     With L the stop is the certified a-posteriori bound; without it, plain
     step smallness plus divergence detection.  The threshold never exceeds
-    tol so the final residual stays below tol even for tiny L.
+    tol so the final residual stays below tol even for tiny L.  Every test
+    is decided on the exactly rounded step norm; the reported step norms
+    are the upper ends of their bands.  The contraction estimate is the
+    largest ratio of successive steps both above max(100 tol, 1e-13), each
+    ratio taken as the upper end of its band.
     """
     x = op.start()
     steps: list[float] = []
@@ -434,31 +481,32 @@ def _iterate(op, d: int, tol: float, L: float | None):
         threshold = tol * min(1.0, (1.0 - L) / L)
     else:
         threshold = tol
+    floor = max(100.0 * tol, 1e-13)
+    rho = prev = None
+    prev_above = False
     grow = 0
     for n in range(1, _MAX_ITER + 1):
         x_next = op.apply(x)
-        step = _offzero_dp1(x_next - x, op.zero, d)
-        steps.append(step)
+        step = _OffzeroNorm(x_next - x, op.zero, d)
+        steps.append(step.hi)
         x = x_next
-        if not np.all(np.isfinite(x)) or step > 1e12:
-            raise NumericalError(f"iteration diverged at step {n} (step norm {step:.3g})")
-        if step <= threshold:
-            return x, n, steps
+        if not np.all(np.isfinite(x)) or step.exceeds(1e12):
+            raise NumericalError(
+                f"iteration diverged at step {n} (step norm {step.exact():.3g})")
+        above = step.exceeds(floor)
+        if above and prev_above:
+            rho = max(rho or 0.0, step.hi / prev.lo)
+        if not step.exceeds(threshold):
+            return x, n, steps, rho
         if L is None:
-            grow = grow + 1 if len(steps) > 1 and step > steps[-2] else 0
+            grow = grow + 1 if prev is not None and step.exceeds(prev) else 0
             if grow >= 50:
                 raise NumericalError("iteration is not contracting (50 growing steps)")
+        prev, prev_above = step, above
     raise NumericalError(
-        f"no convergence in {_MAX_ITER} iterations (last step {steps[-1]:.3g}, "
+        f"no convergence in {_MAX_ITER} iterations (last step {step.exact():.3g}, "
         f"threshold {threshold:.3g})"
     )
-
-
-def _contraction_estimate(steps: list[float], floor: float) -> float | None:
-    ratios = [
-        b / a for a, b in zip(steps, steps[1:]) if a > floor and b > floor and a > 0
-    ]
-    return max(ratios) if ratios else None
 
 
 def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
@@ -487,14 +535,14 @@ def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
     op = make_op()
     L = verdict.lipschitz if certified else None
     eps = verdict.epsilon if certified else None
-    x, n_iter, steps = _iterate(op, d, config.tol, L)
+    x, n_iter, steps, rho = _iterate(op, d, config.tol, L)
     if check is not None:
         check(x)
     if certified:
-        ball = _offzero_dp1(x, op.zero, d)
-        if ball > eps * (1.0 + 1e-9):
+        ball = _OffzeroNorm(x, op.zero, d)
+        if ball.exceeds(eps * (1.0 + 1e-9)):
             raise NumericalError(
-                f"solution left the certified ball: |x| = {ball!r} > eps = {eps!r}"
+                f"solution left the certified ball: |x| = {ball.exact()!r} > eps = {eps!r}"
             )
     resid_vec = op.apply(x) - x
     a_priori = a_post = None
@@ -503,8 +551,8 @@ def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
         a_post = steps[-1] * L / (1.0 - L)
     report = SolveReport(
         iterations=n_iter,
-        final_residual=_offzero_dp1(resid_vec, op.zero, d),
-        contraction_estimate=_contraction_estimate(steps, max(100.0 * config.tol, 1e-13)),
+        final_residual=_OffzeroNorm(resid_vec, op.zero, d).hi,
+        contraction_estimate=rho,
         a_priori_bound=a_priori,
         a_posteriori_bound=a_post,
         lipschitz=L,

@@ -5,8 +5,10 @@ emits CSV (metadata comment block, value columns at 17 significant digits
 plus a rounded 4-digit display column) or JSON (a "meta" object plus the
 payload, keys sorted).  One table, `_FLAGS`, specifies every flag; each
 subcommand takes only the flags its handler reads, and the metadata records
-every value parsed (bar --out) plus the package and numpy versions, so equal
-flags reproduce byte-identical files.
+every value parsed (bar --out and the flags the run's mode leaves unread:
+`goodset --gamma/--delta` reads no model flag, `simulate` tables read no
+seed or replicate, and sampled paths no --n or --truncation) plus the
+package and numpy versions, so equal flags reproduce byte-identical files.
 
 Exit codes: 0 success, 2 configuration errors (including non-summable
 operators), 3 numerical failures, 4 refusals outside the good set.  Module
@@ -145,11 +147,12 @@ def _jsonify(obj):
     return obj
 
 
-def _meta(args, **extra) -> dict:
-    """Versions plus every flag value the subcommand parsed, bar --out."""
+def _meta(args, unread=(), **extra) -> dict:
+    """Versions plus every flag value the subcommand parsed, bar --out and
+    the flags in ``unread``, which the run's mode does not read."""
     meta = {"version": __version__, "numpy": np.__version__}
     meta.update((k, v) for k, v in vars(args).items()
-                if v is not None and k != "out")
+                if v is not None and k != "out" and k not in unread)
     meta.update(extra)
     return meta
 
@@ -228,7 +231,10 @@ def cmd_goodset(args) -> str:
         rel_tol = args.tol if args.tol is not None else 1e-10
         pair = norm_pair(pot, args.d, args.pairing, rel_tol=rel_tol)
         verdict = norm_membership(args.d, *pair)
-    meta = _meta(args, source="explicit" if args.gamma is not None else "model")
+    if args.gamma is not None:
+        meta = _meta(args, ("model", "beta", "pairing", "tol"), source="explicit")
+    else:
+        meta = _meta(args, source="model")
     if args.format == "json":
         payload = dataclasses.asdict(verdict)
         payload["L"] = payload.pop("lipschitz")
@@ -366,25 +372,27 @@ def cmd_simulate(args) -> str:
     if args.sample_steps is not None:
         inc, states = sample_path(source, args.sample_steps,
                                   seed=args.seed, replicate=args.replicate)
+        meta = _meta(args, ("n", "truncation"))
         if args.format == "json":
-            return _emit_json(_meta(args), {
+            return _emit_json(meta, {
                 "increments": inc, "states": states, "total": int(inc.sum()),
             })
         out = io.StringIO()
-        write_samples_csv(inc, states, out, meta=_meta(args))
+        write_samples_csv(inc, states, out, meta=meta)
         return out.getvalue()
 
     ns = _parse_int_list(args.n)
     dists = [exact(n) for n in ns]
+    meta = _meta(args, ("seed", "replicate"))
     if args.format == "json":
-        return _emit_json(_meta(args), {"tables": [
+        return _emit_json(meta, {"tables": [
             {"n": d.n, "window": d.window, "law": d.law,
              "leaked_mass": d.leaked_mass, "sup": d.sup(),
              **({"limit": d.limit} if d.limit is not None else {})}
             for d in dists
         ]})
     out = io.StringIO()
-    write_wn_csv(dists, out, meta=_meta(args))
+    write_wn_csv(dists, out, meta=meta)
     return out.getvalue()
 
 

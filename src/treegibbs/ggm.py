@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_law import SUPPORT_PERIODIC, BoundaryLaw, _gamma, single_site_marginal
+from .boundary_law import SUPPORT_PERIODIC, BoundaryLaw, single_site_marginal
 from .errors import ConfigError, NumericalError
 from .potentials import (
     FuzzyOperator,
     Potential,
-    _CHUNK,
+    _banded_sum,
     _float_stream,
     _smallest_radius,
     _tail_beyond,
@@ -216,10 +216,12 @@ def ggm_edge_marginal(
     nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
     jbar = j mod q.  The result is symmetric with zero tilt.  Each residue
     class s adds step(s) * rho(. | s) in one scatter over the support
-    points inside the window (repeated points accumulate in support order),
-    and the mass the window leaks is one minus an exactly rounded sum,
-    taken only when chunked numpy sums cannot settle the verdict.
-    Errors out when the window cannot hold enough mass for tail_tol.
+    points inside the window (repeated points accumulate in support order).
+    The leak verdict is the one on 1 - (exactly rounded mass): the lower
+    end of the mass's `_banded_sum` band passes it when it can, and only
+    otherwise does `_window_leak` take the exact sum, which its error
+    message needs anyway.  Errors out when the window cannot hold enough
+    mass for tail_tol.
     """
     laws = _check_laws(fc, laws)
     need = max(law.radius for law in laws)
@@ -227,12 +229,7 @@ def ggm_edge_marginal(
     for step, law in zip(_class_step_law(fc), laws):
         keep = np.abs(law.support) <= window
         np.add.at(nu, law.support[keep] + window, step * law.weights[keep])
-    # a numpy sum of at most _CHUNK nonnegative entries is within
-    # gamma_{_CHUNK} of its exact value, so the fsum of the chunk sums is
-    # within twice that of the exactly rounded mass; the exact sum runs only
-    # when that band does not settle the verdict, which the error needs anyway
-    mass = math.fsum(float(nu[lo:lo + _CHUNK].sum()) for lo in range(0, nu.size, _CHUNK))
-    if nu.min() >= 0.0 and 1.0 - mass * (1.0 - 2.0 * _gamma(_CHUNK + 2)) <= tail_tol:
+    if 1.0 - _banded_sum(nu)[0] <= tail_tol:
         return nu
     # a window past every law radius holds all support points: the leak is
     # the mass the increment truncation gave away

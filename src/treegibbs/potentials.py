@@ -23,10 +23,15 @@ and ``_tail_bracket`` brackets it: exp tails in closed geometric form,
 power tails by ``integral <= remainder <= integral + first term``.  One
 loop (``_certified_sum``) adds the bracket midpoint to an fsum partial sum
 and doubles the term count until half the width certifies the tolerance;
-the reported ``tail_bound`` is that half width.  ``_tail_beyond`` bounds
-what a radius R leaves out, sum_{|j|>R} Q(j)^p, table terms included, and
-one search (``_smallest_radius``) picks the smallest radius whose tail fits
-a bound, for window truncation and increment laws alike.
+the reported ``tail_bound`` is that half width (plus the rounding of the
+zero term on Z).  ``_tail_beyond`` bounds what a radius R leaves out,
+sum_{|j|>R} Q(j)^p, table terms included, and one search
+(``_smallest_radius``) picks the smallest radius whose tail fits a bound,
+for window truncation and increment laws alike.
+
+Verdicts on long sums (Banach steps, leaks, probability totals) go through
+``_banded_sum``: chunked numpy sums with a rigorous rounding band, so the
+exactly rounded ``math.fsum`` runs only when the band straddles a threshold.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ DOMAIN_ZQ_STAR = "Z_q_without_zero"
 _START_RADIUS = 64
 _MAX_RADIUS = 1 << 26
 _CHUNK = 1 << 16
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _float_stream(a: np.ndarray):
@@ -86,6 +92,38 @@ def _float_stream(a: np.ndarray):
     return itertools.chain.from_iterable(
         a[lo:lo + _CHUNK].tolist() for lo in range(0, len(a), _CHUNK)
     )
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def _banded_sum(a: np.ndarray) -> tuple[float, float]:
+    """Floats lo <= hi enclosing the exact sum of the entries of a 1-d array.
+
+    Each _CHUNK slice is summed by np.sum, which is within gamma_{m-1}
+    sum |a_i| of the slice's exact sum for m entries in any summation order
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2), and one fsum adds the slice sums, off by at most u |fsum|.
+    The band is gamma_m times the fsum of the slices' magnitude sums, which
+    covers gamma_{m-1} / (1 - gamma_{m-1}) and the rounding of the band
+    itself, plus u |fsum|, rounded outward.  The exactly rounded sum lies
+    in [lo, hi] too, so a verdict on it needs `math.fsum` only when the band
+    straddles the threshold.  Non-finite slice sums give (s, s), s their
+    plain sum.
+    """
+    slices = [a[lo:lo + _CHUNK] for lo in range(0, len(a), _CHUNK)]
+    sums = [float(np.sum(part)) for part in slices]
+    if not all(map(math.isfinite, sums)):
+        s = sum(sums)
+        return s, s
+    total = math.fsum(sums)
+    if a.size and a.min() < 0:
+        sums = [float(np.sum(np.abs(part))) for part in slices]
+    err = _gamma(min(a.size, _CHUNK)) * math.fsum(sums) + _UNIT_ROUNDOFF * abs(total)
+    return math.nextafter(total - err, -math.inf), math.nextafter(total + err, math.inf)
 
 
 @dataclass(frozen=True)
@@ -510,7 +548,9 @@ def p_norm(
     if run_series:
         arm, err, radius = _progression_sum(pot, 1, 1, p, rel_tol)
         series_sum = (1.0 if include_zero else 0.0) + 2.0 * arm
-        series_err = 2.0 * err
+        # 2 * arm is exact; adding the zero term rounds once more, by at
+        # most u * series_sum
+        series_err = 2.0 * err + (_UNIT_ROUNDOFF * series_sum if include_zero else 0.0)
     if closed is not None:
         if run_series and abs(series_sum - closed) > 2.0 * (series_err + 1e-14 * closed):
             raise NumericalError(

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegibbs
+import treegibbs.boundary_law as bl
 from treegibbs.boundary_law import (
     MODE_AUTO,
     MODE_CERTIFIED,
@@ -750,3 +751,119 @@ class TestOperatorOracle:
         ref = [_outcome(lambda: periodic_solve(*c)) for c in cases]
         assert new == ref
         assert sum(not isinstance(o, str) for o in new) >= 10
+
+
+# ---------------------------------------------------------------------------
+# banded step norms: every decision is the one on the exactly rounded norm
+# ---------------------------------------------------------------------------
+
+
+def _offzero_dp1(v, zero_slot, d):
+    """The exactly rounded off-zero l_{d+1} norm, one fsum over the vector."""
+    s = math.fsum((np.abs(v) ** (d + 1)).tolist()) - abs(v[zero_slot]) ** (d + 1)
+    return max(s, 0.0) ** (1.0 / (d + 1))
+
+
+class _FsumNorm(bl._OffzeroNorm):
+    """A zero-width band at the fsum value: every decision by fsum."""
+
+    def __init__(self, v, zero_slot, d):
+        self.lo = self.hi = self._exact = float(_offzero_dp1(v, zero_slot, d))
+
+
+def _banded_outcome(solve):
+    """(error text) or (x bytes, law fields, exact report fields, step fields)."""
+    try:
+        law, report = solve()
+    except (ConfigError, NumericalError, OutsideGoodSetError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    fields = (law.radius, law.q, law.ball_radius, law.residual, law.certified)
+    steps = ("final_residual", "contraction_estimate", "a_priori_bound",
+             "a_posteriori_bound")
+    exact = {k: v for k, v in dataclasses.asdict(report).items() if k not in steps}
+    return law.x.tobytes(), fields, exact, [getattr(report, k) for k in steps]
+
+
+class TestBandedDecisions:
+    """The solve core decides on step-norm bands and falls back to fsum on a
+    straddle; its verdicts equal those of an fsum on every step."""
+
+    def test_corpus_matches_fsum_decisions(self, monkeypatch):
+        cases = [
+            lambda: solve_fixed_point(sos(2.5), 2),
+            lambda: solve_fixed_point(sos(2.5), 3),
+            lambda: solve_fixed_point(log_potential(4.0), 2),
+            lambda: solve_fixed_point(log_potential(3.0), 2,
+                                      SolveConfig(radius=1100, tol=1e-8)),
+            lambda: solve_fixed_point(sos(1.8), 2),
+            lambda: solve_fixed_point(sos(1.8), 2, SolveConfig(mode=MODE_AUTO)),
+            lambda: solve_fixed_point(sos(1.5), 3, SolveConfig(mode=MODE_AUTO)),
+            lambda: periodic_solve(sos(3.0), 2, 256),
+            lambda: periodic_solve(log_potential(2.6), 2, 5),
+            lambda: periodic_solve(sos(2.0), 2, 2),
+            lambda: periodic_solve(sos(1.5), 2, 2),
+            lambda: periodic_solve(sos(2.0), 2, 2, SolveConfig(mode=MODE_CERTIFIED)),
+        ]
+        new = [_banded_outcome(c) for c in cases]
+        monkeypatch.setattr(bl, "_OffzeroNorm", _FsumNorm)
+        ref = [_banded_outcome(c) for c in cases]
+        assert sum(isinstance(o, str) for o in new) == 3
+        for got, want in zip(new, ref):
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got[:3] == want[:3]
+            for hi, value in zip(got[3], want[3]):
+                assert (hi is None) == (value is None)
+                if value is not None:
+                    assert value <= hi <= value * (1.0 + 1e-11)
+
+    def test_band_holds_the_fsum_norm(self):
+        rng = np.random.default_rng(12)
+        for size, zero, d in ((7, 3, 2), (70001, 35000, 3), (140001, 0, 2)):
+            v = rng.random(size) * 10.0 ** rng.integers(-12, 1, size)
+            norm = bl._OffzeroNorm(v, zero, d)
+            exact = _offzero_dp1(v, zero, d)
+            assert norm.lo <= exact <= norm.hi
+            assert norm.exact() == exact
+
+    def test_straddled_threshold_takes_the_fallback(self, monkeypatch):
+        calls = []
+        exact = bl._OffzeroNorm.exact
+        monkeypatch.setattr(bl._OffzeroNorm, "exact",
+                            lambda self: calls.append(1) or exact(self))
+        v = np.random.default_rng(5).random(3 * 65536 + 5)
+        value = float(_offzero_dp1(v, 9, 2))
+        for threshold, above, fsums in ((value, False, 1),
+                                        (math.nextafter(value, 0.0), True, 1),
+                                        (2.0 * value, False, 0),
+                                        (0.5 * value, True, 0)):
+            calls.clear()
+            assert bl._OffzeroNorm(v, 9, 2).exceeds(threshold) is above
+            assert len(calls) == fsums
+        # two norms: equal exact values overlap and need both sums
+        calls.clear()
+        assert not bl._OffzeroNorm(v, 9, 2).exceeds(bl._OffzeroNorm(v.copy(), 9, 2))
+        assert len(calls) == 2
+        calls.clear()
+        assert bl._OffzeroNorm(2.0 * v, 9, 2).exceeds(bl._OffzeroNorm(v, 9, 2))
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_stop_at_a_threshold_equal_to_the_fsum_step(self, monkeypatch, k):
+        # L = 0.25 makes the stop threshold tol itself; tol at the k-th exact
+        # step stops there, one ulp below it does not
+        op = bl._window_operator(log_potential(4.0), 2, 1500)
+        with monkeypatch.context() as m:
+            m.setattr(bl, "_OffzeroNorm", _FsumNorm)
+            _, n_ref, steps, _ = bl._iterate(op, 2, 1e-12, 0.25)
+        assert n_ref > k
+        for tol, stops_at_k in ((steps[k - 1], True),
+                                (math.nextafter(steps[k - 1], 0.0), False)):
+            x, n, _, _ = bl._iterate(op, 2, tol, 0.25)
+            with monkeypatch.context() as m:
+                m.setattr(bl, "_OffzeroNorm", _FsumNorm)
+                x_ref, n_ref, _, _ = bl._iterate(op, 2, tol, 0.25)
+            assert n == n_ref
+            assert np.array_equal(x, x_ref)
+            assert n >= k and (n == k) is stops_at_k

@@ -603,6 +603,67 @@ REMOVED = [
 ]
 
 
+def _versions():
+    import numpy as np
+
+    return {"version": treegibbs.__version__, "numpy": np.__version__}
+
+
+class TestModeMetadata:
+    """The metadata records the flags the run's mode reads, and no others."""
+
+    def test_readme_goodset_explicit_pair(self, capsys):
+        code, out, _ = run(capsys, "goodset", "--d", "2", "--gamma", "1.5",
+                           "--delta", "0.05")
+        assert code == 0
+        assert parse_csv(out)[0] == {
+            "command": "goodset", "d": "2", "delta": "0.05", "format": "csv",
+            "gamma": "1.5", "source": "explicit", **_versions()}
+
+    def test_explicit_pair_drops_every_model_flag(self, capsys):
+        code, out, _ = run(capsys, "goodset", "--d", "2", "--gamma", "1.5",
+                           "--delta", "0.05", "--model", "log", "--beta", "3",
+                           "--pairing", "one", "--tol", "1e-9", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"] == {
+            "command": "goodset", "d": 2, "delta": 0.05, "format": "json",
+            "gamma": 1.5, "source": "explicit", **_versions()}
+
+    def test_model_pair_keeps_model_flags(self, capsys):
+        code, out, _ = run(capsys, "goodset", "--model", "sos", "--beta", "2.5")
+        assert code == 0
+        meta = parse_csv(out)[0]
+        assert (meta["model"], meta["beta"], meta["pairing"]) == ("sos", "2.5", "half")
+
+    def test_readme_simulate_tables(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--model", "sos", "--beta", "2",
+                           "--d", "2", "--q", "2", "--n", "1,8,64")
+        assert code == 0
+        assert parse_csv(out)[0] == {
+            "beta": "2.0", "command": "simulate", "d": "2", "format": "csv",
+            "model": "sos", "n": "1,8,64", "q": "2", **_versions()}
+
+    def test_readme_simulate_sampled_path(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--model", "sos", "--beta", "2",
+                           "--d", "2", "--q", "2", "--sample-steps", "1000",
+                           "--seed", "7")
+        assert code == 0
+        assert parse_csv(out)[0] == {
+            "beta": "2.0", "command": "simulate", "d": "2", "format": "csv",
+            "model": "sos", "q": "2", "replicate": "0", "sample_steps": "1000",
+            "seed": "7", **_versions()}
+
+    def test_sampled_path_drops_truncation_and_tables_keep_it(self, capsys):
+        base = ("simulate", "--model", "sos", "--beta", "2", "--q", "2",
+                "--truncation", "30", "--format", "json")
+        _, out, _ = run(capsys, *base, "--sample-steps", "10")
+        assert {"n", "truncation"}.isdisjoint(json.loads(out)["meta"])
+        _, out, _ = run(capsys, *base, "--n", "1")
+        meta = json.loads(out)["meta"]
+        assert meta["truncation"] == 30
+        assert {"seed", "replicate"}.isdisjoint(meta)
+
+
 class TestSurface:
     def test_flag_table_and_removed_flags(self, capsys):
         sub = next(a for a in _build_parser()._actions

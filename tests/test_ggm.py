@@ -394,6 +394,29 @@ class TestEdgeMarginalBitIdentity:
             assert exact_sums == ([] if tol > deficit else [9])
 
 
+    def test_multi_chunk_window_matches_reference_loop(self):
+        # a free-state window of 2 * 40000 + 1 entries spans two _CHUNK
+        # slices and leaks about 1.7e-7; tail_tol at, below and above the
+        # exactly rounded deficit
+        pot = log_potential(2.5)
+        law, _ = periodic_solve(pot, 2, 1)
+        fc = fuzzy_chain(law, fuzzy_Q(pot, 1))
+        laws = increment_laws(pot, 1, radius=60000)
+        ref = _reference_edge_marginal(fc, laws, 40000, tail_tol=1.0)
+        deficit = 1.0 - math.fsum(ref.tolist())
+        messages = 0
+        for tol in (deficit, math.nextafter(deficit, 0.0), 2.0 * deficit, 0.5 * deficit):
+            got = _marginal_or_message(ggm_edge_marginal, fc, laws, 40000, tail_tol=tol)
+            want = _marginal_or_message(_reference_edge_marginal, fc, laws, 40000,
+                                        tail_tol=tol)
+            if isinstance(want, str):
+                messages += 1
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+        assert messages == 2
+
+
 class TestStarMarginal:
     def test_single_edge_matches_marginal(self, chain20):
         laws = increment_laws(sos(2.0), 2)

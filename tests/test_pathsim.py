@@ -118,6 +118,34 @@ class TestPathDistributionType:
             PathDistribution(n=1, window=2, law=np.array([1.0]),
                              leaked_mass=0.0, mode=MODE_GIBBS)
 
+    @pytest.mark.parametrize("edge", [1.0 - 1e-9, 1.0 + 1e-12])
+    def test_sum_check_at_its_edges_equals_the_fsum_check(self, edge):
+        # leaked masses a few ulps around the one that puts fsum(law) + leaked
+        # on an edge of [1 - 1e-9, 1 + 1e-12]: the banded verdict and its
+        # message are those of the exactly rounded total
+        law = np.random.default_rng(8).random(2 * 70001 + 1)
+        law /= 2.0 * law.sum()
+        total = math.fsum(law.tolist())
+        leaked = edge - total
+        for _ in range(4):
+            leaked = math.nextafter(leaked, -math.inf)
+        verdicts = set()
+        for _ in range(9):
+            ref = total + leaked
+            ok = 1.0 - 1e-9 <= ref <= 1.0 + 1e-12
+            verdicts.add(ok)
+            if ok:
+                PathDistribution(n=1, window=70001, law=law.copy(),
+                                 leaked_mass=leaked, mode=MODE_GIBBS)
+            else:
+                with pytest.raises(NumericalError) as exc:
+                    PathDistribution(n=1, window=70001, law=law.copy(),
+                                     leaked_mass=leaked, mode=MODE_GIBBS)
+                assert str(exc.value) == (f"law plus leaked mass sums to {ref!r}, "
+                                          "expected 1 within 1e-9")
+            leaked = math.nextafter(leaked, math.inf)
+        assert verdicts == {True, False}
+
 
 class TestWnLocalized:
     def test_point_mass_is_frozen(self):

@@ -6,7 +6,9 @@ brute summation over windows up to 3e6 plus crude remainder brackets).
 
 import json
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -19,7 +21,10 @@ from treegibbs.potentials import (
     DOMAIN_Z_STAR,
     DOMAIN_ZQ,
     DOMAIN_ZQ_STAR,
+    _CHUNK,
     TailModel,
+    _banded_sum,
+    _progression_sum,
     _tail_beyond,
     _tail_bracket,
     check_double_sum,
@@ -458,3 +463,94 @@ class TestTailBracket:
         pot = custom(2.0, [[1, 0.5], [2, 1.0]], TailModel("exp", 1.0))
         with pytest.raises(ValueError):
             _tail_bracket(pot, 2, 1, 1.0)
+
+
+def _exact_sum(values) -> Fraction:
+    """The exact sum of a float array: every float is an integer multiple of 2^-1074."""
+    total = 0
+    for v in values.tolist():
+        num, den = v.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+    return Fraction(total, 1 << 1074)
+
+
+class TestBandedSum:
+    @given(
+        size=st.sampled_from([0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
+        low=st.integers(-1074, 996),
+        span=st.integers(0, 2070),
+        signs=st.sampled_from(["positive", "negative", "mixed"]),
+        specials=st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_band_encloses_exact_sum(self, size, low, span, signs, specials, seed):
+        # entries from subnormals to 1e300: mantissa in [1, 2) times 2^e
+        rng = np.random.default_rng(seed)
+        e = rng.integers(low, min(low + span, 996) + 1, size=size)
+        a = np.ldexp(rng.uniform(1.0, 2.0, size=size), e)
+        if signs == "negative":
+            a = -a
+        elif signs == "mixed":
+            a *= rng.choice([-1.0, 1.0], size=size)
+        if size:
+            a[rng.integers(0, size, size=len(specials))] = specials
+        lo, hi = _banded_sum(a)
+        assert Fraction(lo) <= _exact_sum(a) <= Fraction(hi)
+        assert lo <= math.fsum(a.tolist()) <= hi
+
+    def test_band_is_tight(self):
+        # half width gamma_{_CHUNK} sum|a| + u |sum|, about 7.3e-12 relative
+        a = np.random.default_rng(3).uniform(0.0, 1.0, size=3 * _CHUNK + 5)
+        lo, hi = _banded_sum(a)
+        assert hi - lo <= 2.0 * (_CHUNK + 4) * 2.0**-53 * math.fsum(a.tolist())
+
+    def test_band_covers_a_lossy_numpy_sum(self):
+        # a 1.0 at the head of every 128-entry block and 2^-53 elsewhere:
+        # np.sum rounds the small entries away in one of its accumulators
+        # and ends 8 ulps below the exact sum, outside any one-ulp band
+        a = np.full(3 * _CHUNK + 5, 2.0**-53)
+        a[::128] = 1.0
+        exact = _exact_sum(a)
+        assert Fraction(float(np.sum(a))) < exact - 4 * Fraction(math.ulp(float(exact)))
+        lo, hi = _banded_sum(a)
+        assert Fraction(lo) <= exact <= Fraction(hi)
+
+    def test_cancellation_and_empty(self):
+        a = np.array([1e300, 1.0, -1e300, 2.0**-1074])
+        lo, hi = _banded_sum(a)
+        assert Fraction(lo) <= _exact_sum(a) <= Fraction(hi)
+        lo, hi = _banded_sum(np.zeros(0))
+        assert lo <= 0.0 <= hi
+
+    def test_non_finite(self):
+        assert _banded_sum(np.array([1.0, math.inf])) == (math.inf, math.inf)
+        lo, hi = _banded_sum(np.array([math.nan, 1.0]))
+        assert math.isnan(lo) and math.isnan(hi)
+
+
+class TestSeriesTailBound:
+    @pytest.mark.parametrize("rate", [1.0, 0.37])
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 2.0, 3.0, 3.7])
+    def test_z_domain_bound_holds(self, beta, rate):
+        # custom copies of sos(beta) (rate 1) and a slower tail: the reported
+        # tail_bound covers the rounding of 1 + 2 * arm as well
+        pot = custom(beta, [[j, j] for j in range(1, 6)], {"type": "exp", "rate": rate})
+        with mpmath.workdps(50):
+            b, r = mpmath.mpf(beta), mpmath.mpf(rate)
+            for p in range(1, 8):
+                report = p_norm(pot, float(p), DOMAIN_Z)
+                arm = _progression_sum(pot, 1, 1, float(p), 1e-10)[0]
+                computed = 1.0 + 2.0 * arm
+                assert report.value == computed ** (1.0 / p)
+                x = p * b
+                exact = 1 + 2 * (sum(mpmath.exp(-x * j) for j in range(1, 6))
+                                 + mpmath.exp(-x * (5 + r)) / -mpmath.expm1(-x * r))
+                assert abs(mpmath.mpf(computed) - exact) <= report.tail_bound
+                assert report.tail_bound <= 1e-15 * computed
+
+    def test_custom_sos_copy_at_p7(self):
+        pot = custom(3.7, [[j, j] for j in range(1, 6)], {"type": "exp", "rate": 1})
+        report = p_norm(pot, 7.0, DOMAIN_Z)
+        assert report.tail_bound >= 2.0**-53
+        assert p_norm(pot, 7.0, DOMAIN_Z_STAR).tail_bound < 1e-26
