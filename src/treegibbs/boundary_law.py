@@ -482,7 +482,7 @@ def _iterate(op, d: int, tol: float, L: float | None):
     else:
         threshold = tol
     floor = max(100.0 * tol, 1e-13)
-    rho = prev = None
+    rho = prev = prev_lo = None
     prev_above = False
     grow = 0
     for n in range(1, _MAX_ITER + 1):
@@ -495,14 +495,17 @@ def _iterate(op, d: int, tol: float, L: float | None):
                 f"iteration diverged at step {n} (step norm {step.exact():.3g})")
         above = step.exceeds(floor)
         if above and prev_above:
-            rho = max(rho or 0.0, step.hi / prev.lo)
+            rho = max(rho or 0.0, step.hi / prev_lo)
         if not step.exceeds(threshold):
             return x, n, steps, rho
         if L is None:
             grow = grow + 1 if prev is not None and step.exceeds(prev) else 0
             if grow >= 50:
                 raise NumericalError("iteration is not contracting (50 growing steps)")
-        prev, prev_above = step, above
+        # only the growth test reads a whole previous step; the ratio needs
+        # just its lower end, so certified runs keep no second window array
+        prev = step if L is None else None
+        prev_lo, prev_above = step.lo, above
     raise NumericalError(
         f"no convergence in {_MAX_ITER} iterations (last step {step.exact():.3g}, "
         f"threshold {threshold:.3g})"

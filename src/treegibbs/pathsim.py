@@ -42,7 +42,7 @@ from .boundary_law import (
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
 from .ggm import FuzzyChain, _check_laws, _class_step_law, _dense_chain, _window_leak
-from .potentials import _banded_sum, _float_stream, _gamma, _smallest_radius, fuzzy_Q
+from .potentials import _float_stream, _gamma, _smallest_radius, fuzzy_Q
 
 __all__ = [
     "MODE_GIBBS",
@@ -108,15 +108,11 @@ class PathDistribution:
             )
         if float(self.law.min()) < -1e-12:
             raise NumericalError("negative probability in the W_n law")
-        # adding leaked_mass is monotone, so the band's ends pass the check
-        # only if the exactly rounded sum does; the message needs that sum
-        lo, hi = _banded_sum(self.law)
-        if not (1.0 - 1e-9 <= lo + self.leaked_mass and hi + self.leaked_mass <= 1.0 + 1e-12):
-            total = math.fsum(_float_stream(self.law)) + self.leaked_mass
-            if not (1.0 - 1e-9 <= total <= 1.0 + 1e-12):
-                raise NumericalError(
-                    f"law plus leaked mass sums to {total!r}, expected 1 within 1e-9"
-                )
+        total = math.fsum(_float_stream(self.law)) + self.leaked_mass
+        if not (1.0 - 1e-9 <= total <= 1.0 + 1e-12):
+            raise NumericalError(
+                f"law plus leaked mass sums to {total!r}, expected 1 within 1e-9"
+            )
         self.law.setflags(write=False)
         if self.limit is not None:
             self.limit.setflags(write=False)

@@ -119,10 +119,10 @@ class TestPathDistributionType:
                              leaked_mass=0.0, mode=MODE_GIBBS)
 
     @pytest.mark.parametrize("edge", [1.0 - 1e-9, 1.0 + 1e-12])
-    def test_sum_check_at_its_edges_equals_the_fsum_check(self, edge):
+    def test_sum_check_at_its_edges_uses_the_exact_total(self, edge):
         # leaked masses a few ulps around the one that puts fsum(law) + leaked
-        # on an edge of [1 - 1e-9, 1 + 1e-12]: the banded verdict and its
-        # message are those of the exactly rounded total
+        # on an edge of [1 - 1e-9, 1 + 1e-12]: the verdict and its message
+        # are those of the exactly rounded total
         law = np.random.default_rng(8).random(2 * 70001 + 1)
         law /= 2.0 * law.sum()
         total = math.fsum(law.tolist())
