@@ -20,14 +20,18 @@ Built-in families:
 Series values carry certified error bounds from one tail engine.  Every
 tail the package bounds is sum_{n>=0} Q(l0 + n*step)^p beyond the table,
 and ``_tail_bracket`` brackets it: exp tails in closed geometric form,
-power tails by ``integral <= remainder <= integral + first term``.  One
-loop (``_certified_sum``) adds the bracket midpoint to an fsum partial sum
-and doubles the term count until half the width certifies the tolerance;
-the reported ``tail_bound`` is that half width (plus the rounding of the
-zero term on Z).  ``_tail_beyond`` bounds what a radius R leaves out,
-sum_{|j|>R} Q(j)^p, table terms included, and one search
-(``_smallest_radius``) picks the smallest radius whose tail fits a bound,
-for window truncation and increment laws alike.
+power tails C (x0 + n*step)^(-s) through ``_power_tail``, the one
+Euler-Maclaurin bracket (integral, half the first term, Bernoulli
+corrections while they shrink, the first omitted correction as the
+remainder, plus a rounding allowance) that also serves ``hurwitz_zeta``,
+the log closed forms zeta(s, 2) and the double-sum envelope.  One loop
+(``_certified_sum``) adds the bracket midpoint to an exact fsum of the
+first N terms and doubles N until half the width plus the terms' rounding
+allowance certifies the tolerance; the reported ``tail_bound`` is that
+error (plus the rounding of the zero term on Z).  ``_tail_beyond`` bounds
+what a radius R leaves out, sum_{|j|>R} Q(j)^p, table terms included, and
+one search (``_smallest_radius``) picks the smallest radius whose tail fits
+a bound, for window truncation and increment laws alike.
 
 Verdicts on long sums (Banach steps, leaks, probability totals) go through
 ``_banded_sum``: chunked numpy sums with a rigorous rounding band, so the
@@ -81,6 +85,7 @@ _START_RADIUS = 64
 _MAX_RADIUS = 1 << 26
 _CHUNK = 1 << 16
 _UNIT_ROUNDOFF = 2.0**-53
+_TINY = 2.0**-1022  # the smallest normal float
 
 
 def _float_stream(a: np.ndarray):
@@ -349,13 +354,68 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+# B_2k / (2k)! for k = 1..10, each correctly rounded: the Euler-Maclaurin
+# correction coefficients
+_EM_COEFFS = tuple(num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(
+    ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+     (-3617, 510), (43867, 798), (-174611, 330)), start=1))
+
+
+def _power_tail(logC: float, x0: float, s: float, step: float) -> tuple[float, float]:
+    """Floats 0 <= lo <= hi enclosing sum_{n>=0} C (x0 + n*step)^(-s), C = exp(logC).
+
+    With f(n) = C (x0 + n*step)^(-s), Euler-Maclaurin gives the sum as the
+    integral of f over [0, inf), plus f(0)/2, plus the corrections
+    T_k = B_2k/(2k)! (s)_{2k-1} (step/x0)^(2k-1) f(0), which alternate in
+    sign.  f is completely monotone, so its even derivatives keep one sign
+    and, by the classical remainder theorem, after any number of
+    corrections the remainder has the sign of the first omitted one and is
+    smaller (see Johansson, Numer. Algorithms 69, 2015, for the rigorous
+    Euler-Maclaurin evaluation of Hurwitz zeta).  Corrections are added while
+    they shrink, starting from f(0)/2: with none, the bracket is
+    [integral, integral + f(0)].  The ends are widened by a rounding
+    allowance for the exps, logs and products (elementary functions within
+    one ulp), then rounded outward; the allowance is relative, so it holds
+    down to the smallest normal float, and a tail whose exps flush to zero
+    brackets as (0, 0).  A divergent tail (s <= 1) or float overflow
+    brackets as (inf, inf).
+    """
+    if s <= 1.0:
+        return (math.inf, math.inf)
+    lx = math.log(x0)
+    first = _exp(logC - s * lx)
+    integral = _exp(logC + (1.0 - s) * lx) / (step * (s - 1.0))
+    lo, hi = integral, integral + first
+    if not math.isfinite(hi):
+        return (math.inf, math.inf)
+    if hi == 0.0:
+        return (0.0, 0.0)
+    est, prev = integral + 0.5 * first, 0.5 * first
+    r = step / x0
+    scale = first * s * r  # (s)_{2k-1} r^(2k-1) f(0) at k = 1
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
+        term = coeff * scale
+        if not abs(term) < prev:
+            break
+        lo, hi = (est, est + term) if term > 0 else (est + term, est)
+        est += term
+        prev = abs(term)
+        scale *= (s + 2 * k - 1) * (s + 2 * k) * r * r
+    # f(0) and the integral are within e u of their values (relative), each
+    # correction adds at most 9 roundings and stays below f(0)/2, and the
+    # sums round k + 1 times
+    e = abs(logC) + 4.0 * s * abs(lx) + 5.0
+    slack = (e + 9 * k + 2) * _UNIT_ROUNDOFF * (integral + (k + 1) * first)
+    return (max(0.0, math.nextafter(lo - slack, -math.inf)),
+            math.nextafter(hi + slack, math.inf))
+
+
 def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> tuple[float, float]:
     """Bracket [lo, hi] of sum_{n>=0} Q(l0 + n*step)^p, requires l0 beyond the table.
 
     Exp tails are an exact geometric sum (lo == hi).  Power tails
-    f(l) = C (1+l)^(-s) decrease, so the sum lies between the integral of f
-    from l0 on (over step) and that integral plus the first term f(l0).
-    Divergent power tails bracket as (inf, inf), and so does float overflow.
+    C (1+l)^(-s) go through ``_power_tail``.  Divergent power tails bracket
+    as (inf, inf), and so does float overflow.
     """
     kind, expo, lq, J = pot._decay()
     if l0 <= J:
@@ -365,12 +425,8 @@ def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> tuple[float, 
         # Q(l)^p = e^{p*lq} e^{-s*(l-J)}, a geometric series of ratio e^{-s*step}
         t = _exp(p * lq - s * (l0 - J) - _log1mexp(s * step))
         return (t, t)
-    if s <= 1.0:
-        return (math.inf, math.inf)
     # Q(l)^p = C (1+l)^{-s} with log C = p*lq + s*log(1+J)
-    logC = p * lq + s * math.log1p(J)
-    integral = _exp(logC + (1.0 - s) * math.log1p(l0)) / (step * (s - 1.0))
-    return (integral, integral + _exp(logC - s * math.log1p(l0)))
+    return _power_tail(p * lq + s * math.log1p(J), 1.0 + l0, s, step)
 
 
 def _tail_beyond(pot: Potential, R: int, p: float) -> float:
@@ -391,30 +447,52 @@ def _log1mexp(x: float) -> float:
     return math.log1p(-math.exp(-x))
 
 
-def _certified_sum(terms, tail, start: int, rel_tol: float, what: str) -> tuple[float, float, int]:
-    """(value, error_bound, N) for the series sum_{n>=0} terms(n).
+def _certified_sum(base, power: float, tail, start: int, rel_tol: float, what: str,
+                   rounded_base: bool = True) -> tuple[float, float, int]:
+    """(value, error_bound, N) for the series sum_{n>=0} base(n)**power.
 
-    Sums the first N terms in math.fsum chunks and adds the midpoint of the
-    remainder bracket, given by tail(N) as (lower bound, width).  N doubles
-    from start until half the width plus a float-accumulation allowance
-    certifies rel_tol; an infinite bracket stops the loop at once.
+    Sums the first N terms exactly (each _CHUNK's fsum kept with its own
+    rounding error) and adds the midpoint of the remainder bracket tail(N),
+    a pair (lo, hi), rounding the value once.  The error bound is half the
+    bracket width plus the terms' rounding: each base is within half an ulp
+    of its exact value (exact unless rounded_base), the power multiplies
+    that relative error by |power| and pow adds one ulp, and the value adds
+    half an ulp; a factor 1 + (|power| + 4) u covers second-order terms.
+    N doubles from start until the bound certifies rel_tol; a subnormal
+    value, which no N can certify, is reported as 0 with its upper end as
+    the bound, and an infinite bracket stops the loop at once.
     """
-    chunks: list[float] = []
+    parts: list[float] = []
+    slop: list[float] = []
     upto, N = 0, start
     while True:
         while upto < N:
             hi = min(upto + _CHUNK, N)
-            chunks.append(math.fsum(terms(np.arange(upto, hi)).tolist()))
+            b = base(np.arange(upto, hi))
+            t = b ** power
+            chunk = t.tolist()
+            c = math.fsum(chunk)
+            chunk.append(-c)
+            parts += (c, math.fsum(chunk) if math.isfinite(c) else 0.0)
+            # |power| times half an ulp of the base (relative), plus one ulp of t
+            half = 0.5 * abs(power) * np.spacing(b) / np.maximum(b, _TINY) if rounded_base else 0.0
+            slop.append(math.fsum((t * half + np.spacing(t)).tolist()))
             upto = hi
-        lo, width = tail(N)
-        if not math.isfinite(lo + width):
+        lo, hi = tail(N)
+        if not math.isfinite(hi):
             raise NumericalError(
                 f"{what}: the tail bracket after {N} terms is not finite (float overflow)"
             )
-        value = math.fsum(chunks) + lo + 0.5 * width
-        err = 0.5 * width + 4e-16 * value
-        if err <= rel_tol * value or value == 0.0:
+        value = 0.5 * math.fsum([*parts, *parts, lo, hi])
+        if not math.isfinite(value):
+            return (value, math.inf, N)
+        rounding = math.fsum(slop) + 0.5 * math.ulp(value)
+        err = (0.5 * (hi - lo) + rounding) * (1.0 + (abs(power) + 4) * _UNIT_ROUNDOFF)
+        if err <= rel_tol * value:
             return (value, err, N)
+        if value < _TINY:
+            # no relative precision left: 0, with the upper end as the bound
+            return (0.0, value + err, N)
         if N >= _MAX_RADIUS:
             raise NumericalError(
                 f"{what} did not certify rel_tol={rel_tol} within {N} terms; "
@@ -427,15 +505,13 @@ def _progression_sum(pot: Potential, l0: int, step: int, p: float,
                      rel_tol: float) -> tuple[float, float, int]:
     """(value, error_bound, N) for sum_{n>=0} Q(l0 + n*step)^p, certified to rel_tol.
 
-    The direct part always clears the table, so the bracket applies to the rest.
+    The direct part always clears the table, so the bracket applies to the
+    rest.  Each Q(l) is taken as its exact value correctly rounded.
     """
-    def tail(N):
-        lo, hi = _tail_bracket(pot, l0 + N * step, step, p)
-        return (lo, hi - lo)
-
     start = max(_START_RADIUS, (pot.table_end - l0) // step + 1)
-    return _certified_sum(lambda n: pot.Q(l0 + step * n) ** p, tail, start, rel_tol,
-                          f"series for p={p}")
+    return _certified_sum(lambda n: pot.Q(l0 + step * n), p,
+                          lambda N: _tail_bracket(pot, l0 + N * step, step, p),
+                          start, rel_tol, f"series for p={p}")
 
 
 def _smallest_radius(fits, start: int, cap: int, failure: str) -> int:
@@ -460,29 +536,27 @@ def _smallest_radius(fits, start: int, cap: int, failure: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_m1(s: float) -> float:
-    """zeta(s) - 1 without float64 cancellation (mpmath at 30 digits)."""
-    import mpmath  # deferred: only log-potential closed forms need it
+def _closed_power_sum(pot: Potential, p: float,
+                      include_zero: bool) -> tuple[float, float] | None:
+    """(value, error_bound) of the p-th power sum over Z (or Z without zero), if known.
 
-    with mpmath.workdps(30):
-        return float(mpmath.zeta(s) - 1)
-
-
-def _closed_power_sum(pot: Potential, p: float, include_zero: bool) -> float | None:
-    """Closed form of the p-th power sum over Z (or Z without zero), if known.
-
-    sos: 1 + 2/ (e^{p beta} - 1) on Z, equivalently coth(p beta / 2);
-    log: 2 zeta(p beta) - 1 on Z.  Returns None for custom potentials.
+    sos: 1 + 2/ (e^{p beta} - 1) on Z, equivalently coth(p beta / 2), with a
+    flat rounding allowance; log: 1 + 2 zeta(p beta, 2) on Z, with the
+    certified error of ``hurwitz_zeta`` (zeta(s, 2) = zeta(s) - 1 has no
+    cancellation).  Returns None for custom potentials.  Callers rule out
+    divergent sums first.
     """
     x = p * pot.beta
     if pot.kind == "sos":
         off = 2.0 / math.expm1(x) if x < 709 else 2.0 * math.exp(-x)
-        return (1.0 + off) if include_zero else off
+        value = (1.0 + off) if include_zero else off
+        return (value, 4e-16 * value)
     if pot.kind == "log":
-        if x <= 1.0:
-            return math.inf
-        zm1 = _zeta_m1(x)
-        return 1.0 + 2.0 * zm1 if include_zero else 2.0 * zm1
+        z, err = hurwitz_zeta(x, 2.0)
+        if include_zero:
+            value = 1.0 + 2.0 * z
+            return (value, 2.0 * err + _UNIT_ROUNDOFF * value)
+        return (2.0 * z, 2.0 * err)
     return None
 
 
@@ -552,6 +626,7 @@ def p_norm(
         # most u * series_sum
         series_err = 2.0 * err + (_UNIT_ROUNDOFF * series_sum if include_zero else 0.0)
     if closed is not None:
+        closed, closed_err = closed
         if run_series and abs(series_sum - closed) > 2.0 * (series_err + 1e-14 * closed):
             raise NumericalError(
                 f"series/closed-form mismatch for p={p} on {domain}: "
@@ -562,7 +637,7 @@ def p_norm(
             domain,
             closed ** (1.0 / p) if closed > 0 else 0.0,
             radius if run_series else None,
-            4e-16 * closed,
+            closed_err,
             "closed_form",
         )
     return NormReport(p, domain, series_sum ** (1.0 / p), radius, series_err, "series")
@@ -595,19 +670,19 @@ def norm_pair(pot: Potential, d: int, pairing: str = "half", rel_tol: float = 1e
 def hurwitz_zeta(s: float, a: float, rel_tol: float = 1e-12) -> tuple[float, float]:
     """(value, error_bound) for zeta(s, a) = sum_{n>=0} (n+a)^(-s), s > 1, a > 0.
 
-    Direct summation of N terms plus the integral bracket
-    [(N+a)^(1-s)/(s-1), same + (N+a)^(-s)] for the remainder, through the
-    engine's certified summation loop.  Exponents near 1 need loose
-    tolerances to stay fast.
+    Direct summation of N terms plus the Euler-Maclaurin bracket of the
+    remainder (``_power_tail``), through the engine's certified summation
+    loop; N = 64 terms suffice for every s > 1 at the default tolerance.
     """
     if s <= 1.0:
         raise ConfigError(f"hurwitz_zeta needs s > 1, got {s}")
     if a <= 0.0:
         raise ConfigError(f"hurwitz_zeta needs a > 0, got {a}")
+    # n + a is exact for an integral a, else rounded once before the power
     value, err, _ = _certified_sum(
-        lambda n: (n + a) ** (-s),
-        lambda N: ((N + a) ** (1.0 - s) / (s - 1.0), (N + a) ** (-s)),
+        lambda n: n + a, -s, lambda N: _power_tail(0.0, N + a, s, 1.0),
         _START_RADIUS, rel_tol, f"hurwitz_zeta(s={s}, a={a})",
+        rounded_base=not float(a).is_integer(),
     )
     return (value, err)
 
@@ -793,13 +868,13 @@ class _MonotoneEnvelope:
             return (0.0, t)
         s = self.pot.beta * self.expo
         # C (1+ij)^{-s} <= C (ij)^{-s}: inner(i) <= C zeta(s) i^{-s}
-        # and inner(i) >= C zeta(s) (1+i)^{-s} since 1 + ij <= (1+i) j
+        # and inner(i) >= C zeta(s) (1+i)^{-s} since 1 + ij <= (1+i) j;
+        # the upper end of zeta(s) bounds from above, the lower from below
         logC = self.lq + s * math.log1p(self.J)
-        zs = hurwitz_zeta(s, 1.0, 1e-10)[0]
+        zs, zerr = hurwitz_zeta(s, 1.0, 1e-10)
         ps = p * s
-        amp = math.exp(p * (logC + math.log(zs)))
-        upper = amp * (I ** (1.0 - ps)) / (ps - 1.0)
-        lower = amp * ((I + 2.0) ** (1.0 - ps)) / (ps - 1.0)
+        upper = _power_tail(p * (logC + math.log(zs + zerr)), I + 1.0, ps, 1.0)[1]
+        lower = _power_tail(p * (logC + math.log(zs - zerr)), I + 2.0, ps, 1.0)[0]
         return (lower, upper)
 
 

@@ -70,6 +70,16 @@ class TestNorms:
         assert "0.75" in obj["gamma"]["witness"]
         assert any("no q-periodic" in note for note in obj["notes"])
 
+    @pytest.mark.parametrize("beta,d", [("2", "30"), ("3", "25")])
+    def test_log_large_exponent_closed_form(self, capsys, beta, d):
+        # p*beta = 62 and 78: the closed form zeta(p beta) - 1 once lost
+        # digits to cancellation and the series cross-check exited 3
+        code, out, err = run(capsys, "norms", "--model", "log", "--beta", beta,
+                             "--d", d)
+        assert code == 0 and err == ""
+        _, _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["gamma", "delta", "norm_1"]
+
     def test_csv_has_display_column(self, capsys):
         code, out, _ = run(capsys, "norms", "--model", "sos", "--beta",
                            "2.5", "--d", "2")
@@ -694,16 +704,13 @@ class TestImports:
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "[]"
 
-    def test_readme_commands_run_without_scipy(self, capsys):
-        # scipy is a test oracle only: a child that cannot import it prints
-        # the README commands' outputs byte for byte
+    @staticmethod
+    def _run_blocking(module, commands):
+        """[exit code, stdout] of each command, run by main() in a child
+        process that cannot import ``module``."""
         src = os.path.dirname(os.path.dirname(treegibbs.__file__))
-        with open(os.path.join(os.path.dirname(src), "README.md")) as fh:
-            commands = [line.split()[1:] for line in fh
-                        if line.startswith("treegibbs ")]
-        assert len(commands) == 10
         code = ("import contextlib, io, json, sys\n"
-                "sys.modules['scipy'] = None\n"
+                f"sys.modules[{module!r}] = None\n"
                 "from treegibbs.cli import main\n"
                 "results = []\n"
                 "for argv in json.loads(sys.argv[1]):\n"
@@ -715,7 +722,30 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                              env=env, capture_output=True, text=True,
                              check=True).stdout
-        blocked = json.loads(out)
+        return json.loads(out)
+
+    def test_readme_commands_run_without_scipy(self, capsys):
+        # scipy is a test oracle only: a child that cannot import it prints
+        # the README commands' outputs byte for byte
+        src = os.path.dirname(os.path.dirname(treegibbs.__file__))
+        with open(os.path.join(os.path.dirname(src), "README.md")) as fh:
+            commands = [line.split()[1:] for line in fh
+                        if line.startswith("treegibbs ")]
+        assert len(commands) == 10
+        blocked = self._run_blocking("scipy", commands)
+        for argv, (exit_code, stdout) in zip(commands, blocked, strict=True):
+            assert exit_code == 0, argv
+            assert stdout == run(capsys, *argv)[1], argv
+
+    def test_log_commands_run_without_mpmath(self, capsys):
+        # mpmath is a test oracle only: log norms, thresholds and periodic
+        # solves print the same bytes in a child that cannot import it
+        commands = [
+            "norms --model log --beta 2.6 --d 2".split(),
+            "threshold --model log --d 2".split(),
+            "periodic --model log --beta 2.6 --d 2 --q 5".split(),
+        ]
+        blocked = self._run_blocking("mpmath", commands)
         for argv, (exit_code, stdout) in zip(commands, blocked, strict=True):
             assert exit_code == 0, argv
             assert stdout == run(capsys, *argv)[1], argv

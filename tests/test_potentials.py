@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treegibbs.errors import ConfigError, NotSummableError, TailUndeclaredError
@@ -24,6 +24,8 @@ from treegibbs.potentials import (
     _CHUNK,
     TailModel,
     _banded_sum,
+    _MonotoneEnvelope,
+    _power_tail,
     _progression_sum,
     _tail_beyond,
     _tail_bracket,
@@ -369,6 +371,23 @@ class TestDoubleSum:
         with pytest.raises(ConfigError):
             check_double_sum(sos(1.0), 1)
 
+    @pytest.mark.parametrize("pot", [
+        log_potential(3.0),
+        custom(2.5, [[1, 0.4], [2, 0.9]], TailModel("power", 1.2)),
+    ])
+    def test_outer_tail_bracket_bounds_the_envelope_sums(self, pot):
+        # inner(i) lies in [C zeta(s) (1+i)^-s, C zeta(s) i^-s], so the
+        # outer tail lies in [(C zeta(s))^p zeta(ps, I+2), (C zeta(s))^p zeta(ps, I+1)]
+        env = _MonotoneEnvelope(pot)
+        p, I = 1.5, 256
+        lo, hi = env.outer_tail_bracket(p, I)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(pot.beta * env.expo)
+            logC = mpmath.mpf(env.lq) + s * mpmath.log1p(env.J)
+            amp = (mpmath.exp(logC) * mpmath.zeta(s)) ** p
+            assert lo <= amp * mpmath.zeta(p * s, I + 2)
+            assert amp * mpmath.zeta(p * s, I + 1) <= hi
+
 
 @st.composite
 def tail_cases(draw):
@@ -392,6 +411,18 @@ def tail_cases(draw):
     return pot, kind, expo, l0, step, p
 
 
+def power_tail_exact(pot, expo, l0, step, p):
+    """sum_{n>=0} Q(l0 + n*step)^p beyond the table of a power tail, from
+    mpmath's Hurwitz zeta with 60 significant digits."""
+    _, _, lq, J = pot._decay()
+    s = p * pot.beta * expo
+    with mpmath.workdps(60 + int(s * math.log10(1 + l0))):
+        S = mpmath.mpf(s)
+        logC = p * mpmath.mpf(lq) + S * mpmath.log1p(J)
+        return +(mpmath.exp(logC) * mpmath.mpf(step) ** -S
+                 * mpmath.zeta(S, mpmath.mpf(1 + l0) / step))
+
+
 class TestTailBracket:
     @given(case=tail_cases())
     @settings(max_examples=60, deadline=None)
@@ -399,6 +430,12 @@ class TestTailBracket:
         pot, kind, expo, l0, step, p = case
         lo, hi = _tail_bracket(pot, l0, step, p)
         assert 0.0 <= lo <= hi < math.inf
+        if kind == "power":
+            # the Euler-Maclaurin bracket is narrower than any brute-force
+            # remainder within reach, so mpmath's Hurwitz zeta is the oracle
+            exact = power_tail_exact(pot, expo, l0, step, p)
+            assert lo <= exact * (1.0 + 1e-12) and exact <= hi * (1.0 + 1e-12)
+            return
         s = p * pot.beta * expo
 
         def f(x):
@@ -406,10 +443,7 @@ class TestTailBracket:
 
         def remainder(M):
             # bound on the terms n >= M, from the decay law alone
-            if kind == "exp":
-                return f(l0 + M * step) / -math.expm1(-s * step)
-            a = l0 + (M - 1) * step
-            return f(a) * (1.0 + a) / ((s - 1.0) * step)
+            return f(l0 + M * step) / -math.expm1(-s * step)
 
         # brute force runs until its own remainder is below the bracket width
         target = max(0.1 * (hi - lo), 1e-13 * lo, 1e-300)
@@ -439,11 +473,17 @@ class TestTailBracket:
         def f(x):
             return pot.Q(x) ** p
 
+        if kind == "power":
+            # the table terms past R plus mpmath's sum beyond the table
+            inside = math.fsum(f(np.arange(R + 1, end + 1)).tolist())
+            exact = 2 * (inside + power_tail_exact(pot, expo, max(R, end) + 1, 1, p))
+            assert exact <= bound * (1.0 + 1e-12)
+            assert bound <= (exact + 2.0 * (hi - lo)) * (1.0 + 1e-12)
+            return
+
         def remainder(L):
             # bound on the terms j > L, from the decay law alone
-            if kind == "exp":
-                return f(L + 1) / -math.expm1(-s)
-            return f(L) * (1.0 + L) / (s - 1.0)
+            return f(L + 1) / -math.expm1(-s)
 
         target = max(0.1 * (hi - lo), 1e-13 * lo, 1e-300)
         L = max(R, end) + 64
@@ -530,27 +570,88 @@ class TestBandedSum:
 
 
 class TestSeriesTailBound:
-    @pytest.mark.parametrize("rate", [1.0, 0.37])
-    @pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 2.0, 3.0, 3.7])
-    def test_z_domain_bound_holds(self, beta, rate):
+    @staticmethod
+    def check_grid(beta, rate, domain):
         # custom copies of sos(beta) (rate 1) and a slower tail: the reported
-        # tail_bound covers the rounding of 1 + 2 * arm as well
+        # tail_bound covers the rounding of Q(j)**p, which the power
+        # multiplies, and on Z the rounding of 1 + 2 * arm as well
         pot = custom(beta, [[j, j] for j in range(1, 6)], {"type": "exp", "rate": rate})
+        zero = 1.0 if domain == DOMAIN_Z else 0.0
         with mpmath.workdps(50):
             b, r = mpmath.mpf(beta), mpmath.mpf(rate)
             for p in range(1, 8):
-                report = p_norm(pot, float(p), DOMAIN_Z)
+                report = p_norm(pot, float(p), domain)
                 arm = _progression_sum(pot, 1, 1, float(p), 1e-10)[0]
-                computed = 1.0 + 2.0 * arm
+                computed = zero + 2.0 * arm
                 assert report.value == computed ** (1.0 / p)
                 x = p * b
-                exact = 1 + 2 * (sum(mpmath.exp(-x * j) for j in range(1, 6))
-                                 + mpmath.exp(-x * (5 + r)) / -mpmath.expm1(-x * r))
+                exact = zero + 2 * (sum(mpmath.exp(-x * j) for j in range(1, 6))
+                                    + mpmath.exp(-x * (5 + r)) / -mpmath.expm1(-x * r))
                 assert abs(mpmath.mpf(computed) - exact) <= report.tail_bound
                 assert report.tail_bound <= 1e-15 * computed
+
+    @pytest.mark.parametrize("rate", [1.0, 0.37])
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 2.0, 3.0, 3.7])
+    def test_z_domain_bound_holds(self, beta, rate):
+        self.check_grid(beta, rate, DOMAIN_Z)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.37])
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 2.0, 3.0, 3.7])
+    def test_z_star_domain_bound_holds(self, beta, rate):
+        # all of the bound is series error here: at beta 2, p 7 a flat
+        # 4e-16 * value allowance was 6.65e-22 against an error of 8.10e-22
+        self.check_grid(beta, rate, DOMAIN_Z_STAR)
 
     def test_custom_sos_copy_at_p7(self):
         pot = custom(3.7, [[j, j] for j in range(1, 6)], {"type": "exp", "rate": 1})
         report = p_norm(pot, 7.0, DOMAIN_Z)
         assert report.tail_bound >= 2.0**-53
         assert p_norm(pot, 7.0, DOMAIN_Z_STAR).tail_bound < 1e-26
+
+
+class TestPowerTail:
+    @given(
+        s=st.floats(1.0, 100.0, exclude_min=True),
+        x0=st.one_of(st.integers(1, 100).map(float), st.floats(1.0, 1e7)),
+        step=st.integers(1, 8),
+    )
+    # corrections stop at the third and the remainder is about 0.024 f(x0);
+    # a dropped remainder or a flipped Bernoulli sign misses zeta(2)
+    @example(s=2.0, x0=1.0, step=1)
+    @example(s=3.5, x0=7.0, step=3)
+    @settings(max_examples=60, deadline=None)
+    def test_encloses_mpmath_sum_inside_integral_bracket(self, s, x0, step):
+        lo, hi = _power_tail(0.0, x0, s, step)
+        # sum_n (x0 + n step)^-s = step^-s zeta(s, x0/step), to 60 digits
+        with mpmath.workdps(60 + int(s * math.log10(x0))):
+            S = mpmath.mpf(s)
+            exact = +(mpmath.mpf(step) ** -S * mpmath.zeta(S, mpmath.mpf(x0) / step))
+        # the allowance is relative: certified down to the smallest normal float
+        tiny = 2.0**-1022
+        assert lo - tiny <= exact <= hi + tiny
+        if exact > tiny:
+            assert lo <= exact <= hi
+        # the integral bracket [integral, integral + f(x0)], up to the
+        # rounding allowance (below 1e-11 relative on this domain)
+        y = (1.0 - s) * math.log(x0)
+        integral = (math.exp(y) if y > -745 else 0.0) / (step * (s - 1.0))
+        first = math.exp(-s * math.log(x0)) if -s * math.log(x0) > -745 else 0.0
+        assert lo >= integral - 1e-11 * (integral + first)
+        assert hi <= (integral + first) * (1.0 + 1e-11) + 2.0**-1074
+
+    def test_divergent_and_overflowing(self):
+        assert _power_tail(0.0, 5.0, 1.0, 1) == (math.inf, math.inf)
+        assert _power_tail(800.0, 5.0, 1.5, 1) == (math.inf, math.inf)
+
+
+class TestLogClosedForm:
+    def test_within_tail_bound_of_mpmath(self):
+        # p * beta from 1.0001 to 90 (p = 1, so value is the power sum):
+        # 1 + 2 zeta(s, 2) on Z and 2 zeta(s, 2) on Z without zero
+        for s in np.linspace(1.0001, 90.0, 300).tolist():
+            with mpmath.workdps(90):
+                zm1 = mpmath.zeta(mpmath.mpf(s)) - 1
+            for domain, exact in ((DOMAIN_Z, 1 + 2 * zm1), (DOMAIN_Z_STAR, 2 * zm1)):
+                rep = p_norm(log_potential(s), 1.0, domain, cross_check=False)
+                assert rep.method == "closed_form"
+                assert abs(mpmath.mpf(rep.value) - exact) <= rep.tail_bound, (s, domain)
