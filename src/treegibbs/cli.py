@@ -160,10 +160,7 @@ def _meta(args, unread=(), **extra) -> dict:
 def _emit_csv(meta: dict, header: str, rows: list[str]) -> str:
     out = io.StringIO()
     _write_meta(out, meta)
-    out.write(header + "\n")
-    for row in rows:
-        out.write(row + "\n")
-    return out.getvalue()
+    return "\n".join([out.getvalue() + header, *rows, ""])
 
 
 def _emit_json(meta: dict, payload: dict) -> str:
@@ -347,7 +344,7 @@ def cmd_ggm(args) -> str:
         })
     meta = _meta(args, window=window, certified=str(law.certified).lower(),
                  alpha=";".join(_f17(a) for a in fc.alpha))
-    rows = [f"{k},{_f17(p)},{_f4(p)}"
+    rows = [f"{k},{p:.17g},{p:.4g}"
             for k, p in zip(range(-window, window + 1), marginal.tolist())]
     return _emit_csv(meta, "k,prob,display", rows)
 

@@ -17,6 +17,14 @@ bound on its rounding), samples both walks through one stepping kernel
 with counter-based streams keyed by (seed, replicate), and recovers the
 height period of an unknown source from the empirical distribution of its
 partial sums mod q-tilde.
+
+Every sampled step is an inverse-CDF draw from one padded table
+(`_CdfTable`): the rows of a kernel, or the increment laws with their
+supports, as running sums padded with 1.0 to one power-of-two width
+w < 2m for rows of length at most m.  All walkers are searched at once by
+a branchless upper-bound search; because the entries <= u form a prefix
+of each row, it returns exactly searchsorted(row, u, side="right"), so
+the draws do not depend on how the search is laid out.
 """
 
 from __future__ import annotations
@@ -75,6 +83,10 @@ _N_EFF_FACTOR = 10.0
 
 # a sampler refuses a uniform buffer beyond this many float64 draws (512 MiB)
 _MAX_UNIFORMS = 1 << 26
+
+# walkers go through the inverse-CDF table search in blocks of this many,
+# so that their positions and uniforms stay in cache across its steps
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,25 +399,83 @@ def _stream(seed: int, replicate: int) -> np.random.Generator:
 
 
 def _cumulative_rows(P: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, the last slot forced to 1.0."""
     cum = np.cumsum(P, axis=-1)
     cum[..., -1] = 1.0
     return cum
 
 
-def _walk(cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+class _CdfTable:
+    """Inverse-CDF rows of a kernel, padded with 1.0 to one power-of-two width.
+
+    Row s holds the running sums of weight row s with its last slot forced
+    to 1.0 (so rounding never leaves mass above 1), then 1.0 up to the
+    width w, the least power of two >= the longest row length m.  Since
+    w < 2m, the table of a dense m x m kernel takes less than twice its
+    memory; r ragged rows take r w < 2 r m slots, which can be several
+    times their total length when the rows differ much in length.
+    ``values``, when given, is the matching int64 table of support points,
+    0 in the padding.
+
+    `draw` runs a branchless upper-bound search over a block of walkers at
+    once (Khuong & Morin, Array layouts for comparison-based searching,
+    2017): from pos = key * w, each step = w/2, ..., 1 adds step times the
+    comparison cum[pos + step - 1] <= u.  For u in [0, 1) the predicate
+    entry <= u holds on a prefix of every row: a cumsum of nonnegative
+    terms never decreases, and the forced last slot and the padding are
+    1.0 > u (a sum that overshoots 1.0 before the last slot only ends the
+    prefix sooner).  The search stops at the prefix length, and so does
+    searchsorted(row, u, side="right"): the two agree bit for bit.
+    """
+
+    __slots__ = ("cum", "values")
+
+    def __init__(self, rows, values=None):
+        m = max(len(r) for r in rows)
+        cum = np.ones((len(rows), 1 << (m - 1).bit_length()))
+        for row, r in zip(cum, rows):
+            row[:len(r)] = _cumulative_rows(r)
+        self.cum = cum
+        self.values = None
+        if values is not None:
+            self.values = np.zeros(cum.shape, dtype=np.int64)
+            for row, v in zip(self.values, values):
+                row[:len(v)] = v
+
+    def draw(self, keys, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[k] = slot searchsorted(cum[keys[k]], u[k], side="right"), or
+        the value in that slot; keys may be out itself."""
+        width = self.cum.shape[1]
+        flat = self.cum.ravel()
+        for lo in range(0, len(u), _BLOCK):
+            pos, x = out[lo:lo + _BLOCK], u[lo:lo + _BLOCK]
+            np.multiply(keys[lo:lo + _BLOCK], width, out=pos)
+            step = width >> 1
+            while step:
+                pos += (flat[step - 1:][pos] <= x) * step
+                step >>= 1
+            if self.values is not None:
+                pos[:] = self.values.ravel()[pos]
+        if self.values is None:
+            out &= width - 1
+        return out
+
+
+def _walk(start: _CdfTable, kernel: _CdfTable, u: np.ndarray) -> np.ndarray:
     """States of the inverse-CDF chain driven by the uniforms u.
 
-    u[0] draws the start from cum_start, u[k] moves along row cum_rows[s].
-    bisect_right makes the same comparisons as searchsorted(side="right"),
-    without its per-call overhead; a row becomes a list when first visited.
+    u[0] draws the start from the start table, u[k] moves along row s of
+    the kernel table.  bisect_right returns what searchsorted(side="right")
+    does, without its per-call overhead (the padding 1.0 > u never moves a
+    draw); a row becomes a list when first visited.
     """
-    rows = [None] * len(cum_rows)
-    s = bisect.bisect_right(cum_start.tolist(), float(u[0]))
+    rows = [None] * len(kernel.cum)
+    s = bisect.bisect_right(start.cum[0].tolist(), float(u[0]))
     states = [s]
     for x in _float_stream(u[1:]):
         row = rows[s]
         if row is None:
-            row = rows[s] = cum_rows[s].tolist()
+            row = rows[s] = kernel.cum[s].tolist()
         s = bisect.bisect_right(row, x)
         states.append(s)
     return np.array(states, dtype=np.int64)
@@ -426,45 +496,44 @@ def _check_sizes(n, *replicates) -> None:
             "use smaller runs on distinct replicate keys")
 
 
-def _draw(cum_rows, keys, u: np.ndarray, values=None) -> np.ndarray:
-    """Inverse-CDF draw of each u[k] on row keys[k] of cum_rows.
-
-    One searchsorted per occupied row; slot j of row s is values[s][j] if given.
-    """
-    out = np.empty(len(keys), dtype=np.int64)
-    for s in np.flatnonzero(np.bincount(keys, minlength=len(cum_rows))):
-        mask = keys == s
-        slots = np.searchsorted(cum_rows[s], u[mask], side="right")
-        out[mask] = slots if values is None else values[s][slots]
-    return out
-
-
 def _markov_additive(source):
-    """(labels, cum_start, cum_rows, increment) of a sampling source.
+    """(labels, start, kernel, increment) of a sampling source.
 
-    increment(a, b, rng) is the height change of the steps a -> b: for a
-    truncated BoundaryLaw (labels = heights) the deterministic
-    labels[b] - labels[a], for a (FuzzyChain, laws) pair (labels = classes)
-    one draw per step from the law of the class step (b - a) mod q.
+    start and kernel are `_CdfTable`s of the start law and the state chain;
+    increment(a, b, rng, u, out) writes the height change of the steps
+    a -> b into out, drawing any uniforms it needs into the buffer u.  For
+    a truncated BoundaryLaw (labels = heights, consecutive integers) it is
+    the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
+    classes) it is one draw per step from the law of the class step
+    (b - a) mod q, read from a third table whose rows are the increment
+    laws and whose values are their supports.  Each table pads its rows
+    with 1.0 to a power-of-two width w below twice the longest row, and
+    each draw equals searchsorted(row, u, side="right") because the
+    entries <= u form a prefix of every row.  The kernel tables are dense,
+    so each takes less than twice the memory of its rows.  The increment-law
+    table takes q w < 2 q (longest law) slots of cum and as many of values;
+    heavy tails give the residues of small mass the longest laws, so that
+    can be a few times the laws' own length.
     """
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)
-        idx = source.indices
 
-        def increment(a, b, rng):
-            return idx[b] - idx[a]
-        return idx, _cumulative_rows(alpha), _cumulative_rows(P), increment
+        def increment(a, b, rng, u, out):
+            return np.subtract(b, a, out=out)
+        return source.indices, _CdfTable([alpha]), _CdfTable(P), increment
     if isinstance(source, (tuple, list)) and len(source) == 2 \
             and isinstance(source[0], FuzzyChain):
         fc = source[0]
         laws = _check_laws(fc, source[1])
-        cum_w = [_cumulative_rows(law.weights) for law in laws]
-        supports = [law.support for law in laws]
+        table = _CdfTable([law.weights for law in laws],
+                          [law.support for law in laws])
 
-        def increment(a, b, rng):
-            return _draw(cum_w, (b - a) % fc.q, rng.random(len(a)), supports)
-        return (np.arange(fc.q), _cumulative_rows(fc.alpha),
-                _cumulative_rows(fc.P), increment)
+        def increment(a, b, rng, u, out):
+            r = np.subtract(b, a, out=out)
+            r += fc.q * (r < 0)
+            return table.draw(r, rng.random(out=u), out)
+        return (np.arange(fc.q), _CdfTable([fc.alpha]), _CdfTable(fc.P),
+                increment)
     raise ConfigError(
         "source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair"
     )
@@ -478,13 +547,15 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     reproduces the same path; replicates are independent streams.
     """
     _check_sizes(n)
-    labels, cum_start, cum_rows, increment = _markov_additive(source)
+    labels, start, kernel, increment = _markov_additive(source)
     rng = _stream(seed, replicate)
     if len(labels) > 1:
-        states = _walk(cum_start, cum_rows, rng.random(n + 1))
+        states = _walk(start, kernel, rng.random(n + 1))
     else:
         states = np.zeros(n + 1, dtype=np.int64)
-    return increment(states[:-1], states[1:], rng), labels[states]
+    increments = increment(states[:-1], states[1:], rng, np.empty(n),
+                           np.empty(n, dtype=np.int64))
+    return increments, labels[states]
 
 
 def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
@@ -492,18 +563,22 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
 
     Returns an int64 array of length ``replicates``.  The stream is keyed
     by (seed, replicate) like sample_path; parallel batches should use
-    distinct replicate keys.
+    distinct replicate keys.  Each step refills the same per-walker
+    buffers: fresh arrays of this size would page-fault on every step.
     """
     _check_sizes(n, replicates)
-    labels, cum_start, cum_rows, increment = _markov_additive(source)
+    labels, start, kernel, increment = _markov_additive(source)
     rng = _stream(seed, replicate)
     N = int(replicates)
-    states = np.searchsorted(cum_start, rng.random(N), side="right")
     W = np.zeros(N, dtype=np.int64)
+    u = rng.random(N)
+    states = np.zeros(N, dtype=np.int64)  # every walker starts on row 0
+    start.draw(states, u, states)
+    nxt, dW = np.empty_like(states), np.empty_like(states)
     for _ in range(n):
-        nxt = _draw(cum_rows, states, rng.random(N))
-        W += increment(states, nxt, rng)
-        states = nxt
+        kernel.draw(states, rng.random(out=u), nxt)
+        W += increment(states, nxt, rng, u, dW)
+        states, nxt = nxt, states
     return W
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -560,6 +561,28 @@ def _closed_power_sum(pot: Potential, p: float,
     return None
 
 
+def _pth_root(pot: Potential, power: float, p: float, rel_tol: float) -> float:
+    """power ** (1/p), also when the power sum underflows.
+
+    Only the sum over Z without zero can fall below the normal range (the
+    sum over Z holds the term 1).  There the norm is M times the p-th root
+    of the sum scaled by M^p, where M = Q(j0) = max_{j != 0} Q(j) and j0
+    minimizes U over the table (U increases beyond it; j0 = 1 for the
+    built-ins).  The scaled sum is the power sum of the custom potential
+    U - U(j0) with the same tail, whose largest term is 1, so its series
+    certifies to rel_tol; an M that is itself 0 in float64 gives 0.
+    """
+    if power >= sys.float_info.min:
+        return power ** (1.0 / p)
+    kind, param, _, _ = pot._decay()
+    head = pot.U(np.arange(1, max(pot.table_end, 1) + 1))
+    j0 = int(np.argmin(head))
+    shifted = Potential("custom", pot.beta, tuple((head - head[j0]).tolist()),
+                        TailModel(kind, param))
+    arm, _, _ = _progression_sum(shifted, 1, 1, p, rel_tol)
+    return pot.Q(j0 + 1) * (2.0 * arm) ** (1.0 / p)
+
+
 # ---------------------------------------------------------------------------
 # norm reports
 # ---------------------------------------------------------------------------
@@ -635,12 +658,13 @@ def p_norm(
         return NormReport(
             p,
             domain,
-            closed ** (1.0 / p) if closed > 0 else 0.0,
+            _pth_root(pot, closed, p, rel_tol),
             radius if run_series else None,
             closed_err,
             "closed_form",
         )
-    return NormReport(p, domain, series_sum ** (1.0 / p), radius, series_err, "series")
+    return NormReport(p, domain, _pth_root(pot, series_sum, p, rel_tol), radius,
+                      series_err, "series")
 
 
 def norm_pair(pot: Potential, d: int, pairing: str = "half", rel_tol: float = 1e-10,

@@ -80,6 +80,40 @@ class TestNorms:
         _, _, rows = parse_csv(out)
         assert [r[0] for r in rows] == ["gamma", "delta", "norm_1"]
 
+    @pytest.mark.parametrize("model,row,leading", [
+        ("log", "delta,1001,Z_without_zero,0.25017317363198882,0.2502,"
+                "6.3240402667679558e-322,closed_form,", 0.25),
+        ("sos", "delta,1001,Z_without_zero,0.13542902924674999,0.1354,0,"
+                "closed_form,", math.exp(-2.0)),
+    ])
+    def test_underflowing_power_sum_keeps_its_root(self, capsys, model, row, leading):
+        # the p = 1001 power sum (about 2^-2002, e^-2002) is 0 in float64;
+        # the norm is Q(1) (2 (1 + tiny))^(1/p)
+        code, out, err = run(capsys, "norms", "--model", model, "--beta", "2",
+                             "--d", "1000")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-2] == row
+        value = float(row.split(",")[3])
+        assert value == pytest.approx(leading * 2.0 ** (1 / 1001), rel=1e-15)
+
+    @pytest.mark.parametrize("beta,table,value", [
+        # a custom copy of sos at beta 2: the sos row's value, from the series
+        (2.0, [[1, 1.0]], "0.13542902924674999"),
+        # the largest term Q(2) = 2^-2 sits inside the table
+        (2.0, [[1, 5.0], [2, math.log(2.0)], [3, 3.0]], "0.25017317363198882"),
+        # Q(1) = e^-800 is 0 in float64, and so is the norm
+        (1.0, [[1, 800.0]], "0"),
+    ])
+    def test_underflowing_custom_power_sum_keeps_its_root(self, capsys, tmp_path,
+                                                          beta, table, value):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"kind": "custom", "beta": beta, "table": table,
+                                    "tail": {"type": "exp", "rate": 1.0}}))
+        code, out, err = run(capsys, "norms", "--model", f"custom:{path}", "--d", "1000")
+        assert code == 0 and err == ""
+        row = out.splitlines()[-2].split(",")
+        assert row[:2] == ["delta", "1001"] and row[3] == value and row[6] == "series"
+
     def test_csv_has_display_column(self, capsys):
         code, out, _ = run(capsys, "norms", "--model", "sos", "--beta",
                            "2.5", "--d", "2")

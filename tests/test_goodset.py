@@ -248,6 +248,12 @@ class TestBetaThreshold:
         got = beta_threshold(mimic, 3, tol=1e-4, rel_tol=1e-8)
         assert got == pytest.approx(SOS_THRESHOLDS[3], abs=5e-4)
 
+    def test_custom_family_at_large_degree(self):
+        # the first probe, beta = 1, has a delta power sum e^-1001 that is 0
+        # in float64; the norm is still about e^-1 and the bisection goes on
+        mimic = lambda beta: custom(beta, [[1, 1.0]], TailModel("exp", 1.0))
+        assert beta_threshold(mimic, 1000) == beta_threshold("sos", 1000)
+
     def test_bad_family(self):
         with pytest.raises(ConfigError):
             beta_threshold("ising", 2)

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from treegibbs.boundary_law import (
@@ -26,7 +28,9 @@ from treegibbs.pathsim import (
     MODE_GGM,
     MODE_GIBBS,
     VERDICT_ACCEPT,
+    _BLOCK,
     PathDistribution,
+    _CdfTable,
     _cumulative_rows,
     _height_kernel,
     _stream,
@@ -615,6 +619,62 @@ class TestSampleWnReference:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (n, N)
         assert len(np.unique(want)) > 1
+
+
+
+class TestCdfTableSearch:
+    """The padded table search returns searchsorted(row, u, side="right")."""
+
+    @given(
+        lengths=st.lists(st.integers(1, 70), min_size=1, max_size=6),
+        dense=st.booleans(),
+        zero_share=st.sampled_from([0.0, 0.5, 0.95]),
+        scale=st.sampled_from([1.0, 0.5, 1.0 + 2.0**-40, 1.5]),
+        walkers=st.sampled_from([1, 5, _BLOCK - 1, _BLOCK + 3, 2 * _BLOCK + 17]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_searchsorted(self, lengths, dense, zero_share, scale,
+                                  walkers, seed):
+        rng = np.random.default_rng(seed)
+        if dense:
+            lengths = [lengths[0]] * len(lengths)
+        rows = []
+        for m in lengths:
+            w = rng.random(m) * (rng.random(m) >= zero_share)  # flat runs
+            total = w.sum()
+            # scale > 1 makes the running sum pass 1.0 before the last slot
+            rows.append(w * (scale / total) if total > 0 else w)
+        support = [rng.integers(-10**6, 10**6, size=m) for m in lengths]
+        table = _CdfTable(np.array(rows) if dense else rows, support)
+        plain = _CdfTable(np.array(rows) if dense else rows)
+        cums = [_cumulative_rows(r) for r in rows]
+
+        keys = rng.integers(0, len(rows), size=walkers)
+        u = rng.random(walkers)
+        # exact ties with an entry of the key row (0.0 for entries >= 1.0),
+        # and u = 0.0
+        entries = np.ones((len(rows), max(lengths)))
+        for e, cum in zip(entries, cums):
+            e[:len(cum)] = cum
+        tie = entries[keys, rng.integers(0, np.array(lengths)[keys])]
+        u = np.where(rng.random(walkers) < 0.5, tie, u)
+        u[(u >= 1.0) | (rng.random(walkers) < 0.05)] = 0.0
+
+        slots = plain.draw(keys, u, np.empty(walkers, dtype=np.int64))
+        values = table.draw(keys, u, np.empty(walkers, dtype=np.int64))
+        want = np.empty(walkers, dtype=np.int64)
+        for s, cum in enumerate(cums):
+            mask = keys == s
+            want[mask] = np.searchsorted(cum, u[mask], side="right")
+            np.testing.assert_array_equal(slots[mask], want[mask])
+            np.testing.assert_array_equal(values[mask], support[s][want[mask]])
+
+    def test_width_is_the_next_power_of_two(self):
+        for m, width in ((1, 1), (2, 2), (3, 4), (64, 64), (65, 128)):
+            table = _CdfTable([np.full(m, 1.0 / m), np.ones(1)])
+            assert table.cum.shape == (2, width)
+            assert np.all(table.cum[:, -1] == 1.0)
 
 
 def _reference_wn_ggm(fc, laws, n, K):
