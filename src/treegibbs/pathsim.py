@@ -16,7 +16,10 @@ convolution per class row and class step, direct or by FFT, and a rigorous
 bound on its rounding), samples both walks through one stepping kernel
 with counter-based streams keyed by (seed, replicate), and recovers the
 height period of an unknown source from the empirical distribution of its
-partial sums mod q-tilde.
+partial sums mod q-tilde.  `sample_wn` splits its walkers into contiguous
+slices, one thread each on every CPU the process may use; Philox is
+counter-based, so each slice reads its share of the one stream directly
+and W_n has the same bytes for any thread count.
 
 Every sampled step is an inverse-CDF draw from one padded table
 (`_CdfTable`): the rows of a kernel, or the increment laws with their
@@ -24,13 +27,17 @@ supports, as running sums padded with 1.0 to one power-of-two width
 w < 2m for rows of length at most m.  All walkers are searched at once by
 a branchless upper-bound search; because the entries <= u form a prefix
 of each row, it returns exactly searchsorted(row, u, side="right"), so
-the draws do not depend on how the search is laid out.
+the draws do not depend on how the search is laid out.  An increment law's
+support is the step-q progression of its residue, so a drawn increment is
+its first point plus q times the slot; no table of values is kept.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -414,8 +421,9 @@ class _CdfTable:
     w < 2m, the table of a dense m x m kernel takes less than twice its
     memory; r ragged rows take r w < 2 r m slots, which can be several
     times their total length when the rows differ much in length.
-    ``values``, when given, is the matching int64 table of support points,
-    0 in the padding.
+    ``first``, when given, holds one int64 per row: row s then draws the
+    point first[s] + stride * slot of a progression support instead of
+    the slot.
 
     `draw` runs a branchless upper-bound search over a block of walkers at
     once (Khuong & Morin, Array layouts for comparison-based searching,
@@ -428,24 +436,25 @@ class _CdfTable:
     searchsorted(row, u, side="right"): the two agree bit for bit.
     """
 
-    __slots__ = ("cum", "values")
+    __slots__ = ("cum", "base", "stride")
 
-    def __init__(self, rows, values=None):
+    def __init__(self, rows, first=None, stride=1):
         m = max(len(r) for r in rows)
         cum = np.ones((len(rows), 1 << (m - 1).bit_length()))
         for row, r in zip(cum, rows):
             row[:len(r)] = _cumulative_rows(r)
         self.cum = cum
-        self.values = None
-        if values is not None:
-            self.values = np.zeros(cum.shape, dtype=np.int64)
-            for row, v in zip(self.values, values):
-                row[:len(v)] = v
+        self.stride = int(stride)
+        # point at pos = s w + slot: first[s] + stride slot = base[s] + stride pos
+        self.base = None if first is None else (
+            np.asarray(first, dtype=np.int64)
+            - self.stride * cum.shape[1] * np.arange(len(rows), dtype=np.int64))
 
     def draw(self, keys, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[k] = slot searchsorted(cum[keys[k]], u[k], side="right"), or
-        the value in that slot; keys may be out itself."""
+        the support point of that slot; keys may be out itself."""
         width = self.cum.shape[1]
+        shift = width.bit_length() - 1
         flat = self.cum.ravel()
         for lo in range(0, len(u), _BLOCK):
             pos, x = out[lo:lo + _BLOCK], u[lo:lo + _BLOCK]
@@ -454,9 +463,11 @@ class _CdfTable:
             while step:
                 pos += (flat[step - 1:][pos] <= x) * step
                 step >>= 1
-            if self.values is not None:
-                pos[:] = self.values.ravel()[pos]
-        if self.values is None:
+            if self.base is not None:
+                row_base = self.base[pos >> shift]
+                pos *= self.stride
+                pos += row_base
+        if self.base is None:
             out &= width - 1
         return out
 
@@ -501,19 +512,21 @@ def _markov_additive(source):
 
     start and kernel are `_CdfTable`s of the start law and the state chain;
     increment(a, b, rng, u, out) writes the height change of the steps
-    a -> b into out, drawing any uniforms it needs into the buffer u.  For
-    a truncated BoundaryLaw (labels = heights, consecutive integers) it is
-    the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
+    a -> b into out, drawing any uniforms it needs into the buffer u with
+    rng.random(out=u).  For a truncated BoundaryLaw (labels = heights,
+    consecutive integers) it is the deterministic b - a.  For a
+    (FuzzyChain, laws) pair (labels =
     classes) it is one draw per step from the law of the class step
     (b - a) mod q, read from a third table whose rows are the increment
-    laws and whose values are their supports.  Each table pads its rows
+    laws; since every support is a step-q progression (checked), the
+    drawn slot maps to support[0] + q * slot.  Each table pads its rows
     with 1.0 to a power-of-two width w below twice the longest row, and
     each draw equals searchsorted(row, u, side="right") because the
     entries <= u form a prefix of every row.  The kernel tables are dense,
     so each takes less than twice the memory of its rows.  The increment-law
-    table takes q w < 2 q (longest law) slots of cum and as many of values;
-    heavy tails give the residues of small mass the longest laws, so that
-    can be a few times the laws' own length.
+    table takes q w < 2 q (longest law) slots; heavy tails give the
+    residues of small mass the longest laws, so that can be a few times
+    the laws' own length.
     """
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)
@@ -524,13 +537,18 @@ def _markov_additive(source):
     if isinstance(source, (tuple, list)) and len(source) == 2 \
             and isinstance(source[0], FuzzyChain):
         fc = source[0]
-        laws = _check_laws(fc, source[1])
+        laws = _check_laws(fc, source[1], progression=True)
         table = _CdfTable([law.weights for law in laws],
-                          [law.support for law in laws])
+                          [law.support[0] for law in laws], fc.q)
 
         def increment(a, b, rng, u, out):
             r = np.subtract(b, a, out=out)
-            r += fc.q * (r < 0)
+            # r in (-q, q): wrap in place, block by block, so temporaries
+            # stay block-sized (np.remainder's integer division costs
+            # about 5x more)
+            for lo in range(0, len(r), _BLOCK):
+                rb = r[lo:lo + _BLOCK]
+                rb += fc.q * (rb < 0)
             return table.draw(r, rng.random(out=u), out)
         return (np.arange(fc.q), _CdfTable([fc.alpha]), _CdfTable(fc.P),
                 increment)
@@ -558,27 +576,102 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     return increments, labels[states]
 
 
+class _SliceStream:
+    """The uniforms of walkers [lo, lo + len(out)) from each random(N) call
+    of one Philox stream.
+
+    The k-th call of the full stream covers positions [kN, (k+1)N).  Philox
+    is counter-based (Salmon et al., Parallel random numbers: as easy as
+    1, 2, 3, SC'11) and Philox 4x64 yields four doubles per counter value,
+    so position P is reached directly: counter P // 4, then P % 4 doubles
+    discarded.  A generator already standing at P (one slice of all
+    walkers) is read on without a restart.
+    """
+
+    __slots__ = ("key", "N", "lo", "calls", "gen", "at")
+
+    def __init__(self, key, N: int, lo: int):
+        self.key, self.N, self.lo = key, N, lo
+        self.calls, self.gen, self.at = 0, None, -1
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        P = self.calls * self.N + self.lo
+        self.calls += 1
+        if P != self.at:
+            self.gen = np.random.Generator(
+                np.random.Philox(key=self.key, counter=P // 4))
+            self.gen.random(P % 4)
+        self.at = P + len(out)
+        return self.gen.random(out=out)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_slices(work, bounds) -> None:
+    """work(lo, hi) for every slice: the first here, the rest on threads.
+
+    All threads are joined before the first error of any slice is raised.
+    """
+    errors = []
+
+    def guarded(lo, hi):
+        try:
+            work(lo, hi)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=b) for b in bounds[1:]]
+    for t in threads:
+        t.start()
+    try:
+        work(*bounds[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     """W_n over independent walkers, vectorized; one stream per call.
 
     Returns an int64 array of length ``replicates``.  The stream is keyed
     by (seed, replicate) like sample_path; parallel batches should use
-    distinct replicate keys.  Each step refills the same per-walker
-    buffers: fresh arrays of this size would page-fault on every step.
+    distinct replicate keys.  The walkers are split into contiguous
+    slices, at most one per CPU the process may use and per `_BLOCK`
+    walkers, and each slice runs the whole walk on its own thread (numpy
+    releases the GIL in the draws, ufuncs and gathers).  A slice reads
+    its uniforms from the one stream by counter (`_SliceStream`), so W_n
+    has the same bytes for any number of slices.  Each step refills the
+    same per-walker buffers, allocated once at full size: fresh arrays of
+    this size would page-fault on every step.
     """
     _check_sizes(n, replicates)
     labels, start, kernel, increment = _markov_additive(source)
-    rng = _stream(seed, replicate)
+    key = _stream(seed, replicate).bit_generator.state["state"]["key"]
     N = int(replicates)
     W = np.zeros(N, dtype=np.int64)
-    u = rng.random(N)
+    u = np.empty(N)
     states = np.zeros(N, dtype=np.int64)  # every walker starts on row 0
-    start.draw(states, u, states)
     nxt, dW = np.empty_like(states), np.empty_like(states)
-    for _ in range(n):
-        kernel.draw(states, rng.random(out=u), nxt)
-        W += increment(states, nxt, rng, u, dW)
-        states, nxt = nxt, states
+
+    def walk(lo, hi):
+        rng = _SliceStream(key, N, lo)
+        us, s, t, dWs, Ws = (a[lo:hi] for a in (u, states, nxt, dW, W))
+        start.draw(s, rng.random(out=us), s)
+        for _ in range(n):
+            kernel.draw(s, rng.random(out=us), t)
+            Ws += increment(s, t, rng, us, dWs)
+            s, t = t, s
+
+    T = min(_cpus(), -(-N // _BLOCK))
+    _run_slices(walk, [(k * N // T, (k + 1) * N // T) for k in range(T)])
     return W
 
 

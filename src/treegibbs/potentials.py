@@ -752,10 +752,17 @@ class FuzzyOperator:
         if v.size == 0:
             return NormReport(p, domain, 0.0, None, 0.0, "finite_sum")
         power = math.fsum((v**p).tolist())
+        if power >= sys.float_info.min:
+            value = power ** (1.0 / p)
+        else:
+            # the power sum underflows: scale by the largest class, as
+            # _pth_root does on Z (an M that is itself 0 gives 0)
+            M = float(v.max())
+            value = M * math.fsum(((v / M) ** p).tolist()) ** (1.0 / p) if M else 0.0
         # error propagation: each class is off by at most residual_tail
         e = self.residual_tail
         deriv = p * float(((v + e) ** (p - 1)).sum())
-        return NormReport(p, domain, power ** (1.0 / p), None, deriv * e, "finite_sum")
+        return NormReport(p, domain, value, None, deriv * e, "finite_sum")
 
 
 def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:

@@ -529,6 +529,19 @@ class TestPeriodicSolve:
         assert offzero_norm(again - law.x, 0, 2) < 1e-12
         assert np.allclose(law.x[1:], law.x[1:][::-1], rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("d", [600, 1000])
+    def test_delta_at_large_degree(self, d):
+        # the p = d + 1 power sum of the normalized classes underflows;
+        # delta_q is still qbar(1) 2^(1/(d+1)) and sets the ball radius
+        qbar1 = (math.exp(-2.0) + math.exp(-4.0)) / (1.0 + math.exp(-6.0))
+        law, report = periodic_solve(sos(2.0), d, 3)
+        assert report.delta == pytest.approx(qbar1 * 2.0 ** (1 / (d + 1)), rel=1e-12)
+        assert report.delta == fuzzy_Q(sos(2.0), 3).normalized_op().p_norm(
+            float(d + 1), without_zero=True).value
+        assert report.epsilon >= report.delta > 0.153
+        assert law.ball_radius == report.epsilon
+        assert law.offzero_norm() <= report.epsilon
+
     def test_bad_degree(self):
         with pytest.raises(ConfigError, match="d must be"):
             periodic_solve(sos(2.0), 1, 2)

@@ -9,6 +9,7 @@ the closed sech algebra for the two-class chain.
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from treegibbs import pathsim
 from treegibbs.boundary_law import (
     SUPPORT_TRUNCATED,
     BoundaryLaw,
@@ -31,6 +33,7 @@ from treegibbs.pathsim import (
     _BLOCK,
     PathDistribution,
     _CdfTable,
+    _SliceStream,
     _cumulative_rows,
     _height_kernel,
     _stream,
@@ -620,6 +623,55 @@ class TestSampleWnReference:
             assert np.array_equal(got, want), (n, N)
         assert len(np.unique(want)) > 1
 
+    @pytest.mark.parametrize("source", ["sos20", "chain2", "chain_log"])
+    @pytest.mark.parametrize("seed,replicate", [(7, 0), (20260814, 1)])
+    def test_any_thread_count(self, request, monkeypatch, source, seed, replicate):
+        # 2 _BLOCK + 17 walkers allow three slices; N is odd, so the slices
+        # of later calls start at every offset mod 4 inside a Philox block
+        src = request.getfixturevalue(source)
+        N, n = 2 * _BLOCK + 17, 3
+        want = _reference_wn(src, n, N, seed, replicate)
+        assert len(np.unique(want)) > 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # frequent thread switches between the slices
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(pathsim, "_cpus", lambda cpus=cpus: cpus)
+                got = sample_wn(src, n, N, seed=seed, replicate=replicate)
+                assert np.array_equal(got, want), cpus
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_slice_stream_matches_sequential_draws(self):
+        rng = _stream(11, 3)
+        key = rng.bit_generator.state["state"]["key"]
+        N = 1001
+        calls = rng.random(5 * N).reshape(5, N)
+        for lo, hi in ((0, N), (3, 4), (4, 700), (999, N)):
+            stream = _SliceStream(key, N, lo)
+            for k in range(5):
+                assert np.array_equal(
+                    stream.random(out=np.empty(hi - lo)), calls[k, lo:hi])
+
+    def test_slice_error_reaches_the_caller(self, monkeypatch, chain2):
+        monkeypatch.setattr(pathsim, "_cpus", lambda: 2)
+
+        def fail(self, keys, u, out):
+            raise MemoryError("slice")
+        monkeypatch.setattr(_CdfTable, "draw", fail)
+        with pytest.raises(MemoryError, match="slice"):
+            sample_wn(chain2, 2, 2 * _BLOCK, seed=1)
+
+    def test_sampling_needs_progression_supports(self, chain2):
+        fc, laws = chain2
+        odd = laws[1]
+        gap = [laws[0], IncrementLaw(
+            q=2, residue=1, support=np.delete(odd.support, 1),
+            weights=np.delete(odd.weights, 1), tail_mass_bound=1.0)]
+        for sampler in (sample_wn, sample_path):
+            args = (1, 10) if sampler is sample_wn else (10,)
+            with pytest.raises(ConfigError, match="step q=2"):
+                sampler((fc, gap), *args, seed=1)
 
 
 class TestCdfTableSearch:
@@ -645,8 +697,11 @@ class TestCdfTableSearch:
             total = w.sum()
             # scale > 1 makes the running sum pass 1.0 before the last slot
             rows.append(w * (scale / total) if total > 0 else w)
-        support = [rng.integers(-10**6, 10**6, size=m) for m in lengths]
-        table = _CdfTable(np.array(rows) if dense else rows, support)
+        # progression supports, the form every increment law takes
+        first = rng.integers(-10**6, 10**6, size=len(rows))
+        stride = int(rng.integers(1, 50))
+        support = [f + stride * np.arange(m) for f, m in zip(first, lengths)]
+        table = _CdfTable(np.array(rows) if dense else rows, first, stride)
         plain = _CdfTable(np.array(rows) if dense else rows)
         cums = [_cumulative_rows(r) for r in rows]
 
