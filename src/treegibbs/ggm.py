@@ -187,21 +187,13 @@ def increment_laws(
     return [_increment_law(pot, qq, s, radius, tail_bound) for s in range(q)]
 
 
-def _check_laws(fc: FuzzyChain, laws, progression: bool = False) -> list[IncrementLaw]:
-    """One law per residue, in order; with progression, each support must
-    also be the step-q progression support[0] + q * slot that
-    `_increment_law` builds (the samplers draw slots and map them back)."""
+def _check_laws(fc: FuzzyChain, laws) -> list[IncrementLaw]:
     laws = list(laws)
     if len(laws) != fc.q:
         raise ConfigError(f"need {fc.q} increment laws, got {len(laws)}")
     for s, law in enumerate(laws):
         if law.q != fc.q or law.residue != s:
             raise ConfigError(f"law at position {s} has q={law.q}, residue={law.residue}")
-        if progression and not (law.support.size and np.array_equal(
-                law.support, law.support[0] + fc.q * np.arange(law.support.size))):
-            raise ConfigError(
-                f"law at position {s}: sampling needs a support of consecutive "
-                f"points of the residue class, step q={fc.q}")
     return laws
 
 

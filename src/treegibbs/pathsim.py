@@ -17,9 +17,10 @@ bound on its rounding), samples both walks through one stepping kernel
 with counter-based streams keyed by (seed, replicate), and recovers the
 height period of an unknown source from the empirical distribution of its
 partial sums mod q-tilde.  `sample_wn` splits its walkers into contiguous
-slices, one thread each on every CPU the process may use; Philox is
-counter-based, so each slice reads its share of the one stream directly
-and W_n has the same bytes for any thread count.
+slices, one thread each on the CPUs the process may use (at most
+`_MAX_THREADS`, the count measured so far); Philox is counter-based, so
+each slice reads its share of the one stream directly and W_n has the
+same bytes for any thread count.
 
 Every sampled step is an inverse-CDF draw from one padded table
 (`_CdfTable`): the rows of a kernel, or the increment laws with their
@@ -94,6 +95,10 @@ _MAX_UNIFORMS = 1 << 26
 # walkers go through the inverse-CDF table search in blocks of this many,
 # so that their positions and uniforms stay in cache across its steps
 _BLOCK = 1 << 15
+# sample_wn threads: the speed-up was measured on 2 CPUs only (where 8 and
+# 31 threads ran 1.3-1.7x and 2.1-2.8x slower than 2); raise this once a
+# larger host has been measured
+_MAX_THREADS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,6 +417,25 @@ def _cumulative_rows(P: np.ndarray) -> np.ndarray:
     return cum
 
 
+class _Scratch:
+    """Block-sized buffers for `_CdfTable.draw` and the class-step wrap.
+
+    A walk that passes the same scratch to every step allocates nothing
+    per step; block-sized temporaries on worker threads would make each
+    thread's malloc arena shrink and regrow.
+    """
+
+    __slots__ = ("entry", "below", "term")
+
+    def __init__(self, size: int = _BLOCK):
+        self.entry = np.empty(size)
+        self.below = np.empty(size, dtype=bool)
+        self.term = np.empty(size, dtype=np.int64)
+
+    def views(self, size: int):
+        return self.entry[:size], self.below[:size], self.term[:size]
+
+
 class _CdfTable:
     """Inverse-CDF rows of a kernel, padded with 1.0 to one power-of-two width.
 
@@ -450,23 +474,34 @@ class _CdfTable:
             np.asarray(first, dtype=np.int64)
             - self.stride * cum.shape[1] * np.arange(len(rows), dtype=np.int64))
 
-    def draw(self, keys, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def draw(self, keys, u: np.ndarray, out: np.ndarray,
+             scratch: _Scratch) -> np.ndarray:
         """out[k] = slot searchsorted(cum[keys[k]], u[k], side="right"), or
-        the support point of that slot; keys may be out itself."""
+        the support point of that slot; keys may be out itself.  The search
+        runs in the buffers of scratch."""
         width = self.cum.shape[1]
         shift = width.bit_length() - 1
         flat = self.cum.ravel()
         for lo in range(0, len(u), _BLOCK):
             pos, x = out[lo:lo + _BLOCK], u[lo:lo + _BLOCK]
+            entry, below, term = scratch.views(len(x))
             np.multiply(keys[lo:lo + _BLOCK], width, out=pos)
             step = width >> 1
             while step:
-                pos += (flat[step - 1:][pos] <= x) * step
+                # pos += (flat[pos + step - 1] <= x) * step; every index is
+                # in range, so mode="wrap" never wraps (and take never buffers)
+                np.take(flat[step - 1:], pos, out=entry, mode="wrap")
+                np.less_equal(entry, x, out=below)
+                np.multiply(below, step, out=term)
+                pos += term
                 step >>= 1
             if self.base is not None:
-                row_base = self.base[pos >> shift]
+                np.right_shift(pos, shift, out=term)  # the row of each slot
+                # term is both index and out: each index is read before
+                # its own slot is written, so take(..., out=term) is exact
+                np.take(self.base, term, out=term, mode="wrap")
                 pos *= self.stride
-                pos += row_base
+                pos += term
         if self.base is None:
             out &= width - 1
         return out
@@ -511,15 +546,16 @@ def _markov_additive(source):
     """(labels, start, kernel, increment) of a sampling source.
 
     start and kernel are `_CdfTable`s of the start law and the state chain;
-    increment(a, b, rng, u, out) writes the height change of the steps
-    a -> b into out, drawing any uniforms it needs into the buffer u with
-    rng.random(out=u).  For a truncated BoundaryLaw (labels = heights,
-    consecutive integers) it is the deterministic b - a.  For a
-    (FuzzyChain, laws) pair (labels =
+    increment(a, b, rng, u, out, scratch) writes the height change of
+    the steps a -> b into out, drawing any uniforms it needs into the
+    buffer u with rng.random(out=u) and working in the `_Scratch` buffers.
+    For a truncated BoundaryLaw (labels = heights, consecutive integers) it
+    is the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
     classes) it is one draw per step from the law of the class step
     (b - a) mod q, read from a third table whose rows are the increment
-    laws; since every support is a step-q progression (checked), the
-    drawn slot maps to support[0] + q * slot.  Each table pads its rows
+    laws; every support must be the step-q progression that
+    `ggm._increment_law` builds (ConfigError otherwise), so the drawn slot
+    maps to support[0] + q * slot.  Each table pads its rows
     with 1.0 to a power-of-two width w below twice the longest row, and
     each draw equals searchsorted(row, u, side="right") because the
     entries <= u form a prefix of every row.  The kernel tables are dense,
@@ -531,25 +567,33 @@ def _markov_additive(source):
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)
 
-        def increment(a, b, rng, u, out):
+        def increment(a, b, rng, u, out, scratch):
             return np.subtract(b, a, out=out)
         return source.indices, _CdfTable([alpha]), _CdfTable(P), increment
     if isinstance(source, (tuple, list)) and len(source) == 2 \
             and isinstance(source[0], FuzzyChain):
         fc = source[0]
-        laws = _check_laws(fc, source[1], progression=True)
+        laws = _check_laws(fc, source[1])
+        for s, law in enumerate(laws):
+            if not (law.support.size and np.array_equal(
+                    law.support, law.support[0] + fc.q * np.arange(law.support.size))):
+                raise ConfigError(
+                    f"law at position {s}: sampling needs a support of consecutive "
+                    f"points of the residue class, step q={fc.q}")
         table = _CdfTable([law.weights for law in laws],
                           [law.support[0] for law in laws], fc.q)
 
-        def increment(a, b, rng, u, out):
+        def increment(a, b, rng, u, out, scratch):
             r = np.subtract(b, a, out=out)
-            # r in (-q, q): wrap in place, block by block, so temporaries
-            # stay block-sized (np.remainder's integer division costs
-            # about 5x more)
+            # r in (-q, q): add q where r < 0, that is where r >> 63 is -1
+            # (np.remainder's integer division costs about 5x more)
             for lo in range(0, len(r), _BLOCK):
                 rb = r[lo:lo + _BLOCK]
-                rb += fc.q * (rb < 0)
-            return table.draw(r, rng.random(out=u), out)
+                term = scratch.term[:len(rb)]
+                np.right_shift(rb, 63, out=term)
+                term &= fc.q
+                rb += term
+            return table.draw(r, rng.random(out=u), out, scratch)
         return (np.arange(fc.q), _CdfTable([fc.alpha]), _CdfTable(fc.P),
                 increment)
     raise ConfigError(
@@ -572,7 +616,7 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     else:
         states = np.zeros(n + 1, dtype=np.int64)
     increments = increment(states[:-1], states[1:], rng, np.empty(n),
-                           np.empty(n, dtype=np.int64))
+                           np.empty(n, dtype=np.int64), _Scratch(min(n, _BLOCK)))
     return increments, labels[states]
 
 
@@ -606,11 +650,17 @@ class _SliceStream:
 
 
 def _cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on (affinity; CPU quotas are not read)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _threads(N: int) -> int:
+    """Slices for N walkers: one per CPU, at most one per `_BLOCK` walkers
+    and at most `_MAX_THREADS`."""
+    return min(_cpus(), _MAX_THREADS, -(-N // _BLOCK))
 
 
 def _run_slices(work, bounds) -> None:
@@ -644,13 +694,15 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     Returns an int64 array of length ``replicates``.  The stream is keyed
     by (seed, replicate) like sample_path; parallel batches should use
     distinct replicate keys.  The walkers are split into contiguous
-    slices, at most one per CPU the process may use and per `_BLOCK`
-    walkers, and each slice runs the whole walk on its own thread (numpy
-    releases the GIL in the draws, ufuncs and gathers).  A slice reads
-    its uniforms from the one stream by counter (`_SliceStream`), so W_n
-    has the same bytes for any number of slices.  Each step refills the
-    same per-walker buffers, allocated once at full size: fresh arrays of
-    this size would page-fault on every step.
+    slices, at most one per CPU the process may use, per `_BLOCK` walkers
+    and `_MAX_THREADS` in all (only 2 threads on 2 CPUs were measured),
+    and each slice runs the whole walk on its own thread (numpy releases
+    the GIL in the draws, ufuncs and gathers).  A slice reads its uniforms
+    from the one stream by counter (`_SliceStream`), so W_n has the same
+    bytes for any number of slices.  Each step refills the same per-walker
+    buffers, allocated once at full size (fresh arrays of this size would
+    page-fault on every step), and each slice searches in its own
+    block-sized `_Scratch`, so no step allocates.
     """
     _check_sizes(n, replicates)
     labels, start, kernel, increment = _markov_additive(source)
@@ -662,15 +714,15 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     nxt, dW = np.empty_like(states), np.empty_like(states)
 
     def walk(lo, hi):
-        rng = _SliceStream(key, N, lo)
+        rng, scratch = _SliceStream(key, N, lo), _Scratch(min(hi - lo, _BLOCK))
         us, s, t, dWs, Ws = (a[lo:hi] for a in (u, states, nxt, dW, W))
-        start.draw(s, rng.random(out=us), s)
+        start.draw(s, rng.random(out=us), s, scratch)
         for _ in range(n):
-            kernel.draw(s, rng.random(out=us), t)
-            Ws += increment(s, t, rng, us, dWs)
+            kernel.draw(s, rng.random(out=us), t, scratch)
+            Ws += increment(s, t, rng, us, dWs, scratch)
             s, t = t, s
 
-    T = min(_cpus(), -(-N // _BLOCK))
+    T = _threads(N)
     _run_slices(walk, [(k * N // T, (k + 1) * N // T) for k in range(T)])
     return W
 

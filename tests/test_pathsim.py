@@ -33,6 +33,7 @@ from treegibbs.pathsim import (
     _BLOCK,
     PathDistribution,
     _CdfTable,
+    _Scratch,
     _SliceStream,
     _cumulative_rows,
     _height_kernel,
@@ -635,10 +636,10 @@ class TestSampleWnReference:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # frequent thread switches between the slices
         try:
-            for cpus in (1, 2, 3):
-                monkeypatch.setattr(pathsim, "_cpus", lambda cpus=cpus: cpus)
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(pathsim, "_threads", lambda N, t=threads: t)
                 got = sample_wn(src, n, N, seed=seed, replicate=replicate)
-                assert np.array_equal(got, want), cpus
+                assert np.array_equal(got, want), threads
         finally:
             sys.setswitchinterval(interval)
 
@@ -654,13 +655,20 @@ class TestSampleWnReference:
                     stream.random(out=np.empty(hi - lo)), calls[k, lo:hi])
 
     def test_slice_error_reaches_the_caller(self, monkeypatch, chain2):
-        monkeypatch.setattr(pathsim, "_cpus", lambda: 2)
+        monkeypatch.setattr(pathsim, "_threads", lambda N: 2)
 
-        def fail(self, keys, u, out):
+        def fail(self, *args):
             raise MemoryError("slice")
         monkeypatch.setattr(_CdfTable, "draw", fail)
         with pytest.raises(MemoryError, match="slice"):
             sample_wn(chain2, 2, 2 * _BLOCK, seed=1)
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.setattr(pathsim.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert pathsim._cpus() == 1 and pathsim._threads(10 * _BLOCK) == 1
+        monkeypatch.setattr(pathsim.os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert pathsim._threads(10 * _BLOCK) == pathsim._MAX_THREADS
+        assert pathsim._threads(_BLOCK) == 1
 
     def test_sampling_needs_progression_supports(self, chain2):
         fc, laws = chain2
@@ -716,8 +724,8 @@ class TestCdfTableSearch:
         u = np.where(rng.random(walkers) < 0.5, tie, u)
         u[(u >= 1.0) | (rng.random(walkers) < 0.05)] = 0.0
 
-        slots = plain.draw(keys, u, np.empty(walkers, dtype=np.int64))
-        values = table.draw(keys, u, np.empty(walkers, dtype=np.int64))
+        slots = plain.draw(keys, u, np.empty(walkers, dtype=np.int64), _Scratch())
+        values = table.draw(keys, u, np.empty(walkers, dtype=np.int64), _Scratch())
         want = np.empty(walkers, dtype=np.int64)
         for s, cum in enumerate(cums):
             mask = keys == s

@@ -626,7 +626,8 @@ class TestPowerTail:
     # a dropped remainder or a flipped Bernoulli sign misses zeta(2)
     @example(s=2.0, x0=1.0, step=1)
     @example(s=3.5, x0=7.0, step=3)
-    # the integral, 6.069e-319, is subnormal: the relative allowance ends there
+    # a subnormal integral (6.069e-319): the outward nextafter moves lo one
+    # subnormal ulp below it, far beyond the relative allowance
     @example(s=49.0, x0=3930904.0, step=1)
     @settings(max_examples=60, deadline=None)
     def test_encloses_mpmath_sum_inside_integral_bracket(self, s, x0, step):
@@ -641,11 +642,13 @@ class TestPowerTail:
         if exact > tiny:
             assert lo <= exact <= hi
         # the integral bracket [integral, integral + f(x0)], up to the
-        # rounding allowance (below 1e-11 relative on this domain)
+        # rounding allowance (below 1e-11 relative on this domain) and the
+        # outward nextafter of each end (one ulp, which is absolute among
+        # the subnormals)
         y = (1.0 - s) * math.log(x0)
         integral = (math.exp(y) if y > -745 else 0.0) / (step * (s - 1.0))
         first = math.exp(-s * math.log(x0)) if -s * math.log(x0) > -745 else 0.0
-        assert lo >= integral - 1e-11 * (integral + first) - tiny
+        assert lo >= integral - 1e-11 * (integral + first) - 2.0**-1074
         assert hi <= (integral + first) * (1.0 + 1e-11) + 2.0**-1074
 
     def test_divergent_and_overflowing(self):
