@@ -69,24 +69,40 @@ class FuzzyChain:
 class IncrementLaw:
     """Conditional edge-increment distribution on one residue class.
 
-    ``support`` holds the represented integers j = residue (mod q) with
-    |j| <= radius; ``weights`` their probabilities Q(j)/Q_q(residue).
+    The support is a step-q progression of the residue class, one point
+    per weight: ``weights[k]`` is the probability Q(j)/Q_q(residue) of
+    j = first + q k, and every consumer reads the law by that stride.
     ``tail_mass_bound`` certifies the probability mass left outside.
     """
 
     q: int
     residue: int
-    support: np.ndarray
+    first: int
     weights: np.ndarray
     tail_mass_bound: float
 
     def __post_init__(self):
-        self.support.setflags(write=False)
+        if not len(self.weights):
+            raise ConfigError(f"increment law of residue {self.residue} has no weights")
+        if (self.first - self.residue) % self.q:
+            raise ConfigError(f"first point {self.first} is not in residue class "
+                              f"{self.residue} mod {self.q}")
         self.weights.setflags(write=False)
 
     @property
+    def support(self) -> np.ndarray:
+        return self.first + self.q * np.arange(len(self.weights))
+
+    @property
     def radius(self) -> int:
-        return int(np.max(np.abs(self.support)))
+        return int(max(-self.first, self.first + self.q * (len(self.weights) - 1)))
+
+    def clip(self, radius: int) -> tuple[int, np.ndarray]:
+        """(j0, w): the points j0, j0 + q, ... of the support with |j| <= radius
+        and their weights (w is empty when there are none)."""
+        lo = max(0, -((radius + self.first) // self.q))
+        hi = max(lo, min(len(self.weights), (radius - self.first) // self.q + 1))
+        return self.first + self.q * lo, self.weights[lo:hi]
 
     def mean(self) -> float:
         return math.fsum((self.support * self.weights).tolist())
@@ -98,12 +114,17 @@ class IncrementLaw:
 def _dense_chain(bl: BoundaryLaw, kernel,
                  refusal: str) -> tuple[np.ndarray, np.ndarray]:
     """(P, alpha) for P(a, b) = kernel(a - b) lam(b) / N(a) on the law's sites;
-    beyond _MAX_DENSE sites, NumericalError(refusal) before anything is allocated."""
+    beyond _MAX_DENSE sites, NumericalError(refusal) before anything is allocated,
+    and NumericalError for a row whose mass N(a) underflows to 0."""
     if len(bl.x) > _MAX_DENSE:
         raise NumericalError(refusal)
     idx = bl.indices
     num = kernel(idx[:, None] - idx[None, :]) * bl.lam[None, :]
-    return num / num.sum(axis=1, keepdims=True), single_site_marginal(bl)
+    N = num.sum(axis=1, keepdims=True)
+    if not N.all():
+        raise NumericalError(
+            f"row {idx[np.argmin(N)]} of the chain has mass 0: its weights underflow")
+    return num / N, single_site_marginal(bl)
 
 
 def fuzzy_chain(bl: BoundaryLaw, qq: FuzzyOperator) -> FuzzyChain:
@@ -143,8 +164,10 @@ def increment_law(
     """Normalized restriction of Q to one residue class, with certified tail.
 
     The default radius is grown until the omitted class mass is certified
-    below tail_bound.  Requires Q summable (the class masses are the
-    normalizers).
+    below tail_bound.  Any radius must reach the point of the class nearest
+    0: R >= max(1, min(residue, q - residue)).  Requires Q summable (the
+    class masses are the normalizers); a class mass that underflows to 0 is
+    refused with NumericalError.
     """
     return _increment_law(pot, fuzzy_Q(pot, q), residue, radius, tail_bound)
 
@@ -154,27 +177,28 @@ def _increment_law(
 ) -> IncrementLaw:
     q = qq.q
     residue %= q
+    if not qq.at(residue) > 0.0:
+        raise NumericalError(f"class mass Q_q({residue}) underflows to 0 at q={q}: "
+                             f"residue {residue} has no increment law")
     mass = qq.at(residue) - qq.residual_tail
+    # the point of the class nearest 0 has |j| = min(residue, q - residue)
+    least = max(1, min(residue, q - residue))
     if radius is None:
         radius = _smallest_radius(
             lambda R: _tail_beyond(pot, R, 1.0) / mass <= tail_bound,
-            max(1, residue),
+            least,
             1 << 30,
             f"increment window beyond 2^30 needed for tail bound {tail_bound:.3g}",
         )
-    elif radius < residue or radius < 1:
+    elif radius < least:
         raise ConfigError(f"radius {radius} cannot hold residue {residue}")
 
-    first = residue if residue else q
-    pos = np.arange(first, radius + 1, q)
-    neg = -np.arange(q - residue, radius + 1, q)
-    support = np.concatenate([neg[::-1], [0] if residue == 0 else [], pos]).astype(int)
-    weights = pot.Q(support) / qq.at(residue)
+    first = (residue + radius) % q - radius
     return IncrementLaw(
         q=q,
         residue=residue,
-        support=support,
-        weights=weights,
+        first=first,
+        weights=pot.Q(np.arange(first, radius + 1, q)) / qq.at(residue),
         tail_mass_bound=max(_tail_beyond(pot, radius, 1.0) / mass, 0.0),
     )
 
@@ -215,20 +239,19 @@ def ggm_edge_marginal(
 
     nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
     jbar = j mod q.  The result is symmetric with zero tilt.  Each residue
-    class s adds step(s) * rho(. | s) in one scatter over the support
-    points inside the window (repeated points accumulate in support order).
-    The leak verdict is the one on 1 - (exactly rounded mass): the lower
-    end of the mass's `_banded_sum` band passes it when it can, and only
-    otherwise does `_window_leak` take the exact sum, which its error
-    message needs anyway.  Errors out when the window cannot hold enough
-    mass for tail_tol.
+    class s adds step(s) * rho(. | s) into one stride-q slice of the window;
+    the classes fill disjoint slots.  The leak verdict is the one on
+    1 - (exactly rounded mass): the lower end of the mass's `_banded_sum`
+    band passes it when it can, and only otherwise does `_window_leak` take
+    the exact sum, which its error message needs anyway.  Errors out when
+    the window cannot hold enough mass for tail_tol.
     """
     laws = _check_laws(fc, laws)
     need = max(law.radius for law in laws)
     nu = np.zeros(2 * window + 1)
     for step, law in zip(_class_step_law(fc), laws):
-        keep = np.abs(law.support) <= window
-        np.add.at(nu, law.support[keep] + window, step * law.weights[keep])
+        j0, w = law.clip(window)
+        nu[j0 + window::fc.q][:w.size] += step * w
     if 1.0 - _banded_sum(nu)[0] <= tail_tol:
         return nu
     # a window past every law radius holds all support points: the leak is
@@ -266,8 +289,8 @@ def star_marginal(fc: FuzzyChain, laws, increments) -> float:
     rho = []
     for j in increments:
         law = laws[j % q]
-        # repeated support points add up, as in the edge marginal
-        rho.append(math.fsum(law.weights[law.support == j].tolist()))
+        k = (j - law.first) // q
+        rho.append(float(law.weights[k]) if 0 <= k < law.weights.size else 0.0)
     total = 0.0
     for i in range(q):
         term = float(fc.alpha[i])

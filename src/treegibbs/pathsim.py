@@ -23,14 +23,12 @@ each slice reads its share of the one stream directly and W_n has the
 same bytes for any thread count.
 
 Every sampled step is an inverse-CDF draw from one padded table
-(`_CdfTable`): the rows of a kernel, or the increment laws with their
-supports, as running sums padded with 1.0 to one power-of-two width
-w < 2m for rows of length at most m.  All walkers are searched at once by
-a branchless upper-bound search; because the entries <= u form a prefix
-of each row, it returns exactly searchsorted(row, u, side="right"), so
-the draws do not depend on how the search is laid out.  An increment law's
-support is the step-q progression of its residue, so a drawn increment is
-its first point plus q times the slot; no table of values is kept.
+(`_CdfTable`): the rows of a kernel, or the increment laws, as running
+sums padded with 1.0 to one power-of-two width w < 2m for rows of length
+at most m.  All walkers are searched at once by a branchless upper-bound
+search; because the entries <= u form a prefix of each row, it returns
+exactly searchsorted(row, u, side="right"), so the draws do not depend on
+how the search is laid out.
 """
 
 from __future__ import annotations
@@ -256,55 +254,44 @@ def wn_localized_exact(
     )
 
 
-def _step_second_moment(fc: FuzzyChain, laws) -> float:
-    """Second moment of the stationary one-step increment."""
-    total = 0.0
-    for step_prob, law in zip(_class_step_law(fc).tolist(), laws):
-        total += step_prob * law.second_moment()
-    return total
-
-
 def default_window(fc: FuzzyChain, laws, n: int) -> int:
-    """Gaussian-scale window ceil(8 sigma sqrt(n)) + q for the exact DP.
+    """Gaussian-scale window ceil(8 sigma sqrt(n)) + q for the exact DP,
+    sigma^2 the second moment of the stationary one-step increment.
 
     One single-step radius is added on top: the increment laws have heavier
     than Gaussian tails over one step, so the pure 8 sigma sqrt(n) scale
     leaks at small n even though it is ample for the diffusive bulk.
     """
-    sigma = math.sqrt(_step_second_moment(fc, laws))
+    sigma = math.sqrt(sum(p * law.second_moment()
+                          for p, law in zip(_class_step_law(fc).tolist(), laws)))
     reach = max(law.radius for law in laws)
     return math.ceil(8.0 * sigma * math.sqrt(n)) + fc.q + reach
 
 
 def _increment_kernels(laws, K: int):
-    """(convolvers, coef, mult) of the increment laws for the DP on [-K, K].
+    """(convolvers, coef) of the increment laws for the DP on [-K, K].
 
-    Kernel s sums the weights of law s on lags [-r, r], r the largest
+    Kernel s holds the weights of law s on lags [-r, r], r the largest
     |j| <= 2K with a nonzero weight (farther points cannot reach the
-    window), with np.add.at so that repeated support points add up.  Row s
-    of coef holds (a, b, c) of its convolver's rounding
-    (`_convolution_error`), G >= sum |w|, which bounds the 1-norm of the
-    exact kernel, and zeta = gamma_{m-1} G, which bounds the kernel's own
-    rounding; mult is the largest multiplicity m of a support point.
+    window).  Row s of coef holds (a, b, c) of its convolver's rounding
+    (`_convolution_error`) and G >= sum |w|, which bounds the 1-norm of the
+    exact kernel.
     """
-    convolvers, coef, mult = [], [], 1
+    convolvers, coef = [], []
     for law in laws:
-        keep = (np.abs(law.support) <= 2 * K) & (law.weights != 0.0)
-        j, w = law.support[keep], law.weights[keep]
-        r = int(np.max(np.abs(j))) if j.size else 0
+        j0, w = law.clip(2 * K)
+        nz = j0 + law.q * np.flatnonzero(w)  # the points with a nonzero weight
+        r = int(np.abs(nz).max()) if nz.size else 0
+        j0, w = law.clip(r)
         kernel = np.zeros(2 * r + 1)
-        np.add.at(kernel, j + r, w)
+        kernel[j0 + r::law.q][:w.size] = w
         convolve, L = _linear_convolver(kernel, K)
-        size = max(kernel.size, j.size)
-        G = float(np.abs(w).sum()) / (1.0 - _gamma(size))
-        m = int(np.bincount(j + r).max()) if j.size else 1
-        zeta = _gamma(m - 1) * G
+        size = max(kernel.size, nz.size)
+        G = float(np.abs(w[w != 0.0]).sum()) / (1.0 - _gamma(size))
         g2 = math.sqrt(float(kernel @ kernel)) / (1.0 - _gamma(size + 2))
-        error = _convolution_error(L, min(kernel.size, 2 * K + 1), G + zeta, g2)
         convolvers.append(convolve)
-        coef.append((*error, G, zeta))
-        mult = max(mult, m)
-    return convolvers, np.array(coef), mult
+        coef.append((*_convolution_error(L, min(kernel.size, 2 * K + 1), G, g2), G))
+    return convolvers, np.array(coef)
 
 
 def wn_ggm_exact(
@@ -314,8 +301,8 @@ def wn_ggm_exact(
 
     Dynamic programming over (class, displacement): each step moves the
     class with the fuzzy kernel and convolves the displacement with the
-    increment law of the class difference.  The first step scatters the
-    support points from the point mass at 0; every later step is one
+    increment law of the class difference.  The first step writes each law
+    from the point mass at 0 into a stride-q slice; every later step is one
     linear convolution per (row i, residue s) against the kernel of law s
     (`_linear_convolver`: direct for narrow kernels or windows, FFT beyond),
     scaled by P(i, i+s).  Results are kept on the window, so states that
@@ -327,20 +314,19 @@ def wn_ggm_exact(
     the same float inputs|.  With E_t = sum_c |D^_t[c] - D_t[c]|_inf over the
     class rows of the computed and exact DP, the exact step maps E to at
     most kappa E, kappa = max_i sum_s P(i, i+s) G_s.  Step 1 errs by at most
-    gamma_{N+1} kappa sum_i alpha(i) (N = q times the largest support
-    multiplicity terms per entry, two roundings each).  A later step from
-    rows v_i errs by sum_{i,s} P(i, i+s) [eps_is + gamma_q (G_s |v_i|_inf +
-    eps_is)], where eps_is = a_s|v_i|_inf + b_s|v_i|_1 + c_s|v_i|_2 +
-    zeta_s|v_i|_inf is the convolution's rounding plus the kernel's own and
-    gamma_q covers the q products and sums into row c.  Summing the rows
-    adds gamma_{q-1} sum_c |D^_n[c]|_inf.  Every term is evaluated from the
-    computed rows, in floating point on nonnegative numbers with fewer than
-    width + q^2 + (q + 3) n + 128 roundings on any path (a row norm, kappa^n,
-    the convolver coefficients), and the result is divided by one minus
-    gamma of that count.  Underflow is neglected.  The law is clipped at 0
-    (FFT rounding leaves entries near -1e-16): the exact DP, like the float
-    reference DP, is nonnegative, so clipping never moves an entry away from
-    it and the bound still holds.
+    gamma_{q+1} kappa sum_i alpha(i) (at most q terms per entry, two
+    roundings each).  A later step from rows v_i errs by
+    sum_{i,s} P(i, i+s) [eps_is + gamma_q (G_s |v_i|_inf + eps_is)], where
+    eps_is = a_s|v_i|_inf + b_s|v_i|_1 + c_s|v_i|_2 is the convolution's
+    rounding and gamma_q covers the q products and sums into row c.
+    Summing the rows adds gamma_{q-1} sum_c |D^_n[c]|_inf.  Every term is
+    evaluated from the computed rows, in floating point on nonnegative
+    numbers with fewer than width + q^2 + (q + 3) n + 128 roundings on any
+    path (a row norm, kappa^n, the convolver coefficients), and the result
+    is divided by one minus gamma of that count.  Underflow is neglected.
+    The law is clipped at 0 (FFT rounding leaves entries near -1e-16): the
+    exact DP, like the float reference DP, is nonnegative, so clipping
+    never moves an entry away from it and the bound still holds.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
@@ -350,8 +336,8 @@ def wn_ggm_exact(
     if K < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     width = 2 * K + 1
-    convolvers, coef, mult = _increment_kernels(laws, K)
-    a, b, c, G, zeta = coef.T
+    convolvers, coef = _increment_kernels(laws, K)
+    a, b, c, G = coef.T
     idx = np.arange(q)
     step = fc.P[idx[:, None], (idx[:, None] + idx[None, :]) % q]  # P(i, i+s)
     kappa = float(np.max(step @ G))
@@ -362,18 +348,16 @@ def wn_ggm_exact(
             p = step[i, s]
             if p == 0.0:
                 continue
-            law = laws[s]
-            keep = np.abs(law.support) <= K
-            np.add.at(D[(i + s) % q], law.support[keep] + K,
-                      law.weights[keep] * (fc.alpha[i] * p))
-    bound = _gamma(q * mult + 1) * kappa * float(np.abs(fc.alpha).sum())
+            j0, w = laws[s].clip(K)
+            D[(i + s) % q, j0 + K::q][:w.size] += w * (fc.alpha[i] * p)
+    bound = _gamma(q + 1) * kappa * float(np.abs(fc.alpha).sum())
 
     for _ in range(n - 1):
         absD = np.abs(D)
         vinf = absD.max(axis=1)[:, None]
         v1 = absD.sum(axis=1)[:, None]
         v2 = np.sqrt((D * D).sum(axis=1))[:, None]
-        eps = vinf * (a + zeta) + v1 * b + v2 * c
+        eps = vinf * a + v1 * b + v2 * c
         bound = kappa * bound + float(
             (step * (eps + _gamma(q) * (vinf * G + eps))).sum())
         newD = np.zeros_like(D)
@@ -446,8 +430,7 @@ class _CdfTable:
     memory; r ragged rows take r w < 2 r m slots, which can be several
     times their total length when the rows differ much in length.
     ``first``, when given, holds one int64 per row: row s then draws the
-    point first[s] + stride * slot of a progression support instead of
-    the slot.
+    point first[s] + stride * slot instead of the slot.
 
     `draw` runs a branchless upper-bound search over a block of walkers at
     once (Khuong & Morin, Array layouts for comparison-based searching,
@@ -477,7 +460,7 @@ class _CdfTable:
     def draw(self, keys, u: np.ndarray, out: np.ndarray,
              scratch: _Scratch) -> np.ndarray:
         """out[k] = slot searchsorted(cum[keys[k]], u[k], side="right"), or
-        the support point of that slot; keys may be out itself.  The search
+        first[keys[k]] + stride * slot; keys may be out itself.  The search
         runs in the buffers of scratch."""
         width = self.cum.shape[1]
         shift = width.bit_length() - 1
@@ -553,10 +536,8 @@ def _markov_additive(source):
     is the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
     classes) it is one draw per step from the law of the class step
     (b - a) mod q, read from a third table whose rows are the increment
-    laws; every support must be the step-q progression that
-    `ggm._increment_law` builds (ConfigError otherwise), so the drawn slot
-    maps to support[0] + q * slot.  Each table pads its rows
-    with 1.0 to a power-of-two width w below twice the longest row, and
+    laws, so the drawn slot maps to first + q * slot.  Each table pads its
+    rows with 1.0 to a power-of-two width w below twice the longest row, and
     each draw equals searchsorted(row, u, side="right") because the
     entries <= u form a prefix of every row.  The kernel tables are dense,
     so each takes less than twice the memory of its rows.  The increment-law
@@ -574,14 +555,7 @@ def _markov_additive(source):
             and isinstance(source[0], FuzzyChain):
         fc = source[0]
         laws = _check_laws(fc, source[1])
-        for s, law in enumerate(laws):
-            if not (law.support.size and np.array_equal(
-                    law.support, law.support[0] + fc.q * np.arange(law.support.size))):
-                raise ConfigError(
-                    f"law at position {s}: sampling needs a support of consecutive "
-                    f"points of the residue class, step q={fc.q}")
-        table = _CdfTable([law.weights for law in laws],
-                          [law.support[0] for law in laws], fc.q)
+        table = _CdfTable([law.weights for law in laws], [law.first for law in laws], fc.q)
 
         def increment(a, b, rng, u, out, scratch):
             r = np.subtract(b, a, out=out)

@@ -562,6 +562,34 @@ class TestErrorContract:
         assert message.startswith("window 7 leaks mass")
         assert "--truncation" in message and "use window" not in message
 
+    def test_ggm_radius_holds_the_nearest_class_point(self, capsys):
+        # -2 = 3 (mod 5) lies inside radius 2: the laws are built, and only
+        # the leak of the radius-2 truncation is refused
+        code, out, err = run(capsys, "ggm", "--model", "sos", "--beta", "2",
+                             "--d", "2", "--q", "5", "--truncation", "2")
+        assert code == 3 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.endswith("the increment laws are truncated at radius 2; "
+                                "raise the increment radius (--truncation)")
+        # class 2 mod 4 has no point within radius 1
+        code, out, err = run(capsys, "ggm", "--model", "sos", "--beta", "2",
+                             "--d", "2", "--q", "4", "--truncation", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "radius 1 cannot hold residue 2"
+
+    @pytest.mark.parametrize("argv", [
+        ("ggm", "--model", "sos", "--beta", "800", "--d", "2", "--q", "3"),
+        ("simulate", "--model", "sos", "--beta", "800", "--d", "2", "--q", "3",
+         "--n", "1"),
+    ], ids=["ggm", "simulate"])
+    def test_underflowing_class_mass_is_a_typed_error(self, capsys, argv):
+        # Q_q(1) = Q_q(2) = 0.0 at beta 800, q 3: no nan rows, no traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "NumericalError"
+
     @pytest.mark.parametrize("argv", [
         ("solve", "--d", "x"),
         ("bogus",),

@@ -109,6 +109,14 @@ class TestFuzzyChain:
         with pytest.raises(NumericalError, match="5000x5000"):
             fuzzy_chain(bl, fuzzy_Q(sos(2.0), q))
 
+    def test_row_mass_underflow_refused(self):
+        # at beta 800 the classes 1 and 2 have lam = 0 and Q_q = 0: rows 1
+        # and 2 of the chain would be 0/0
+        pot = sos(800.0)
+        law, _ = periodic_solve(pot, 2, 3)
+        with pytest.raises(NumericalError, match="row 1 of the chain has mass 0"):
+            fuzzy_chain(law, fuzzy_Q(pot, 3))
+
     def test_needs_periodic_law(self):
         from treegibbs.boundary_law import solve_fixed_point
 
@@ -171,12 +179,79 @@ class TestIncrementLaw:
         assert radii == [law.radius for law in increment_laws(sos(3.0), 3)] == [6, 8, 8]
 
     def test_radius_too_small_for_residue(self):
-        with pytest.raises(ConfigError, match="residue"):
-            increment_law(sos(2.0), 5, 3, radius=2)
+        # the point of class 3 mod 5 nearest 0 is -2
+        with pytest.raises(ConfigError, match="radius 1 cannot hold residue 3"):
+            increment_law(sos(2.0), 5, 3, radius=1)
+        with pytest.raises(ConfigError, match="radius 1 cannot hold residue 2"):
+            increment_law(sos(2.0), 4, 2, radius=1)
+
+    def test_radius_holds_the_negative_representative(self):
+        # -2 = 3 (mod 5) lies inside radius 2
+        law = increment_law(sos(2.0), 5, 3, radius=2)
+        assert law.support.tolist() == [-2]
+        assert law.radius == 2
+        assert law.weights[0] == pytest.approx(
+            math.exp(-4.0) / fuzzy_Q(sos(2.0), 5).at(3), rel=1e-12)
+        assert increment_law(sos(2.0), 5, 4, radius=1).support.tolist() == [-1]
+
+    def test_default_search_starts_at_the_nearest_point(self):
+        # class 15 mod 20 of sos(3) holds -5 and 15; Q(15)/Q(5) = e^-30, so
+        # a radius below 15 already certifies the tail, and the search,
+        # which starts at min(s, q - s) = 5, stops before it reaches 15
+        law = increment_law(sos(3.0), 20, 15)
+        assert law.support.tolist() == [-5]
+        assert law.tail_mass_bound <= 1e-10
+        assert increment_law(sos(3.0), 20, 15, radius=15).support.tolist() == [-5, 15]
+
+    def test_underflowing_class_mass_refused(self):
+        with pytest.raises(NumericalError, match=r"Q_q\(1\) underflows to 0 at q=3: residue 1 "):
+            increment_law(sos(800.0), 3, 1)
+        assert increment_law(sos(800.0), 3, 0).support.tolist() == [0]
 
     def test_not_summable(self):
         with pytest.raises(NotSummableError):
             increment_law(log_potential(0.9), 2, 0)
+
+    @pytest.mark.parametrize("pot", [sos(2.0), log_potential(3.0)], ids=["sos", "log"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
+    def test_support_is_the_old_concatenation(self, pot, q):
+        # the support array built before the progression became the type
+        qq = fuzzy_Q(pot, q)
+        for radius in (None, q // 2 + 1, q, 3 * q + 1, 40):
+            for s in range(q):
+                law = increment_law(pot, q, s, radius=radius)
+                R = law.radius
+                first = s if s else q
+                pos = np.arange(first, R + 1, q)
+                neg = -np.arange(q - s, R + 1, q)
+                old = np.concatenate([neg[::-1], [0] if s == 0 else [], pos]).astype(int)
+                assert law.support.dtype == old.dtype
+                assert np.array_equal(law.support, old)
+                assert np.array_equal(law.weights, pot.Q(old) / qq.at(s))
+                if radius is not None:
+                    assert R == max(radius - (radius - s) % q,
+                                    radius - (radius + s) % q)
+
+    def test_construction_refuses_off_class_first(self):
+        w = np.array([0.5, 0.5])
+        with pytest.raises(ConfigError, match="not in residue class 1 mod 3"):
+            IncrementLaw(q=3, residue=1, first=-1, weights=w, tail_mass_bound=0.0)
+        law = IncrementLaw(q=3, residue=1, first=-2, weights=w, tail_mass_bound=0.0)
+        assert law.support.tolist() == [-2, 1] and law.radius == 2
+
+    def test_construction_refuses_empty_weights(self):
+        with pytest.raises(ConfigError, match="no weights"):
+            IncrementLaw(q=2, residue=0, first=0, weights=np.empty(0),
+                         tail_mass_bound=0.0)
+
+    def test_clip_reads_the_window_by_stride(self):
+        law = increment_law(sos(2.0), 5, 3, radius=20)  # -17, -12, ..., 18
+        for radius in range(0, 25):
+            j0, w = law.clip(radius)
+            inside = np.abs(law.support) <= radius
+            assert np.array_equal(w, law.weights[inside])
+            if w.size:
+                assert j0 == law.support[inside][0]
 
     def test_all_classes_helper(self):
         laws = increment_laws(sos(2.0), 2)
@@ -223,6 +298,7 @@ class TestEdgeMarginal:
         rho1 = math.exp(-2.0) * math.sinh(2.0)
         expected = (a[0] * P[0, 1] + a[1] * P[1, 0]) * rho1
         assert nu[K + 1] == pytest.approx(expected, rel=1e-12)
+        assert nu[K + 1] == pytest.approx(Q2_NU1_EXACT, rel=1e-12)
 
     def test_symmetry_and_zero_tilt(self, chain20):
         laws = increment_laws(sos(2.0), 2)
@@ -321,35 +397,20 @@ def _bit_chain(family, q):
 
 
 class TestEdgeMarginalBitIdentity:
-    """The scatter form reproduces the old loop bit for bit, leak message included."""
+    """The strided form reproduces the old loop bit for bit, leak message included."""
 
     @given(
         family=st.sampled_from(sorted(_BIT_POTENTIALS)),
         q=st.integers(1, 6),
         radius=st.none() | st.integers(1, 400),
         shrink=st.just(0) | st.integers(1, 400),
-        hand_built=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_reference_loop(self, family, q, radius, shrink, hand_built, seed):
+    def test_matches_reference_loop(self, family, q, radius, shrink):
         pot = _BIT_POTENTIALS[family]
         fc = _bit_chain(family, q)
-        laws = increment_laws(pot, q, radius=None if radius is None else max(radius, q))
-        if hand_built:
-            # shuffled support with repeated points: accumulation order matters
-            rng = np.random.default_rng(seed)
-            rebuilt = []
-            for law in laws:
-                idx = rng.permutation(np.concatenate([
-                    np.arange(len(law.support)),
-                    rng.integers(0, len(law.support), size=len(law.support) // 2),
-                ]))
-                rebuilt.append(IncrementLaw(
-                    q=law.q, residue=law.residue, support=law.support[idx],
-                    weights=law.weights[idx], tail_mass_bound=law.tail_mass_bound,
-                ))
-            laws = rebuilt
+        # every radius >= floor(q/2) holds the nearest point of each class
+        laws = increment_laws(pot, q, radius=None if radius is None else max(radius, q // 2))
         need = max(law.radius for law in laws)
         window = max(need - shrink, 0)
         kwargs = {} if window == need else {"tail_tol": 1.0}
@@ -446,28 +507,11 @@ class TestStarMarginal:
         deficit = 1.0 - math.fsum(nu.tolist())
         assert total == pytest.approx(float(nu[K + j1]), abs=deficit + 1e-13)
 
-    def test_repeated_support_points_add_up(self, chain20):
-        # the weight at j = 1 split into two equal entries: the same law
-        laws = increment_laws(sos(2.0), 2)
-        odd = laws[1]
-        at = int(np.flatnonzero(odd.support == 1)[0])
-        w = odd.weights.copy()
-        w[at] /= 2.0
-        split = [laws[0], IncrementLaw(
-            q=2, residue=1, support=np.insert(odd.support, at, 1),
-            weights=np.insert(w, at, w[at]), tail_mass_bound=odd.tail_mass_bound)]
-        K = max(l.radius for l in laws)
-        nu = ggm_edge_marginal(chain20, split, window=K)
-        assert nu[K + 1] == pytest.approx(Q2_NU1_EXACT, rel=1e-12)
-        for increments in ([1], [1, 1, -2], [3, 1, 0]):
-            assert star_marginal(chain20, split, increments) == star_marginal(
-                chain20, laws, increments)
-        assert star_marginal(chain20, split, [1]) == pytest.approx(
-            float(nu[K + 1]), rel=1e-12)
-
     def test_missing_support_gives_zero(self, chain20):
         laws = increment_laws(sos(2.0), 2, radius=5)
         assert star_marginal(chain20, laws, [7]) == 0.0
+        assert star_marginal(chain20, laws, [-7]) == 0.0
+        assert star_marginal(chain20, laws, [-5]) > 0.0
 
     def test_edge_cap(self, chain20):
         laws = increment_laws(sos(2.0), 2)
