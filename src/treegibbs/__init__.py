@@ -60,7 +60,6 @@ from .boundary_law import (
     single_site_marginal,
     solve_fixed_point,
     truncation_radius,
-    write_law_csv,
 )
 from .ggm import (
     FuzzyChain,
@@ -79,8 +78,6 @@ from .pathsim import (
     sample_wn,
     wn_ggm_exact,
     wn_localized_exact,
-    write_samples_csv,
-    write_wn_csv,
 )
 
 __all__ = [
@@ -99,10 +96,8 @@ __all__ = [
     "BoundaryLaw", "SolveConfig", "SolveReport", "apply_T",
     "apply_T_periodic", "truncation_radius", "solve_fixed_point",
     "periodic_solve", "localization_bounds", "single_site_marginal",
-    "write_law_csv",
     "FuzzyChain", "IncrementLaw", "fuzzy_chain", "increment_law",
     "increment_laws", "ggm_edge_marginal", "star_marginal",
     "PathDistribution", "RecoveryReport", "wn_localized_exact",
     "wn_ggm_exact", "sample_path", "sample_wn", "recover_period",
-    "write_wn_csv", "write_samples_csv",
 ]

@@ -29,6 +29,7 @@ Step norms are known as rounding bands (`potentials._banded_sum`): every
 stop, growth, divergence and ball test is decided exactly as on the exactly
 rounded norm, with one fsum only when the band straddles the threshold, and
 the reported norms and the bounds built on them are the bands' upper ends.
+Laws and reports are returned as data; `cli` prints them as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .potentials import (
     NormReport,
     Potential,
     _banded_sum,
+    _check_tol,
     _float_stream,
     _gamma,
     _smallest_radius,
@@ -68,7 +70,6 @@ __all__ = [
     "periodic_solve",
     "localization_bounds",
     "single_site_marginal",
-    "write_law_csv",
 ]
 
 SUPPORT_TRUNCATED = "Z_truncated"
@@ -152,8 +153,7 @@ class SolveConfig:
     mode: str = MODE_CERTIFIED
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        _check_tol("tol", self.tol)
         if self.mode not in (MODE_CERTIFIED, MODE_AUTO):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.radius is not None and self.radius < 1:
@@ -675,33 +675,3 @@ def single_site_marginal(law: BoundaryLaw) -> np.ndarray:
     """
     weights = law.x ** (law.d + 1)
     return weights / math.fsum(weights.tolist())
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-
-def _write_meta(fh, meta: dict | None) -> None:
-    """Write the sorted `# key=value` metadata block that heads every CSV."""
-    for key in sorted(meta or {}):
-        fh.write(f"# {key}={meta[key]}\n")
-
-
-def write_law_csv(law: BoundaryLaw, fh, meta: dict | None = None) -> None:
-    """Write `index,x,lambda,marginal` rows with `#` metadata lines."""
-    meta = dict(meta or {})
-    meta.setdefault("support", law.kind)
-    meta.setdefault("d", law.d)
-    if law.kind == SUPPORT_TRUNCATED:
-        meta.setdefault("radius", law.radius)
-    else:
-        meta.setdefault("q", law.q)
-    meta.setdefault("residual", f"{law.residual:.17g}")
-    meta.setdefault("certified", str(law.certified).lower())
-    _write_meta(fh, meta)
-    fh.write("index,x,lambda,marginal\n")
-    marg = single_site_marginal(law)
-    lam = law.lam
-    for slot, i in enumerate(law.indices):
-        fh.write(f"{i},{law.x[slot]:.17g},{lam[slot]:.17g},{marg[slot]:.17g}\n")

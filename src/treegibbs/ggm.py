@@ -41,6 +41,9 @@ __all__ = [
 
 _STATIONARITY_TOL = 1e-10
 
+# the default increment radius leaves class mass at most this far out
+_TAIL_BOUND = 1e-10
+
 # dense kernels (the q x q class chain here, the m x m height chain in
 # pathsim) refuse sizes beyond this many states per side
 _MAX_DENSE = 4096
@@ -52,13 +55,12 @@ class FuzzyChain:
 
     P is row-stochastic; alpha satisfies alpha @ P = alpha and detailed
     balance (both consequences of the boundary-law equation, checked at
-    construction).  d is carried along for marginal formulas downstream.
+    construction).
     """
 
     q: int
     P: np.ndarray
     alpha: np.ndarray
-    d: int
 
     def __post_init__(self):
         self.P.setflags(write=False)
@@ -151,7 +153,7 @@ def fuzzy_chain(bl: BoundaryLaw, qq: FuzzyOperator) -> FuzzyChain:
                 f"stationarity residual {resid:.3g} exceeds {_STATIONARITY_TOL:.0e}; "
                 "the supplied law does not solve the boundary-law equation"
             )
-    return FuzzyChain(q=q, P=P, alpha=alpha, d=bl.d)
+    return FuzzyChain(q=q, P=P, alpha=alpha)
 
 
 def increment_law(
@@ -159,21 +161,20 @@ def increment_law(
     q: int,
     residue: int,
     radius: int | None = None,
-    tail_bound: float = 1e-10,
 ) -> IncrementLaw:
     """Normalized restriction of Q to one residue class, with certified tail.
 
     The default radius is grown until the omitted class mass is certified
-    below tail_bound.  Any radius must reach the point of the class nearest
+    below _TAIL_BOUND.  Any radius must reach the point of the class nearest
     0: R >= max(1, min(residue, q - residue)).  Requires Q summable (the
     class masses are the normalizers); a class mass that underflows to 0 is
     refused with NumericalError.
     """
-    return _increment_law(pot, fuzzy_Q(pot, q), residue, radius, tail_bound)
+    return _increment_law(pot, fuzzy_Q(pot, q), residue, radius)
 
 
 def _increment_law(
-    pot: Potential, qq: FuzzyOperator, residue: int, radius: int | None, tail_bound: float
+    pot: Potential, qq: FuzzyOperator, residue: int, radius: int | None
 ) -> IncrementLaw:
     q = qq.q
     residue %= q
@@ -185,10 +186,10 @@ def _increment_law(
     least = max(1, min(residue, q - residue))
     if radius is None:
         radius = _smallest_radius(
-            lambda R: _tail_beyond(pot, R, 1.0) / mass <= tail_bound,
+            lambda R: _tail_beyond(pot, R, 1.0) / mass <= _TAIL_BOUND,
             least,
             1 << 30,
-            f"increment window beyond 2^30 needed for tail bound {tail_bound:.3g}",
+            f"increment window beyond 2^30 needed for tail bound {_TAIL_BOUND:.3g}",
         )
     elif radius < least:
         raise ConfigError(f"radius {radius} cannot hold residue {residue}")
@@ -203,12 +204,10 @@ def _increment_law(
     )
 
 
-def increment_laws(
-    pot: Potential, q: int, radius: int | None = None, tail_bound: float = 1e-10
-) -> list[IncrementLaw]:
+def increment_laws(pot: Potential, q: int, radius: int | None = None) -> list[IncrementLaw]:
     """One IncrementLaw per residue class 0..q-1, sharing one fuzzy_Q."""
     qq = fuzzy_Q(pot, q)
-    return [_increment_law(pot, qq, s, radius, tail_bound) for s in range(q)]
+    return [_increment_law(pot, qq, s, radius) for s in range(q)]
 
 
 def _check_laws(fc: FuzzyChain, laws) -> list[IncrementLaw]:

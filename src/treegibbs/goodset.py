@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericalError
-from .potentials import _FAMILIES, NormReport, Potential, norm_pair
+from .potentials import _FAMILIES, NormReport, Potential, _check_tol, norm_pair
 
 __all__ = [
     "GoodSetQuery",
@@ -99,8 +99,7 @@ def smallest_epsilon(query: GoodSetQuery, abs_tol: float = 1e-13) -> float | Non
     Otherwise bisect on [0, eps*] and return the upper bracket end, so the
     ball inequality holds exactly at the returned value.
     """
-    if abs_tol <= 0:
-        raise ConfigError(f"abs_tol must be positive, got {abs_tol}")
+    _check_tol("abs_tol", abs_tol)
     d, g, dl = query.d, query.gamma, query.delta
     if not (math.isfinite(g) and math.isfinite(dl)):
         return None
@@ -244,8 +243,7 @@ def beta_threshold(
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    _check_tol("tol", tol)
     make = _potential_family(family)
 
     def is_member(beta: float) -> bool:

@@ -28,7 +28,8 @@ sums padded with 1.0 to one power-of-two width w < 2m for rows of length
 at most m.  All walkers are searched at once by a branchless upper-bound
 search; because the entries <= u form a prefix of each row, it returns
 exactly searchsorted(row, u, side="right"), so the draws do not depend on
-how the search is laid out.
+how the search is laid out.  W_n laws and paths are returned as arrays;
+`cli` prints them as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .boundary_law import (
     SolveConfig,
     _convolution_error,
     _linear_convolver,
-    _write_meta,
     apply_T_periodic,
     single_site_marginal,
     solve_fixed_point,
@@ -71,8 +71,6 @@ __all__ = [
     "sample_path",
     "sample_wn",
     "recover_period",
-    "write_wn_csv",
-    "write_samples_csv",
 ]
 
 MODE_GIBBS = "gibbs"
@@ -829,34 +827,3 @@ def recover_period(path, q_tilde_list, d: int, pot) -> list[RecoveryReport]:
     else:
         period = None
     return [replace(r, minimal_period=period) for r in reports]
-
-
-# ---------------------------------------------------------------------------
-# csv output
-# ---------------------------------------------------------------------------
-
-
-def write_wn_csv(dists, fh, meta=None) -> None:
-    """Dump one or more W_n laws as rows ``n,k,prob,leaked_mass``."""
-    if isinstance(dists, PathDistribution):
-        dists = [dists]
-    _write_meta(fh, meta)
-    fh.write("n,k,prob,leaked_mass\n")
-    for dist in dists:
-        for k, p in zip(dist.indices.tolist(), dist.law.tolist()):
-            fh.write(f"{dist.n},{k},{p:.17g},{dist.leaked_mass:.17g}\n")
-
-
-def write_samples_csv(increments, states, fh, meta=None) -> None:
-    """Dump a sampled path as rows ``step,increment,fuzzy_class``.
-
-    ``states`` is the length-(n+1) state sequence from sample_path; the
-    class column holds the walker state after each step, which is a height
-    for gibbs-mode paths and a class on Z_q for ggm-mode paths.
-    """
-    if len(states) != len(increments) + 1:
-        raise ConfigError("states must be one longer than increments")
-    _write_meta(fh, meta)
-    fh.write("step,increment,fuzzy_class\n")
-    for k, (j, s) in enumerate(zip(increments, states[1:]), start=1):
-        fh.write(f"{k},{j},{s}\n")

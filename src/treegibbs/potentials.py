@@ -610,6 +610,14 @@ class NormReport:
         return math.isinf(self.value)
 
 
+def _check_tol(name: str, tol: float) -> float:
+    """``tol`` if positive and finite, else ConfigError: nan would end a
+    bisection at once, 0 never certify a series, inf pass any iterate."""
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"{name} must be a positive finite float, got {tol!r}")
+    return tol
+
+
 def p_norm(
     pot: Potential,
     p: float,
@@ -627,6 +635,7 @@ def p_norm(
     """
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
+    _check_tol("rel_tol", rel_tol)
     if domain in (DOMAIN_ZQ, DOMAIN_ZQ_STAR):
         if q is None:
             raise ConfigError("q is required for Z_q domains")

@@ -7,7 +7,6 @@ equation is the scalar cubic (x-1)(s*x^2+(s-1)*x+s) = 0 with s = sech(beta).
 """
 
 import dataclasses
-import io
 import math
 import os
 import subprocess
@@ -34,7 +33,6 @@ from treegibbs.boundary_law import (
     single_site_marginal,
     solve_fixed_point,
     truncation_radius,
-    write_law_csv,
 )
 from treegibbs.errors import ConfigError, NumericalError, OutsideGoodSetError
 from treegibbs.goodset import REASON_NO_EPSILON, REASON_NORM_INFINITE
@@ -436,8 +434,10 @@ class TestSolveTruncated:
             solve_fixed_point(sos(2.5), 1)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError, match="tol"):
-            SolveConfig(tol=0.0)
+        # an inf tolerance certified the first iterate; nan blamed the radius
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="tol must be a positive finite"):
+                SolveConfig(tol=tol)
         for mode in ("sloppy", "best_effort"):
             with pytest.raises(ConfigError, match="mode"):
                 SolveConfig(mode=mode)
@@ -589,44 +589,6 @@ class TestBoundaryLawType:
         )
         with pytest.raises(ValueError):
             law.x[0] = 0.5
-
-
-class TestCsvOutput:
-    def test_truncated_roundtrip(self):
-        law, _ = solve_fixed_point(sos(2.5), 2)
-        buf = io.StringIO()
-        write_law_csv(law, buf, meta={"model": "sos", "beta": 2.5})
-        lines = buf.getvalue().splitlines()
-        meta = [l for l in lines if l.startswith("#")]
-        assert any(l == "# support=Z_truncated" for l in meta)
-        assert any(l == "# model=sos" for l in meta)
-        assert any(l == f"# radius={law.radius}" for l in meta)
-        assert any(l.startswith("# residual=") for l in meta)
-        assert any(l == "# certified=true" for l in meta)
-        header = lines[len(meta)]
-        assert header == "index,x,lambda,marginal"
-        rows = [l.split(",") for l in lines[len(meta) + 1 :]]
-        assert len(rows) == 2 * law.radius + 1
-        assert int(rows[0][0]) == -law.radius
-        marg = single_site_marginal(law)
-        for k, row in enumerate(rows):
-            # %.17g round-trips float64 exactly
-            assert float(row[1]) == law.x[k]
-            assert float(row[2]) == law.lam[k]
-            assert float(row[3]) == marg[k]
-
-    def test_periodic_roundtrip(self):
-        law, _ = periodic_solve(sos(2.5), 2, 2)
-        buf = io.StringIO()
-        write_law_csv(law, buf)
-        lines = buf.getvalue().splitlines()
-        assert "# q=2" in lines
-        assert "# support=Z_q" in lines
-        data = [l for l in lines if not l.startswith("#")]
-        assert data[0] == "index,x,lambda,marginal"
-        assert len(data) == 3
-        first = data[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 1.0
 
 
 # Reference operators: the two operator classes the shared operator replaced,

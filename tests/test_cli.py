@@ -6,6 +6,7 @@ captured with capsys; file output goes through tmp_path.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -15,8 +16,19 @@ import sys
 import pytest
 
 import treegibbs
+from treegibbs import cli
+from treegibbs.boundary_law import (
+    MODE_AUTO,
+    SolveConfig,
+    periodic_solve,
+    single_site_marginal,
+    solve_fixed_point,
+)
 from treegibbs.cli import _build_parser, main
 from treegibbs.errors import ConfigError
+from treegibbs.ggm import fuzzy_chain, increment_laws
+from treegibbs.pathsim import sample_path, wn_ggm_exact, wn_localized_exact
+from treegibbs.potentials import fuzzy_Q, sos
 
 BETA_STAR_SOS_D2 = 1.996589869260788
 BETA_STAR_SOS_D3 = 1.3211449086666107
@@ -351,6 +363,100 @@ class TestSimulate:
         assert "window" in payload["message"]
 
 
+def _ggm_chain(beta, q):
+    """(fc, laws) of the q-periodic chain `simulate --q` builds at d = 2."""
+    pot = sos(beta)
+    law, _ = periodic_solve(pot, 2, q)
+    return fuzzy_chain(law, fuzzy_Q(pot, q)), increment_laws(pot, q)
+
+
+class TestCsvEmitters:
+    """Every CSV table parses back exactly (%.17g round-trips float64) to
+    the library objects it was printed from."""
+
+    @staticmethod
+    def _assert_law_rows(out, law):
+        meta, header, rows = parse_csv(out)
+        assert header == "index,x,lambda,marginal"
+        assert [int(r[0]) for r in rows] == law.indices.tolist()
+        assert [float(r[1]) for r in rows] == law.x.tolist()
+        assert [float(r[2]) for r in rows] == law.lam.tolist()
+        assert [float(r[3]) for r in rows] == single_site_marginal(law).tolist()
+        assert meta["support"] == law.kind and meta["d"] == str(law.d)
+        assert float(meta["residual"]) == law.residual
+        assert meta["certified"] == str(law.certified).lower()
+        return meta
+
+    def test_solve_rows_are_the_law(self, capsys):
+        code, out, _ = run(capsys, "solve", "--model", "sos", "--beta", "2.5")
+        assert code == 0
+        law, _ = solve_fixed_point(sos(2.5), 2)
+        meta = self._assert_law_rows(out, law)
+        assert meta["radius"] == str(law.radius) and "q" not in meta
+
+    def test_periodic_rows_are_the_law(self, capsys):
+        code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "2.5",
+                           "--q", "3")
+        assert code == 0
+        law, _ = periodic_solve(sos(2.5), 2, 3, SolveConfig(mode=MODE_AUTO))
+        meta = self._assert_law_rows(out, law)
+        assert meta["q"] == "3" and "radius" not in meta
+
+    def test_flags_and_report_win_over_the_law(self, capsys, monkeypatch):
+        real = cli.periodic_solve
+
+        def skewed(pot, d, q, config):
+            # a law whose d and certificate disagree with the flag and report
+            law, report = real(pot, d, q, config)
+            return (dataclasses.replace(law, d=d + 1, certified=False),
+                    dataclasses.replace(report, certified=True))
+
+        monkeypatch.setattr(cli, "periodic_solve", skewed)
+        code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "2",
+                           "--q", "2")
+        assert code == 0
+        meta, _, _ = parse_csv(out)
+        assert meta["d"] == "2" and meta["certified"] == "true"
+
+    @pytest.mark.parametrize("q", [None, "2"])
+    def test_simulate_tables_are_the_laws(self, capsys, q):
+        argv = ["simulate", "--model", "sos", "--beta", "2.5", "--n", "1,3"]
+        if q is None:
+            law, _ = solve_fixed_point(sos(2.5), 2)
+            dists = [wn_localized_exact(law, n) for n in (1, 3)]
+        else:
+            argv += ["--q", q]
+            dists = [wn_ggm_exact(*_ggm_chain(2.5, 2), n) for n in (1, 3)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == "n,k,prob,leaked_mass"
+        assert len(rows) == sum(2 * d.window + 1 for d in dists)
+        got = iter(rows)
+        for d in dists:
+            for k, p in zip(d.indices.tolist(), d.law.tolist()):
+                row = next(got)
+                assert [int(row[0]), int(row[1])] == [d.n, k]
+                assert float(row[2]) == p and float(row[3]) == d.leaked_mass
+
+    @pytest.mark.parametrize("q", [None, "3"])
+    def test_sampled_rows_are_the_path(self, capsys, q):
+        argv = ["simulate", "--model", "sos", "--beta", "2.5",
+                "--sample-steps", "50", "--seed", "5", "--replicate", "2"]
+        if q is None:
+            source, _ = solve_fixed_point(sos(2.5), 2)
+        else:
+            argv += ["--q", q]
+            source = _ggm_chain(2.5, 3)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        inc, states = sample_path(source, 50, seed=5, replicate=2)
+        _, header, rows = parse_csv(out)
+        assert header == "step,increment,fuzzy_class"
+        assert rows == [[str(k), str(j), str(s)] for k, j, s
+                        in zip(range(1, 51), inc.tolist(), states[1:].tolist())]
+
+
 class TestPhaseDiagram:
     def test_row_count_equals_grid(self, capsys):
         code, out, _ = run(capsys, "phase-diagram", "--model", "sos",
@@ -513,6 +619,19 @@ class TestOutputFile:
         assert "scipy" not in meta
 
 
+# one valid invocation of each subcommand that takes --tol
+_TOL_ARGV = [
+    ("norms", "--model", "sos", "--beta", "2.5"),
+    ("goodset", "--model", "sos", "--beta", "2.5"),
+    ("threshold", "--model", "log", "--d", "3"),
+    ("solve", "--model", "sos", "--beta", "2.5"),
+    ("periodic", "--model", "sos", "--beta", "2", "--q", "2"),
+    ("ggm", "--model", "sos", "--beta", "2", "--q", "2"),
+    ("phase-diagram", "--beta-range", "2:2.5:0.25", "--d-list", "2"),
+    ("table", "--d", "2"),
+]
+
+
 class TestErrorContract:
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "norms", "--model", "bogus", "--beta",
@@ -602,6 +721,24 @@ class TestErrorContract:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", _TOL_ARGV, ids=lambda argv: argv[0])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, argv, tol):
+        # nan once ended the threshold bisection at once (exit 0, beta* 1.5),
+        # 0 summed 2^26 series terms, inf certified the first iterate, and
+        # phase-diagram printed one error row per cell
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])["error"]
+        assert payload["type"] == "ConfigError"
+        assert "tolerance must be a positive finite float" in payload["message"]
+
+    def test_every_tol_flag_is_checked(self):
+        assert {argv[0] for argv in _TOL_ARGV} == {
+            name for name, flags in FLAGS.items() if "--tol" in flags}
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -260,6 +260,14 @@ class TestBetaThreshold:
         with pytest.raises(ConfigError, match="unknown potential family"):
             beta_threshold(["sos"], 2)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # a nan width ended the bisection at once and returned 1.5 for log d=3
+        with pytest.raises(ConfigError, match="tol must be a positive finite"):
+            beta_threshold("log", 3, tol=tol)
+        with pytest.raises(ConfigError, match="abs_tol must be a positive finite"):
+            smallest_epsilon(GoodSetQuery(2, 1.5, 0.05), abs_tol=tol)
+
 
 class TestLargeDegreeScan:
     def test_sos_schedule(self):

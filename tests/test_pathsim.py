@@ -7,7 +7,6 @@ uses slice convolutions), plain convolution powers for the free state, and
 the closed sech algebra for the two-class chain.
 """
 
-import io
 import math
 import sys
 
@@ -44,8 +43,6 @@ from treegibbs.pathsim import (
     sample_wn,
     wn_ggm_exact,
     wn_localized_exact,
-    write_samples_csv,
-    write_wn_csv,
 )
 from treegibbs.potentials import fuzzy_Q, log_potential, sos
 
@@ -886,47 +883,3 @@ class TestRecoverPeriod:
             recover_period(path, [0], 2, sos(2.0))
         with pytest.raises(ConfigError, match="integers"):
             recover_period(np.array([0.5, 1.0] * 20), [2], 2, sos(2.0))
-
-
-class TestCsvOutput:
-    def test_wn_roundtrip(self, chain2):
-        fc, laws = chain2
-        dists = [wn_ggm_exact(fc, laws, n) for n in (1, 2)]
-        buf = io.StringIO()
-        write_wn_csv(dists, buf, meta={"model": "sos", "beta": 2.0})
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# beta=2.0"
-        assert lines[1] == "# model=sos"
-        assert lines[2] == "n,k,prob,leaked_mass"
-        rows = [ln.split(",") for ln in lines[3:]]
-        assert len(rows) == sum(2 * d.window + 1 for d in dists)
-        first = rows[0]
-        assert first[0] == "1"
-        assert int(first[1]) == -dists[0].window
-        assert float(first[2]) == dists[0].law[0]
-        assert float(first[3]) == dists[0].leaked_mass
-
-    def test_single_distribution_accepted(self, sos25):
-        dist = wn_localized_exact(sos25, 1)
-        buf = io.StringIO()
-        write_wn_csv(dist, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "n,k,prob,leaked_mass"
-        assert len(lines) == 1 + 2 * dist.window + 1
-
-    def test_samples_roundtrip(self, chain2):
-        inc, classes = sample_path(chain2, 10, seed=2)
-        buf = io.StringIO()
-        write_samples_csv(inc, classes, buf, meta={"seed": 2})
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# seed=2"
-        assert lines[1] == "step,increment,fuzzy_class"
-        assert len(lines) == 12
-        step, j, c = lines[2].split(",")
-        assert step == "1"
-        assert int(j) == inc[0]
-        assert int(c) == classes[1]
-
-    def test_samples_length_mismatch(self):
-        with pytest.raises(ConfigError, match="one longer"):
-            write_samples_csv([1, 2], [0, 1], io.StringIO())

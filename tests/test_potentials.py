@@ -254,6 +254,15 @@ class TestNorms:
         b = p_norm(log_potential(beta + 0.3), p, DOMAIN_Z_STAR, rel_tol=1e-8)
         assert b.value < a.value
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, rel_tol):
+        # 0 and -1 once summed 2^26 terms before failing; nan and inf
+        # certified nothing
+        with pytest.raises(ConfigError, match="rel_tol must be a positive finite"):
+            p_norm(sos(2.5), 1.5, rel_tol=rel_tol)
+        with pytest.raises(ConfigError, match="rel_tol must be a positive finite"):
+            norm_pair(sos(2.5), 2, rel_tol=rel_tol)
+
 
 class TestHurwitzZeta:
     @pytest.mark.parametrize("s,a,ref", HURWITZ_CASES)
