@@ -45,6 +45,7 @@ from .goodset import (
     binary_delta_boundary_radical,
     large_degree_scan,
     lipschitz_constant,
+    localization_bounds,
     membership,
     norm_membership,
     smallest_epsilon,
@@ -55,7 +56,6 @@ from .boundary_law import (
     SolveReport,
     apply_T,
     apply_T_periodic,
-    localization_bounds,
     periodic_solve,
     single_site_marginal,
     solve_fixed_point,
@@ -92,10 +92,10 @@ __all__ = [
     "smallest_epsilon", "lipschitz_constant", "membership",
     "norm_membership",
     "binary_delta_boundary", "binary_delta_boundary_radical",
-    "beta_threshold", "large_degree_scan",
+    "beta_threshold", "localization_bounds", "large_degree_scan",
     "BoundaryLaw", "SolveConfig", "SolveReport", "apply_T",
     "apply_T_periodic", "truncation_radius", "solve_fixed_point",
-    "periodic_solve", "localization_bounds", "single_site_marginal",
+    "periodic_solve", "single_site_marginal",
     "FuzzyChain", "IncrementLaw", "fuzzy_chain", "increment_law",
     "increment_laws", "ggm_edge_marginal", "star_marginal",
     "PathDistribution", "RecoveryReport", "wn_localized_exact",

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, OutsideGoodSetError
-from .goodset import REASON_NORM_INFINITE, GoodSetQuery, membership, norm_membership
+from .goodset import REASON_NORM_INFINITE, localization_bounds, norm_membership
 from .potentials import (
     _UNIT_ROUNDOFF,
     FuzzyOperator,
@@ -68,7 +68,7 @@ __all__ = [
     "truncation_radius",
     "solve_fixed_point",
     "periodic_solve",
-    "localization_bounds",
+    "localization_bounds",  # goodset's, re-exported
     "single_site_marginal",
 ]
 
@@ -81,7 +81,8 @@ MODE_AUTO = "auto"
 _FFT_WINDOW = 2048
 _MAX_WINDOW_RADIUS = 1 << 25
 _MAX_ITER = 20000
-_NORM_REL_TOL = 1e-10
+# default stopping tolerance of the solves
+_SOLVE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +150,7 @@ class SolveConfig:
     there."""
 
     radius: int | None = None
-    tol: float = 1e-12
+    tol: float = _SOLVE_TOL
     mode: str = MODE_CERTIFIED
 
     def __post_init__(self):
@@ -582,7 +583,7 @@ def solve_fixed_point(
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
     op, x, residual, report = _solve(
-        d, *norm_pair(pot, d, "half", _NORM_REL_TOL), config,
+        d, *norm_pair(pot, d, "half"), config,
         "outside good set - no contraction certificate",
         lambda: _window_operator(pot, d, _window_radius(pot, d, config)),
     )
@@ -647,24 +648,6 @@ def periodic_solve(
 # ---------------------------------------------------------------------------
 # derived quantities
 # ---------------------------------------------------------------------------
-
-
-def localization_bounds(gamma: float, delta: float, d: int) -> tuple[float, float]:
-    """Two-sided bound on the off-center marginal mass ratio mu(s != 0)/mu(s = 0).
-
-    Evaluates (delta*(1 -+ delta*eps^d)/(1 +- gamma*eps^(d-1)))^(d+1) at the
-    minimal eps.  Only meaningful in the good set; refuses otherwise.
-    """
-    verdict = membership(GoodSetQuery(d, gamma, delta))
-    if not verdict.in_good_set:
-        raise OutsideGoodSetError(
-            f"localization bounds need (gamma, delta) in the good set (reason: {verdict.reason})",
-            verdict=verdict,
-        )
-    eps = verdict.epsilon
-    lower = (delta * (1.0 - delta * eps**d) / (1.0 + gamma * eps ** (d - 1))) ** (d + 1)
-    upper = (delta * (1.0 + delta * eps**d) / (1.0 - gamma * eps ** (d - 1))) ** (d + 1)
-    return lower, upper
 
 
 def single_site_marginal(law: BoundaryLaw) -> np.ndarray:

@@ -31,6 +31,7 @@ from . import __version__
 from .boundary_law import (
     MODE_AUTO,
     SUPPORT_TRUNCATED,
+    _SOLVE_TOL,
     SolveConfig,
     periodic_solve,
     single_site_marginal,
@@ -42,11 +43,12 @@ from .errors import (
     TreeGibbsError,
 )
 from .ggm import fuzzy_chain, ggm_edge_marginal, increment_laws
-from .goodset import GoodSetQuery, beta_threshold, membership, norm_membership
+from .goodset import _THRESHOLD_TOL, GoodSetQuery, beta_threshold, membership, norm_membership
 from .pathsim import sample_path, wn_ggm_exact, wn_localized_exact
 from .potentials import (
     DOMAIN_Z,
     _FAMILIES,
+    _SERIES_TOL,
     _check_tol,
     fuzzy_Q,
     load_potential,
@@ -196,7 +198,7 @@ def _norm_payload(report) -> dict:
 
 def cmd_norms(args) -> str:
     pot = _resolve_model(args)
-    rel_tol = args.tol if args.tol is not None else 1e-10
+    rel_tol = args.tol if args.tol is not None else _SERIES_TOL
     g, dl = norm_pair(pot, args.d, args.pairing, rel_tol=rel_tol)
     n1 = p_norm(pot, 1.0, DOMAIN_Z, rel_tol)
     notes = []
@@ -234,7 +236,7 @@ def cmd_goodset(args) -> str:
         verdict = membership(GoodSetQuery(args.d, args.gamma, args.delta))
     else:
         pot = _resolve_model(args)
-        rel_tol = args.tol if args.tol is not None else 1e-10
+        rel_tol = args.tol if args.tol is not None else _SERIES_TOL
         pair = norm_pair(pot, args.d, args.pairing, rel_tol=rel_tol)
         verdict = norm_membership(args.d, *pair)
     if args.gamma is not None:
@@ -261,7 +263,7 @@ def cmd_goodset(args) -> str:
 def cmd_threshold(args) -> str:
     if args.model not in _FAMILIES:
         raise ConfigError("threshold needs a parametric family: sos or log")
-    tol = args.tol if args.tol is not None else 1e-7
+    tol = args.tol if args.tol is not None else _THRESHOLD_TOL
     beta_star = beta_threshold(args.model, args.d, args.pairing, tol=tol)
     meta = _meta(args, tol_used=_f17(tol))
     if args.format == "json":
@@ -309,7 +311,7 @@ def _law_output(args, law, report) -> str:
 def cmd_solve(args) -> str:
     pot = _resolve_model(args)
     config = SolveConfig(radius=args.truncation,
-                         tol=args.tol if args.tol is not None else 1e-12)
+                         tol=args.tol if args.tol is not None else _SOLVE_TOL)
     law, report = solve_fixed_point(pot, args.d, config)
     return _law_output(args, law, report)
 
@@ -318,7 +320,7 @@ def cmd_periodic(args) -> str:
     if args.q is None:
         raise ConfigError("periodic needs --q")
     pot = _resolve_model(args)
-    config = SolveConfig(tol=args.tol if args.tol is not None else 1e-12,
+    config = SolveConfig(tol=args.tol if args.tol is not None else _SOLVE_TOL,
                          mode=MODE_AUTO)
     law, report = periodic_solve(pot, args.d, args.q, config)
     return _law_output(args, law, report)
@@ -328,7 +330,7 @@ def cmd_ggm(args) -> str:
     if args.q is None:
         raise ConfigError("ggm needs --q")
     pot = _resolve_model(args)
-    config = SolveConfig(tol=args.tol if args.tol is not None else 1e-12,
+    config = SolveConfig(tol=args.tol if args.tol is not None else _SOLVE_TOL,
                          mode=MODE_AUTO)
     law, report = periodic_solve(pot, args.d, args.q, config)
     fc = fuzzy_chain(law, fuzzy_Q(pot, args.q))
@@ -409,7 +411,7 @@ def cmd_phase_diagram(args) -> str:
     make = _FAMILIES[args.model]
     ds = _parse_int_list(args.d_list)
     betas = _parse_beta_range(args.beta_range, len(ds))
-    rel_tol = args.tol if args.tol is not None else 1e-10
+    rel_tol = args.tol if args.tol is not None else _SERIES_TOL
     points = []
     for d in sorted(ds):
         for beta in betas:
@@ -445,7 +447,7 @@ def cmd_table(args) -> str:
     if args.model not in _FAMILIES:
         raise ConfigError("table needs a parametric family: sos or log")
     ds = _parse_int_list(args.d)
-    tol = args.tol if args.tol is not None else 1e-7
+    tol = args.tol if args.tol is not None else _THRESHOLD_TOL
     rows = []
     for d in sorted(ds):
         beta_star = beta_threshold(args.model, d, args.pairing, tol=tol)
@@ -509,9 +511,15 @@ _FLAGS = {
     "format": {"choices": ("csv", "json"), "default": "csv"},
 }
 
-_TOL_SERIES = {"help": "relative tolerance of the norm series (default 1e-10)"}
-_TOL_BISECTION = {"help": "width of the beta bisection (default 1e-7)"}
-_TOL_SOLVE = {"help": "stopping tolerance of the solve (default 1e-12)"}
+
+def _default(tol: float) -> str:
+    """' (default 1e-7)': the library default an unset --tol stands for."""
+    return f" (default {tol:.0e})".replace("e-0", "e-")
+
+
+_TOL_SERIES = {"help": "relative tolerance of the norm series" + _default(_SERIES_TOL)}
+_TOL_BISECTION = {"help": "width of the beta bisection" + _default(_THRESHOLD_TOL)}
+_TOL_SOLVE = {"help": "stopping tolerance of the solve" + _default(_SOLVE_TOL)}
 
 
 def _subcommand(sub, name, summary, flags, **specs):

@@ -23,6 +23,7 @@ from .potentials import (
     FuzzyOperator,
     Potential,
     _banded_sum,
+    _check_tail_tol,
     _float_stream,
     _smallest_radius,
     _tail_beyond,
@@ -245,6 +246,7 @@ def ggm_edge_marginal(
     the exact sum, which its error message needs anyway.  Errors out when
     the window cannot hold enough mass for tail_tol.
     """
+    _check_tail_tol(tail_tol)
     laws = _check_laws(fc, laws)
     need = max(law.radius for law in laws)
     nu = np.zeros(2 * window + 1)

@@ -10,13 +10,15 @@ Inside G_d the boundary-law operator maps the eps-ball around the transfer
 operator into itself and contracts, which yields a localized Gibbs measure
 per center.  This module finds the minimal eps, evaluates L there (optimal,
 since L is increasing in eps), maps out the exact d = 2 boundary curve,
-locates inverse-temperature thresholds by bisection, and scans large
-degrees along the beta_{A,d} = A*log(d)/(d+1) schedule.  Every caller
-holding certified norms decides through `norm_membership`.
+locates inverse-temperature thresholds by bisection, bounds the
+localized marginal mass off the center, and scans large degrees along the
+beta_{A,d} = A*log(d)/(d+1) schedule.  Every caller holding certified
+norms decides through `norm_membership`.
 
 All root finding is plain bisection with interval certificates; the sizes
 involved make speed irrelevant and the bracket widths double as error
-bounds.
+bounds.  Each verdict's accuracy is a module constant; only the width of
+the beta bisection is a parameter.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, NumericalError
-from .potentials import _FAMILIES, NormReport, Potential, _check_tol, norm_pair
+from .errors import ConfigError, NumericalError, OutsideGoodSetError
+from .potentials import _FAMILIES, NormReport, _check_tol, _exp, _nonzero_head, norm_pair
 
 __all__ = [
     "GoodSetQuery",
@@ -39,6 +41,7 @@ __all__ = [
     "binary_delta_boundary",
     "binary_delta_boundary_radical",
     "beta_threshold",
+    "localization_bounds",
     "large_degree_scan",
 ]
 
@@ -47,6 +50,11 @@ REASON_NO_EPSILON = "no_epsilon_exists"
 REASON_LIPSCHITZ = "lipschitz_ge_one"
 REASON_GAMMA_FLAG = "gamma_out_of_domain_flag"
 REASON_NORM_INFINITE = "norm_infinite"
+
+_EPS_TOL = 1e-13  # absolute bisection width of the minimal epsilon
+_BOUNDARY_TOL = 1e-14  # relative bisection width of the d = 2 boundary curve
+_THRESHOLD_TOL = 1e-7  # default width of the beta bisection
+_BETA_MAX = 64.0  # the largest beta a threshold search tries
 
 
 @dataclass(frozen=True)
@@ -91,15 +99,14 @@ class MembershipVerdict:
         return self.in_good_set
 
 
-def smallest_epsilon(query: GoodSetQuery, abs_tol: float = 1e-13) -> float | None:
+def smallest_epsilon(query: GoodSetQuery) -> float | None:
     """Smallest positive solution of delta + gamma*eps**d = eps, or None.
 
     f(eps) = gamma*eps**d + delta - eps is convex with minimum at
     eps* = (1/(d*gamma))**(1/(d-1)); when f(eps*) > 0 there is no root.
-    Otherwise bisect on [0, eps*] and return the upper bracket end, so the
-    ball inequality holds exactly at the returned value.
+    Otherwise bisect on [0, eps*] to width _EPS_TOL and return the upper
+    bracket end, so the ball inequality holds exactly at the returned value.
     """
-    _check_tol("abs_tol", abs_tol)
     d, g, dl = query.d, query.gamma, query.delta
     if not (math.isfinite(g) and math.isfinite(dl)):
         return None
@@ -111,7 +118,7 @@ def smallest_epsilon(query: GoodSetQuery, abs_tol: float = 1e-13) -> float | Non
     if f(eps_star) > 0:
         return None
     lo, hi = 0.0, eps_star
-    while hi - lo > abs_tol:
+    while hi - lo > _EPS_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
             lo = mid
@@ -126,14 +133,14 @@ def lipschitz_constant(query: GoodSetQuery, eps: float) -> float:
     return 2.0 * d * (query.gamma * eps ** (d - 1) + query.delta * eps**d)
 
 
-def membership(query: GoodSetQuery, abs_tol: float = 1e-13) -> MembershipVerdict:
+def membership(query: GoodSetQuery) -> MembershipVerdict:
     """Verdict with the minimal epsilon and its Lipschitz constant.
 
     Minimal eps is the right probe: L is strictly increasing in eps, so the
     pair is in G_d iff L(minimal eps) < 1.
     """
     flag = query.gamma <= 1.0
-    eps = smallest_epsilon(query, abs_tol)
+    eps = smallest_epsilon(query)
     if eps is None:
         reason = REASON_GAMMA_FLAG if flag else REASON_NO_EPSILON
         return MembershipVerdict(query.d, query.gamma, query.delta, False, None, None, reason)
@@ -185,20 +192,20 @@ def binary_delta_boundary_radical(gamma: float) -> float:
     return 0.5 * math.sqrt(inner) - 0.5 * math.sqrt(w)
 
 
-def binary_delta_boundary(gamma: float, abs_tol: float = 1e-14) -> float:
+def binary_delta_boundary(gamma: float) -> float:
     """Unique delta > 0 on the boundary of G_2 at the given gamma > 1.
 
     Below the returned value the pair (gamma, delta) is in G_2, above it is
-    not.  Bisection on (0, 1/(4*gamma)] against the scaled quartic, then a
-    consistency check against the radical form with a cancellation-aware
-    tolerance.
+    not.  Bisection on (0, 1/(4*gamma)] against the scaled quartic to the
+    relative width _BOUNDARY_TOL, then a consistency check against the
+    radical form with a cancellation-aware tolerance.
     """
     if not gamma > 1.0:
         raise ConfigError(f"binary boundary curve needs gamma > 1, got {gamma}")
     lo, hi = 0.0, 1.0 / (4.0 * gamma)
     if _binary_quartic(gamma, hi) < 0:
         raise NumericalError(f"quartic bracket failed at gamma={gamma}")
-    while hi - lo > abs_tol * max(1.0, hi):
+    while hi - lo > _BOUNDARY_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if _binary_quartic(gamma, mid) > 0:
             hi = mid
@@ -226,20 +233,16 @@ def _potential_family(family):
     raise ConfigError(f"unknown potential family {family!r}, expected 'sos', 'log', or a callable")
 
 
-def beta_threshold(
-    family,
-    d: int,
-    pairing: str = "half",
-    tol: float = 1e-6,
-    beta_max: float = 64.0,
-    rel_tol: float = 1e-10,
-) -> float:
+def beta_threshold(family, d: int, pairing: str = "half",
+                   tol: float = _THRESHOLD_TOL) -> float:
     """Infimum of beta for which the operator's norm pair enters G_d.
 
     ``family`` is "sos", "log", or a callable beta -> Potential.  Membership
     is monotone in beta because both norms strictly decrease in beta, which
     makes bisection valid; the closed-form norm path keeps each probe cheap.
-    Raises NumericalError when no member is found below beta_max.
+    ``tol`` is the width of the final bracket, whose midpoint is returned;
+    each probe's norms are certified to the series default.  Raises
+    NumericalError when no member is found up to beta = _BETA_MAX (64).
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
@@ -247,14 +250,14 @@ def beta_threshold(
     make = _potential_family(family)
 
     def is_member(beta: float) -> bool:
-        pair = norm_pair(make(beta), d, pairing, rel_tol=rel_tol, cross_check=False)
+        pair = norm_pair(make(beta), d, pairing, cross_check=False)
         return norm_membership(d, *pair).in_good_set
 
     hi = 1.0
     while not is_member(hi):
         hi *= 2.0
-        if hi > beta_max:
-            raise NumericalError(f"no threshold in range: not in G_{d} up to beta={beta_max}")
+        if hi > _BETA_MAX:
+            raise NumericalError(f"no threshold in range: not in G_{d} up to beta={_BETA_MAX}")
     lo = hi / 2.0
     while is_member(lo):
         hi = lo
@@ -268,6 +271,33 @@ def beta_threshold(
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# localization bounds
+# ---------------------------------------------------------------------------
+
+
+def localization_bounds(gamma: float, delta: float, d: int) -> tuple[float, float]:
+    """Two-sided bound on the off-center marginal mass ratio mu(s != 0)/mu(s = 0).
+
+    Evaluates (delta*(1 -+ delta*eps^d)/(1 +- gamma*eps^(d-1)))^(d+1) at the
+    minimal eps, in log space because the bound underflows fast along the
+    large-degree schedule (a result below exp(-745) reads 0).  Only
+    meaningful in the good set; refuses otherwise.
+    """
+    verdict = membership(GoodSetQuery(d, gamma, delta))
+    if not verdict.in_good_set:
+        raise OutsideGoodSetError(
+            f"localization bounds need (gamma, delta) in the good set (reason: {verdict.reason})",
+            verdict=verdict,
+        )
+    eps = verdict.epsilon
+    log_delta = math.log(delta) if delta > 0 else -math.inf
+    a, b = delta * eps**d, gamma * eps ** (d - 1)
+    lower = (d + 1) * (log_delta + math.log1p(-a) - math.log1p(b))
+    upper = (d + 1) * (log_delta + math.log1p(a) - math.log1p(-b))
+    return _exp(lower), _exp(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +322,7 @@ class ScanReport:
 
     d0 is the smallest tested degree from which membership holds for every
     larger tested degree; None when the largest degree still fails.
-    ratio_upper_bound is the localization mass bound
+    ratio_upper_bound is the upper end of `localization_bounds`,
     (delta*(1+delta*eps^d)/(1-gamma*eps^(d-1)))^(d+1); the theory says it
     decays like 1/d along the schedule.
     """
@@ -303,23 +333,15 @@ class ScanReport:
     d0: int | None
 
 
-def _min_potential_value(pot: Potential) -> float:
-    if pot.kind == "sos":
-        return 1.0
-    if pot.kind == "log":
-        return math.log(2.0)
-    return min(pot.table)
-
-
-def large_degree_scan(family, A: float, d_range, rel_tol: float = 1e-10) -> ScanReport:
+def large_degree_scan(family, A: float, d_range) -> ScanReport:
     """Membership along beta_{A,d} = A*log(d)/(d+1) for each d in d_range.
 
     Requires A > 1/v with v = inf_{j != 0} U(j) > 0; that schedule is the
-    regime where the good-set conditions kick in for all large d.
+    regime where the good-set conditions kick in for all large d.  Norms
+    are certified to the series default.
     """
     make = _potential_family(family)
-    probe = make(1.0)
-    v = _min_potential_value(probe)
+    v = float(_nonzero_head(make(1.0)).min())
     if v <= 0:
         raise ConfigError("potential needs inf_{j!=0} U(j) > 0 for the large-degree schedule")
     if A <= 1.0 / v:
@@ -330,11 +352,10 @@ def large_degree_scan(family, A: float, d_range, rel_tol: float = 1e-10) -> Scan
         if d < 2:
             raise ConfigError(f"degrees must be >= 2, got {d}")
         beta = A * math.log(d) / (d + 1)
-        pair = norm_pair(make(beta), d, "half", rel_tol=rel_tol, cross_check=False)
-        verdict = norm_membership(d, *pair)
+        verdict = norm_membership(d, *norm_pair(make(beta), d, "half", cross_check=False))
         ratio = None
         if verdict.in_good_set:
-            ratio = _localization_ratio(d, verdict.gamma, verdict.delta, verdict.epsilon)
+            ratio = localization_bounds(verdict.gamma, verdict.delta, d)[1]
         flag = "gamma_infinite" if verdict.reason == REASON_NORM_INFINITE else None
         rows.append(ScanRow(d, beta, verdict.gamma, verdict.delta, verdict.in_good_set,
                             ratio, flag))
@@ -344,10 +365,3 @@ def large_degree_scan(family, A: float, d_range, rel_tol: float = 1e-10) -> Scan
             break
         d0 = row.d
     return ScanReport(A, v, tuple(rows), d0)
-
-
-def _localization_ratio(d: int, gamma: float, delta: float, eps: float) -> float:
-    # log space: the bound underflows fast along the schedule
-    log_b = math.log(delta) + math.log1p(delta * eps**d) - math.log1p(-gamma * eps ** (d - 1))
-    val = (d + 1) * log_b
-    return math.exp(val) if val > -745 else 0.0

@@ -56,7 +56,7 @@ from .boundary_law import (
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
 from .ggm import FuzzyChain, _check_laws, _class_step_law, _dense_chain, _window_leak
-from .potentials import _float_stream, _gamma, _smallest_radius, fuzzy_Q
+from .potentials import _check_tail_tol, _float_stream, _gamma, _smallest_radius, fuzzy_Q
 
 __all__ = [
     "MODE_GIBBS",
@@ -225,6 +225,7 @@ def wn_localized_exact(
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    _check_tail_tol(tail_tol)
     P, alpha = _height_kernel(bl)
     m = len(alpha)
     Pn = np.linalg.matrix_power(P, n)
@@ -328,6 +329,7 @@ def wn_ggm_exact(
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    _check_tail_tol(tail_tol)
     laws = _check_laws(fc, laws)
     q = fc.q
     K = default_window(fc, laws, n) if window is None else int(window)

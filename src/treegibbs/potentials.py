@@ -87,6 +87,8 @@ _MAX_RADIUS = 1 << 26
 _CHUNK = 1 << 16
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1022  # the smallest normal float
+_SERIES_TOL = 1e-10  # default relative tolerance of the norm series
+_DOUBLE_SUM_TOL = 1e-8  # relative accuracy of a finite double-sum verdict
 
 
 def _float_stream(a: np.ndarray):
@@ -487,13 +489,22 @@ def _certified_sum(base, power: float, tail, start: int, rel_tol: float, what: s
         value = 0.5 * math.fsum([*parts, *parts, lo, hi])
         if not math.isfinite(value):
             return (value, math.inf, N)
-        rounding = math.fsum(slop) + 0.5 * math.ulp(value)
+        floor = math.fsum(slop)
+        rounding = floor + 0.5 * math.ulp(value)
         err = (0.5 * (hi - lo) + rounding) * (1.0 + (abs(power) + 4) * _UNIT_ROUNDOFF)
         if err <= rel_tol * value:
             return (value, err, N)
         if value < _TINY:
             # no relative precision left: 0, with the upper end as the bound
             return (0.0, value + err, N)
+        # slop only grows with N, and an M that certifies has
+        # floor <= err_M <= rel_tol * value_M <= rel_tol * (value + err) / (1 - rel_tol)
+        if floor * (1.0 - rel_tol) > rel_tol * (value + err):
+            raise NumericalError(
+                f"{what}: the rounding floor of the terms ({floor:.3g}) exceeds "
+                f"rel_tol={rel_tol} of the sum ({value:.6g}) after {N} terms, "
+                "so no number of terms certifies it; loosen rel_tol"
+            )
         if N >= _MAX_RADIUS:
             raise NumericalError(
                 f"{what} did not certify rel_tol={rel_tol} within {N} terms; "
@@ -561,21 +572,28 @@ def _closed_power_sum(pot: Potential, p: float,
     return None
 
 
+def _nonzero_head(pot: Potential) -> np.ndarray:
+    """U(1), ..., U(max(J, 1)) for the table end J: U increases beyond the
+    table, so the least U(j), j != 0, is the least of these (U(1) for the
+    built-ins)."""
+    return pot.U(np.arange(1, max(pot.table_end, 1) + 1))
+
+
 def _pth_root(pot: Potential, power: float, p: float, rel_tol: float) -> float:
     """power ** (1/p), also when the power sum underflows.
 
     Only the sum over Z without zero can fall below the normal range (the
     sum over Z holds the term 1).  There the norm is M times the p-th root
     of the sum scaled by M^p, where M = Q(j0) = max_{j != 0} Q(j) and j0
-    minimizes U over the table (U increases beyond it; j0 = 1 for the
-    built-ins).  The scaled sum is the power sum of the custom potential
-    U - U(j0) with the same tail, whose largest term is 1, so its series
-    certifies to rel_tol; an M that is itself 0 in float64 gives 0.
+    minimizes U over ``_nonzero_head``.  The scaled sum is the power sum of
+    the custom potential U - U(j0) with the same tail, whose largest term
+    is 1, so its series certifies to rel_tol; an M that is itself 0 in
+    float64 gives 0.
     """
     if power >= sys.float_info.min:
         return power ** (1.0 / p)
     kind, param, _, _ = pot._decay()
-    head = pot.U(np.arange(1, max(pot.table_end, 1) + 1))
+    head = _nonzero_head(pot)
     j0 = int(np.argmin(head))
     shifted = Potential("custom", pot.beta, tuple((head - head[j0]).tolist()),
                         TailModel(kind, param))
@@ -590,7 +608,9 @@ def _pth_root(pot: Potential, power: float, p: float, rel_tol: float) -> float:
 
 @dataclass(frozen=True)
 class NormReport:
-    """A certified lp norm of the transfer operator on one of four domains.
+    """A certified lp norm of the transfer operator on Z or Z without zero
+    (``p_norm``), or of a class operator on Z_q or Z_q without zero
+    (``FuzzyOperator.p_norm``).
 
     ``value`` is the norm itself.  ``tail_bound`` bounds the absolute error
     of the underlying p-th power sum (zero-width for closed forms up to
@@ -618,29 +638,32 @@ def _check_tol(name: str, tol: float) -> float:
     return tol
 
 
+def _check_tail_tol(tail_tol: float) -> None:
+    """ConfigError unless the leak budget ``tail_tol`` is a finite float >= 0:
+    nan would pass any leak, and a negative budget fail every window."""
+    if not 0.0 <= tail_tol < math.inf:
+        raise ConfigError(f"tail_tol must be a finite float >= 0, got {tail_tol!r}")
+
+
 def p_norm(
     pot: Potential,
     p: float,
     domain: str = DOMAIN_Z,
-    rel_tol: float = 1e-10,
-    q: int | None = None,
+    rel_tol: float = _SERIES_TOL,
     cross_check: bool = True,
 ) -> NormReport:
-    """Certified lp norm of Q on Z, Z without zero, or the mod-q class sums.
+    """Certified lp norm of Q on Z or Z without zero.
 
     For the built-in families the closed form is evaluated and, when
     ``cross_check`` is set, the adaptive series is run at ``rel_tol`` and the
     two are required to agree within the certified error.  Divergent series
-    produce an infinite report carrying a witness, not an exception.
+    produce an infinite report carrying a witness, not an exception.  The
+    norms on Z_q are those of a class operator, ``fuzzy_Q(pot, q).p_norm``,
+    normalized or not.
     """
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
     _check_tol("rel_tol", rel_tol)
-    if domain in (DOMAIN_ZQ, DOMAIN_ZQ_STAR):
-        if q is None:
-            raise ConfigError("q is required for Z_q domains")
-        fq = fuzzy_Q(pot, q, rel_tol=rel_tol)
-        return fq.p_norm(p, without_zero=(domain == DOMAIN_ZQ_STAR))
     if domain not in (DOMAIN_Z, DOMAIN_Z_STAR):
         raise ConfigError(f"unknown domain {domain!r}")
     include_zero = domain == DOMAIN_Z
@@ -676,7 +699,7 @@ def p_norm(
                       series_err, "series")
 
 
-def norm_pair(pot: Potential, d: int, pairing: str = "half", rel_tol: float = 1e-10,
+def norm_pair(pot: Potential, d: int, pairing: str = "half", rel_tol: float = _SERIES_TOL,
               cross_check: bool = True) -> tuple[NormReport, NormReport]:
     """The (gamma, delta) norm pair driving good-set membership.
 
@@ -684,6 +707,8 @@ def norm_pair(pot: Potential, d: int, pairing: str = "half", rel_tol: float = 1e
     without zero (localized Gibbs measures).  pairing "one": both at p = 1
     (the summability route to q-periodic gradient measures for every q).
     """
+    if d < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
     if pairing == "half":
         pg, pd = (d + 1) / 2.0, float(d + 1)
     elif pairing == "one":
@@ -711,6 +736,7 @@ def hurwitz_zeta(s: float, a: float, rel_tol: float = 1e-12) -> tuple[float, flo
         raise ConfigError(f"hurwitz_zeta needs s > 1, got {s}")
     if a <= 0.0:
         raise ConfigError(f"hurwitz_zeta needs a > 0, got {a}")
+    _check_tol("rel_tol", rel_tol)
     # n + a is exact for an integral a, else rounded once before the power
     value, err, _ = _certified_sum(
         lambda n: n + a, -s, lambda N: _power_tail(0.0, N + a, s, 1.0),
@@ -786,6 +812,7 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ConfigError(f"q must be a positive integer, got {q!r}")
     q = int(q)
+    _check_tol("rel_tol", rel_tol)
     witness = pot.divergence_witness(1.0)
     if witness:
         raise NotSummableError(
@@ -837,7 +864,7 @@ class DoubleSumReport:
     outer_radius: int | None = None
 
 
-def check_double_sum(pot: Potential, d: int, rel_tol: float = 1e-8) -> DoubleSumReport:
+def check_double_sum(pot: Potential, d: int) -> DoubleSumReport:
     """Decide the double-sum condition controlling q-periodic measures for large q."""
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
@@ -852,7 +879,7 @@ def check_double_sum(pot: Potential, d: int, rel_tol: float = 1e-8) -> DoubleSum
         jbase = 4096
         while True:
             total_mid, total_half = _double_sum_once(envelope, p, I, jbase)
-            if total_half <= rel_tol * total_mid:
+            if total_half <= _DOUBLE_SUM_TOL * total_mid:
                 return DoubleSumReport(d, "finite", total_mid, None, I)
             if I >= (1 << 22) or jbase >= _MAX_RADIUS:
                 return DoubleSumReport(d, "unknown", total_mid,

@@ -35,8 +35,8 @@ from treegibbs.boundary_law import (
     truncation_radius,
 )
 from treegibbs.errors import ConfigError, NumericalError, OutsideGoodSetError
-from treegibbs.goodset import REASON_NO_EPSILON, REASON_NORM_INFINITE
-from treegibbs.potentials import TailModel, custom, fuzzy_Q, log_potential, sos
+from treegibbs.goodset import REASON_NO_EPSILON, REASON_NORM_INFINITE, GoodSetQuery, membership
+from treegibbs.potentials import TailModel, custom, fuzzy_Q, log_potential, norm_pair, sos
 
 # longdouble window oracle, radius 40, threshold 1e-16
 SOS25_GAMMA = 1.0318597714150849515
@@ -559,6 +559,24 @@ class TestLocalizationBounds:
     def test_ordering(self):
         lo, hi = localization_bounds(SOS25_GAMMA, SOS25_DELTA, 2)
         assert 0 < lo < hi
+
+    def test_one_bound_in_log_space(self):
+        # boundary_law re-exports goodset's bound, which agrees with the
+        # linear-space formula up to rounding
+        assert bl.localization_bounds is treegibbs.goodset.localization_bounds
+        log3 = [r.value for r in norm_pair(log_potential(3.0), 2)]
+        for g, dl in ((SOS25_GAMMA, SOS25_DELTA), log3, (1.03, 1e-8)):
+            eps = membership(GoodSetQuery(2, g, dl)).epsilon
+            lo, hi = localization_bounds(g, dl, 2)
+            assert lo == pytest.approx((dl * (1 - dl * eps**2) / (1 + g * eps)) ** 3,
+                                       rel=1e-14)
+            assert hi == pytest.approx((dl * (1 + dl * eps**2) / (1 - g * eps)) ** 3,
+                                       rel=1e-14)
+
+    def test_zero_delta_and_underflow(self):
+        assert localization_bounds(1.5, 0.0, 2) == (0.0, 0.0)
+        # delta^(d+1) = 1e-2002 is below the float range: both ends read 0
+        assert localization_bounds(1.01, 0.01, 1000) == (0.0, 0.0)
 
 
 class TestBoundaryLawType:

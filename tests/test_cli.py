@@ -722,6 +722,30 @@ class TestErrorContract:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ConfigError"
 
+    def test_norms_degree_below_one_names_d(self, capsys):
+        # d = 0 once reached p_norm and was refused as "p must be >= 1, got 0.5"
+        code, out, err = run(capsys, "norms", "--model", "sos", "--beta", "2", "--d", "0")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "d must be >= 1, got 0"
+        assert run(capsys, "norms", "--model", "sos", "--beta", "2", "--d", "1")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("threshold", "--model", "log", "--d", "1000000000"),
+        ("norms", "--model", "log", "--beta", "2", "--d", "1000000"),
+    ], ids=["threshold", "norms"])
+    def test_rounding_floor_refuses_at_the_first_n(self, capsys, argv):
+        # at p ~ 1e9 (1e6) the rounding of the delta series alone is 1100
+        # (1.1) times 1e-10 of its value; each run once doubled to 2^26 terms
+        # for 14 s before failing
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])["error"]
+        assert payload["type"] == "NumericalError"
+        assert "rounding floor" in payload["message"]
+        assert "after 64 terms" in payload["message"]
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", _TOL_ARGV, ids=lambda argv: argv[0])
     def test_bad_tolerance_is_a_usage_error(self, capsys, argv, tol):

@@ -288,6 +288,12 @@ class TestEdgeMarginal:
         expected = pot.Q(np.arange(-K, K + 1)) * math.tanh(1.0)
         assert np.allclose(nu, expected, rtol=1e-12, atol=1e-18)
 
+    @pytest.mark.parametrize("tail_tol", [math.nan, math.inf, -1.0])
+    def test_tail_tol_must_be_finite_and_nonnegative(self, chain20, tail_tol):
+        laws = increment_laws(sos(2.0), 2)
+        with pytest.raises(ConfigError, match="tail_tol must be a finite float >= 0"):
+            ggm_edge_marginal(chain20, laws, window=1, tail_tol=tail_tol)
+
     def test_two_class_expansion(self, chain20):
         pot = sos(2.0)
         laws = increment_laws(pot, 2)

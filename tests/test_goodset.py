@@ -21,6 +21,7 @@ from treegibbs.goodset import (
     binary_delta_boundary_radical,
     large_degree_scan,
     lipschitz_constant,
+    localization_bounds,
     membership,
     norm_membership,
     smallest_epsilon,
@@ -72,7 +73,7 @@ class TestSmallestEpsilon:
 
     def test_residual_and_ball(self):
         q = GoodSetQuery(3, 1.2, 0.1)
-        e = smallest_epsilon(q, abs_tol=1e-13)
+        e = smallest_epsilon(q)
         assert abs(q.gamma * e**3 + q.delta - e) < 1e-11
         assert q.delta + q.gamma * e**3 <= e  # upper bracket end is returned
 
@@ -240,12 +241,12 @@ class TestBetaThreshold:
         # U(1) = 0 keeps Q(1) = 1 at every beta, so delta >= 2^(1/(d+1)) > eps always
         flat = lambda beta: custom(beta, [[1, 0.0]], TailModel("exp", 1.0))
         with pytest.raises(NumericalError, match="no threshold"):
-            beta_threshold(flat, 2, beta_max=8.0)
+            beta_threshold(flat, 2)
 
     def test_custom_family_matches_builtin(self):
         # table reproducing U(j) = |j| must give the sos threshold
         mimic = lambda beta: custom(beta, [[1, 1.0], [2, 2.0]], TailModel("exp", 1.0))
-        got = beta_threshold(mimic, 3, tol=1e-4, rel_tol=1e-8)
+        got = beta_threshold(mimic, 3, tol=1e-4)
         assert got == pytest.approx(SOS_THRESHOLDS[3], abs=5e-4)
 
     def test_custom_family_at_large_degree(self):
@@ -265,8 +266,6 @@ class TestBetaThreshold:
         # a nan width ended the bisection at once and returned 1.5 for log d=3
         with pytest.raises(ConfigError, match="tol must be a positive finite"):
             beta_threshold("log", 3, tol=tol)
-        with pytest.raises(ConfigError, match="abs_tol must be a positive finite"):
-            smallest_epsilon(GoodSetQuery(2, 1.5, 0.05), abs_tol=tol)
 
 
 class TestLargeDegreeScan:
@@ -288,6 +287,19 @@ class TestLargeDegreeScan:
     def test_ratio_value_frozen(self):
         report = large_degree_scan("sos", 2.0, [25])
         assert report.rows[0].ratio_upper_bound == pytest.approx(0.00410055, rel=1e-5)
+
+    def test_ratio_is_the_upper_localization_bound(self):
+        report = large_degree_scan("sos", 2.0, [20, 25, 200])
+        assert all(r.in_good_set for r in report.rows)
+        for r in report.rows:
+            assert r.ratio_upper_bound == localization_bounds(r.gamma, r.delta, r.d)[1]
+
+    def test_v_is_the_least_nonzero_potential_value(self):
+        # log1p(1) has the bits of log 2; a custom table's least entry wins
+        assert large_degree_scan("log", 4.0, [7]).v == math.log(2.0)
+        bump = lambda beta: custom(beta, [[1, 2.0], [2, 0.5], [3, 1.5]],
+                                   TailModel("exp", 1.0))
+        assert large_degree_scan(bump, 4.0, [50]).v == 0.5
 
     def test_precondition(self):
         with pytest.raises(ConfigError):

@@ -152,6 +152,17 @@ class TestPathDistributionType:
         assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("tail_tol", [math.nan, math.inf, -1.0])
+def test_tail_tol_must_be_finite_and_nonnegative(sos20, chain2, tail_tol):
+    # nan once passed a leak of 0.586 (sos 2, q = 2, n = 64, window 3), and
+    # -1 failed every window as a NumericalError
+    fc, laws = chain2
+    for call in (lambda: wn_localized_exact(sos20, 8, window=1, tail_tol=tail_tol),
+                 lambda: wn_ggm_exact(fc, laws, 64, window=3, tail_tol=tail_tol)):
+        with pytest.raises(ConfigError, match="tail_tol must be a finite float >= 0"):
+            call()
+
+
 class TestWnLocalized:
     def test_point_mass_is_frozen(self):
         # lam concentrated at zero keeps the walker pinned for every n

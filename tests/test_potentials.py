@@ -15,7 +15,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treegibbs.errors import ConfigError, NotSummableError, TailUndeclaredError
+from treegibbs.errors import ConfigError, NotSummableError, NumericalError, TailUndeclaredError
 from treegibbs.potentials import (
     DOMAIN_Z,
     DOMAIN_Z_STAR,
@@ -263,6 +263,13 @@ class TestNorms:
         with pytest.raises(ConfigError, match="rel_tol must be a positive finite"):
             norm_pair(sos(2.5), 2, rel_tol=rel_tol)
 
+    def test_norm_pair_degree(self):
+        # d = 0 once reached p_norm and was refused as "p must be >= 1, got 0.5"
+        with pytest.raises(ConfigError, match="d must be >= 1, got 0"):
+            norm_pair(sos(2.0), 0)
+        g, dl = norm_pair(sos(2.0), 1)
+        assert (g.p, dl.p) == (1.0, 2.0)
+
 
 class TestHurwitzZeta:
     @pytest.mark.parametrize("s,a,ref", HURWITZ_CASES)
@@ -282,6 +289,19 @@ class TestHurwitzZeta:
             hurwitz_zeta(0.9, 1.0)
         with pytest.raises(ConfigError):
             hurwitz_zeta(2.0, 0.0)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, rel_tol):
+        # nan and 0 once summed 2^26 terms and then blamed the tail; inf
+        # returned an uncertified sum
+        with pytest.raises(ConfigError, match="rel_tol must be a positive finite"):
+            hurwitz_zeta(2.5, 1.0, rel_tol=rel_tol)
+
+    def test_rounding_floor_refuses_at_the_first_n(self):
+        # the terms' rounding alone is about 3e-16 of the sum, which no
+        # number of terms brings under 1e-17: refused at N = 64, not 2^26
+        with pytest.raises(NumericalError, match=r"rounding floor .* after 64 terms"):
+            hurwitz_zeta(2.0, 1.5, rel_tol=1e-17)
 
 
 class TestFuzzyOperator:
@@ -332,24 +352,37 @@ class TestFuzzyOperator:
         assert fq.normalized
 
     def test_zq_norm_domain(self):
-        rep = p_norm(sos(2.0), 1.5, DOMAIN_ZQ, q=2)
+        rep = fuzzy_Q(sos(2.0), 2).p_norm(1.5)
         by_hand = (FUZZY_SOS2_Q2[0] ** 1.5 + FUZZY_SOS2_Q2[1] ** 1.5) ** (1 / 1.5)
         assert rep.value == pytest.approx(by_hand, rel=1e-12)
-        star = p_norm(sos(2.0), 1.5, DOMAIN_ZQ_STAR, q=2)
+        assert rep.domain == DOMAIN_ZQ
+        star = fuzzy_Q(sos(2.0), 2).p_norm(1.5, without_zero=True)
         assert star.value == pytest.approx(FUZZY_SOS2_Q2[1], rel=1e-12)
+        assert star.domain == DOMAIN_ZQ_STAR
+        # p_norm is the norm on Z; the class-sum norm is the operator's own
+        for domain in (DOMAIN_ZQ, DOMAIN_ZQ_STAR):
+            with pytest.raises(ConfigError, match="unknown domain"):
+                p_norm(sos(2.0), 1.5, domain)
 
     def test_zq_norm_survives_power_sum_underflow(self):
         # Q_3(1)^1001 ~ 1e-814 is 0 in float64; the norm Q_3(1) 2^(1/1001) is not
         q1 = (math.exp(-2.0) + math.exp(-4.0)) / -math.expm1(-6.0)
-        rep = p_norm(sos(2.0), 1001.0, DOMAIN_ZQ_STAR, q=3)
+        rep = fuzzy_Q(sos(2.0), 3).p_norm(1001.0, without_zero=True)
         assert rep.value == pytest.approx(q1 * 2.0 ** (1 / 1001), rel=1e-12)
         assert rep.value == pytest.approx(0.15414, abs=5e-6)
+
+    @pytest.mark.parametrize("pot", [log_potential(2.6), sos(2.0)], ids=["log", "sos"])
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, pot, rel_tol):
+        # log 2.6, q = 5 at nan once ran 11 s before blaming the tail
+        with pytest.raises(ConfigError, match="rel_tol must be a positive finite"):
+            fuzzy_Q(pot, 5, rel_tol=rel_tol)
 
     def test_not_summable(self):
         with pytest.raises(NotSummableError):
             fuzzy_Q(log_potential(0.9), 3)
         with pytest.raises(ConfigError):
-            p_norm(sos(1.0), 2.0, DOMAIN_ZQ)  # q missing
+            p_norm(sos(1.0), 2.0, DOMAIN_ZQ)  # Z_q norms are fuzzy_Q(...).p_norm
 
 
 class TestDoubleSum:
@@ -359,7 +392,7 @@ class TestDoubleSum:
         assert rep.value == pytest.approx(DOUBLE_SOS25_D2, rel=1e-9)
 
     def test_log_finite(self):
-        rep = check_double_sum(log_potential(3.0), 2, rel_tol=1e-9)
+        rep = check_double_sum(log_potential(3.0), 2)
         assert rep.verdict == "finite"
         assert rep.value == pytest.approx(DOUBLE_LOG3_D2, rel=1e-8)
 
@@ -371,7 +404,7 @@ class TestDoubleSum:
     def test_custom_non_monotone_table(self):
         # table bump: envelope must use the suffix max, not Q itself
         pot = custom(1.0, [[1, 2.0], [2, 0.5], [3, 1.5]], TailModel("exp", 1.0))
-        rep = check_double_sum(pot, 2, rel_tol=1e-9)
+        rep = check_double_sum(pot, 2)
         assert rep.verdict == "finite"
 
         def env(m):
