@@ -7,9 +7,13 @@ The normalized boundary-law equation is x = T(x) with
 
 a convolution against w = x^d with the zero slot pinned to w(0) = 1,
 renormalized so T(x)(0) = 1.  Inside the good set T contracts an eps-ball
-around Q in the l_{d+1} norm, and Banach iteration from x0 = Q converges to
-the unique fixed point there; lambda = x^d is the boundary law and
-lambda^{(d+1)/d} normalizes to the single-site marginal.
+around Q in the l_{d+1} norm, and Banach iteration converges to the unique
+fixed point there; lambda = x^d is the boundary law and lambda^{(d+1)/d}
+normalizes to the single-site marginal.  On Z_q, and on a window whose
+radius is already small, the iteration starts from x0 = Q.  A larger window
+is solved coarse to fine (nested iteration): a small window iterates from
+Q, and its fixed point, zero-padded, starts the full window, which then
+needs only a step or two.
 
 One operator serves two supports; only its convolution differs.  On the
 window [-R, R] it is a linear convolution against Q on [-2R, 2R]; on Z_q it
@@ -165,11 +169,15 @@ class SolveConfig:
 class SolveReport:
     """Certificate trail of one Banach solve.
 
-    contraction_estimate is the largest observed ratio of successive step
-    norms (measured while steps are well above rounding noise); certified
-    runs keep it at or below the good-set Lipschitz constant.  a_priori and
-    a_posteriori are the standard Banach error bounds; both None without a
-    contraction certificate.
+    A window solve may run in two stages: coarse_radius is the radius of
+    the window whose fixed point, zero-padded, started the full window
+    (None for a one-stage solve).  iterations counts the Banach steps of
+    both stages.  contraction_estimate is the largest observed ratio of
+    successive step norms in either stage (measured while steps are well
+    above rounding noise); certified runs keep it at or below the good-set
+    Lipschitz constant.  a_priori and a_posteriori are the standard Banach
+    error bounds of the full-window stage, from its start and from its last
+    step; both None without a contraction certificate.
 
     The step norms behind final_residual and the two bounds are the upper
     ends of rounding bands around the exactly rounded norms, at most about
@@ -190,6 +198,7 @@ class SolveReport:
     delta: float
     certified: bool
     mode: str
+    coarse_radius: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -236,27 +245,24 @@ def _fft_convolve(kernel: np.ndarray, n: int, lo: int, hi: int):
 
 
 def _next_fast_len(n: int) -> int:
-    """Smallest 2*3*5*7*11-smooth integer >= n >= 1.
+    """Smallest 2*3*5-smooth integer >= n >= 1.
 
-    The same choice as scipy.fft.next_fast_len for complex transforms, so
-    the transform lengths, and with them the output bits, do not depend on
-    importing scipy.fft.  Each {3,5,7,11}-smooth p below the best length so
-    far is completed by the least power of two that reaches n.
+    The same choice as scipy.fft.next_fast_len(n, real=True): every
+    transform here is a real one, and numpy's real pocketfft has passes
+    for the radices 2, 3, 4 and 5 only, so a factor 7 or 11 costs a generic
+    pass.  Computed here so the transform lengths, and with them the output
+    bits, do not depend on importing scipy.fft.  Each 5^a 3^b below the
+    best length so far is completed by the least power of two that
+    reaches n.
     """
     best = 1 << (n - 1).bit_length()
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p3 = p5
-                while p3 < best:
-                    best = min(best, p3 << ((n - 1) // p3).bit_length())
-                    p3 *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
+    p5 = 1
+    while p5 < best:
+        p3 = p5
+        while p3 < best:
+            best = min(best, p3 << ((n - 1) // p3).bit_length())
+            p3 *= 3
+        p5 *= 5
     return best
 
 
@@ -317,7 +323,7 @@ def _convolution_error(L: int | None, m: int, g1: float, g2: float):
         return _gamma(m) * g1, 0.0, 0.0
     mu = 4.0 * _UNIT_ROUNDOFF
     total, rest = 0.0, L
-    for p in (2, 3, 5, 7, 11):
+    for p in (2, 3, 5):
         while rest % p == 0:
             rest //= p
             e_p = 2.0 * mu + mu * mu + (1.0 + mu) ** 2 * math.sqrt(2.0) * _gamma(p + 3)
@@ -388,6 +394,11 @@ def apply_T_periodic(qbar: FuzzyOperator, d: int, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _tail_norm(pot: Potential, R: int, p: float) -> float:
+    """Certified upper end of (2 * sum_{j>R} Q(j)^p)^(1/p)."""
+    return _tail_beyond(pot, R, p) ** (1.0 / p)
+
+
 def truncation_radius(pot: Potential, p: float, bound: float) -> int:
     """Smallest radius R with the certified tail norm of Q at exponent p below bound.
 
@@ -399,7 +410,7 @@ def truncation_radius(pot: Potential, p: float, bound: float) -> int:
         raise ConfigError("bound must be positive")
 
     return _smallest_radius(
-        lambda R: _tail_beyond(pot, R, p) ** (1.0 / p) <= bound,
+        lambda R: _tail_norm(pot, R, p) <= bound,
         1,
         _MAX_WINDOW_RADIUS,
         f"truncation radius beyond {_MAX_WINDOW_RADIUS} needed for tail bound "
@@ -413,12 +424,29 @@ def _window_radius(pot: Potential, d: int, config: SolveConfig) -> int:
     if config.radius is None:
         return max(truncation_radius(pot, d + 1, 0.01 * config.tol), 4)
     R = config.radius
-    tail = _tail_beyond(pot, R, d + 1) ** (1.0 / (d + 1))
+    tail = _tail_norm(pot, R, d + 1)
     if tail > config.tol:
         raise ConfigError(
             f"radius {R} leaves a truncated tail of {tail:.3g} > tol {config.tol:.3g}"
         )
     return R
+
+
+def _coarse_radius(pot: Potential, d: int, tol: float, gamma: float, R: int) -> int | None:
+    """The radius R_c of the coarse solve that starts the window [-R, R],
+    or None when R_c >= R.
+
+    Cutting x off beyond r moves T(x) by at most gamma |x beyond r|^d in
+    l_{d+1} (Young's inequality, as behind gamma = |Q|_{(d+1)/2}), and x
+    is about Q far out.  So R_c = max(4, the least radius whose tail norm
+    of Q at exponent d+1 is at most (0.01 tol / gamma)^(1/d)): a start
+    whose cut-off moves T by the same 0.01 tol budget the window radius
+    spends.  The search never passes R.
+    """
+    bound = (0.01 * tol / gamma) ** (1.0 / d)
+    if R <= 4 or _tail_norm(pot, R - 1, d + 1) > bound:
+        return None
+    return max(4, truncation_radius(pot, d + 1, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +493,9 @@ class _OffzeroNorm:
         return self.exact() > (other.exact() if norm else other)
 
 
-def _iterate(op, d: int, tol: float, L: float | None):
-    """Banach loop; returns (x, iterations, step_norms, contraction_estimate).
+def _iterate(op, d: int, tol: float, L: float | None, x: np.ndarray | None = None):
+    """Banach loop from x (default ``op.start()``); returns (x, iterations,
+    step_norms, contraction_estimate).
 
     With L the stop is the certified a-posteriori bound; without it, plain
     step smallness plus divergence detection.  The threshold never exceeds
@@ -476,7 +505,8 @@ def _iterate(op, d: int, tol: float, L: float | None):
     largest ratio of successive steps both above max(100 tol, 1e-13), each
     ratio taken as the upper end of its band.
     """
-    x = op.start()
+    if x is None:
+        x = op.start()
     steps: list[float] = []
     if L is not None and L > 0:
         threshold = tol * min(1.0, (1.0 - L) / L)
@@ -513,16 +543,30 @@ def _iterate(op, d: int, tol: float, L: float | None):
     )
 
 
+def _check_ball(x: np.ndarray, op: _Operator, d: int, eps: float, what: str) -> None:
+    """NumericalError unless x lies in the certified eps-ball (with a 1e-9
+    relative allowance), decided on the exact off-zero norm."""
+    ball = _OffzeroNorm(x, op.zero, d)
+    if ball.exceeds(eps * (1.0 + 1e-9)):
+        raise NumericalError(
+            f"{what} left the certified ball: |x| = {ball.exact()!r} > eps = {eps!r}"
+        )
+
+
 def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
-           refusal: str, make_op, check=None):
+           refusal: str, make_ops, check=None):
     """The certified solve shared by both supports.
 
     `norm_membership` of the NormReports (gamma, delta) decides the
     certificate; certified mode refuses outside the good set with
     ``refusal`` as the message prefix, and both modes refuse an infinite
-    norm.  ``make_op`` builds the operator only after that refusal,
-    ``check(x)`` vets the fixed point before the ball test.  Returns (op,
-    x, sup_residual, report).
+    norm.  ``make_ops(gamma)`` builds the operators only after that
+    refusal, coarse to fine: the first iterates from its own start, each
+    later window from the previous fixed point zero-padded on both sides,
+    which in certified mode must lie in the eps-ball, since the Banach
+    bounds need every iterate there.  ``check(x)`` vets the fixed
+    point before the ball test.  Returns (op, x, sup_residual, report) for
+    the last operator.
     """
     verdict = norm_membership(d, gamma, delta)
     certified = verdict.in_good_set
@@ -536,25 +580,32 @@ def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
         )
     if not certified and config.mode == MODE_CERTIFIED:
         raise OutsideGoodSetError(f"{refusal} (reason: {verdict.reason})", verdict=verdict)
-    op = make_op()
+    ops = make_ops(verdict.gamma)
     L = verdict.lipschitz if certified else None
     eps = verdict.epsilon if certified else None
-    x, n_iter, steps, rho = _iterate(op, d, config.tol, L)
+    x = prev = rho = None
+    n_total = 0
+    for op in ops:
+        if prev is not None:
+            x = np.pad(x, op.zero - prev.zero)
+            if certified:
+                _check_ball(x, op, d, eps, "coarse start")
+        x, n_iter, steps, stage_rho = _iterate(op, d, config.tol, L, x)
+        n_total += n_iter
+        if stage_rho is not None:
+            rho = max(rho or 0.0, stage_rho)
+        prev = op
     if check is not None:
         check(x)
     if certified:
-        ball = _OffzeroNorm(x, op.zero, d)
-        if ball.exceeds(eps * (1.0 + 1e-9)):
-            raise NumericalError(
-                f"solution left the certified ball: |x| = {ball.exact()!r} > eps = {eps!r}"
-            )
+        _check_ball(x, op, d, eps, "solution")
     resid_vec = op.apply(x) - x
     a_priori = a_post = None
     if L is not None and L > 0:
         a_priori = L**n_iter / (1.0 - L) * steps[0]
         a_post = steps[-1] * L / (1.0 - L)
     report = SolveReport(
-        iterations=n_iter,
+        iterations=n_total,
         final_residual=_OffzeroNorm(resid_vec, op.zero, d).hi,
         contraction_estimate=rho,
         a_priori_bound=a_priori,
@@ -565,6 +616,7 @@ def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
         delta=verdict.delta,
         certified=certified,
         mode=config.mode,
+        coarse_radius=ops[0].zero if len(ops) > 1 else None,
     )
     return op, x, float(np.max(np.abs(resid_vec))), report
 
@@ -577,15 +629,26 @@ def solve_fixed_point(
     The norm pair is computed with series cross-checks, membership decides
     whether the contraction certificate applies, and the window is sized so
     the discarded tail cannot move the solution by more than the tolerance.
-    Outside the good set the default mode refuses; "auto" iterates
-    uncertified instead.
+    When the coarse radius R_c (`_coarse_radius`, from tol and gamma) is
+    below the window radius R, Banach iteration from Q first solves the
+    window [-R_c, R_c] to the same tol; its fixed point, zero-padded to
+    [-R, R] and checked to lie in the eps-ball, starts the iteration on
+    the full window, and report.coarse_radius is R_c.  Otherwise the full
+    window iterates from Q.  Outside the good set the default mode refuses;
+    "auto" iterates uncertified instead.
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
+
+    def windows(gamma):
+        R = _window_radius(pot, d, config)
+        R_c = _coarse_radius(pot, d, config.tol, gamma, R)
+        radii = (R,) if R_c is None else (R_c, R)
+        return [_window_operator(pot, d, r) for r in radii]
+
     op, x, residual, report = _solve(
         d, *norm_pair(pot, d, "half"), config,
-        "outside good set - no contraction certificate",
-        lambda: _window_operator(pot, d, _window_radius(pot, d, config)),
+        "outside good set - no contraction certificate", windows,
     )
     law = BoundaryLaw(
         kind=SUPPORT_TRUNCATED, d=d, x=x, radius=op.zero, ball_radius=report.epsilon,
@@ -635,7 +698,7 @@ def periodic_solve(
         qbar.p_norm(float(d + 1), without_zero=True),
         config,
         f"(gamma_q, delta_q) outside good set for q={q}",
-        lambda: _periodic_operator(qbar, d),
+        lambda gamma: [_periodic_operator(qbar, d)],
         nontrivial,
     )
     law = BoundaryLaw(

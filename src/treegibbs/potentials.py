@@ -587,7 +587,9 @@ def _pth_root(pot: Potential, power: float, p: float, rel_tol: float) -> float:
     of the sum scaled by M^p, where M = Q(j0) = max_{j != 0} Q(j) and j0
     minimizes U over ``_nonzero_head``.  The scaled sum is the power sum of
     the custom potential U - U(j0) with the same tail, whose largest term
-    is 1, so its series certifies to rel_tol; an M that is itself 0 in
+    is 1.  Its series certifies to s = p rel_tol / (1 + p rel_tol), which
+    keeps (1 +- s)^(1/p) within 1 +- rel_tol, so a large p does not ask
+    the sum for more than its root needs; an M that is itself 0 in
     float64 gives 0.
     """
     if power >= sys.float_info.min:
@@ -597,7 +599,7 @@ def _pth_root(pot: Potential, power: float, p: float, rel_tol: float) -> float:
     j0 = int(np.argmin(head))
     shifted = Potential("custom", pot.beta, tuple((head - head[j0]).tolist()),
                         TailModel(kind, param))
-    arm, _, _ = _progression_sum(shifted, 1, 1, p, rel_tol)
+    arm, _, _ = _progression_sum(shifted, 1, 1, p, p * rel_tol / (1.0 + p * rel_tol))
     return pot.Q(j0 + 1) * (2.0 * arm) ** (1.0 / p)
 
 

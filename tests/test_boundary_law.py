@@ -169,9 +169,9 @@ class TestApplyT:
         from treegibbs.boundary_law import _next_fast_len
 
         # every small length, the window of the log beta=3.0 solve and the
-        # wide W_n lengths r + 2K + 1 of the benchmark
+        # wide W_n lengths r + 2K + 1 of the benchmark; every transform is real
         for n in [*range(1, 20001), 4 * 149534 + 1, 1864 + 7385, 3665 + 7385]:
-            assert _next_fast_len(n) == next_fast_len(n), n
+            assert _next_fast_len(n) == next_fast_len(n, real=True), n
 
     def test_fft_paths_skip_scipy_fft(self):
         src = os.path.dirname(os.path.dirname(treegibbs.__file__))
@@ -447,6 +447,89 @@ class TestSolveTruncated:
             SolveConfig(radius=0)
 
 
+class TestTwoStageSolve:
+    """A coarse window solve starts the full-window Banach iteration."""
+
+    def test_full_window_applies(self, monkeypatch):
+        calls = {}
+        apply = bl._Operator.apply
+
+        def counting(self, x):
+            calls[self.zero] = calls.get(self.zero, 0) + 1
+            return apply(self, x)
+
+        stages = []
+        iterate = bl._iterate
+
+        def recording(*args):
+            stages.append(iterate(*args))
+            return stages[-1]
+
+        monkeypatch.setattr(bl._Operator, "apply", counting)
+        monkeypatch.setattr(bl, "_iterate", recording)
+        law, report = solve_fixed_point(log_potential(3.0), 2)
+        assert law.radius == 149534 and report.certified
+        assert report.coarse_radius is not None and report.coarse_radius < law.radius
+        assert set(calls) == {report.coarse_radius, law.radius}
+        # the full-window Banach steps plus the residual
+        assert calls[law.radius] <= 4
+        assert report.iterations == sum(calls.values()) - 1
+        assert report.a_posteriori_bound <= 3.1e-13
+        assert report.contraction_estimate <= report.lipschitz
+        # the a-priori bound runs from the full window's start
+        (_, n_coarse, _, _), (_, n, steps, _) = stages
+        L = report.lipschitz
+        assert n_coarse + n == report.iterations and n <= 2
+        assert report.a_priori_bound == L**n / (1.0 - L) * steps[0]
+        assert report.a_posteriori_bound == steps[-1] * L / (1.0 - L)
+
+    @pytest.mark.parametrize("pot,config", [
+        (sos(2.5), SolveConfig()),
+        (log_potential(4.0), SolveConfig()),
+        (log_potential(3.0), SolveConfig(radius=1100, tol=1e-8)),
+    ])
+    def test_agrees_with_cold_start(self, pot, config):
+        law, report = solve_fixed_point(pot, 2, config)
+        assert report.coarse_radius is not None
+        L = report.lipschitz
+        op = bl._window_operator(pot, 2, law.radius)
+        x, _, steps, _ = bl._iterate(op, 2, config.tol, L)
+        cold_bound = steps[-1] * L / (1.0 - L)
+        gap = offzero_norm(law.x - x, law.radius, 2)
+        assert gap <= report.a_posteriori_bound + cold_bound
+
+    def test_coarse_start_outside_the_ball_is_refused(self, monkeypatch):
+        iterate = bl._iterate
+
+        def pushed(op, d, tol, L, x=None):
+            out = iterate(op, d, tol, L, x)
+            if x is None:  # the coarse stage: move its fixed point out of the ball
+                far = out[0] * 10.0
+                far[op.zero] = 1.0
+                return (far, *out[1:])
+            return out
+
+        monkeypatch.setattr(bl, "_iterate", pushed)
+        with pytest.raises(NumericalError, match="coarse start left the certified ball"):
+            solve_fixed_point(sos(2.5), 2)
+
+    @pytest.mark.parametrize("pot,config", [
+        # R_c >= 4 = R
+        (sos(2.5), SolveConfig(radius=4, tol=1e-5)),
+        # the tail beyond 4 is above (0.01 tol / gamma)^(1/d), so R_c >= 5 = R
+        (log_potential(1.0), SolveConfig(radius=5, tol=0.5, mode=MODE_AUTO)),
+    ])
+    def test_one_stage_when_the_coarse_radius_is_not_smaller(self, monkeypatch,
+                                                             pot, config):
+        sizes = []
+        window = bl._window_operator
+        monkeypatch.setattr(bl, "_window_operator",
+                            lambda pot, d, R: sizes.append(R) or window(pot, d, R))
+        law, report = solve_fixed_point(pot, 2, config)
+        assert report.coarse_radius is None
+        assert sizes == [config.radius] and law.radius == config.radius
+
+
 class TestDetailedBalance:
     def test_truncated_law_reversible(self):
         law, _ = solve_fixed_point(sos(2.5), 2)
@@ -626,7 +709,7 @@ class _RefWindowOperator:
             import scipy.fft
 
             self.fft = scipy.fft
-            self.nfft = scipy.fft.next_fast_len(4 * R + 1)
+            self.nfft = scipy.fft.next_fast_len(4 * R + 1, real=True)
             self.kernel_f = scipy.fft.rfft(self.Q2, self.nfft)
 
     def start(self):

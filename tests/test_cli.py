@@ -97,16 +97,21 @@ class TestNorms:
                 "6.3240402667679558e-322,closed_form,", 0.25),
         ("sos", "delta,1001,Z_without_zero,0.13542902924674999,0.1354,0,"
                 "closed_form,", math.exp(-2.0)),
+        # the scaled sum's rounding floor (1.1e-9) is above 1e-10 of it, but
+        # its p-th root is known to 1e-10
+        ("sos", "delta,10000001,Z_without_zero,0.13533529261733909,0.1353,0,"
+                "closed_form,", math.exp(-2.0)),
     ])
     def test_underflowing_power_sum_keeps_its_root(self, capsys, model, row, leading):
-        # the p = 1001 power sum (about 2^-2002, e^-2002) is 0 in float64;
+        # the p = d + 1 power sum (about 2^-2p, e^-2p) is 0 in float64;
         # the norm is Q(1) (2 (1 + tiny))^(1/p)
+        p = int(row.split(",")[1])
         code, out, err = run(capsys, "norms", "--model", model, "--beta", "2",
-                             "--d", "1000")
+                             "--d", str(p - 1))
         assert code == 0 and err == ""
         assert out.splitlines()[-2] == row
         value = float(row.split(",")[3])
-        assert value == pytest.approx(leading * 2.0 ** (1 / 1001), rel=1e-15)
+        assert value == pytest.approx(leading * 2.0 ** (1 / p), rel=1e-15)
 
     @pytest.mark.parametrize("beta,table,value", [
         # a custom copy of sos at beta 2: the sos row's value, from the series
@@ -198,6 +203,16 @@ class TestThreshold:
         obj = json.loads(out)
         assert obj["beta_star"] == pytest.approx(BETA_STAR_SOS_D2, abs=1e-6)
         assert obj["display"] == "1.997"
+
+    @pytest.mark.parametrize("model,d,row", [
+        ("sos", "10000000", "sos,10000000,half,1.8179416656494141e-06,1.818e-06"),
+        ("log", "1000000000", "log,1000000000,half,4.4703483581542969e-08,4.47e-08"),
+    ])
+    def test_huge_degree(self, capsys, model, d, row):
+        # the delta series at p = d + 1 once stopped on its rounding floor
+        code, out, err = run(capsys, "threshold", "--model", model, "--d", d)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == row
 
     def test_custom_model_rejected(self, capsys):
         code, _, err = run(capsys, "threshold", "--model", "custom:x.json",
@@ -730,13 +745,12 @@ class TestErrorContract:
         assert run(capsys, "norms", "--model", "sos", "--beta", "2", "--d", "1")[0] == 0
 
     @pytest.mark.parametrize("argv", [
-        ("threshold", "--model", "log", "--d", "1000000000"),
-        ("norms", "--model", "log", "--beta", "2", "--d", "1000000"),
-    ], ids=["threshold", "norms"])
+        ("norms", "--model", "log", "--beta", "2", "--d", "2", "--tol", "1e-17"),
+        ("norms", "--model", "sos", "--beta", "2", "--d", "2", "--tol", "1e-17"),
+    ], ids=["norms", "norms-sos"])
     def test_rounding_floor_refuses_at_the_first_n(self, capsys, argv):
-        # at p ~ 1e9 (1e6) the rounding of the delta series alone is 1100
-        # (1.1) times 1e-10 of its value; each run once doubled to 2^26 terms
-        # for 14 s before failing
+        # the rounding of the gamma series at p = 1.5 alone is above 1e-17
+        # of its value; such a run once doubled to 2^26 terms before failing
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         lines = err.splitlines()
