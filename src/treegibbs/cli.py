@@ -10,6 +10,8 @@ every value parsed (bar --out and the flags the run's mode leaves unread:
 `goodset --gamma/--delta` reads no model flag, `simulate` tables read no
 seed or replicate, and sampled paths no --n or --truncation) plus the
 package and numpy versions, so equal flags reproduce byte-identical files.
+`--truncation` is always the radius of the truncated law a command builds;
+W_n tables take the window the library derives from that law.
 
 Exit codes: 0 success, 2 configuration errors (including non-summable
 operators), 3 numerical failures, 4 refusals outside the good set.  Module
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -361,20 +364,16 @@ def cmd_ggm(args) -> str:
 
 def cmd_simulate(args) -> str:
     pot = _resolve_model(args)
+    # a sampled step would fold a truncated tail into its last point
+    radius = args.truncation if args.sample_steps is None else None
     if args.q is not None:
         law, _ = periodic_solve(pot, args.d, args.q)
         fc = fuzzy_chain(law, fuzzy_Q(pot, args.q))
-        laws = increment_laws(pot, args.q)
-        source = (fc, laws)
-
-        def exact(n):
-            return wn_ggm_exact(fc, laws, n, window=args.truncation)
+        source = (fc, increment_laws(pot, args.q, radius=radius))
+        exact = functools.partial(wn_ggm_exact, *source)
     else:
-        law, _ = solve_fixed_point(pot, args.d)
-        source = law
-
-        def exact(n):
-            return wn_localized_exact(law, n, window=args.truncation)
+        source, _ = solve_fixed_point(pot, args.d, SolveConfig(radius=radius))
+        exact = functools.partial(wn_localized_exact, source)
 
     if args.sample_steps is not None:
         inc, states = sample_path(source, args.sample_steps,
@@ -496,7 +495,9 @@ _FLAGS = {
     "d": {"type": int, "default": 2},
     "pairing": {"choices": ("half", "one"), "default": "half"},
     "tol": {"type": _tolerance},
-    "truncation": {"type": int},
+    "truncation": {"type": int, "help": "radius of the truncated boundary law "
+                   "(solve, simulate) or increment laws (ggm, simulate --q); "
+                   "default: the certified radius; sampled paths ignore it"},
     "q": {"type": int},
     "gamma": {"type": float},
     "delta": {"type": float},
@@ -548,22 +549,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _subcommand(sub, "threshold", "smallest beta inside the good set",
                 "model d pairing", tol=_TOL_BISECTION)
     _subcommand(sub, "solve", "certified truncated boundary law",
-                "model beta d", tol=_TOL_SOLVE,
-                truncation={"help": "window radius R of the solve on [-R, R]; "
-                                    "default: the certified radius for --tol"})
+                "model beta d truncation", tol=_TOL_SOLVE)
     _subcommand(sub, "periodic", "q-periodic boundary law",
                 "model beta d q", tol=_TOL_SOLVE)
     _subcommand(sub, "ggm", "fuzzy chain and edge increment marginal",
-                "model beta d q", tol=_TOL_SOLVE,
-                truncation={"help": "radius of the class-conditional increment "
-                                    "laws; default: the radius leaving tail "
-                                    "mass <= 1e-10"})
+                "model beta d q truncation", tol=_TOL_SOLVE)
     _subcommand(sub, "simulate", "exact W_n tables or sampled paths",
-                "model beta d n sample_steps seed replicate",
-                q={"help": "class count; omit for the localized chain"},
-                truncation={"help": "half-width K of the exact W_n tables "
-                                    "(k in [-K, K]); default: sized from the "
-                                    "chain; sampled paths ignore it"})
+                "model beta d truncation n sample_steps seed replicate",
+                q={"help": "class count; omit for the localized chain"})
     _subcommand(sub, "phase-diagram", "membership over a (beta, d) grid",
                 "model pairing beta_range d_list", tol=_TOL_SERIES)
     _subcommand(sub, "table", "threshold column over degrees",

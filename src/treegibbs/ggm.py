@@ -23,7 +23,6 @@ from .potentials import (
     FuzzyOperator,
     Potential,
     _banded_sum,
-    _check_tail_tol,
     _float_stream,
     _smallest_radius,
     _tail_beyond,
@@ -232,9 +231,7 @@ def _class_step_law(fc: FuzzyChain) -> np.ndarray:
     ])
 
 
-def ggm_edge_marginal(
-    fc: FuzzyChain, laws, window: int, tail_tol: float = 1e-9
-) -> np.ndarray:
+def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
     """Single-edge increment law nu(j) on the window [-K, K].
 
     nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
@@ -244,24 +241,26 @@ def ggm_edge_marginal(
     1 - (exactly rounded mass): the lower end of the mass's `_banded_sum`
     band passes it when it can, and only otherwise does `_window_leak` take
     the exact sum, which its error message needs anyway.  Errors out when
-    the window cannot hold enough mass for tail_tol.
+    the window leaks more than `_LEAK_TOL`.
     """
-    _check_tail_tol(tail_tol)
     laws = _check_laws(fc, laws)
     need = max(law.radius for law in laws)
     nu = np.zeros(2 * window + 1)
     for step, law in zip(_class_step_law(fc), laws):
         j0, w = law.clip(window)
         nu[j0 + window::fc.q][:w.size] += step * w
-    if 1.0 - _banded_sum(nu)[0] <= tail_tol:
+    if 1.0 - _banded_sum(nu)[0] <= _LEAK_TOL:
         return nu
     # a window past every law radius holds all support points: the leak is
     # the mass the increment truncation gave away
-    _window_leak(nu, window, tail_tol, lambda: (
+    _window_leak(nu, window, _LEAK_TOL, lambda: (
         f"use window >= {need}" if window < need else
         f"the increment laws are truncated at radius {need}; "
         "raise the increment radius (--truncation)"))
     return nu
+
+
+_LEAK_TOL = 1e-9  # mass a W_n or edge-marginal window may leak
 
 
 def _window_leak(law: np.ndarray, window: int, budget: float, hint) -> float:

@@ -266,6 +266,8 @@ def beta_threshold(family, d: int, pairing: str = "half",
             raise NumericalError("membership persists down to beta ~ 0; no finite threshold")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no width below tol exists
+            break
         if is_member(mid):
             hi = mid
         else:

@@ -55,8 +55,8 @@ from .boundary_law import (
     periodic_solve,
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
-from .ggm import FuzzyChain, _check_laws, _class_step_law, _dense_chain, _window_leak
-from .potentials import _check_tail_tol, _float_stream, _gamma, _smallest_radius, fuzzy_Q
+from .ggm import _LEAK_TOL, FuzzyChain, _check_laws, _class_step_law, _dense_chain, _window_leak
+from .potentials import _float_stream, _gamma, _smallest_radius, fuzzy_Q
 
 __all__ = [
     "MODE_GIBBS",
@@ -213,19 +213,17 @@ def _slice_to_window(full: np.ndarray, center: int, window: int) -> np.ndarray:
     return out
 
 
-def wn_localized_exact(
-    bl: BoundaryLaw, n: int, window: int | None = None, tail_tol: float = 1e-9
-) -> PathDistribution:
+def wn_localized_exact(bl: BoundaryLaw, n: int, window: int | None = None) -> PathDistribution:
     """Exact law of W_n under the localized height chain.
 
     nu(W_n = k) = sum_i alpha(i) P^n(i, i+k), read off the k-th diagonal of
     the n-th kernel power.  The returned distribution carries the limit
     vector sum_i alpha(i) alpha(i+k) on the same window, so convergence can
-    be checked without a second call.
+    be checked without a second call.  A window below the default m - 1
+    may leak at most `ggm._LEAK_TOL`.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    _check_tail_tol(tail_tol)
     P, alpha = _height_kernel(bl)
     m = len(alpha)
     Pn = np.linalg.matrix_power(P, n)
@@ -244,9 +242,9 @@ def wn_localized_exact(
 
     def fits(R: int) -> bool:  # monotone: a wider window sums more entries >= 0
         return R >= m - 1 or 1.0 - math.fsum(
-            _float_stream(_slice_to_window(full, m - 1, R))) <= tail_tol
+            _float_stream(_slice_to_window(full, m - 1, R))) <= _LEAK_TOL
 
-    leaked = _window_leak(law, K, tail_tol, lambda: "use window >= " + str(
+    leaked = _window_leak(law, K, _LEAK_TOL, lambda: "use window >= " + str(
         K if K >= m - 1 else _smallest_radius(fits, K + 1, 2 * m, "")))
     return PathDistribution(
         n=n, window=K, law=law, leaked_mass=leaked, mode=MODE_GIBBS, limit=limit
@@ -293,9 +291,7 @@ def _increment_kernels(laws, K: int):
     return convolvers, np.array(coef)
 
 
-def wn_ggm_exact(
-    fc: FuzzyChain, laws, n: int, window: int | None = None, tail_tol: float = 1e-9
-) -> PathDistribution:
+def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> PathDistribution:
     """Exact law of W_n under the class chain with conditional increments.
 
     Dynamic programming over (class, displacement): each step moves the
@@ -307,7 +303,7 @@ def wn_ggm_exact(
     scaled by P(i, i+s).  Results are kept on the window, so states that
     leave it are dropped each step and counted in leaked_mass, together
     with the mass the increment truncation gives away (at most n times the
-    per-law tail bound, which tail_tol does not need to cover).
+    per-law tail bound, allowed on top of `ggm._LEAK_TOL`: reported, not refused).
 
     roundoff_bound bounds max_k |law_k - the same DP in exact arithmetic on
     the same float inputs|.  With E_t = sum_c |D^_t[c] - D_t[c]|_inf over the
@@ -329,7 +325,6 @@ def wn_ggm_exact(
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    _check_tail_tol(tail_tol)
     laws = _check_laws(fc, laws)
     q = fc.q
     K = default_window(fc, laws, n) if window is None else int(window)
@@ -371,7 +366,7 @@ def wn_ggm_exact(
     law = np.maximum(D.sum(axis=0), 0.0)
     rounds = width + q * q + (q + 3) * n + 128
     bound = math.nextafter(bound / (1.0 - _gamma(rounds)), math.inf)
-    budget = tail_tol + n * max(law_.tail_mass_bound for law_ in laws)
+    budget = _LEAK_TOL + n * max(law_.tail_mass_bound for law_ in laws)
     leaked = _window_leak(law, K, budget, lambda: (
         f"use window >= {max(default_window(fc, laws, n), 2 * K)}"))
     return PathDistribution(

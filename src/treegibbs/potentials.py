@@ -591,15 +591,27 @@ def _pth_root(pot: Potential, power: float, p: float, rel_tol: float) -> float:
     keeps (1 +- s)^(1/p) within 1 +- rel_tol, so a large p does not ask
     the sum for more than its root needs; an M that is itself 0 in
     float64 gives 0.
+
+    A p too large for float64 is refused before summing: `_certified_sum`
+    allows the term 1 an error (p + 2) u (1 + (p + 4) u), p half-ulps of its
+    base for the pow plus one ulp of its own.  Once that reaches s (p u near
+    0.6), the term 1 alone spends the budget, and every other term
+    (Q(j)/M)^p is negligible unless its base is within ulps of 1, so no
+    number of terms certifies the sum.
     """
     if power >= sys.float_info.min:
         return power ** (1.0 / p)
+    s = p * rel_tol / (1.0 + p * rel_tol)
+    allowance = (p + 2.0) * _UNIT_ROUNDOFF * (1.0 + (p + 4.0) * _UNIT_ROUNDOFF)
+    if allowance >= s:
+        raise NumericalError(f"the p={p} power sum cannot be certified in float64: the "
+                             f"pow rounding {allowance:.3g} of its term 1 reaches s={s!r}")
     kind, param, _, _ = pot._decay()
     head = _nonzero_head(pot)
     j0 = int(np.argmin(head))
     shifted = Potential("custom", pot.beta, tuple((head - head[j0]).tolist()),
                         TailModel(kind, param))
-    arm, _, _ = _progression_sum(shifted, 1, 1, p, p * rel_tol / (1.0 + p * rel_tol))
+    arm, _, _ = _progression_sum(shifted, 1, 1, p, s)
     return pot.Q(j0 + 1) * (2.0 * arm) ** (1.0 / p)
 
 
@@ -638,13 +650,6 @@ def _check_tol(name: str, tol: float) -> float:
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"{name} must be a positive finite float, got {tol!r}")
     return tol
-
-
-def _check_tail_tol(tail_tol: float) -> None:
-    """ConfigError unless the leak budget ``tail_tol`` is a finite float >= 0:
-    nan would pass any leak, and a negative budget fail every window."""
-    if not 0.0 <= tail_tol < math.inf:
-        raise ConfigError(f"tail_tol must be a finite float >= 0, got {tail_tol!r}")
 
 
 def p_norm(
@@ -734,6 +739,10 @@ def hurwitz_zeta(s: float, a: float, rel_tol: float = 1e-12) -> tuple[float, flo
     remainder (``_power_tail``), through the engine's certified summation
     loop; N = 64 terms suffice for every s > 1 at the default tolerance.
     """
+    try:
+        s, a = float(s), float(a)
+    except (TypeError, ValueError):
+        raise ConfigError(f"hurwitz_zeta needs real s and a, got {s!r}, {a!r}") from None
     if s <= 1.0:
         raise ConfigError(f"hurwitz_zeta needs s > 1, got {s}")
     if a <= 0.0:
@@ -743,7 +752,7 @@ def hurwitz_zeta(s: float, a: float, rel_tol: float = 1e-12) -> tuple[float, flo
     value, err, _ = _certified_sum(
         lambda n: n + a, -s, lambda N: _power_tail(0.0, N + a, s, 1.0),
         _START_RADIUS, rel_tol, f"hurwitz_zeta(s={s}, a={a})",
-        rounded_base=not float(a).is_integer(),
+        rounded_base=not a.is_integer(),
     )
     return (value, err)
 

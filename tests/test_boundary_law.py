@@ -180,13 +180,14 @@ class TestApplyT:
             "from treegibbs.boundary_law import SolveConfig, periodic_solve, "
             "solve_fixed_point\n"
             "from treegibbs.ggm import fuzzy_chain, increment_laws\n"
-            "from treegibbs.pathsim import wn_ggm_exact\n"
+            "from treegibbs import pathsim\n"
             "from treegibbs.potentials import fuzzy_Q, log_potential, sos\n"
             "solve_fixed_point(sos(2.5), 2, SolveConfig(radius=1100))\n"
             "pot = log_potential(4.0)\n"
             "law, _ = periodic_solve(pot, 2, 2)\n"
-            "wn_ggm_exact(fuzzy_chain(law, fuzzy_Q(pot, 2)), increment_laws(pot, 2), 2,\n"
-            "             window=1100, tail_tol=1.0)\n"
+            "pathsim._LEAK_TOL = 1.0\n"
+            "pathsim.wn_ggm_exact(fuzzy_chain(law, fuzzy_Q(pot, 2)),\n"
+            "                     increment_laws(pot, 2), 2, window=1100)\n"
             "print('scipy.fft' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code],

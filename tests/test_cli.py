@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import treegibbs
-from treegibbs import cli
+from treegibbs import cli, potentials
 from treegibbs.boundary_law import (
     MODE_AUTO,
     SolveConfig,
@@ -214,6 +214,30 @@ class TestThreshold:
         assert code == 0 and err == ""
         assert out.splitlines()[-1] == row
 
+    @pytest.mark.parametrize("d", ["10000000000000000", "100000000000000000"])
+    def test_degree_beyond_float64_refuses_before_summing(self, capsys, monkeypatch, d):
+        # p u >= 1: these once doubled the delta series to 2^26 terms first
+        sums = []
+        monkeypatch.setattr(potentials, "_progression_sum",
+                            lambda *args: sums.append(args))
+        code, out, err = run(capsys, "threshold", "--model", "log", "--d", d)
+        assert code == 3 and out == "" and sums == []
+        (line,) = err.splitlines()
+        assert "cannot be certified in float64" in json.loads(line)["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["threshold", "table"])
+    def test_tol_below_the_float_spacing(self, capsys, command):
+        # the bisection once ran forever at widths no float bracket reaches
+        def beta_star(tol):
+            code, out, _ = run(capsys, command, "--model", "sos", "--d", "2",
+                               "--tol", tol, "--format", "json")
+            assert code == 0
+            obj = json.loads(out)
+            return obj["rows"][0]["beta_star"] if command == "table" else obj["beta_star"]
+
+        want = beta_star("1e-15")
+        assert abs(beta_star("1e-17") - want) <= 4 * math.ulp(want)
+
     def test_custom_model_rejected(self, capsys):
         code, _, err = run(capsys, "threshold", "--model", "custom:x.json",
                            "--d", "2")
@@ -368,14 +392,52 @@ class TestSimulate:
         assert len(rows) > 2048
         assert not any(r[2].startswith("-") for r in rows)
 
-    def test_window_too_small_exits_3(self, capsys):
-        code, _, err = run(capsys, "simulate", "--model", "sos", "--beta",
-                           "2", "--d", "2", "--q", "2", "--n", "8",
-                           "--truncation", "3")
-        assert code == 3
-        payload = json.loads(err)["error"]
-        assert payload["type"] == "NumericalError"
-        assert "window" in payload["message"]
+    def test_truncation_too_small_exits_2(self, capsys):
+        # --truncation is the boundary-law radius, refused as `solve` refuses it
+        argv = ("--model", "sos", "--beta", "2.5", "--d", "2", "--truncation", "3")
+        code, _, err = run(capsys, "simulate", *argv, "--n", "8")
+        assert code == 2
+        assert err == run(capsys, "solve", *argv)[2]
+        assert json.loads(err)["error"]["message"] == (
+            "radius 3 leaves a truncated tail of 5.72e-05 > tol 1e-12")
+
+    @pytest.mark.parametrize("radius", [1, 3, 30])
+    def test_class_tables_truncate_the_increment_laws(self, capsys, radius):
+        code, out, _ = run(capsys, "simulate", "--model", "sos", "--beta", "2",
+                           "--d", "2", "--q", "2", "--n", "8",
+                           "--truncation", str(radius), "--format", "json")
+        assert code == 0
+        fc, _ = _ggm_chain(2.0, 2)
+        dist = wn_ggm_exact(fc, increment_laws(sos(2.0), 2, radius=radius), 8)
+        (table,) = json.loads(out)["tables"]
+        assert table["window"] == dist.window
+        assert table["law"] == dist.law.tolist()
+        assert table["leaked_mass"] == dist.leaked_mass
+
+    def test_localized_tables_truncate_the_boundary_law(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--model", "sos", "--beta", "2.5",
+                           "--d", "2", "--n", "8", "--truncation", "30",
+                           "--format", "json")
+        assert code == 0
+        law, _ = solve_fixed_point(sos(2.5), 2, SolveConfig(radius=30))
+        dist = wn_localized_exact(law, 8)
+        (table,) = json.loads(out)["tables"]
+        assert table["window"] == dist.window == 60
+        assert table["law"] == dist.law.tolist()
+        assert table["limit"] == dist.limit.tolist()
+        assert table["leaked_mass"] == dist.leaked_mass
+
+    def test_heavy_tail_table_with_truncated_increments(self, capsys):
+        # the default window of the untruncated log 2.6 laws is 4 686 508;
+        # the radius-200 laws give a window of 328, and their truncation is
+        # reported as leaked mass, not refused
+        code, out, err = run(capsys, "simulate", "--model", "log", "--beta", "2.6",
+                             "--d", "2", "--q", "3", "--n", "16",
+                             "--truncation", "200", "--format", "json")
+        assert code == 0 and err == ""
+        (table,) = json.loads(out)["tables"]
+        assert table["window"] == 328
+        assert table["leaked_mass"] == pytest.approx(1.97e-3, rel=1e-2)
 
 
 def _ggm_chain(beta, q):

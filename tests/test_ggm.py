@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treegibbs import ggm as ggm_mod
 from treegibbs.boundary_law import (
     MODE_AUTO,
     SUPPORT_PERIODIC,
@@ -288,12 +289,6 @@ class TestEdgeMarginal:
         expected = pot.Q(np.arange(-K, K + 1)) * math.tanh(1.0)
         assert np.allclose(nu, expected, rtol=1e-12, atol=1e-18)
 
-    @pytest.mark.parametrize("tail_tol", [math.nan, math.inf, -1.0])
-    def test_tail_tol_must_be_finite_and_nonnegative(self, chain20, tail_tol):
-        laws = increment_laws(sos(2.0), 2)
-        with pytest.raises(ConfigError, match="tail_tol must be a finite float >= 0"):
-            ggm_edge_marginal(chain20, laws, window=1, tail_tol=tail_tol)
-
     def test_two_class_expansion(self, chain20):
         pot = sos(2.0)
         laws = increment_laws(pot, 2)
@@ -388,6 +383,13 @@ def _marginal_or_message(fn, *args, **kwargs):
         return str(exc)
 
 
+def _edge_marginal_at(tol, *args):
+    """ggm_edge_marginal, or its leak message, under the leak budget tol."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ggm_mod, "_LEAK_TOL", tol)
+        return _marginal_or_message(ggm_edge_marginal, *args)
+
+
 _BIT_POTENTIALS = {
     "sos": sos(2.0),
     "log": log_potential(6.0),
@@ -419,9 +421,9 @@ class TestEdgeMarginalBitIdentity:
         laws = increment_laws(pot, q, radius=None if radius is None else max(radius, q // 2))
         need = max(law.radius for law in laws)
         window = max(need - shrink, 0)
-        kwargs = {} if window == need else {"tail_tol": 1.0}
-        got = _marginal_or_message(ggm_edge_marginal, fc, laws, window, **kwargs)
-        want = _marginal_or_message(_reference_edge_marginal, fc, laws, window, **kwargs)
+        tol = ggm_mod._LEAK_TOL if window == need else 1.0
+        got = _edge_marginal_at(tol, fc, laws, window)
+        want = _marginal_or_message(_reference_edge_marginal, fc, laws, window, tail_tol=tol)
         if isinstance(want, str):
             assert got == want
         else:
@@ -435,10 +437,8 @@ class TestEdgeMarginalBitIdentity:
             _reference_edge_marginal, chain20, laws, 6)
 
     def test_exact_sum_decides_inside_the_band(self, chain20, monkeypatch):
-        # tail_tol at the exactly rounded deficit and one ulp below it sits
-        # inside the chunked-sum band: only the exact sum can tell the two
-        import treegibbs.ggm as ggm_mod
-
+        # a leak budget at the exactly rounded deficit and one ulp below it
+        # sits inside the chunked-sum band: only the exact sum can tell the two
         laws = increment_laws(sos(2.0), 2, radius=4)
         deficit = 1.0 - math.fsum(
             _reference_edge_marginal(chain20, laws, 4, tail_tol=1.0).tolist())
@@ -451,7 +451,7 @@ class TestEdgeMarginalBitIdentity:
         monkeypatch.setattr(ggm_mod, "_float_stream", spy)
         for tol in (deficit, math.nextafter(deficit, 0.0), deficit + 1e-6):
             exact_sums.clear()
-            got = _marginal_or_message(ggm_edge_marginal, chain20, laws, 4, tail_tol=tol)
+            got = _edge_marginal_at(tol, chain20, laws, 4)
             want = _marginal_or_message(_reference_edge_marginal, chain20, laws, 4,
                                         tail_tol=tol)
             if isinstance(want, str):
@@ -463,8 +463,8 @@ class TestEdgeMarginalBitIdentity:
 
     def test_multi_chunk_window_matches_reference_loop(self):
         # a free-state window of 2 * 40000 + 1 entries spans two _CHUNK
-        # slices and leaks about 1.7e-7; tail_tol at, below and above the
-        # exactly rounded deficit
+        # slices and leaks about 1.7e-7; a leak budget at, below and above
+        # the exactly rounded deficit
         pot = log_potential(2.5)
         law, _ = periodic_solve(pot, 2, 1)
         fc = fuzzy_chain(law, fuzzy_Q(pot, 1))
@@ -473,7 +473,7 @@ class TestEdgeMarginalBitIdentity:
         deficit = 1.0 - math.fsum(ref.tolist())
         messages = 0
         for tol in (deficit, math.nextafter(deficit, 0.0), 2.0 * deficit, 0.5 * deficit):
-            got = _marginal_or_message(ggm_edge_marginal, fc, laws, 40000, tail_tol=tol)
+            got = _edge_marginal_at(tol, fc, laws, 40000)
             want = _marginal_or_message(_reference_edge_marginal, fc, laws, 40000,
                                         tail_tol=tol)
             if isinstance(want, str):

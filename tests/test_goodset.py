@@ -261,6 +261,23 @@ class TestBetaThreshold:
         with pytest.raises(ConfigError, match="unknown potential family"):
             beta_threshold(["sos"], 2)
 
+    def test_tol_below_the_float_spacing_returns(self, monkeypatch):
+        # below the spacing of the floats around beta*, the bracket stops at
+        # adjacent floats and the bisection once ran forever
+        ref = beta_threshold("sos", 2, tol=1e-15)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return norm_pair(*args, **kwargs)
+
+        monkeypatch.setattr(goodset, "norm_pair", counted)
+        got = beta_threshold("sos", 2, tol=1e-17)
+        assert abs(got - ref) <= 4 * math.ulp(ref)
+        # three bracket probes, then one per halving of [1, 2] down to
+        # adjacent floats: 55 calls
+        assert len(calls) <= 60
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         # a nan width ended the bisection at once and returned 1.5 for log d=3

@@ -152,17 +152,6 @@ class TestPathDistributionType:
         assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("tail_tol", [math.nan, math.inf, -1.0])
-def test_tail_tol_must_be_finite_and_nonnegative(sos20, chain2, tail_tol):
-    # nan once passed a leak of 0.586 (sos 2, q = 2, n = 64, window 3), and
-    # -1 failed every window as a NumericalError
-    fc, laws = chain2
-    for call in (lambda: wn_localized_exact(sos20, 8, window=1, tail_tol=tail_tol),
-                 lambda: wn_ggm_exact(fc, laws, 64, window=3, tail_tol=tail_tol)):
-        with pytest.raises(ConfigError, match="tail_tol must be a finite float >= 0"):
-            call()
-
-
 class TestWnLocalized:
     def test_point_mass_is_frozen(self):
         # lam concentrated at zero keeps the walker pinned for every n
@@ -223,9 +212,10 @@ class TestWnLocalized:
         np.testing.assert_allclose(dist.law, dist.law[::-1], atol=1e-15, rtol=0)
         assert abs(dist.mean()) < 1e-15
 
-    def test_window_slicing(self, sos25):
+    def test_window_slicing(self, sos25, monkeypatch):
         full = wn_localized_exact(sos25, 2)
-        small = wn_localized_exact(sos25, 2, window=3, tail_tol=1e-6)
+        monkeypatch.setattr(pathsim, "_LEAK_TOL", 1e-6)
+        small = wn_localized_exact(sos25, 2, window=3)
         np.testing.assert_array_equal(
             small.law, full.law[full.window - 3: full.window + 4])
         assert small.leaked_mass > 0.0
@@ -290,13 +280,14 @@ def _reference_leak_message(bl, n, K, tail_tol):
 class TestWnLocalizedLeakOracle:
     @pytest.mark.parametrize("tail_tol", [1e-6, 1e-9, 1e-12])
     @pytest.mark.parametrize("n", [1, 4])
-    def test_leak_message_matches_linear_search(self, sos25, n, tail_tol):
+    def test_leak_message_matches_linear_search(self, sos25, n, tail_tol, monkeypatch):
+        monkeypatch.setattr(pathsim, "_LEAK_TOL", tail_tol)
         m = len(sos25.x)
         refused = 0
         for K in range(m - 1):
             expected = _reference_leak_message(sos25, n, K, tail_tol)
             try:
-                wn_localized_exact(sos25, n, window=K, tail_tol=tail_tol)
+                wn_localized_exact(sos25, n, window=K)
                 got = None
             except NumericalError as exc:
                 got = str(exc)
@@ -304,16 +295,18 @@ class TestWnLocalizedLeakOracle:
             refused += expected is not None
         assert refused > 0
 
-    def test_no_fitting_window_asks_for_the_full_one(self):
-        # this flat law's full window sums to 1 - 1.11e-16, so at tail_tol 0
-        # no window fits: the hint is m - 1 below it and K itself from there
+    def test_no_fitting_window_asks_for_the_full_one(self, monkeypatch):
+        # this flat law's full window sums to 1 - 1.11e-16, so at a leak
+        # budget of 0 no window fits: the hint is m - 1 below it and K itself
+        # from there
+        monkeypatch.setattr(pathsim, "_LEAK_TOL", 0.0)
         flat = BoundaryLaw(kind=SUPPORT_TRUNCATED, d=2, x=np.ones(9), radius=4,
                            pot=sos(0.1))
         for K in range(12):
             message = _reference_leak_message(flat, 3, K, 0.0)
             assert message.endswith(f"use window >= {max(K, 8)}")
             with pytest.raises(NumericalError) as exc:
-                wn_localized_exact(flat, 3, window=K, tail_tol=0.0)
+                wn_localized_exact(flat, 3, window=K)
             assert str(exc.value) == message
 
 
@@ -775,9 +768,9 @@ class TestWnGgmOracle:
     bit for bit at n = 1, within roundoff_bound beyond."""
 
     @staticmethod
-    def _check(chain, n, window=None, tail_tol=1e-9):
+    def _check(chain, n, window=None):
         fc, laws = chain
-        dist = wn_ggm_exact(fc, laws, n, window=window, tail_tol=tail_tol)
+        dist = wn_ggm_exact(fc, laws, n, window=window)
         ref = _reference_wn_ggm(fc, laws, n, dist.window)
         if n == 1:
             assert np.array_equal(dist.law, ref)
@@ -792,8 +785,9 @@ class TestWnGgmOracle:
 
     @pytest.mark.parametrize("window", [1023, 1100])
     @pytest.mark.parametrize("n", [1, 3])
-    def test_log_both_sides_of_the_fft_switch(self, chain_log, window, n):
-        self._check(chain_log, n, window=window, tail_tol=1.0)
+    def test_log_both_sides_of_the_fft_switch(self, chain_log, window, n, monkeypatch):
+        monkeypatch.setattr(pathsim, "_LEAK_TOL", 1.0)
+        self._check(chain_log, n, window=window)
 
     def test_bench_wide_case(self, chain_log):
         dist = self._check(chain_log, 32)

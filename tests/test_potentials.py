@@ -290,6 +290,13 @@ class TestHurwitzZeta:
         with pytest.raises(ConfigError):
             hurwitz_zeta(2.0, 0.0)
 
+    def test_integer_arguments(self):
+        # an int base met an int power in numpy, which raised a bare ValueError
+        assert hurwitz_zeta(2, 1) == hurwitz_zeta(2.0, 1.0)
+        for s, a in (("two", 1.0), (None, 1.0), (2.0, [1.0])):
+            with pytest.raises(ConfigError, match="real s and a"):
+                hurwitz_zeta(s, a)
+
     @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, rel_tol):
         # nan and 0 once summed 2^26 terms and then blamed the tail; inf
