@@ -142,9 +142,7 @@ class BoundaryLaw:
 
     def offzero_norm(self) -> float:
         """l_{d+1} norm of x over the support minus the zero slot."""
-        v = self.x.copy()
-        v[self._slot(0)] = 0.0
-        return float(np.sum(v ** (self.d + 1)) ** (1.0 / (self.d + 1)))
+        return _OffzeroNorm(self.x, self._slot(0), self.d).exact()
 
 
 @dataclass(frozen=True)
@@ -457,29 +455,24 @@ def _coarse_radius(pot: Potential, d: int, tol: float, gamma: float, R: int) -> 
 class _OffzeroNorm:
     """The l_{d+1} norm of v off the zero slot, known as a band [lo, hi].
 
-    The exact value is (fsum(|v|^(d+1)) - |v(zero)|^(d+1))^(1/(d+1)) with
-    the sum exactly rounded; [lo, hi] applies the same float steps to the
-    ends of the `_banded_sum` band, widened by one ulp each since the power
-    is faithful, hence monotone to within one ulp.  So a comparison decided
-    by the band agrees with the exact value, and `exact()` runs its fsum
-    only when a comparison falls inside the band.
+    The zero slot's term is set to 0 before the sum, so the exact value is
+    the exactly rounded fsum of |v|^(d+1) over the other slots, to the power
+    1/(d+1), with nothing cancelled against v(zero).  [lo, hi] is the
+    `_banded_sum` band to the same power, whose one-ulp outward rounding
+    covers the faithful pow.  So a comparison decided by the band agrees with
+    the exact value, and `exact()` runs its fsum only inside the band.
     """
 
     def __init__(self, v: np.ndarray, zero_slot: int, d: int):
         self._terms = np.abs(v) ** (d + 1)
-        self._zero_term = abs(v[zero_slot]) ** (d + 1)
+        self._terms[zero_slot] = 0.0
         self._root = 1.0 / (d + 1)
         self._exact = None
-        lo, hi = _banded_sum(self._terms)
-        self.lo = math.nextafter(self._from_sum(lo), -math.inf)
-        self.hi = math.nextafter(self._from_sum(hi), math.inf)
-
-    def _from_sum(self, s: float) -> float:
-        return float(max(s - self._zero_term, 0.0) ** self._root)
+        self.lo, self.hi = _banded_sum(self._terms) ** self._root
 
     def exact(self) -> float:
         if self._exact is None:
-            self._exact = self._from_sum(math.fsum(_float_stream(self._terms)))
+            self._exact = math.fsum(_float_stream(self._terms)) ** self._root
         return self._exact
 
     def exceeds(self, other: "float | _OffzeroNorm") -> bool:

@@ -23,6 +23,7 @@ from .potentials import (
     FuzzyOperator,
     Potential,
     _banded_sum,
+    _Bracket,
     _float_stream,
     _smallest_radius,
     _tail_beyond,
@@ -178,15 +179,15 @@ def _increment_law(
 ) -> IncrementLaw:
     q = qq.q
     residue %= q
-    if not qq.at(residue) > 0.0:
+    mass = _Bracket.around(qq.at(residue), qq.errors[residue])
+    if not mass.lo > 0.0:
         raise NumericalError(f"class mass Q_q({residue}) underflows to 0 at q={q}: "
                              f"residue {residue} has no increment law")
-    mass = qq.at(residue) - qq.residual_tail
     # the point of the class nearest 0 has |j| = min(residue, q - residue)
     least = max(1, min(residue, q - residue))
     if radius is None:
         radius = _smallest_radius(
-            lambda R: _tail_beyond(pot, R, 1.0) / mass <= _TAIL_BOUND,
+            lambda R: (_tail_beyond(pot, R, 1.0) / mass).hi <= _TAIL_BOUND,
             least,
             1 << 30,
             f"increment window beyond 2^30 needed for tail bound {_TAIL_BOUND:.3g}",
@@ -200,7 +201,7 @@ def _increment_law(
         residue=residue,
         first=first,
         weights=pot.Q(np.arange(first, radius + 1, q)) / qq.at(residue),
-        tail_mass_bound=max(_tail_beyond(pot, radius, 1.0) / mass, 0.0),
+        tail_mass_bound=(_tail_beyond(pot, radius, 1.0) / mass).hi,
     )
 
 
@@ -249,7 +250,7 @@ def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
     for step, law in zip(_class_step_law(fc), laws):
         j0, w = law.clip(window)
         nu[j0 + window::fc.q][:w.size] += step * w
-    if 1.0 - _banded_sum(nu)[0] <= _LEAK_TOL:
+    if 1.0 - _banded_sum(nu).lo <= _LEAK_TOL:
         return nu
     # a window past every law radius holds all support points: the leak is
     # the mass the increment truncation gave away

@@ -56,7 +56,7 @@ from .boundary_law import (
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
 from .ggm import _LEAK_TOL, FuzzyChain, _check_laws, _class_step_law, _dense_chain, _window_leak
-from .potentials import _float_stream, _gamma, _smallest_radius, fuzzy_Q
+from .potentials import _Bracket, _float_stream, _gamma, _smallest_radius, fuzzy_Q
 
 __all__ = [
     "MODE_GIBBS",
@@ -365,7 +365,7 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> Pat
     bound += _gamma(q - 1) * float(np.abs(D).max(axis=1).sum())
     law = np.maximum(D.sum(axis=0), 0.0)
     rounds = width + q * q + (q + 3) * n + 128
-    bound = math.nextafter(bound / (1.0 - _gamma(rounds)), math.inf)
+    bound = (_Bracket(bound, bound) / (1.0 - _gamma(rounds))).hi
     budget = _LEAK_TOL + n * max(law_.tail_mass_bound for law_ in laws)
     leaked = _window_leak(law, K, budget, lambda: (
         f"use window >= {max(default_window(fc, laws, n), 2 * K)}"))

@@ -17,11 +17,13 @@ Built-in families:
   tail model ("exp" with a rate, or "power" with an exponent) that extends
   U monotonically beyond the table.
 
-Series values carry certified error bounds from one tail engine.  Every
-tail the package bounds is sum_{n>=0} Q(l0 + n*step)^p beyond the table,
-and ``_tail_bracket`` brackets it: exp tails in closed geometric form,
-power tails C (x0 + n*step)^(-s) through ``_power_tail``, the one
-Euler-Maclaurin bracket (integral, half the first term, Bernoulli
+Certified enclosures are ``_Bracket`` pairs lo <= hi of floats or arrays,
+every operation rounding both ends outward by one ulp; class sums carry one
+error per class.  Series values carry certified error bounds from one tail
+engine.  Every tail the package bounds is sum_{n>=0} Q(l0 + n*step)^p
+beyond the table, and ``_tail_bracket`` brackets it: exp tails in closed
+geometric form, power tails C (x0 + n*step)^(-s) through ``_power_tail``,
+the one Euler-Maclaurin bracket (integral, half the first term, Bernoulli
 corrections while they shrink, the first omitted correction as the
 remainder, plus a rounding allowance) that also serves ``hurwitz_zeta``,
 the log closed forms zeta(s, 2) and the double-sum envelope.  One loop
@@ -45,6 +47,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +111,61 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _banded_sum(a: np.ndarray) -> tuple[float, float]:
-    """Floats lo <= hi enclosing the exact sum of the entries of a 1-d array.
+def _next(x, to: float):
+    """x moved one ulp toward ``to``: a float for a scalar, elementwise for an array."""
+    return np.nextafter(x, to) if isinstance(x, np.ndarray) else math.nextafter(x, to)
+
+
+def _outward(lo, hi) -> "_Bracket":
+    return _Bracket(_next(lo, -math.inf), _next(hi, math.inf))
+
+
+class _Bracket(NamedTuple):
+    """An enclosure lo <= x <= hi of a real x, or of an array x entrywise.
+
+    Every operation rounds each end of its float result outward by one ulp,
+    which covers one rounding of an IEEE sum or quotient and of a faithful
+    pow.  The ends are floats or numpy arrays.
+    """
+
+    lo: float
+    hi: float
+
+    @staticmethod
+    def around(x, err) -> "_Bracket":
+        """The bracket of a number within err >= 0 of x."""
+        return _outward(x - err, x + err)
+
+    def widen(self, err) -> "_Bracket":
+        """The bracket of a number within err >= 0 of this one's."""
+        return _outward(self.lo - err, self.hi + err)
+
+    def __add__(self, other) -> "_Bracket":
+        """Sum with a bracket or a float."""
+        lo, hi = other if isinstance(other, _Bracket) else (other, other)
+        return _outward(self.lo + lo, self.hi + hi)
+
+    def __truediv__(self, other) -> "_Bracket":
+        """Quotient by a positive bracket or float."""
+        lo, hi = other if isinstance(other, _Bracket) else (other, other)
+        return _outward(np.minimum(self.lo / lo, self.lo / hi),
+                        np.maximum(self.hi / lo, self.hi / hi))
+
+    def __rtruediv__(self, x) -> "_Bracket":
+        """A float over a positive bracket."""
+        return _Bracket(x, x) / self
+
+    def __pow__(self, e: float) -> "_Bracket":
+        """The e-th power, e > 0, of a nonnegative number: lo is clamped at 0."""
+        return _outward(np.maximum(self.lo, 0.0) ** e, self.hi ** e)
+
+    def radius(self, x):
+        """max(hi - x, x - lo) rounded up: every point of the bracket is that close to x."""
+        return _next(np.maximum(self.hi - x, x - self.lo), math.inf)
+
+
+def _banded_sum(a: np.ndarray) -> _Bracket:
+    """The bracket of the exact sum of the entries of a 1-d array.
 
     Each _CHUNK slice is summed by np.sum, which is within gamma_{m-1}
     sum |a_i| of the slice's exact sum for m entries in any summation order
@@ -126,12 +182,12 @@ def _banded_sum(a: np.ndarray) -> tuple[float, float]:
     sums = [float(np.sum(part)) for part in slices]
     if not all(map(math.isfinite, sums)):
         s = sum(sums)
-        return s, s
+        return _Bracket(s, s)
     total = math.fsum(sums)
     if a.size and a.min() < 0:
         sums = [float(np.sum(np.abs(part))) for part in slices]
-    err = _gamma(min(a.size, _CHUNK)) * math.fsum(sums) + _UNIT_ROUNDOFF * abs(total)
-    return math.nextafter(total - err, -math.inf), math.nextafter(total + err, math.inf)
+    return _Bracket.around(total, _gamma(min(a.size, _CHUNK)) * math.fsum(sums)
+                           + _UNIT_ROUNDOFF * abs(total))
 
 
 @dataclass(frozen=True)
@@ -364,8 +420,8 @@ _EM_COEFFS = tuple(num / (den * math.factorial(2 * k)) for k, (num, den) in enum
      (-3617, 510), (43867, 798), (-174611, 330)), start=1))
 
 
-def _power_tail(logC: float, x0: float, s: float, step: float) -> tuple[float, float]:
-    """Floats 0 <= lo <= hi enclosing sum_{n>=0} C (x0 + n*step)^(-s), C = exp(logC).
+def _power_tail(logC: float, x0: float, s: float, step: float) -> _Bracket:
+    """A bracket 0 <= lo <= hi of sum_{n>=0} C (x0 + n*step)^(-s), C = exp(logC).
 
     With f(n) = C (x0 + n*step)^(-s), Euler-Maclaurin gives the sum as the
     integral of f over [0, inf), plus f(0)/2, plus the corrections
@@ -384,15 +440,15 @@ def _power_tail(logC: float, x0: float, s: float, step: float) -> tuple[float, f
     brackets as (inf, inf).
     """
     if s <= 1.0:
-        return (math.inf, math.inf)
+        return _Bracket(math.inf, math.inf)
     lx = math.log(x0)
     first = _exp(logC - s * lx)
     integral = _exp(logC + (1.0 - s) * lx) / (step * (s - 1.0))
     lo, hi = integral, integral + first
     if not math.isfinite(hi):
-        return (math.inf, math.inf)
+        return _Bracket(math.inf, math.inf)
     if hi == 0.0:
-        return (0.0, 0.0)
+        return _Bracket(0.0, 0.0)
     est, prev = integral + 0.5 * first, 0.5 * first
     r = step / x0
     scale = first * s * r  # (s)_{2k-1} r^(2k-1) f(0) at k = 1
@@ -409,11 +465,11 @@ def _power_tail(logC: float, x0: float, s: float, step: float) -> tuple[float, f
     # sums round k + 1 times
     e = abs(logC) + 4.0 * s * abs(lx) + 5.0
     slack = (e + 9 * k + 2) * _UNIT_ROUNDOFF * (integral + (k + 1) * first)
-    return (max(0.0, math.nextafter(lo - slack, -math.inf)),
-            math.nextafter(hi + slack, math.inf))
+    lo, hi = _Bracket(lo, hi).widen(slack)
+    return _Bracket(max(0.0, lo), hi)
 
 
-def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> tuple[float, float]:
+def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> _Bracket:
     """Bracket [lo, hi] of sum_{n>=0} Q(l0 + n*step)^p, requires l0 beyond the table.
 
     Exp tails are an exact geometric sum (lo == hi).  Power tails
@@ -427,7 +483,7 @@ def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> tuple[float, 
     if kind == "exp":
         # Q(l)^p = e^{p*lq} e^{-s*(l-J)}, a geometric series of ratio e^{-s*step}
         t = _exp(p * lq - s * (l0 - J) - _log1mexp(s * step))
-        return (t, t)
+        return _Bracket(t, t)
     # Q(l)^p = C (1+l)^{-s} with log C = p*lq + s*log(1+J)
     return _power_tail(p * lq + s * math.log1p(J), 1.0 + l0, s, step)
 
@@ -435,10 +491,10 @@ def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> tuple[float, 
 def _tail_beyond(pot: Potential, R: int, p: float) -> float:
     """Certified upper bound on sum_{|j|>R} Q(j)^p: 2 * (fsum of the table terms
     past R + upper end of the bracket beyond the table), which for R at or past
-    the table end is exactly 2 * _tail_bracket(pot, R + 1, 1, p)[1]."""
+    the table end is exactly 2 * _tail_bracket(pot, R + 1, 1, p).hi."""
     end = max(R, pot.table_end)
     inside = math.fsum((pot.Q(np.arange(R + 1, end + 1)) ** p).tolist())
-    return 2.0 * (inside + _tail_bracket(pot, end + 1, 1, p)[1])
+    return 2.0 * (inside + _tail_bracket(pot, end + 1, 1, p).hi)
 
 
 def _log1mexp(x: float) -> float:
@@ -767,18 +823,20 @@ class FuzzyOperator:
     """Class sums Q_q(jbar) = sum_{l = jbar mod q} Q(l) on Z_q.
 
     ``values[j]`` is the class of representatives congruent to j; the layout
-    is symmetric, values[j] == values[q-j].  ``residual_tail`` bounds the
-    total absolute error across all classes.  ``normalized`` marks the
-    version rescaled so that the zero class equals 1.
+    is symmetric, values[j] == values[q-j].  ``errors[j]`` bounds the
+    absolute error of class j alone, so a class far below the zero class
+    keeps its own relative precision.  ``normalized`` marks the version
+    rescaled so that the zero class equals 1.
     """
 
     q: int
     values: np.ndarray
-    residual_tail: float
+    errors: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        self.errors.setflags(write=False)
 
     def at(self, jbar: int) -> float:
         return float(self.values[jbar % self.q])
@@ -786,14 +844,14 @@ class FuzzyOperator:
     def normalized_op(self) -> "FuzzyOperator":
         if self.normalized:
             return self
-        v0 = float(self.values[0])
-        err = self.residual_tail / v0 * (1.0 + float(self.values.max()) / v0)
-        return FuzzyOperator(self.q, self.values / v0, err, True)
+        b = _Bracket.around(self.values, self.errors)
+        values = self.values / self.values[0]
+        return FuzzyOperator(self.q, values, (b / _Bracket(b.lo[0], b.hi[0])).radius(values), True)
 
     def p_norm(self, p: float, without_zero: bool = False) -> NormReport:
         if p < 1:
             raise ConfigError(f"p must be >= 1, got {p}")
-        v = self.values[1:] if without_zero else self.values
+        v, e = self.values[int(without_zero):], self.errors[int(without_zero):]
         domain = DOMAIN_ZQ_STAR if without_zero else DOMAIN_ZQ
         if v.size == 0:
             return NormReport(p, domain, 0.0, None, 0.0, "finite_sum")
@@ -805,10 +863,9 @@ class FuzzyOperator:
             # _pth_root does on Z (an M that is itself 0 gives 0)
             M = float(v.max())
             value = M * math.fsum(((v / M) ** p).tolist()) ** (1.0 / p) if M else 0.0
-        # error propagation: each class is off by at most residual_tail
-        e = self.residual_tail
-        deriv = p * float(((v + e) ** (p - 1)).sum())
-        return NormReport(p, domain, value, None, deriv * e, "finite_sum")
+        # error propagation: class j is off by at most e[j]
+        bound = p * math.fsum(((v + e) ** (p - 1) * e).tolist())
+        return NormReport(p, domain, value, None, bound, "finite_sum")
 
 
 def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
@@ -836,9 +893,9 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
         j = np.arange(q, dtype=float)
         denom = -math.expm1(-b * q)
         values = (np.exp(-b * j) + np.exp(-b * (q - j))) / denom
-        # the zero class includes l = 0 once: (1 + e^{-bq})/(1 - e^{-bq})
-        err = 4e-16 * float(values.sum())
-        return FuzzyOperator(q, values, err)
+        # the zero class includes l = 0 once: (1 + e^{-bq})/(1 - e^{-bq}); a rounded
+        # exponent b*m errs e^{-bm} by b*m*u relative, the other steps by < 16 u
+        return FuzzyOperator(q, values, values * _UNIT_ROUNDOFF * (b * np.maximum(j, q - j) + 16))
 
     # arm r sums Q(r + nq) over n >= 0 for r = 0..q; class j joins the arm
     # l = j + nq and the mirrored arm |l| = (q-j) + nq
@@ -850,8 +907,10 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
         scale = 1.0
         arms = [_progression_sum(pot, r, q, 1.0, rel_tol / 4)[:2] for r in range(q + 1)]
     values = np.array([scale * (arms[j][0] + arms[q - j][0]) for j in range(q)])
-    errs = sum(scale * (arms[j][1] + arms[q - j][1]) for j in range(q))
-    return FuzzyOperator(q, values, errs)
+    # the arms' errors, beta u relative for a rounded a = (1+r)/q (since
+    # a zeta(s+1, a) <= zeta(s, a)) and 8 u for scale, the sum and the product
+    errors = np.array([scale * (arms[j][1] + arms[q - j][1]) for j in range(q)])
+    return FuzzyOperator(q, values, errors + (pot.beta + 8) * _UNIT_ROUNDOFF * values)
 
 
 # ---------------------------------------------------------------------------
@@ -889,11 +948,12 @@ def check_double_sum(pot: Potential, d: int) -> DoubleSumReport:
         I = 256
         jbase = 4096
         while True:
-            total_mid, total_half = _double_sum_once(envelope, p, I, jbase)
-            if total_half <= _DOUBLE_SUM_TOL * total_mid:
-                return DoubleSumReport(d, "finite", total_mid, None, I)
+            lo, hi = _double_sum_once(envelope, p, I, jbase)
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 * _DOUBLE_SUM_TOL * mid:
+                return DoubleSumReport(d, "finite", mid, None, I)
             if I >= (1 << 22) or jbase >= _MAX_RADIUS:
-                return DoubleSumReport(d, "unknown", total_mid,
+                return DoubleSumReport(d, "unknown", mid,
                                        "certificate did not converge within caps", I)
             I *= 2
             jbase *= 4
@@ -925,25 +985,23 @@ class _MonotoneEnvelope:
             out[inside] = self.suffix[m[inside] - 1]
         return out
 
-    def inner_bracket(self, i: int, jmax: int) -> tuple[float, float]:
+    def inner_bracket(self, i: int, jmax: int) -> _Bracket:
         """Bracket of sum_{j>=1} env(i*j) using jmax direct terms plus tails."""
         # direct part must clear the table so the analytic tail applies
         j_direct = max(jmax, self.J // i + 1)
         js = np.arange(1, j_direct + 1)
         partial = math.fsum(self(i * js).tolist())
         # beyond the table the envelope is Q itself
-        lo, hi = _tail_bracket(self.pot, i * (j_direct + 1), i, 1.0)
-        return (partial + lo, partial + hi)
+        return _tail_bracket(self.pot, i * (j_direct + 1), i, 1.0) + partial
 
-    def outer_tail_bracket(self, p: float, I: int) -> tuple[float, float]:
+    def outer_tail_bracket(self, p: float, I: int) -> _Bracket:
         """Bracket of sum_{i>I} inner(i)^p from the analytic envelope."""
         if self.kind == "exp":
             r = self.pot.beta * self.expo
             # inner(i) <= e^{lq} e^{-r(i - J)} / (1 - e^{-r}), decaying in i
             logA = self.lq + r * self.J - _log1mexp(r)
             log_t = p * (logA - r * (I + 1)) - _log1mexp(p * r)
-            t = math.exp(log_t) if log_t > -745 else 0.0
-            return (0.0, t)
+            return _Bracket(0.0, _exp(log_t))
         s = self.pot.beta * self.expo
         # C (1+ij)^{-s} <= C (ij)^{-s}: inner(i) <= C zeta(s) i^{-s}
         # and inner(i) >= C zeta(s) (1+i)^{-s} since 1 + ij <= (1+i) j;
@@ -951,22 +1009,12 @@ class _MonotoneEnvelope:
         logC = self.lq + s * math.log1p(self.J)
         zs, zerr = hurwitz_zeta(s, 1.0, 1e-10)
         ps = p * s
-        upper = _power_tail(p * (logC + math.log(zs + zerr)), I + 1.0, ps, 1.0)[1]
-        lower = _power_tail(p * (logC + math.log(zs - zerr)), I + 2.0, ps, 1.0)[0]
-        return (lower, upper)
+        upper = _power_tail(p * (logC + math.log(zs + zerr)), I + 1.0, ps, 1.0).hi
+        lower = _power_tail(p * (logC + math.log(zs - zerr)), I + 2.0, ps, 1.0).lo
+        return _Bracket(lower, upper)
 
 
-def _double_sum_once(env: _MonotoneEnvelope, p: float, I: int, jbase: int):
-    mids = []
-    halves = 0.0
-    for i in range(1, I + 1):
-        jmax = max(64, jbase // i)
-        lo, hi = env.inner_bracket(i, jmax)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        mids.append(mid**p)
-        # |d(x^p)| <= p max(x)^{p-1} dx on the bracket
-        halves += p * max(hi, 1e-300) ** (p - 1.0) * half
-    tlo, thi = env.outer_tail_bracket(p, I)
-    total_mid = math.fsum(mids) + 0.5 * (tlo + thi)
-    total_half = halves + 0.5 * (thi - tlo)
-    return total_mid, total_half + 4e-16 * total_mid
+def _double_sum_once(env: _MonotoneEnvelope, p: float, I: int, jbase: int) -> _Bracket:
+    """The outer tail plus the first I inner brackets to the power p, one bracket sum."""
+    return sum((env.inner_bracket(i, max(64, jbase // i)) ** p for i in range(1, I + 1)),
+               env.outer_tail_bracket(p, I))

@@ -7,6 +7,7 @@ equation is the scalar cubic (x-1)(s*x^2+(s-1)*x+s) = 0 with s = sech(beta).
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -630,6 +631,21 @@ class TestPeriodicSolve:
         with pytest.raises(ConfigError, match="d must be"):
             periodic_solve(sos(2.0), 1, 2)
 
+    def test_no_ball_refusal_on_the_grid(self):
+        # a fixed point lies in its ball up to the 1e-9 allowance, so the
+        # ball check must never refuse; an off-zero sum that kept the zero
+        # slot's 1 lost delta^(d+1) to rounding and refused 63 of these cells
+        certified = 0
+        for family, betas in ((sos, (1.5, 2, 2.5, 3, 4, 5, 6, 7, 8, 10, 12)),
+                              (log_potential, (2.5, 3, 4, 6, 8, 10, 14))):
+            for beta, d, q in itertools.product(betas, range(2, 9), range(2, 7)):
+                try:
+                    law, _ = periodic_solve(family(beta), d, q, SolveConfig(mode=MODE_AUTO))
+                    certified += law.certified
+                except NumericalError as exc:
+                    assert "left the certified ball" not in str(exc), (family, beta, d, q)
+        assert certified >= 607
+
 
 class TestLocalizationBounds:
     def test_refuses_outside(self):
@@ -836,9 +852,10 @@ class TestOperatorOracle:
 
 
 def _offzero_dp1(v, zero_slot, d):
-    """The exactly rounded off-zero l_{d+1} norm, one fsum over the vector."""
-    s = math.fsum((np.abs(v) ** (d + 1)).tolist()) - abs(v[zero_slot]) ** (d + 1)
-    return max(s, 0.0) ** (1.0 / (d + 1))
+    """The exactly rounded off-zero l_{d+1} norm: one fsum over every slot
+    but the zero slot, so the zero slot's term cannot cancel the rest."""
+    terms = np.abs(np.delete(v, zero_slot)) ** (d + 1)
+    return math.fsum(terms.tolist()) ** (1.0 / (d + 1))
 
 
 class _FsumNorm(bl._OffzeroNorm):

@@ -299,6 +299,15 @@ class TestPeriodic:
         assert obj["law"]["lambda"][1] == pytest.approx(Q2_LAM_B20, rel=1e-9)
         assert obj["law"]["free_state"] is False
 
+    def test_small_offzero_norm_stays_in_its_ball(self, capsys):
+        # x(1) ~ sech 8 + sech^3 8 = 6.7093e-4 lies within 1e-13 of eps; an
+        # off-zero sum taken with the zero slot's 1 kept its 4th power
+        # x(1)^4 ~ 2e-13 to 1.2e-4 relative and refused the ball (exit 3)
+        code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "8",
+                           "--d", "3", "--q", "2")
+        assert code == 0
+        assert parse_csv(out)[0]["certified"] == "true"
+
     def test_missing_q_rejected(self, capsys):
         code, _, err = run(capsys, "periodic", "--model", "sos", "--beta",
                            "2", "--d", "2")

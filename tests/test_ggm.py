@@ -209,6 +209,13 @@ class TestIncrementLaw:
             increment_law(sos(800.0), 3, 1)
         assert increment_law(sos(800.0), 3, 0).support.tolist() == [0]
 
+    @pytest.mark.parametrize("beta,q", [(40.0, 3), (12.0, 8), (3.0, 256)])
+    def test_every_class_certifies_a_positive_tail(self, beta, q):
+        # classes far below the zero class keep their own relative error:
+        # one absolute error for all classes left 2, 3 and 233 of these
+        # class masses certified <= 0 and their tail bounds at 0
+        assert all(law.tail_mass_bound > 0.0 for law in increment_laws(sos(beta), q))
+
     def test_not_summable(self):
         with pytest.raises(NotSummableError):
             increment_law(log_potential(0.9), 2, 0)

@@ -24,6 +24,7 @@ from treegibbs.potentials import (
     _CHUNK,
     TailModel,
     _banded_sum,
+    _Bracket,
     _MonotoneEnvelope,
     _power_tail,
     _progression_sum,
@@ -353,6 +354,29 @@ class TestFuzzyOperator:
         total = math.fsum(fq.values.tolist())
         assert total == pytest.approx(p_norm(pot, 1.0).value, rel=1e-12)
 
+    @pytest.mark.parametrize("pot,q", [
+        (sos(0.7), 64), (sos(3.0), 256), (sos(12.0), 8), (sos(40.0), 3),
+        (log_potential(2.6), 5), (log_potential(3.0), 8),
+    ])
+    def test_each_class_within_its_own_error(self, pot, q):
+        # sos 0.7 at q = 64 rounds the exponent 0.7 * 40 of class 24 and
+        # misses by 1.8e-15 relative: a flat 4e-16 relative error is too small
+        fq = fuzzy_Q(pot, q)
+        norm = fq.normalized_op()
+        with mpmath.workdps(40):
+            b = mpmath.mpf(pot.beta)
+            if pot.kind == "sos":
+                exact = [(mpmath.exp(-b * j) + mpmath.exp(-b * (q - j))) / -mpmath.expm1(-b * q)
+                         for j in range(q)]
+            else:
+                exact = [q ** -b * (mpmath.zeta(b, mpmath.mpf(1 + j) / q)
+                                    + mpmath.zeta(b, mpmath.mpf(q + 1 - j) / q)) for j in range(q)]
+            for j in range(q):
+                assert abs(mpmath.mpf(fq.values[j]) - exact[j]) <= fq.errors[j], j
+                ratio = exact[j] / exact[0]
+                assert abs(mpmath.mpf(norm.values[j]) - ratio) <= norm.errors[j], j
+                assert fq.errors[j] <= 1e-12 * fq.values[j]
+
     def test_normalized(self):
         fq = fuzzy_Q(sos(2.0), 4).normalized_op()
         assert fq.values[0] == 1.0
@@ -568,6 +592,57 @@ def _exact_sum(values) -> Fraction:
         num, den = v.as_integer_ratio()
         total += num << (1075 - den.bit_length())
     return Fraction(total, 1 << 1074)
+
+
+@st.composite
+def brackets(draw, size, positive=False):
+    """A float bracket (size None) or an array bracket of that size, each
+    entry with finite ends 0 <= lo <= hi, or 1e-30 <= lo <= hi if positive."""
+    end = st.floats(1e-30 if positive else 0.0, 1e30)
+    pairs = draw(st.lists(st.tuples(end, end).map(sorted),
+                          min_size=size or 1, max_size=size or 1))
+    if size is None:
+        return _Bracket(*pairs[0])
+    lo, hi = np.array(pairs).T
+    return _Bracket(lo, hi)
+
+
+def _ends(b):
+    """Each entry's (lo, hi) as Fractions."""
+    return [(Fraction(lo), Fraction(hi))
+            for lo, hi in zip(np.atleast_1d(b.lo).tolist(), np.atleast_1d(b.hi).tolist())]
+
+
+class TestBracket:
+    @given(data=st.data(), size=st.sampled_from([None, 1, 3]),
+           err=st.floats(0.0, 1e30), quarters=st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_every_operation_encloses_the_exact_value(self, data, size, err, quarters):
+        x = data.draw(brackets(size))
+        y = data.draw(brackets(size, positive=True))
+        E = Fraction(err)
+        mid = (x.lo + x.hi) / 2  # a float inside x
+        cases = [  # (result, exact lower end, exact upper end) per entry
+            (_Bracket.around(x.lo, err), lambda X, Y: X[0] - E, lambda X, Y: X[0] + E),
+            (x.widen(err), lambda X, Y: X[0] - E, lambda X, Y: X[1] + E),
+            (x + y, lambda X, Y: X[0] + Y[0], lambda X, Y: X[1] + Y[1]),
+            (x + err, lambda X, Y: X[0] + E, lambda X, Y: X[1] + E),
+            (x / y, lambda X, Y: X[0] / Y[1], lambda X, Y: X[1] / Y[0]),
+            (x / y.hi, lambda X, Y: X[0] / Y[1], lambda X, Y: X[1] / Y[1]),
+            (err / y, lambda X, Y: E / Y[1], lambda X, Y: E / Y[0]),
+        ]
+        for result, lower, upper in cases:
+            if size is None:
+                assert type(result.lo) is float and type(result.hi) is float
+            for (lo, hi), X, Y in zip(_ends(result), _ends(x), _ends(y)):
+                assert lo <= lower(X, Y) and upper(X, Y) <= hi
+        # x ** (quarters / 4): compare fourth powers with x^quarters
+        for (lo, hi), (xl, xh) in zip(_ends(x ** (quarters / 4)), _ends(x)):
+            assert lo <= 0 or lo**4 <= xl**quarters
+            assert xh**quarters <= hi**4
+        for r, (xl, xh), m in zip(np.atleast_1d(x.radius(mid)).tolist(), _ends(x),
+                                  np.atleast_1d(mid).tolist()):
+            assert max(xh - Fraction(m), Fraction(m) - xl) <= Fraction(r)
 
 
 class TestBandedSum:
