@@ -129,6 +129,264 @@ def _f4(x) -> str:
     return "" if x is None else f"{float(x):.4g}"
 
 
+# ---------------------------------------------------------------------------
+# numeric columns
+# ---------------------------------------------------------------------------
+
+# A column kernel returns a uint8 matrix, one row per value, holding the
+# bytes of the value's text left to right with _PAD in the unused cells;
+# _csv_rows joins the matrices of a block and drops every _PAD at once.
+_PAD = 0
+# rows per block: at 2^16 a block's temporaries (about 30 MB for four
+# columns) raised the peak RSS of a 1.5 M-row solve table from 310 to 336 MB
+_BLOCK_ROWS = 1 << 14
+# k range of the 10^k table: |v| in [1e-280, 1e280] needs k = P-1-e for
+# e in [-281, 280] and P in {4, 17}; 10^299 still splits without overflow
+_POW10_MIN, _POW10_MAX = -290, 299
+_DEKKER = 134217729.0  # 2^27 + 1
+_EXP_BIAS = 300  # suffix table index of exponent 0
+_U = np.uint64
+# SWAR constants: one byte lane per character of a little-endian word
+_ZEROS = _U(0x3030303030303030)  # eight "0"
+_HIGH_BITS = _U(0x8080808080808080)
+_LOW_BITS = _U(0x7F7F7F7F7F7F7F7F)
+_ALL = _U(0xFFFFFFFFFFFFFFFF)
+
+
+def _word(text: str) -> int:
+    """The ASCII text of at most 8 characters as a little-endian word."""
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo with each half on 26 bits."""
+    c = _DEKKER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _tables() -> dict:
+    """Lookup tables, built on the first float column.
+
+    pow10: (hi1, hi2, lo) by k - _POW10_MIN, where hi = hi1 + hi2 is 10^k
+    correctly rounded, split for Dekker's product, and lo is 10^k - hi
+    correctly rounded, so hi + lo carries 10^k to about 2^-106.  Both come
+    from exact int arithmetic: int-to-float and int / int round correctly
+    in CPython.  prefix[z]: "0." and z zeros, prefix[4] empty.  suffix[e +
+    _EXP_BIAS]: the exponent text "e-05" of a scientific layout."""
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        if k >= 0:
+            n = 10**k
+            h = float(n)
+            rest = float(n - int(h))
+        else:
+            m = 10**-k
+            h = 1 / m
+            num, den = h.as_integer_ratio()
+            rest = (den - num * m) / (den * m)
+        hi.append(h)
+        lo.append(rest)
+    return {
+        "pow10": (*_split(np.array(hi)), np.array(lo)),
+        "prefix": np.array([_word("0." + "0" * z) for z in range(4)] + [0], dtype=_U),
+        "suffix": np.array([_word(f"e{e:+03d}") for e in range(-_EXP_BIAS, _EXP_BIAS)],
+                           dtype=_U),
+    }
+
+
+def _bytes_set(t: np.ndarray) -> np.ndarray:
+    """0xFF in each byte lane of t that is not zero, 0 elsewhere; each
+    lane must hold at most 0x7F."""
+    return (((t + _LOW_BITS) & _HIGH_BITS) >> _U(7)) * _U(0xFF)
+
+
+def _digit_words(x: np.ndarray, words: int) -> np.ndarray:
+    """(n, words) uint64: the 8 * words ASCII digits of each uint64
+    x < 10^(8 * words), zero-padded, most significant in the lowest byte.
+
+    Eight digits come from one word in lanes: 2 of 4 digits, 4 of 2, then
+    8 of 1, dividing by 100 and 10 by multiply-and-shift (exact below 10^4
+    and 10^2)."""
+    out = np.empty((len(x), words), dtype=_U)
+    for w in range(words - 1, -1, -1):
+        q = x // _U(10**8)
+        v = x - q * _U(10**8)
+        x = q
+        hi = v // _U(10000)
+        v -= hi * _U(10000)
+        v <<= _U(32)
+        v |= hi
+        q = v * _U(10486)
+        q >>= _U(20)
+        q &= _U(0x0000007F0000007F)
+        v -= q * _U(100)
+        v <<= _U(16)
+        v |= q
+        np.multiply(v, _U(103), out=q)
+        q >>= _U(10)
+        q &= _U(0x000F000F000F000F)
+        v -= q * _U(10)
+        v <<= _U(8)
+        v |= q
+        v |= _ZEROS
+        out[:, w] = v
+    return out
+
+
+def _g_chars(values: np.ndarray, prec: int) -> np.ndarray:
+    """Rows of the bytes of format(v, f".{prec}g") for each float v.
+
+    The digits are N = round-half-even(|v| 10^k), k = prec-1-floor(log10|v|):
+    |v| times the double-double 10^k is formed exactly by Dekker's
+    TwoProduct, so y = |v| 10^k is known to about 1e-14 absolute.  Zeros
+    print natively.  A value goes to format() itself when it is not finite,
+    lies outside [1e-280, 1e280], sits within 1e-9 of a rounding tie, or
+    when floor(y) is outside [10^(prec-1), 10^prec) or N carries to
+    10^prec: a log10 exponent off by one shows only there, as for the
+    double nearest 1e-19, which lies below 10^-19."""
+    tables = _tables()
+    v = np.asarray(values, dtype=np.float64)
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi1, hi2, lo = (t.take(prec - 1 - _POW10_MIN - e) for t in tables["pow10"])
+    a1, a2 = _split(a)
+    p = a * (hi1 + hi2)
+    t = (((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2) + a * lo
+    whole = np.floor(p)
+    r = (p - whole) + t
+    carry = np.floor(r)
+    frac = r - carry
+    floor_y = whole.astype(np.int64) + carry.astype(np.int64)
+    n = floor_y + (frac > 0.5)
+    scale = 10 ** (prec - 1)
+    fast &= (floor_y >= scale) & (n < 10 * scale) & (np.abs(frac - 0.5) >= 1e-9)
+    fast |= zero
+    n[zero] = 0
+    e[zero] = 0
+
+    # words of 8 characters: sign, "0." and up to three zeros (fixed
+    # layout, -4 <= e < 0), first digit, point | the prec-1 digits after
+    # the first, right-aligned, trailing zeros dropped | exponent text
+    first = n // scale
+    rest = (n - first * scale).astype(_U)
+    sci = (e < -4) | (e >= prec)
+    small = (e < 0) & ~sci
+    nrest = -(-(prec - 1) // 8)
+    skip = 8 * nrest - (prec - 1)  # leading bytes of the rest words that are not digits
+    field = np.empty((len(v), nrest + 2), dtype="<u8")
+    head = tables["prefix"].take(np.where(small, -1 - e, 4)) << _U(8)
+    head |= np.signbit(v) * _U(ord("-"))
+    head |= (first.astype(_U) + _U(ord("0"))) << _U(48)
+    head |= ((rest != 0) & ~small) * _U(ord(".") << 56)
+    field[:, 0] = head
+    digits = _digit_words(rest, nrest)
+    # a digit stays when a non-zero digit sits at it or after it
+    nonzero = digits ^ _ZEROS
+    keep = nonzero | (nonzero >> _U(8))
+    keep |= keep >> _U(16)
+    keep |= keep >> _U(32)
+    keep = _bytes_set(keep)
+    later = np.zeros(len(v), dtype=bool)
+    for w in range(nrest - 1, -1, -1):
+        keep[:, w] = np.where(later, _ALL, keep[:, w])
+        later |= nonzero[:, w] != 0
+    keep[:, 0] &= ~_U((1 << 8 * skip) - 1)
+    field[:, 1:-1] = digits & keep
+    field[:, -1] = tables["suffix"].take(e + _EXP_BIAS) * sci
+    out = field.view(np.uint8)
+
+    wide = np.flatnonzero(~sci & (e >= 1))
+    if wide.size:
+        # e + 1 integer digits, zeros included, then the point if digits remain
+        text = np.hstack([out[wide, 6:7],
+                          digits[wide].astype("<u8").view(np.uint8)[:, skip:]])
+        x = e[wide, None]
+        sig = 1 + np.count_nonzero(out[wide, 8:8 + 8 * nrest], axis=1)[:, None]
+        c = np.arange(prec + 1)
+        moved = np.where(c <= x, text.take(np.minimum(c, prec - 1), axis=1),
+                         np.where(c == x + 1, ord("."),
+                                  text.take(np.maximum(c - 1, 0), axis=1)))
+        shown = (c <= x) | ((c == x + 1) & (sig > x + 1)) | ((c > x + 1) & (c - 1 < sig))
+        out[wide, 6:8 + 8 * nrest] = _PAD
+        out[wide, 6:7 + prec] = np.where(shown, moved, _PAD)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        width = out.shape[1]
+        text = "".join(format(x, f".{prec}g").ljust(width, chr(_PAD))
+                       for x in v[slow].tolist())
+        out[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, width)
+    return out
+
+
+def _d_chars(values: np.ndarray) -> np.ndarray:
+    """Rows of the bytes of str(i) for each integer i of an integer column."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "iu":
+        raise TypeError(f"integer column expected, got dtype {v.dtype}")
+    negative = v < 0
+    mag = v.astype(_U)
+    np.negative(mag, out=mag, where=negative)  # two's complement: |int64 min| fits
+    nwords = -(-len(str(int(mag.max()))) // 8) if len(v) else 1
+    digits = _digit_words(mag, nwords)
+    # a digit stays when a non-zero digit sits at it or before it; the
+    # units digit always stays
+    nonzero = digits ^ _ZEROS
+    keep = nonzero | (nonzero << _U(8))
+    keep |= keep << _U(16)
+    keep |= keep << _U(32)
+    keep = _bytes_set(keep)
+    keep[:, -1] |= _U(0xFF << 56)
+    earlier = np.zeros(len(v), dtype=bool)
+    for w in range(nwords):
+        keep[:, w] = np.where(earlier, _ALL, keep[:, w])
+        earlier |= nonzero[:, w] != 0
+    out = np.empty((len(v), 1 + 8 * nwords), dtype=np.uint8)
+    np.multiply(negative, np.uint8(ord("-")), out=out[:, 0])
+    out[:, 1:].view("<u8")[:] = digits & keep
+    return out
+
+
+_KERNELS = {
+    "d": _d_chars,
+    ".17g": functools.partial(_g_chars, prec=17),
+    ".4g": functools.partial(_g_chars, prec=4),
+}
+
+
+def _csv_rows(*columns):
+    """The lines of a table, printed by the kernels `_BLOCK_ROWS` rows at a
+    time and yielded as one string of newline-joined lines per block.
+
+    A column is (array, spec) with spec one of `_KERNELS`, printed as
+    format(value, spec) would print it, or a str, printed on every row."""
+    sizes = {len(c[0]) for c in columns if not isinstance(c, str)}
+    if len(sizes) != 1:
+        raise ValueError(f"columns of unequal lengths {sorted(sizes)}")
+    (size,) = sizes
+    for start in range(0, size, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, size - start)
+        fields = []
+        for c in columns:
+            if isinstance(c, str):
+                text = np.frombuffer(c.encode("ascii"), np.uint8)
+                fields.append(np.broadcast_to(text, (rows, len(text))))
+            else:
+                fields.append(_KERNELS[c[1]](c[0][start:start + rows]))
+            fields.append(np.full((rows, 1), ord(","), np.uint8))
+        fields[-1] = np.full((rows, 1), ord("\n"), np.uint8)
+        block = bytearray(rows * sum(f.shape[1] for f in fields))
+        np.concatenate(fields, axis=1, out=np.frombuffer(block, np.uint8).reshape(rows, -1))
+        # translate deletes the padding in one pass, four times faster
+        # than a boolean mask over the same matrix
+        yield str(memoryview(block.translate(None, bytes([_PAD])))[:-1], "ascii")
+
+
 def _jsonify(obj):
     """Recursively make obj JSON-safe; non-finite floats become strings."""
     if isinstance(obj, dict):
@@ -136,6 +394,9 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        # the element-wise path below would return these elements unchanged
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -166,13 +427,20 @@ def _meta_value(v):
 
 def _emit_csv(meta: dict, header: str, rows) -> str:
     """Every CSV the CLI prints: sorted `# key=value` metadata lines, the
-    header, then one line per row of the iterable ``rows``, joined 2^16 rows
-    at a time so a large table never exists as one list of row strings."""
+    header, then the items of the iterable ``rows``, each one line or a
+    block of newline-joined lines from `_csv_rows`.  A large table thus
+    never exists as one list of row strings, and its text is copied once,
+    into the result.
+
+    Byte contract: a numeric field is exactly what Python prints for it,
+    str(i) for an integer and format(x, ".17g") or format(x, ".4g") for a
+    float, whether a row is formatted by hand, by the `_csv_rows` kernels,
+    or by the format() call those kernels fall back to for the values
+    they cannot place exactly (non-finite, |x| outside [1e-280, 1e280],
+    near a rounding tie, or a missed decimal exponent: see `_g_chars`)."""
     parts = [f"# {key}={meta[key]}" for key in sorted(meta)]
     parts.append(header)
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, 1 << 16)):
-        parts.append("\n".join(chunk))
+    parts.extend(rows)
     parts.append("")
     return "\n".join(parts)
 
@@ -305,10 +573,9 @@ def _law_output(args, law, report) -> str:
                "residual": law.residual, "certified": law.certified}
     meta = {**{k: _meta_value(v) for k, v in derived.items()}, **_meta(args),
             **{k: _meta_value(v) for k, v in rep.items()}}
-    # numpy scalars, not .tolist() columns, which raised solve's peak RSS by 28%
-    rows = zip(law.indices, law.x, law.lam, single_site_marginal(law))
-    return _emit_csv(meta, "index,x,lambda,marginal",
-                     (f"{i},{x:.17g},{lam:.17g},{m:.17g}" for i, x, lam, m in rows))
+    return _emit_csv(meta, "index,x,lambda,marginal", _csv_rows(
+        (law.indices, "d"), (law.x, ".17g"), (law.lam, ".17g"),
+        (single_site_marginal(law), ".17g")))
 
 
 def cmd_solve(args) -> str:
@@ -345,7 +612,7 @@ def cmd_ggm(args) -> str:
             "alpha": fc.alpha,
             "P": fc.P,
             "certified": law.certified,
-            "edge_marginal": {"k": list(range(-window, window + 1)),
+            "edge_marginal": {"k": np.arange(-window, window + 1),
                               "prob": marginal},
             "increment_laws": [
                 {"residue": inc.residue, "support": inc.support,
@@ -357,9 +624,8 @@ def cmd_ggm(args) -> str:
         })
     meta = _meta(args, window=window, certified=_meta_value(law.certified),
                  alpha=";".join(_f17(a) for a in fc.alpha))
-    rows = (f"{k},{p:.17g},{p:.4g}"
-            for k, p in zip(range(-window, window + 1), marginal.tolist()))
-    return _emit_csv(meta, "k,prob,display", rows)
+    return _emit_csv(meta, "k,prob,display", _csv_rows(
+        (np.arange(-window, window + 1), "d"), (marginal, ".17g"), (marginal, ".4g")))
 
 
 def cmd_simulate(args) -> str:
@@ -385,9 +651,8 @@ def cmd_simulate(args) -> str:
             })
         # the class column is the walker state after each step: a height
         # for the localized chain, a class on Z_q for the fuzzy one
-        return _emit_csv(meta, "step,increment,fuzzy_class", (
-            f"{k},{j},{s}" for k, (j, s)
-            in enumerate(zip(inc, states[1:]), start=1)))
+        return _emit_csv(meta, "step,increment,fuzzy_class", _csv_rows(
+            (np.arange(1, len(inc) + 1), "d"), (inc, "d"), (states[1:], "d")))
 
     ns = _parse_int_list(args.n)
     dists = [exact(n) for n in ns]
@@ -399,9 +664,10 @@ def cmd_simulate(args) -> str:
              **({"limit": d.limit} if d.limit is not None else {})}
             for d in dists
         ]})
-    return _emit_csv(meta, "n,k,prob,leaked_mass", (
-        f"{d.n},{k},{p:.17g},{d.leaked_mass:.17g}"
-        for d in dists for k, p in zip(d.indices.tolist(), d.law.tolist())))
+    # the constant columns are formatted once per table
+    return _emit_csv(meta, "n,k,prob,leaked_mass", itertools.chain.from_iterable(
+        _csv_rows(str(d.n), (d.indices, "d"), (d.law, ".17g"), f"{d.leaked_mass:.17g}")
+        for d in dists))
 
 
 def cmd_phase_diagram(args) -> str:

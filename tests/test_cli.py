@@ -12,7 +12,9 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import treegibbs
@@ -541,6 +543,208 @@ class TestCsvEmitters:
         assert header == "step,increment,fuzzy_class"
         assert rows == [[str(k), str(j), str(s)] for k, j, s
                         in zip(range(1, 51), inc.tolist(), states[1:].tolist())]
+
+
+def _column_lines(values, spec):
+    """The lines `_csv_rows` prints for one column."""
+    return "\n".join(cli._csv_rows((values, spec))).split("\n")
+
+
+def _neighbours(x, steps):
+    """x and the `steps` doubles on each side of it."""
+    out = [x]
+    for toward in (0.0, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+class TestNumericKernels:
+    """The vectorised columns print exactly the bytes of Python's format()."""
+
+    @staticmethod
+    def _assert_format(values):
+        values = np.concatenate([np.asarray(values, dtype=np.float64),
+                                 -np.asarray(values, dtype=np.float64)])
+        for spec in (".17g", ".4g"):
+            assert _column_lines(values, spec) == [
+                format(x, spec) for x in values.tolist()], spec
+
+    def test_random_bit_patterns(self):
+        # every exponent, subnormals and non-finite patterns included; more
+        # rows than one block
+        rng = np.random.default_rng(22)
+        bits = rng.integers(0, 2**64, size=3 * cli._BLOCK_ROWS + 5, dtype=np.uint64)
+        self._assert_format(bits.view(np.float64))
+
+    def test_special_values(self):
+        self._assert_format([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                             2.2250738585072014e-308, 2.225073858507201e-308,
+                             1.7976931348623157e308, 1e-280, 1e280])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # the double nearest 1e-19 lies below 10^-19, so floor(log10)
+        # misses its exponent by one
+        assert Fraction(1e-19) < Fraction(1, 10**19)
+        assert math.floor(math.log10(1e-19)) == -19
+        self._assert_format([y for k in range(-300, 301)
+                             for y in _neighbours(float(f"1e{k}"), 1)])
+
+    def test_fixed_and_scientific_boundaries(self):
+        # either side of the switch between fixed and scientific layouts,
+        # and of the 4- and 17-digit carries into the next decade
+        self._assert_format([y for x in (1e-5, 1e-4, 1e16, 1e17, 9.9995e-5,
+                                         99995.0, 9999.5, 0.99995,
+                                         99999999999999995.0)
+                             for y in _neighbours(x, 40)])
+
+    def test_binary_ties(self):
+        # exact ties round half to even: 1.0625 prints 1.062, 2.5 prints 2.5
+        assert _column_lines(np.array([1.0625, 1.1875, 12345.0]), ".4g") == [
+            "1.062", "1.188", "1.234e+04"]
+        self._assert_format([(i + 0.5) / 2.0**s for i in range(600) for s in range(12)])
+
+    def test_integer_columns(self):
+        rng = np.random.default_rng(7)
+        ints = np.concatenate([
+            rng.integers(-10**15, 10**15, size=20000), np.arange(-1000, 1001),
+            [10**15, -10**15, 10**18, -(10**18), 2**63 - 1, -(2**63)]])
+        assert _column_lines(ints, "d") == [str(i) for i in ints.tolist()]
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+            small = np.arange(0, 100).astype(dtype)
+            assert _column_lines(small, "d") == [str(i) for i in small.tolist()]
+
+    def test_rows_join_columns_and_constants(self):
+        lines = "\n".join(cli._csv_rows(
+            "7", (np.array([-1, 0, 1]), "d"), (np.array([0.5, 1e-7, 3.0]), ".17g"),
+            "x")).split("\n")
+        assert lines == ["7,-1,0.5,x", "7,0,9.9999999999999995e-08,x", "7,1,3,x"]
+        with pytest.raises(ValueError, match="unequal"):
+            list(cli._csv_rows((np.arange(2), "d"), (np.arange(3.0), ".17g")))
+
+
+def _record(monkeypatch, name):
+    """Results of every call to cli.<name> during the test."""
+    calls = []
+    real = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+def _data_lines(out):
+    """The lines after the header of a CSV emission."""
+    lines = out.split("\n")
+    start = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    assert lines[-1] == ""
+    return lines[start + 1:-1]
+
+
+def _old_jsonify(obj):
+    """The element-wise JSON conversion the fast path must agree with."""
+    if isinstance(obj, dict):
+        return {str(k): _old_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_old_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        return x if math.isfinite(x) else repr(x)[:4].strip("'")
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+class TestEmitterBytes:
+    """Every large table prints the bytes of the per-row f-strings it
+    replaced, kept here as the oracle, and every JSON output the bytes of
+    the element-wise `_jsonify`."""
+
+    @staticmethod
+    def _law_rows(law):
+        return [f"{i},{x:.17g},{lam:.17g},{m:.17g}" for i, x, lam, m
+                in zip(law.indices, law.x, law.lam, single_site_marginal(law))]
+
+    def test_ggm_log_chain_with_zero_rows(self, capsys, monkeypatch):
+        marginals = _record(monkeypatch, "ggm_edge_marginal")
+        code, out, _ = run(capsys, "ggm", "--model", "log", "--beta", "5", "--q", "3")
+        assert code == 0
+        (marginal,) = marginals
+        window = len(marginal) // 2
+        rows = _data_lines(out)
+        assert rows == [f"{k},{p:.17g},{p:.4g}" for k, p
+                        in zip(range(-window, window + 1), marginal.tolist())]
+        assert sum(row.endswith(",0,0") for row in rows) > 100
+
+    def test_solve_log_window(self, capsys, monkeypatch):
+        # 299 069 rows: the largest law table a default command prints
+        laws = _record(monkeypatch, "solve_fixed_point")
+        code, out, _ = run(capsys, "solve", "--model", "log", "--beta", "3.0", "--d", "2")
+        assert code == 0
+        ((law, _),) = laws
+        assert len(law.x) == 299069
+        assert _data_lines(out) == self._law_rows(law)
+
+    def test_periodic(self, capsys, monkeypatch):
+        laws = _record(monkeypatch, "periodic_solve")
+        code, out, _ = run(capsys, "periodic", "--model", "log", "--beta", "2.6",
+                           "--d", "2", "--q", "5")
+        assert code == 0
+        ((law, _),) = laws
+        assert _data_lines(out) == self._law_rows(law)
+
+    @pytest.mark.parametrize("argv, exact", [
+        (["--model", "sos", "--beta", "2.5", "--n", "1,3,9"], "wn_localized_exact"),
+        (["--model", "log", "--beta", "2.6", "--q", "3", "--n", "1,16",
+          "--truncation", "200"], "wn_ggm_exact"),
+    ])
+    def test_simulate_tables(self, capsys, monkeypatch, argv, exact):
+        dists = _record(monkeypatch, exact)
+        code, out, _ = run(capsys, "simulate", *argv)
+        assert code == 0
+        assert _data_lines(out) == [
+            f"{d.n},{k},{p:.17g},{d.leaked_mass:.17g}"
+            for d in dists for k, p in zip(d.indices.tolist(), d.law.tolist())]
+
+    @pytest.mark.parametrize("q", [[], ["--q", "3"]])
+    def test_sampled_path(self, capsys, monkeypatch, q):
+        paths = _record(monkeypatch, "sample_path")
+        code, out, _ = run(capsys, "simulate", "--model", "sos", "--beta", "2",
+                           "--sample-steps", "5000", "--seed", "3", *q)
+        assert code == 0
+        ((inc, states),) = paths
+        assert _data_lines(out) == [
+            f"{k},{j},{s}" for k, (j, s) in enumerate(zip(inc, states[1:]), start=1)]
+
+    @pytest.mark.parametrize("argv", [
+        ["ggm", "--model", "log", "--beta", "5", "--q", "3"],
+        ["solve", "--model", "sos", "--beta", "2.5"],
+        ["simulate", "--model", "sos", "--beta", "2", "--q", "2", "--n", "1,8"],
+        ["simulate", "--model", "sos", "--beta", "2", "--sample-steps", "300"],
+    ])
+    def test_json_matches_elementwise_conversion(self, capsys, monkeypatch, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        monkeypatch.setattr(cli, "_jsonify", _old_jsonify)
+        assert run(capsys, *argv, "--format", "json")[1] == out
+
+    def test_jsonify_arrays(self):
+        for array in (np.array([1.5, math.inf, -math.inf, math.nan]),
+                      np.array([[0.25, 1e-300], [3.0, 5e-324]]),
+                      np.arange(-3, 3), np.array([True, False]),
+                      np.array([0.1], dtype=np.float32), np.array([], dtype=float),
+                      np.array([2**63 - 1], dtype=np.uint64)):
+            assert json.dumps(cli._jsonify(array)) == json.dumps(_old_jsonify(array))
 
 
 class TestPhaseDiagram:
