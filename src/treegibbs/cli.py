@@ -153,11 +153,6 @@ _LOW_BITS = _U(0x7F7F7F7F7F7F7F7F)
 _ALL = _U(0xFFFFFFFFFFFFFFFF)
 
 
-def _word(text: str) -> int:
-    """The ASCII text of at most 8 characters as a little-endian word."""
-    return int.from_bytes(text.encode("ascii"), "little")
-
-
 def _split(a):
     """Dekker's split: a = hi + lo with each half on 26 bits."""
     c = _DEKKER * a
@@ -173,8 +168,8 @@ def _tables() -> dict:
     correctly rounded, split for Dekker's product, and lo is 10^k - hi
     correctly rounded, so hi + lo carries 10^k to about 2^-106.  Both come
     from exact int arithmetic: int-to-float and int / int round correctly
-    in CPython.  prefix[z]: "0." and z zeros, prefix[4] empty.  suffix[e +
-    _EXP_BIAS]: the exponent text "e-05" of a scientific layout."""
+    in CPython.  suffix[e + _EXP_BIAS]: the exponent text "e-05" of the
+    scientific layout; the fixed layout goes to format()."""
     hi, lo = [], []
     for k in range(_POW10_MIN, _POW10_MAX + 1):
         if k >= 0:
@@ -190,9 +185,8 @@ def _tables() -> dict:
         lo.append(rest)
     return {
         "pow10": (*_split(np.array(hi)), np.array(lo)),
-        "prefix": np.array([_word("0." + "0" * z) for z in range(4)] + [0], dtype=_U),
-        "suffix": np.array([_word(f"e{e:+03d}") for e in range(-_EXP_BIAS, _EXP_BIAS)],
-                           dtype=_U),
+        "suffix": np.array([int.from_bytes(f"e{e:+03d}".encode(), "little")
+                            for e in range(-_EXP_BIAS, _EXP_BIAS)], dtype=_U),
     }
 
 
@@ -241,11 +235,13 @@ def _g_chars(values: np.ndarray, prec: int) -> np.ndarray:
     The digits are N = round-half-even(|v| 10^k), k = prec-1-floor(log10|v|):
     |v| times the double-double 10^k is formed exactly by Dekker's
     TwoProduct, so y = |v| 10^k is known to about 1e-14 absolute.  Zeros
-    print natively.  A value goes to format() itself when it is not finite,
-    lies outside [1e-280, 1e280], sits within 1e-9 of a rounding tie, or
-    when floor(y) is outside [10^(prec-1), 10^prec) or N carries to
-    10^prec: a log10 exponent off by one shows only there, as for the
-    double nearest 1e-19, which lies below 10^-19."""
+    and the scientific layout print natively.  A value goes to format()
+    itself when it takes the fixed layout (-4 <= e < prec: a probability
+    column holds at most 10^4 such entries), is not finite, lies outside
+    [1e-280, 1e280], sits within 1e-9 of a rounding tie, or when floor(y)
+    is outside [10^(prec-1), 10^prec) or N carries to 10^prec: a log10
+    exponent off by one shows only there, as for the double nearest 1e-19,
+    which lies below 10^-19."""
     tables = _tables()
     v = np.asarray(values, dtype=np.float64)
     a = np.abs(v)
@@ -265,24 +261,20 @@ def _g_chars(values: np.ndarray, prec: int) -> np.ndarray:
     n = floor_y + (frac > 0.5)
     scale = 10 ** (prec - 1)
     fast &= (floor_y >= scale) & (n < 10 * scale) & (np.abs(frac - 0.5) >= 1e-9)
+    fast &= (e < -4) | (e >= prec)  # the scientific layout
     fast |= zero
     n[zero] = 0
-    e[zero] = 0
 
-    # words of 8 characters: sign, "0." and up to three zeros (fixed
-    # layout, -4 <= e < 0), first digit, point | the prec-1 digits after
-    # the first, right-aligned, trailing zeros dropped | exponent text
+    # words of 8 characters: sign, first digit, point | the prec-1 digits
+    # after the first, right-aligned, trailing zeros dropped | exponent text
     first = n // scale
     rest = (n - first * scale).astype(_U)
-    sci = (e < -4) | (e >= prec)
-    small = (e < 0) & ~sci
     nrest = -(-(prec - 1) // 8)
     skip = 8 * nrest - (prec - 1)  # leading bytes of the rest words that are not digits
     field = np.empty((len(v), nrest + 2), dtype="<u8")
-    head = tables["prefix"].take(np.where(small, -1 - e, 4)) << _U(8)
-    head |= np.signbit(v) * _U(ord("-"))
-    head |= (first.astype(_U) + _U(ord("0"))) << _U(48)
-    head |= ((rest != 0) & ~small) * _U(ord(".") << 56)
+    head = np.signbit(v) * _U(ord("-"))
+    head |= (first.astype(_U) + _U(ord("0"))) << _U(8)
+    head |= (rest != 0) * _U(ord(".") << 16)
     field[:, 0] = head
     digits = _digit_words(rest, nrest)
     # a digit stays when a non-zero digit sits at it or after it
@@ -297,23 +289,8 @@ def _g_chars(values: np.ndarray, prec: int) -> np.ndarray:
         later |= nonzero[:, w] != 0
     keep[:, 0] &= ~_U((1 << 8 * skip) - 1)
     field[:, 1:-1] = digits & keep
-    field[:, -1] = tables["suffix"].take(e + _EXP_BIAS) * sci
+    field[:, -1] = tables["suffix"].take(e + _EXP_BIAS) * ~zero
     out = field.view(np.uint8)
-
-    wide = np.flatnonzero(~sci & (e >= 1))
-    if wide.size:
-        # e + 1 integer digits, zeros included, then the point if digits remain
-        text = np.hstack([out[wide, 6:7],
-                          digits[wide].astype("<u8").view(np.uint8)[:, skip:]])
-        x = e[wide, None]
-        sig = 1 + np.count_nonzero(out[wide, 8:8 + 8 * nrest], axis=1)[:, None]
-        c = np.arange(prec + 1)
-        moved = np.where(c <= x, text.take(np.minimum(c, prec - 1), axis=1),
-                         np.where(c == x + 1, ord("."),
-                                  text.take(np.maximum(c - 1, 0), axis=1)))
-        shown = (c <= x) | ((c == x + 1) & (sig > x + 1)) | ((c > x + 1) & (c - 1 < sig))
-        out[wide, 6:8 + 8 * nrest] = _PAD
-        out[wide, 6:7 + prec] = np.where(shown, moved, _PAD)
 
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -436,8 +413,9 @@ def _emit_csv(meta: dict, header: str, rows) -> str:
     str(i) for an integer and format(x, ".17g") or format(x, ".4g") for a
     float, whether a row is formatted by hand, by the `_csv_rows` kernels,
     or by the format() call those kernels fall back to for the values
-    they cannot place exactly (non-finite, |x| outside [1e-280, 1e280],
-    near a rounding tie, or a missed decimal exponent: see `_g_chars`)."""
+    they leave to it (the fixed layout, non-finite, |x| outside [1e-280,
+    1e280], near a rounding tie, or a missed decimal exponent: see
+    `_g_chars`)."""
     parts = [f"# {key}={meta[key]}" for key in sorted(meta)]
     parts.append(header)
     parts.extend(rows)

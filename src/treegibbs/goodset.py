@@ -52,7 +52,7 @@ REASON_GAMMA_FLAG = "gamma_out_of_domain_flag"
 REASON_NORM_INFINITE = "norm_infinite"
 
 _EPS_TOL = 1e-13  # absolute bisection width of the minimal epsilon
-_BOUNDARY_TOL = 1e-14  # relative bisection width of the d = 2 boundary curve
+_BOUNDARY_TOL = 1e-14  # absolute bisection width of the d = 2 boundary curve
 _THRESHOLD_TOL = 1e-7  # default width of the beta bisection
 _BETA_MAX = 64.0  # the largest beta a threshold search tries
 
@@ -99,6 +99,20 @@ class MembershipVerdict:
         return self.in_good_set
 
 
+def _bisect(above, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Bracket [lo, hi] with above(lo) false and above(hi) true, halved
+    until hi - lo <= width or no float lies between the two ends."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def smallest_epsilon(query: GoodSetQuery) -> float | None:
     """Smallest positive solution of delta + gamma*eps**d = eps, or None.
 
@@ -106,25 +120,26 @@ def smallest_epsilon(query: GoodSetQuery) -> float | None:
     eps* = (1/(d*gamma))**(1/(d-1)); when f(eps*) > 0 there is no root.
     Otherwise bisect on [0, eps*] to width _EPS_TOL and return the upper
     bracket end, so the ball inequality holds exactly at the returned value.
+    Raises ConfigError when eps*^d is not finite in float64, which no
+    potential yields (gamma >= 1 there).
     """
     d, g, dl = query.d, query.gamma, query.delta
     if not (math.isfinite(g) and math.isfinite(dl)):
         return None
     eps_star = (1.0 / (d * g)) ** (1.0 / (d - 1))
+    try:
+        top = eps_star**d
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ConfigError(f"gamma={g!r} is too small for d={d}: eps*^d is outside float64 range")
 
     def f(e: float) -> float:
         return g * e**d + dl - e
 
     if f(eps_star) > 0:
         return None
-    lo, hi = 0.0, eps_star
-    while hi - lo > _EPS_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bisect(lambda e: f(e) <= 0, 0.0, eps_star, _EPS_TOL)[1]
 
 
 def lipschitz_constant(query: GoodSetQuery, eps: float) -> float:
@@ -197,20 +212,15 @@ def binary_delta_boundary(gamma: float) -> float:
 
     Below the returned value the pair (gamma, delta) is in G_2, above it is
     not.  Bisection on (0, 1/(4*gamma)] against the scaled quartic to the
-    relative width _BOUNDARY_TOL, then a consistency check against the
-    radical form with a cancellation-aware tolerance.
+    width _BOUNDARY_TOL, then a consistency check against the radical form
+    with a cancellation-aware tolerance.
     """
     if not gamma > 1.0:
         raise ConfigError(f"binary boundary curve needs gamma > 1, got {gamma}")
     lo, hi = 0.0, 1.0 / (4.0 * gamma)
     if _binary_quartic(gamma, hi) < 0:
         raise NumericalError(f"quartic bracket failed at gamma={gamma}")
-    while hi - lo > _BOUNDARY_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if _binary_quartic(gamma, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda x: _binary_quartic(gamma, x) > 0, lo, hi, _BOUNDARY_TOL)
     delta = 0.5 * (lo + hi)
     rad = binary_delta_boundary_radical(gamma)
     if abs(delta - rad) > 1e-8 * delta + 1e-13 * gamma**2:
@@ -264,14 +274,7 @@ def beta_threshold(family, d: int, pairing: str = "half",
         lo /= 2.0
         if lo < 1e-9:
             raise NumericalError("membership persists down to beta ~ 0; no finite threshold")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: no width below tol exists
-            break
-        if is_member(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(is_member, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 

@@ -181,6 +181,27 @@ class TestGoodset:
         assert rows == [["2", "inf", "0.10000000000000001", "false", "", "", "",
                          "", "no_epsilon_exists"]]
 
+    def test_epsilon_wider_than_the_bisection_width(self, capsys):
+        # near epsilon ~ 1e6 an ulp (1.2e-10) exceeds the width 1e-13 and
+        # the bisection once ran forever
+        code, out, err = run(capsys, "goodset", "--d", "2", "--gamma", "1e-10",
+                             "--delta", "1e6")
+        assert code == 0 and err == ""
+        _, _, rows = parse_csv(out)
+        assert rows[0][3] == "false"
+        assert rows[0][8] == "gamma_out_of_domain_flag"
+        assert math.isfinite(float(rows[0][4]))
+
+    @pytest.mark.parametrize("gamma,delta", [("1e-300", "1e-300"), ("1e-320", "0")])
+    def test_pair_outside_float_range_rejected(self, capsys, gamma, delta):
+        # eps*^d overflows: once an OverflowError traceback, and for
+        # 1/(d*gamma) = inf a bisection that never ended
+        code, out, err = run(capsys, "goodset", "--d", "2", "--gamma", gamma,
+                             "--delta", delta)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+
     def test_gamma_without_delta_rejected(self, capsys):
         code, _, err = run(capsys, "goodset", "--d", "2", "--gamma", "1.5")
         assert code == 2

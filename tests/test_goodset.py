@@ -140,6 +140,24 @@ class TestMembership:
         if membership(GoodSetQuery(d, g, dl)).in_good_set:
             assert membership(GoodSetQuery(d, g, dl / 2)).in_good_set
 
+    @given(d=st.integers(2, 8), g=st.floats(5e-324, 1e308), dl=st.floats(0.0, 1e308))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float_pair_ends(self, d, g, dl):
+        # an ulp of epsilon can exceed the bisection width (the search once
+        # ran forever), and eps*^d can overflow float64 (once a traceback)
+        try:
+            v = membership(GoodSetQuery(d, g, dl))
+        except ConfigError as exc:
+            assert "outside float64 range" in str(exc)
+            return
+        assert v.epsilon is None or math.isfinite(v.epsilon)
+
+    def test_float_range_refusal(self):
+        with pytest.raises(ConfigError, match="outside float64 range"):
+            smallest_epsilon(GoodSetQuery(2, 1e-300, 1e-300))
+        with pytest.raises(ConfigError, match="outside float64 range"):
+            smallest_epsilon(GoodSetQuery(2, 1e-320, 0.0))  # 1/(d*gamma) is inf
+
 
 class TestNormMembership:
     @given(
