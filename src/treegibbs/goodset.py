@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericalError, OutsideGoodSetError
-from .potentials import _FAMILIES, NormReport, _check_tol, _exp, _nonzero_head, norm_pair
+from .potentials import _FAMILIES, _TINY, NormReport, _check_tol, _exp, _nonzero_head, norm_pair
 
 __all__ = [
     "GoodSetQuery",
@@ -51,7 +51,8 @@ REASON_LIPSCHITZ = "lipschitz_ge_one"
 REASON_GAMMA_FLAG = "gamma_out_of_domain_flag"
 REASON_NORM_INFINITE = "norm_infinite"
 
-_EPS_TOL = 1e-13  # absolute bisection width of the minimal epsilon
+_EPS_TOL = 1e-13  # absolute bisection width of the minimal epsilon,
+_EPS_REL = 1e-11  # or this fraction of delta where that is narrower
 _BOUNDARY_TOL = 1e-14  # absolute bisection width of the d = 2 boundary curve
 _THRESHOLD_TOL = 1e-7  # default width of the beta bisection
 _BETA_MAX = 64.0  # the largest beta a threshold search tries
@@ -118,10 +119,15 @@ def smallest_epsilon(query: GoodSetQuery) -> float | None:
 
     f(eps) = gamma*eps**d + delta - eps is convex with minimum at
     eps* = (1/(d*gamma))**(1/(d-1)); when f(eps*) > 0 there is no root.
-    Otherwise bisect on [0, eps*] to width _EPS_TOL and return the upper
-    bracket end, so the ball inequality holds exactly at the returned value.
-    Raises ConfigError when eps*^d is not finite in float64, which no
-    potential yields (gamma >= 1 there).
+    Otherwise the root lies in [delta, 2 delta] (f(eps*) <= 0 gives
+    delta <= eps* (d-1)/d, and f <= 0 at delta d/(d-1)), so bisect on
+    [0, eps*] to width min(_EPS_TOL, _EPS_REL * delta), which is relative
+    to the root however small eps* is, and return the upper bracket end,
+    so the ball inequality holds exactly at the returned value.  With
+    delta = 0 every small eps > 0 solves it, and the bisection ends at
+    the least positive float.  Raises ConfigError when eps* is not a
+    positive normal float (d * gamma near the float64 maximum) or eps*^d
+    is not finite (which no potential yields: gamma >= 1 there).
     """
     d, g, dl = query.d, query.gamma, query.delta
     if not (math.isfinite(g) and math.isfinite(dl)):
@@ -131,15 +137,16 @@ def smallest_epsilon(query: GoodSetQuery) -> float | None:
         top = eps_star**d
     except OverflowError:
         top = math.inf
-    if not math.isfinite(top):
-        raise ConfigError(f"gamma={g!r} is too small for d={d}: eps*^d is outside float64 range")
+    if not (eps_star >= _TINY and math.isfinite(top)):
+        raise ConfigError(f"gamma={g!r} is outside float64 range for d={d}: eps* = "
+                          f"{eps_star!r} must be a positive normal float with a finite eps*^d")
 
     def f(e: float) -> float:
         return g * e**d + dl - e
 
     if f(eps_star) > 0:
         return None
-    return _bisect(lambda e: f(e) <= 0, 0.0, eps_star, _EPS_TOL)[1]
+    return _bisect(lambda e: f(e) <= 0, 0.0, eps_star, min(_EPS_TOL, _EPS_REL * dl))[1]
 
 
 def lipschitz_constant(query: GoodSetQuery, eps: float) -> float:

@@ -16,11 +16,12 @@ convolution per class row and class step, direct or by FFT, and a rigorous
 bound on its rounding), samples both walks through one stepping kernel
 with counter-based streams keyed by (seed, replicate), and recovers the
 height period of an unknown source from the empirical distribution of its
-partial sums mod q-tilde.  `sample_wn` splits its walkers into contiguous
-slices, one thread each on the CPUs the process may use (at most
-`_MAX_THREADS`, the count measured so far); Philox is counter-based, so
-each slice reads its share of the one stream directly and W_n has the
-same bytes for any thread count.
+partial sums mod q-tilde.  The sampler's unit of work is one block of at
+most `_BLOCK` walkers or steps: `sample_wn` runs each block's whole walk
+in block-sized buffers, on a pool of threads, one per CPU the process
+may use and at most `_MAX_THREADS` (the count measured so far).  Philox
+is counter-based, so each block reads its share of the one stream
+directly and W_n has the same bytes for any thread count.
 
 Every sampled step is an inverse-CDF draw from one padded table
 (`_CdfTable`): the rows of a kernel, or the increment laws, as running
@@ -37,7 +38,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,8 +88,8 @@ _N_EFF_FACTOR = 10.0
 # a sampler refuses a uniform buffer beyond this many float64 draws (512 MiB)
 _MAX_UNIFORMS = 1 << 26
 
-# walkers go through the inverse-CDF table search in blocks of this many,
-# so that their positions and uniforms stay in cache across its steps
+# the sampler works on blocks of at most this many walkers (or path steps),
+# so that their positions and uniforms stay in cache across the search
 _BLOCK = 1 << 15
 # sample_wn threads: the speed-up was measured on 2 CPUs only (where 8 and
 # 31 threads ran 1.3-1.7x and 2.1-2.8x slower than 2); raise this once a
@@ -397,7 +397,7 @@ def _cumulative_rows(P: np.ndarray) -> np.ndarray:
 
 
 class _Scratch:
-    """Block-sized buffers for `_CdfTable.draw` and the class-step wrap.
+    """Buffers for `_CdfTable.draw` and the class-step wrap on one block.
 
     A walk that passes the same scratch to every step allocates nothing
     per step; block-sized temporaries on worker threads would make each
@@ -406,7 +406,7 @@ class _Scratch:
 
     __slots__ = ("entry", "below", "term")
 
-    def __init__(self, size: int = _BLOCK):
+    def __init__(self, size: int):
         self.entry = np.empty(size)
         self.below = np.empty(size, dtype=bool)
         self.term = np.empty(size, dtype=np.int64)
@@ -427,8 +427,8 @@ class _CdfTable:
     ``first``, when given, holds one int64 per row: row s then draws the
     point first[s] + stride * slot instead of the slot.
 
-    `draw` runs a branchless upper-bound search over a block of walkers at
-    once (Khuong & Morin, Array layouts for comparison-based searching,
+    `draw` runs a branchless upper-bound search over one block of walkers
+    at once (Khuong & Morin, Array layouts for comparison-based searching,
     2017): from pos = key * w, each step = w/2, ..., 1 adds step times the
     comparison cum[pos + step - 1] <= u.  For u in [0, 1) the predicate
     entry <= u holds on a prefix of every row: a cumsum of nonnegative
@@ -455,33 +455,31 @@ class _CdfTable:
     def draw(self, keys, u: np.ndarray, out: np.ndarray,
              scratch: _Scratch) -> np.ndarray:
         """out[k] = slot searchsorted(cum[keys[k]], u[k], side="right"), or
-        first[keys[k]] + stride * slot; keys may be out itself.  The search
-        runs in the buffers of scratch."""
+        first[keys[k]] + stride * slot, for one block of walkers; keys may
+        be out itself.  The search runs in the buffers of scratch, which
+        must hold len(u) entries."""
         width = self.cum.shape[1]
-        shift = width.bit_length() - 1
         flat = self.cum.ravel()
-        for lo in range(0, len(u), _BLOCK):
-            pos, x = out[lo:lo + _BLOCK], u[lo:lo + _BLOCK]
-            entry, below, term = scratch.views(len(x))
-            np.multiply(keys[lo:lo + _BLOCK], width, out=pos)
-            step = width >> 1
-            while step:
-                # pos += (flat[pos + step - 1] <= x) * step; every index is
-                # in range, so mode="wrap" never wraps (and take never buffers)
-                np.take(flat[step - 1:], pos, out=entry, mode="wrap")
-                np.less_equal(entry, x, out=below)
-                np.multiply(below, step, out=term)
-                pos += term
-                step >>= 1
-            if self.base is not None:
-                np.right_shift(pos, shift, out=term)  # the row of each slot
-                # term is both index and out: each index is read before
-                # its own slot is written, so take(..., out=term) is exact
-                np.take(self.base, term, out=term, mode="wrap")
-                pos *= self.stride
-                pos += term
+        entry, below, term = scratch.views(len(u))
+        np.multiply(keys, width, out=out)
+        step = width >> 1
+        while step:
+            # out += (flat[out + step - 1] <= u) * step; every index is in
+            # range, so mode="wrap" never wraps (and take never buffers)
+            np.take(flat[step - 1:], out, out=entry, mode="wrap")
+            np.less_equal(entry, u, out=below)
+            np.multiply(below, step, out=term)
+            out += term
+            step >>= 1
         if self.base is None:
             out &= width - 1
+        else:
+            np.right_shift(out, width.bit_length() - 1, out=term)  # the row of each slot
+            # term is both index and out: each index is read before its
+            # own slot is written, so take(..., out=term) is exact
+            np.take(self.base, term, out=term, mode="wrap")
+            out *= self.stride
+            out += term
         return out
 
 
@@ -525,8 +523,9 @@ def _markov_additive(source):
 
     start and kernel are `_CdfTable`s of the start law and the state chain;
     increment(a, b, rng, u, out, scratch) writes the height change of
-    the steps a -> b into out, drawing any uniforms it needs into the
-    buffer u with rng.random(out=u) and working in the `_Scratch` buffers.
+    the steps a -> b of one block into out, drawing any uniforms it needs
+    into the buffer u with rng.random(out=u) and working in the `_Scratch`
+    buffers.
     For a truncated BoundaryLaw (labels = heights, consecutive integers) it
     is the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
     classes) it is one draw per step from the law of the class step
@@ -556,12 +555,10 @@ def _markov_additive(source):
             r = np.subtract(b, a, out=out)
             # r in (-q, q): add q where r < 0, that is where r >> 63 is -1
             # (np.remainder's integer division costs about 5x more)
-            for lo in range(0, len(r), _BLOCK):
-                rb = r[lo:lo + _BLOCK]
-                term = scratch.term[:len(rb)]
-                np.right_shift(rb, 63, out=term)
-                term &= fc.q
-                rb += term
+            term = scratch.term[:len(r)]
+            np.right_shift(r, 63, out=term)
+            term &= fc.q
+            r += term
             return table.draw(r, rng.random(out=u), out, scratch)
         return (np.arange(fc.q), _CdfTable([fc.alpha]), _CdfTable(fc.P),
                 increment)
@@ -575,7 +572,9 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
 
     Returns (increments, states): states has length n+1 and holds heights
     in gibbs mode, classes in ggm mode.  Equal (seed, replicate) always
-    reproduces the same path; replicates are independent streams.
+    reproduces the same path; replicates are independent streams.  The
+    increments are drawn a block of steps at a time, in order, from the
+    one stream.
     """
     _check_sizes(n)
     labels, start, kernel, increment = _markov_additive(source)
@@ -584,8 +583,12 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
         states = _walk(start, kernel, rng.random(n + 1))
     else:
         states = np.zeros(n + 1, dtype=np.int64)
-    increments = increment(states[:-1], states[1:], rng, np.empty(n),
-                           np.empty(n, dtype=np.int64), _Scratch(min(n, _BLOCK)))
+    increments = np.empty(n, dtype=np.int64)
+    u, scratch = np.empty(min(n, _BLOCK)), _Scratch(min(n, _BLOCK))
+    a, b = states[:-1], states[1:]
+    for lo in range(0, n, _BLOCK):
+        out = increments[lo:lo + _BLOCK]
+        increment(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], rng, u[:len(out)], out, scratch)
     return increments, labels[states]
 
 
@@ -597,8 +600,8 @@ class _SliceStream:
     is counter-based (Salmon et al., Parallel random numbers: as easy as
     1, 2, 3, SC'11) and Philox 4x64 yields four doubles per counter value,
     so position P is reached directly: counter P // 4, then P % 4 doubles
-    discarded.  A generator already standing at P (one slice of all
-    walkers) is read on without a restart.
+    discarded.  A generator already standing at P (a walk whose one block
+    holds all walkers) is read on without a restart.
     """
 
     __slots__ = ("key", "N", "lo", "calls", "gen", "at")
@@ -626,73 +629,42 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _threads(N: int) -> int:
-    """Slices for N walkers: one per CPU, at most one per `_BLOCK` walkers
-    and at most `_MAX_THREADS`."""
-    return min(_cpus(), _MAX_THREADS, -(-N // _BLOCK))
-
-
-def _run_slices(work, bounds) -> None:
-    """work(lo, hi) for every slice: the first here, the rest on threads.
-
-    All threads are joined before the first error of any slice is raised.
-    """
-    errors = []
-
-    def guarded(lo, hi):
-        try:
-            work(lo, hi)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=b) for b in bounds[1:]]
-    for t in threads:
-        t.start()
-    try:
-        work(*bounds[0])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
 def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     """W_n over independent walkers, vectorized; one stream per call.
 
     Returns an int64 array of length ``replicates``.  The stream is keyed
     by (seed, replicate) like sample_path; parallel batches should use
-    distinct replicate keys.  The walkers are split into contiguous
-    slices, at most one per CPU the process may use, per `_BLOCK` walkers
-    and `_MAX_THREADS` in all (only 2 threads on 2 CPUs were measured),
-    and each slice runs the whole walk on its own thread (numpy releases
-    the GIL in the draws, ufuncs and gathers).  A slice reads its uniforms
-    from the one stream by counter (`_SliceStream`), so W_n has the same
-    bytes for any number of slices.  Each step refills the same per-walker
-    buffers, allocated once at full size (fresh arrays of this size would
-    page-fault on every step), and each slice searches in its own
-    block-sized `_Scratch`, so no step allocates.
+    distinct replicate keys.  Each block of at most `_BLOCK` walkers runs
+    its whole walk in its own block-sized buffers, reading its uniforms
+    from the one stream by counter (`_SliceStream`), so no step allocates
+    and W_n has the same bytes for any number of threads.  A pool of
+    threads, one per CPU the process may use and at most `_MAX_THREADS`
+    (only 2 threads on 2 CPUs were measured), maps over the blocks; numpy
+    releases the GIL in the draws, ufuncs and gathers.
     """
     _check_sizes(n, replicates)
     labels, start, kernel, increment = _markov_additive(source)
     key = _stream(seed, replicate).bit_generator.state["state"]["key"]
     N = int(replicates)
     W = np.zeros(N, dtype=np.int64)
-    u = np.empty(N)
-    states = np.zeros(N, dtype=np.int64)  # every walker starts on row 0
-    nxt, dW = np.empty_like(states), np.empty_like(states)
 
-    def walk(lo, hi):
-        rng, scratch = _SliceStream(key, N, lo), _Scratch(min(hi - lo, _BLOCK))
-        us, s, t, dWs, Ws = (a[lo:hi] for a in (u, states, nxt, dW, W))
-        start.draw(s, rng.random(out=us), s, scratch)
+    def walk(lo):
+        Wb = W[lo:lo + _BLOCK]
+        size = len(Wb)
+        rng, scratch = _SliceStream(key, N, lo), _Scratch(size)
+        u, s = np.empty(size), np.zeros(size, dtype=np.int64)  # every walker starts on row 0
+        t, dW = np.empty_like(s), np.empty_like(s)
+        start.draw(s, rng.random(out=u), s, scratch)
         for _ in range(n):
-            kernel.draw(s, rng.random(out=us), t, scratch)
-            Ws += increment(s, t, rng, us, dWs, scratch)
+            kernel.draw(s, rng.random(out=u), t, scratch)
+            Wb += increment(s, t, rng, u, dW, scratch)
             s, t = t, s
 
-    T = _threads(N)
-    _run_slices(walk, [(k * N // T, (k + 1) * N // T) for k in range(T)])
+    # imported here: the pool's imports (logging) cost every CLI command
+    # 5-6 ms of start-up, and no command samples W_n
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(_cpus(), _MAX_THREADS)) as pool:
+        list(pool.map(walk, range(0, N, _BLOCK)))
     return W
 
 

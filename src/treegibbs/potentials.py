@@ -608,24 +608,28 @@ def _closed_power_sum(pot: Potential, p: float,
                       include_zero: bool) -> tuple[float, float] | None:
     """(value, error_bound) of the p-th power sum over Z (or Z without zero), if known.
 
-    sos: 1 + 2/ (e^{p beta} - 1) on Z, equivalently coth(p beta / 2), with a
-    flat rounding allowance; log: 1 + 2 zeta(p beta, 2) on Z, with the
-    certified error of ``hurwitz_zeta`` (zeta(s, 2) = zeta(s) - 1 has no
-    cancellation).  Returns None for custom potentials.  Callers rule out
-    divergent sums first.
+    sos: 2 / (e^{p beta} - 1) off zero, with the error model of `fuzzy_Q`'s
+    sos classes: the rounded x = p beta moves it by at most x u relative
+    (plus u, since x / (1 - e^-x) < x + 1), the other steps by < 16 u;
+    where 2 e^-x falls below the normal range, exp's one ulp, doubled, and
+    the rounding of the bound itself take up to four subnormal ulps.
+    log: 2 zeta(p beta, 2) off zero, with the certified error of
+    ``hurwitz_zeta`` (zeta(s, 2) = zeta(s) - 1 has no cancellation).  On Z
+    the term 1 adds one rounding.  Returns None for custom potentials.
+    Callers rule out divergent sums first.
     """
     x = p * pot.beta
     if pot.kind == "sos":
         off = 2.0 / math.expm1(x) if x < 709 else 2.0 * math.exp(-x)
-        value = (1.0 + off) if include_zero else off
-        return (value, 4e-16 * value)
-    if pot.kind == "log":
+        err = off * ((x + 16) * _UNIT_ROUNDOFF) + 2.0**-1072
+    elif pot.kind == "log":
         z, err = hurwitz_zeta(x, 2.0)
-        if include_zero:
-            value = 1.0 + 2.0 * z
-            return (value, 2.0 * err + _UNIT_ROUNDOFF * value)
-        return (2.0 * z, 2.0 * err)
-    return None
+        off, err = 2.0 * z, 2.0 * err
+    else:
+        return None
+    if include_zero:
+        return (1.0 + off, err + _UNIT_ROUNDOFF * (1.0 + off))
+    return (off, err)
 
 
 def _nonzero_head(pot: Potential) -> np.ndarray:

@@ -97,12 +97,13 @@ class TestNorms:
     @pytest.mark.parametrize("model,row,leading", [
         ("log", "delta,1001,Z_without_zero,0.25017317363198882,0.2502,"
                 "6.3240402667679558e-322,closed_form,", 0.25),
-        ("sos", "delta,1001,Z_without_zero,0.13542902924674999,0.1354,0,"
-                "closed_form,", math.exp(-2.0)),
+        # 2 e^-2002 flushes to 0; its bound is four subnormal ulps
+        ("sos", "delta,1001,Z_without_zero,0.13542902924674999,0.1354,"
+                "1.9762625833649862e-323,closed_form,", math.exp(-2.0)),
         # the scaled sum's rounding floor (1.1e-9) is above 1e-10 of it, but
         # its p-th root is known to 1e-10
-        ("sos", "delta,10000001,Z_without_zero,0.13533529261733909,0.1353,0,"
-                "closed_form,", math.exp(-2.0)),
+        ("sos", "delta,10000001,Z_without_zero,0.13533529261733909,0.1353,"
+                "1.9762625833649862e-323,closed_form,", math.exp(-2.0)),
     ])
     def test_underflowing_power_sum_keeps_its_root(self, capsys, model, row, leading):
         # the p = d + 1 power sum (about 2^-2p, e^-2p) is 0 in float64;
@@ -201,6 +202,35 @@ class TestGoodset:
         assert code == 2 and out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("d,gamma,delta", [
+        # eps* = 5e-15 and 5e-44 lie below the absolute bisection width
+        # 1e-13; the bisection used to return eps* itself, where L = 2
+        ("2", "1e14", "1e-30"), ("8", "1e300", "0")])
+    def test_epsilon_below_the_absolute_width(self, capsys, d, gamma, delta):
+        code, out, err = run(capsys, "goodset", "--d", d, "--gamma", gamma,
+                             "--delta", delta)
+        assert code == 0 and err == ""
+        _, _, rows = parse_csv(out)
+        assert rows[0][3] == "true" and rows[0][8] == "ok"
+        eps, L = float(rows[0][4]), float(rows[0][6])
+        g, dl, n = float(gamma), float(delta), int(d)
+        assert 0.0 < eps and dl + g * eps**n <= eps  # the ball inequality
+        # the least root, to the relative width 1e-11 (with delta = 0, the
+        # least positive float)
+        assert eps <= dl * (1.0 + 1e-11) if dl > 0.0 else eps == 5e-324
+        assert L == pytest.approx(2 * n * (g * eps ** (n - 1) + dl * eps**n), rel=1e-15)
+        assert L < 1e-15
+
+    @pytest.mark.parametrize("args", [["--gamma", "1e308", "--delta", "0"],
+                                      ["--d", "8", "--gamma", "1e308", "--delta", "0"]])
+    def test_overflowing_d_gamma_rejected(self, capsys, args):
+        # d * gamma = inf made eps* = 0, and the verdict was true with epsilon 0
+        code, out, err = run(capsys, "goodset", *args)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "outside float64 range" in error["message"]
 
     def test_gamma_without_delta_rejected(self, capsys):
         code, _, err = run(capsys, "goodset", "--d", "2", "--gamma", "1.5")
@@ -1231,8 +1261,11 @@ class TestImports:
     def test_cli_import_skips_heavy_modules(self):
         src = os.path.dirname(os.path.dirname(treegibbs.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        # concurrent.futures (and the logging it imports) serves sample_wn
+        # alone, which no command calls
         code = ("import sys, treegibbs.cli; print(sorted(m for m in "
-                "('scipy', 'scipy.fft', 'mpmath') if m in sys.modules))")
+                "('scipy', 'scipy.fft', 'mpmath', 'concurrent.futures', 'logging') "
+                "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "[]"

@@ -7,6 +7,7 @@ uses slice convolutions), plain convolution powers for the free state, and
 the closed sech algebra for the two-class chain.
 """
 
+import concurrent.futures
 import math
 import sys
 
@@ -628,19 +629,21 @@ class TestSampleWnReference:
     @pytest.mark.parametrize("source", ["sos20", "chain2", "chain_log"])
     @pytest.mark.parametrize("seed,replicate", [(7, 0), (20260814, 1)])
     def test_any_thread_count(self, request, monkeypatch, source, seed, replicate):
-        # 2 _BLOCK + 17 walkers allow three slices; N is odd, so the slices
-        # of later calls start at every offset mod 4 inside a Philox block
+        # 2 _BLOCK + 17 walkers make three blocks, the last one short; N is
+        # odd, so the blocks of later calls start at every offset mod 4
+        # inside a Philox block
         src = request.getfixturevalue(source)
         N, n = 2 * _BLOCK + 17, 3
         want = _reference_wn(src, n, N, seed, replicate)
         assert len(np.unique(want)) > 1
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # frequent thread switches between the slices
+        sys.setswitchinterval(1e-6)  # frequent thread switches between the blocks
         try:
-            for threads in (1, 2, 3):
-                monkeypatch.setattr(pathsim, "_threads", lambda N, t=threads: t)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(pathsim, "_MAX_THREADS", workers)
+                monkeypatch.setattr(pathsim, "_cpus", lambda w=workers: w)
                 got = sample_wn(src, n, N, seed=seed, replicate=replicate)
-                assert np.array_equal(got, want), threads
+                assert np.array_equal(got, want), workers
         finally:
             sys.setswitchinterval(interval)
 
@@ -656,20 +659,35 @@ class TestSampleWnReference:
                     stream.random(out=np.empty(hi - lo)), calls[k, lo:hi])
 
     def test_slice_error_reaches_the_caller(self, monkeypatch, chain2):
-        monkeypatch.setattr(pathsim, "_threads", lambda N: 2)
+        draw = _CdfTable.draw
 
-        def fail(self, *args):
-            raise MemoryError("slice")
+        def fail(self, keys, u, out, scratch):
+            if len(u) < _BLOCK:  # only the last, short block fails
+                raise MemoryError("block")
+            return draw(self, keys, u, out, scratch)
         monkeypatch.setattr(_CdfTable, "draw", fail)
-        with pytest.raises(MemoryError, match="slice"):
-            sample_wn(chain2, 2, 2 * _BLOCK, seed=1)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(pathsim, "_MAX_THREADS", workers)
+            monkeypatch.setattr(pathsim, "_cpus", lambda w=workers: w)
+            with pytest.raises(MemoryError, match="block"):
+                sample_wn(chain2, 2, 2 * _BLOCK + 17, seed=1)
 
-    def test_thread_count(self, monkeypatch):
+    def test_thread_count(self, monkeypatch, chain2):
+        # the pool holds one thread per CPU the process may use, at most
+        # _MAX_THREADS
+        sizes = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(pathsim.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert pathsim._cpus() == 1 and pathsim._threads(10 * _BLOCK) == 1
+        assert pathsim._cpus() == 1
+        sample_wn(chain2, 2, 100, seed=1)
         monkeypatch.setattr(pathsim.os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert pathsim._threads(10 * _BLOCK) == pathsim._MAX_THREADS
-        assert pathsim._threads(_BLOCK) == 1
+        sample_wn(chain2, 2, 100, seed=1)
+        assert sizes == [1, pathsim._MAX_THREADS]
 
 
 class TestCdfTableSearch:
@@ -714,8 +732,8 @@ class TestCdfTableSearch:
         u = np.where(rng.random(walkers) < 0.5, tie, u)
         u[(u >= 1.0) | (rng.random(walkers) < 0.05)] = 0.0
 
-        slots = plain.draw(keys, u, np.empty(walkers, dtype=np.int64), _Scratch())
-        values = table.draw(keys, u, np.empty(walkers, dtype=np.int64), _Scratch())
+        slots = plain.draw(keys, u, np.empty(walkers, dtype=np.int64), _Scratch(walkers))
+        values = table.draw(keys, u, np.empty(walkers, dtype=np.int64), _Scratch(walkers))
         want = np.empty(walkers, dtype=np.int64)
         for s, cum in enumerate(cums):
             mask = keys == s

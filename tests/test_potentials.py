@@ -25,6 +25,7 @@ from treegibbs.potentials import (
     TailModel,
     _banded_sum,
     _Bracket,
+    _closed_power_sum,
     _MonotoneEnvelope,
     _power_tail,
     _progression_sum,
@@ -778,6 +779,27 @@ class TestPowerTail:
     def test_divergent_and_overflowing(self):
         assert _power_tail(0.0, 5.0, 1.0, 1) == (math.inf, math.inf)
         assert _power_tail(800.0, 5.0, 1.5, 1) == (math.inf, math.inf)
+
+
+class TestSosClosedForm:
+    @given(beta=st.floats(0.5, 8.0), p=st.floats(1.0, 700.0),
+           include_zero=st.booleans())
+    # norms --model sos at d = 199, 249 and 599: the rounding of p * beta
+    # moves e^-(p beta) by 3.5e-14 to 5.3e-14 relative, far beyond a flat
+    # 4e-16 * value allowance
+    @example(beta=3.3, p=200.0, include_zero=False)
+    @example(beta=2.7, p=250.0, include_zero=False)
+    @example(beta=1.1, p=600.0, include_zero=False)
+    @example(beta=8.0, p=700.0, include_zero=False)  # 2 e^-5600 flushes to 0
+    @settings(max_examples=200, deadline=None)
+    def test_within_tail_bound_of_mpmath(self, beta, p, include_zero):
+        value, err = _closed_power_sum(sos(beta), p, include_zero)
+        domain = DOMAIN_Z if include_zero else DOMAIN_Z_STAR
+        assert p_norm(sos(beta), p, domain, cross_check=False).tail_bound == err
+        with mpmath.workdps(50):
+            off = 2 / mpmath.expm1(mpmath.mpf(p) * mpmath.mpf(beta))
+            exact = 1 + off if include_zero else off
+            assert abs(mpmath.mpf(value) - exact) <= err
 
 
 class TestLogClosedForm:
