@@ -24,10 +24,15 @@ lambda == 1.  Large sizes convolve through one cached FFT.
 One solve core certifies both from `goodset.norm_membership` of the
 support's norm pair: refusal outside the good set, a-posteriori Banach
 stopping ||x_{n+1} - x_n|| * L/(1-L) < tol, the ball check, and on the
-window a truncation radius chosen so the discarded tail of Q at exponent
-d+1 stays below 0.01*tol.  Outside the good set "certified" mode refuses
-and "auto" iterates plainly (divergence and trivial-branch detection),
-labelling the result uncertified; an infinite norm is refused in both.
+window a truncation bound.  Cutting T down to [-R, R] leaves the computed
+fixed point x within (|x - T_R x| + |(I - P_R) T x|)/(1 - L) of the fixed
+point on Z; the outer term is bounded analytically from the tail of Q at
+exponent d+1 (`_cut_bound`), the default R is the smallest with
+_KAPPA * tail(R) <= (1 - L) tol, and a window whose bound still exceeds tol
+is solved once more at a larger radius.  Outside the good set "certified"
+mode refuses and "auto" iterates plainly (divergence and trivial-branch
+detection), labelling the result uncertified; an infinite norm is refused
+in both.
 
 Step norms are known as rounding bands (`potentials._banded_sum`): every
 stop, growth, divergence and ball test is decided exactly as on the exactly
@@ -87,6 +92,12 @@ _MAX_WINDOW_RADIUS = 1 << 25
 _MAX_ITER = 20000
 # default stopping tolerance of the solves
 _SOLVE_TOL = 1e-12
+# the default window radius allows _KAPPA times the two-sided tail tau(R) of Q
+# at exponent d+1 for the window's cut |(I - P_R) T x|: on the default windows
+# of sos 2.0, 2.5 and 3.0 (d = 3), log 2.91, 3.0 and 4.0 and an exp-tail table
+# the cut was 1.00-1.34 tau(R) by direct sums and its `_cut_bound` 1.00-1.82
+# tau(R), so the extra stage of `solve_fixed_point` is rare
+_KAPPA = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,17 +178,27 @@ class SolveConfig:
 class SolveReport:
     """Certificate trail of one Banach solve.
 
-    A window solve may run in two stages: coarse_radius is the radius of
-    the window whose fixed point, zero-padded, started the full window
+    A window solve runs in stages, each started from the previous fixed
+    point zero-padded: coarse_radius is the radius of the first window
     (None for a one-stage solve).  iterations counts the Banach steps of
-    both stages.  contraction_estimate is the largest observed ratio of
-    successive step norms in either stage (measured while steps are well
+    every stage.  contraction_estimate is the largest observed ratio of
+    successive step norms in any stage (measured while steps are well
     above rounding noise); certified runs keep it at or below the good-set
     Lipschitz constant.  a_priori and a_posteriori are the standard Banach
-    error bounds of the full-window stage, from its start and from its last
-    step; both None without a contraction certificate.
+    error bounds of the last stage for the fixed point of the truncated
+    operator T_R, from its start and from its last step; both None without
+    a contraction certificate.
 
-    The step norms behind final_residual and the two bounds are the upper
+    truncation_bound is |(I - P_R) T x|/(1 - L), the `_cut_bound` of what
+    T puts outside the window [-R, R], and total_error_bound adds
+    final_residual/(1 - L): the returned x lies within total_error_bound of
+    the fixed point on Z in the off-zero l_{d+1} norm (final_residual is
+    the computed one; like the Banach bounds, the total does not add the
+    rounding of the convolution).  The default radius keeps
+    truncation_bound <= tol; an explicit radius only reports it.
+    Both are None on Z_q and without a contraction certificate.
+
+    The step norms behind final_residual and the bounds are the upper
     ends of rounding bands around the exactly rounded norms, at most about
     7.3e-12/(d+1) above them; contraction_estimate divides such an upper end
     by the previous step's lower end.  So the reported values stay upper
@@ -197,6 +218,8 @@ class SolveReport:
     certified: bool
     mode: str
     coarse_radius: int | None = None
+    truncation_bound: float | None = None
+    total_error_bound: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +439,23 @@ def truncation_radius(pot: Potential, p: float, bound: float) -> int:
     )
 
 
-def _window_radius(pot: Potential, d: int, config: SolveConfig) -> int:
-    """The configured radius if its dropped tail stays below tol, else the
-    certified radius for a tail below 0.01*tol (at least 4)."""
+def _window_radius(pot: Potential, d: int, config: SolveConfig,
+                   L: float | None) -> int:
+    """The configured radius (at most _MAX_WINDOW_RADIUS) if its dropped
+    tail stays below tol, else the smallest R >= 4 with
+    _KAPPA tau(R) <= (1 - L) tol: tau(R) is the tail norm of Q at exponent
+    d+1, and 1 - L is read as 1 without a certificate.  A window's
+    `_cut_bound` is about tau(R) times the weight of x^d near zero, so the
+    default keeps the truncation bound below tol unless that weight
+    exceeds _KAPPA.
+    """
     if config.radius is None:
-        return max(truncation_radius(pot, d + 1, 0.01 * config.tol), 4)
+        budget = config.tol if L is None else (1.0 - L) * config.tol
+        return max(truncation_radius(pot, d + 1, budget / _KAPPA), 4)
     R = config.radius
+    if R > _MAX_WINDOW_RADIUS:
+        raise NumericalError(f"radius {R} is beyond the largest window radius "
+                             f"{_MAX_WINDOW_RADIUS}")
     tail = _tail_norm(pot, R, d + 1)
     if tail > config.tol:
         raise ConfigError(
@@ -438,13 +472,42 @@ def _coarse_radius(pot: Potential, d: int, tol: float, gamma: float, R: int) -> 
     l_{d+1} (Young's inequality, as behind gamma = |Q|_{(d+1)/2}), and x
     is about Q far out.  So R_c = max(4, the least radius whose tail norm
     of Q at exponent d+1 is at most (0.01 tol / gamma)^(1/d)): a start
-    whose cut-off moves T by the same 0.01 tol budget the window radius
-    spends.  The search never passes R.
+    whose cut-off moves T by at most a hundredth of tol, so the full window
+    needs only a step or two from it.  The search never passes R.
     """
     bound = (0.01 * tol / gamma) ** (1.0 / d)
     if R <= 4 or _tail_norm(pot, R - 1, d + 1) > bound:
         return None
     return max(4, truncation_radius(pot, d + 1, bound))
+
+
+def _cut_bound(pot: Potential, d: int, x: np.ndarray, R: int) -> float:
+    """Upper bound on |(I - P_R) T x|_{d+1}, the part of T(x) outside the
+    window [-R, R], for x on the window (zero outside it).
+
+    Outside the window T x(i) <= sum_{|j|<=R} Q(i-j) w(j) with w = x^d and
+    w(0) = 1, since the normaliser sum_j Q(j) w(j) is at least Q(0) w(0) = 1
+    (less the weight of negative x, which only an odd d can carry).  The
+    kernel Q(. - j) cut to |i| > R never reaches Q(0), and its l_{d+1} norm
+    is at most tau(R - |j|) = `_tail_norm`(R - |j|), so by Minkowski the
+    cut is at most sum_j w(j) tau(R - |j|).  The indices are grouped by |j|
+    in (2^(k-1), 2^k], each group priced at tau(R - 2^k), and the last group
+    (m, R] at tau(0), the off-zero norm of Q: O(R) arithmetic and O(log R)
+    tail brackets.  Every w, sum and product rounds relatively at most
+    R + 8 times in all, which the factor 1 + gamma_{R+8} covers.
+    """
+    w = np.abs(x) ** d
+    w[R] = 1.0
+    fold = w[R + 1:] + w[R - 1::-1]  # |j| = 1, ..., R
+    ends = [1 << k for k in range(int(R).bit_length()) if 1 << k < R] + [R]
+    sums = np.add.reduceat(fold, [0, *ends[:-1]]).tolist()
+    p = d + 1
+    cut = math.fsum([_tail_norm(pot, R, p),
+                     *(_tail_norm(pot, R - e, p) * s for e, s in zip(ends, sums))])
+    lost = float(np.sum(w[x < 0])) * (1.0 + _gamma(R)) if d % 2 else 0.0
+    if lost >= 1.0:
+        return math.inf
+    return math.nextafter(cut * (1.0 + _gamma(R + 8)) / (1.0 - lost), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -546,20 +609,28 @@ def _check_ball(x: np.ndarray, op: _Operator, d: int, eps: float, what: str) -> 
         )
 
 
+def _per_gap(v: float, L: float) -> float:
+    """An upper end of v / (1 - L): 1 - L rounded down, the quotient up."""
+    return math.nextafter(v / math.nextafter(1.0 - L, 0.0), math.inf)
+
+
 def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
-           refusal: str, make_ops, check=None):
+           refusal: str, make_ops, check=None, cut=None):
     """The certified solve shared by both supports.
 
     `norm_membership` of the NormReports (gamma, delta) decides the
     certificate; certified mode refuses outside the good set with
     ``refusal`` as the message prefix, and both modes refuse an infinite
-    norm.  ``make_ops(gamma)`` builds the operators only after that
-    refusal, coarse to fine: the first iterates from its own start, each
-    later window from the previous fixed point zero-padded on both sides,
-    which in certified mode must lie in the eps-ball, since the Banach
-    bounds need every iterate there.  ``check(x)`` vets the fixed
-    point before the ball test.  Returns (op, x, sup_residual, report) for
-    the last operator.
+    norm.  ``make_ops(gamma, L)`` (L None without a certificate) builds the
+    operators only after that refusal, coarse to fine: the first iterates
+    from its own start, each later window from the previous fixed point
+    zero-padded on both sides, which in certified mode must lie in the
+    eps-ball, since the Banach bounds need every iterate there.  With a
+    certificate, ``cut(x, R, L)`` returns (the `_cut_bound` of the last
+    window's fixed point, a wider window operator to solve next or None),
+    and the truncation and total error bounds are built from the final one.
+    ``check(x)`` vets the fixed point before the ball test.  Returns (op,
+    x, sup_residual, report) for the last operator.
     """
     verdict = norm_membership(d, gamma, delta)
     certified = verdict.in_good_set
@@ -573,12 +644,12 @@ def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
         )
     if not certified and config.mode == MODE_CERTIFIED:
         raise OutsideGoodSetError(f"{refusal} (reason: {verdict.reason})", verdict=verdict)
-    ops = make_ops(verdict.gamma)
     L = verdict.lipschitz if certified else None
     eps = verdict.epsilon if certified else None
-    x = prev = rho = None
+    ops = make_ops(verdict.gamma, L)
+    x = prev = rho = outer = None
     n_total = 0
-    for op in ops:
+    for op in ops:  # a wider window appended below runs as the next stage
         if prev is not None:
             x = np.pad(x, op.zero - prev.zero)
             if certified:
@@ -588,18 +659,26 @@ def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
         if stage_rho is not None:
             rho = max(rho or 0.0, stage_rho)
         prev = op
+        if certified and cut is not None and op is ops[-1]:
+            outer, wider = cut(x, op.zero, L)
+            if wider is not None:
+                ops.append(wider)
     if check is not None:
         check(x)
     if certified:
         _check_ball(x, op, d, eps, "solution")
     resid_vec = op.apply(x) - x
-    a_priori = a_post = None
+    residual = _OffzeroNorm(resid_vec, op.zero, d).hi
+    a_priori = a_post = truncation = total = None
     if L is not None and L > 0:
         a_priori = L**n_iter / (1.0 - L) * steps[0]
         a_post = steps[-1] * L / (1.0 - L)
+    if outer is not None:
+        truncation = _per_gap(outer, L)
+        total = _per_gap(math.nextafter(residual + outer, math.inf), L)
     report = SolveReport(
         iterations=n_total,
-        final_residual=_OffzeroNorm(resid_vec, op.zero, d).hi,
+        final_residual=residual,
         contraction_estimate=rho,
         a_priori_bound=a_priori,
         a_posteriori_bound=a_post,
@@ -610,6 +689,8 @@ def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
         certified=certified,
         mode=config.mode,
         coarse_radius=ops[0].zero if len(ops) > 1 else None,
+        truncation_bound=truncation,
+        total_error_bound=total,
     )
     return op, x, float(np.max(np.abs(resid_vec))), report
 
@@ -620,28 +701,38 @@ def solve_fixed_point(
     """Solve x = T(x) on a truncated window, certified inside the good set.
 
     The norm pair is computed with series cross-checks, membership decides
-    whether the contraction certificate applies, and the window is sized so
-    the discarded tail cannot move the solution by more than the tolerance.
-    When the coarse radius R_c (`_coarse_radius`, from tol and gamma) is
-    below the window radius R, Banach iteration from Q first solves the
-    window [-R_c, R_c] to the same tol; its fixed point, zero-padded to
-    [-R, R] and checked to lie in the eps-ball, starts the iteration on
-    the full window, and report.coarse_radius is R_c.  Otherwise the full
-    window iterates from Q.  Outside the good set the default mode refuses;
-    "auto" iterates uncertified instead.
+    whether the contraction certificate applies, and the window radius R
+    comes from `_window_radius`.  When the coarse radius R_c
+    (`_coarse_radius`, from tol and gamma) is below R, Banach iteration
+    from Q first solves the window [-R_c, R_c] to the same tol; its fixed
+    point, zero-padded to [-R, R] and checked to lie in the eps-ball,
+    starts the iteration on the full window, and report.coarse_radius is
+    R_c.  Otherwise the full window iterates from Q.  A certified solve
+    then bounds what the cut to [-R, R] costs (`_cut_bound`): with the
+    default radius, a truncation bound above tol sends the fixed point,
+    zero-padded, to one more window, sized from the measured ratio of the
+    cut to tau(R) with a margin of 2.  Outside the good set the default
+    mode refuses; "auto" iterates uncertified instead.
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
 
-    def windows(gamma):
-        R = _window_radius(pot, d, config)
+    def windows(gamma, L):
+        R = _window_radius(pot, d, config, L)
         R_c = _coarse_radius(pot, d, config.tol, gamma, R)
         radii = (R,) if R_c is None else (R_c, R)
         return [_window_operator(pot, d, r) for r in radii]
 
+    def cut(x, R, L):
+        outer = _cut_bound(pot, d, x, R)
+        if config.radius is not None or _per_gap(outer, L) <= config.tol:
+            return outer, None
+        scale = 0.5 * (1.0 - L) * config.tol * _tail_norm(pot, R, d + 1) / outer
+        return outer, _window_operator(pot, d, truncation_radius(pot, d + 1, scale))
+
     op, x, residual, report = _solve(
         d, *norm_pair(pot, d, "half"), config,
-        "outside good set - no contraction certificate", windows,
+        "outside good set - no contraction certificate", windows, cut=cut,
     )
     law = BoundaryLaw(
         kind=SUPPORT_TRUNCATED, d=d, x=x, radius=op.zero, ball_radius=report.epsilon,
@@ -691,7 +782,7 @@ def periodic_solve(
         qbar.p_norm(float(d + 1), without_zero=True),
         config,
         f"(gamma_q, delta_q) outside good set for q={q}",
-        lambda gamma: [_periodic_operator(qbar, d)],
+        lambda gamma, L: [_periodic_operator(qbar, d)],
         nontrivial,
     )
     law = BoundaryLaw(

@@ -85,8 +85,9 @@ VERDICT_UNKNOWN = "unknown"
 # exactly solvable two-class chain
 _N_EFF_FACTOR = 10.0
 
-# a sampler refuses a uniform buffer beyond this many float64 draws (512 MiB)
-_MAX_UNIFORMS = 1 << 26
+# a sampler refuses an 8-byte buffer beyond this many entries (512 MiB): the
+# uniforms of a path, the int64 result W of sample_wn
+_MAX_BUFFER = 1 << 26
 
 # the sampler works on blocks of at most this many walkers (or path steps),
 # so that their positions and uniforms stay in cache across the search
@@ -504,17 +505,20 @@ def _walk(start: _CdfTable, kernel: _CdfTable, u: np.ndarray) -> np.ndarray:
 
 
 def _check_sizes(n, *replicates) -> None:
-    """Sizes are integers >= 1 whose uniform buffer fits in _MAX_UNIFORMS."""
+    """Sizes are integers >= 1 whose one full-size buffer fits in
+    _MAX_BUFFER: the n + 1 uniforms of a path, or the int64 result W of
+    sample_wn, one entry per walker (its blocks use block-sized buffers)."""
     named = list(zip(("n", "replicates"), (n, *replicates)))
     for name, v in named:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
     name, v = named[-1]
-    size = int(v) + (name == "n")  # n + 1 for a path, one per walker per step
-    if size > _MAX_UNIFORMS:
+    size = int(v) + (name == "n")
+    buffer = "uniforms in one buffer" if name == "n" else "entries in the int64 result W"
+    if size > _MAX_BUFFER:
         raise NumericalError(
-            f"{name}={v} needs {size} uniforms in one buffer "
-            f"({size * 8 / 2**30:.3g} GiB), beyond {_MAX_UNIFORMS}; "
+            f"{name}={v} needs {size} {buffer} "
+            f"({size * 8 / 2**30:.3g} GiB), beyond {_MAX_BUFFER}; "
             "use smaller runs on distinct replicate keys")
 
 
@@ -600,23 +604,33 @@ class _SliceStream:
     is counter-based (Salmon et al., Parallel random numbers: as easy as
     1, 2, 3, SC'11) and Philox 4x64 yields four doubles per counter value,
     so position P is reached directly: counter P // 4, then P % 4 doubles
-    discarded.  A generator already standing at P (a walk whose one block
-    holds all walkers) is read on without a restart.
+    discarded.  The first call builds the generator there; later calls move
+    the one generator on.  A generator that has read up to position
+    ``at`` holds counter ceil(at / 4), and ``Philox.advance`` adds to the
+    counter and empties the buffer, so a jump of four or more positions
+    advances by P // 4 - ceil(at / 4) and discards P % 4; a shorter jump
+    reads the P - at doubles in between (none when one block holds all
+    walkers).
     """
 
     __slots__ = ("key", "N", "lo", "calls", "gen", "at")
 
     def __init__(self, key, N: int, lo: int):
         self.key, self.N, self.lo = key, N, lo
-        self.calls, self.gen, self.at = 0, None, -1
+        self.calls, self.gen, self.at = 0, None, 0
 
     def random(self, out: np.ndarray) -> np.ndarray:
         P = self.calls * self.N + self.lo
         self.calls += 1
-        if P != self.at:
+        if self.gen is None:
             self.gen = np.random.Generator(
                 np.random.Philox(key=self.key, counter=P // 4))
             self.gen.random(P % 4)
+        elif P - self.at >= 4:
+            self.gen.bit_generator.advance(P // 4 - (self.at + 3) // 4)
+            self.gen.random(P % 4)
+        elif P > self.at:
+            self.gen.random(P - self.at)
         self.at = P + len(out)
         return self.gen.random(out=out)
 

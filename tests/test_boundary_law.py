@@ -169,9 +169,10 @@ class TestApplyT:
 
         from treegibbs.boundary_law import _next_fast_len
 
-        # every small length, the window of the log beta=3.0 solve and the
+        # every small length, the windows of the log beta=3.0 solve (R =
+        # 80 993; 149 534 under the former 0.01 tol rule) and the
         # wide W_n lengths r + 2K + 1 of the benchmark; every transform is real
-        for n in [*range(1, 20001), 4 * 149534 + 1, 1864 + 7385, 3665 + 7385]:
+        for n in [*range(1, 20001), 4 * 80993 + 1, 4 * 149534 + 1, 1864 + 7385, 3665 + 7385]:
             assert _next_fast_len(n) == next_fast_len(n, real=True), n
 
     def test_fft_paths_skip_scipy_fft(self):
@@ -291,7 +292,7 @@ class TestSolveTruncated:
     def test_frozen_fixed_point(self, sos25):
         law, report = sos25
         assert law.kind == SUPPORT_TRUNCATED
-        assert law.radius == 12
+        assert law.radius == 11
         assert law.x_at(0) == 1.0
         assert law.x_at(1) == pytest.approx(SOS25_X1, rel=1e-10)
         assert law.x_at(-1) == pytest.approx(SOS25_X1, rel=1e-10)
@@ -355,7 +356,7 @@ class TestSolveTruncated:
     def test_truncation_stability(self, sos25):
         law, _ = sos25
         wide, _ = solve_fixed_point(sos(2.5), 2, SolveConfig(radius=24))
-        # the radius rule budgets the discarded tail at 0.01 * tol
+        # the default radius keeps the certified truncation bound below tol
         assert abs(wide.offzero_norm() - law.offzero_norm()) < 1e-14
 
     def test_log_potential_frozen(self):
@@ -470,7 +471,7 @@ class TestTwoStageSolve:
         monkeypatch.setattr(bl._Operator, "apply", counting)
         monkeypatch.setattr(bl, "_iterate", recording)
         law, report = solve_fixed_point(log_potential(3.0), 2)
-        assert law.radius == 149534 and report.certified
+        assert law.radius == 80993 and report.certified
         assert report.coarse_radius is not None and report.coarse_radius < law.radius
         assert set(calls) == {report.coarse_radius, law.radius}
         # the full-window Banach steps plus the residual
@@ -530,6 +531,110 @@ class TestTwoStageSolve:
         law, report = solve_fixed_point(pot, 2, config)
         assert report.coarse_radius is None
         assert sizes == [config.radius] and law.radius == config.radius
+
+
+def _direct_cut(pot, d, x, R, reach=50):
+    """An upper end of |(I - P_R) T x|_{d+1} from direct sums: T x(i) for
+    R < |i| <= reach R with the window's own normaliser, and beyond them
+    (sum w / Z) times the certified tail of Q past (reach - 1) R, which
+    bounds every shifted kernel there."""
+    j = np.arange(-R, R + 1)
+    w = x**d
+    w[R] = 1.0
+    Z = math.fsum((pot.Q(j) * w).tolist())
+    i = np.arange(R + 1, reach * R + 1)
+    i = np.concatenate([i, -i])
+    tx = pot.Q(i[:, None] - j[None, :]) @ w / Z
+    far = math.fsum(w.tolist()) / Z * bl._tail_norm(pot, (reach - 1) * R, d + 1)
+    return (math.fsum((tx ** (d + 1)).tolist()) + far ** (d + 1)) ** (1.0 / (d + 1))
+
+
+_EXP_TABLE = custom(1.0, [[1, 2.0], [2, 4.5]], TailModel("exp", 2.5))
+
+
+class TestTruncationBound:
+    """The window's truncation bound: |(I - P_R) T x| / (1 - L) from
+    `_cut_bound`, checked against direct sums and against wider windows."""
+
+    @pytest.mark.parametrize("pot,d", [
+        (sos(2.5), 2), (sos(2.0), 2), (sos(3.0), 3), (_EXP_TABLE, 2),
+    ], ids=["sos2.5", "sos2.0", "sos3.0-d3", "exp-table"])
+    def test_default_window_against_direct_sums(self, pot, d):
+        law, report = solve_fixed_point(pot, d)
+        L = report.lipschitz
+        direct = _direct_cut(pot, d, law.x.copy(), law.radius)
+        assert direct <= report.truncation_bound * (1.0 - L)
+        assert report.truncation_bound <= SolveConfig().tol
+        assert report.total_error_bound == pytest.approx(
+            report.truncation_bound + report.final_residual / (1.0 - L), rel=1e-12)
+
+    @pytest.mark.parametrize("pot,R", [(sos(2.5), 12), (sos(2.0), 20),
+                                       (log_potential(3.0), 40)],
+                             ids=["sos2.5", "sos2.0", "log3"])
+    def test_any_ball_vector_against_direct_sums(self, pot, R):
+        # mass near the window's edge: the far groups carry the cut
+        rng = np.random.default_rng(R)
+        for _ in range(20):
+            x = ball_vector(rng, R, 2, 0.3)
+            assert _direct_cut(pot, 2, x, R) <= bl._cut_bound(pot, 2, x.copy(), R)
+
+    def test_odd_degree_with_negative_entries(self):
+        # a negative x lowers the normaliser only for odd d
+        rng = np.random.default_rng(4)
+        x = ball_vector(rng, 10, 3, 0.3)
+        x[3] = -x[3]
+        pot = sos(2.0)
+        flipped = np.abs(x)
+        assert bl._cut_bound(pot, 3, x, 10) > bl._cut_bound(pot, 3, flipped, 10)
+        assert bl._cut_bound(pot, 2, x, 10) == bl._cut_bound(pot, 2, flipped, 10)
+
+    @pytest.mark.parametrize("pot", [log_potential(4.0), sos(2.5)], ids=["log4", "sos2.5"])
+    def test_twice_the_radius_within_the_total_bound(self, pot):
+        law, report = solve_fixed_point(pot, 2)
+        R = law.radius
+        wide, wide_report = solve_fixed_point(pot, 2, SolveConfig(radius=2 * R))
+        assert wide.radius == 2 * R
+        gap = offzero_norm(wide.x - np.pad(law.x, R), 2 * R, 2)
+        assert gap <= report.total_error_bound
+        assert wide_report.truncation_bound < report.truncation_bound
+
+    @pytest.mark.parametrize("pot", [log_potential(4.0), sos(2.0)], ids=["log4", "sos2.0"])
+    def test_too_small_a_radius_takes_one_more_stage(self, monkeypatch, pot):
+        tol = SolveConfig().tol
+        default, _ = solve_fixed_point(pot, 2)
+        sizes, cuts = [], []
+        window, cut_bound = bl._window_operator, bl._cut_bound
+        monkeypatch.setattr(bl, "_window_operator",
+                            lambda pot, d, R: sizes.append(R) or window(pot, d, R))
+        monkeypatch.setattr(bl, "_cut_bound", lambda pot, d, x, R: cuts.append(
+            (R, cut_bound(pot, d, x, R))) or cuts[-1][1])
+        monkeypatch.setattr(bl, "_KAPPA", 1e-3)
+        law, report = solve_fixed_point(pot, 2)
+        (small, first), (wider, last) = cuts
+        assert small == sizes[-2] < default.radius
+        assert bl._per_gap(first, report.lipschitz) > tol
+        assert sizes[-1] == wider == law.radius > small
+        assert report.certified and report.truncation_bound <= tol
+        assert report.truncation_bound == bl._per_gap(last, report.lipschitz)
+
+    def test_explicit_radius_only_reports(self):
+        law, report = solve_fixed_point(log_potential(3.0), 2,
+                                        SolveConfig(radius=1100, tol=1e-8))
+        assert law.radius == 1100
+        assert 1e-8 < report.truncation_bound < 1e-7
+        assert report.total_error_bound > report.truncation_bound
+
+    def test_none_without_a_window_certificate(self):
+        _, report = solve_fixed_point(sos(1.5), 2, SolveConfig(mode=MODE_AUTO))
+        assert not report.certified
+        assert report.truncation_bound is None and report.total_error_bound is None
+        for q, mode in ((2, MODE_AUTO), (2, MODE_CERTIFIED), (1, MODE_AUTO)):
+            _, report = periodic_solve(sos(3.0), 2, q, SolveConfig(mode=mode))
+            assert report.truncation_bound is None and report.total_error_bound is None
+
+    def test_radius_beyond_the_cap_refused(self):
+        with pytest.raises(NumericalError, match="truncation radius beyond 33554432"):
+            solve_fixed_point(log_potential(3.0), 2, SolveConfig(tol=1e-30))
 
 
 class TestDetailedBalance:
@@ -873,7 +978,7 @@ def _banded_outcome(solve):
         return f"{type(exc).__name__}: {exc}"
     fields = (law.radius, law.q, law.ball_radius, law.residual, law.certified)
     steps = ("final_residual", "contraction_estimate", "a_priori_bound",
-             "a_posteriori_bound")
+             "a_posteriori_bound", "total_error_bound")
     exact = {k: v for k, v in dataclasses.asdict(report).items() if k not in steps}
     return law.x.tobytes(), fields, exact, [getattr(report, k) for k in steps]
 

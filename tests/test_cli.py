@@ -533,6 +533,19 @@ class TestCsvEmitters:
         meta = self._assert_law_rows(out, law)
         assert meta["radius"] == str(law.radius) and "q" not in meta
 
+    def test_solve_reports_its_truncation_bound(self, capsys):
+        # a certified window prints both bounds; a law on Z_q has none
+        code, out, _ = run(capsys, "solve", "--model", "sos", "--beta", "2.5")
+        assert code == 0
+        _, report = solve_fixed_point(sos(2.5), 2)
+        meta = parse_csv(out)[0]
+        assert float(meta["truncation_bound"]) == report.truncation_bound <= 1e-12
+        assert float(meta["total_error_bound"]) == report.total_error_bound
+        code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "2.5",
+                           "--q", "3", "--format", "json")
+        report = json.loads(out)["report"]
+        assert "truncation_bound" not in report and "total_error_bound" not in report
+
     def test_periodic_rows_are_the_law(self, capsys):
         code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "2.5",
                            "--q", "3")
@@ -738,12 +751,12 @@ class TestEmitterBytes:
         assert sum(row.endswith(",0,0") for row in rows) > 100
 
     def test_solve_log_window(self, capsys, monkeypatch):
-        # 299 069 rows: the largest law table a default command prints
+        # 161 987 rows (R = 80 993): the largest law table a default command prints
         laws = _record(monkeypatch, "solve_fixed_point")
         code, out, _ = run(capsys, "solve", "--model", "log", "--beta", "3.0", "--d", "2")
         assert code == 0
         ((law, _),) = laws
-        assert len(law.x) == 299069
+        assert len(law.x) == 161987
         assert _data_lines(out) == self._law_rows(law)
 
     def test_periodic(self, capsys, monkeypatch):
@@ -989,6 +1002,20 @@ class TestErrorContract:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["exit_code"] == code
+
+    @pytest.mark.parametrize("argv, message", [
+        # tol 1e-30 needs a log 3.0 window far beyond 2^25
+        (("--tol", "1e-30"), "truncation radius beyond 33554432"),
+        # refused before Q is built on [-2R, 2R] (over 1 GB at 2^25 + 1)
+        (("--truncation", "33554433"), "radius 33554433 is beyond the largest"),
+    ], ids=["default", "explicit"])
+    def test_window_past_the_radius_cap_is_a_typed_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "solve", "--model", "log", "--beta", "3.0",
+                             "--d", "2", *argv)
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "NumericalError"
+        assert payload["message"].startswith(message)
 
     def test_huge_q_is_a_typed_error(self, capsys):
         # the dense q x q class chain is refused before it is allocated

@@ -8,6 +8,7 @@ the closed sech algebra for the two-class chain.
 """
 
 import concurrent.futures
+import itertools
 import math
 import sys
 
@@ -478,7 +479,8 @@ class TestSampling:
     def test_huge_buffers_refused_before_allocating(self, sos25, chain2):
         # 7.28 TiB of walkers and a 745 GiB path: both named, neither allocated
         with pytest.raises(NumericalError, match=r"replicates=1000000000000 needs "
-                           r"1000000000000 uniforms .*7\.45e\+03 GiB"):
+                           r"1000000000000 entries in the int64 result W "
+                           r"\(7\.45e\+03 GiB\)"):
             sample_wn(sos25, 2, 10**12, seed=1)
         with pytest.raises(NumericalError, match=r"n=100000000000 needs "
                            r"100000000001 uniforms .*745 GiB"):
@@ -657,6 +659,20 @@ class TestSampleWnReference:
             for k in range(5):
                 assert np.array_equal(
                     stream.random(out=np.empty(hi - lo)), calls[k, lo:hi])
+
+    def test_slice_stream_jumps_of_every_length(self):
+        # a slice of any [lo, hi) of small N jumps 0 to N - 1 positions between
+        # calls: read on (under 4) or advance the one generator (4 or more)
+        rng = _stream(11, 3)
+        key = rng.bit_generator.state["state"]["key"]
+        calls = rng.random(9 * 13)
+        for N in range(1, 14):
+            rows = calls[:9 * N].reshape(9, N)
+            for lo, hi in itertools.combinations(range(N + 1), 2):
+                stream = _SliceStream(key, N, lo)
+                for k in range(9):
+                    assert np.array_equal(
+                        stream.random(out=np.empty(hi - lo)), rows[k, lo:hi]), (N, lo, hi, k)
 
     def test_slice_error_reaches_the_caller(self, monkeypatch, chain2):
         draw = _CdfTable.draw
