@@ -9,11 +9,11 @@ a convolution against w = x^d with the zero slot pinned to w(0) = 1,
 renormalized so T(x)(0) = 1.  Inside the good set T contracts an eps-ball
 around Q in the l_{d+1} norm, and Banach iteration converges to the unique
 fixed point there; lambda = x^d is the boundary law and lambda^{(d+1)/d}
-normalizes to the single-site marginal.  On Z_q, and on a window whose
-radius is already small, the iteration starts from x0 = Q.  A larger window
-is solved coarse to fine (nested iteration): a small window iterates from
-Q, and its fixed point, zero-padded, starts the full window, which then
-needs only a step or two.
+normalizes to the single-site marginal.  On Z_q the iteration starts from
+x0 = Q.  A window [-R, R] is not iterated on: Banach iteration from Q
+solves a small core [-R_c, R_c], and one more application of T to the
+core's fixed point x_c, zero-padded, is the returned law, evaluated on
+[-R, R] by one linear convolution (`_extend`).
 
 One operator serves two supports; only its convolution differs.  On the
 window [-R, R] it is a linear convolution against Q on [-2R, 2R]; on Z_q it
@@ -21,16 +21,21 @@ is a circular convolution against the normalized class-sum operator
 Qbar_q = Q_q / Q_q(0), and the q = 1 case degenerates to the free state
 lambda == 1.  Large sizes convolve through one cached FFT.
 
-One solve core certifies both from `goodset.norm_membership` of the
+Both supports are certified from `goodset.norm_membership` of the
 support's norm pair: refusal outside the good set, a-posteriori Banach
-stopping ||x_{n+1} - x_n|| * L/(1-L) < tol, the ball check, and on the
-window a truncation bound.  Cutting T down to [-R, R] leaves the computed
-fixed point x within (|x - T_R x| + |(I - P_R) T x|)/(1 - L) of the fixed
-point on Z; the outer term is bounded analytically from the tail of Q at
-exponent d+1 (`_cut_bound`), the default R is the smallest with
-_KAPPA * tail(R) <= (1 - L) tol, and a window whose bound still exceeds tol
-is solved once more at a larger radius.  Outside the good set "certified"
-mode refuses and "auto" iterates plainly (divergence and trivial-branch
+stopping ||x_{n+1} - x_n|| * L/(1-L) < tol, and the ball check.  On the
+window the certificate covers the extension x^ = T(x_c) on all of Z.  Its
+part f outside the core has |f| <= c_c, the `_cut_bound` of x_c at R_c,
+and w(x^) is w of x^ on the core plus f^d, so Young's inequality (gamma =
+|Q|_{(d+1)/2}) and Hoelder's (delta) give |T x^ - x^| <= L rho_c +
+(gamma + eps delta) c_c^d, rho_c the core residual.  The part of x^ beyond
+R is at most the `_cut_bound` of x_c at R, so the returned window lies
+within that plus |T x^ - x^|/(1 - L) of the fixed point on Z.  The core
+radius fits the far term into _FAR_SHARE (1 - L) tol and the core's Banach
+stop takes _CORE_SHARE tol; a core whose bound misses that budget is
+doubled and solved again, and a default window whose total misses tol is
+evaluated wider, with no new solve.  Outside the good set "certified" mode
+refuses and "auto" iterates plainly (divergence and trivial-branch
 detection), labelling the result uncertified; an infinite norm is refused
 in both.
 
@@ -96,8 +101,13 @@ _SOLVE_TOL = 1e-12
 # at exponent d+1 for the window's cut |(I - P_R) T x|: on the default windows
 # of sos 2.0, 2.5 and 3.0 (d = 3), log 2.91, 3.0 and 4.0 and an exp-tail table
 # the cut was 1.00-1.34 tau(R) by direct sums and its `_cut_bound` 1.00-1.82
-# tau(R), so the extra stage of `solve_fixed_point` is rare
+# tau(R), so a wider window is rare; the core radius reads the same weight
 _KAPPA = 2.0
+# shares of tol in a window solve's budget: the far term of the extension
+# gets _FAR_SHARE (1 - L) tol of the residual bound, the core's Banach stop
+# _CORE_SHARE tol, and the truncation the rest (`solve_fixed_point`)
+_FAR_SHARE = 0.25
+_CORE_SHARE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +117,13 @@ class BoundaryLaw:
     ``x`` holds the root values on the support including the zero slot
     (pinned to 1): index i lives at x[i + radius] on a truncated window,
     at x[i] on Z_q.  The law itself is lambda = x**d.  ``residual`` is the
-    sup norm of x - T(x); ``ball_radius`` the certified eps (None when the
-    solve was uncertified); ``certified`` whether the contraction
-    certificate held.  ``pot`` keeps the generating potential so consumers
+    sup norm of x - T(x) on Z_q.  On a certified window, where x is the cut
+    to [-R, R] of an extension x^ whose residual `SolveReport.final_residual`
+    bounds, it is final_residual plus (1 + L) times the truncation bound, a
+    bound on the off-zero l_{d+1} norm of x - T(x) and so on its sup norm;
+    uncertified, it is final_residual.  ``ball_radius`` is the certified eps
+    (None when the solve was uncertified); ``certified`` whether the
+    contraction certificate held.  ``pot`` keeps the generating potential so consumers
     can rebuild the height chain P(i,j) = Q(i-j) lambda(j) / N(i).
     """
 
@@ -178,25 +192,30 @@ class SolveConfig:
 class SolveReport:
     """Certificate trail of one Banach solve.
 
-    A window solve runs in stages, each started from the previous fixed
-    point zero-padded: coarse_radius is the radius of the first window
-    (None for a one-stage solve).  iterations counts the Banach steps of
-    every stage.  contraction_estimate is the largest observed ratio of
-    successive step norms in any stage (measured while steps are well
+    On a window the Banach steps run on a core [-R_c, R_c]: coarse_radius
+    is R_c (None when the core is the whole window), and iterations counts
+    the steps of every core solved (a core whose bound misses its budget is
+    doubled and solved again).  contraction_estimate is the largest
+    observed ratio of successive step norms (measured while steps are well
     above rounding noise); certified runs keep it at or below the good-set
     Lipschitz constant.  a_priori and a_posteriori are the standard Banach
-    error bounds of the last stage for the fixed point of the truncated
-    operator T_R, from its start and from its last step; both None without
-    a contraction certificate.
+    error bounds of the last iteration for the fixed point of the operator
+    it iterates (T on Z_q, T cut to the core on a window), from its start
+    and from its last step; both None without a contraction certificate.
 
-    truncation_bound is |(I - P_R) T x|/(1 - L), the `_cut_bound` of what
-    T puts outside the window [-R, R], and total_error_bound adds
-    final_residual/(1 - L): the returned x lies within total_error_bound of
-    the fixed point on Z in the off-zero l_{d+1} norm (final_residual is
-    the computed one; like the Banach bounds, the total does not add the
-    rounding of the convolution).  The default radius keeps
-    truncation_bound <= tol; an explicit radius only reports it.
-    Both are None on Z_q and without a contraction certificate.
+    A certified window returns x, the cut to [-R, R] of the extension
+    x^ = T(x_c) of the core's fixed point x_c, zero-padded.  final_residual
+    bounds |T x^ - x^| in l_{d+1} on Z by L rho_c + (gamma + eps delta)
+    c_c^d, with rho_c the core residual and c_c the `_cut_bound` of x_c at
+    R_c.  truncation_bound, the `_cut_bound` of x_c at R, bounds the part
+    of x^ beyond the window, and total_error_bound adds final_residual/(1 -
+    L): x lies within total_error_bound of the fixed point on Z in the
+    off-zero l_{d+1} norm.  Like the Banach bounds, the total does not add
+    the rounding of the convolutions.  A default window whose total
+    exceeds tol is evaluated wider; an explicit radius only reports it.
+    Both are None on Z_q and without a contraction certificate, where
+    final_residual is computed: the residual of x on Z_q, and |x - x_c| on
+    an uncertified window.
 
     The step norms behind final_residual and the bounds are the upper
     ends of rounding bands around the exactly rounded norms, at most about
@@ -287,24 +306,27 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _linear_convolver(kernel: np.ndarray, R: int):
+def _linear_convolver(kernel: np.ndarray, R: int, R_out: int | None = None):
     """(convolve, L) for the linear convolution of a kernel on lags [-r, r]
-    with vectors on [-R, R], kept on [-R, R].
+    with vectors on [-R, R], kept on [-R_out, R_out] (R_out = R by default;
+    r <= R + R_out).
 
-    Direct np.convolve while the kernel or the vector has at most
-    _FFT_WINDOW entries (every output is then a dot product of at most that
-    many terms); otherwise one circular transform of length L, the next
-    fast length >= r + 2R + 1, which leaves the kept lags alias-free.  L is
-    None on the direct path.  The choice and L fix the output bits.
+    Direct np.convolve while the kernel has at most _FFT_WINDOW entries
+    (every output is then a dot product of at most that many terms) or both
+    the vector and the kept window do; otherwise one circular transform of
+    length L, the next fast length >= r + R + R_out + 1, which leaves the
+    kept lags alias-free.  L is None on the direct path.  The choice and L
+    fix the output bits.
     """
     r = (len(kernel) - 1) // 2
-    n = 2 * R + 1
-    if min(len(kernel), n) > _FFT_WINDOW:
-        L = _next_fast_len(r + n)
-        return _fft_convolve(kernel, L, r, r + n), L
+    R_out = R if R_out is None else R_out
+    lo, n = r + R - R_out, 2 * R_out + 1
+    if min(len(kernel), 2 * max(R, R_out) + 1) > _FFT_WINDOW:
+        L = _next_fast_len(r + R + R_out + 1)
+        return _fft_convolve(kernel, L, lo, lo + n), L
 
     def convolve(v):
-        return np.convolve(kernel, v)[r : r + n]
+        return np.convolve(kernel, v)[lo : lo + n]
 
     return convolve, None
 
@@ -367,6 +389,19 @@ def _window_operator(pot: Potential, d: int, R: int) -> _Operator:
     Q2 = pot.Q(np.arange(-2 * R, 2 * R + 1))
     convolve, _ = _linear_convolver(Q2, R)
     return _Operator(d, Q2[R : 3 * R + 1], R, convolve)
+
+
+def _extend(pot: Potential, d: int, x: np.ndarray, R: int) -> np.ndarray:
+    """T(x) on the window [-R, R] for x on a core [-r, r], r <= R, zero
+    outside it: one linear convolution of w = x^d (w(0) = 1) against Q on
+    [-(R + r), R + r], all the lags the window reads, so an FFT runs at the
+    next fast length >= 2R + 2r + 1."""
+    r = len(x) // 2
+    w = x**d
+    w[r] = 1.0
+    convolve, _ = _linear_convolver(pot.Q(np.arange(-(R + r), R + r + 1)), r, R)
+    num = convolve(w)
+    return num / num[R]
 
 
 def _periodic_operator(qbar: FuzzyOperator, d: int) -> _Operator:
@@ -446,8 +481,8 @@ def _window_radius(pot: Potential, d: int, config: SolveConfig,
     _KAPPA tau(R) <= (1 - L) tol: tau(R) is the tail norm of Q at exponent
     d+1, and 1 - L is read as 1 without a certificate.  A window's
     `_cut_bound` is about tau(R) times the weight of x^d near zero, so the
-    default keeps the truncation bound below tol unless that weight
-    exceeds _KAPPA.
+    default keeps the truncation bound below (1 - L) tol/2 unless that
+    weight exceeds _KAPPA.
     """
     if config.radius is None:
         budget = config.tol if L is None else (1.0 - L) * config.tol
@@ -464,50 +499,62 @@ def _window_radius(pot: Potential, d: int, config: SolveConfig,
     return R
 
 
-def _coarse_radius(pot: Potential, d: int, tol: float, gamma: float, R: int) -> int | None:
-    """The radius R_c of the coarse solve that starts the window [-R, R],
-    or None when R_c >= R.
+def _core_radius(pot: Potential, d: int, tol: float, far: float,
+                 L: float | None, R: int) -> int:
+    """The radius R_c <= R of the core solve that the window [-R, R] extends.
 
-    Cutting x off beyond r moves T(x) by at most gamma |x beyond r|^d in
-    l_{d+1} (Young's inequality, as behind gamma = |Q|_{(d+1)/2}), and x
-    is about Q far out.  So R_c = max(4, the least radius whose tail norm
-    of Q at exponent d+1 is at most (0.01 tol / gamma)^(1/d)): a start
-    whose cut-off moves T by at most a hundredth of tol, so the full window
-    needs only a step or two from it.  The search never passes R.
+    The far term far c_c^d of the window's residual bound (far = gamma +
+    eps delta) must fit _FAR_SHARE (1 - L) tol; without a certificate eps
+    is read as 0 and 1 - L as 1.  The core's `_cut_bound` c_c is about tau(R_c) times the
+    weight of x^d near zero, taken as _KAPPA as for the window, so R_c =
+    max(4, the least radius with _KAPPA tau(R_c) <= (_FAR_SHARE (1 - L) tol
+    / far)^(1/d)); the search never passes R, and R_c = R otherwise.
     """
-    bound = (0.01 * tol / gamma) ** (1.0 / d)
+    gap = 1.0 if L is None else 1.0 - L
+    bound = (_FAR_SHARE * gap * tol / far) ** (1.0 / d) / _KAPPA
     if R <= 4 or _tail_norm(pot, R - 1, d + 1) > bound:
-        return None
+        return R
     return max(4, truncation_radius(pot, d + 1, bound))
+
+
+def _normaliser_loss(x: np.ndarray, w: np.ndarray, d: int) -> float:
+    """An upper end of sum Q(j) |w(j)| over the negative entries of x, which
+    lower the normaliser sum_j Q(j) w(j) below Q(0) w(0) = 1; only an odd d
+    makes such a w negative, and Q <= Q(0) = 1."""
+    if d % 2 == 0:
+        return 0.0
+    return float(np.sum(w[x < 0])) * (1.0 + _gamma(len(x)))
 
 
 def _cut_bound(pot: Potential, d: int, x: np.ndarray, R: int) -> float:
     """Upper bound on |(I - P_R) T x|_{d+1}, the part of T(x) outside the
-    window [-R, R], for x on the window (zero outside it).
+    window [-R, R], for x on a core [-r, r], r <= R (zero outside it).
 
-    Outside the window T x(i) <= sum_{|j|<=R} Q(i-j) w(j) with w = x^d and
+    Outside the window T x(i) <= sum_{|j|<=r} Q(i-j) w(j) with w = x^d and
     w(0) = 1, since the normaliser sum_j Q(j) w(j) is at least Q(0) w(0) = 1
-    (less the weight of negative x, which only an odd d can carry).  The
-    kernel Q(. - j) cut to |i| > R never reaches Q(0), and its l_{d+1} norm
-    is at most tau(R - |j|) = `_tail_norm`(R - |j|), so by Minkowski the
-    cut is at most sum_j w(j) tau(R - |j|).  The indices are grouped by |j|
-    in (2^(k-1), 2^k], each group priced at tau(R - 2^k), and the last group
-    (m, R] at tau(0), the off-zero norm of Q: O(R) arithmetic and O(log R)
-    tail brackets.  Every w, sum and product rounds relatively at most
-    R + 8 times in all, which the factor 1 + gamma_{R+8} covers.
+    (less `_normaliser_loss`).  The kernel Q(. - j) cut to |i| > R never
+    reaches Q(0), and its l_{d+1} norm is at most tau(R - |j|) =
+    `_tail_norm`(R - |j|), so by Minkowski the cut is at most
+    sum_j w(j) tau(R - |j|).  The indices are grouped by |j| in
+    (2^(k-1), 2^k], each group priced at tau(R - 2^k), and the last group
+    (m, r] at tau(R - r), which is the off-zero norm of Q when r = R: O(r)
+    arithmetic and O(log r) tail brackets.  Every w, sum and product rounds
+    relatively at most r + 8 times in all, which the factor 1 + gamma_{r+8}
+    covers.
     """
+    r = len(x) // 2
     w = np.abs(x) ** d
-    w[R] = 1.0
-    fold = w[R + 1:] + w[R - 1::-1]  # |j| = 1, ..., R
-    ends = [1 << k for k in range(int(R).bit_length()) if 1 << k < R] + [R]
+    w[r] = 1.0
+    fold = w[r + 1:] + w[r - 1::-1]  # |j| = 1, ..., r
+    ends = [1 << k for k in range(int(r).bit_length()) if 1 << k < r] + [r]
     sums = np.add.reduceat(fold, [0, *ends[:-1]]).tolist()
     p = d + 1
     cut = math.fsum([_tail_norm(pot, R, p),
                      *(_tail_norm(pot, R - e, p) * s for e, s in zip(ends, sums))])
-    lost = float(np.sum(w[x < 0])) * (1.0 + _gamma(R)) if d % 2 else 0.0
+    lost = _normaliser_loss(x, w, d)
     if lost >= 1.0:
         return math.inf
-    return math.nextafter(cut * (1.0 + _gamma(R + 8)) / (1.0 - lost), math.inf)
+    return math.nextafter(cut * (1.0 + _gamma(r + 8)) / (1.0 - lost), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -614,26 +661,14 @@ def _per_gap(v: float, L: float) -> float:
     return math.nextafter(v / math.nextafter(1.0 - L, 0.0), math.inf)
 
 
-def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
-           refusal: str, make_ops, check=None, cut=None):
-    """The certified solve shared by both supports.
+def _certificate(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
+                 refusal: str):
+    """The `norm_membership` verdict of the NormReports (gamma, delta).
 
-    `norm_membership` of the NormReports (gamma, delta) decides the
-    certificate; certified mode refuses outside the good set with
-    ``refusal`` as the message prefix, and both modes refuse an infinite
-    norm.  ``make_ops(gamma, L)`` (L None without a certificate) builds the
-    operators only after that refusal, coarse to fine: the first iterates
-    from its own start, each later window from the previous fixed point
-    zero-padded on both sides, which in certified mode must lie in the
-    eps-ball, since the Banach bounds need every iterate there.  With a
-    certificate, ``cut(x, R, L)`` returns (the `_cut_bound` of the last
-    window's fixed point, a wider window operator to solve next or None),
-    and the truncation and total error bounds are built from the final one.
-    ``check(x)`` vets the fixed point before the ball test.  Returns (op,
-    x, sup_residual, report) for the last operator.
+    Certified mode refuses outside the good set with ``refusal`` as the
+    message prefix, and both modes refuse an infinite norm.
     """
     verdict = norm_membership(d, gamma, delta)
-    certified = verdict.in_good_set
     if verdict.reason == REASON_NORM_INFINITE:
         witness = gamma.witness or delta.witness
         if config.mode == MODE_CERTIFIED:
@@ -642,57 +677,63 @@ def _solve(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
         raise NumericalError(
             f"a norm of Q is infinite ({witness}); no meaningful truncated solve exists"
         )
-    if not certified and config.mode == MODE_CERTIFIED:
+    if not verdict.in_good_set and config.mode == MODE_CERTIFIED:
         raise OutsideGoodSetError(f"{refusal} (reason: {verdict.reason})", verdict=verdict)
+    return verdict
+
+
+def _report(verdict, mode: str, iterations: int, steps: list[float], rho: float | None,
+            residual: float, **window) -> SolveReport:
+    """The SolveReport of a solve whose last Banach iteration took ``steps``."""
+    certified = verdict.in_good_set
     L = verdict.lipschitz if certified else None
-    eps = verdict.epsilon if certified else None
-    ops = make_ops(verdict.gamma, L)
-    x = prev = rho = outer = None
-    n_total = 0
-    for op in ops:  # a wider window appended below runs as the next stage
-        if prev is not None:
-            x = np.pad(x, op.zero - prev.zero)
-            if certified:
-                _check_ball(x, op, d, eps, "coarse start")
-        x, n_iter, steps, stage_rho = _iterate(op, d, config.tol, L, x)
-        n_total += n_iter
-        if stage_rho is not None:
-            rho = max(rho or 0.0, stage_rho)
-        prev = op
-        if certified and cut is not None and op is ops[-1]:
-            outer, wider = cut(x, op.zero, L)
-            if wider is not None:
-                ops.append(wider)
-    if check is not None:
-        check(x)
-    if certified:
-        _check_ball(x, op, d, eps, "solution")
-    resid_vec = op.apply(x) - x
-    residual = _OffzeroNorm(resid_vec, op.zero, d).hi
-    a_priori = a_post = truncation = total = None
+    a_priori = a_post = None
     if L is not None and L > 0:
-        a_priori = L**n_iter / (1.0 - L) * steps[0]
+        a_priori = L ** len(steps) / (1.0 - L) * steps[0]
         a_post = steps[-1] * L / (1.0 - L)
-    if outer is not None:
-        truncation = _per_gap(outer, L)
-        total = _per_gap(math.nextafter(residual + outer, math.inf), L)
-    report = SolveReport(
-        iterations=n_total,
+    return SolveReport(
+        iterations=iterations,
         final_residual=residual,
         contraction_estimate=rho,
         a_priori_bound=a_priori,
         a_posteriori_bound=a_post,
         lipschitz=L,
-        epsilon=eps,
+        epsilon=verdict.epsilon if certified else None,
         gamma=verdict.gamma,
         delta=verdict.delta,
         certified=certified,
-        mode=config.mode,
-        coarse_radius=ops[0].zero if len(ops) > 1 else None,
-        truncation_bound=truncation,
-        total_error_bound=total,
+        mode=mode,
+        **window,
     )
-    return op, x, float(np.max(np.abs(resid_vec))), report
+
+
+def _extension_residual(pot: Potential, d: int, verdict, x: np.ndarray,
+                        y: np.ndarray) -> float:
+    """Upper bound on |T x^ - x^|_{d+1} on Z for x^ = T(x), x a core vector
+    on [-r, r] in the eps-ball, zero outside it, and y = T(x) on the core.
+
+    Write x^ = y + f, f the part outside the core, |f| <= c = `_cut_bound`
+    of x at r.  Then T x^ - x^ = (T(y + f) - T(y)) + (T(y) - T(x)), and
+    the second term is at most L |y - x| = L rho, y and x being in the
+    ball.  As the supports are disjoint, w(y + f) = w(y) + f^d, so
+    T(y + f) - T(y) = (Q * f^d - T(y) sum_j Q(j) f(j)^d) / N(y + f).  By
+    Young's inequality |Q * f^d| <= gamma c^d, and by Hoelder's
+    |sum_j Q(j) f(j)^d| <= delta c^d, times |T(y)| <= eps off zero.  The
+    normaliser N(y + f) is at least 1, less `_normaliser_loss` of y and
+    delta c^d for an odd d.  A factor 1 + gamma_8 covers the rounding of
+    the bound itself.
+    """
+    r = len(x) // 2
+    rho = _OffzeroNorm(y - x, r, d).hi
+    cut_d = _cut_bound(pot, d, x, r) ** d
+    floor = 1.0
+    if d % 2:
+        lost = _normaliser_loss(y, np.abs(y) ** d, d) + verdict.delta * cut_d
+        floor = 1.0 - lost * (1.0 + _gamma(4))
+        if floor <= 0.0:
+            return math.inf
+    far = (verdict.gamma + verdict.epsilon * verdict.delta) * cut_d / floor
+    return math.nextafter((verdict.lipschitz * rho + far) * (1.0 + _gamma(8)), math.inf)
 
 
 def solve_fixed_point(
@@ -702,41 +743,63 @@ def solve_fixed_point(
 
     The norm pair is computed with series cross-checks, membership decides
     whether the contraction certificate applies, and the window radius R
-    comes from `_window_radius`.  When the coarse radius R_c
-    (`_coarse_radius`, from tol and gamma) is below R, Banach iteration
-    from Q first solves the window [-R_c, R_c] to the same tol; its fixed
-    point, zero-padded to [-R, R] and checked to lie in the eps-ball,
-    starts the iteration on the full window, and report.coarse_radius is
-    R_c.  Otherwise the full window iterates from Q.  A certified solve
-    then bounds what the cut to [-R, R] costs (`_cut_bound`): with the
-    default radius, a truncation bound above tol sends the fixed point,
-    zero-padded, to one more window, sized from the measured ratio of the
-    cut to tau(R) with a margin of 2.  Outside the good set the default
-    mode refuses; "auto" iterates uncertified instead.
+    comes from `_window_radius`.  Banach iteration from Q solves the core
+    [-R_c, R_c] (`_core_radius`, at most R) to _CORE_SHARE tol, and the
+    core's fixed point x_c, checked to lie in the eps-ball, is extended to
+    the window by one more application of T (`_extend`).  A certified
+    solve bounds the extension's residual (`_extension_residual`): while
+    its share of the total, final_residual/(1 - L), exceeds (_CORE_SHARE +
+    _FAR_SHARE) tol and R_c < R, the core is doubled and solved again.  With
+    the default radius, a total above tol then evaluates the extension on
+    a wider window, sized from the measured ratio of the cut to tau(R) with
+    a margin of 2; no new solve is needed.  Outside the good set the
+    default mode refuses; "auto" iterates uncertified instead.
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
-
-    def windows(gamma, L):
-        R = _window_radius(pot, d, config, L)
-        R_c = _coarse_radius(pot, d, config.tol, gamma, R)
-        radii = (R,) if R_c is None else (R_c, R)
-        return [_window_operator(pot, d, r) for r in radii]
-
-    def cut(x, R, L):
-        outer = _cut_bound(pot, d, x, R)
-        if config.radius is not None or _per_gap(outer, L) <= config.tol:
-            return outer, None
-        scale = 0.5 * (1.0 - L) * config.tol * _tail_norm(pot, R, d + 1) / outer
-        return outer, _window_operator(pot, d, truncation_radius(pot, d + 1, scale))
-
-    op, x, residual, report = _solve(
-        d, *norm_pair(pot, d, "half"), config,
-        "outside good set - no contraction certificate", windows, cut=cut,
-    )
+    verdict = _certificate(d, *norm_pair(pot, d, "half"), config,
+                           "outside good set - no contraction certificate")
+    certified = verdict.in_good_set
+    L = verdict.lipschitz if certified else None
+    eps = verdict.epsilon if certified else None
+    R = _window_radius(pot, d, config, L)
+    R_c = _core_radius(pot, d, config.tol, verdict.gamma + (eps or 0.0) * verdict.delta,
+                       L, R)
+    iterations, rho = 0, None
+    while True:
+        op = _window_operator(pot, d, R_c)
+        x_c, n, steps, core_rho = _iterate(op, d, _CORE_SHARE * config.tol, L)
+        iterations += n
+        if core_rho is not None:
+            rho = max(rho or 0.0, core_rho)
+        if not certified:
+            break
+        _check_ball(x_c, op, d, eps, "coarse start")
+        residual = _extension_residual(pot, d, verdict, x_c, op.apply(x_c))
+        if R_c == R or _per_gap(residual, L) <= (_CORE_SHARE + _FAR_SHARE) * config.tol:
+            break
+        R_c = min(2 * R_c, R)
+    x = _extend(pot, d, x_c, R)
+    truncation = total = None
+    if certified:
+        truncation = _cut_bound(pot, d, x_c, R)
+        room = config.tol - _per_gap(residual, L)
+        if config.radius is None and truncation > room > 0.0:
+            R = truncation_radius(pot, d + 1,
+                                  0.5 * room * _tail_norm(pot, R, d + 1) / truncation)
+            x = _extend(pot, d, x_c, R)
+            truncation = _cut_bound(pot, d, x_c, R)
+        total = math.nextafter(truncation + _per_gap(residual, L), math.inf)
+        law_residual = math.nextafter(
+            (residual + (1.0 + L) * truncation) * (1.0 + _gamma(3)), math.inf)
+    else:
+        residual = law_residual = _OffzeroNorm(x - np.pad(x_c, R - R_c), R, d).hi
+    report = _report(verdict, config.mode, iterations, steps, rho, residual,
+                     coarse_radius=R_c if R_c < R else None,
+                     truncation_bound=truncation, total_error_bound=total)
     law = BoundaryLaw(
-        kind=SUPPORT_TRUNCATED, d=d, x=x, radius=op.zero, ball_radius=report.epsilon,
-        residual=residual, certified=report.certified, pot=pot,
+        kind=SUPPORT_TRUNCATED, d=d, x=x, radius=R, ball_radius=eps,
+        residual=law_residual, certified=certified, pot=pot,
     )
     return law, report
 
@@ -768,26 +831,27 @@ def periodic_solve(
         )
         return law, report
 
-    def nontrivial(x):
-        lam = x**d
-        if float(lam.max() - lam.min()) < 1e-6:
-            raise NumericalError(
-                "converged to the trivial branch (lambda constant == free state); "
-                "no non-trivial q-periodic solution found at these parameters"
-            )
-
-    _, x, residual, report = _solve(
-        d,
-        qbar.p_norm((d + 1) / 2.0),
-        qbar.p_norm(float(d + 1), without_zero=True),
-        config,
-        f"(gamma_q, delta_q) outside good set for q={q}",
-        lambda gamma, L: [_periodic_operator(qbar, d)],
-        nontrivial,
-    )
+    verdict = _certificate(d, qbar.p_norm((d + 1) / 2.0),
+                           qbar.p_norm(float(d + 1), without_zero=True), config,
+                           f"(gamma_q, delta_q) outside good set for q={q}")
+    certified = verdict.in_good_set
+    op = _periodic_operator(qbar, d)
+    x, n, steps, rho = _iterate(op, d, config.tol,
+                                verdict.lipschitz if certified else None)
+    lam = x**d
+    if float(lam.max() - lam.min()) < 1e-6:
+        raise NumericalError(
+            "converged to the trivial branch (lambda constant == free state); "
+            "no non-trivial q-periodic solution found at these parameters"
+        )
+    if certified:
+        _check_ball(x, op, d, verdict.epsilon, "solution")
+    resid_vec = op.apply(x) - x
+    report = _report(verdict, config.mode, n, steps, rho,
+                     _OffzeroNorm(resid_vec, op.zero, d).hi)
     law = BoundaryLaw(
         kind=SUPPORT_PERIODIC, d=d, x=x, q=q, ball_radius=report.epsilon,
-        residual=residual, certified=report.certified, pot=pot,
+        residual=float(np.max(np.abs(resid_vec))), certified=certified, pot=pot,
     )
     return law, report
 

@@ -364,6 +364,11 @@ def _csv_rows(*columns):
         yield str(memoryview(block.translate(None, bytes([_PAD])))[:-1], "ascii")
 
 
+class _Numbers(list):
+    """The elements of a 1-d int or all-finite float array, which
+    `_emit_json` prints itself: json prints each as its repr."""
+
+
 def _jsonify(obj):
     """Recursively make obj JSON-safe; non-finite floats become strings."""
     if isinstance(obj, dict):
@@ -372,7 +377,9 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         # the element-wise path below would return these elements unchanged
-        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+        if obj.dtype.kind in "iu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return _Numbers(obj.tolist()) if obj.ndim == 1 and obj.size else obj.tolist()
+        if obj.dtype.kind == "b":
             return obj.tolist()
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
@@ -424,8 +431,37 @@ def _emit_csv(meta: dict, header: str, rows) -> str:
 
 
 def _emit_json(meta: dict, payload: dict) -> str:
-    return json.dumps(_jsonify({"meta": meta, **payload}),
-                      indent=2, sort_keys=True) + "\n"
+    """json.dumps(..., indent=2, sort_keys=True) of the payload, byte for
+    byte.  With indent, json runs its pure-Python encoder, so each
+    `_Numbers` list goes in as a placeholder string and its elements are
+    spliced in as text: the reprs joined with the line break and indent of
+    the placeholder's line plus two spaces, json's layout of a list."""
+    numbers = []
+
+    def hide(obj):
+        if isinstance(obj, _Numbers):
+            numbers.append(obj)
+            return f"\0{len(numbers) - 1}"
+        if isinstance(obj, dict):
+            return {k: hide(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [hide(v) for v in obj]
+        return obj
+
+    text = json.dumps(hide(_jsonify({"meta": meta, **payload})), indent=2, sort_keys=True)
+    pieces = text.split('"\\u0000')
+    if len(pieces) != len(numbers) + 1:  # a string of the payload held a NUL
+        return json.dumps(_jsonify({"meta": meta, **payload}),
+                          indent=2, sort_keys=True) + "\n"
+    out = [pieces[0]]
+    for before, piece in zip(pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        indent = " " * (len(line) - len(line.lstrip(" ")))
+        index, rest = piece.split('"', 1)
+        out += ["[\n", indent, "  ", f",\n{indent}  ".join(map(repr, numbers[int(index)])),
+                "\n", indent, "]", rest]
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -451,18 +451,18 @@ class TestSolveTruncated:
 
 
 class TestTwoStageSolve:
-    """A coarse window solve starts the full-window Banach iteration."""
+    """A core solve from Q, extended to the window by one linear convolution."""
 
     def test_full_window_applies(self, monkeypatch):
-        calls = {}
-        apply = bl._Operator.apply
+        # no operator and no Banach step at the window radius: the window
+        # sees only the one convolution of `_extend`
+        calls, windows, extended, stages = {}, [], [], []
+        apply, window, extend, iterate = (bl._Operator.apply, bl._window_operator,
+                                          bl._extend, bl._iterate)
 
         def counting(self, x):
             calls[self.zero] = calls.get(self.zero, 0) + 1
             return apply(self, x)
-
-        stages = []
-        iterate = bl._iterate
 
         def recording(*args):
             stages.append(iterate(*args))
@@ -470,21 +470,36 @@ class TestTwoStageSolve:
 
         monkeypatch.setattr(bl._Operator, "apply", counting)
         monkeypatch.setattr(bl, "_iterate", recording)
+        monkeypatch.setattr(bl, "_window_operator",
+                            lambda pot, d, R: windows.append(R) or window(pot, d, R))
+        monkeypatch.setattr(bl, "_extend", lambda pot, d, x, R: extended.append(
+            (len(x) // 2, R)) or extend(pot, d, x, R))
         law, report = solve_fixed_point(log_potential(3.0), 2)
-        assert law.radius == 80993 and report.certified
-        assert report.coarse_radius is not None and report.coarse_radius < law.radius
-        assert set(calls) == {report.coarse_radius, law.radius}
-        # the full-window Banach steps plus the residual
-        assert calls[law.radius] <= 4
-        assert report.iterations == sum(calls.values()) - 1
-        assert report.a_posteriori_bound <= 3.1e-13
-        assert report.contraction_estimate <= report.lipschitz
-        # the a-priori bound runs from the full window's start
-        (_, n_coarse, _, _), (_, n, steps, _) = stages
+        R, R_c = law.radius, report.coarse_radius
+        assert R == 80993 and report.certified
+        assert R_c is not None and R_c < 1000
+        assert windows == [R_c] and set(calls) == {R_c}
+        assert extended == [(R_c, R)]
+        # the core's Banach steps plus its residual
+        ((_, n, steps, _),) = stages
+        assert report.iterations == n == calls[R_c] - 1
         L = report.lipschitz
-        assert n_coarse + n == report.iterations and n <= 2
         assert report.a_priori_bound == L**n / (1.0 - L) * steps[0]
         assert report.a_posteriori_bound == steps[-1] * L / (1.0 - L)
+        assert report.a_posteriori_bound <= bl._CORE_SHARE * SolveConfig().tol
+        assert report.contraction_estimate <= report.lipschitz
+        assert report.total_error_bound <= SolveConfig().tol
+
+    def test_near_the_threshold_without_a_window_step(self, monkeypatch):
+        # log 2.91 (L = 0.9975) needs R = 513 762; the core alone iterates
+        radii = set()
+        apply = bl._Operator.apply
+        monkeypatch.setattr(bl._Operator, "apply",
+                            lambda self, x: radii.add(self.zero) or apply(self, x))
+        law, report = solve_fixed_point(log_potential(2.91), 2)
+        assert law.radius == 513762 and report.certified
+        assert radii == {report.coarse_radius} and report.coarse_radius < 2000
+        assert report.total_error_bound <= SolveConfig().tol
 
     @pytest.mark.parametrize("pot,config", [
         (sos(2.5), SolveConfig()),
@@ -492,14 +507,15 @@ class TestTwoStageSolve:
         (log_potential(3.0), SolveConfig(radius=1100, tol=1e-8)),
     ])
     def test_agrees_with_cold_start(self, pot, config):
+        # the cold start iterates the whole window from Q; each solution lies
+        # within its own bound of the fixed point on Z
         law, report = solve_fixed_point(pot, 2, config)
         assert report.coarse_radius is not None
-        L = report.lipschitz
-        op = bl._window_operator(pot, 2, law.radius)
-        x, _, steps, _ = bl._iterate(op, 2, config.tol, L)
-        cold_bound = steps[-1] * L / (1.0 - L)
-        gap = offzero_norm(law.x - x, law.radius, 2)
-        assert gap <= report.a_posteriori_bound + cold_bound
+        L, R = report.lipschitz, law.radius
+        x, _, steps, _ = bl._iterate(bl._window_operator(pot, 2, R), 2, config.tol, L)
+        cold_bound = (steps[-1] * L + bl._cut_bound(pot, 2, x, R)) / (1.0 - L)
+        gap = offzero_norm(law.x - x, R, 2)
+        assert gap <= report.total_error_bound + cold_bound
 
     def test_coarse_start_outside_the_ball_is_refused(self, monkeypatch):
         iterate = bl._iterate
@@ -552,6 +568,15 @@ def _direct_cut(pot, d, x, R, reach=50):
 _EXP_TABLE = custom(1.0, [[1, 2.0], [2, 4.5]], TailModel("exp", 2.5))
 
 
+def _record_cores(monkeypatch):
+    """The core vectors a solve hands to `_extend`, in call order."""
+    cores = []
+    extend = bl._extend
+    monkeypatch.setattr(bl, "_extend", lambda pot, d, x, R: cores.append(
+        x.copy()) or extend(pot, d, x, R))
+    return cores
+
+
 class TestTruncationBound:
     """The window's truncation bound: |(I - P_R) T x| / (1 - L) from
     `_cut_bound`, checked against direct sums and against wider windows."""
@@ -559,14 +584,18 @@ class TestTruncationBound:
     @pytest.mark.parametrize("pot,d", [
         (sos(2.5), 2), (sos(2.0), 2), (sos(3.0), 3), (_EXP_TABLE, 2),
     ], ids=["sos2.5", "sos2.0", "sos3.0-d3", "exp-table"])
-    def test_default_window_against_direct_sums(self, pot, d):
+    def test_default_window_against_direct_sums(self, monkeypatch, pot, d):
+        # what the extension T(x_c) puts beyond R, by direct sums
+        cores = _record_cores(monkeypatch)
         law, report = solve_fixed_point(pot, d)
-        L = report.lipschitz
-        direct = _direct_cut(pot, d, law.x.copy(), law.radius)
-        assert direct <= report.truncation_bound * (1.0 - L)
-        assert report.truncation_bound <= SolveConfig().tol
+        (x_c,) = cores
+        R = law.radius
+        direct = _direct_cut(pot, d, np.pad(x_c, R - len(x_c) // 2), R)
+        assert direct <= report.truncation_bound
+        assert report.total_error_bound <= SolveConfig().tol
         assert report.total_error_bound == pytest.approx(
-            report.truncation_bound + report.final_residual / (1.0 - L), rel=1e-12)
+            report.truncation_bound + report.final_residual / (1.0 - report.lipschitz),
+            rel=1e-12)
 
     @pytest.mark.parametrize("pot,R", [(sos(2.5), 12), (sos(2.0), 20),
                                        (log_potential(3.0), 40)],
@@ -600,28 +629,38 @@ class TestTruncationBound:
 
     @pytest.mark.parametrize("pot", [log_potential(4.0), sos(2.0)], ids=["log4", "sos2.0"])
     def test_too_small_a_radius_takes_one_more_stage(self, monkeypatch, pot):
+        # a default window whose total misses tol is evaluated wider from
+        # the same core: one more extension, no new solve
         tol = SolveConfig().tol
-        default, _ = solve_fixed_point(pot, 2)
-        sizes, cuts = [], []
-        window, cut_bound = bl._window_operator, bl._cut_bound
+        default, default_report = solve_fixed_point(pot, 2)
+        small = {2186: 546, 16: 12}[default.radius]
+        windows, extended = [], []
+        window, extend = bl._window_operator, bl._extend
+        monkeypatch.setattr(bl, "_window_radius", lambda pot, d, config, L: small)
         monkeypatch.setattr(bl, "_window_operator",
-                            lambda pot, d, R: sizes.append(R) or window(pot, d, R))
-        monkeypatch.setattr(bl, "_cut_bound", lambda pot, d, x, R: cuts.append(
-            (R, cut_bound(pot, d, x, R))) or cuts[-1][1])
-        monkeypatch.setattr(bl, "_KAPPA", 1e-3)
+                            lambda pot, d, R: windows.append(R) or window(pot, d, R))
+        monkeypatch.setattr(bl, "_extend", lambda pot, d, x, R: extended.append(
+            (x.copy(), R)) or extend(pot, d, x, R))
         law, report = solve_fixed_point(pot, 2)
-        (small, first), (wider, last) = cuts
-        assert small == sizes[-2] < default.radius
-        assert bl._per_gap(first, report.lipschitz) > tol
-        assert sizes[-1] == wider == law.radius > small
-        assert report.certified and report.truncation_bound <= tol
-        assert report.truncation_bound == bl._per_gap(last, report.lipschitz)
+        assert windows == [default_report.coarse_radius]
+        assert report.iterations == default_report.iterations
+        assert report.final_residual == default_report.final_residual
+        (x_c, first), (x_again, wider) = extended
+        assert np.array_equal(x_c, x_again)
+        assert first == small and wider == law.radius > small
+        L = report.lipschitz
+        assert bl._cut_bound(pot, 2, x_c, small) + report.final_residual / (1.0 - L) > tol
+        assert report.truncation_bound == bl._cut_bound(pot, 2, x_c, wider)
+        assert report.certified and report.total_error_bound <= tol
 
     def test_explicit_radius_only_reports(self):
-        law, report = solve_fixed_point(log_potential(3.0), 2,
-                                        SolveConfig(radius=1100, tol=1e-8))
-        assert law.radius == 1100
-        assert 1e-8 < report.truncation_bound < 1e-7
+        # the smallest radius whose tail meets tol leaves a truncation bound
+        # above tol, which an explicit radius only reports
+        pot = log_potential(3.0)
+        assert truncation_radius(pot, 3, 1e-8) == 840
+        law, report = solve_fixed_point(pot, 2, SolveConfig(radius=840, tol=1e-8))
+        assert law.radius == 840
+        assert 1e-8 < report.truncation_bound < 1.1e-8
         assert report.total_error_bound > report.truncation_bound
 
     def test_none_without_a_window_certificate(self):
@@ -635,6 +674,80 @@ class TestTruncationBound:
     def test_radius_beyond_the_cap_refused(self):
         with pytest.raises(NumericalError, match="truncation radius beyond 33554432"):
             solve_fixed_point(log_potential(3.0), 2, SolveConfig(tol=1e-30))
+
+
+def _extension_by_sums(pot, d, x, M):
+    """(T(x) on [-M, M], sum w / N) for x on a core [-r, r], zero outside
+    it: every slot one np.convolve dot product, the normaliser N by fsum."""
+    r = len(x) // 2
+    w = x**d
+    w[r] = 1.0
+    N = math.fsum((pot.Q(np.arange(-r, r + 1)) * w).tolist())
+    num = np.convolve(pot.Q(np.arange(-(M + r), M + r + 1)), w)[2 * r:2 * r + 2 * M + 1]
+    return num / N, math.fsum(w.tolist()) / N
+
+
+def _direct_residual(pot, d, x_c, R, far, reach=50):
+    """An upper end of |T x^ - x^|_{d+1} on Z for x^ = T(x_c), x_c a core
+    vector, from direct sums out to M = reach R.
+
+    With v = x^ cut to [-R, R]: |T v - x^| by direct sums on [-M, M] plus
+    the certified tails of T v and x^ beyond M (the weight sum w / N times
+    the tail of Q past M less the support's radius, as in `_direct_cut`),
+    and |T x^ - T v| <= far |x^ beyond R|^d with far = gamma + eps delta,
+    |x^ beyond R| again by direct sums plus its tail."""
+    M, p, r = reach * R, d + 1, len(x_c) // 2
+    x_hat, weight_c = _extension_by_sums(pot, d, x_c, M)
+    tv, weight_v = _extension_by_sums(pot, d, x_hat[M - R:M + R + 1], M)
+    diff = np.abs(tv - x_hat)
+    diff[M] = 0.0
+    tail_c = weight_c * bl._tail_norm(pot, M - r, p)
+    tails = weight_v * bl._tail_norm(pot, M - R, p) + tail_c
+    beyond = np.concatenate([x_hat[:M - R], x_hat[M + R + 1:]])
+    cut = math.fsum((beyond**p).tolist()) ** (1.0 / p) + tail_c
+    return math.fsum((diff**p).tolist()) ** (1.0 / p) + tails + far * cut**d
+
+
+class TestExtensionOracle:
+    """The window law is x^ = T(x_c) for the core's fixed point x_c, by one
+    convolution: direct sums check its residual bound and its slots."""
+
+    @pytest.mark.parametrize("pot,tol", [
+        (log_potential(3.0), 1e-8), (sos(2.0), 1e-8),
+        # the direct residual exceeds the L rho_c term alone (log 4) and
+        # the far term alone (sos 2.0 at 1e-5)
+        (log_potential(4.0), 1e-6), (sos(2.0), 1e-5),
+    ], ids=["log3", "sos2.0", "log4-far", "sos2.0-core"])
+    def test_residual_and_slots_by_direct_sums(self, monkeypatch, pot, tol):
+        cores = _record_cores(monkeypatch)
+        law, report = solve_fixed_point(pot, 2, SolveConfig(tol=tol))
+        (x_c,) = cores
+        R, r = law.radius, len(x_c) // 2
+        assert r == report.coarse_radius < R
+        far = report.gamma + report.epsilon * report.delta
+        assert _direct_residual(pot, 2, x_c, R, far) <= report.final_residual
+
+        # about 100 slots against fsum dot products, within the rounding
+        # bound of the convolution that computed them
+        w = x_c**2
+        w[r] = 1.0
+        j = np.arange(-r, r + 1)
+        N = math.fsum((pot.Q(j) * w).tolist())
+        kernel = pot.Q(np.arange(-(R + r), R + r + 1))
+        _, L_fft = bl._linear_convolver(kernel, r, R)
+        assert (L_fft is not None) == (R > 1000)
+        u = bl._UNIT_ROUNDOFF
+        g1 = math.fsum(kernel.tolist()) * (1.0 + u)
+        g2 = math.sqrt(math.fsum((kernel * kernel).tolist())) * (1.0 + 2 * u)
+        a, b, c = bl._convolution_error(L_fft, min(len(kernel), 2 * r + 1), g1, g2)
+        err = a * w.max() + b * math.fsum(w.tolist()) + c * math.sqrt(
+            math.fsum((w * w).tolist()))
+        rng = np.random.default_rng(26)
+        slots = {0, r, -r, r + 1, -r - 1, R, -R, *rng.integers(-R, R + 1, 93).tolist()}
+        for i in slots:
+            exact = math.fsum((pot.Q(i - j) * w).tolist()) / N
+            allowed = err * (1.0 + exact) / (N - err) + 4 * u * exact
+            assert abs(law.x[i + R] - exact) <= allowed, i
 
 
 class TestDetailedBalance:
@@ -971,16 +1084,19 @@ class _FsumNorm(bl._OffzeroNorm):
 
 
 def _banded_outcome(solve):
-    """(error text) or (x bytes, law fields, exact report fields, step fields)."""
+    """(error text) or (x bytes, law fields, exact report fields, step
+    fields); law.residual counts as a step field, since on a window it adds
+    final_residual."""
     try:
         law, report = solve()
     except (ConfigError, NumericalError, OutsideGoodSetError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    fields = (law.radius, law.q, law.ball_radius, law.residual, law.certified)
+    fields = (law.radius, law.q, law.ball_radius, law.certified)
     steps = ("final_residual", "contraction_estimate", "a_priori_bound",
              "a_posteriori_bound", "total_error_bound")
     exact = {k: v for k, v in dataclasses.asdict(report).items() if k not in steps}
-    return law.x.tobytes(), fields, exact, [getattr(report, k) for k in steps]
+    return (law.x.tobytes(), fields, exact,
+            [law.residual, *(getattr(report, k) for k in steps)])
 
 
 class TestBandedDecisions:

@@ -802,6 +802,31 @@ class TestEmitterBytes:
         monkeypatch.setattr(cli, "_jsonify", _old_jsonify)
         assert run(capsys, *argv, "--format", "json")[1] == out
 
+    def test_emit_json_is_json_dumps(self):
+        # spliced numeric arrays at every depth, next to what json prints
+        # itself: bools, non-finite floats, empty and 2-d arrays, None
+        meta = {"version": "x", "pair": [np.int64(2), np.float64(0.5)]}
+        payload = {
+            "law": {"x": np.array([1.0, 0.25, 5e-324, -0.0, 1e22, 1e-7, 1e16]),
+                    "k": np.arange(-3, 4), "flags": np.array([True, False]),
+                    "empty": np.array([], dtype=float), "none": np.array([], dtype=int),
+                    "bad": np.array([1.0, math.nan, math.inf, -math.inf]),
+                    "u": np.array([2**63 + 5], dtype=np.uint64),
+                    "f32": np.array([0.1], dtype=np.float32),
+                    "grid": np.array([[0.5, 2.0], [3.0, 4.0]]), "one": np.array([3])},
+            "rows": [{"a": np.array([7]), "b": [np.array([0.5, 1.5]), 3, None]}, [],
+                     np.array([2.5, -1.0])],
+            "n": 3, "ok": True, "nan": math.nan, "text": 'say "\\u0000"',
+        }
+        expected = json.dumps(_old_jsonify({"meta": meta, **payload}),
+                              indent=2, sort_keys=True) + "\n"
+        assert cli._emit_json(meta, payload) == expected
+        # a NUL in a string of the payload takes json's own path
+        payload["text"] = "\x00" + "0"
+        expected = json.dumps(_old_jsonify({"meta": meta, **payload}),
+                              indent=2, sort_keys=True) + "\n"
+        assert cli._emit_json(meta, payload) == expected
+
     def test_jsonify_arrays(self):
         for array in (np.array([1.5, math.inf, -math.inf, math.nan]),
                       np.array([[0.25, 1e-300], [3.0, 5e-324]]),
