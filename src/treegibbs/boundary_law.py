@@ -12,14 +12,21 @@ fixed point there; lambda = x^d is the boundary law and lambda^{(d+1)/d}
 normalizes to the single-site marginal.  On Z_q the iteration starts from
 x0 = Q.  A window [-R, R] is not iterated on: Banach iteration from Q
 solves a small core [-R_c, R_c], and one more application of T to the
-core's fixed point x_c, zero-padded, is the returned law, evaluated on
-[-R, R] by one linear convolution (`_extend`).
+core's fixed point x_c, zero-padded, is the returned law (`_extend`).  It
+is one linear convolution on a near band [-r0, r0], r0 = 8 R_c + J with J
+the table end, and beyond r0, where every Q(i - j) lies in the declared
+tail, a closed form in the core's moments, the far-field expansion of a
+multipole method (Greengard and Rokhlin, J. Comput. Phys. 73, 1987):
+x^(i) = Q(i)/N sum_k b_k mu_k (1 + i)^(-k) for a power tail, Q(i - R_c)/N
+sum_j w(j) e^{-a(R_c - j)} for an exp tail, with a certified componentwise
+bound (`_far_field`).  No transform of window length runs.
 
 One operator serves two supports; only its convolution differs.  On the
 window [-R, R] it is a linear convolution against Q on [-2R, 2R]; on Z_q it
 is a circular convolution against the normalized class-sum operator
 Qbar_q = Q_q / Q_q(0), and the q = 1 case degenerates to the free state
-lambda == 1.  Large sizes convolve through one cached FFT.
+lambda == 1.  Large sizes convolve through one cached FFT; below that, a
+window convolution computes only the outputs it keeps.
 
 Both supports are certified from `goodset.norm_membership` of the
 support's norm pair: refusal outside the good set, a-posteriori Banach
@@ -29,15 +36,18 @@ part f outside the core has |f| <= c_c, the `_cut_bound` of x_c at R_c,
 and w(x^) is w of x^ on the core plus f^d, so Young's inequality (gamma =
 |Q|_{(d+1)/2}) and Hoelder's (delta) give |T x^ - x^| <= L rho_c +
 (gamma + eps delta) c_c^d, rho_c the core residual.  The part of x^ beyond
-R is at most the `_cut_bound` of x_c at R, so the returned window lies
-within that plus |T x^ - x^|/(1 - L) of the fixed point on Z.  The core
-radius fits the far term into _FAR_SHARE (1 - L) tol and the core's Banach
-stop takes _CORE_SHARE tol; a core whose bound misses that budget is
-doubled and solved again, and a default window whose total misses tol is
-evaluated wider, with no new solve.  Outside the good set "certified" mode
-refuses and "auto" iterates plainly (divergence and trivial-branch
-detection), labelling the result uncertified; an infinite norm is refused
-in both.
+R is at most the `_cut_bound` of x_c at R, and the closure's slots lie
+within its bound of x^, so the returned window lies within those two plus
+|T x^ - x^|/(1 - L) of the fixed point on Z; the rounding of the near band
+and of the core is not counted.  The core radius fits the far term into
+_FAR_SHARE (1 - L) tol and the core's Banach stop takes _CORE_SHARE tol; a
+core whose bound misses that budget is doubled and solved again.  The
+default window is sized for what that leaves the truncation, at least
+(1 - _CORE_SHARE - _FAR_SHARE) tol, and a default window whose total
+misses tol is evaluated wider, with no new solve.  Outside the good set
+"certified" mode refuses and "auto" iterates plainly (divergence and
+trivial-branch detection), labelling the result uncertified; an infinite
+norm is refused in both.
 
 Step norms are known as rounding bands (`potentials._banded_sum`): every
 stop, growth, divergence and ball test is decided exactly as on the exactly
@@ -51,6 +61,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +119,13 @@ _KAPPA = 2.0
 # _CORE_SHARE tol, and the truncation the rest (`solve_fixed_point`)
 _FAR_SHARE = 0.25
 _CORE_SHARE = 0.5
+# an extension convolves the band |i| <= _CLOSURE_REACH R_c + J and takes the
+# slots beyond it from the core's moments: a reach of 8 keeps the expansion's
+# ratio R_c / (1 + r0) below 1/8, so at s = 3 it stops at order 20, and a
+# power-tail expansion that needs more than _MAX_ORDER terms is not used
+# (`_closure_order`)
+_CLOSURE_REACH = 8
+_MAX_ORDER = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +137,9 @@ class BoundaryLaw:
     at x[i] on Z_q.  The law itself is lambda = x**d.  ``residual`` is the
     sup norm of x - T(x) on Z_q.  On a certified window, where x is the cut
     to [-R, R] of an extension x^ whose residual `SolveReport.final_residual`
-    bounds, it is final_residual plus (1 + L) times the truncation bound, a
-    bound on the off-zero l_{d+1} norm of x - T(x) and so on its sup norm;
+    bounds, it is final_residual plus (1 + L) times the truncation and
+    closure bounds, a bound on the off-zero l_{d+1} norm of x - T(x) and so
+    on its sup norm;
     uncertified, it is final_residual.  ``ball_radius`` is the certified eps
     (None when the solve was uncertified); ``certified`` whether the
     contraction certificate held.  ``pot`` keeps the generating potential so consumers
@@ -208,11 +227,15 @@ class SolveReport:
     bounds |T x^ - x^| in l_{d+1} on Z by L rho_c + (gamma + eps delta)
     c_c^d, with rho_c the core residual and c_c the `_cut_bound` of x_c at
     R_c.  truncation_bound, the `_cut_bound` of x_c at R, bounds the part
-    of x^ beyond the window, and total_error_bound adds final_residual/(1 -
-    L): x lies within total_error_bound of the fixed point on Z in the
-    off-zero l_{d+1} norm.  Like the Banach bounds, the total does not add
-    the rounding of the convolutions.  A default window whose total
-    exceeds tol is evaluated wider; an explicit radius only reports it.
+    of x^ beyond the window.  Beyond closure_radius r0 = 8 R_c + J the
+    window holds the far-field closure of x^ (`_far_field`), and
+    closure_bound bounds its distance from x^ in l_{d+1}; both are None
+    where no closure ran (R <= r0).  total_error_bound adds truncation_bound,
+    closure_bound and final_residual/(1 - L): x lies within it of the fixed
+    point on Z in the off-zero l_{d+1} norm.  Like the Banach bounds, the
+    total does not add the rounding of the core's and the near band's
+    convolutions.  A default window whose total exceeds tol is evaluated
+    wider; an explicit radius only reports it.
     Both are None on Z_q and without a contraction certificate, where
     final_residual is computed: the residual of x on Z_q, and |x - x_c| on
     an uncertified window.
@@ -239,6 +262,8 @@ class SolveReport:
     coarse_radius: int | None = None
     truncation_bound: float | None = None
     total_error_bound: float | None = None
+    closure_radius: int | None = None
+    closure_bound: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +341,11 @@ def _linear_convolver(kernel: np.ndarray, R: int, R_out: int | None = None):
     the vector and the kept window do; otherwise one circular transform of
     length L, the next fast length >= r + R + R_out + 1, which leaves the
     kept lags alias-free.  L is None on the direct path.  The choice and L
-    fix the output bits.
+    fix the output bits.  When r = R + R_out, as for every window operator
+    and extension, each kept output overlaps the whole vector, so the
+    direct path computes only those, np.convolve's "valid" mode: the same
+    dot products, and so the same bits, as the kept slice of the full
+    product, at about half of a core apply's multiply-adds.
     """
     r = (len(kernel) - 1) // 2
     R_out = R if R_out is None else R_out
@@ -324,6 +353,8 @@ def _linear_convolver(kernel: np.ndarray, R: int, R_out: int | None = None):
     if min(len(kernel), 2 * max(R, R_out) + 1) > _FFT_WINDOW:
         L = _next_fast_len(r + R + R_out + 1)
         return _fft_convolve(kernel, L, lo, lo + n), L
+    if r == R + R_out:
+        return lambda v: np.convolve(kernel, v, "valid"), None
 
     def convolve(v):
         return np.convolve(kernel, v)[lo : lo + n]
@@ -391,17 +422,162 @@ def _window_operator(pot: Potential, d: int, R: int) -> _Operator:
     return _Operator(d, Q2[R : 3 * R + 1], R, convolve)
 
 
-def _extend(pot: Potential, d: int, x: np.ndarray, R: int) -> np.ndarray:
-    """T(x) on the window [-R, R] for x on a core [-r, r], r <= R, zero
-    outside it: one linear convolution of w = x^d (w(0) = 1) against Q on
-    [-(R + r), R + r], all the lags the window reads, so an FFT runs at the
-    next fast length >= 2R + 2r + 1."""
+class _Closure(NamedTuple):
+    """How `_extend` evaluated a window beyond the near band [-radius, radius].
+
+    For radius < |i| <= R the computed x~(i) lies within e(i) = scale *
+    Q(|i| - shift) of x^(i) = sum_j Q(i - j) w(j) / N, Q(|i| - shift) the
+    float value of Q; ``bound`` is an upper end of |e|_{d+1} over those
+    slots."""
+
+    radius: int
+    shift: int
+    scale: float
+    bound: float
+
+
+def _q_rounding(pot: Potential, m: int) -> float:
+    """An upper end of the relative error of the float Q(j), J <= |j| <= m,
+    J the table end.  There |beta U(j)| <= V = |lq| + beta expo arg(m) in
+    the terms of `Potential._decay`, arg(m) = m - J (exp) or log1p(m) +
+    log1p(J) (power), and evaluating beta U(j) takes at most four roundings
+    and two log1p calls within two ulps each, so it errs by at most 8 u V;
+    exp adds two ulps more, and (10 V + 8) u covers both."""
+    kind, expo, lq, J = pot._decay()
+    arg = m - J if kind == "exp" else math.log1p(m) + math.log1p(J)
+    return (10.0 * (abs(lq) + pot.beta * expo * arg) + 8.0) * _UNIT_ROUNDOFF
+
+
+def _closure_order(pot: Potential, r: int, r0: int) -> tuple[int, float] | None:
+    """(K, remainder) of the far-field expansion beyond r0 of a core of
+    radius r, or None when no K <= _MAX_ORDER reaches the unit roundoff.
+
+    A power tail Q(m) = C (1 + m)^(-s) gives, for |j| <= r < i - J,
+    Q(i - j) = Q(i) sum_k b_k (j / (1 + i))^k with b_k = (s)_k / k!, whose
+    terms after K are at most b_{K+1} rho^{K+1} |w|_1 q^k with rho =
+    r / (1 + r0) and q = rho max(1, (s + K + 1)/(K + 2)), since b_{k+1}/b_k
+    = (s + k)/(k + 1) is monotone in k.  The remainder returned is the
+    least b_{K+1} rho^{K+1} / (1 - q) below u, rounded up.  An exp tail is
+    exact with K = 0."""
+    kind, expo, _, _ = pot._decay()
+    if kind == "exp":
+        return 0, 0.0
+    s, rho = pot.beta * expo, r / (1.0 + r0)
+    term = 1.0  # b_K rho^K
+    for K in range(_MAX_ORDER + 1):
+        term *= rho * (s + K) / (K + 1)
+        q = rho * max(1.0, (s + K + 1) / (K + 2))
+        if q < 1.0 and term / (1.0 - q) < _UNIT_ROUNDOFF:
+            return K, term / (1.0 - q) * (1.0 + _gamma(4 * K + 8))
+    return None
+
+
+def _horner(coefs: list[float], y: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] y^k by Horner's rule, in place on one array."""
+    acc = np.full_like(y, coefs[-1] if coefs else 0.0)
+    for c in reversed(coefs[:-1]):
+        acc *= y
+        acc += c
+    return acc
+
+
+def _far_field(pot: Potential, d: int, w: np.ndarray, r0: int, R: int, N: float,
+               order: tuple[int, float]) -> tuple[np.ndarray, np.ndarray, _Closure]:
+    """(x~ at r0 < i <= R, x~ at -r0 > i >= -R in order of |i|, closure) for
+    x^(i) = sum_j Q(i - j) w(j) / N, w on a core [-r, r] with r0 - r > J.
+
+    Power tail (`_closure_order`): x^(+-i) = Q(i)/N sum_k b_k (+-1)^k mu_k
+    (1 + i)^(-k), mu_k = sum_j j^k w(j), cut after K; the even and odd
+    parts are two Horner sums in (1 + i)^(-2), shared by both sides.
+    Every term is at most b_k rho^k |w|_1, rho = r/(1 + r0), so their sum
+    is at most |w|_1 (1 - rho)^(-s); a moment is one dot product of r
+    powers of j with w folded about 0 (error gamma_r in any order,
+    Higham eq. 3.5), and the moments, coefficients, powers and Horner
+    steps round at most 8K + r + 16 times in all.  Exp tail rate a:
+    Q(i - j) = Q(i - r) e^{-a(r - j)} exactly, so x^(+-i) = Q(i - r)/N
+    sum_j w(+-j) e^{-a(r - j)}, each factor's exp argument rounded twice.
+    Besides, Q(i) errs by at most `_q_rounding`; the scale of the closure
+    is the relative bound times the weight over N.  Its norm is the
+    certified tail norm of Q beyond r0 - shift.  Underflow is neglected.
+    """
+    r = len(w) // 2
+    kind, expo, _, _ = pot._decay()
+    a = pot.beta * expo
+    i = np.arange(r0 + 1, R + 1)
+    delta = _q_rounding(pot, R + r)
+    K, remainder = order
+    if kind == "exp":
+        shift = r
+        g = np.exp(-a * np.arange(2 * r, -1, -1))  # e^{-a(r - j)}, j = -r..r
+        plus = math.fsum((w * g).tolist())
+        minus = math.fsum((w[::-1] * g).tolist())
+        weight = max(math.fsum((np.abs(w) * g).tolist()),
+                     math.fsum((np.abs(w[::-1]) * g).tolist()))
+        rel = (5.0 * a * r + 12.0) * _UNIT_ROUNDOFF + delta
+        scale = pot.Q(i - r)
+        scale /= N
+        pos, neg = scale * plus, scale * minus
+    else:
+        shift = 0
+        # mu_k = sum_{j >= 1} j^k (w(j) + (-1)^k w(-j)), plus w(0) = 1 at k = 0
+        sym, anti = w[r + 1:] + w[r - 1::-1], w[r + 1:] - w[r - 1::-1]
+        powers = np.cumprod(np.broadcast_to(np.arange(1.0, r + 1), (K, r)), axis=0)
+        mu = np.empty(K + 1)
+        mu[0] = 1.0 + float(np.sum(sym))
+        mu[2::2], mu[1::2] = powers[1::2] @ sym, powers[0::2] @ anti
+        b, coefs = 1.0, []
+        for k in range(K + 1):
+            b *= (a + k - 1) / k if k else 1.0
+            coefs.append(b * float(mu[k]))
+        weight = math.fsum(np.abs(w).tolist())
+        rho = r / (1.0 + r0)
+        rel = remainder + (_gamma(8 * K + r + 16) + delta) * math.exp(-a * math.log1p(-rho))
+        t = np.arange(r0 + 2.0, R + 2.0)  # 1 + i
+        np.divide(1.0, t, out=t)
+        y = t * t
+        even, odd = _horner(coefs[0::2], y), _horner(coefs[1::2], y)
+        odd *= t
+        scale = pot.Q(i)
+        scale /= N
+        pos, neg = even + odd, even - odd
+        pos *= scale
+        neg *= scale
+    kappa = weight * (1.0 + _UNIT_ROUNDOFF) / N * rel * (1.0 + 2.0 * delta) * (1.0 + _gamma(8))
+    norm = kappa * (1.0 + delta) * _tail_norm(pot, r0 - shift, d + 1) * (1.0 + _gamma(2))
+    return pos, neg, _Closure(r0, shift, kappa, math.nextafter(norm, math.inf))
+
+
+def _extend(pot: Potential, d: int, x: np.ndarray,
+            R: int) -> tuple[np.ndarray, _Closure | None]:
+    """(x~, closure): x~ = T(x) on the window [-R, R] for x on a core
+    [-r, r], r <= R, zero outside it, with w = x^d (w(0) = 1).
+
+    A near band [-r0, r0], r0 = _CLOSURE_REACH r + J (J the table end), is
+    one linear convolution of w against Q on [-(r0 + r), r0 + r], all the
+    lags it reads, so an FFT runs at the next fast length >= 2 r0 + 2r + 1,
+    never at the window's.  Beyond r0 every Q(i - j) lies in the tail that
+    `Potential._decay` declares, and `_far_field` evaluates x^ there from
+    the moments of w with a componentwise bound (the closure, None when R
+    <= r0 or `_closure_order` finds no order; then the band is the
+    window).  Both parts divide by the band's normaliser N = num(0).
+    """
     r = len(x) // 2
     w = x**d
     w[r] = 1.0
-    convolve, _ = _linear_convolver(pot.Q(np.arange(-(R + r), R + r + 1)), r, R)
+    r0 = _CLOSURE_REACH * r + pot.table_end
+    order = _closure_order(pot, r, r0) if R > r0 else None
+    near = R if order is None else r0
+    convolve, _ = _linear_convolver(pot.Q(np.arange(-(near + r), near + r + 1)), r, near)
     num = convolve(w)
-    return num / num[R]
+    N = float(num[near])
+    if order is None:
+        return num / N, None
+    pos, neg, closure = _far_field(pot, d, w, r0, R, N, order)
+    out = np.empty(2 * R + 1)
+    np.divide(num, N, out=out[R - r0:R + r0 + 1])
+    out[R + r0 + 1:] = pos
+    out[:R - r0] = neg[::-1]
+    return out, closure
 
 
 def _periodic_operator(qbar: FuzzyOperator, d: int) -> _Operator:
@@ -477,15 +653,18 @@ def truncation_radius(pot: Potential, p: float, bound: float) -> int:
 def _window_radius(pot: Potential, d: int, config: SolveConfig,
                    L: float | None) -> int:
     """The configured radius (at most _MAX_WINDOW_RADIUS) if its dropped
-    tail stays below tol, else the smallest R >= 4 with
-    _KAPPA tau(R) <= (1 - L) tol: tau(R) is the tail norm of Q at exponent
-    d+1, and 1 - L is read as 1 without a certificate.  A window's
-    `_cut_bound` is about tau(R) times the weight of x^d near zero, so the
-    default keeps the truncation bound below (1 - L) tol/2 unless that
-    weight exceeds _KAPPA.
+    tail stays below tol, else the smallest R >= 4 with _KAPPA tau(R) <=
+    max(1 - L, 1 - _CORE_SHARE - _FAR_SHARE) tol: tau(R) is the tail norm of
+    Q at exponent d+1, and the factor is read as 1 without a certificate.
+    The core's solve leaves final_residual/(1 - L) at most (_CORE_SHARE +
+    _FAR_SHARE) tol of the total, and the rest is the truncation's.  A
+    window's `_cut_bound` is about tau(R) times the weight of x^d near
+    zero, so the default keeps the truncation bound below half that share
+    unless the weight exceeds _KAPPA.
     """
     if config.radius is None:
-        budget = config.tol if L is None else (1.0 - L) * config.tol
+        gap = 1.0 if L is None else max(1.0 - L, 1.0 - _CORE_SHARE - _FAR_SHARE)
+        budget = gap * config.tol
         return max(truncation_radius(pot, d + 1, budget / _KAPPA), 4)
     R = config.radius
     if R > _MAX_WINDOW_RADIUS:
@@ -736,6 +915,14 @@ def _extension_residual(pot: Potential, d: int, verdict, x: np.ndarray,
     return math.nextafter((verdict.lipschitz * rho + far) * (1.0 + _gamma(8)), math.inf)
 
 
+def _spill(truncation: float, closure: _Closure | None) -> float:
+    """An upper end of the truncation bound plus the closure's bound: the
+    distance of the returned window from x^ = T(x_c) on Z, near band aside."""
+    if closure is None:
+        return truncation
+    return math.nextafter(truncation + closure.bound, math.inf)
+
+
 def solve_fixed_point(
     pot: Potential, d: int, config: SolveConfig = SolveConfig()
 ) -> tuple[BoundaryLaw, SolveReport]:
@@ -746,10 +933,12 @@ def solve_fixed_point(
     comes from `_window_radius`.  Banach iteration from Q solves the core
     [-R_c, R_c] (`_core_radius`, at most R) to _CORE_SHARE tol, and the
     core's fixed point x_c, checked to lie in the eps-ball, is extended to
-    the window by one more application of T (`_extend`).  A certified
+    the window by one more application of T (`_extend`: a near band by
+    convolution, the far field by its closure).  A certified
     solve bounds the extension's residual (`_extension_residual`): while
     its share of the total, final_residual/(1 - L), exceeds (_CORE_SHARE +
-    _FAR_SHARE) tol and R_c < R, the core is doubled and solved again.  With
+    _FAR_SHARE) tol and R_c < R, the core is doubled and solved again.  The
+    closure's bound counts like the truncation bound.  With
     the default radius, a total above tol then evaluates the extension on
     a wider window, sized from the measured ratio of the cut to tau(R) with
     a margin of 2; no new solve is needed.  Outside the good set the
@@ -779,24 +968,27 @@ def solve_fixed_point(
         if R_c == R or _per_gap(residual, L) <= (_CORE_SHARE + _FAR_SHARE) * config.tol:
             break
         R_c = min(2 * R_c, R)
-    x = _extend(pot, d, x_c, R)
+    x, closure = _extend(pot, d, x_c, R)
     truncation = total = None
     if certified:
         truncation = _cut_bound(pot, d, x_c, R)
         room = config.tol - _per_gap(residual, L)
-        if config.radius is None and truncation > room > 0.0:
+        if config.radius is None and _spill(truncation, closure) > room > 0.0:
             R = truncation_radius(pot, d + 1,
                                   0.5 * room * _tail_norm(pot, R, d + 1) / truncation)
-            x = _extend(pot, d, x_c, R)
+            x, closure = _extend(pot, d, x_c, R)
             truncation = _cut_bound(pot, d, x_c, R)
-        total = math.nextafter(truncation + _per_gap(residual, L), math.inf)
+        spill = _spill(truncation, closure)
+        total = math.nextafter(spill + _per_gap(residual, L), math.inf)
         law_residual = math.nextafter(
-            (residual + (1.0 + L) * truncation) * (1.0 + _gamma(3)), math.inf)
+            (residual + (1.0 + L) * spill) * (1.0 + _gamma(3)), math.inf)
     else:
         residual = law_residual = _OffzeroNorm(x - np.pad(x_c, R - R_c), R, d).hi
     report = _report(verdict, config.mode, iterations, steps, rho, residual,
                      coarse_radius=R_c if R_c < R else None,
-                     truncation_bound=truncation, total_error_bound=total)
+                     truncation_bound=truncation, total_error_bound=total,
+                     closure_radius=closure and closure.radius,
+                     closure_bound=closure and closure.bound)
     law = BoundaryLaw(
         kind=SUPPORT_TRUNCATED, d=d, x=x, radius=R, ball_radius=eps,
         residual=law_residual, certified=certified, pot=pot,

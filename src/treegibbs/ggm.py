@@ -237,9 +237,9 @@ def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
 
     nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
     jbar = j mod q.  The result is symmetric with zero tilt.  Each residue
-    class s adds step(s) * rho(. | s) into one stride-q slice of the window;
-    the classes fill disjoint slots.  The leak verdict is the one on
-    1 - (exactly rounded mass): the lower end of the mass's `_banded_sum`
+    class s writes step(s) * rho(. | s) straight into one stride-q slice of
+    the window; the classes fill disjoint slots.  The leak verdict is the one
+    on 1 - (exactly rounded mass): the lower end of the mass's `_banded_sum`
     band passes it when it can, and only otherwise does `_window_leak` take
     the exact sum, which its error message needs anyway.  Errors out when
     the window leaks more than `_LEAK_TOL`.
@@ -249,7 +249,7 @@ def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
     nu = np.zeros(2 * window + 1)
     for step, law in zip(_class_step_law(fc), laws):
         j0, w = law.clip(window)
-        nu[j0 + window::fc.q][:w.size] += step * w
+        np.multiply(w, step, out=nu[j0 + window::fc.q][:w.size])
     if 1.0 - _banded_sum(nu).lo <= _LEAK_TOL:
         return nu
     # a window past every law radius holds all support points: the leak is

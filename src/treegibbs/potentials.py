@@ -246,27 +246,34 @@ class Potential:
 
     def U(self, j):
         """Potential values; accepts scalars or integer arrays."""
-        a = np.abs(np.asarray(j, dtype=float))
-        if self.kind == "sos":
-            out = a
-        elif self.kind == "log":
-            out = np.log1p(a)
-        else:
-            out = self._custom_U(a)
+        out = self._fresh_U(j)
         return out if out.ndim else float(out)
 
     def Q(self, j):
         """Transfer operator exp(-beta U(j)); accepts scalars or arrays."""
-        u = np.asarray(self.U(j), dtype=float)
-        out = np.exp(-self.beta * u)
+        out = self._fresh_U(j)
+        np.multiply(out, -self.beta, out=out)
+        np.exp(out, out=out)
         return out if out.ndim else float(out)
 
+    def _fresh_U(self, j) -> np.ndarray:
+        """U(j) in one new float array (0-d for a scalar), computed in place:
+        a table of millions of points then costs one array, not one per
+        operation."""
+        a = np.array(j, dtype=float)
+        np.abs(a, out=a)
+        if self.kind == "log":
+            np.log1p(a, out=a)
+        elif self.kind == "custom":
+            self._custom_U(a)
+        return a
+
     def _custom_U(self, a):
+        """Overwrite the |j| values a with U(j)."""
         J = self.table_end
         tab = np.concatenate(([0.0], np.asarray(self.table, dtype=float)))
         inside = a <= J
-        out = np.empty_like(a)
-        out[inside] = tab[a[inside].astype(int)]
+        a[inside] = tab[a[inside].astype(int)]
         if not np.all(inside):
             if self.tail is None:
                 raise TailUndeclaredError(
@@ -275,10 +282,9 @@ class Potential:
             uj = tab[J]
             ax = a[~inside]
             if self.tail.kind == "exp":
-                out[~inside] = uj + self.tail.param * (ax - J)
+                a[~inside] = uj + self.tail.param * (ax - J)
             else:
-                out[~inside] = uj + self.tail.param * (np.log1p(ax) - math.log1p(J))
-        return out
+                a[~inside] = uj + self.tail.param * (np.log1p(ax) - math.log1p(J))
 
     # -- tail descriptors used by the certified summation engine ------------
 

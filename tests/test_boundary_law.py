@@ -164,6 +164,19 @@ class TestApplyT:
         slow = apply_T(pot, 2, x, R)
         assert np.allclose(fast, slow, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("R", [1, 6, 57, 392, 1004])
+    def test_valid_path_is_the_full_products_slice(self, R):
+        # a kernel radius R + R_out: the direct path computes only the kept
+        # outputs, bit for bit the slice of the full product
+        rng = np.random.default_rng(R)
+        v = rng.random(2 * R + 1)
+        for R_out in sorted({R, 1000}):
+            kernel = rng.random(2 * (R + R_out) + 1)
+            convolve, L_fft = bl._linear_convolver(kernel, R, R_out)
+            assert L_fft is None
+            full = np.convolve(kernel, v)[2 * R:2 * R + 2 * R_out + 1]
+            assert np.array_equal(convolve(v), full), R_out
+
     def test_next_fast_len_is_scipys(self):
         from scipy.fft import next_fast_len
 
@@ -476,7 +489,7 @@ class TestTwoStageSolve:
             (len(x) // 2, R)) or extend(pot, d, x, R))
         law, report = solve_fixed_point(log_potential(3.0), 2)
         R, R_c = law.radius, report.coarse_radius
-        assert R == 80993 and report.certified
+        assert R == 57995 and report.certified
         assert R_c is not None and R_c < 1000
         assert windows == [R_c] and set(calls) == {R_c}
         assert extended == [(R_c, R)]
@@ -491,13 +504,13 @@ class TestTwoStageSolve:
         assert report.total_error_bound <= SolveConfig().tol
 
     def test_near_the_threshold_without_a_window_step(self, monkeypatch):
-        # log 2.91 (L = 0.9975) needs R = 513 762; the core alone iterates
+        # log 2.91 (L = 0.9975) needs R = 85 449; the core alone iterates
         radii = set()
         apply = bl._Operator.apply
         monkeypatch.setattr(bl._Operator, "apply",
                             lambda self, x: radii.add(self.zero) or apply(self, x))
         law, report = solve_fixed_point(log_potential(2.91), 2)
-        assert law.radius == 513762 and report.certified
+        assert law.radius == 85449 and report.certified
         assert radii == {report.coarse_radius} and report.coarse_radius < 2000
         assert report.total_error_bound <= SolveConfig().tol
 
@@ -568,13 +581,17 @@ def _direct_cut(pot, d, x, R, reach=50):
 _EXP_TABLE = custom(1.0, [[1, 2.0], [2, 4.5]], TailModel("exp", 2.5))
 
 
-def _record_cores(monkeypatch):
-    """The core vectors a solve hands to `_extend`, in call order."""
-    cores = []
+def _record_extensions(monkeypatch):
+    """(x_c, x~, closure) of every `_extend` call of a solve, in call order."""
+    extensions = []
     extend = bl._extend
-    monkeypatch.setattr(bl, "_extend", lambda pot, d, x, R: cores.append(
-        x.copy()) or extend(pot, d, x, R))
-    return cores
+
+    def recording(pot, d, x, R):
+        extensions.append((x.copy(), *extend(pot, d, x, R)))
+        return extensions[-1][1:]
+
+    monkeypatch.setattr(bl, "_extend", recording)
+    return extensions
 
 
 class TestTruncationBound:
@@ -586,9 +603,9 @@ class TestTruncationBound:
     ], ids=["sos2.5", "sos2.0", "sos3.0-d3", "exp-table"])
     def test_default_window_against_direct_sums(self, monkeypatch, pot, d):
         # what the extension T(x_c) puts beyond R, by direct sums
-        cores = _record_cores(monkeypatch)
+        extensions = _record_extensions(monkeypatch)
         law, report = solve_fixed_point(pot, d)
-        (x_c,) = cores
+        ((x_c, _, _),) = extensions
         R = law.radius
         direct = _direct_cut(pot, d, np.pad(x_c, R - len(x_c) // 2), R)
         assert direct <= report.truncation_bound
@@ -633,7 +650,7 @@ class TestTruncationBound:
         # the same core: one more extension, no new solve
         tol = SolveConfig().tol
         default, default_report = solve_fixed_point(pot, 2)
-        small = {2186: 546, 16: 12}[default.radius]
+        small = {2186: 546, 14: 12}[default.radius]
         windows, extended = [], []
         window, extend = bl._window_operator, bl._extend
         monkeypatch.setattr(bl, "_window_radius", lambda pot, d, config, L: small)
@@ -708,6 +725,37 @@ def _direct_residual(pot, d, x_c, R, far, reach=50):
     return math.fsum((diff**p).tolist()) ** (1.0 / p) + tails + far * cut**d
 
 
+def _assert_slots(pot, d, law, x_c, closure, slots):
+    """x~(i) of a window law against fsum dot products sum_j Q(i - j) w(j) / N,
+    N the near band's normaliser as the solve computes it: within the
+    rounding bound of that convolution (`_convolution_error`) in the band,
+    and beyond it within the closure's e(i) plus the error of the float
+    Q(i - j) the dot product reads (`_q_rounding`)."""
+    R, r = law.radius, len(x_c) // 2
+    near = R if closure is None else closure.radius
+    w = x_c**d
+    w[r] = 1.0
+    j = np.arange(-r, r + 1)
+    kernel = pot.Q(np.arange(-(near + r), near + r + 1))
+    convolve, L_fft = bl._linear_convolver(kernel, r, near)
+    N = float(convolve(w)[near])
+    u = bl._UNIT_ROUNDOFF
+    g1 = math.fsum(kernel.tolist()) * (1.0 + u)
+    g2 = math.sqrt(math.fsum((kernel * kernel).tolist())) * (1.0 + 2 * u)
+    a, b, c = bl._convolution_error(L_fft, min(len(kernel), 2 * r + 1), g1, g2)
+    err = a * w.max() + b * math.fsum(w.tolist()) + c * math.sqrt(
+        math.fsum((w * w).tolist()))
+    for i in slots:
+        exact = math.fsum((pot.Q(i - j) * w).tolist()) / N
+        if abs(i) <= near:
+            allowed = err / N + 4 * u * exact
+        else:
+            e = closure.scale * pot.Q(abs(i) - closure.shift)
+            allowed = e + (bl._q_rounding(pot, abs(i) + r) + 4 * u) * exact
+        assert abs(law.x[i + R] - exact) <= allowed, i
+    return L_fft
+
+
 class TestExtensionOracle:
     """The window law is x^ = T(x_c) for the core's fixed point x_c, by one
     convolution: direct sums check its residual bound and its slots."""
@@ -719,35 +767,66 @@ class TestExtensionOracle:
         (log_potential(4.0), 1e-6), (sos(2.0), 1e-5),
     ], ids=["log3", "sos2.0", "log4-far", "sos2.0-core"])
     def test_residual_and_slots_by_direct_sums(self, monkeypatch, pot, tol):
-        cores = _record_cores(monkeypatch)
+        extensions = _record_extensions(monkeypatch)
         law, report = solve_fixed_point(pot, 2, SolveConfig(tol=tol))
-        (x_c,) = cores
+        ((x_c, _, closure),) = extensions
         R, r = law.radius, len(x_c) // 2
         assert r == report.coarse_radius < R
         far = report.gamma + report.epsilon * report.delta
         assert _direct_residual(pot, 2, x_c, R, far) <= report.final_residual
 
         # about 100 slots against fsum dot products, within the rounding
-        # bound of the convolution that computed them
-        w = x_c**2
-        w[r] = 1.0
-        j = np.arange(-r, r + 1)
-        N = math.fsum((pot.Q(j) * w).tolist())
-        kernel = pot.Q(np.arange(-(R + r), R + r + 1))
-        _, L_fft = bl._linear_convolver(kernel, r, R)
-        assert (L_fft is not None) == (R > 1000)
-        u = bl._UNIT_ROUNDOFF
-        g1 = math.fsum(kernel.tolist()) * (1.0 + u)
-        g2 = math.sqrt(math.fsum((kernel * kernel).tolist())) * (1.0 + 2 * u)
-        a, b, c = bl._convolution_error(L_fft, min(len(kernel), 2 * r + 1), g1, g2)
-        err = a * w.max() + b * math.fsum(w.tolist()) + c * math.sqrt(
-            math.fsum((w * w).tolist()))
+        # bound of the convolution or the closure that computed them
         rng = np.random.default_rng(26)
         slots = {0, r, -r, r + 1, -r - 1, R, -R, *rng.integers(-R, R + 1, 93).tolist()}
-        for i in slots:
-            exact = math.fsum((pot.Q(i - j) * w).tolist()) / N
-            allowed = err * (1.0 + exact) / (N - err) + 4 * u * exact
-            assert abs(law.x[i + R] - exact) <= allowed, i
+        _assert_slots(pot, 2, law, x_c, closure, slots)
+
+
+_POWER_TABLE = custom(3.0, [[1, 0.8], [2, 1.2]], TailModel("power", 1.0))
+_EXP_WIDE = custom(2.0, [[1, 1.0], [2, 1.9]], TailModel("exp", 1.0))
+
+
+class TestFarFieldClosure:
+    """Beyond r0 = 8 R_c + J a window law comes from the core's moments
+    (`_far_field`), not from a convolution of window length."""
+
+    def test_no_window_length_transform(self, monkeypatch):
+        lengths = []
+        fft = bl._fft_convolve
+        monkeypatch.setattr(bl, "_fft_convolve", lambda kernel, n, lo, hi: lengths.append(
+            n) or fft(kernel, n, lo, hi))
+        law, report = solve_fixed_point(log_potential(3.0), 2)
+        assert report.closure_radius == 8 * report.coarse_radius
+        assert lengths and max(lengths) < 2 * law.radius
+
+    @pytest.mark.parametrize("pot,config", [
+        (log_potential(3.0), SolveConfig()),
+        (log_potential(2.91), SolveConfig()),
+        (log_potential(4.0), SolveConfig()),
+        (_POWER_TABLE, SolveConfig()),
+        (_EXP_WIDE, SolveConfig(radius=120)),
+    ], ids=["log3", "log2.91", "log4", "power-table", "exp-table"])
+    def test_slots_against_direct_sums(self, monkeypatch, pot, config):
+        extensions = _record_extensions(monkeypatch)
+        law, report = solve_fixed_point(pot, 2, config)
+        x_c, x, closure = extensions[-1]
+        R, r = law.radius, len(x_c) // 2
+        r0 = 8 * r + pot.table_end
+        assert x is law.x and closure.radius == r0 < R
+        assert (report.closure_radius, report.closure_bound) == (r0, closure.bound)
+        assert law.x.min() > 0.0
+        # the closure's bound counts in the total and the law's residual
+        L = report.lipschitz
+        spill = report.truncation_bound + report.closure_bound
+        assert report.total_error_bound >= spill + report.final_residual / (1.0 - L)
+        assert report.total_error_bound <= config.tol
+        assert law.residual >= report.final_residual + (1.0 + L) * spill
+        rng = np.random.default_rng(27)
+        slots = {0, r0, -r0, r0 + 1, -r0 - 1, R, -R,
+                 *rng.integers(-R, R + 1, 93).tolist()}
+        L_fft = _assert_slots(pot, 2, law, x_c, closure, slots)
+        # the near bands of log 3.0 and 2.91 are transformed
+        assert (L_fft is not None) == (2 * r0 + 1 > bl._FFT_WINDOW)
 
 
 class TestDetailedBalance:

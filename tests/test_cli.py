@@ -751,12 +751,12 @@ class TestEmitterBytes:
         assert sum(row.endswith(",0,0") for row in rows) > 100
 
     def test_solve_log_window(self, capsys, monkeypatch):
-        # 161 987 rows (R = 80 993): the largest law table a default command prints
+        # 115 991 rows (R = 57 995): the largest law table a default command prints
         laws = _record(monkeypatch, "solve_fixed_point")
         code, out, _ = run(capsys, "solve", "--model", "log", "--beta", "3.0", "--d", "2")
         assert code == 0
         ((law, _),) = laws
-        assert len(law.x) == 161987
+        assert len(law.x) == 115991
         assert _data_lines(out) == self._law_rows(law)
 
     def test_periodic(self, capsys, monkeypatch):
