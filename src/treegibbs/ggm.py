@@ -20,11 +20,13 @@ import numpy as np
 from .boundary_law import SUPPORT_PERIODIC, BoundaryLaw, single_site_marginal
 from .errors import ConfigError, NumericalError
 from .potentials import (
+    _TINY,
     FuzzyOperator,
     Potential,
     _banded_sum,
     _Bracket,
     _float_stream,
+    _shifted,
     _smallest_radius,
     _tail_beyond,
     fuzzy_Q,
@@ -183,11 +185,24 @@ def _increment_law(
     if not mass.lo > 0.0:
         raise NumericalError(f"class mass Q_q({residue}) underflows to 0 at q={q}: "
                              f"residue {residue} has no increment law")
-    # the point of the class nearest 0 has |j| = min(residue, q - residue)
-    least = max(1, min(residue, q - residue))
+    near = min(residue, q - residue)  # |j| of the class point nearest 0
+    least = max(1, near)
+
+    def tail(R: int) -> float:
+        """Upper bound on sum_{|j|>R} Q(j) over the class mass."""
+        absolute = _tail_beyond(pot, R, 1.0)
+        if absolute >= _TINY:
+            return (absolute / mass).hi
+        # below the normal range the absolute tail has no relative precision
+        # left; relative to the class's nearest term, Q(near) <= mass, it is
+        # the tail of U - U(near), which stays in range down to _TINY, and
+        # it is rounded up once as the quotient above is
+        relative = _tail_beyond(_shifted(pot, pot.U(near)), R, 1.0)
+        return max(math.nextafter(relative, math.inf), _TINY)
+
     if radius is None:
         radius = _smallest_radius(
-            lambda R: (_tail_beyond(pot, R, 1.0) / mass).hi <= _TAIL_BOUND,
+            lambda R: tail(R) <= _TAIL_BOUND,
             least,
             1 << 30,
             f"increment window beyond 2^30 needed for tail bound {_TAIL_BOUND:.3g}",
@@ -201,7 +216,7 @@ def _increment_law(
         residue=residue,
         first=first,
         weights=pot.Q(np.arange(first, radius + 1, q)) / qq.at(residue),
-        tail_mass_bound=(_tail_beyond(pot, radius, 1.0) / mass).hi,
+        tail_mass_bound=tail(radius),
     )
 
 

@@ -10,15 +10,17 @@ Inside G_d the boundary-law operator maps the eps-ball around the transfer
 operator into itself and contracts, which yields a localized Gibbs measure
 per center.  This module finds the minimal eps, evaluates L there (optimal,
 since L is increasing in eps), maps out the exact d = 2 boundary curve,
-locates inverse-temperature thresholds by bisection, bounds the
-localized marginal mass off the center, and scans large degrees along the
-beta_{A,d} = A*log(d)/(d+1) schedule.  Every caller holding certified
+locates inverse-temperature thresholds, bounds the localized marginal mass
+off the center, and scans large degrees along the beta_{A,d} =
+A*log(d)/(d+1) schedule.  Every caller holding certified
 norms decides through `norm_membership`.
 
-All root finding is plain bisection with interval certificates; the sizes
-involved make speed irrelevant and the bracket widths double as error
-bounds.  Each verdict's accuracy is a module constant; only the width of
-the beta bisection is a parameter.
+All root finding runs one bracket loop, ``_bisect``, whose bracket widths
+double as error bounds.  It splits at the midpoint everywhere but in the
+threshold search, where each probe costs a norm pair and a minimal epsilon,
+and secant splits on the bisection's own grid reach the same bracket with
+about half the probes.  Each verdict's accuracy is a module constant; only
+the width of the beta bisection is a parameter.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ _EPS_TOL = 1e-13  # absolute bisection width of the minimal epsilon,
 _EPS_REL = 1e-11  # or this fraction of delta where that is narrower
 _BOUNDARY_TOL = 1e-14  # absolute bisection width of the d = 2 boundary curve
 _THRESHOLD_TOL = 1e-7  # default width of the beta bisection
+_SECANT_SLACK = 4  # probes a threshold search may take beyond the bisection's
 _BETA_MAX = 64.0  # the largest beta a threshold search tries
 
 
@@ -100,11 +103,18 @@ class MembershipVerdict:
         return self.in_good_set
 
 
-def _bisect(above, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Bracket [lo, hi] with above(lo) false and above(hi) true, halved
-    until hi - lo <= width or no float lies between the two ends."""
+def _midpoint(lo: float, hi: float) -> float:
+    return 0.5 * (lo + hi)
+
+
+def _bisect(above, lo: float, hi: float, width: float,
+            split=_midpoint) -> tuple[float, float]:
+    """Bracket [lo, hi] with above(lo) false and above(hi) true, split at
+    split(lo, hi) until hi - lo <= width or no float lies between the two
+    ends.  The default split is the midpoint; a split that returns an end
+    ends the loop, which the midpoint does only at adjacent floats."""
     while hi - lo > width:
-        mid = 0.5 * (lo + hi)
+        mid = split(lo, hi)
         if mid in (lo, hi):
             break
         if above(mid):
@@ -250,25 +260,93 @@ def _potential_family(family):
     raise ConfigError(f"unknown potential family {family!r}, expected 'sos', 'log', or a callable")
 
 
+class _SecantSplit:
+    """Splits of a threshold bracket on the grid lo + m*h, for ``_bisect``.
+
+    ``above`` probes membership and records f(beta) = log L(beta), the log
+    of the verdict's Lipschitz constant; f is unknown where the verdict
+    has none (no epsilon, an infinite norm) or L = 0.  A split is the grid
+    point nearest the secant root of f between the two ends, at least one
+    cell from each, or the middle cell where f is unknown at an end.  An
+    end kept by two probes in a row has its f halved (the Illinois rule),
+    which doubles the next step's distance from the moving end, so a
+    secant that creeps up on the root from one side soon steps past it.
+    A split never leaves more cells on either side than the probes left in
+    the budget, _SECANT_SLACK more than the bisection's, can halve down to
+    one: a step that could stall is pulled towards the midpoint, so the
+    search never takes more than _SECANT_SLACK probes beyond the bisection.
+    """
+
+    def __init__(self, member):
+        self.member = member
+        self.h, self.budget = math.inf, 0
+        self.f: dict[float, float | None] = {}
+        self.bracket = None  # (lo, hi) of the last split
+        self.kept = None  # the end the last probe kept
+
+    def grid(self, lo: float, hi: float, tol: float) -> float:
+        """The cell width h at which bisecting [lo, hi] stops: the first
+        halving of hi - lo that is <= tol or the float spacing at lo."""
+        h, self.budget = hi - lo, _SECANT_SLACK
+        while h > tol and h > math.ulp(lo):
+            h *= 0.5
+            self.budget += 1
+        self.h = h
+        return h
+
+    def above(self, beta: float) -> bool:
+        verdict = self.member(beta)
+        L = verdict.lipschitz
+        self.f[beta] = math.log(L) if L else None
+        if self.bracket is not None:
+            lo, hi = self.bracket
+            kept = lo if verdict.in_good_set else hi
+            if kept == self.kept and self.f[kept] is not None:
+                self.f[kept] *= 0.5
+            self.kept = kept
+        return verdict.in_good_set
+
+    def __call__(self, lo: float, hi: float) -> float:
+        n = (hi - lo) / self.h
+        f_lo, f_hi = self.f[lo], self.f[hi]
+        if f_lo is None or f_hi is None:
+            m = n // 2
+        else:
+            m = round(n * f_lo / (f_lo - f_hi))
+        self.budget -= 1
+        widest = 2.0**self.budget  # the most cells the rest of the budget can halve
+        m = min(max(m, n - widest, 1), widest, n - 1)
+        self.bracket = (lo, hi)
+        return lo + m * self.h
+
+
 def beta_threshold(family, d: int, pairing: str = "half",
                    tol: float = _THRESHOLD_TOL) -> float:
     """Infimum of beta for which the operator's norm pair enters G_d.
 
     ``family`` is "sos", "log", or a callable beta -> Potential.  Membership
-    is monotone in beta because both norms strictly decrease in beta, which
-    makes bisection valid; the closed-form norm path keeps each probe cheap.
-    ``tol`` is the width of the final bracket, whose midpoint is returned;
-    each probe's norms are certified to the series default.  Raises
+    is monotone in beta because both norms strictly decrease in beta; the
+    closed-form norm path keeps each probe cheap.  The search brackets
+    beta* by doubling or halving from 1 between two powers of two, L and
+    2L.  Bisecting that bracket probes only the grid points L + m*h of the
+    cell width h = L/2^k at which it stops: the largest that is <= ``tol``,
+    or the float spacing at L, where the midpoint of a cell is no float.
+    So the bracket it ends with is the one grid cell whose lower end is
+    outside G_d and whose upper end is inside, and any search over the
+    same grid that keeps a non-member below and a member above ends in
+    that cell.  This one splits the bracket by ``_SecantSplit``, a secant
+    step on log L snapped to the grid, which needs about half the probes,
+    and returns the cell's midpoint: the same float as the bisection.
+    Each probe's norms are certified to the series default.  Raises
     NumericalError when no member is found up to beta = _BETA_MAX (64).
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
     _check_tol("tol", tol)
     make = _potential_family(family)
-
-    def is_member(beta: float) -> bool:
-        pair = norm_pair(make(beta), d, pairing, cross_check=False)
-        return norm_membership(d, *pair).in_good_set
+    search = _SecantSplit(
+        lambda beta: norm_membership(d, *norm_pair(make(beta), d, pairing, cross_check=False)))
+    is_member = search.above
 
     hi = 1.0
     while not is_member(hi):
@@ -281,7 +359,7 @@ def beta_threshold(family, d: int, pairing: str = "half",
         lo /= 2.0
         if lo < 1e-9:
             raise NumericalError("membership persists down to beta ~ 0; no finite threshold")
-    lo, hi = _bisect(is_member, lo, hi, tol)
+    lo, hi = _bisect(is_member, lo, hi, search.grid(lo, hi, tol), search)
     return 0.5 * (lo + hi)
 
 

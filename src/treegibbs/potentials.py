@@ -29,8 +29,9 @@ remainder, plus a rounding allowance) that also serves ``hurwitz_zeta``,
 the log closed forms zeta(s, 2) and the double-sum envelope.  One loop
 (``_certified_sum``) adds the bracket midpoint to an exact fsum of the
 first N terms and doubles N until half the width plus the terms' rounding
-allowance certifies the tolerance; the reported ``tail_bound`` is that
-error (plus the rounding of the zero term on Z).  ``_tail_beyond`` bounds
+allowance certifies the tolerance, for many series at once (the q + 1 arms
+of the class sums) as for one; the reported ``tail_bound`` is that error
+(plus the rounding of the zero term on Z).  ``_tail_beyond`` bounds
 what a radius R leaves out, sum_{|j|>R} Q(j)^p, table terms included, and
 one search (``_smallest_radius``) picks the smallest radius whose tail fits
 a bound, for window truncation and increment laws alike.
@@ -88,6 +89,10 @@ DOMAIN_ZQ_STAR = "Z_q_without_zero"
 _START_RADIUS = 64
 _MAX_RADIUS = 1 << 26
 _CHUNK = 1 << 16
+# terms in one array of many rows' chunks: each block's lists of floats are
+# freed before the next block's are made, so the allocator reuses them (one
+# block of all rows kept 2 MB resident after fuzzy_Q log q=256)
+_ROW_BLOCK = 1 << 10
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1022  # the smallest normal float
 _SERIES_TOL = 1e-10  # default relative tolerance of the norm series
@@ -450,29 +455,32 @@ def _power_tail(logC: float, x0: float, s: float, step: float) -> _Bracket:
     lx = math.log(x0)
     first = _exp(logC - s * lx)
     integral = _exp(logC + (1.0 - s) * lx) / (step * (s - 1.0))
-    lo, hi = integral, integral + first
-    if not math.isfinite(hi):
+    a, b = integral, integral + first  # the bracket, then the last two partial sums
+    if not math.isfinite(b):
         return _Bracket(math.inf, math.inf)
-    if hi == 0.0:
+    if b == 0.0:
         return _Bracket(0.0, 0.0)
     est, prev = integral + 0.5 * first, 0.5 * first
     r = step / x0
     scale = first * s * r  # (s)_{2k-1} r^(2k-1) f(0) at k = 1
     for k, coeff in enumerate(_EM_COEFFS, start=1):
         term = coeff * scale
-        if not abs(term) < prev:
+        size = abs(term)
+        if not size < prev:
             break
-        lo, hi = (est, est + term) if term > 0 else (est + term, est)
-        est += term
-        prev = abs(term)
-        scale *= (s + 2 * k - 1) * (s + 2 * k) * r * r
+        a, b = est, est + term
+        est, prev = b, size
+        sk = s + 2 * k
+        scale *= (sk - 1) * sk * r * r  # (s + 2k - 1)(s + 2k) r^2
+    lo, hi = (a, b) if a <= b else (b, a)
     # f(0) and the integral are within e u of their values (relative), each
     # correction adds at most 9 roundings and stays below f(0)/2, and the
     # sums round k + 1 times
     e = abs(logC) + 4.0 * s * abs(lx) + 5.0
     slack = (e + 9 * k + 2) * _UNIT_ROUNDOFF * (integral + (k + 1) * first)
-    lo, hi = _Bracket(lo, hi).widen(slack)
-    return _Bracket(max(0.0, lo), hi)
+    # _Bracket(lo, hi).widen(slack), inlined: this runs once per row and N
+    return _Bracket(max(0.0, math.nextafter(lo - slack, -math.inf)),
+                    math.nextafter(hi + slack, math.inf))
 
 
 def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> _Bracket:
@@ -512,80 +520,141 @@ def _log1mexp(x: float) -> float:
     return math.log1p(-math.exp(-x))
 
 
-def _certified_sum(base, power: float, tail, start: int, rel_tol: float, what: str,
-                   rounded_base: bool = True) -> tuple[float, float, int]:
-    """(value, error_bound, N) for the series sum_{n>=0} base(n)**power.
+def _row_index(rows: list[tuple]):
+    """The numbers of rows (i, ...) in ascending order as an index: a run is
+    a slice, a view; others a gather."""
+    first, last = rows[0][0], rows[-1][0]
+    return slice(first, last + 1) if last - first < len(rows) else np.array([r[0] for r in rows])
 
-    Sums the first N terms exactly (each _CHUNK's fsum kept with its own
-    rounding error) and adds the midpoint of the remainder bracket tail(N),
-    a pair (lo, hi), rounding the value once.  The error bound is half the
-    bracket width plus the terms' rounding: each base is within half an ulp
-    of its exact value (exact unless rounded_base), the power multiplies
-    that relative error by |power| and pow adds one ulp, and the value adds
-    half an ulp; a factor 1 + (|power| + 4) u covers second-order terms.
-    N doubles from start until the bound certifies rel_tol; a subnormal
-    value, which no N can certify, is reported as 0 with its upper end as
-    the bound, and an infinite bracket stops the loop at once.
+
+def _certified_sum(base, power: float, tail, starts, rel_tol: float, what,
+                   rounded) -> list[tuple[float, float, int]]:
+    """[(value, error_bound, N)] for the series sum_{n>=0} base(i, n)**power,
+    one row i per entry of ``starts``.
+
+    ``base(rows, n)`` returns the bases of the given rows (a slice or an
+    int array of row numbers) at the indices n (a float array), one row
+    each.  Each row sums its first N terms exactly (each _CHUNK's fsum kept
+    with its own rounding error) and adds the midpoint of its remainder
+    bracket tail(i, N), a pair (lo, hi), rounding the value once.  Its
+    error bound is half the bracket width plus the terms' rounding: each
+    base is within half an ulp of its exact value (exact unless
+    rounded[i]), the power multiplies that relative error by |power| and
+    pow adds one ulp, and the value adds half an ulp; a factor
+    1 + (|power| + 4) u covers second-order terms.  N doubles from
+    starts[i] until the bound certifies rel_tol; a subnormal value, which
+    no N can certify, is reported as 0 with its upper end as the bound,
+    and an infinite bracket stops the row at once.  ``what(i)`` names row
+    i in a refusal.
+
+    The rows that share a start and a rounding flag run in lockstep, in
+    arrays of about _ROW_BLOCK terms, while their chunks are shorter than
+    that, and each row stops at its own N.  Longer chunks take one row per
+    array, so from there the rows finish one by one, in order, and a row
+    that no N certifies is refused before the others run on to it.  Every
+    operation on a term is elementwise and every sum is per row, so each
+    row returns exactly what a call with that row alone returns.
     """
-    parts: list[float] = []
-    slop: list[float] = []
-    upto, N = 0, start
-    while True:
+    out: list = [None] * len(starts)
+    second_order = 1.0 + (abs(power) + 4) * _UNIT_ROUNDOFF
+    # rounds to run, the next one last: (rows, terms summed, N, rounded),
+    # a row being (i, [fsum, residual of each chunk], [rounding of each chunk])
+    if len(starts) == 1:  # the common one-row call needs no grouping
+        work = [([(0, [], [])], 0, starts[0], rounded[0])]
+    else:
+        groups: dict = {}
+        for i, key in enumerate(zip(starts, rounded)):
+            groups.setdefault(key, []).append((i, [], []))
+        work = [(live, 0, N, scaled) for (N, scaled), live in reversed(groups.items())]
+    while work:
+        live, upto, N, scaled = work.pop()
+        if len(live) > 1 and N - upto >= _ROW_BLOCK:
+            # chunks this long take one row per array anyway: finish the rows
+            # one by one, in order, so that a row no N certifies is refused
+            # before the others are summed to _MAX_RADIUS as well
+            work += [([row], upto, N, scaled) for row in reversed(live)]
+            continue
         while upto < N:
-            hi = min(upto + _CHUNK, N)
-            b = base(np.arange(upto, hi))
-            t = b ** power
-            chunk = t.tolist()
-            c = math.fsum(chunk)
-            chunk.append(-c)
-            parts += (c, math.fsum(chunk) if math.isfinite(c) else 0.0)
-            # |power| times half an ulp of the base (relative), plus one ulp of t
-            half = 0.5 * abs(power) * np.spacing(b) / np.maximum(b, _TINY) if rounded_base else 0.0
-            slop.append(math.fsum((t * half + np.spacing(t)).tolist()))
-            upto = hi
-        lo, hi = tail(N)
-        if not math.isfinite(hi):
-            raise NumericalError(
-                f"{what}: the tail bracket after {N} terms is not finite (float overflow)"
-            )
-        value = 0.5 * math.fsum([*parts, *parts, lo, hi])
-        if not math.isfinite(value):
-            return (value, math.inf, N)
-        floor = math.fsum(slop)
-        rounding = floor + 0.5 * math.ulp(value)
-        err = (0.5 * (hi - lo) + rounding) * (1.0 + (abs(power) + 4) * _UNIT_ROUNDOFF)
-        if err <= rel_tol * value:
-            return (value, err, N)
-        if value < _TINY:
-            # no relative precision left: 0, with the upper end as the bound
-            return (0.0, value + err, N)
-        # slop only grows with N, and an M that certifies has
-        # floor <= err_M <= rel_tol * value_M <= rel_tol * (value + err) / (1 - rel_tol)
-        if floor * (1.0 - rel_tol) > rel_tol * (value + err):
-            raise NumericalError(
-                f"{what}: the rounding floor of the terms ({floor:.3g}) exceeds "
-                f"rel_tol={rel_tol} of the sum ({value:.6g}) after {N} terms, "
-                "so no number of terms certifies it; loosen rel_tol"
-            )
-        if N >= _MAX_RADIUS:
-            raise NumericalError(
-                f"{what} did not certify rel_tol={rel_tol} within {N} terms; "
-                "loosen rel_tol (slowly decaying tails need it)"
-            )
-        N *= 2
+            end = min(upto + _CHUNK, N)
+            n = np.arange(upto, end, dtype=float)
+            per = max(1, _ROW_BLOCK // (end - upto))  # rows per array
+            for block in [live] if len(live) <= per else [
+                    live[k:k + per] for k in range(0, len(live), per)]:
+                b = base(_row_index(block), n)
+                t = b ** power
+                # one ulp of t, plus |power| times half an ulp of a rounded base
+                # (relative); t * 0 + spacing(t) is spacing(t) for finite t
+                allowance = np.spacing(t)
+                if scaled:
+                    allowance += t * (0.5 * abs(power) * np.spacing(b) / np.maximum(b, _TINY))
+                for (_, parts, slop), chunk, ulps in zip(block, t.tolist(), allowance.tolist()):
+                    c = math.fsum(chunk)
+                    chunk.append(-c)
+                    parts += (c, math.fsum(chunk) if math.isfinite(c) else 0.0)
+                    slop.append(math.fsum(ulps))
+            upto = end
+        going = []
+        for row in live:
+            i, parts, slop = row
+            lo, hi = tail(i, N)
+            if not math.isfinite(hi):
+                raise NumericalError(
+                    f"{what(i)}: the tail bracket after {N} terms is not finite "
+                    "(float overflow)"
+                )
+            value = 0.5 * math.fsum([*parts, *parts, lo, hi])
+            if not math.isfinite(value):
+                out[i] = (value, math.inf, N)
+                continue
+            floor = math.fsum(slop)
+            rounding = floor + 0.5 * math.ulp(value)
+            err = (0.5 * (hi - lo) + rounding) * second_order
+            if err <= rel_tol * value:
+                out[i] = (value, err, N)
+            elif value < _TINY:
+                # no relative precision left: 0, with the upper end as the bound
+                out[i] = (0.0, value + err, N)
+            # slop only grows with N, and an M that certifies has
+            # floor <= err_M <= rel_tol * value_M <= rel_tol * (value + err) / (1 - rel_tol)
+            elif floor * (1.0 - rel_tol) > rel_tol * (value + err):
+                raise NumericalError(
+                    f"{what(i)}: the rounding floor of the terms ({floor:.3g}) exceeds "
+                    f"rel_tol={rel_tol} of the sum ({value:.6g}) after {N} terms, "
+                    "so no number of terms certifies it; loosen rel_tol"
+                )
+            elif N >= _MAX_RADIUS:
+                raise NumericalError(
+                    f"{what(i)} did not certify rel_tol={rel_tol} within {N} terms; "
+                    "loosen rel_tol (slowly decaying tails need it)"
+                )
+            else:
+                going.append(row)
+        if going:
+            work.append((going, upto, 2 * N, scaled))
+    return out
 
 
-def _progression_sum(pot: Potential, l0: int, step: int, p: float,
-                     rel_tol: float) -> tuple[float, float, int]:
-    """(value, error_bound, N) for sum_{n>=0} Q(l0 + n*step)^p, certified to rel_tol.
+def _progression_sums(pot: Potential, l0s, step: int, p: float,
+                      rel_tol: float) -> list[tuple[float, float, int]]:
+    """[(value, error_bound, N)] for sum_{n>=0} Q(l0 + n*step)^p, one row per
+    l0 in l0s, each certified to rel_tol.
 
     The direct part always clears the table, so the bracket applies to the
     rest.  Each Q(l) is taken as its exact value correctly rounded.
     """
-    start = max(_START_RADIUS, (pot.table_end - l0) // step + 1)
-    return _certified_sum(lambda n: pot.Q(l0 + step * n), p,
-                          lambda N: _tail_bracket(pot, l0 + N * step, step, p),
-                          start, rel_tol, f"series for p={p}")
+    l0s, J = list(l0s), pot.table_end
+    first = np.array(l0s, dtype=float)[:, None]  # exact: |l| < 2^53
+    return _certified_sum(
+        lambda rows, n: pot.Q(first[rows] + step * n), p,
+        lambda i, N: _tail_bracket(pot, l0s[i] + N * step, step, p),
+        [max(_START_RADIUS, (J - l0) // step + 1) for l0 in l0s],
+        rel_tol, lambda i: f"series for p={p}", [True] * len(l0s))
+
+
+def _progression_sum(pot: Potential, l0: int, step: int, p: float,
+                     rel_tol: float) -> tuple[float, float, int]:
+    """The one row of ``_progression_sums`` for l0."""
+    return _progression_sums(pot, [l0], step, p, rel_tol)[0]
 
 
 def _smallest_radius(fits, start: int, cap: int, failure: str) -> int:
@@ -645,6 +714,17 @@ def _nonzero_head(pot: Potential) -> np.ndarray:
     return pot.U(np.arange(1, max(pot.table_end, 1) + 1))
 
 
+def _shifted(pot: Potential, u0: float) -> Potential:
+    """The custom potential U - u0 off zero, with the tail model of pot.
+
+    Its Q is Q e^(beta u0) off zero, so sums of far terms that underflow
+    for pot come out scaled into the normal range.
+    """
+    kind, param, _, _ = pot._decay()
+    return Potential("custom", pot.beta, tuple((_nonzero_head(pot) - u0).tolist()),
+                     TailModel(kind, param))
+
+
 def _pth_root(pot: Potential, power: float, p: float, rel_tol: float) -> float:
     """power ** (1/p), also when the power sum underflows.
 
@@ -672,12 +752,9 @@ def _pth_root(pot: Potential, power: float, p: float, rel_tol: float) -> float:
     if allowance >= s:
         raise NumericalError(f"the p={p} power sum cannot be certified in float64: the "
                              f"pow rounding {allowance:.3g} of its term 1 reaches s={s!r}")
-    kind, param, _, _ = pot._decay()
     head = _nonzero_head(pot)
     j0 = int(np.argmin(head))
-    shifted = Potential("custom", pot.beta, tuple((head - head[j0]).tolist()),
-                        TailModel(kind, param))
-    arm, _, _ = _progression_sum(shifted, 1, 1, p, s)
+    arm, _, _ = _progression_sum(_shifted(pot, head[j0]), 1, 1, p, s)
     return pot.Q(j0 + 1) * (2.0 * arm) ** (1.0 / p)
 
 
@@ -801,9 +878,10 @@ def norm_pair(pot: Potential, d: int, pairing: str = "half", rel_tol: float = _S
 def hurwitz_zeta(s: float, a: float, rel_tol: float = 1e-12) -> tuple[float, float]:
     """(value, error_bound) for zeta(s, a) = sum_{n>=0} (n+a)^(-s), s > 1, a > 0.
 
-    Direct summation of N terms plus the Euler-Maclaurin bracket of the
-    remainder (``_power_tail``), through the engine's certified summation
-    loop; N = 64 terms suffice for every s > 1 at the default tolerance.
+    The one row of ``_hurwitz_rows`` for a: direct summation of N terms
+    plus the Euler-Maclaurin bracket of the remainder (``_power_tail``),
+    through the engine's certified summation loop; N = 64 terms suffice for
+    every s > 1 at the default tolerance.
     """
     try:
         s, a = float(s), float(a)
@@ -814,13 +892,20 @@ def hurwitz_zeta(s: float, a: float, rel_tol: float = 1e-12) -> tuple[float, flo
     if a <= 0.0:
         raise ConfigError(f"hurwitz_zeta needs a > 0, got {a}")
     _check_tol("rel_tol", rel_tol)
+    return _hurwitz_rows(s, [a], rel_tol)[0][:2]
+
+
+def _hurwitz_rows(s: float, a: list[float], rel_tol: float) -> list[tuple[float, float, int]]:
+    """[(value, error_bound, N)] for zeta(s, a_i), one row per float a_i > 0,
+    in one pass of ``_certified_sum``; s > 1 and rel_tol are checked by
+    the caller."""
+    shift = np.array(a)[:, None]
     # n + a is exact for an integral a, else rounded once before the power
-    value, err, _ = _certified_sum(
-        lambda n: n + a, -s, lambda N: _power_tail(0.0, N + a, s, 1.0),
-        _START_RADIUS, rel_tol, f"hurwitz_zeta(s={s}, a={a})",
-        rounded_base=not a.is_integer(),
-    )
-    return (value, err)
+    return _certified_sum(
+        lambda rows, n: n + shift[rows], -s,
+        lambda i, N: _power_tail(0.0, N + a[i], s, 1.0),
+        [_START_RADIUS] * len(a), rel_tol,
+        lambda i: f"hurwitz_zeta(s={s}, a={a[i]})", [not x.is_integer() for x in a])
 
 
 # ---------------------------------------------------------------------------
@@ -884,8 +969,10 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
     Requires Q in l1(Z); otherwise raises NotSummableError since q-periodic
     boundary laws are undefined.  sos classes are exact geometric sums, log
     classes evaluate as q^(-beta) (zeta(beta,(1+j)/q) + zeta(beta,(q+1-j)/q))
-    via the certified Hurwitz routine, and custom classes sum the same two
-    arms through the certified series engine.
+    from the certified Hurwitz rows, and custom classes sum the same two
+    arms as progressions.  Either way the q + 1 arms are the rows of one
+    ``_certified_sum`` pass, each bit for bit the one-row sum that
+    ``hurwitz_zeta`` or ``_progression_sum`` returns for it.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ConfigError(f"q must be a positive integer, got {q!r}")
@@ -912,10 +999,10 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
     if pot.kind == "log":
         # (1 + r + nq)^(-beta) summed over n is q^(-beta) zeta(beta, (1+r)/q)
         scale = q ** (-pot.beta)
-        arms = [hurwitz_zeta(pot.beta, (1 + r) / q, rel_tol / 4) for r in range(q + 1)]
+        arms = _hurwitz_rows(pot.beta, [(1 + r) / q for r in range(q + 1)], rel_tol / 4)
     else:
         scale = 1.0
-        arms = [_progression_sum(pot, r, q, 1.0, rel_tol / 4)[:2] for r in range(q + 1)]
+        arms = _progression_sums(pot, range(q + 1), q, 1.0, rel_tol / 4)
     values = np.array([scale * (arms[j][0] + arms[q - j][0]) for j in range(q)])
     # the arms' errors, beta u relative for a rounded a = (1+r)/q (since
     # a zeta(s+1, a) <= zeta(s, a)) and 8 u for scale, the sum and the product

@@ -7,6 +7,7 @@ captured with capsys; file output goes through tmp_path.
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -921,6 +922,27 @@ class TestTable:
         assert float(rows[1][2]) == pytest.approx(BETA_STAR_SOS_D3, abs=1e-6)
         assert rows[0][3] == "1.997"
         assert rows[1][3] == "1.321"
+
+
+# stdout sha256 of commands whose bytes the secant threshold search and the
+# one-pass class sums keep, taken from the midpoint bisection and per-arm sums
+PINNED_STDOUT = {
+    "table --model sos --d 2,3,6,7,100,1000":
+        "391dd8be1b41b4c0671d1e22b0852a065a4ed13c00f7c621583e7f76e5027233",
+    "table --model log --d 2,3,6,7,100,1000":
+        "bdd3856885cb851062631c78841b923c2f4c437a5356ac2a4880c7dcad2a4beb",
+    "threshold --model sos --d 2 --tol 1e-17":
+        "89fe5348d361296167dda7557e9b2fac0e58c8879ce2e9b4c5c06a7b83b914f7",
+    "periodic --model log --beta 2.6 --d 2 --q 5":
+        "d7999332bb305f80515ade6818f143d6fc68458eabd553bfddc4ee57a41a1131",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_pinned_stdout_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 class TestCustomModel:

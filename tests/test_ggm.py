@@ -9,6 +9,7 @@ and alpha proportional to (1, lam^{3/2}) for d=2.
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,39 @@ class TestIncrementLaw:
         with pytest.raises(NumericalError, match=r"Q_q\(1\) underflows to 0 at q=3: residue 1 "):
             increment_law(sos(800.0), 3, 1)
         assert increment_law(sos(800.0), 3, 0).support.tolist() == [0]
+
+    @pytest.mark.parametrize("pot,q,residue,radius", [
+        (sos(400.0), 3, 1, None), (sos(400.0), 3, 2, None),
+        (log_potential(400.0), 3, 1, 5), (sos(200.0), 7, 3, 5),
+    ], ids=["sos400-1", "sos400-2", "log400-1-R5", "sos200-3-R5"])
+    def test_flushed_tail_is_bounded_relative_to_the_class(self, pot, q, residue, radius):
+        # the absolute tail sum_{|j|>R} Q(j) is below the normal range (e^-800
+        # for sos 400), which once gave a bound of 5e-324: the relative tail
+        # is e^-400 ~ 1.9e-174 there.  Reference: sum_{|j|>R} Q(j) over the
+        # class mass in log space, to 50 digits
+        law = increment_law(pot, q, residue, radius)
+        # the bound covers |j| > the radius asked for, which a law whose
+        # class has no point near it reports smaller
+        R = radius or law.radius
+        with mpmath.workdps(50):
+            beta = mpmath.mpf(pot.beta)
+            logQ = ((lambda j: -beta * abs(j)) if pot.kind == "sos"
+                    else (lambda j: -beta * mpmath.log1p(abs(j))))
+            far = range(R + 1, R + 4000)
+            log_tail = mpmath.log(2) + mpmath.log(mpmath.fsum(mpmath.exp(logQ(j) - logQ(R + 1))
+                                                               for j in far)) + logQ(R + 1)
+            near = min(residue, q - residue)
+            members = [j for j in range(-R - 4000, R + 4000) if j % q == residue]
+            log_mass = logQ(near) + mpmath.log(mpmath.fsum(mpmath.exp(logQ(j) - logQ(near))
+                                                           for j in members))
+            ref = mpmath.exp(log_tail - log_mass)
+        assert ref <= law.tail_mass_bound <= 1.05 * ref
+
+    def test_tail_below_the_normal_range_relative_to_the_class_too(self):
+        # the zero class of sos 400 leaves e^-800 of its mass of about 1 out:
+        # no float carries that relative size, and the bound says so
+        law = increment_law(sos(400.0), 3, 0)
+        assert law.tail_mass_bound == 2.0**-1022
 
     @pytest.mark.parametrize("beta,q", [(40.0, 3), (12.0, 8), (3.0, 256)])
     def test_every_class_certifies_a_positive_tail(self, beta, q):

@@ -292,15 +292,96 @@ class TestBetaThreshold:
         monkeypatch.setattr(goodset, "norm_pair", counted)
         got = beta_threshold("sos", 2, tol=1e-17)
         assert abs(got - ref) <= 4 * math.ulp(ref)
-        # three bracket probes, then one per halving of [1, 2] down to
-        # adjacent floats: 55 calls
-        assert len(calls) <= 60
+        # three bracket probes, then 21 secant splits of [1, 2] down to
+        # adjacent floats; the midpoint bisection took 55 calls
+        assert len(calls) <= 24
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         # a nan width ended the bisection at once and returned 1.5 for log d=3
         with pytest.raises(ConfigError, match="tol must be a positive finite"):
             beta_threshold("log", 3, tol=tol)
+
+
+def _bisection_threshold(is_member, tol):
+    """beta_threshold's search before its secant split: bracket between
+    powers of two, then bisect at midpoints to width tol or adjacent floats."""
+    hi = 1.0
+    while not is_member(hi):
+        hi *= 2.0
+        if hi > 64.0:
+            raise NumericalError("no threshold in range")
+    lo = hi / 2.0
+    while is_member(lo):
+        hi = lo
+        lo /= 2.0
+        if lo < 1e-9:
+            raise NumericalError("membership persists down to beta ~ 0")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if is_member(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+THRESHOLD_FAMILIES = {
+    "sos": "sos",
+    "log": "log",
+    "custom_exp": lambda beta: custom(beta, [[1, 0.5], [2, 1.7]], TailModel("exp", 1.2)),
+    "custom_power": lambda beta: custom(beta, [[1, 0.8], [2, 1.3]], TailModel("power", 1.5)),
+}
+
+
+class TestThresholdSearch:
+    """The secant split returns the bisection's float with fewer probes."""
+
+    @pytest.mark.parametrize("pairing", ["half", "one"])
+    @pytest.mark.parametrize("family", sorted(THRESHOLD_FAMILIES))
+    def test_same_float_and_no_more_probes_than_bisection(self, monkeypatch, family, pairing):
+        # 9 degrees x 4 widths per family and pairing, 288 cases in all,
+        # down to adjacent floats; one norm pair per beta serves both searches
+        make = goodset._potential_family(THRESHOLD_FAMILIES[family])
+        for d in (2, 3, 4, 6, 7, 10, 100, 300, 1000):
+            pairs = {}
+
+            def pair(beta, d=d, pairs=pairs):
+                if beta not in pairs:
+                    pairs[beta] = norm_pair(make(beta), d, pairing, cross_check=False)
+                return pairs[beta]
+
+            searched = []
+            monkeypatch.setattr(goodset, "norm_pair",
+                                lambda pot, *args, **kwargs: searched.append(pot.beta)
+                                or pair(pot.beta))
+            for tol in (1e-3, 1e-7, 1e-12, 1e-17):
+                bisected = []
+
+                def is_member(beta, bisected=bisected, d=d):
+                    bisected.append(beta)
+                    return norm_membership(d, *pair(beta)).in_good_set
+
+                searched.clear()
+                want = _bisection_threshold(is_member, tol)
+                got = beta_threshold(THRESHOLD_FAMILIES[family], d, pairing, tol=tol)
+                case = (family, pairing, d, tol)
+                assert got == want, case
+                assert len(searched) <= len(bisected), case
+
+    def test_bench_thresholds_take_half_the_probes(self, monkeypatch):
+        # the 12 thresholds of the certify benchmark: 312 membership probes
+        # under bisection, 148 with secant splits
+        calls = []
+        monkeypatch.setattr(goodset, "membership",
+                            lambda query, inner=goodset.membership: calls.append(query)
+                            or inner(query))
+        for family in ("sos", "log"):
+            for d in (2, 3, 6, 7, 100, 1000):
+                beta_threshold(family, d, tol=1e-7)
+        assert len(calls) == 148
 
 
 class TestLargeDegreeScan:
