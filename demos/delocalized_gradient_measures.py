@@ -27,7 +27,7 @@ d, q = 2, 2
 # two-class quadratic has a real root and the iteration certifies it.
 law, report = periodic_solve(pot, d, q)
 print(f"lambda over classes: {np.round(law.lam, 6)}, "
-      f"residual {law.residual:.2e}")
+      f"residual {report.final_residual:.2e}")
 
 # The two-layer construction: a stationary chain on classes plus an
 # increment law per class difference.

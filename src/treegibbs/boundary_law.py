@@ -53,7 +53,8 @@ Step norms are known as rounding bands (`potentials._banded_sum`): every
 stop, growth, divergence and ball test is decided exactly as on the exactly
 rounded norm, with one fsum only when the band straddles the threshold, and
 the reported norms and the bounds built on them are the bands' upper ends.
-Laws and reports are returned as data; `cli` prints them as CSV or JSON.
+Laws and reports are returned as data, the report the one record of a
+solve's certificate; `cli` prints them as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -134,16 +135,12 @@ class BoundaryLaw:
 
     ``x`` holds the root values on the support including the zero slot
     (pinned to 1): index i lives at x[i + radius] on a truncated window,
-    at x[i] on Z_q.  The law itself is lambda = x**d.  ``residual`` is the
-    sup norm of x - T(x) on Z_q.  On a certified window, where x is the cut
-    to [-R, R] of an extension x^ whose residual `SolveReport.final_residual`
-    bounds, it is final_residual plus (1 + L) times the truncation and
-    closure bounds, a bound on the off-zero l_{d+1} norm of x - T(x) and so
-    on its sup norm;
-    uncertified, it is final_residual.  ``ball_radius`` is the certified eps
-    (None when the solve was uncertified); ``certified`` whether the
-    contraction certificate held.  ``pot`` keeps the generating potential so consumers
-    can rebuild the height chain P(i,j) = Q(i-j) lambda(j) / N(i).
+    at x[i] on Z_q.  The law itself is lambda = x**d.  ``certified`` says
+    whether the contraction certificate held; the certificate itself (the
+    ball radius eps, the residual and the error bounds) lives only in the
+    `SolveReport` returned with the law.  ``pot`` keeps the generating
+    potential so consumers can rebuild the height chain P(i,j) = Q(i-j)
+    lambda(j) / N(i).
     """
 
     kind: str
@@ -151,8 +148,6 @@ class BoundaryLaw:
     x: np.ndarray
     radius: int | None = None
     q: int | None = None
-    ball_radius: float | None = None
-    residual: float = 0.0
     certified: bool = True
     free_state: bool = False
     pot: Potential | None = None
@@ -209,7 +204,8 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Certificate trail of one Banach solve.
+    """Certificate trail of one Banach solve and its only record: the law
+    keeps just ``certified``.  epsilon is the certified ball radius.
 
     On a window the Banach steps run on a core [-R_c, R_c]: coarse_radius
     is R_c (None when the core is the whole window), and iterations counts
@@ -559,7 +555,9 @@ def _extend(pot: Potential, d: int, x: np.ndarray,
     `Potential._decay` declares, and `_far_field` evaluates x^ there from
     the moments of w with a componentwise bound (the closure, None when R
     <= r0 or `_closure_order` finds no order; then the band is the
-    window).  Both parts divide by the band's normaliser N = num(0).
+    window, and if R > r0 each output is a direct dot product of 2r + 1
+    terms, as a transform's absolute rounding would turn far slots
+    negative).  Both parts divide by the band's normaliser N = num(0).
     """
     r = len(x) // 2
     w = x**d
@@ -567,8 +565,9 @@ def _extend(pot: Potential, d: int, x: np.ndarray,
     r0 = _CLOSURE_REACH * r + pot.table_end
     order = _closure_order(pot, r, r0) if R > r0 else None
     near = R if order is None else r0
-    convolve, _ = _linear_convolver(pot.Q(np.arange(-(near + r), near + r + 1)), r, near)
-    num = convolve(w)
+    kernel = pot.Q(np.arange(-(near + r), near + r + 1))
+    direct = R > r0 and order is None
+    num = np.convolve(kernel, w, "valid") if direct else _linear_convolver(kernel, r, near)[0](w)
     N = float(num[near])
     if order is None:
         return num / N, None
@@ -775,9 +774,9 @@ class _OffzeroNorm:
         return self.exact() > (other.exact() if norm else other)
 
 
-def _iterate(op, d: int, tol: float, L: float | None, x: np.ndarray | None = None):
-    """Banach loop from x (default ``op.start()``); returns (x, iterations,
-    step_norms, contraction_estimate).
+def _iterate(op, d: int, tol: float, L: float | None):
+    """Banach loop from ``op.start()``; returns (x, iterations, step_norms,
+    contraction_estimate).
 
     With L the stop is the certified a-posteriori bound; without it, plain
     step smallness plus divergence detection.  The threshold never exceeds
@@ -787,8 +786,7 @@ def _iterate(op, d: int, tol: float, L: float | None, x: np.ndarray | None = Non
     largest ratio of successive steps both above max(100 tol, 1e-13), each
     ratio taken as the upper end of its band.
     """
-    if x is None:
-        x = op.start()
+    x = op.start()
     steps: list[float] = []
     if L is not None and L > 0:
         threshold = tol * min(1.0, (1.0 - L) / L)
@@ -978,22 +976,17 @@ def solve_fixed_point(
                                   0.5 * room * _tail_norm(pot, R, d + 1) / truncation)
             x, closure = _extend(pot, d, x_c, R)
             truncation = _cut_bound(pot, d, x_c, R)
-        spill = _spill(truncation, closure)
-        total = math.nextafter(spill + _per_gap(residual, L), math.inf)
-        law_residual = math.nextafter(
-            (residual + (1.0 + L) * spill) * (1.0 + _gamma(3)), math.inf)
+        total = math.nextafter(_spill(truncation, closure) + _per_gap(residual, L),
+                               math.inf)
     else:
-        residual = law_residual = _OffzeroNorm(x - np.pad(x_c, R - R_c), R, d).hi
+        residual = _OffzeroNorm(x - np.pad(x_c, R - R_c), R, d).hi
     report = _report(verdict, config.mode, iterations, steps, rho, residual,
                      coarse_radius=R_c if R_c < R else None,
                      truncation_bound=truncation, total_error_bound=total,
                      closure_radius=closure and closure.radius,
                      closure_bound=closure and closure.bound)
-    law = BoundaryLaw(
-        kind=SUPPORT_TRUNCATED, d=d, x=x, radius=R, ball_radius=eps,
-        residual=law_residual, certified=certified, pot=pot,
-    )
-    return law, report
+    return BoundaryLaw(kind=SUPPORT_TRUNCATED, d=d, x=x, radius=R, certified=certified,
+                       pot=pot), report
 
 
 def periodic_solve(
@@ -1012,10 +1005,8 @@ def periodic_solve(
         raise ConfigError(f"d must be >= 2, got {d}")
     qbar = fuzzy_Q(pot, q, rel_tol=min(1e-12, config.tol)).normalized_op()
     if q == 1:
-        law = BoundaryLaw(
-            kind=SUPPORT_PERIODIC, d=d, x=np.ones(1), q=1,
-            residual=0.0, certified=True, free_state=True, pot=pot,
-        )
+        law = BoundaryLaw(kind=SUPPORT_PERIODIC, d=d, x=np.ones(1), q=1,
+                          free_state=True, pot=pot)
         report = SolveReport(
             iterations=0, final_residual=0.0, contraction_estimate=None,
             a_priori_bound=None, a_posteriori_bound=None, lipschitz=None,
@@ -1038,14 +1029,10 @@ def periodic_solve(
         )
     if certified:
         _check_ball(x, op, d, verdict.epsilon, "solution")
-    resid_vec = op.apply(x) - x
     report = _report(verdict, config.mode, n, steps, rho,
-                     _OffzeroNorm(resid_vec, op.zero, d).hi)
-    law = BoundaryLaw(
-        kind=SUPPORT_PERIODIC, d=d, x=x, q=q, ball_radius=report.epsilon,
-        residual=float(np.max(np.abs(resid_vec))), certified=certified, pot=pot,
-    )
-    return law, report
+                     _OffzeroNorm(op.apply(x) - x, op.zero, d).hi)
+    return BoundaryLaw(kind=SUPPORT_PERIODIC, d=d, x=x, q=q, certified=certified,
+                       pot=pot), report
 
 
 # ---------------------------------------------------------------------------

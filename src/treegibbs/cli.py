@@ -561,8 +561,12 @@ def cmd_threshold(args) -> str:
     return _emit_csv(meta, "model,d,pairing,beta_star,display", [row])
 
 
+def _report_fields(report) -> dict:
+    return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+
+
 def _law_output(args, law, report) -> str:
-    rep = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+    rep = _report_fields(report)
     if args.format == "json":
         return _emit_json(_meta(args), {
             "law": {
@@ -574,17 +578,13 @@ def _law_output(args, law, report) -> str:
                 "x": law.x,
                 "lambda": law.lam,
                 "marginal": single_site_marginal(law),
-                "residual": law.residual,
-                "ball_radius": law.ball_radius,
-                "certified": law.certified,
                 "free_state": law.free_state,
             },
             "report": rep,
         })
     # flag values and report fields win over the keys read off the law
     size = "radius" if law.kind == SUPPORT_TRUNCATED else "q"
-    derived = {"support": law.kind, "d": law.d, size: getattr(law, size),
-               "residual": law.residual, "certified": law.certified}
+    derived = {"support": law.kind, "d": law.d, size: getattr(law, size)}
     meta = {**{k: _meta_value(v) for k, v in derived.items()}, **_meta(args),
             **{k: _meta_value(v) for k, v in rep.items()}}
     return _emit_csv(meta, "index,x,lambda,marginal", _csv_rows(
@@ -633,8 +633,7 @@ def cmd_ggm(args) -> str:
                  "weights": inc.weights, "tail_mass_bound": inc.tail_mass_bound}
                 for inc in laws
             ],
-            "report": {k: v for k, v in dataclasses.asdict(report).items()
-                       if v is not None},
+            "report": _report_fields(report),
         })
     meta = _meta(args, window=window, certified=_meta_value(law.certified),
                  alpha=";".join(_f17(a) for a in fc.alpha))

@@ -895,17 +895,18 @@ def hurwitz_zeta(s: float, a: float, rel_tol: float = 1e-12) -> tuple[float, flo
     return _hurwitz_rows(s, [a], rel_tol)[0][:2]
 
 
-def _hurwitz_rows(s: float, a: list[float], rel_tol: float) -> list[tuple[float, float, int]]:
-    """[(value, error_bound, N)] for zeta(s, a_i), one row per float a_i > 0,
-    in one pass of ``_certified_sum``; s > 1 and rel_tol are checked by
-    the caller."""
+def _hurwitz_rows(s: float, a: list[float], rel_tol: float,
+                  step: float = 1.0) -> list[tuple[float, float, int]]:
+    """[(value, error_bound, N)] for sum_{n>=0} (a_i + n step)^(-s), zeta(s,
+    a_i) at step 1, one row per float a_i > 0, in one pass of
+    ``_certified_sum``; s > 1 and rel_tol are checked by the caller."""
     shift = np.array(a)[:, None]
-    # n + a is exact for an integral a, else rounded once before the power
+    # step n + a is exact for integral a and step, else rounded once
     return _certified_sum(
-        lambda rows, n: n + shift[rows], -s,
-        lambda i, N: _power_tail(0.0, N + a[i], s, 1.0),
+        lambda rows, n: step * n + shift[rows], -s,
+        lambda i, N: _power_tail(0.0, step * N + a[i], s, step),
         [_START_RADIUS] * len(a), rel_tol,
-        lambda i: f"hurwitz_zeta(s={s}, a={a[i]})", [not x.is_integer() for x in a])
+        lambda i: f"hurwitz_zeta(s={s}, a={a[i] / step})", [not x.is_integer() for x in a])
 
 
 # ---------------------------------------------------------------------------
@@ -969,10 +970,11 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
     Requires Q in l1(Z); otherwise raises NotSummableError since q-periodic
     boundary laws are undefined.  sos classes are exact geometric sums, log
     classes evaluate as q^(-beta) (zeta(beta,(1+j)/q) + zeta(beta,(q+1-j)/q))
-    from the certified Hurwitz rows, and custom classes sum the same two
-    arms as progressions.  Either way the q + 1 arms are the rows of one
-    ``_certified_sum`` pass, each bit for bit the one-row sum that
-    ``hurwitz_zeta`` or ``_progression_sum`` returns for it.
+    from the certified Hurwitz rows (past a normal q^(-beta), as rows of
+    (1 + r + nq)^(-beta)), and custom classes sum the same two arms as
+    progressions.  Either way the q + 1 arms are the rows of one
+    ``_certified_sum`` pass, each bit for bit the one-row sum of
+    ``_hurwitz_rows`` or ``_progression_sums`` for it.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ConfigError(f"q must be a positive integer, got {q!r}")
@@ -996,13 +998,15 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
 
     # arm r sums Q(r + nq) over n >= 0 for r = 0..q; class j joins the arm
     # l = j + nq and the mirrored arm |l| = (q-j) + nq
-    if pot.kind == "log":
-        # (1 + r + nq)^(-beta) summed over n is q^(-beta) zeta(beta, (1+r)/q)
-        scale = q ** (-pot.beta)
-        arms = _hurwitz_rows(pot.beta, [(1 + r) / q for r in range(q + 1)], rel_tol / 4)
-    else:
-        scale = 1.0
+    scale = q ** (-pot.beta) if pot.kind == "log" else 1.0
+    if pot.kind != "log":
         arms = _progression_sums(pot, range(q + 1), q, 1.0, rel_tol / 4)
+    elif scale >= _TINY:
+        # (1 + r + nq)^(-beta) summed over n is q^(-beta) zeta(beta, (1+r)/q)
+        arms = _hurwitz_rows(pot.beta, [(1 + r) / q for r in range(q + 1)], rel_tol / 4)
+    else:  # zeta(beta, 1/q) holds q^beta, which overflows or nearly so
+        scale, arms = 1.0, _hurwitz_rows(pot.beta, [1.0 + r for r in range(q + 1)],
+                                         rel_tol / 4, q)
     values = np.array([scale * (arms[j][0] + arms[q - j][0]) for j in range(q)])
     # the arms' errors, beta u relative for a rounded a = (1+r)/q (since
     # a zeta(s+1, a) <= zeta(s, a)) and 8 u for scale, the sum and the product

@@ -170,7 +170,7 @@ def test_criterion_04_solver_certification(capfd):
             assert report.certified and law.certified
             assert report.final_residual < 1e-12
             assert report.contraction_estimate <= report.lipschitz
-            assert law.ball_radius <= report.epsilon
+            assert law.offzero_norm() <= report.epsilon
             # off-center mass ratio sum_{i != 0} x(i)^{d+1} with x(0) = 1
             ratio = law.offzero_norm() ** 3
             g, dl = norm_pair(pot, 2)

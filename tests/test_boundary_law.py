@@ -318,8 +318,7 @@ class TestSolveTruncated:
     def test_certificates(self, sos25):
         law, report = sos25
         assert law.certified and report.certified
-        assert law.ball_radius == pytest.approx(SOS25_EPS, abs=1e-9)
-        assert law.offzero_norm() <= law.ball_radius
+        assert law.offzero_norm() <= report.epsilon
         assert report.lipschitz == pytest.approx(SOS25_L, rel=1e-9)
         assert report.epsilon == pytest.approx(SOS25_EPS, abs=1e-9)
         assert report.gamma == pytest.approx(SOS25_GAMMA, rel=1e-10)
@@ -331,7 +330,6 @@ class TestSolveTruncated:
 
     def test_residual_recheck(self, sos25):
         law, report = sos25
-        assert law.residual < 1e-12
         again = apply_T(sos(2.5), 2, law.x, law.radius)
         assert offzero_norm(again - law.x, law.radius, 2) < 1e-12
         assert report.final_residual < 1e-12
@@ -397,7 +395,7 @@ class TestSolveTruncated:
         assert law.certified
         again = apply_T(pot, 2, law.x, law.radius)
         assert offzero_norm(again - law.x, law.radius, 2) < 1e-12
-        assert law.offzero_norm() <= law.ball_radius
+        assert law.offzero_norm() <= report.epsilon
 
     def test_refusal_outside_good_set(self):
         with pytest.raises(OutsideGoodSetError, match="outside good set") as exc:
@@ -409,7 +407,7 @@ class TestSolveTruncated:
             sos(1.5), 2, SolveConfig(mode=MODE_AUTO)
         )
         assert not law.certified
-        assert law.ball_radius is None
+        assert report.epsilon is None
         assert report.lipschitz is None and report.a_posteriori_bound is None
         assert law.x_at(1) == pytest.approx(SOS15_X1, rel=1e-6)
         assert law.offzero_norm() ** 3 == pytest.approx(SOS15_NORM3, rel=1e-6)
@@ -533,13 +531,11 @@ class TestTwoStageSolve:
     def test_coarse_start_outside_the_ball_is_refused(self, monkeypatch):
         iterate = bl._iterate
 
-        def pushed(op, d, tol, L, x=None):
-            out = iterate(op, d, tol, L, x)
-            if x is None:  # the coarse stage: move its fixed point out of the ball
-                far = out[0] * 10.0
-                far[op.zero] = 1.0
-                return (far, *out[1:])
-            return out
+        def pushed(op, d, tol, L):
+            x, *rest = iterate(op, d, tol, L)
+            far = x * 10.0  # move the core's fixed point out of the ball
+            far[op.zero] = 1.0
+            return (far, *rest)
 
         monkeypatch.setattr(bl, "_iterate", pushed)
         with pytest.raises(NumericalError, match="coarse start left the certified ball"):
@@ -799,6 +795,31 @@ class TestFarFieldClosure:
         assert report.closure_radius == 8 * report.coarse_radius
         assert lengths and max(lengths) < 2 * law.radius
 
+    @pytest.mark.parametrize("tail,R", [(60.0, 2000), (45.0, 1500)], ids=["s120", "s90"])
+    def test_window_without_closure_has_no_negative_slot(self, monkeypatch, tail, R):
+        # a power tail of exponent s = 2 tail needs more than _MAX_ORDER
+        # terms, so nothing is closed beyond r0 < R: every slot is a dot
+        # product of the core's 2 R_c + 1 non-negative terms, within their
+        # rounding of its value, which is 0 where Q underflows (|i| > 969 at
+        # s = 120)
+        extensions = _record_extensions(monkeypatch)
+        pot = custom(2.0, [[1, 1.5]], TailModel("power", tail))
+        law, report = solve_fixed_point(pot, 2, SolveConfig(radius=R))
+        x_c, x, closure = extensions[-1]
+        r = len(x_c) // 2
+        assert closure is None and report.closure_radius is None
+        assert report.coarse_radius == r == 4 and R > 8 * r + pot.table_end
+        w = x_c**2
+        w[r] = 1.0
+        j, i = np.arange(-r, r + 1), law.indices
+        exact = pot.Q(i[:, None] - j[None, :]) @ w
+        exact /= exact[R]
+        rel = 2 * bl._gamma(2 * r + 2) + bl._q_rounding(pot, R + r)
+        tiny = 4 * (2 * r + 1) * math.ulp(0.0)
+        assert np.all(np.abs(law.x - exact) <= rel * exact + tiny)
+        assert law.x.min() >= 0.0
+        assert (law.x.min() > 0.0) == (tail == 45.0)
+
     @pytest.mark.parametrize("pot,config", [
         (log_potential(3.0), SolveConfig()),
         (log_potential(2.91), SolveConfig()),
@@ -815,12 +836,11 @@ class TestFarFieldClosure:
         assert x is law.x and closure.radius == r0 < R
         assert (report.closure_radius, report.closure_bound) == (r0, closure.bound)
         assert law.x.min() > 0.0
-        # the closure's bound counts in the total and the law's residual
+        # the closure's bound counts in the total
         L = report.lipschitz
         spill = report.truncation_bound + report.closure_bound
         assert report.total_error_bound >= spill + report.final_residual / (1.0 - L)
         assert report.total_error_bound <= config.tol
-        assert law.residual >= report.final_residual + (1.0 + L) * spill
         rng = np.random.default_rng(27)
         slots = {0, r0, -r0, r0 + 1, -r0 - 1, R, -R,
                  *rng.integers(-R, R + 1, 93).tolist()}
@@ -921,7 +941,6 @@ class TestPeriodicSolve:
         assert report.delta == fuzzy_Q(sos(2.0), 3).normalized_op().p_norm(
             float(d + 1), without_zero=True).value
         assert report.epsilon >= report.delta > 0.153
-        assert law.ball_radius == report.epsilon
         assert law.offzero_norm() <= report.epsilon
 
     def test_bad_degree(self):
@@ -1082,7 +1101,7 @@ def _outcome(solve):
         law, report = solve()
     except (ConfigError, NumericalError, OutsideGoodSetError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    fields = (law.radius, law.q, law.ball_radius, law.residual, law.certified)
+    fields = (law.radius, law.q, law.certified)
     return law.x.tobytes(), fields, dataclasses.astuple(report)
 
 
@@ -1164,18 +1183,16 @@ class _FsumNorm(bl._OffzeroNorm):
 
 def _banded_outcome(solve):
     """(error text) or (x bytes, law fields, exact report fields, step
-    fields); law.residual counts as a step field, since on a window it adds
-    final_residual."""
+    fields)."""
     try:
         law, report = solve()
     except (ConfigError, NumericalError, OutsideGoodSetError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    fields = (law.radius, law.q, law.ball_radius, law.certified)
+    fields = (law.radius, law.q, law.certified)
     steps = ("final_residual", "contraction_estimate", "a_priori_bound",
              "a_posteriori_bound", "total_error_bound")
     exact = {k: v for k, v in dataclasses.asdict(report).items() if k not in steps}
-    return (law.x.tobytes(), fields, exact,
-            [law.residual, *(getattr(report, k) for k in steps)])
+    return (law.x.tobytes(), fields, exact, [getattr(report, k) for k in steps])
 
 
 class TestBandedDecisions:

@@ -22,7 +22,9 @@ import treegibbs
 from treegibbs import cli, potentials
 from treegibbs.boundary_law import (
     MODE_AUTO,
+    BoundaryLaw,
     SolveConfig,
+    SolveReport,
     periodic_solve,
     single_site_marginal,
     solve_fixed_point,
@@ -308,7 +310,7 @@ class TestSolve:
         assert header == "index,x,lambda,marginal"
         assert meta["support"] == "Z_truncated"
         assert meta["certified"] == "true"
-        assert float(meta["residual"]) < 1e-12
+        assert float(meta["final_residual"]) < 1e-12
         center = {int(r[0]): float(r[2]) for r in rows}
         assert center[0] == max(center.values())
         assert math.fsum(float(r[3]) for r in rows) == pytest.approx(1.0)
@@ -515,7 +517,7 @@ class TestCsvEmitters:
     the library objects it was printed from."""
 
     @staticmethod
-    def _assert_law_rows(out, law):
+    def _assert_law_rows(out, law, report):
         meta, header, rows = parse_csv(out)
         assert header == "index,x,lambda,marginal"
         assert [int(r[0]) for r in rows] == law.indices.tolist()
@@ -523,15 +525,15 @@ class TestCsvEmitters:
         assert [float(r[2]) for r in rows] == law.lam.tolist()
         assert [float(r[3]) for r in rows] == single_site_marginal(law).tolist()
         assert meta["support"] == law.kind and meta["d"] == str(law.d)
-        assert float(meta["residual"]) == law.residual
-        assert meta["certified"] == str(law.certified).lower()
+        assert float(meta["final_residual"]) == report.final_residual
+        assert meta["certified"] == str(report.certified).lower()
         return meta
 
     def test_solve_rows_are_the_law(self, capsys):
         code, out, _ = run(capsys, "solve", "--model", "sos", "--beta", "2.5")
         assert code == 0
-        law, _ = solve_fixed_point(sos(2.5), 2)
-        meta = self._assert_law_rows(out, law)
+        law, report = solve_fixed_point(sos(2.5), 2)
+        meta = self._assert_law_rows(out, law, report)
         assert meta["radius"] == str(law.radius) and "q" not in meta
 
     def test_solve_reports_its_truncation_bound(self, capsys):
@@ -551,8 +553,8 @@ class TestCsvEmitters:
         code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "2.5",
                            "--q", "3")
         assert code == 0
-        law, _ = periodic_solve(sos(2.5), 2, 3, SolveConfig(mode=MODE_AUTO))
-        meta = self._assert_law_rows(out, law)
+        law, report = periodic_solve(sos(2.5), 2, 3, SolveConfig(mode=MODE_AUTO))
+        meta = self._assert_law_rows(out, law, report)
         assert meta["q"] == "3" and "radius" not in meta
 
     def test_flags_and_report_win_over_the_law(self, capsys, monkeypatch):
@@ -924,8 +926,57 @@ class TestTable:
         assert rows[1][3] == "1.321"
 
 
+_REPORT_KEYS = {f.name for f in dataclasses.fields(SolveReport)}
+# the solve behind each law command, and its argv
+_LAW_COMMANDS = {
+    "solve_fixed_point": ["solve", "--model", "sos", "--beta", "2.5"],
+    "periodic_solve": ["periodic", "--model", "sos", "--beta", "2.5", "--q", "2"],
+}
+
+
+class TestOneCertificateRecord:
+    """A solve's certificate lives in its SolveReport alone: the law keeps
+    only the certified flag, and no printed key repeats a report value."""
+
+    def test_law_and_report_share_only_the_flag(self):
+        law_keys = {f.name for f in dataclasses.fields(BoundaryLaw)}
+        assert law_keys & _REPORT_KEYS == {"certified"}
+        # the rest is law data: no residual or ball radius of its own
+        assert law_keys == {"kind", "d", "x", "radius", "q", "certified",
+                            "free_state", "pot"}
+
+    @pytest.mark.parametrize("solver", sorted(_LAW_COMMANDS))
+    def test_csv_keys_off_the_law_are_not_report_keys(self, capsys, monkeypatch,
+                                                      solver):
+        # with every report field blanked, the metadata left is the flags'
+        # and the law's
+        real = getattr(cli, solver)
+
+        def blanked(*args):
+            law, report = real(*args)
+            return law, dataclasses.replace(report, **dict.fromkeys(_REPORT_KEYS))
+
+        monkeypatch.setattr(cli, solver, blanked)
+        argv = _LAW_COMMANDS[solver]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        flags = cli._meta(_build_parser().parse_args(argv))
+        off_law = set(parse_csv(out)[0]) - set(flags)
+        assert off_law and not off_law & _REPORT_KEYS
+        assert off_law <= {"support", "radius", "q"}
+
+    @pytest.mark.parametrize("solver", sorted(_LAW_COMMANDS))
+    def test_json_law_and_report_are_disjoint(self, capsys, solver):
+        code, out, _ = run(capsys, *_LAW_COMMANDS[solver], "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["report"]["certified"] is True
+        assert set(obj["law"]) & set(obj["report"]) == set()
+
+
 # stdout sha256 of commands whose bytes the secant threshold search and the
-# one-pass class sums keep, taken from the midpoint bisection and per-arm sums
+# one-pass class sums keep, taken from the midpoint bisection and per-arm sums;
+# the periodic one is those bytes less the law's sup-norm `# residual=` line
 PINNED_STDOUT = {
     "table --model sos --d 2,3,6,7,100,1000":
         "391dd8be1b41b4c0671d1e22b0852a065a4ed13c00f7c621583e7f76e5027233",
@@ -934,7 +985,7 @@ PINNED_STDOUT = {
     "threshold --model sos --d 2 --tol 1e-17":
         "89fe5348d361296167dda7557e9b2fac0e58c8879ce2e9b4c5c06a7b83b914f7",
     "periodic --model log --beta 2.6 --d 2 --q 5":
-        "d7999332bb305f80515ade6818f143d6fc68458eabd553bfddc4ee57a41a1131",
+        "36753259ec5f8efd569e69552c5a6d4cca0284537c111a74a19016797ca10a65",
 }
 
 

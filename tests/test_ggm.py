@@ -250,6 +250,15 @@ class TestIncrementLaw:
         # class masses certified <= 0 and their tail bounds at 0
         assert all(law.tail_mass_bound > 0.0 for law in increment_laws(sos(beta), q))
 
+    @pytest.mark.filterwarnings("error")
+    def test_log_classes_past_the_overflow_of_q_to_the_beta(self):
+        # 3^1000 overflows; the zero class still holds Q(0) = 1, and each
+        # class is carried by its point nearest 0
+        laws = increment_laws(log_potential(1000.0), 3)
+        assert [law.first for law in laws] == [0, 1, -1]
+        for law in laws:
+            assert law.weights.tolist() == pytest.approx([1.0], rel=1e-12)
+
     def test_not_summable(self):
         with pytest.raises(NotSummableError):
             increment_law(log_potential(0.9), 2, 0)

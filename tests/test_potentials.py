@@ -389,6 +389,22 @@ class TestFuzzyOperator:
                 assert abs(mpmath.mpf(norm.values[j]) - ratio) <= norm.errors[j], j
                 assert fq.errors[j] <= 1e-12 * fq.values[j]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta,q", [
+        (650.0, 3), (700.0, 3), (1000.0, 3), (1022.0, 2), (1023.5, 2), (120.0, 1000),
+    ])
+    def test_log_classes_where_q_to_the_beta_overflows(self, beta, q):
+        # zeta(beta, 1/q) holds q^beta: past q^(-beta) = 2^-1022 the arms
+        # are summed as progressions of Q, with no overflow warning
+        fq = fuzzy_Q(log_potential(beta), q)
+        assert np.all(np.isfinite(fq.values)) and fq.values[0] >= 1.0
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta)
+            for j in range(q):
+                exact = q ** -b * (mpmath.zeta(b, mpmath.mpf(1 + j) / q)
+                                   + mpmath.zeta(b, mpmath.mpf(q + 1 - j) / q))
+                assert abs(mpmath.mpf(fq.values[j]) - exact) <= fq.errors[j], j
+
     def test_normalized(self):
         fq = fuzzy_Q(sos(2.0), 4).normalized_op()
         assert fq.values[0] == 1.0
