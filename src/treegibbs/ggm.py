@@ -4,7 +4,8 @@ The hidden layer is the fuzzy chain: a Markov chain on the q height classes
 with transitions P(ibar, jbar) = Q_q(ibar - jbar) lam(jbar) / N(ibar) and
 stationary law alpha = lam^((d+1)/d) normalized.  The visible layer draws
 the integer increment of an edge from the class-conditional law
-rho(j | sbar) = Q(j) / Q_q(sbar) restricted to the residue class.  Edge and
+rho(j | sbar) = Q(j) / Q_q(sbar) on the progression of the residue class;
+an `IncrementLaw` is that formula and evaluates it on request.  Edge and
 star marginals come out exactly by enumerating the root class; along any
 finite tree the classes are determined by the root class and the edge
 increments, so the enumeration never grows beyond q terms.
@@ -72,45 +73,41 @@ class FuzzyChain:
 
 @dataclass(frozen=True, eq=False)
 class IncrementLaw:
-    """Conditional edge-increment distribution on one residue class.
+    """Conditional edge-increment law rho(j | residue) = Q(j) / Q_q(residue).
 
-    The support is a step-q progression of the residue class, one point
-    per weight: ``weights[k]`` is the probability Q(j)/Q_q(residue) of
-    j = first + q k, and every consumer reads the law by that stride.
-    ``tail_mass_bound`` certifies the probability mass left outside.
+    A formula, not a table: the support is the step-q progression of the
+    residue class with |j| <= ``radius`` (the largest |j| it holds), and
+    `clip` and `weights` evaluate pot.Q on the points they are asked for,
+    divided by ``mass`` = Q_q(residue).  ``tail_mass_bound`` certifies the
+    probability mass beyond the radius.
     """
 
+    pot: Potential
     q: int
     residue: int
-    first: int
-    weights: np.ndarray
+    radius: int
+    mass: float
     tail_mass_bound: float
 
-    def __post_init__(self):
-        if not len(self.weights):
-            raise ConfigError(f"increment law of residue {self.residue} has no weights")
-        if (self.first - self.residue) % self.q:
-            raise ConfigError(f"first point {self.first} is not in residue class "
-                              f"{self.residue} mod {self.q}")
-        self.weights.setflags(write=False)
+    @property
+    def first(self) -> int:
+        return (self.residue + self.radius) % self.q - self.radius
 
     @property
     def support(self) -> np.ndarray:
-        return self.first + self.q * np.arange(len(self.weights))
+        return np.arange(self.first, self.radius + 1, self.q)
 
     @property
-    def radius(self) -> int:
-        return int(max(-self.first, self.first + self.q * (len(self.weights) - 1)))
+    def weights(self) -> np.ndarray:
+        return self.clip(self.radius)[1]
 
     def clip(self, radius: int) -> tuple[int, np.ndarray]:
         """(j0, w): the points j0, j0 + q, ... of the support with |j| <= radius
-        and their weights (w is empty when there are none)."""
-        lo = max(0, -((radius + self.first) // self.q))
-        hi = max(lo, min(len(self.weights), (radius - self.first) // self.q + 1))
-        return self.first + self.q * lo, self.weights[lo:hi]
-
-    def mean(self) -> float:
-        return math.fsum((self.support * self.weights).tolist())
+        and their weights, evaluated here (w is empty when there are none)."""
+        r = min(radius, self.radius)
+        j0 = (self.residue + r) % self.q - r
+        w = self.pot.Q(np.arange(j0, r + 1, self.q))
+        return j0, np.divide(w, self.mass, out=w)
 
     def second_moment(self) -> float:
         return math.fsum((self.support.astype(float) ** 2 * self.weights).tolist())
@@ -212,10 +209,11 @@ def _increment_law(
 
     first = (residue + radius) % q - radius
     return IncrementLaw(
+        pot=pot,
         q=q,
         residue=residue,
-        first=first,
-        weights=pot.Q(np.arange(first, radius + 1, q)) / qq.at(residue),
+        radius=max(-first, first + (radius - first) // q * q),
+        mass=qq.at(residue),
         tail_mass_bound=tail(radius),
     )
 
@@ -260,10 +258,12 @@ def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
     the window leaks more than `_LEAK_TOL`.
     """
     laws = _check_laws(fc, laws)
+    if window < 0:
+        raise ConfigError(f"window must be >= 0, got {window}")
     need = max(law.radius for law in laws)
     nu = np.zeros(2 * window + 1)
     for step, law in zip(_class_step_law(fc), laws):
-        j0, w = law.clip(window)
+        j0, w = law.clip(window)  # evaluated up to the law's radius
         np.multiply(w, step, out=nu[j0 + window::fc.q][:w.size])
     if 1.0 - _banded_sum(nu).lo <= _LEAK_TOL:
         return nu
@@ -305,8 +305,7 @@ def star_marginal(fc: FuzzyChain, laws, increments) -> float:
     rho = []
     for j in increments:
         law = laws[j % q]
-        k = (j - law.first) // q
-        rho.append(float(law.weights[k]) if 0 <= k < law.weights.size else 0.0)
+        rho.append(law.pot.Q(j) / law.mass if abs(j) <= law.radius else 0.0)
     total = 0.0
     for i in range(q):
         term = float(fc.alpha[i])

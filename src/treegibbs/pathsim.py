@@ -267,7 +267,8 @@ def default_window(fc: FuzzyChain, laws, n: int) -> int:
 
 
 def _increment_kernels(laws, K: int):
-    """(convolvers, coef) of the increment laws for the DP on [-K, K].
+    """(kernels, convolvers, coef) of the increment laws for the DP on [-K, K],
+    from one evaluation of each law on |j| <= 2K.
 
     Kernel s holds the weights of law s on lags [-r, r], r the largest
     |j| <= 2K with a nonzero weight (farther points cannot reach the
@@ -275,21 +276,22 @@ def _increment_kernels(laws, K: int):
     (`_convolution_error`) and G >= sum |w|, which bounds the 1-norm of the
     exact kernel.
     """
-    convolvers, coef = [], []
+    kernels, convolvers, coef = [], [], []
     for law in laws:
         j0, w = law.clip(2 * K)
-        nz = j0 + law.q * np.flatnonzero(w)  # the points with a nonzero weight
+        k = np.flatnonzero(w)
+        nz = j0 + law.q * k  # the points with a nonzero weight
         r = int(np.abs(nz).max()) if nz.size else 0
-        j0, w = law.clip(r)
         kernel = np.zeros(2 * r + 1)
-        kernel[j0 + r::law.q][:w.size] = w
+        kernel[nz + r] = w[k]
         convolve, L = _linear_convolver(kernel, K)
         size = max(kernel.size, nz.size)
-        G = float(np.abs(w[w != 0.0]).sum()) / (1.0 - _gamma(size))
+        G = float(np.abs(w[k]).sum()) / (1.0 - _gamma(size))
         g2 = math.sqrt(float(kernel @ kernel)) / (1.0 - _gamma(size + 2))
+        kernels.append(kernel)
         convolvers.append(convolve)
         coef.append((*_convolution_error(L, min(kernel.size, 2 * K + 1), G, g2), G))
-    return convolvers, np.array(coef)
+    return kernels, convolvers, np.array(coef)
 
 
 def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> PathDistribution:
@@ -297,8 +299,8 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> Pat
 
     Dynamic programming over (class, displacement): each step moves the
     class with the fuzzy kernel and convolves the displacement with the
-    increment law of the class difference.  The first step writes each law
-    from the point mass at 0 into a stride-q slice; every later step is one
+    increment law of the class difference.  The first step writes each law's
+    kernel from the point mass at 0 into the window; every later step is one
     linear convolution per (row i, residue s) against the kernel of law s
     (`_linear_convolver`: direct for narrow kernels or windows, FFT beyond),
     scaled by P(i, i+s).  Results are kept on the window, so states that
@@ -332,20 +334,18 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> Pat
     if K < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     width = 2 * K + 1
-    convolvers, coef = _increment_kernels(laws, K)
+    kernels, convolvers, coef = _increment_kernels(laws, K)
     a, b, c, G = coef.T
     idx = np.arange(q)
     step = fc.P[idx[:, None], (idx[:, None] + idx[None, :]) % q]  # P(i, i+s)
     kappa = float(np.max(step @ G))
 
     D = np.zeros((q, width))
-    for i in range(q):
-        for s in range(q):
-            p = step[i, s]
-            if p == 0.0:
-                continue
-            j0, w = laws[s].clip(K)
-            D[(i + s) % q, j0 + K::q][:w.size] += w * (fc.alpha[i] * p)
+    for s, kernel in enumerate(kernels):
+        r = kernel.size // 2
+        h = min(r, K)  # window lags [-h, h]; zero entries and p = 0 add exactly 0.0
+        for i in range(q):
+            D[(i + s) % q, K - h:K + h + 1] += kernel[r - h:r + h + 1] * (fc.alpha[i] * step[i, s])
     bound = _gamma(q + 1) * kappa * float(np.abs(fc.alpha).sum())
 
     for _ in range(n - 1):

@@ -986,6 +986,14 @@ PINNED_STDOUT = {
         "89fe5348d361296167dda7557e9b2fac0e58c8879ce2e9b4c5c06a7b83b914f7",
     "periodic --model log --beta 2.6 --d 2 --q 5":
         "36753259ec5f8efd569e69552c5a6d4cca0284537c111a74a19016797ca10a65",
+    "ggm --model log --beta 3.0 --q 5":
+        "106b781efd1958e5a2dfe003ce4e6c030131679ae6859404b64dd1a56496f966",
+    "ggm --model log --beta 4.0 --q 3 --format json":
+        "b0723e7374d370028882e9d2b5036bf9e0728ef6d1317c21f726a308264ea43e",
+    "simulate --model log --beta 2.6 --d 2 --q 3 --n 16 --truncation 200":
+        "7a987db21b73372a40f40bfeff3424e8632093ef1368b32bacdd6b1eac45889f",
+    "simulate --model log --beta 4.0 --d 2 --q 3 --sample-steps 1000 --seed 7":
+        "ae77b179a89013c4f354a6550baf7ece09c754044e9a1187b82f2b3ce62fb0b5",
 }
 
 

@@ -26,7 +26,7 @@ from treegibbs.boundary_law import (
     solve_fixed_point,
 )
 from treegibbs.errors import ConfigError, NumericalError
-from treegibbs.ggm import IncrementLaw, fuzzy_chain, ggm_edge_marginal, increment_laws
+from treegibbs.ggm import fuzzy_chain, ggm_edge_marginal, increment_laws
 from treegibbs.pathsim import (
     MODE_GGM,
     MODE_GIBBS,
@@ -46,7 +46,7 @@ from treegibbs.pathsim import (
     wn_ggm_exact,
     wn_localized_exact,
 )
-from treegibbs.potentials import fuzzy_Q, log_potential, sos
+from treegibbs.potentials import TailModel, custom, fuzzy_Q, log_potential, sos
 
 # localized chain, SOS beta=2.5 d=2: gap to the limit vector and the
 # stationary one-step law
@@ -830,17 +830,16 @@ class TestWnGgmOracle:
     @pytest.mark.parametrize("n", [1, 3])
     def test_zero_weights_are_trimmed(self, n):
         # zero weights at the ends of a law change neither the kernel radius
-        # nor G, so the law and its bound keep their bits; one inside stays
-        fc, laws = _sos_chain(3)
-        inner, padded = [], []
-        for law in laws:
-            w = law.weights.copy()
-            w[w.size // 2] = 0.0
-            inner.append(IncrementLaw(q=3, residue=law.residue, first=law.first,
-                                      weights=w, tail_mass_bound=1.0))
-            padded.append(IncrementLaw(
-                q=3, residue=law.residue, first=law.first - 6,
-                weights=np.concatenate([[0.0, 0.0], w, [0.0]]), tail_mass_bound=1.0))
+        # nor G, so the law and its bound keep their bits; one inside stays.
+        # Q(+-2) = e^-3000 flushes to 0 inside the support, and the exp tail
+        # of rate 100 flushes Q to 0 from |j| = 8 on
+        fc, _ = _sos_chain(3)
+        pot = custom(3.0, [[1, 1.0], [2, 1000.0], [3, 3.0], [4, 4.0], [5, 5.0]],
+                     TailModel("exp", 100.0))
+        assert pot.Q(2) == 0.0 < pot.Q(7) and pot.Q(8) == 0.0
+        inner, padded = increment_laws(pot, 3, radius=7), increment_laws(pot, 3, radius=13)
+        assert all(law.weights[-1] == law.weights[0] == 0.0 for law in padded)
+        assert all(0.0 in law.weights[1:-1] for law in inner[1:])
         want = self._check((fc, inner), n, window=30)
         got = self._check((fc, padded), n, window=30)
         assert np.array_equal(got.law, want.law)
