@@ -30,11 +30,12 @@ the log closed forms zeta(s, 2) and the double-sum envelope.  One loop
 (``_certified_sum``) adds the bracket midpoint to an exact fsum of the
 first N terms and doubles N until half the width plus the terms' rounding
 allowance certifies the tolerance, for many series at once (the q + 1 arms
-of the class sums) as for one; the reported ``tail_bound`` is that error
-(plus the rounding of the zero term on Z).  ``_tail_beyond`` bounds
-what a radius R leaves out, sum_{|j|>R} Q(j)^p, table terms included, and
-one search (``_smallest_radius``) picks the smallest radius whose tail fits
-a bound, for window truncation and increment laws alike.
+of the class sums, the double sum's inner sums) as for one; the reported
+``tail_bound`` is that error (plus the rounding of the zero term on Z).
+``_tail_beyond`` bounds what a radius R leaves out, sum_{|j|>R} Q(j)^p,
+table terms included, and one search (``_smallest_radius``) picks the
+smallest radius whose tail fits a bound, for window truncation and
+increment laws alike.
 
 Verdicts on long sums (Banach steps, leaks, probability totals) go through
 ``_banded_sum``: chunked numpy sums with a rigorous rounding band, so the
@@ -1025,7 +1026,9 @@ class DoubleSumReport:
 
     Qtilde(i) = sup_{|j| >= i} Q(j) is the monotone envelope.  verdict is
     "finite" (value carries the certified sum), "infinite" (witness explains
-    which inner sum diverges), or "unknown" when iteration caps ran out.
+    which inner sum diverges), or "unknown": the certificate did not converge
+    by outer_radius 2^15 (value is the last midpoint), or ``_certified_sum``
+    refused an inner sum (witness is its message, the rest None).
     """
 
     d: int
@@ -1036,7 +1039,16 @@ class DoubleSumReport:
 
 
 def check_double_sum(pot: Potential, d: int) -> DoubleSumReport:
-    """Decide the double-sum condition controlling q-periodic measures for large q."""
+    """Decide the double-sum condition controlling q-periodic measures for large q.
+
+    The inner sums sum_{n>=0} Qtilde(i (n+1)), i <= I, are rows of
+    ``_certified_sum`` to _SERIES_TOL; row i starts at max(_START_RADIUS,
+    J // i + 1) terms, J the table end, so its remainder is a Q tail
+    (``_tail_bracket``).  ``outer_tail_bracket`` bounds the sum over i > I.
+    I starts at the least power of two >= 256 and >= J, where that bound
+    holds, and doubles, summing only the new rows, until the bracket
+    certifies _DOUBLE_SUM_TOL or I reaches 2^15.
+    """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
     p = (d + 1) / 2.0
@@ -1045,55 +1057,47 @@ def check_double_sum(pot: Potential, d: int) -> DoubleSumReport:
         return DoubleSumReport(d, "infinite", math.inf,
                                f"inner sum diverges at i=1 ({witness})")
     try:
-        envelope = _MonotoneEnvelope(pot)
-        I = 256
-        jbase = 4096
+        env = _MonotoneEnvelope(pot)
+        rows: list = []  # (value, error_bound, N) of the inner sums at i = 1, 2, ...
+        I = max(256, 1 << max(env.J - 1, 0).bit_length())
         while True:
-            lo, hi = _double_sum_once(envelope, p, I, jbase)
+            first = len(rows) + 1
+            i = np.arange(first, I + 1, dtype=float)[:, None]
+            rows += _certified_sum(
+                lambda sel, n: env(i[sel] * (n + 1)), 1.0,
+                lambda k, N: _tail_bracket(pot, (first + k) * (N + 1), first + k, 1.0),
+                [max(_START_RADIUS, env.J // m + 1) for m in range(first, I + 1)],
+                _SERIES_TOL, lambda k: f"double-sum inner sum i={first + k}", [True] * len(i))
+            value, err, _ = np.array(rows).T
+            inner, tail = _Bracket.around(value, err) ** p, env.outer_tail_bracket(p, I)
+            lo, hi = _outward(math.fsum([tail.lo, *inner.lo.tolist()]),
+                              math.fsum([tail.hi, *inner.hi.tolist()]))
             mid = 0.5 * (lo + hi)
             if hi - lo <= 2.0 * _DOUBLE_SUM_TOL * mid:
                 return DoubleSumReport(d, "finite", mid, None, I)
-            if I >= (1 << 22) or jbase >= _MAX_RADIUS:
+            if I >= 1 << 15:
                 return DoubleSumReport(d, "unknown", mid,
                                        "certificate did not converge within caps", I)
             I *= 2
-            jbase *= 4
     except NumericalError as e:
         return DoubleSumReport(d, "unknown", None, str(e), None)
 
 
 class _MonotoneEnvelope:
-    """sup_{m >= i} Q(m), evaluable on arrays, with analytic tail brackets."""
+    """Qtilde(m) = sup_{k >= m} Q(k), on float arrays of integers m >= 1: the
+    suffix max over the table and Q(J + 1), and past the table end J, where
+    the tail decreases, Q itself; and the outer tail's bracket, for I >= J."""
 
     def __init__(self, pot: Potential):
         self.pot = pot
-        kind, expo, lq, J = pot._decay()
-        self.kind, self.expo, self.lq, self.J = kind, expo, lq, J
-        if J > 0:
-            qt = pot.Q(np.arange(1, J + 2))
-            # suffix max over the table joined with the first tail value
-            self.suffix = np.maximum.accumulate(qt[::-1])[::-1]
-        else:
-            self.suffix = None
+        self.kind, self.expo, self.lq, self.J = pot._decay()
+        self.suffix = np.maximum.accumulate(pot.Q(np.arange(self.J + 1, 0, -1)))[::-1]
 
-    def __call__(self, m):
-        m = np.asarray(m)
-        if self.J == 0:
-            return self.pot.Q(m)
-        out = np.asarray(self.pot.Q(m), dtype=float).copy()
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        out = self.pot.Q(m)
         inside = m <= self.J
-        if np.any(inside):
-            out[inside] = self.suffix[m[inside] - 1]
+        out[inside] = self.suffix[m[inside].astype(np.int64) - 1]
         return out
-
-    def inner_bracket(self, i: int, jmax: int) -> _Bracket:
-        """Bracket of sum_{j>=1} env(i*j) using jmax direct terms plus tails."""
-        # direct part must clear the table so the analytic tail applies
-        j_direct = max(jmax, self.J // i + 1)
-        js = np.arange(1, j_direct + 1)
-        partial = math.fsum(self(i * js).tolist())
-        # beyond the table the envelope is Q itself
-        return _tail_bracket(self.pot, i * (j_direct + 1), i, 1.0) + partial
 
     def outer_tail_bracket(self, p: float, I: int) -> _Bracket:
         """Bracket of sum_{i>I} inner(i)^p from the analytic envelope."""
@@ -1114,8 +1118,3 @@ class _MonotoneEnvelope:
         lower = _power_tail(p * (logC + math.log(zs - zerr)), I + 2.0, ps, 1.0).lo
         return _Bracket(lower, upper)
 
-
-def _double_sum_once(env: _MonotoneEnvelope, p: float, I: int, jbase: int) -> _Bracket:
-    """The outer tail plus the first I inner brackets to the power p, one bracket sum."""
-    return sum((env.inner_bracket(i, max(64, jbase // i)) ** p for i in range(1, I + 1)),
-               env.outer_tail_bracket(p, I))

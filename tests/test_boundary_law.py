@@ -528,6 +528,20 @@ class TestTwoStageSolve:
         gap = offzero_norm(law.x - x, R, 2)
         assert gap <= report.total_error_bound + cold_bound
 
+    @pytest.mark.parametrize("pot", [log_potential(3.0), sos(2.5)], ids=["log3.0", "sos2.5"])
+    def test_a_small_core_doubles(self, monkeypatch, pot):
+        # from R_c = 4 the extension's residual is too large until the core
+        # has doubled; the solve stays certified and lands on the default's
+        law0, report0 = solve_fixed_point(pot, 2)
+        monkeypatch.setattr(bl, "_core_radius", lambda *args: 4)
+        law, report = solve_fixed_point(pot, 2)
+        assert report.certified and report.total_error_bound <= SolveConfig().tol
+        assert report.coarse_radius > 4
+        assert report.iterations > report0.iterations
+        assert law.radius == law0.radius
+        gap = np.max(np.abs(law.x - law0.x))
+        assert gap <= report.total_error_bound + report0.total_error_bound
+
     def test_coarse_start_outside_the_ball_is_refused(self, monkeypatch):
         iterate = bl._iterate
 
@@ -588,6 +602,27 @@ def _record_extensions(monkeypatch):
 
     monkeypatch.setattr(bl, "_extend", recording)
     return extensions
+
+
+def _two_slot_operator(scale):
+    """T on two slots, d = 1, whose convolution multiplies the off-zero slot
+    by ``scale``: from 0.5 it steps geometrically with that ratio."""
+    return bl._Operator(1, np.array([1.0, 0.5]), 0, lambda w: w * np.array([1.0, scale]))
+
+
+class TestIterateRefusals:
+    def test_divergence(self):
+        with pytest.raises(NumericalError, match=r"iteration diverged at step \d+"):
+            bl._iterate(_two_slot_operator(10.0), 1, 1e-12, None)
+
+    def test_growing_steps(self):
+        with pytest.raises(NumericalError, match=r"not contracting \(50 growing steps\)"):
+            bl._iterate(_two_slot_operator(1.01), 1, 1e-12, None)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(bl, "_MAX_ITER", 3)
+        with pytest.raises(NumericalError, match=r"no convergence in 3 iterations"):
+            bl._iterate(_two_slot_operator(0.5), 1, 1e-12, None)
 
 
 class TestTruncationBound:

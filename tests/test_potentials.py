@@ -423,6 +423,12 @@ class TestFuzzyOperator:
             with pytest.raises(ConfigError, match="unknown domain"):
                 p_norm(sos(2.0), 1.5, domain)
 
+    def test_zq_star_norm_of_one_class_is_zero(self):
+        # q = 1 has only the zero class, so Z_q without zero is empty
+        rep = fuzzy_Q(log_potential(3.0), 1).p_norm(1.5, without_zero=True)
+        assert (rep.value, rep.tail_bound, rep.domain) == (0.0, 0.0, DOMAIN_ZQ_STAR)
+        assert rep.method == "finite_sum"
+
     def test_zq_norm_survives_power_sum_underflow(self):
         # Q_3(1)^1001 ~ 1e-814 is 0 in float64; the norm Q_3(1) 2^(1/1001) is not
         q1 = (math.exp(-2.0) + math.exp(-4.0)) / -math.expm1(-6.0)
@@ -669,6 +675,67 @@ class TestDoubleSum:
     def test_d_validation(self):
         with pytest.raises(ConfigError):
             check_double_sum(sos(1.0), 1)
+
+    # verdict, value and outer radius of the earlier loop, which summed each
+    # inner sum to a fixed length by a bare fsum plus its tail bracket
+    @pytest.mark.parametrize("pot,value,radius", [
+        (sos(2.5), 0.027313936633625246, 256),
+        (log_potential(3.0), 0.10768527321587382, 256),
+        (log_potential(2.2), 0.46275886845869507, 512),
+        (log_potential(1.1), 67.77655744416316, 32768),
+        (custom(2.0, [[1, 1.0]], TailModel("power", 0.6)), 3.5262051777458328, 16384),
+    ], ids=["sos2.5", "log3.0", "log2.2", "log1.1", "power0.6"])
+    def test_pinned_verdicts(self, pot, value, radius):
+        rep = check_double_sum(pot, 2)
+        assert (rep.verdict, rep.outer_radius, rep.witness) == ("finite", radius, None)
+        assert rep.value == pytest.approx(value, rel=1e-12)
+
+    def test_unknown_past_the_outer_cap(self):
+        rep = check_double_sum(log_potential(1.02), 2)
+        assert (rep.verdict, rep.outer_radius) == ("unknown", 32768)
+        assert rep.witness == "certificate did not converge within caps"
+        assert rep.value == pytest.approx(884.4350629092473, rel=1e-12)
+
+    def test_outer_tail_starts_past_a_long_table(self):
+        # a bump at 290 in a 300-entry table: the outer bound models the
+        # tail past the table, so it must not stand for i = 257..300
+        pot = custom(2.0, [[j, 0.1 if j == 290 else 10.0] for j in range(1, 301)],
+                     TailModel("exp", 0.05))
+        rep = check_double_sum(pot, 2)
+        assert (rep.verdict, rep.outer_radius) == ("finite", 512)
+        # the envelope is the suffix max of Q up to m = M (Q decreases past
+        # the table), and each inner sum adds its geometric tail past M
+        M, rate = 20000, pot.beta * 0.05
+        env = np.maximum.accumulate(pot.Q(np.arange(M, 0, -1)))[::-1]
+        inner = [math.fsum(env[i - 1::i].tolist())
+                 + pot.Q((M // i + 1) * i) / -math.expm1(-rate * i) for i in range(1, M + 1)]
+        brute = math.fsum(x ** 1.5 for x in inner)
+        assert brute == pytest.approx(8901.992511205255, rel=1e-14)
+        assert rep.value == pytest.approx(brute, rel=potentials_mod._DOUBLE_SUM_TOL)
+
+    def test_a_refused_inner_sum_is_unknown(self, monkeypatch):
+        def refuse(base, power, tail, starts, rel_tol, what, rounded):
+            raise NumericalError(f"{what(0)}: refused")
+
+        monkeypatch.setattr(potentials_mod, "_certified_sum", refuse)
+        rep = check_double_sum(log_potential(3.0), 2)
+        assert (rep.verdict, rep.value, rep.outer_radius) == ("unknown", None, None)
+        assert rep.witness == "double-sum inner sum i=1: refused"
+
+    def test_rows_run_once(self, monkeypatch):
+        # each doubling of I sums only the new rows
+        calls = []
+        certified_sum = potentials_mod._certified_sum
+
+        def recording(base, power, tail, starts, rel_tol, what, rounded):
+            calls.append((what(0), len(starts)))
+            return certified_sum(base, power, tail, starts, rel_tol, what, rounded)
+
+        monkeypatch.setattr(potentials_mod, "_certified_sum", recording)
+        rep = check_double_sum(log_potential(2.2), 2)
+        rows = [call for call in calls if call[0].startswith("double-sum")]
+        assert rep.outer_radius == 512
+        assert rows == [("double-sum inner sum i=1", 256), ("double-sum inner sum i=257", 256)]
 
     @pytest.mark.parametrize("pot", [
         log_potential(3.0),
