@@ -69,6 +69,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, OutsideGoodSetError
 from .goodset import REASON_NORM_INFINITE, localization_bounds, norm_membership
 from .potentials import (
+    _TINY,
     _UNIT_ROUNDOFF,
     FuzzyOperator,
     NormReport,
@@ -749,18 +750,28 @@ class _OffzeroNorm:
     `_banded_sum` band to the same power, whose one-ulp outward rounding
     covers the faithful pow.  So a comparison decided by the band agrees with
     the exact value, and `exact()` runs its fsum only inside the band.
+    Below the normal range the sum has lost its digits: there, as in
+    `potentials._pth_root`, the norm is M times that of |v| / M, M = max |v|
+    off zero, and the band also counts the quotients' rounding, a factor
+    within 1 +- u on the norm; the zero vector's norm is 0, and NaN stays NaN.
     """
 
     def __init__(self, v: np.ndarray, zero_slot: int, d: int):
-        self._terms = np.abs(v) ** (d + 1)
-        self._terms[zero_slot] = 0.0
-        self._root = 1.0 / (d + 1)
-        self._exact = None
-        self.lo, self.hi = _banded_sum(self._terms) ** self._root
+        a = np.abs(v)
+        a[zero_slot] = 0.0
+        self._terms, self._root, self._exact = a ** (d + 1), 1.0 / (d + 1), None
+        band = _banded_sum(self._terms)
+        self._scale = M = float(a.max()) if band.hi < _TINY else 1.0
+        if 0.0 < M < 1.0:
+            self._terms = (a / M) ** (d + 1)
+            band = _banded_sum(self._terms)
+        slack = 0.0 if M == 1.0 else 4.0 * _UNIT_ROUNDOFF  # products round monotonically
+        lo, hi = band ** self._root
+        self.lo, self.hi = M * lo * (1.0 - slack), M * hi * (1.0 + slack)
 
     def exact(self) -> float:
         if self._exact is None:
-            self._exact = math.fsum(_float_stream(self._terms)) ** self._root
+            self._exact = self._scale * math.fsum(_float_stream(self._terms)) ** self._root
         return self._exact
 
     def exceeds(self, other: "float | _OffzeroNorm") -> bool:

@@ -3,8 +3,9 @@
 The library returns arrays and reports; every CSV and JSON layout lives
 here.  Every subcommand resolves a model, runs the matching library call,
 and emits CSV (metadata comment block, value columns at 17 significant digits
-plus a rounded 4-digit display column) or JSON (a "meta" object plus the
-payload, keys sorted).  One table, `_FLAGS`, specifies every flag; each
+plus a rounded 4-digit display column, written block by block once every
+value is computed) or JSON (a "meta" object plus the payload, keys sorted,
+as one string).  One table, `_FLAGS`, specifies every flag; each
 subcommand takes only the flags its handler reads, and the metadata records
 every value parsed (bar --out and the flags the run's mode leaves unread:
 `goodset --gamma/--delta` reads no model flag, `simulate` tables read no
@@ -27,6 +28,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -409,12 +411,12 @@ def _meta_value(v):
     return _f17(v) if isinstance(v, float) else v
 
 
-def _emit_csv(meta: dict, header: str, rows) -> str:
-    """Every CSV the CLI prints: sorted `# key=value` metadata lines, the
-    header, then the items of the iterable ``rows``, each one line or a
-    block of newline-joined lines from `_csv_rows`.  A large table thus
-    never exists as one list of row strings, and its text is copied once,
-    into the result.
+def _emit_csv(meta: dict, header: str, rows) -> Iterator[str]:
+    """Every CSV the CLI prints, as pieces written one by one: the sorted
+    `# key=value` metadata lines with the header, then each item of the
+    iterable ``rows`` (one line, or a block of lines from `_csv_rows`) and
+    its line break.  So no string ever holds a large table, and the values
+    a handler computed before it returned are the only work left.
 
     Byte contract: a numeric field is exactly what Python prints for it,
     str(i) for an integer and format(x, ".17g") or format(x, ".4g") for a
@@ -423,16 +425,15 @@ def _emit_csv(meta: dict, header: str, rows) -> str:
     they leave to it (the fixed layout, non-finite, |x| outside [1e-280,
     1e280], near a rounding tie, or a missed decimal exponent: see
     `_g_chars`)."""
-    parts = [f"# {key}={meta[key]}" for key in sorted(meta)]
-    parts.append(header)
-    parts.extend(rows)
-    parts.append("")
-    return "\n".join(parts)
+    yield "".join(f"# {key}={meta[key]}\n" for key in sorted(meta)) + header + "\n"
+    for row in rows:
+        yield row
+        yield "\n"
 
 
-def _emit_json(meta: dict, payload: dict) -> str:
-    """json.dumps(..., indent=2, sort_keys=True) of the payload, byte for
-    byte.  With indent, json runs its pure-Python encoder, so each
+def _emit_json(meta: dict, payload: dict) -> list[str]:
+    """[json.dumps(..., indent=2, sort_keys=True)] of the payload, one string
+    byte for byte.  With indent, json runs its pure-Python encoder, so each
     `_Numbers` list goes in as a placeholder string and its elements are
     spliced in as text: the reprs joined with the line break and indent of
     the placeholder's line plus two spaces, json's layout of a list."""
@@ -451,8 +452,8 @@ def _emit_json(meta: dict, payload: dict) -> str:
     text = json.dumps(hide(_jsonify({"meta": meta, **payload})), indent=2, sort_keys=True)
     pieces = text.split('"\\u0000')
     if len(pieces) != len(numbers) + 1:  # a string of the payload held a NUL
-        return json.dumps(_jsonify({"meta": meta, **payload}),
-                          indent=2, sort_keys=True) + "\n"
+        return [json.dumps(_jsonify({"meta": meta, **payload}),
+                           indent=2, sort_keys=True) + "\n"]
     out = [pieces[0]]
     for before, piece in zip(pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]
@@ -461,7 +462,7 @@ def _emit_json(meta: dict, payload: dict) -> str:
         out += ["[\n", indent, "  ", f",\n{indent}  ".join(map(repr, numbers[int(index)])),
                 "\n", indent, "]", rest]
     out.append("\n")
-    return "".join(out)
+    return ["".join(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def _norm_payload(report) -> dict:
     }
 
 
-def cmd_norms(args) -> str:
+def cmd_norms(args) -> Iterable[str]:
     pot = _resolve_model(args)
     rel_tol = args.tol if args.tol is not None else _SERIES_TOL
     g, dl = norm_pair(pot, args.d, args.pairing, rel_tol=rel_tol)
@@ -514,7 +515,7 @@ def cmd_norms(args) -> str:
     return _emit_csv(meta, "quantity,p,domain,value,display,tail_bound,method,witness", rows)
 
 
-def cmd_goodset(args) -> str:
+def cmd_goodset(args) -> Iterable[str]:
     if (args.gamma is None) != (args.delta is None):
         raise ConfigError("--gamma and --delta come together")
     if args.gamma is not None:
@@ -545,7 +546,7 @@ def cmd_goodset(args) -> str:
     )
 
 
-def cmd_threshold(args) -> str:
+def cmd_threshold(args) -> Iterable[str]:
     if args.model not in _FAMILIES:
         raise ConfigError("threshold needs a parametric family: sos or log")
     tol = args.tol if args.tol is not None else _THRESHOLD_TOL
@@ -565,7 +566,7 @@ def _report_fields(report) -> dict:
     return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
 
 
-def _law_output(args, law, report) -> str:
+def _law_output(args, law, report) -> Iterable[str]:
     rep = _report_fields(report)
     if args.format == "json":
         return _emit_json(_meta(args), {
@@ -592,7 +593,7 @@ def _law_output(args, law, report) -> str:
         (single_site_marginal(law), ".17g")))
 
 
-def cmd_solve(args) -> str:
+def cmd_solve(args) -> Iterable[str]:
     pot = _resolve_model(args)
     config = SolveConfig(radius=args.truncation,
                          tol=args.tol if args.tol is not None else _SOLVE_TOL)
@@ -600,7 +601,7 @@ def cmd_solve(args) -> str:
     return _law_output(args, law, report)
 
 
-def cmd_periodic(args) -> str:
+def cmd_periodic(args) -> Iterable[str]:
     if args.q is None:
         raise ConfigError("periodic needs --q")
     pot = _resolve_model(args)
@@ -610,7 +611,7 @@ def cmd_periodic(args) -> str:
     return _law_output(args, law, report)
 
 
-def cmd_ggm(args) -> str:
+def cmd_ggm(args) -> Iterable[str]:
     if args.q is None:
         raise ConfigError("ggm needs --q")
     pot = _resolve_model(args)
@@ -641,7 +642,7 @@ def cmd_ggm(args) -> str:
         (np.arange(-window, window + 1), "d"), (marginal, ".17g"), (marginal, ".4g")))
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> Iterable[str]:
     pot = _resolve_model(args)
     # a sampled step would fold a truncated tail into its last point
     radius = args.truncation if args.sample_steps is None else None
@@ -683,7 +684,7 @@ def cmd_simulate(args) -> str:
         for d in dists))
 
 
-def cmd_phase_diagram(args) -> str:
+def cmd_phase_diagram(args) -> Iterable[str]:
     if args.model not in _FAMILIES:
         raise ConfigError("phase-diagram needs a parametric family: sos or log")
     make = _FAMILIES[args.model]
@@ -721,7 +722,7 @@ def cmd_phase_diagram(args) -> str:
         meta, "model,beta,d,gamma,delta,in_good_set,epsilon,L,reason,error", rows)
 
 
-def cmd_table(args) -> str:
+def cmd_table(args) -> Iterable[str]:
     if args.model not in _FAMILIES:
         raise ConfigError("table needs a parametric family: sos or log")
     ds = _parse_int_list(args.d)
@@ -858,13 +859,13 @@ _HANDLERS = {
 }
 
 
-def _write_out(path: str, text: str) -> None:
+def _write_out(path: str, pieces: Iterable[str]) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from None
 

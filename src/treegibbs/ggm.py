@@ -5,10 +5,10 @@ with transitions P(ibar, jbar) = Q_q(ibar - jbar) lam(jbar) / N(ibar) and
 stationary law alpha = lam^((d+1)/d) normalized.  The visible layer draws
 the integer increment of an edge from the class-conditional law
 rho(j | sbar) = Q(j) / Q_q(sbar) on the progression of the residue class;
-an `IncrementLaw` is that formula and evaluates it on request.  Edge and
-star marginals come out exactly by enumerating the root class; along any
-finite tree the classes are determined by the root class and the edge
-increments, so the enumeration never grows beyond q terms.
+an `IncrementLaw` is that formula with certified class tails, evaluated on
+request.  Edge and star marginals come out exactly by enumerating the root
+class; along any finite tree the classes are determined by the root class
+and the edge increments, so the enumeration never grows beyond q terms.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from .potentials import (
     _TINY,
     FuzzyOperator,
     Potential,
-    _banded_sum,
     _Bracket,
-    _float_stream,
+    _gamma,
     _shifted,
     _smallest_radius,
     _tail_beyond,
@@ -78,8 +77,10 @@ class IncrementLaw:
     A formula, not a table: the support is the step-q progression of the
     residue class with |j| <= ``radius`` (the largest |j| it holds), and
     `clip` and `weights` evaluate pot.Q on the points they are asked for,
-    divided by ``mass`` = Q_q(residue).  ``tail_mass_bound`` certifies the
-    probability mass beyond the radius.
+    divided by ``mass`` = Q_q(residue).  `tail` certifies the law's mass
+    beyond a radius from the class's own terms (over ``mass_lo``, the class
+    mass rounded down); ``tail_mass_bound``, which fixed the default radius,
+    bounds the mass it leaves out by all terms Q(j), |j| > radius, instead.
     """
 
     pot: Potential
@@ -87,6 +88,7 @@ class IncrementLaw:
     residue: int
     radius: int
     mass: float
+    mass_lo: float
     tail_mass_bound: float
 
     @property
@@ -108,6 +110,12 @@ class IncrementLaw:
         j0 = (self.residue + r) % self.q - r
         w = self.pot.Q(np.arange(j0, r + 1, self.q))
         return j0, np.divide(w, self.mass, out=w)
+
+    def tail(self, R: int) -> float:
+        """Upper bound on the law's mass beyond R: the class's terms Q(j) with
+        |j| > min(R, radius) over the class mass."""
+        return _tail_over_mass(self.pot, self.q, self.residue, self.mass_lo,
+                               min(R, self.radius), self.q)
 
     def second_moment(self) -> float:
         return math.fsum((self.support.astype(float) ** 2 * self.weights).tolist())
@@ -182,24 +190,10 @@ def _increment_law(
     if not mass.lo > 0.0:
         raise NumericalError(f"class mass Q_q({residue}) underflows to 0 at q={q}: "
                              f"residue {residue} has no increment law")
-    near = min(residue, q - residue)  # |j| of the class point nearest 0
-    least = max(1, near)
-
-    def tail(R: int) -> float:
-        """Upper bound on sum_{|j|>R} Q(j) over the class mass."""
-        absolute = _tail_beyond(pot, R, 1.0)
-        if absolute >= _TINY:
-            return (absolute / mass).hi
-        # below the normal range the absolute tail has no relative precision
-        # left; relative to the class's nearest term, Q(near) <= mass, it is
-        # the tail of U - U(near), which stays in range down to _TINY, and
-        # it is rounded up once as the quotient above is
-        relative = _tail_beyond(_shifted(pot, pot.U(near)), R, 1.0)
-        return max(math.nextafter(relative, math.inf), _TINY)
-
+    least = max(1, min(residue, q - residue))  # |j| of the class point nearest 0
     if radius is None:
         radius = _smallest_radius(
-            lambda R: tail(R) <= _TAIL_BOUND,
+            lambda R: _tail_over_mass(pot, q, residue, mass.lo, R) <= _TAIL_BOUND,
             least,
             1 << 30,
             f"increment window beyond 2^30 needed for tail bound {_TAIL_BOUND:.3g}",
@@ -214,8 +208,26 @@ def _increment_law(
         residue=residue,
         radius=max(-first, first + (radius - first) // q * q),
         mass=qq.at(residue),
-        tail_mass_bound=tail(radius),
+        mass_lo=mass.lo,
+        tail_mass_bound=_tail_over_mass(pot, q, residue, mass.lo, radius),
     )
+
+
+def _tail_over_mass(pot: Potential, q: int, residue: int, mass_lo: float, R: int,
+                    step: int = 1) -> float:
+    """Upper bound on sum Q(j) over |j| > R, j = residue mod step (all of them
+    at step 1, the class's own at step q), over the mass of class residue mod
+    q, at least mass_lo."""
+    absolute = _tail_beyond(pot, R, 1.0, step, residue)
+    if absolute >= _TINY:
+        return math.nextafter(absolute / mass_lo, math.inf)
+    # below the normal range the absolute tail has no relative precision
+    # left; relative to the class's nearest term, Q(near) <= mass, it is
+    # the tail of U - U(near), which stays in range down to _TINY, and
+    # it is rounded up once as the quotient above is
+    near = min(residue, q - residue)
+    relative = _tail_beyond(_shifted(pot, pot.U(near)), R, 1.0, step, residue)
+    return max(math.nextafter(relative, math.inf), _TINY)
 
 
 def increment_laws(pot: Potential, q: int, radius: int | None = None) -> list[IncrementLaw]:
@@ -251,43 +263,46 @@ def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
     nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
     jbar = j mod q.  The result is symmetric with zero tilt.  Each residue
     class s writes step(s) * rho(. | s) straight into one stride-q slice of
-    the window; the classes fill disjoint slots.  The leak verdict is the one
-    on 1 - (exactly rounded mass): the lower end of the mass's `_banded_sum`
-    band passes it when it can, and only otherwise does `_window_leak` take
-    the exact sum, which its error message needs anyway.  Errors out when
-    the window leaks more than `_LEAK_TOL`.
+    the window; the classes fill disjoint slots, and class q - s, when its
+    law is that of s reflected (same radius, mass and potential), takes the
+    weights of s reversed.  The leak is sum_s step(s) tail_s(K), from
+    `IncrementLaw.tail` and rounded up, not a sum over the window; a
+    leak above `_LEAK_TOL` is refused before the window is built, naming the
+    least window that fits or, when none does, the increment radius.
     """
     laws = _check_laws(fc, laws)
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
-    need = max(law.radius for law in laws)
+    q, steps = fc.q, _class_step_law(fc)
+
+    def leak(K: int) -> float:
+        # the products and the sum round once each, within 1 + gamma_3, and
+        # a product below the normal range may lose one subnormal ulp
+        terms = [step * law.tail(K) for step, law in zip(steps, laws)]
+        return math.nextafter(math.fsum(terms) * (1 + _gamma(3)) + q * 2.0**-1074, math.inf)
+
+    leaked = leak(window)
+    if leaked > _LEAK_TOL:
+        need = max(law.radius for law in laws)
+        hint = (f"the increment laws are truncated at radius {need}; "
+                "raise the increment radius (--truncation)" if leak(need) > _LEAK_TOL else
+                "use window >= " + str(_smallest_radius(
+                    lambda K: leak(K) <= _LEAK_TOL, window + 1, 2 * need, "")))
+        raise NumericalError(
+            f"window {window} leaks mass {leaked:.3g} > {_LEAK_TOL:.3g}; {hint}")
     nu = np.zeros(2 * window + 1)
-    for step, law in zip(_class_step_law(fc), laws):
+    for s in range(q // 2 + 1):
+        law, twin = laws[s], laws[-s]  # twin: the law of class q - s
         j0, w = law.clip(window)  # evaluated up to the law's radius
-        np.multiply(w, step, out=nu[j0 + window::fc.q][:w.size])
-    if 1.0 - _banded_sum(nu).lo <= _LEAK_TOL:
-        return nu
-    # a window past every law radius holds all support points: the leak is
-    # the mass the increment truncation gave away
-    _window_leak(nu, window, _LEAK_TOL, lambda: (
-        f"use window >= {need}" if window < need else
-        f"the increment laws are truncated at radius {need}; "
-        "raise the increment radius (--truncation)"))
+        np.multiply(w, steps[s], out=nu[j0 + window::q][:w.size])
+        if twin is not law:  # s is neither 0 nor q / 2
+            mirror = (twin.radius, twin.mass, twin.pot) == (law.radius, law.mass, law.pot)
+            j0, w = (-(j0 + (w.size - 1) * q), w[::-1]) if mirror else twin.clip(window)
+            np.multiply(w, steps[q - s], out=nu[j0 + window::q][:w.size])
     return nu
 
 
 _LEAK_TOL = 1e-9  # mass a W_n or edge-marginal window may leak
-
-
-def _window_leak(law: np.ndarray, window: int, budget: float, hint) -> float:
-    """The leak max(0, 1 - sum(law)) from one exactly rounded sum; a leak above
-    budget raises NumericalError with a message ending in hint(), called only then."""
-    leaked = max(0.0, 1.0 - math.fsum(_float_stream(law)))
-    if leaked > budget:
-        raise NumericalError(
-            f"window {window} leaks mass {leaked:.3g} > {budget:.3g}; {hint()}"
-        )
-    return leaked
 
 
 def star_marginal(fc: FuzzyChain, laws, increments) -> float:

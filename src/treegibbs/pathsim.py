@@ -55,7 +55,7 @@ from .boundary_law import (
     periodic_solve,
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
-from .ggm import _LEAK_TOL, FuzzyChain, _check_laws, _class_step_law, _dense_chain, _window_leak
+from .ggm import _LEAK_TOL, FuzzyChain, _check_laws, _class_step_law, _dense_chain
 from .potentials import _Bracket, _float_stream, _gamma, _smallest_radius, fuzzy_Q
 
 __all__ = [
@@ -212,6 +212,17 @@ def _slice_to_window(full: np.ndarray, center: int, window: int) -> np.ndarray:
     hi = min(len(full), center + window + 1)
     out[lo - center + window: hi - center + window] = full[lo:hi]
     return out
+
+
+def _window_leak(law: np.ndarray, window: int, budget: float, hint) -> float:
+    """The leak max(0, 1 - sum(law)) from one exactly rounded sum; a leak above
+    budget raises NumericalError with a message ending in hint(), called only then."""
+    leaked = max(0.0, 1.0 - math.fsum(_float_stream(law)))
+    if leaked > budget:
+        raise NumericalError(
+            f"window {window} leaks mass {leaked:.3g} > {budget:.3g}; {hint()}"
+        )
+    return leaked
 
 
 def wn_localized_exact(bl: BoundaryLaw, n: int, window: int | None = None) -> PathDistribution:

@@ -33,9 +33,9 @@ allowance certifies the tolerance, for many series at once (the q + 1 arms
 of the class sums, the double sum's inner sums) as for one; the reported
 ``tail_bound`` is that error (plus the rounding of the zero term on Z).
 ``_tail_beyond`` bounds what a radius R leaves out, sum_{|j|>R} Q(j)^p,
-table terms included, and one search (``_smallest_radius``) picks the
-smallest radius whose tail fits a bound, for window truncation and
-increment laws alike.
+table terms included, or its part in one residue class, and one search
+(``_smallest_radius``) picks the smallest radius whose tail fits a bound,
+for window truncation and increment laws alike.
 
 Verdicts on long sums (Banach steps, leaks, probability totals) go through
 ``_banded_sum``: chunked numpy sums with a rigorous rounding band, so the
@@ -503,13 +503,19 @@ def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> _Bracket:
     return _power_tail(p * lq + s * math.log1p(J), 1.0 + l0, s, step)
 
 
-def _tail_beyond(pot: Potential, R: int, p: float) -> float:
-    """Certified upper bound on sum_{|j|>R} Q(j)^p: 2 * (fsum of the table terms
-    past R + upper end of the bracket beyond the table), which for R at or past
-    the table end is exactly 2 * _tail_bracket(pot, R + 1, 1, p).hi."""
-    end = max(R, pot.table_end)
-    inside = math.fsum((pot.Q(np.arange(R + 1, end + 1)) ** p).tolist())
-    return 2.0 * (inside + _tail_bracket(pot, end + 1, 1, p).hi)
+def _tail_beyond(pot: Potential, R: int, p: float, step: int = 1, residue: int = 0) -> float:
+    """Certified upper bound on sum Q(j)^p over |j| > R with j = residue mod
+    step (every |j| > R at step 1): over the arms l = +-residue + n step > R,
+    j = +-l, the fsum of the table terms plus the upper end of the bracket
+    beyond the table.  At step 1 and R at or past the table end, both arms
+    are _tail_bracket(pot, R + 1, 1, p).hi, and the bound is exactly twice it."""
+    total = 0.0
+    for r in (residue, -residue):
+        l0 = R + 1 + (r - R - 1) % step  # the arm's first point past R
+        end = l0 + max(0, (pot.table_end - l0) // step + 1) * step  # past the table
+        inside = math.fsum((pot.Q(np.arange(l0, end, step)) ** p).tolist())
+        total += inside + _tail_bracket(pot, end, step, p).hi
+    return total
 
 
 def _log1mexp(x: float) -> float:

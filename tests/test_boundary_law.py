@@ -1052,6 +1052,28 @@ class TestBoundaryLawType:
         )
         assert law.offzero_norm() == pytest.approx((0.1**3 + 0.2**3) ** (1 / 3))
 
+    def test_offzero_norm_below_the_normal_range(self):
+        # (1e-200)^3 flushes to 0, so an unscaled sum gives an exact norm of
+        # 0.0 and a band up to (5e-324)^(1/3) = 1.7e-108
+        norm = bl._OffzeroNorm(np.array([1.0, 1e-200, 0.0]), 0, 2)
+        assert norm.lo <= norm.exact() == 1e-200 <= norm.hi <= 1e-200 * (1.0 + 1e-15)
+        assert not norm.exceeds(1e-200) and norm.exceeds(math.nextafter(1e-200, 0.0))
+        zero = bl._OffzeroNorm(np.array([1.0, 0.0, 0.0]), 0, 2)
+        assert zero.lo == zero.exact() == zero.hi == 0.0
+        nan = bl._OffzeroNorm(np.array([1.0, math.nan, 1e-200]), 0, 2)
+        assert math.isnan(nan.lo) and math.isnan(nan.hi) and math.isnan(nan.exact())
+
+    def test_tiny_law_is_checked_against_its_ball(self):
+        # x(1) = x(2) = 2.14e-196 against eps = 2.70e-196: unscaled, the
+        # off-zero norm is 0.0, so the ball check would test nothing, and the
+        # last step, exactly 0, would print a residual of 1.7e-108
+        law, report = periodic_solve(log_potential(650.0), 2, 3)
+        assert law.x[1] == law.x[2] > 0.0
+        norm = law.offzero_norm()
+        assert norm == pytest.approx(2.0 ** (1 / 3) * law.x[1], rel=1e-15)
+        assert norm <= report.epsilon * (1.0 + 1e-9)
+        assert report.final_residual == 0.0
+
     def test_vector_is_read_only(self):
         law = BoundaryLaw(
             kind=SUPPORT_TRUNCATED, d=2, x=np.array([0.1, 1.0, 0.1]), radius=1

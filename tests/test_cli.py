@@ -8,6 +8,7 @@ captured with capsys; file output goes through tmp_path.
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -372,6 +373,28 @@ class TestPeriodic:
 
 
 class TestGgm:
+    def test_table_is_written_block_by_block(self, monkeypatch, tmp_path):
+        # no string holds the whole table: the metadata lines and header,
+        # then each block of rows and its line break are written one by one
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        argv = ["ggm", "--model", "log", "--beta", "3.5", "--d", "2", "--q", "3"]
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(argv) == 0
+        text = sys.stdout.getvalue()
+        _, _, rows = parse_csv(text)
+        blocks = -(-len(rows) // cli._BLOCK_ROWS)
+        assert blocks >= 3 and len(writes) == 1 + 2 * blocks
+        assert max(writes) < len(text) / 2
+        path = tmp_path / "ggm.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == text.encode()
+
     def test_chain_and_marginal(self, capsys):
         code, out, _ = run(capsys, "ggm", "--model", "sos", "--beta", "2",
                            "--d", "2", "--q", "2", "--format", "json")
@@ -823,12 +846,12 @@ class TestEmitterBytes:
         }
         expected = json.dumps(_old_jsonify({"meta": meta, **payload}),
                               indent=2, sort_keys=True) + "\n"
-        assert cli._emit_json(meta, payload) == expected
+        assert cli._emit_json(meta, payload) == [expected]
         # a NUL in a string of the payload takes json's own path
         payload["text"] = "\x00" + "0"
         expected = json.dumps(_old_jsonify({"meta": meta, **payload}),
                               indent=2, sort_keys=True) + "\n"
-        assert cli._emit_json(meta, payload) == expected
+        assert cli._emit_json(meta, payload) == [expected]
 
     def test_jsonify_arrays(self):
         for array in (np.array([1.5, math.inf, -math.inf, math.nan]),
@@ -1154,6 +1177,15 @@ class TestErrorContract:
         message = json.loads(err)["error"]["message"]
         assert message.startswith("window 7 leaks mass")
         assert "--truncation" in message and "use window" not in message
+
+    def test_explicit_truncation_within_the_budget_is_accepted(self, capsys):
+        # window 15 holds every radius-8 increment and leaks 5.2e-11 (q = 7):
+        # each class tail is bounded on the class's own terms, where the
+        # tail over all |j| > 8 would read 3.8e-08 and refuse it
+        code, out, err = run(capsys, "ggm", "--model", "sos", "--beta", "2",
+                             "--d", "2", "--q", "7", "--truncation", "8")
+        assert code == 0 and err == ""
+        assert "# window=15" in out.splitlines()
 
     def test_ggm_radius_holds_the_nearest_class_point(self, capsys):
         # -2 = 3 (mod 5) lies inside radius 2: the laws are built, and only
