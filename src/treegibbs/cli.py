@@ -14,9 +14,10 @@ package and numpy versions, so equal flags reproduce byte-identical files.
 `--truncation` is always the radius of the truncated law a command builds;
 W_n tables take the window the library derives from that law.
 
-Exit codes: 0 success, 2 configuration errors (including non-summable
-operators), 3 numerical failures, 4 refusals outside the good set.  Module
-errors print one machine-readable JSON object to stderr.
+Exit codes: 0 success, 1 a reader that closed stdout early (a broken pipe,
+no traceback), 2 configuration errors (including non-summable operators),
+3 numerical failures, 4 refusals outside the good set.  Module errors print
+one machine-readable JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -862,6 +864,7 @@ _HANDLERS = {
 def _write_out(path: str, pieces: Iterable[str]) -> None:
     if path == "-":
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
         return
     try:
         with open(path, "w", newline="") as fh:
@@ -874,6 +877,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _write_out(args.out, _HANDLERS[args.command](args))
+    except BrokenPipeError:  # the reader left: flush the rest to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except TreeGibbsError as exc:
         if isinstance(exc, OutsideGoodSetError):
             code = 4

@@ -78,9 +78,8 @@ class IncrementLaw:
     residue class with |j| <= ``radius`` (the largest |j| it holds), and
     `clip` and `weights` evaluate pot.Q on the points they are asked for,
     divided by ``mass`` = Q_q(residue).  `tail` certifies the law's mass
-    beyond a radius from the class's own terms (over ``mass_lo``, the class
-    mass rounded down); ``tail_mass_bound``, which fixed the default radius,
-    bounds the mass it leaves out by all terms Q(j), |j| > radius, instead.
+    beyond a radius from the class's own terms, over ``mass_lo``, the class
+    mass rounded down, and ``tail_mass_bound`` is `tail` at ``radius``.
     """
 
     pot: Potential
@@ -89,7 +88,6 @@ class IncrementLaw:
     radius: int
     mass: float
     mass_lo: float
-    tail_mass_bound: float
 
     @property
     def first(self) -> int:
@@ -115,7 +113,11 @@ class IncrementLaw:
         """Upper bound on the law's mass beyond R: the class's terms Q(j) with
         |j| > min(R, radius) over the class mass."""
         return _tail_over_mass(self.pot, self.q, self.residue, self.mass_lo,
-                               min(R, self.radius), self.q)
+                               min(R, self.radius))
+
+    @property
+    def tail_mass_bound(self) -> float:
+        return self.tail(self.radius)
 
     def second_moment(self) -> float:
         return math.fsum((self.support.astype(float) ** 2 * self.weights).tolist())
@@ -172,11 +174,11 @@ def increment_law(
 ) -> IncrementLaw:
     """Normalized restriction of Q to one residue class, with certified tail.
 
-    The default radius is grown until the omitted class mass is certified
-    below _TAIL_BOUND.  Any radius must reach the point of the class nearest
-    0: R >= max(1, min(residue, q - residue)).  Requires Q summable (the
-    class masses are the normalizers); a class mass that underflows to 0 is
-    refused with NumericalError.
+    The default radius is the least whose class tail, as `IncrementLaw.tail`
+    certifies it, is at most _TAIL_BOUND.  Any radius must reach the class
+    point nearest 0: R >= max(1, min(residue, q - residue)).  Requires Q
+    summable (the class masses are the normalizers); a class mass that
+    underflows to 0 is refused with NumericalError.
     """
     return _increment_law(pot, fuzzy_Q(pot, q), residue, radius)
 
@@ -209,16 +211,13 @@ def _increment_law(
         radius=max(-first, first + (radius - first) // q * q),
         mass=qq.at(residue),
         mass_lo=mass.lo,
-        tail_mass_bound=_tail_over_mass(pot, q, residue, mass.lo, radius),
     )
 
 
-def _tail_over_mass(pot: Potential, q: int, residue: int, mass_lo: float, R: int,
-                    step: int = 1) -> float:
-    """Upper bound on sum Q(j) over |j| > R, j = residue mod step (all of them
-    at step 1, the class's own at step q), over the mass of class residue mod
-    q, at least mass_lo."""
-    absolute = _tail_beyond(pot, R, 1.0, step, residue)
+def _tail_over_mass(pot: Potential, q: int, residue: int, mass_lo: float, R: int) -> float:
+    """Upper bound on sum Q(j) over |j| > R, j = residue mod q, over the
+    class mass, at least mass_lo."""
+    absolute = _tail_beyond(pot, R, 1.0, q, residue)
     if absolute >= _TINY:
         return math.nextafter(absolute / mass_lo, math.inf)
     # below the normal range the absolute tail has no relative precision
@@ -226,7 +225,7 @@ def _tail_over_mass(pot: Potential, q: int, residue: int, mass_lo: float, R: int
     # the tail of U - U(near), which stays in range down to _TINY, and
     # it is rounded up once as the quotient above is
     near = min(residue, q - residue)
-    relative = _tail_beyond(_shifted(pot, pot.U(near)), R, 1.0, step, residue)
+    relative = _tail_beyond(_shifted(pot, pot.U(near)), R, 1.0, q, residue)
     return max(math.nextafter(relative, math.inf), _TINY)
 
 

@@ -56,7 +56,7 @@ from .boundary_law import (
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
 from .ggm import _LEAK_TOL, FuzzyChain, _check_laws, _class_step_law, _dense_chain
-from .potentials import _Bracket, _float_stream, _gamma, _smallest_radius, fuzzy_Q
+from .potentials import _MAX_RADIUS, _Bracket, _float_stream, _gamma, _smallest_radius, fuzzy_Q
 
 __all__ = [
     "MODE_GIBBS",
@@ -738,6 +738,8 @@ def recover_period(path, q_tilde_list, d: int, pot) -> list[RecoveryReport]:
     q_list = [int(qt) for qt in q_tilde_list]
     if not q_list or any(qt < 1 for qt in q_list):
         raise ConfigError("q_tilde_list must hold integers >= 1")
+    if max(q_list) > _MAX_RADIUS:  # before bincount allocates q-tilde counts
+        raise NumericalError(f"q={max(q_list)} exceeds the cap of {_MAX_RADIUS} classes")
 
     heights = np.concatenate([[0], np.cumsum(increments)])
     n_obs = len(heights)

@@ -409,7 +409,11 @@ def potential_from_json(text: str) -> Potential:
 
 def load_potential(path) -> Potential:
     with open(path, "r", encoding="utf-8") as fh:
-        return potential_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"potential file {path} is not UTF-8: {e}") from None
+    return potential_from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +979,8 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
     """Residue-class sums of Q mod q, each class certified to rel_tol.
 
     Requires Q in l1(Z); otherwise raises NotSummableError since q-periodic
-    boundary laws are undefined.  sos classes are exact geometric sums, log
+    boundary laws are undefined.  A q above the term cap _MAX_RADIUS is
+    refused with NumericalError before anything is allocated.  sos classes are exact geometric sums, log
     classes evaluate as q^(-beta) (zeta(beta,(1+j)/q) + zeta(beta,(q+1-j)/q))
     from the certified Hurwitz rows (past a normal q^(-beta), as rows of
     (1 + r + nq)^(-beta)), and custom classes sum the same two arms as
@@ -985,6 +990,8 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ConfigError(f"q must be a positive integer, got {q!r}")
+    if q > _MAX_RADIUS:
+        raise NumericalError(f"q={q} exceeds the cap of {_MAX_RADIUS} classes")
     q = int(q)
     _check_tol("rel_tol", rel_tol)
     witness = pot.divergence_witness(1.0)

@@ -383,7 +383,7 @@ class TestGgm:
                 writes.append(len(text))
                 return super().write(text)
 
-        argv = ["ggm", "--model", "log", "--beta", "3.5", "--d", "2", "--q", "3"]
+        argv = ["ggm", "--model", "log", "--beta", "3.3", "--d", "2", "--q", "3"]
         monkeypatch.setattr(sys, "stdout", Recorder())
         assert main(argv) == 0
         text = sys.stdout.getvalue()
@@ -999,24 +999,27 @@ class TestOneCertificateRecord:
 
 # stdout sha256 of commands whose bytes the secant threshold search and the
 # one-pass class sums keep, taken from the midpoint bisection and per-arm sums;
-# the periodic one is those bytes less the law's sup-norm `# residual=` line
+# the periodic one is those bytes less the law's sup-norm `# residual=` line.
+# The ggm ones are the laws cut at the least radius whose class tail is
+# certified below 1e-10.  Each hash skips the one line that names the
+# installed numpy, `# numpy=` in CSV and `"numpy": ` in JSON
 PINNED_STDOUT = {
     "table --model sos --d 2,3,6,7,100,1000":
-        "391dd8be1b41b4c0671d1e22b0852a065a4ed13c00f7c621583e7f76e5027233",
+        "40ae3fa9515c6f0a832de03fa84eeb8bc6c3e0e2c982b2621a3a746787229529",
     "table --model log --d 2,3,6,7,100,1000":
-        "bdd3856885cb851062631c78841b923c2f4c437a5356ac2a4880c7dcad2a4beb",
+        "7a919676c92d913c1b0e00afdf8cd229b718ebb436aad3731d9ac2b630ca5071",
     "threshold --model sos --d 2 --tol 1e-17":
-        "89fe5348d361296167dda7557e9b2fac0e58c8879ce2e9b4c5c06a7b83b914f7",
+        "6cfc576d12b9edad1951ab0446be90f79abf0904a0f02eb0864d61be4d2f1873",
     "periodic --model log --beta 2.6 --d 2 --q 5":
-        "36753259ec5f8efd569e69552c5a6d4cca0284537c111a74a19016797ca10a65",
+        "fb24eeab8a86cafc83dfc13edc627e7300055c8ef43598b4acf4d00983438638",
     "ggm --model log --beta 3.0 --q 5":
-        "106b781efd1958e5a2dfe003ce4e6c030131679ae6859404b64dd1a56496f966",
+        "72d236f1bbaab527e2a83996205a0505fb5d8d24816696a6bfaf39aa6c9bf88b",
     "ggm --model log --beta 4.0 --q 3 --format json":
-        "b0723e7374d370028882e9d2b5036bf9e0728ef6d1317c21f726a308264ea43e",
+        "c8802458d1e2e33cc0d67de4474e53df440d499521eea1fc71644c1a123e4547",
     "simulate --model log --beta 2.6 --d 2 --q 3 --n 16 --truncation 200":
-        "7a987db21b73372a40f40bfeff3424e8632093ef1368b32bacdd6b1eac45889f",
+        "5f56ccc33725a6f60a50865f7d56b7a12b559af8de08e3dd193284670b77761c",
     "simulate --model log --beta 4.0 --d 2 --q 3 --sample-steps 1000 --seed 7":
-        "ae77b179a89013c4f354a6550baf7ece09c754044e9a1187b82f2b3ce62fb0b5",
+        "f6b887620d826ee49774faab46118c8447312f55b21f5f7f659c888b4afaefb9",
 }
 
 
@@ -1024,7 +1027,11 @@ PINNED_STDOUT = {
 def test_pinned_stdout_bytes(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+    lines = out.splitlines(keepends=True)
+    kept = [line for line in lines
+            if not line.startswith(("# numpy=", '    "numpy": '))]
+    assert len(kept) == len(lines) - 1
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 class TestCustomModel:
@@ -1074,6 +1081,17 @@ class TestCustomModel:
                            "--d", "2")
         assert code == 2
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        # the UTF-16 byte-order mark ff fe is not UTF-8
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe" + '{"kind": "sos", "beta": 2.5}'.encode("utf-16-le"))
+        code, out, err = run(capsys, "norms", "--model", f"custom:{path}", "--d", "2")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError" and "is not UTF-8" in error["message"]
+
     def test_malformed_tail(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"kind": "custom", "beta": 2.0, "table": [[1, 1.0]], '
@@ -1093,6 +1111,21 @@ class TestOutputFile:
         assert out == ""
         meta, _, rows = parse_csv(target.read_text())
         assert rows[0][3] == "true"
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # the reader takes one line and closes the pipe, long before the
+        # 12 MB table is written
+        src = os.path.dirname(os.path.dirname(treegibbs.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treegibbs.cli", "ggm", "--model", "log",
+             "--beta", "3.0", "--q", "5"], env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"# alpha=")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_meta_always_has_versions(self, capsys):
         code, out, _ = run(capsys, "threshold", "--model", "sos", "--d", "2")
@@ -1131,6 +1164,16 @@ class TestErrorContract:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["exit_code"] == code
+
+    @pytest.mark.parametrize("argv", [
+        "periodic --model sos --beta 2 --d 2 --q 1099511627776",
+        "ggm --model log --beta 3 --q 1099511627776",
+    ], ids=["periodic", "ggm"])
+    def test_huge_q_is_refused_before_allocating(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["message"] == (
+            "q=1099511627776 exceeds the cap of 67108864 classes")
 
     @pytest.mark.parametrize("argv, message", [
         # tol 1e-30 needs a log 3.0 window far beyond 2^25

@@ -181,6 +181,22 @@ class TestIncrementLaw:
         radii = [law.radius for law in increment_laws(pot, 3)]
         assert radii == [law.radius for law in increment_laws(sos(3.0), 3)] == [6, 8, 8]
 
+    @pytest.mark.parametrize("pot", [
+        sos(2.0), log_potential(3.0),
+        custom(3.0, [[j, float(j)] for j in range(1, 41)], TailModel("exp", 1.0)),
+        custom(3.0, [[1, 1.0], [2, 1.5], [3, 1.8]], TailModel("power", 2.0)),
+    ], ids=["sos", "log", "custom-exp", "custom-power"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 9])
+    def test_default_radius_is_the_least_with_a_small_class_tail(self, pot, q):
+        # one rule: the default radius is the least one whose certified class
+        # tail is within 1e-10, and tail_mass_bound is that same tail
+        for s, law in enumerate(increment_laws(pot, q)):
+            assert law.tail_mass_bound == law.tail(law.radius) <= 1e-10
+            # every smaller radius leaves out the class point at |j| = radius,
+            # as radius - 1 does, so its tail must miss the bound
+            if law.radius > max(1, min(s, q - s)):
+                assert law.tail(law.radius - 1) > 1e-10
+
     def test_radius_too_small_for_residue(self):
         # the point of class 3 mod 5 nearest 0 is -2
         with pytest.raises(ConfigError, match="radius 1 cannot hold residue 3"):
@@ -203,10 +219,8 @@ class TestIncrementLaw:
         # which starts at min(s, q - s) = 5, stops before it reaches 15
         law = increment_law(sos(3.0), 20, 15)
         assert law.support.tolist() == [-5]
-        assert law.tail_mass_bound <= 1e-10
-        # past the support radius the law's tail is the mass it leaves out,
-        # the class's own terms, which the search's bound over all |j| covers
-        assert law.tail(5) == law.tail(14) == law.tail(10**6) <= law.tail_mass_bound
+        # past the support radius the law's tail is the mass it leaves out
+        assert law.tail(5) == law.tail(14) == law.tail(10**6) == law.tail_mass_bound <= 1e-10
         assert law.tail(4) > law.tail(5)
         assert increment_law(sos(3.0), 20, 15, radius=15).support.tolist() == [-5, 15]
 
@@ -217,29 +231,29 @@ class TestIncrementLaw:
 
     @pytest.mark.parametrize("pot,q,residue,radius", [
         (sos(400.0), 3, 1, None), (sos(400.0), 3, 2, None),
-        (log_potential(400.0), 3, 1, 5), (sos(200.0), 7, 3, 5),
-    ], ids=["sos400-1", "sos400-2", "log400-1-R5", "sos200-3-R5"])
+        (log_potential(400.0), 3, 1, 5), (sos(100.0), 7, 3, 5),
+    ], ids=["sos400-1", "sos400-2", "log400-1-R5", "sos100-3-R5"])
     def test_flushed_tail_is_bounded_relative_to_the_class(self, pot, q, residue, radius):
-        # the absolute tail sum_{|j|>R} Q(j) is below the normal range (e^-800
+        # the absolute tail of the class is below the normal range (e^-800
         # for sos 400), which once gave a bound of 5e-324: the relative tail
-        # is e^-400 ~ 1.9e-174 there.  Reference: sum_{|j|>R} Q(j) over the
-        # class mass in log space, to 50 digits
+        # is e^-400 ~ 1.9e-174 there.  Reference: the class members' sum of
+        # Q(j) over |j| > R, over the class mass, in log space to 50 digits.
+        # Class 3 mod 7 holds 3, -4 and then 10: past the support radius 4
+        # of R5 its sos 100 tail is e^-700, still a normal float
         law = increment_law(pot, q, residue, radius)
-        # the bound covers |j| > the radius asked for, which a law whose
-        # class has no point near it reports smaller
-        R = radius or law.radius
+        R = law.radius
         with mpmath.workdps(50):
             beta = mpmath.mpf(pot.beta)
             logQ = ((lambda j: -beta * abs(j)) if pot.kind == "sos"
                     else (lambda j: -beta * mpmath.log1p(abs(j))))
-            far = range(R + 1, R + 4000)
-            log_tail = mpmath.log(2) + mpmath.log(mpmath.fsum(mpmath.exp(logQ(j) - logQ(R + 1))
-                                                               for j in far)) + logQ(R + 1)
-            near = min(residue, q - residue)
+
+            def log_sum(js):
+                top = max(logQ(j) for j in js)
+                return top + mpmath.log(mpmath.fsum(mpmath.exp(logQ(j) - top) for j in js))
+
             members = [j for j in range(-R - 4000, R + 4000) if j % q == residue]
-            log_mass = logQ(near) + mpmath.log(mpmath.fsum(mpmath.exp(logQ(j) - logQ(near))
-                                                           for j in members))
-            ref = mpmath.exp(log_tail - log_mass)
+            far = [j for j in members if abs(j) > R]
+            ref = mpmath.exp(log_sum(far) - log_sum(members))
         assert ref <= law.tail_mass_bound <= 1.05 * ref
 
     def test_tail_below_the_normal_range_relative_to_the_class_too(self):
@@ -290,7 +304,7 @@ class TestIncrementLaw:
 
     def test_law_is_a_formula(self):
         # no field holds an array, so building the laws of the log 2.6 q=5
-        # edge (radii near 8.7M, 12.4M support points) allocates almost nothing
+        # edge (radii near 3.2M, 4.5M support points) allocates almost nothing
         law = increment_law(sos(2.0), 5, 3)
         assert not any(isinstance(getattr(law, f.name), np.ndarray)
                        for f in dataclasses.fields(law))
@@ -300,7 +314,7 @@ class TestIncrementLaw:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert max(law.radius for law in laws) > 8_000_000
+        assert max(law.radius for law in laws) > 3_000_000
         assert peak < 1 << 20
 
     def test_clip_reads_the_window_by_stride(self):

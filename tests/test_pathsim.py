@@ -921,3 +921,6 @@ class TestRecoverPeriod:
             recover_period(path, [0], 2, sos(2.0))
         with pytest.raises(ConfigError, match="integers"):
             recover_period(np.array([0.5, 1.0] * 20), [2], 2, sos(2.0))
+        # refused before the class counts of q-tilde = 2^40 are allocated
+        with pytest.raises(NumericalError, match="^q=1099511627776 exceeds the cap"):
+            recover_period(path, [2, 1 << 40], 2, sos(2.0))

@@ -341,6 +341,12 @@ class TestFuzzyOperator:
         fq = fuzzy_Q(log_potential(3.0), 2)
         assert fq.values == pytest.approx(FUZZY_LOG3_Q2, rel=1e-11)
 
+    @pytest.mark.parametrize("make", [sos, log_potential], ids=["sos", "log"])
+    def test_huge_q_refused_before_allocating(self, make):
+        # q = 2^40 classes would need 8 TiB per array: refused in milliseconds
+        with pytest.raises(NumericalError, match="^q=1099511627776 exceeds the cap of 67108864"):
+            fuzzy_Q(make(2.0), 1 << 40)
+
     def test_brute_force_agreement(self):
         fq = fuzzy_Q(log_potential(2.0), 5)
         for j in range(5):
