@@ -26,11 +26,16 @@ directly and W_n has the same bytes for any thread count.
 Every sampled step is an inverse-CDF draw from one padded table
 (`_CdfTable`): the rows of a kernel, or the increment laws, as running
 sums padded with 1.0 to one power-of-two width w < 2m for rows of length
-at most m.  All walkers are searched at once by a branchless upper-bound
-search; because the entries <= u form a prefix of each row, it returns
-exactly searchsorted(row, u, side="right"), so the draws do not depend on
-how the search is laid out.  W_n laws and paths are returned as arrays;
-`cli` prints them as CSV or JSON.
+at most m.  A guide of 2^b buckets per row (Chen & Asau, 1974; b =
+`_GUIDE_BITS`, 8 KiB per row) answers by one gather each walker whose
+bucket [t/2^b, (t+1)/2^b) no running sum splits; the others, 0.4-1.7% of
+a block on the tables measured, are searched at once by a branchless
+upper-bound search.  Because the entries <= u form a prefix of each row,
+the search returns exactly searchsorted(row, u, side="right"), and the
+guide holds the search's own answer wherever it is the same at both ends
+of a bucket, so the draws do not depend on how the lookup is laid out.
+W_n laws and paths are returned as arrays; `cli` prints them as CSV or
+JSON.
 """
 
 from __future__ import annotations
@@ -96,6 +101,13 @@ _BLOCK = 1 << 15
 # 31 threads ran 1.3-1.7x and 2.1-2.8x slower than 2); raise this once a
 # larger host has been measured
 _MAX_THREADS = 2
+
+# a draw reads its answer from a guide of 2^_GUIDE_BITS buckets per table row
+# (`_CdfTable`): of 8, 10 and 12, 10 drew fastest from the height table and
+# within 5% of 12 from the increment laws (single thread, one block)
+_GUIDE_BITS = 10
+# the guide entry of a bucket that straddles a running sum; no draw is this
+_SENTINEL = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,24 +423,31 @@ def _cumulative_rows(P: np.ndarray) -> np.ndarray:
 class _Scratch:
     """Buffers for `_CdfTable.draw` and the class-step wrap on one block.
 
-    A walk that passes the same scratch to every step allocates nothing
-    per step; block-sized temporaries on worker threads would make each
-    thread's malloc arena shrink and regrow.
+    A walk that passes the same scratch to every step allocates no
+    block-sized buffer per step; block-sized temporaries on worker threads
+    would make each thread's malloc arena shrink and regrow.  ``key`` and
+    ``uniform`` hold the compacted keys (then results) and uniforms of the
+    walkers that `draw` hands to the search; their index list, from
+    np.flatnonzero, which takes no out=, is the one array a draw allocates
+    (0.4-1.7% of the block on the tables measured).
     """
 
-    __slots__ = ("entry", "below", "term")
+    __slots__ = ("entry", "below", "term", "key", "uniform")
 
     def __init__(self, size: int):
         self.entry = np.empty(size)
         self.below = np.empty(size, dtype=bool)
         self.term = np.empty(size, dtype=np.int64)
+        self.key = np.empty(size, dtype=np.int64)
+        self.uniform = np.empty(size)
 
     def views(self, size: int):
         return self.entry[:size], self.below[:size], self.term[:size]
 
 
 class _CdfTable:
-    """Inverse-CDF rows of a kernel, padded with 1.0 to one power-of-two width.
+    """Inverse-CDF rows of a kernel, padded with 1.0 to one power-of-two width,
+    with a guide table that answers most draws by one gather.
 
     Row s holds the running sums of weight row s with its last slot forced
     to 1.0 (so rounding never leaves mass above 1), then 1.0 up to the
@@ -439,7 +458,7 @@ class _CdfTable:
     ``first``, when given, holds one int64 per row: row s then draws the
     point first[s] + stride * slot instead of the slot.
 
-    `draw` runs a branchless upper-bound search over one block of walkers
+    `_search` runs a branchless upper-bound search over one block of walkers
     at once (Khuong & Morin, Array layouts for comparison-based searching,
     2017): from pos = key * w, each step = w/2, ..., 1 adds step times the
     comparison cum[pos + step - 1] <= u.  For u in [0, 1) the predicate
@@ -448,9 +467,23 @@ class _CdfTable:
     1.0 > u (a sum that overshoots 1.0 before the last slot only ends the
     prefix sooner).  The search stops at the prefix length, and so does
     searchsorted(row, u, side="right"): the two agree bit for bit.
+
+    The guide (Chen & Asau, On generating random variates from an empirical
+    distribution, 1974) splits [0, 1) into 2^b buckets, b = `_GUIDE_BITS`.
+    Entry (s, t) holds the draw of row s for every u in [t/2^b, (t+1)/2^b),
+    found by `_search` at the bucket's two ends, t/2^b and the largest
+    double below (t+1)/2^b, or `_SENTINEL` where the two differ.  This is
+    exact: the prefix length is non-decreasing in u, so equal answers at
+    the ends hold for every u between them, and t = floor(u 2^b) is exact,
+    since scaling by a power of two only moves the exponent.  `draw` reads
+    the guide for the whole block and searches only the walkers whose
+    bucket straddles a running sum.  The guide takes 8 * 2^b bytes per row
+    (8 KiB at b = 10): 32 MiB beside the 128 MiB table of the largest
+    dense kernel, 4096 rows, whose guide took 0.3 s to build against
+    0.1 s for its running sums (so `_walk` builds no table).
     """
 
-    __slots__ = ("cum", "base", "stride")
+    __slots__ = ("cum", "base", "stride", "guide")
 
     def __init__(self, rows, first=None, stride=1):
         m = max(len(r) for r in rows)
@@ -463,13 +496,25 @@ class _CdfTable:
         self.base = None if first is None else (
             np.asarray(first, dtype=np.int64)
             - self.stride * cum.shape[1] * np.arange(len(rows), dtype=np.int64))
+        buckets = 1 << _GUIDE_BITS
+        lo = np.arange(buckets) / buckets  # t / 2^b, exact
+        ends = np.concatenate([lo, np.nextafter(lo + 1.0 / buckets, 0.0)])
+        self.guide = np.empty((len(rows), buckets), dtype=np.int64)
+        # a few rows at a time, so that the search buffers stay block-sized
+        per = max(1, _BLOCK // (2 * buckets))
+        scratch = _Scratch(2 * buckets * min(per, len(rows)))
+        for r0 in range(0, len(rows), per):
+            block = self.guide[r0:r0 + per]
+            keys = np.repeat(np.arange(r0, r0 + len(block)), 2 * buckets)
+            at = self._search(keys, np.tile(ends, len(block)), keys, scratch)
+            at = at.reshape(len(block), 2, buckets)
+            block[...] = np.where(at[:, 0] == at[:, 1], at[:, 0], _SENTINEL)
 
-    def draw(self, keys, u: np.ndarray, out: np.ndarray,
-             scratch: _Scratch) -> np.ndarray:
+    def _search(self, keys, u: np.ndarray, out: np.ndarray,
+                scratch: _Scratch) -> np.ndarray:
         """out[k] = slot searchsorted(cum[keys[k]], u[k], side="right"), or
-        first[keys[k]] + stride * slot, for one block of walkers; keys may
-        be out itself.  The search runs in the buffers of scratch, which
-        must hold len(u) entries."""
+        first[keys[k]] + stride * slot; keys may be out itself.  The search
+        runs in the buffers of scratch, which must hold len(u) entries."""
         width = self.cum.shape[1]
         flat = self.cum.ravel()
         entry, below, term = scratch.views(len(u))
@@ -494,22 +539,47 @@ class _CdfTable:
             out += term
         return out
 
+    def draw(self, keys, u: np.ndarray, out: np.ndarray,
+             scratch: _Scratch) -> np.ndarray:
+        """What `_search` writes, for one block of walkers: one gather from
+        the guide, then `_search` on the walkers it leaves to the search,
+        compacted into the scratch buffers; keys may be out itself.  scratch
+        must hold len(u) entries."""
+        guide = self.guide
+        bits = guide.shape[1].bit_length() - 1
+        _, hit, index = scratch.views(len(u))
+        # index = key 2^b + floor(u 2^b); the float -> int cast truncates
+        np.multiply(u, guide.shape[1], out=index, casting="unsafe")
+        np.left_shift(keys, bits, out=out)
+        index += out
+        np.take(guide.ravel(), index, out=out, mode="wrap")
+        np.equal(out, _SENTINEL, out=hit)
+        miss = np.flatnonzero(hit)
+        if miss.size:
+            key, uniform = scratch.key[:miss.size], scratch.uniform[:miss.size]
+            np.take(index, miss, out=key, mode="wrap")
+            np.right_shift(key, bits, out=key)
+            np.take(u, miss, out=uniform, mode="wrap")
+            out[miss] = self._search(key, uniform, key, scratch)
+        return out
 
-def _walk(start: _CdfTable, kernel: _CdfTable, u: np.ndarray) -> np.ndarray:
+
+def _walk(alpha: np.ndarray, P: np.ndarray, u: np.ndarray) -> np.ndarray:
     """States of the inverse-CDF chain driven by the uniforms u.
 
-    u[0] draws the start from the start table, u[k] moves along row s of
-    the kernel table.  bisect_right returns what searchsorted(side="right")
-    does, without its per-call overhead (the padding 1.0 > u never moves a
-    draw); a row becomes a list when first visited.
+    u[0] draws the start from the running sums of alpha, u[k] moves along
+    those of row s of P (`_cumulative_rows`: the rows of a `_CdfTable`
+    without their padding, which never moves a draw).  bisect_right returns
+    what searchsorted(side="right") does, without its per-call overhead; a
+    row is summed, as a list, when first visited.
     """
-    rows = [None] * len(kernel.cum)
-    s = bisect.bisect_right(start.cum[0].tolist(), float(u[0]))
+    rows = [None] * len(P)
+    s = bisect.bisect_right(_cumulative_rows(alpha).tolist(), float(u[0]))
     states = [s]
     for x in _float_stream(u[1:]):
         row = rows[s]
         if row is None:
-            row = rows[s] = kernel.cum[s].tolist()
+            row = rows[s] = _cumulative_rows(P[s]).tolist()
         s = bisect.bisect_right(row, x)
         states.append(s)
     return np.array(states, dtype=np.int64)
@@ -534,32 +604,35 @@ def _check_sizes(n, *replicates) -> None:
 
 
 def _markov_additive(source):
-    """(labels, start, kernel, increment) of a sampling source.
+    """(labels, alpha, P, increment) of a sampling source.
 
-    start and kernel are `_CdfTable`s of the start law and the state chain;
-    increment(a, b, rng, u, out, scratch) writes the height change of
-    the steps a -> b of one block into out, drawing any uniforms it needs
-    into the buffer u with rng.random(out=u) and working in the `_Scratch`
-    buffers.
+    alpha and P are the start law and the kernel of the state chain:
+    sample_wn draws from them through `_CdfTable`s, sample_path walks
+    them with `_walk`.  increment(a, b, rng, u, out, scratch) writes the
+    height change of the steps a -> b of one block into out, drawing any
+    uniforms it needs into the buffer u with rng.random(out=u) and working
+    in the `_Scratch` buffers.
     For a truncated BoundaryLaw (labels = heights, consecutive integers) it
     is the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
     classes) it is one draw per step from the law of the class step
-    (b - a) mod q, read from a third table whose rows are the increment
-    laws, so the drawn slot maps to first + q * slot.  Each table pads its
-    rows with 1.0 to a power-of-two width w below twice the longest row, and
-    each draw equals searchsorted(row, u, side="right") because the
-    entries <= u form a prefix of every row.  The kernel tables are dense,
-    so each takes less than twice the memory of its rows.  The increment-law
-    table takes q w < 2 q (longest law) slots; heavy tails give the
-    residues of small mass the longest laws, so that can be a few times
-    the laws' own length.
+    (b - a) mod q, read from a `_CdfTable` whose rows are the increment
+    laws, so the drawn slot maps to first + q * slot; the guide holds the
+    mapped points, so most draws read first + q * slot in one gather.
+    Each table pads its rows with 1.0 to a power-of-two width w below
+    twice the longest row, and each draw equals searchsorted(row, u,
+    side="right") because the entries <= u form a prefix of every row.  A
+    kernel table is dense, so it takes less than twice the memory of its
+    rows, plus a guide of 8 KiB per row.  The increment-law table takes
+    q w < 2 q (longest law) slots; heavy tails give the residues of small
+    mass the longest laws, so that can be a few times the laws' own
+    length, while its guide takes only 8 q KiB.
     """
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)
 
         def increment(a, b, rng, u, out, scratch):
             return np.subtract(b, a, out=out)
-        return source.indices, _CdfTable([alpha]), _CdfTable(P), increment
+        return source.indices, alpha, P, increment
     if isinstance(source, (tuple, list)) and len(source) == 2 \
             and isinstance(source[0], FuzzyChain):
         fc = source[0]
@@ -575,8 +648,7 @@ def _markov_additive(source):
             term &= fc.q
             r += term
             return table.draw(r, rng.random(out=u), out, scratch)
-        return (np.arange(fc.q), _CdfTable([fc.alpha]), _CdfTable(fc.P),
-                increment)
+        return np.arange(fc.q), fc.alpha, fc.P, increment
     raise ConfigError(
         "source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair"
     )
@@ -592,10 +664,10 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     one stream.
     """
     _check_sizes(n)
-    labels, start, kernel, increment = _markov_additive(source)
+    labels, alpha, P, increment = _markov_additive(source)
     rng = _stream(seed, replicate)
     if len(labels) > 1:
-        states = _walk(start, kernel, rng.random(n + 1))
+        states = _walk(alpha, P, rng.random(n + 1))
     else:
         states = np.zeros(n + 1, dtype=np.int64)
     increments = np.empty(n, dtype=np.int64)
@@ -668,7 +740,8 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     releases the GIL in the draws, ufuncs and gathers.
     """
     _check_sizes(n, replicates)
-    labels, start, kernel, increment = _markov_additive(source)
+    _, alpha, P, increment = _markov_additive(source)
+    start, kernel = _CdfTable([alpha]), _CdfTable(P)
     key = _stream(seed, replicate).bit_generator.state["state"]["key"]
     N = int(replicates)
     W = np.zeros(N, dtype=np.int64)

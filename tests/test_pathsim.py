@@ -501,6 +501,19 @@ def chain_log():
     return fuzzy_chain(law, fuzzy_Q(pot, 2)), increment_laws(pot, 2)
 
 
+@pytest.fixture(scope="module")
+def chain_log30():
+    # heavy tails: 1.1% of the guide buckets of its laws are sentinels
+    pot = log_potential(3.0)
+    law, _ = periodic_solve(pot, 2, 5)
+    return fuzzy_chain(law, fuzzy_Q(pot, 5)), increment_laws(pot, 5)
+
+
+# _GUIDE_BITS = 0 leaves one bucket per row, so every multi-slot row falls
+# back to the search for every walker
+GUIDE_BITS = (0, pathsim._GUIDE_BITS)
+
+
 def _reference_states(cum_start, cum_rows, u):
     """The per-step np.searchsorted loop that sample_path replaced, as an oracle."""
     states = np.empty(len(u), dtype=np.int64)
@@ -532,7 +545,9 @@ def _reference_ggm_path(fc, laws, n, seed, replicate):
 
 
 class TestSamplePathReference:
-    """sample_path draws the same states as the searchsorted loop it replaced."""
+    """sample_path draws the same states as the searchsorted loop it replaced.
+    Class increments are checked with the guide and with the search alone
+    (GUIDE_BITS); the height walk reads no `_CdfTable`."""
 
     @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
     def test_gibbs_heights(self, sos20, seed, replicate):
@@ -546,26 +561,30 @@ class TestSamplePathReference:
         np.testing.assert_array_equal(inc, np.diff(heights))
 
     @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
-    def test_ggm_classes_and_increments(self, chain3, seed, replicate):
+    def test_ggm_classes_and_increments(self, chain3, seed, replicate, monkeypatch):
         fc, laws = chain3
         n = 5000
         increments, classes = _reference_ggm_path(fc, laws, n, seed, replicate)
         assert len(np.unique(classes)) == 3
-        inc, got = sample_path(chain3, n, seed=seed, replicate=replicate)
-        np.testing.assert_array_equal(got, classes)
-        np.testing.assert_array_equal(inc, increments)
+        for bits in GUIDE_BITS:
+            monkeypatch.setattr(pathsim, "_GUIDE_BITS", bits)
+            inc, got = sample_path(chain3, n, seed=seed, replicate=replicate)
+            np.testing.assert_array_equal(got, classes)
+            np.testing.assert_array_equal(inc, increments)
 
-    @pytest.mark.parametrize("chain", ["chain_free", "chain_log"])
+    @pytest.mark.parametrize("chain", ["chain_free", "chain_log", "chain_log30"])
     @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
-    def test_free_state_and_log_chain(self, request, chain, seed, replicate):
+    def test_free_state_and_log_chain(self, request, chain, seed, replicate, monkeypatch):
         fc, laws = request.getfixturevalue(chain)
         n = 5000
         increments, classes = _reference_ggm_path(fc, laws, n, seed, replicate)
-        inc, got = sample_path((fc, laws), n, seed=seed, replicate=replicate)
-        assert got.dtype == classes.dtype and inc.dtype == increments.dtype
-        np.testing.assert_array_equal(got, classes)
-        np.testing.assert_array_equal(inc, increments)
-        assert len(np.unique(inc)) > 1
+        for bits in GUIDE_BITS:
+            monkeypatch.setattr(pathsim, "_GUIDE_BITS", bits)
+            inc, got = sample_path((fc, laws), n, seed=seed, replicate=replicate)
+            assert got.dtype == classes.dtype and inc.dtype == increments.dtype
+            np.testing.assert_array_equal(got, classes)
+            np.testing.assert_array_equal(inc, increments)
+            assert len(np.unique(inc)) > 1
 
 
 def _reference_wn(source, n, replicates, seed, replicate=0):
@@ -617,15 +636,17 @@ class TestSampleWnReference:
     """sample_wn draws the same W_n, bit for bit, as the two-branch sampler."""
 
     @pytest.mark.parametrize("source", [
-        "sos20", "sos25", "chain_free", "chain2", "chain3", "chain_log"])
+        "sos20", "sos25", "chain_free", "chain2", "chain3", "chain_log", "chain_log30"])
     @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
-    def test_matches_two_branch_sampler(self, request, source, seed, replicate):
+    def test_matches_two_branch_sampler(self, request, source, seed, replicate, monkeypatch):
         src = request.getfixturevalue(source)
         for n, N in ((1, 7), (6, 3000), (17, 20000)):
             want = _reference_wn(src, n, N, seed, replicate)
-            got = sample_wn(src, n, N, seed=seed, replicate=replicate)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), (n, N)
+            for bits in GUIDE_BITS:
+                monkeypatch.setattr(pathsim, "_GUIDE_BITS", bits)
+                got = sample_wn(src, n, N, seed=seed, replicate=replicate)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (n, N, bits)
         assert len(np.unique(want)) > 1
 
     @pytest.mark.parametrize("source", ["sos20", "chain2", "chain_log"])
@@ -756,6 +777,93 @@ class TestCdfTableSearch:
             want[mask] = np.searchsorted(cum, u[mask], side="right")
             np.testing.assert_array_equal(slots[mask], want[mask])
             np.testing.assert_array_equal(values[mask], support[s][want[mask]])
+
+    @staticmethod
+    def _check_draws(rows, first, stride, keys, u):
+        """draw on (keys, u) against searchsorted on each key row."""
+        table = _CdfTable(rows, first, stride)
+        got = table.draw(keys, u, np.empty(len(u), dtype=np.int64), _Scratch(len(u)))
+        for s, row in enumerate(rows):
+            mask = keys == s
+            slot = np.searchsorted(_cumulative_rows(row), u[mask], side="right")
+            want = slot if first is None else first[s] + stride * slot
+            np.testing.assert_array_equal(got[mask], want, err_msg=f"row {s}")
+        return table
+
+    @staticmethod
+    def _edges(rows):
+        """Every bucket's two ends, each running sum and its neighbours, and 0."""
+        buckets = 1 << pathsim._GUIDE_BITS
+        lo = np.arange(buckets) / buckets
+        sums = np.concatenate([_cumulative_rows(r) for r in rows])
+        sums = sums[sums < 1.0]
+        u = np.concatenate([lo, np.nextafter(lo + 1.0 / buckets, 0.0), sums,
+                            np.nextafter(sums, 0.0), np.nextafter(sums, 1.0), [0.0]])
+        return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+    @pytest.mark.parametrize("first,stride", [(None, 1), (np.array([-7, 100, 0, 5, -1000]), 3)])
+    def test_guide_edges(self, first, stride):
+        h = 2.0 ** -pathsim._GUIDE_BITS
+        rows = [
+            np.full(4, 0.25),  # running sums on bucket edges
+            np.array([3.0, 0.0, 0.0, 5.0, 1.0 / h - 24.0, 0.0, 16.0]) * h,  # and flat runs
+            np.array([0.3, 0.0, 0.0, 0.5, 0.4, 0.1]),  # passes 1.0 before the last slot
+            np.ones(1),
+            np.array([0.1, h / 4, h / 4, h / 4, 0.6]),  # three sums inside one bucket
+        ]
+        u = self._edges(rows)
+        keys = np.repeat(np.arange(len(rows)), len(u))
+        table = self._check_draws(rows, first, stride, keys, np.tile(u, len(rows)))
+        straddled = (table.guide == pathsim._SENTINEL).any(axis=1)
+        np.testing.assert_array_equal(straddled, [False, False, True, False, True])
+
+    @pytest.mark.parametrize("first,stride", [(None, 1), (np.array([40]), 7)])
+    def test_more_steps_than_buckets_fall_back_whole(self, first, stride):
+        # every bucket holds running sums, so a whole block goes to the search
+        rows = [np.full(4 << pathsim._GUIDE_BITS, 1.0 / (4 << pathsim._GUIDE_BITS))]
+        u = np.concatenate([self._edges(rows), np.random.default_rng(3).random(_BLOCK)])[:_BLOCK]
+        table = self._check_draws(rows, first, stride, np.zeros(_BLOCK, dtype=np.int64), u)
+        assert np.all(table.guide == pathsim._SENTINEL)
+
+    @pytest.mark.parametrize("first,stride", [(None, 1), (np.array([-3, 8, 0]), 2)])
+    def test_table_without_sentinel(self, first, stride):
+        h = 2.0 ** -pathsim._GUIDE_BITS
+        rows = [np.full(4, 0.25), np.array([3.0, 0.0, 1.0 / h - 3.0]) * h, np.ones(1)]
+        edges = self._edges(rows)
+        u = np.random.default_rng(5).random(_BLOCK)
+        u[:len(edges)] = edges
+        keys = np.arange(_BLOCK) % len(rows)
+        table = self._check_draws(rows, first, stride, keys, u)
+        assert not np.any(table.guide == pathsim._SENTINEL)
+
+    @pytest.mark.parametrize("source", ["sos25", "chain2", "chain_log30"])
+    def test_guide_entries_hold_across_their_bucket(self, request, source):
+        # a guide entry is the search's answer at both ends of its bucket,
+        # and searchsorted's; the sentinel marks exactly the buckets where
+        # the two ends differ
+        src = request.getfixturevalue(source)
+        if isinstance(src, BoundaryLaw):
+            rows, first, stride = _height_kernel(src)[0], None, 1
+        else:
+            fc, laws = src
+            rows = [law.weights for law in laws]
+            first, stride = np.array([law.first for law in laws]), fc.q
+        table = _CdfTable(rows, first, stride)
+        guide = table.guide
+        buckets = guide.shape[1]
+        lo = np.arange(buckets) / buckets
+        for s, row in enumerate(rows):
+            ends = []
+            for u in (lo, np.nextafter(lo + 1.0 / buckets, 0.0)):
+                keys = np.full(buckets, s)
+                at = table._search(keys, u, keys, _Scratch(buckets))
+                slot = np.searchsorted(_cumulative_rows(row), u, side="right")
+                np.testing.assert_array_equal(at, slot if first is None else first[s] + stride * slot)
+                ends.append(at)
+            same = ends[0] == ends[1]
+            np.testing.assert_array_equal(guide[s][same], ends[0][same])
+            assert np.all(guide[s][~same] == pathsim._SENTINEL)
+            assert same.any()
 
     def test_width_is_the_next_power_of_two(self):
         for m, width in ((1, 1), (2, 2), (3, 4), (64, 64), (65, 128)):
