@@ -12,7 +12,8 @@ every value parsed (bar --out and the flags the run's mode leaves unread:
 seed or replicate, and sampled paths no --n or --truncation) plus the
 package and numpy versions, so equal flags reproduce byte-identical files.
 `--truncation` is always the radius of the truncated law a command builds;
-W_n tables take the window the library derives from that law.
+W_n tables take the window the library derives from that law, and `ggm`
+the least window whose certified leak is at most 1e-9, printed as `leak`.
 
 Exit codes: 0 success, 1 a reader that closed stdout early (a broken pipe,
 no traceback), 2 configuration errors (including non-summable operators),
@@ -49,7 +50,7 @@ from .errors import (
     OutsideGoodSetError,
     TreeGibbsError,
 )
-from .ggm import fuzzy_chain, ggm_edge_marginal, increment_laws
+from .ggm import _edge_window, fuzzy_chain, ggm_edge_marginal, increment_laws
 from .goodset import _THRESHOLD_TOL, GoodSetQuery, beta_threshold, membership, norm_membership
 from .pathsim import sample_path, wn_ggm_exact, wn_localized_exact
 from .potentials import (
@@ -622,26 +623,31 @@ def cmd_ggm(args) -> Iterable[str]:
     law, report = periodic_solve(pot, args.d, args.q, config)
     fc = fuzzy_chain(law, fuzzy_Q(pot, args.q))
     laws = increment_laws(pot, args.q, radius=args.truncation)
-    window = max(inc.radius for inc in laws) + args.q
+    window, leak = _edge_window(fc, laws)
     marginal = ggm_edge_marginal(fc, laws, window)
     if args.format == "json":
-        return _emit_json(_meta(args, window=window), {
+        return _emit_json(_meta(args, window=window, leak=leak), {
             "alpha": fc.alpha,
             "P": fc.P,
             "certified": law.certified,
             "edge_marginal": {"k": np.arange(-window, window + 1),
                               "prob": marginal},
-            "increment_laws": [
-                {"residue": inc.residue, "support": inc.support,
-                 "weights": inc.weights, "tail_mass_bound": inc.tail_mass_bound}
-                for inc in laws
-            ],
+            "increment_laws": [_increment_law_fields(inc, window) for inc in laws],
             "report": _report_fields(report),
         })
-    meta = _meta(args, window=window, certified=_meta_value(law.certified),
+    meta = _meta(args, window=window, leak=_meta_value(leak),
+                 certified=_meta_value(law.certified),
                  alpha=";".join(_f17(a) for a in fc.alpha))
     return _emit_csv(meta, "k,prob,display", _csv_rows(
         (np.arange(-window, window + 1), "d"), (marginal, ".17g"), (marginal, ".4g")))
+
+
+def _increment_law_fields(inc, window: int) -> dict:
+    """One increment law as JSON prints it: its points with |j| <= window,
+    their weights and the law's certified mass beyond the window."""
+    j0, w = inc.clip(window)
+    return {"residue": inc.residue, "support": np.arange(j0, j0 + w.size * inc.q, inc.q),
+            "weights": w, "tail_mass_bound": inc.tail(window)}
 
 
 def cmd_simulate(args) -> Iterable[str]:

@@ -256,6 +256,52 @@ def _class_step_law(fc: FuzzyChain) -> np.ndarray:
     ])
 
 
+def _edge_leak(steps: np.ndarray, laws: list[IncrementLaw], K: int) -> float:
+    """Certified mass of the edge marginal outside [-K, K]: sum_s step(s)
+    tail_s(K), with step the `_class_step_law` and tail_s `IncrementLaw.tail`,
+    rounded up.  It is non-increasing in K and constant past the largest
+    increment radius."""
+    # the products and the sum round once each, within 1 + gamma_3, and
+    # a product below the normal range may lose one subnormal ulp
+    terms = [step * law.tail(K) for step, law in zip(steps, laws)]
+    return math.nextafter(math.fsum(terms) * (1 + _gamma(3)) + len(laws) * 2.0**-1074,
+                          math.inf)
+
+
+def _least_window(steps: np.ndarray, laws: list[IncrementLaw], start: int) -> int:
+    """Least K >= start whose `_edge_leak` is at most _LEAK_TOL, for laws
+    whose leak at the largest increment radius fits."""
+    return _smallest_radius(lambda K: _edge_leak(steps, laws, K) <= _LEAK_TOL,
+                            start, 2 * max(law.radius for law in laws), "")
+
+
+def _check_leak(steps: np.ndarray, laws: list[IncrementLaw], window: int) -> None:
+    """NumericalError when the `_edge_leak` at window exceeds _LEAK_TOL,
+    naming the least window that fits or, when none does, the increment
+    radius."""
+    leaked = _edge_leak(steps, laws, window)
+    if leaked > _LEAK_TOL:
+        need = max(law.radius for law in laws)
+        hint = (f"the increment laws are truncated at radius {need}; "
+                "raise the increment radius (--truncation)"
+                if _edge_leak(steps, laws, need) > _LEAK_TOL else
+                f"use window >= {_least_window(steps, laws, window + 1)}")
+        raise NumericalError(
+            f"window {window} leaks mass {leaked:.3g} > {_LEAK_TOL:.3g}; {hint}")
+
+
+def _edge_window(fc: FuzzyChain, laws) -> tuple[int, float]:
+    """(K, leak): the least window K >= 1 whose certified edge-marginal leak
+    is at most _LEAK_TOL, and that leak.  Past the largest increment radius
+    the leak no longer falls, so when it exceeds _LEAK_TOL there, the
+    refusal of `ggm_edge_marginal` at that radius."""
+    laws = _check_laws(fc, laws)
+    steps = _class_step_law(fc)
+    _check_leak(steps, laws, max(law.radius for law in laws))
+    K = _least_window(steps, laws, 1)
+    return K, _edge_leak(steps, laws, K)
+
+
 def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
     """Single-edge increment law nu(j) on the window [-K, K].
 
@@ -264,31 +310,15 @@ def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
     class s writes step(s) * rho(. | s) straight into one stride-q slice of
     the window; the classes fill disjoint slots, and class q - s, when its
     law is that of s reflected (same radius, mass and potential), takes the
-    weights of s reversed.  The leak is sum_s step(s) tail_s(K), from
-    `IncrementLaw.tail` and rounded up, not a sum over the window; a
-    leak above `_LEAK_TOL` is refused before the window is built, naming the
-    least window that fits or, when none does, the increment radius.
+    weights of s reversed.  The leak is `_edge_leak`, not a sum over the
+    window; a leak above `_LEAK_TOL` is refused before the window is built
+    (`_check_leak`).
     """
     laws = _check_laws(fc, laws)
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
     q, steps = fc.q, _class_step_law(fc)
-
-    def leak(K: int) -> float:
-        # the products and the sum round once each, within 1 + gamma_3, and
-        # a product below the normal range may lose one subnormal ulp
-        terms = [step * law.tail(K) for step, law in zip(steps, laws)]
-        return math.nextafter(math.fsum(terms) * (1 + _gamma(3)) + q * 2.0**-1074, math.inf)
-
-    leaked = leak(window)
-    if leaked > _LEAK_TOL:
-        need = max(law.radius for law in laws)
-        hint = (f"the increment laws are truncated at radius {need}; "
-                "raise the increment radius (--truncation)" if leak(need) > _LEAK_TOL else
-                "use window >= " + str(_smallest_radius(
-                    lambda K: leak(K) <= _LEAK_TOL, window + 1, 2 * need, "")))
-        raise NumericalError(
-            f"window {window} leaks mass {leaked:.3g} > {_LEAK_TOL:.3g}; {hint}")
+    _check_leak(steps, laws, window)
     nu = np.zeros(2 * window + 1)
     for s in range(q // 2 + 1):
         law, twin = laws[s], laws[-s]  # twin: the law of class q - s

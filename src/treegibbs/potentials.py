@@ -671,12 +671,13 @@ def _progression_sum(pot: Potential, l0: int, step: int, p: float,
 def _smallest_radius(fits, start: int, cap: int, failure: str) -> int:
     """Smallest R >= start with fits(R), for fits monotone in R.
 
-    Doubles R from start until it fits, refusing with NumericalError(failure)
-    once R would pass cap, then bisects between the last miss and the hit.
+    Doubles R from start (from 1 at start 0) until it fits, refusing with
+    NumericalError(failure) once R would pass cap, then bisects between the
+    last miss and the hit.
     """
     lo = hi = start
     while not fits(hi):
-        lo, hi = hi, 2 * hi
+        lo, hi = hi, max(1, 2 * hi)
         if hi > cap:
             raise NumericalError(failure)
     while hi - lo > 1:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import treegibbs
-from treegibbs import cli, potentials
+from treegibbs import cli, ggm, potentials
 from treegibbs.boundary_law import (
     MODE_AUTO,
     BoundaryLaw,
@@ -372,6 +372,11 @@ class TestPeriodic:
         assert "--q" in json.loads(err)["error"]["message"]
 
 
+# what the printed ggm rows' own rounding may add to their deficit past the
+# printed leak, which bounds the mass nu leaves outside the window
+_ROW_ROUNDING = 1e-15
+
+
 class TestGgm:
     def test_table_is_written_block_by_block(self, monkeypatch, tmp_path):
         # no string holds the whole table: the metadata lines and header,
@@ -383,7 +388,7 @@ class TestGgm:
                 writes.append(len(text))
                 return super().write(text)
 
-        argv = ["ggm", "--model", "log", "--beta", "3.3", "--d", "2", "--q", "3"]
+        argv = ["ggm", "--model", "log", "--beta", "3.0", "--d", "2", "--q", "3"]
         monkeypatch.setattr(sys, "stdout", Recorder())
         assert main(argv) == 0
         text = sys.stdout.getvalue()
@@ -394,6 +399,40 @@ class TestGgm:
         path = tmp_path / "ggm.csv"
         assert main([*argv, "--out", str(path)]) == 0
         assert path.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "log", "--beta", "3.0", "--q", "5"),
+        ("--model", "sos", "--beta", "2", "--d", "2", "--q", "2"),
+    ], ids=["log3", "readme"])
+    def test_printed_leak_bounds_the_rows_on_the_least_window(self, capsys, monkeypatch, argv):
+        chains = []
+        least = cli._edge_window
+        monkeypatch.setattr(cli, "_edge_window",
+                            lambda fc, laws: chains.append((fc, laws)) or least(fc, laws))
+        code, out, _ = run(capsys, "ggm", *argv)
+        assert code == 0
+        meta, _, rows = parse_csv(out)
+        window, leak = int(meta["window"]), float(meta["leak"])
+        assert len(rows) == 2 * window + 1 and leak <= 1e-9
+        # the leak is the mass nu leaves outside the window; the rows' own
+        # rounding (class masses, Q, the step law and the products) moves
+        # their exact sum by about 1e-16 more (1.7e-17 past it at sos 2)
+        deficit = math.fsum([1.0] + [-float(row[1]) for row in rows])
+        assert deficit <= leak + _ROW_ROUNDING
+        ((fc, laws),) = chains
+        steps = ggm._class_step_law(fc)
+        assert ggm._edge_leak(steps, laws, window) == leak
+        assert ggm._edge_leak(steps, laws, window - 1) > 1e-9
+        code, out, _ = run(capsys, "ggm", *argv, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["meta"]["leak"] == leak and obj["meta"]["window"] == window
+        assert obj["edge_marginal"]["k"] == list(range(-window, window + 1))
+        for entry, law in zip(obj["increment_laws"], laws, strict=True):
+            inside = np.abs(law.support) <= window
+            assert entry["support"] == law.support[inside].tolist()
+            assert entry["weights"] == law.weights[inside].tolist()
+            assert entry["tail_mass_bound"] == law.tail(window)
 
     def test_chain_and_marginal(self, capsys):
         code, out, _ = run(capsys, "ggm", "--model", "sos", "--beta", "2",
@@ -766,6 +805,10 @@ class TestEmitterBytes:
                 in zip(law.indices, law.x, law.lam, single_site_marginal(law))]
 
     def test_ggm_log_chain_with_zero_rows(self, capsys, monkeypatch):
+        # the least window holds no zero rows; q past the largest increment
+        # radius, the slots beyond each class's own radius are zero
+        monkeypatch.setattr(cli, "_edge_window", lambda fc, laws: (
+            max(law.radius for law in laws) + fc.q, 0.0))
         marginals = _record(monkeypatch, "ggm_edge_marginal")
         code, out, _ = run(capsys, "ggm", "--model", "log", "--beta", "5", "--q", "3")
         assert code == 0
@@ -1000,8 +1043,8 @@ class TestOneCertificateRecord:
 # stdout sha256 of commands whose bytes the secant threshold search and the
 # one-pass class sums keep, taken from the midpoint bisection and per-arm sums;
 # the periodic one is those bytes less the law's sup-norm `# residual=` line.
-# The ggm ones are the laws cut at the least radius whose class tail is
-# certified below 1e-10.  Each hash skips the one line that names the
+# The ggm ones print the edge marginal, and in JSON the increment laws, on
+# the least window whose certified leak is at most 1e-9.  Each hash skips the one line that names the
 # installed numpy, `# numpy=` in CSV and `"numpy": ` in JSON
 PINNED_STDOUT = {
     "table --model sos --d 2,3,6,7,100,1000":
@@ -1013,9 +1056,9 @@ PINNED_STDOUT = {
     "periodic --model log --beta 2.6 --d 2 --q 5":
         "fb24eeab8a86cafc83dfc13edc627e7300055c8ef43598b4acf4d00983438638",
     "ggm --model log --beta 3.0 --q 5":
-        "72d236f1bbaab527e2a83996205a0505fb5d8d24816696a6bfaf39aa6c9bf88b",
+        "45730b94791aa477df55908981f296cbc4a4c6acde666d288df59a55f9674373",
     "ggm --model log --beta 4.0 --q 3 --format json":
-        "c8802458d1e2e33cc0d67de4474e53df440d499521eea1fc71644c1a123e4547",
+        "8064778695832091860bbf7c5fda5fad23461048afe33896adcaf345ac41e221",
     "simulate --model log --beta 2.6 --d 2 --q 3 --n 16 --truncation 200":
         "5f56ccc33725a6f60a50865f7d56b7a12b559af8de08e3dd193284670b77761c",
     "simulate --model log --beta 4.0 --d 2 --q 3 --sample-steps 1000 --seed 7":
@@ -1213,22 +1256,23 @@ class TestErrorContract:
         assert "100000000001 uniforms" in payload["message"]
 
     def test_truncation_leak_points_at_increment_radius(self, capsys):
-        # window 7 already holds every radius-4 increment; widening it cannot help
+        # window 4 already holds every radius-4 increment; widening it cannot help
         code, out, err = run(capsys, "ggm", "--model", "sos", "--beta", "2",
                              "--d", "2", "--q", "3", "--truncation", "4")
         assert code == 3 and out == ""
         message = json.loads(err)["error"]["message"]
-        assert message.startswith("window 7 leaks mass")
+        assert message.startswith("window 4 leaks mass")
         assert "--truncation" in message and "use window" not in message
 
     def test_explicit_truncation_within_the_budget_is_accepted(self, capsys):
-        # window 15 holds every radius-8 increment and leaks 5.2e-11 (q = 7):
-        # each class tail is bounded on the class's own terms, where the
-        # tail over all |j| > 8 would read 3.8e-08 and refuse it
+        # window 8, the least that fits, holds every radius-8 increment and
+        # leaks 5.2e-11 (q = 7; window 7 leaks 1.1e-08): each class tail is
+        # bounded on the class's own terms, where the tail over all |j| > 8
+        # would read 3.8e-08 and refuse it
         code, out, err = run(capsys, "ggm", "--model", "sos", "--beta", "2",
                              "--d", "2", "--q", "7", "--truncation", "8")
         assert code == 0 and err == ""
-        assert "# window=15" in out.splitlines()
+        assert "# window=8" in out.splitlines()
 
     def test_ggm_radius_holds_the_nearest_class_point(self, capsys):
         # -2 = 3 (mod 5) lies inside radius 2: the laws are built, and only

@@ -38,6 +38,7 @@ from treegibbs.potentials import (
     _hurwitz_rows,
     _MonotoneEnvelope,
     _power_tail,
+    _smallest_radius,
     _progression_sum,
     _progression_sums,
     _tail_beyond,
@@ -1104,3 +1105,30 @@ class TestLogClosedForm:
                 rep = p_norm(log_potential(s), 1.0, domain, cross_check=False)
                 assert rep.method == "closed_form"
                 assert abs(mpmath.mpf(rep.value) - exact) <= rep.tail_bound, (s, domain)
+
+
+class TestSmallestRadius:
+    @staticmethod
+    def _fits_from(least):
+        calls = []
+
+        def fits(R):
+            calls.append(R)
+            # a search that stops making progress fails here instead of hanging
+            assert len(calls) < 200, calls[-5:]
+            return R >= least
+        return fits, calls
+
+    @pytest.mark.parametrize("start", [0, 1, 3, 5])
+    def test_least_fitting_radius(self, start):
+        fits, _ = self._fits_from(5)
+        assert _smallest_radius(fits, start, 1 << 20, "") == max(start, 5)
+
+    def test_start_zero_that_fits(self):
+        fits, calls = self._fits_from(0)
+        assert _smallest_radius(fits, 0, 10, "") == 0 and calls == [0]
+
+    def test_refuses_past_the_cap(self):
+        fits, _ = self._fits_from(100)
+        with pytest.raises(NumericalError, match="too far"):
+            _smallest_radius(fits, 0, 64, "too far")
