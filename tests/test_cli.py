@@ -1044,8 +1044,9 @@ class TestOneCertificateRecord:
 # one-pass class sums keep, taken from the midpoint bisection and per-arm sums;
 # the periodic one is those bytes less the law's sup-norm `# residual=` line.
 # The ggm ones print the edge marginal, and in JSON the increment laws, on
-# the least window whose certified leak is at most 1e-9.  Each hash skips the one line that names the
-# installed numpy, `# numpy=` in CSV and `"numpy": ` in JSON
+# the least window whose certified leak is at most 1e-9.  Each hash skips the
+# one line that names the installed numpy, `# numpy=` in CSV and `"numpy": `
+# in JSON
 PINNED_STDOUT = {
     "table --model sos --d 2,3,6,7,100,1000":
         "40ae3fa9515c6f0a832de03fa84eeb8bc6c3e0e2c982b2621a3a746787229529",
