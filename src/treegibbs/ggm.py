@@ -248,12 +248,19 @@ def _check_laws(fc: FuzzyChain, laws) -> list[IncrementLaw]:
 def _class_step_law(fc: FuzzyChain) -> np.ndarray:
     """Stationary law of the class step: entry s is sum_i alpha(i) P(i, i+s).
 
-    Each entry is an exactly rounded sum of the q products.
+    Each entry is an exactly rounded sum of the q products.  The q^2
+    products (15 ms at q = 512) are summed on a chain's first call only:
+    the read-only law is kept on the chain, as a cached property would be.
     """
-    i = np.arange(fc.q)
-    return np.array([
-        math.fsum((fc.alpha * fc.P[i, (i + s) % fc.q]).tolist()) for s in range(fc.q)
-    ])
+    steps = fc.__dict__.get("_step_law")
+    if steps is None:
+        i = np.arange(fc.q)
+        steps = np.array([
+            math.fsum((fc.alpha * fc.P[i, (i + s) % fc.q]).tolist()) for s in range(fc.q)
+        ])
+        steps.setflags(write=False)
+        fc.__dict__["_step_law"] = steps
+    return steps
 
 
 def _edge_leak(steps: np.ndarray, laws: list[IncrementLaw], K: int) -> float:

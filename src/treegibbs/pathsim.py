@@ -14,14 +14,16 @@ The module computes W_n laws exactly (matrix powers for heights; for
 classes, dynamic programming over (class, displacement) with one linear
 convolution per class row and class step, direct or by FFT, and a rigorous
 bound on its rounding), samples both walks through one stepping kernel
-with counter-based streams keyed by (seed, replicate), and recovers the
-height period of an unknown source from the empirical distribution of its
-partial sums mod q-tilde.  The sampler's unit of work is one block of at
-most `_BLOCK` walkers or steps: `sample_wn` runs each block's whole walk
-in block-sized buffers, on a pool of threads, one per CPU the process
-may use and at most `_MAX_THREADS` (the count measured so far).  Philox
-is counter-based, so each block reads its share of the one stream
-directly and W_n has the same bytes for any thread count.
+with streams keyed by (seed, replicate), and recovers the height period
+of an unknown source from the empirical distribution of its partial sums
+mod q-tilde.  The sampler's unit of work is one block of at most
+`_BLOCK` walkers or steps: `sample_wn` runs each block's whole walk in
+block-sized buffers, on a pool of threads, one per CPU the process may
+use and at most `_MAX_THREADS` (the count measured so far).  Its uniforms
+come from one PCG64DXSM stream, which advances by any distance at once,
+so each block reads its share of the stream directly and W_n has the
+same bytes for any thread count; `sample_path` reads a Philox stream in
+order.
 
 Every sampled step is an inverse-CDF draw from one padded table
 (`_CdfTable`): the rows of a kernel, or the increment laws, as running
@@ -404,13 +406,16 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> Pat
 # ---------------------------------------------------------------------------
 
 
-def _stream(seed: int, replicate: int) -> np.random.Generator:
+def _seed_sequence(seed: int, replicate: int) -> np.random.SeedSequence:
+    """The key (seed, replicate) of a sampler's stream: integers >= 0, not bools."""
     for name, v in (("seed", seed), ("replicate", replicate)):
-        if not isinstance(v, (int, np.integer)) or v < 0:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
             raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
-    return np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence([int(seed), int(replicate)]))
-    )
+    return np.random.SeedSequence([int(seed), int(replicate)])
+
+
+def _stream(seed: int, replicate: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, replicate)))
 
 
 def _cumulative_rows(P: np.ndarray) -> np.ndarray:
@@ -681,41 +686,25 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
 
 class _SliceStream:
     """The uniforms of walkers [lo, lo + len(out)) from each random(N) call
-    of one Philox stream.
+    of one PCG64DXSM stream.
 
-    The k-th call of the full stream covers positions [kN, (k+1)N).  Philox
-    is counter-based (Salmon et al., Parallel random numbers: as easy as
-    1, 2, 3, SC'11) and Philox 4x64 yields four doubles per counter value,
-    so position P is reached directly: counter P // 4, then P % 4 doubles
-    discarded.  The first call builds the generator there; later calls move
-    the one generator on.  A generator that has read up to position
-    ``at`` holds counter ceil(at / 4), and ``Philox.advance`` adds to the
-    counter and empties the buffer, so a jump of four or more positions
-    advances by P // 4 - ceil(at / 4) and discards P % 4; a shorter jump
-    reads the P - at doubles in between (none when one block holds all
-    walkers).
+    The k-th call of the full stream covers positions [kN, (k+1)N).
+    PCG64DXSM (O'Neill, PCG, HMC-CS-2014-0905) draws one 64-bit word per
+    double and advances by any distance in O(log distance) steps, so the
+    generator starts at position lo and, after each call, skips the
+    N - len(out) positions of the other walkers.
     """
 
-    __slots__ = ("key", "N", "lo", "calls", "gen", "at")
+    __slots__ = ("bits", "gen", "skip")
 
-    def __init__(self, key, N: int, lo: int):
-        self.key, self.N, self.lo = key, N, lo
-        self.calls, self.gen, self.at = 0, None, 0
+    def __init__(self, seq: np.random.SeedSequence, N: int, lo: int):
+        self.bits = np.random.PCG64DXSM(seq).advance(lo)
+        self.gen, self.skip = np.random.Generator(self.bits), N
 
     def random(self, out: np.ndarray) -> np.ndarray:
-        P = self.calls * self.N + self.lo
-        self.calls += 1
-        if self.gen is None:
-            self.gen = np.random.Generator(
-                np.random.Philox(key=self.key, counter=P // 4))
-            self.gen.random(P % 4)
-        elif P - self.at >= 4:
-            self.gen.bit_generator.advance(P // 4 - (self.at + 3) // 4)
-            self.gen.random(P % 4)
-        elif P > self.at:
-            self.gen.random(P - self.at)
-        self.at = P + len(out)
-        return self.gen.random(out=out)
+        self.gen.random(out=out)
+        self.bits.advance(self.skip - len(out))
+        return out
 
 
 def _cpus() -> int:
@@ -729,27 +718,28 @@ def _cpus() -> int:
 def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     """W_n over independent walkers, vectorized; one stream per call.
 
-    Returns an int64 array of length ``replicates``.  The stream is keyed
-    by (seed, replicate) like sample_path; parallel batches should use
-    distinct replicate keys.  Each block of at most `_BLOCK` walkers runs
-    its whole walk in its own block-sized buffers, reading its uniforms
-    from the one stream by counter (`_SliceStream`), so no step allocates
-    and W_n has the same bytes for any number of threads.  A pool of
-    threads, one per CPU the process may use and at most `_MAX_THREADS`
-    (only 2 threads on 2 CPUs were measured), maps over the blocks; numpy
-    releases the GIL in the draws, ufuncs and gathers.
+    Returns an int64 array of length ``replicates``.  The uniforms come
+    from one PCG64DXSM stream keyed by (seed, replicate), as sample_path's
+    Philox stream is; parallel batches should use distinct replicate keys.
+    Each block of at most `_BLOCK` walkers runs its whole walk in its own
+    block-sized buffers, reading its slice of every call of the stream by
+    advancing past the other walkers' positions (`_SliceStream`), so no
+    step allocates and W_n has the same bytes for any number of threads.
+    A pool of threads, one per CPU the process may use and at most
+    `_MAX_THREADS` (only 2 threads on 2 CPUs were measured), maps over the
+    blocks; numpy releases the GIL in the draws, ufuncs and gathers.
     """
     _check_sizes(n, replicates)
+    seq = _seed_sequence(seed, replicate)
     _, alpha, P, increment = _markov_additive(source)
     start, kernel = _CdfTable([alpha]), _CdfTable(P)
-    key = _stream(seed, replicate).bit_generator.state["state"]["key"]
     N = int(replicates)
     W = np.zeros(N, dtype=np.int64)
 
     def walk(lo):
         Wb = W[lo:lo + _BLOCK]
         size = len(Wb)
-        rng, scratch = _SliceStream(key, N, lo), _Scratch(size)
+        rng, scratch = _SliceStream(seq, N, lo), _Scratch(size)
         u, s = np.empty(size), np.zeros(size, dtype=np.int64)  # every walker starts on row 0
         t, dW = np.empty_like(s), np.empty_like(s)
         start.draw(s, rng.random(out=u), s, scratch)

@@ -434,6 +434,22 @@ class TestGgm:
             assert entry["weights"] == law.weights[inside].tolist()
             assert entry["tail_mass_bound"] == law.tail(window)
 
+    def test_class_step_law_is_summed_once(self, capsys, monkeypatch):
+        # the window search and the marginal share one pass of q exactly
+        # rounded sums: the step law is summed once per chain
+        passes, fsum, step_law = [], math.fsum, ggm._class_step_law.__code__
+
+        def counting(terms):
+            frame = sys._getframe(1)
+            # before Python 3.12 the list comprehension has its own frame
+            if step_law in (frame.f_code, frame.f_back.f_code):
+                passes.append(len(terms))
+            return fsum(terms)
+        monkeypatch.setattr(math, "fsum", counting)
+        code, _, _ = run(capsys, "ggm", "--model", "sos", "--beta", "2", "--d", "2", "--q", "3")
+        assert code == 0
+        assert passes == [3, 3, 3]
+
     def test_chain_and_marginal(self, capsys):
         code, out, _ = run(capsys, "ggm", "--model", "sos", "--beta", "2",
                            "--d", "2", "--q", "2", "--format", "json")

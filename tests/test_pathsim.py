@@ -8,7 +8,6 @@ the closed sech algebra for the two-class chain.
 """
 
 import concurrent.futures
-import itertools
 import math
 import sys
 
@@ -35,7 +34,6 @@ from treegibbs.pathsim import (
     PathDistribution,
     _CdfTable,
     _Scratch,
-    _SliceStream,
     _cumulative_rows,
     _height_kernel,
     _stream,
@@ -463,6 +461,17 @@ class TestSampling:
             sample_path(sos25, 10, seed=1, replicate=2.5)
         with pytest.raises(ConfigError, match="replicates"):
             sample_wn(chain2, 4, 0, seed=1)
+        # both samplers check their key alike, and refuse a bool
+        for sample in (lambda **key: sample_wn(chain2, 2, 10, **key),
+                       lambda **key: sample_path(sos25, 10, **key)):
+            with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+                sample(seed=-1)
+            with pytest.raises(ConfigError, match="replicate must be .* got 1.5"):
+                sample(seed=1, replicate=1.5)
+            with pytest.raises(ConfigError, match="seed must be .* got True"):
+                sample(seed=True)
+            with pytest.raises(ConfigError, match="replicate must be .* got False"):
+                sample(seed=1, replicate=False)
 
     def test_sizes_must_be_integers(self, sos25, chain2):
         with pytest.raises(ConfigError, match="n must be an integer >= 1, got 2.5"):
@@ -588,8 +597,10 @@ class TestSamplePathReference:
 
 
 def _reference_wn(source, n, replicates, seed, replicate=0):
-    """The two-branch sample_wn that one Markov-additive walk replaced, as an oracle."""
-    rng = _stream(seed, replicate)
+    """The two-branch sample_wn that one Markov-additive walk replaced, as an
+    oracle, on its own sequential PCG64DXSM stream: call k of the walk reads
+    positions [kN, (k+1)N) of that stream."""
+    rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([seed, replicate])))
     N = int(replicates)
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)
@@ -652,48 +663,29 @@ class TestSampleWnReference:
     @pytest.mark.parametrize("source", ["sos20", "chain2", "chain_log"])
     @pytest.mark.parametrize("seed,replicate", [(7, 0), (20260814, 1)])
     def test_any_thread_count(self, request, monkeypatch, source, seed, replicate):
-        # 2 _BLOCK + 17 walkers make three blocks, the last one short; N is
-        # odd, so the blocks of later calls start at every offset mod 4
-        # inside a Philox block
+        # 2 _BLOCK + 17 walkers make three blocks, the last one short; then
+        # 13 walkers in blocks of every size 1..13, so that blocks start at
+        # every offset lo and skip every distance between two calls (30
+        # steps, so that the class chains' 13 walkers end apart)
         src = request.getfixturevalue(source)
         N, n = 2 * _BLOCK + 17, 3
         want = _reference_wn(src, n, N, seed, replicate)
         assert len(np.unique(want)) > 1
+        layouts = [(N, n, _BLOCK, want)] + [
+            (13, 30, block, _reference_wn(src, 30, 13, seed, replicate))
+            for block in range(1, 14)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # frequent thread switches between the blocks
         try:
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(pathsim, "_MAX_THREADS", workers)
-                monkeypatch.setattr(pathsim, "_cpus", lambda w=workers: w)
-                got = sample_wn(src, n, N, seed=seed, replicate=replicate)
-                assert np.array_equal(got, want), workers
+            for N, n, block, want in layouts:
+                monkeypatch.setattr(pathsim, "_BLOCK", block)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(pathsim, "_MAX_THREADS", workers)
+                    monkeypatch.setattr(pathsim, "_cpus", lambda w=workers: w)
+                    got = sample_wn(src, n, N, seed=seed, replicate=replicate)
+                    assert np.array_equal(got, want), (N, block, workers)
         finally:
             sys.setswitchinterval(interval)
-
-    def test_slice_stream_matches_sequential_draws(self):
-        rng = _stream(11, 3)
-        key = rng.bit_generator.state["state"]["key"]
-        N = 1001
-        calls = rng.random(5 * N).reshape(5, N)
-        for lo, hi in ((0, N), (3, 4), (4, 700), (999, N)):
-            stream = _SliceStream(key, N, lo)
-            for k in range(5):
-                assert np.array_equal(
-                    stream.random(out=np.empty(hi - lo)), calls[k, lo:hi])
-
-    def test_slice_stream_jumps_of_every_length(self):
-        # a slice of any [lo, hi) of small N jumps 0 to N - 1 positions between
-        # calls: read on (under 4) or advance the one generator (4 or more)
-        rng = _stream(11, 3)
-        key = rng.bit_generator.state["state"]["key"]
-        calls = rng.random(9 * 13)
-        for N in range(1, 14):
-            rows = calls[:9 * N].reshape(9, N)
-            for lo, hi in itertools.combinations(range(N + 1), 2):
-                stream = _SliceStream(key, N, lo)
-                for k in range(9):
-                    assert np.array_equal(
-                        stream.random(out=np.empty(hi - lo)), rows[k, lo:hi]), (N, lo, hi, k)
 
     def test_slice_error_reaches_the_caller(self, monkeypatch, chain2):
         draw = _CdfTable.draw
