@@ -695,15 +695,15 @@ class _SliceStream:
     N - len(out) positions of the other walkers.
     """
 
-    __slots__ = ("bits", "gen", "skip")
+    __slots__ = ("bits", "gen", "N")
 
     def __init__(self, seq: np.random.SeedSequence, N: int, lo: int):
         self.bits = np.random.PCG64DXSM(seq).advance(lo)
-        self.gen, self.skip = np.random.Generator(self.bits), N
+        self.gen, self.N = np.random.Generator(self.bits), N
 
     def random(self, out: np.ndarray) -> np.ndarray:
         self.gen.random(out=out)
-        self.bits.advance(self.skip - len(out))
+        self.bits.advance(self.N - len(out))
         return out
 
 
