@@ -13,8 +13,8 @@ decays to zero at a diffusive rate.
 The module computes W_n laws exactly (matrix powers for heights; for
 classes, dynamic programming over (class, displacement) with one linear
 convolution per class row and class step, direct or by FFT, and a rigorous
-bound on its rounding), samples both walks through one stepping kernel
-with streams keyed by (seed, replicate), and recovers the height period
+bound on its rounding), samples both walks with streams keyed by
+(seed, replicate), and recovers the height period
 of an unknown source from the empirical distribution of its partial sums
 mod q-tilde.  The sampler's unit of work is one block of at most
 `_BLOCK` walkers or steps: `sample_wn` runs each block's whole walk in
@@ -25,17 +25,23 @@ so each block reads its share of the stream directly and W_n has the
 same bytes for any thread count; `sample_path` reads a Philox stream in
 order.
 
-Every sampled step is an inverse-CDF draw from one padded table
-(`_CdfTable`): the rows of a kernel, or the increment laws, as running
-sums padded with 1.0 to one power-of-two width w < 2m for rows of length
-at most m.  A guide of 2^b buckets per row (Chen & Asau, 1974; b =
-`_GUIDE_BITS`, 8 KiB per row) answers by one gather each walker whose
-bucket [t/2^b, (t+1)/2^b) no running sum splits; the others, 0.4-1.7% of
-a block on the tables measured, are searched at once by a branchless
-upper-bound search.  Because the entries <= u form a prefix of each row,
-the search returns exactly searchsorted(row, u, side="right"), and the
-guide holds the search's own answer wherever it is the same at both ends
-of a bucket, so the draws do not depend on how the lookup is laid out.
+Both walks of `sample_wn` read one uniform per walker and step.  A height
+step is an inverse-CDF draw from the padded running sums of the kernel
+(`_CdfTable`, rows padded with 1.0 to one power-of-two width w < 2m for
+rows of length at most m).  A class step draws the next class and its
+increment together (`_StepTable`): the uniform picks the next class from
+the kernel row, and its position inside that class's share of the row,
+rescaled to [0, 1), picks the increment from the law of the class step.
+The class walk drew two uniforms per step before, so its W_n bytes
+changed with this rule, while height W_n kept theirs.  A guide of 2^b
+buckets per row (Chen & Asau, 1974; b = `_GUIDE_BITS`, 8 KiB per row)
+answers by one gather each walker whose bucket [t/2^b, (t+1)/2^b) holds
+one answer throughout; the others, 0.4-2% of a block on the tables
+measured, are searched at once by branchless upper-bound searches.
+Because the entries <= u form a prefix of each row, a search returns
+exactly searchsorted(row, u, side="right"), and the guide holds the
+search's own answer wherever it is the same at both ends of a bucket, so
+the draws do not depend on how the lookup is laid out.
 W_n laws and paths are returned as arrays; `cli` prints them as CSV or
 JSON.
 """
@@ -110,6 +116,8 @@ _MAX_THREADS = 2
 _GUIDE_BITS = 10
 # the guide entry of a bucket that straddles a running sum; no draw is this
 _SENTINEL = np.iinfo(np.int64).min
+# the largest double below 1.0: the clip of the second uniform of a class step
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +434,7 @@ def _cumulative_rows(P: np.ndarray) -> np.ndarray:
 
 
 class _Scratch:
-    """Buffers for `_CdfTable.draw` and the class-step wrap on one block.
+    """Buffers for the draws of one block (`_Guided.draw`, the searches).
 
     A walk that passes the same scratch to every step allocates no
     block-sized buffer per step; block-sized temporaries on worker threads
@@ -434,10 +442,12 @@ class _Scratch:
     ``uniform`` hold the compacted keys (then results) and uniforms of the
     walkers that `draw` hands to the search; their index list, from
     np.flatnonzero, which takes no out=, is the one array a draw allocates
-    (0.4-1.7% of the block on the tables measured).
+    (0.4-1.7% of the block on the tables measured).  ``state`` holds the
+    next class of the two-level rule of `_StepTable`, which works out its
+    second uniform in ``uniform``.
     """
 
-    __slots__ = ("entry", "below", "term", "key", "uniform")
+    __slots__ = ("entry", "below", "term", "key", "uniform", "state")
 
     def __init__(self, size: int):
         self.entry = np.empty(size)
@@ -445,14 +455,78 @@ class _Scratch:
         self.term = np.empty(size, dtype=np.int64)
         self.key = np.empty(size, dtype=np.int64)
         self.uniform = np.empty(size)
+        self.state = np.empty(size, dtype=np.int64)
 
     def views(self, size: int):
         return self.entry[:size], self.below[:size], self.term[:size]
 
 
-class _CdfTable:
+class _Guided:
+    """A draw rule per table row with a guide table that answers most draws
+    by one gather.
+
+    A subclass defines ``_search(keys, u, out, scratch)``: the draw of row
+    keys[k] at u[k] for u in [0, 1), non-decreasing in u on every row, run
+    in the buffers of scratch (len(u) entries); keys may be out itself.
+    The guide (Chen & Asau, On generating random variates from an empirical
+    distribution, 1974) splits [0, 1) into 2^b buckets, b = `_GUIDE_BITS`.
+    Entry (s, t) holds the draw of row s for every u in [t/2^b, (t+1)/2^b),
+    found by `_search` at the bucket's two ends, t/2^b and the largest
+    double below (t+1)/2^b, or `_SENTINEL` where the two differ.  This is
+    exact: the draw is non-decreasing in u, so equal answers at the ends
+    hold for every u between them, and t = floor(u 2^b) is exact, since
+    scaling by a power of two only moves the exponent.  `draw` reads the
+    guide for the whole block and searches only the walkers whose bucket
+    the guide leaves to the search.  The guide takes 8 * 2^b bytes per row
+    (8 KiB at b = 10).
+    """
+
+    __slots__ = ("guide",)
+
+    def _build_guide(self, rows: int) -> None:
+        buckets = 1 << _GUIDE_BITS
+        lo = np.arange(buckets) / buckets  # t / 2^b, exact
+        ends = np.concatenate([lo, np.nextafter(lo + 1.0 / buckets, 0.0)])
+        self.guide = np.empty((rows, buckets), dtype=np.int64)
+        # a few rows at a time, so that the search buffers stay block-sized
+        per = max(1, _BLOCK // (2 * buckets))
+        scratch = _Scratch(2 * buckets * min(per, rows))
+        for r0 in range(0, rows, per):
+            block = self.guide[r0:r0 + per]
+            keys = np.repeat(np.arange(r0, r0 + len(block)), 2 * buckets)
+            at = self._search(keys, np.tile(ends, len(block)), keys, scratch)
+            at = at.reshape(len(block), 2, buckets)
+            block[...] = np.where(at[:, 0] == at[:, 1], at[:, 0], _SENTINEL)
+
+    def draw(self, keys, u: np.ndarray, out: np.ndarray,
+             scratch: _Scratch) -> np.ndarray:
+        """What `_search` writes, for one block of walkers: one gather from
+        the guide, then `_search` on the walkers it leaves to the search,
+        compacted into the scratch buffers; keys may be out itself.  scratch
+        must hold len(u) entries."""
+        guide = self.guide
+        bits = guide.shape[1].bit_length() - 1
+        _, hit, index = scratch.views(len(u))
+        # index = key 2^b + floor(u 2^b); the float -> int cast truncates
+        np.multiply(u, guide.shape[1], out=index, casting="unsafe")
+        np.left_shift(keys, bits, out=out)
+        index += out
+        np.take(guide.ravel(), index, out=out, mode="wrap")
+        np.equal(out, _SENTINEL, out=hit)
+        miss = np.flatnonzero(hit)
+        if miss.size:
+            key, uniform = scratch.key[:miss.size], scratch.uniform[:miss.size]
+            np.take(index, miss, out=key, mode="wrap")
+            np.right_shift(key, bits, out=key)
+            np.take(u, miss, out=uniform, mode="wrap")
+            out[miss] = self._search(key, uniform, key, scratch)
+        return out
+
+
+class _CdfTable(_Guided):
     """Inverse-CDF rows of a kernel, padded with 1.0 to one power-of-two width,
-    with a guide table that answers most draws by one gather.
+    with a guide table (`_Guided`, unless guide=False) that answers most
+    draws by one gather.
 
     Row s holds the running sums of weight row s with its last slot forced
     to 1.0 (so rounding never leaves mass above 1), then 1.0 up to the
@@ -471,26 +545,20 @@ class _CdfTable:
     terms never decreases, and the forced last slot and the padding are
     1.0 > u (a sum that overshoots 1.0 before the last slot only ends the
     prefix sooner).  The search stops at the prefix length, and so does
-    searchsorted(row, u, side="right"): the two agree bit for bit.
-
-    The guide (Chen & Asau, On generating random variates from an empirical
-    distribution, 1974) splits [0, 1) into 2^b buckets, b = `_GUIDE_BITS`.
-    Entry (s, t) holds the draw of row s for every u in [t/2^b, (t+1)/2^b),
-    found by `_search` at the bucket's two ends, t/2^b and the largest
-    double below (t+1)/2^b, or `_SENTINEL` where the two differ.  This is
-    exact: the prefix length is non-decreasing in u, so equal answers at
-    the ends hold for every u between them, and t = floor(u 2^b) is exact,
-    since scaling by a power of two only moves the exponent.  `draw` reads
-    the guide for the whole block and searches only the walkers whose
-    bucket straddles a running sum.  The guide takes 8 * 2^b bytes per row
-    (8 KiB at b = 10): 32 MiB beside the 128 MiB table of the largest
-    dense kernel, 4096 rows, whose guide took 0.3 s to build against
-    0.1 s for its running sums (so `_walk` builds no table).
+    searchsorted(row, u, side="right"): the two agree bit for bit, and the
+    prefix length is non-decreasing in u, as the guide needs.  The guide
+    of the largest dense kernel, 4096 rows, takes 32 MiB beside its 128 MiB
+    table and took 0.3 s to build against 0.1 s for its running sums (so
+    `_walk` builds no table).  The joint guide of `_StepTable`, which takes
+    its place in the class walk of `sample_wn`, took 0.25 s beyond 0.07 s
+    of running sums on the 4096-row SOS beta=2 kernel (where 0.18 s built
+    the kernel guide; its increment laws underflow at that q, so one-point
+    laws stood in), and 0.5 ms at log 3.0, q = 5 (2-core x86 host).
     """
 
-    __slots__ = ("cum", "base", "stride", "guide")
+    __slots__ = ("cum", "base", "stride")
 
-    def __init__(self, rows, first=None, stride=1):
+    def __init__(self, rows, first=None, stride=1, guide=True):
         m = max(len(r) for r in rows)
         cum = np.ones((len(rows), 1 << (m - 1).bit_length()))
         for row, r in zip(cum, rows):
@@ -501,19 +569,9 @@ class _CdfTable:
         self.base = None if first is None else (
             np.asarray(first, dtype=np.int64)
             - self.stride * cum.shape[1] * np.arange(len(rows), dtype=np.int64))
-        buckets = 1 << _GUIDE_BITS
-        lo = np.arange(buckets) / buckets  # t / 2^b, exact
-        ends = np.concatenate([lo, np.nextafter(lo + 1.0 / buckets, 0.0)])
-        self.guide = np.empty((len(rows), buckets), dtype=np.int64)
-        # a few rows at a time, so that the search buffers stay block-sized
-        per = max(1, _BLOCK // (2 * buckets))
-        scratch = _Scratch(2 * buckets * min(per, len(rows)))
-        for r0 in range(0, len(rows), per):
-            block = self.guide[r0:r0 + per]
-            keys = np.repeat(np.arange(r0, r0 + len(block)), 2 * buckets)
-            at = self._search(keys, np.tile(ends, len(block)), keys, scratch)
-            at = at.reshape(len(block), 2, buckets)
-            block[...] = np.where(at[:, 0] == at[:, 1], at[:, 0], _SENTINEL)
+        self.guide = None
+        if guide:
+            self._build_guide(len(rows))
 
     def _search(self, keys, u: np.ndarray, out: np.ndarray,
                 scratch: _Scratch) -> np.ndarray:
@@ -544,28 +602,75 @@ class _CdfTable:
             out += term
         return out
 
-    def draw(self, keys, u: np.ndarray, out: np.ndarray,
-             scratch: _Scratch) -> np.ndarray:
-        """What `_search` writes, for one block of walkers: one gather from
-        the guide, then `_search` on the walkers it leaves to the search,
-        compacted into the scratch buffers; keys may be out itself.  scratch
-        must hold len(u) entries."""
-        guide = self.guide
-        bits = guide.shape[1].bit_length() - 1
-        _, hit, index = scratch.views(len(u))
-        # index = key 2^b + floor(u 2^b); the float -> int cast truncates
-        np.multiply(u, guide.shape[1], out=index, casting="unsafe")
-        np.left_shift(keys, bits, out=out)
-        index += out
-        np.take(guide.ravel(), index, out=out, mode="wrap")
-        np.equal(out, _SENTINEL, out=hit)
-        miss = np.flatnonzero(hit)
-        if miss.size:
-            key, uniform = scratch.key[:miss.size], scratch.uniform[:miss.size]
-            np.take(index, miss, out=key, mode="wrap")
-            np.right_shift(key, bits, out=key)
-            np.take(u, miss, out=uniform, mode="wrap")
-            out[miss] = self._search(key, uniform, key, scratch)
+
+def _wrap_class_step(r: np.ndarray, q: int, term: np.ndarray) -> np.ndarray:
+    """r mod q in place, for class differences r in (-q, q): add q where r < 0,
+    that is where r >> 63 is -1 (np.remainder's integer division costs about
+    5x more).  term is a buffer of len(r) int64 entries."""
+    np.right_shift(r, 63, out=term)
+    term &= q
+    r += term
+    return r
+
+
+class _StepTable(_Guided):
+    """One class step of a (FuzzyChain, laws) source: the next class b and the
+    increment k drawn together from one uniform, as the code (k << bits) | b,
+    bits = max(1, bit_length(q - 1)).
+
+    The rule is the composition step of a Markov-additive chain (Devroye,
+    Non-Uniform Random Variate Generation, 1986, II.2 and III.2), in two
+    levels from row a of the kernel: b = searchsorted(cumP[a], u, "right")
+    on the running sums of the kernel (its `_CdfTable`, last slot forced
+    to 1.0); then v = min(fl(fl(u - C) / P[a, b]), 1 - 2^-53), C the
+    running sum before b (0 for b = 0), and k = first + q slot, slot =
+    searchsorted on the running sums of the law of the class step
+    (b - a) mod q at v.  Every level is non-decreasing in u (rounding is
+    monotone, and v is clipped below 1 where the forced 1.0 or rounding
+    would take it to 1 or beyond; a 0/0 at a zero P[a, b], which only
+    the forced last slot can draw, is clipped too), so the joint guide,
+    one row per class, is exact as `_Guided` says.  No joint table is
+    built: the rule reads the kernel and law running sums, built without
+    guides, and this one guide replaces the kernel guide.
+    """
+
+    __slots__ = ("kernel", "laws", "P", "q", "bits")
+
+    def __init__(self, P: np.ndarray, laws: _CdfTable):
+        self.q = len(P)
+        self.kernel = _CdfTable(P, guide=False)
+        self.P = np.ascontiguousarray(P, dtype=np.float64).ravel()
+        self.laws = laws
+        self.bits = max(1, (self.q - 1).bit_length())
+        self._build_guide(self.q)
+
+    def _search(self, keys, u: np.ndarray, out: np.ndarray,
+                scratch: _Scratch) -> np.ndarray:
+        """out[k] = the code of the two-level rule from class keys[k] at u[k];
+        keys may be out itself, and u may be scratch.uniform (`draw` passes
+        it), where the second uniform v is worked out."""
+        size = len(u)
+        entry, below, term = scratch.views(size)
+        b, v = scratch.state[:size], scratch.uniform[:size]
+        self.kernel._search(keys, u, b, scratch)
+        # C = cum[a, b - 1], taken where b > 0 and set to 0 where b = 0
+        np.multiply(keys, self.kernel.cum.shape[1], out=term)
+        term += b
+        term -= 1
+        np.take(self.kernel.cum.ravel(), term, out=entry, mode="wrap")
+        np.equal(b, 0, out=below)
+        np.copyto(entry, 0.0, where=below)
+        np.subtract(u, entry, out=v)
+        np.multiply(keys, self.q, out=term)
+        term += b
+        np.take(self.P, term, out=entry, mode="wrap")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(v, entry, out=v)
+        np.fmin(v, _BELOW_ONE, out=v)
+        _wrap_class_step(np.subtract(b, keys, out=out), self.q, term)
+        self.laws._search(out, v, out, scratch)
+        out <<= self.bits
+        out |= b
         return out
 
 
@@ -608,52 +713,35 @@ def _check_sizes(n, *replicates) -> None:
             "use smaller runs on distinct replicate keys")
 
 
-def _markov_additive(source):
-    """(labels, alpha, P, increment) of a sampling source.
+def _markov_additive(source, guide=True):
+    """(labels, alpha, P, laws) of a sampling source.
 
     alpha and P are the start law and the kernel of the state chain:
-    sample_wn draws from them through `_CdfTable`s, sample_path walks
-    them with `_walk`.  increment(a, b, rng, u, out, scratch) writes the
-    height change of the steps a -> b of one block into out, drawing any
-    uniforms it needs into the buffer u with rng.random(out=u) and working
-    in the `_Scratch` buffers.
-    For a truncated BoundaryLaw (labels = heights, consecutive integers) it
-    is the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
-    classes) it is one draw per step from the law of the class step
-    (b - a) mod q, read from a `_CdfTable` whose rows are the increment
-    laws, so the drawn slot maps to first + q * slot; the guide holds the
-    mapped points, so most draws read first + q * slot in one gather.
-    Each table pads its rows with 1.0 to a power-of-two width w below
-    twice the longest row, and each draw equals searchsorted(row, u,
-    side="right") because the entries <= u form a prefix of every row.  A
-    kernel table is dense, so it takes less than twice the memory of its
-    rows, plus a guide of 8 KiB per row.  The increment-law table takes
+    sample_path walks them with `_walk`, sample_wn draws from them through
+    `_CdfTable`s.  For a truncated BoundaryLaw (labels = heights,
+    consecutive integers) laws is None: the increment of a step a -> b is
+    the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
+    classes) laws is a `_CdfTable` whose rows are the increment laws, with
+    a guide unless guide=False: the slot drawn from row (b - a) mod q maps
+    to first + q * slot, and the guide holds the mapped points.
+    sample_path draws each class increment from it by one more uniform;
+    sample_wn searches it inside the one-uniform class step of
+    `_StepTable`, which has its own guide.  The table pads its rows with
+    1.0 to a power-of-two width w below twice the longest law, so it takes
     q w < 2 q (longest law) slots; heavy tails give the residues of small
     mass the longest laws, so that can be a few times the laws' own
-    length, while its guide takes only 8 q KiB.
+    length, while a guide takes only 8 q KiB.
     """
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)
-
-        def increment(a, b, rng, u, out, scratch):
-            return np.subtract(b, a, out=out)
-        return source.indices, alpha, P, increment
+        return source.indices, alpha, P, None
     if isinstance(source, (tuple, list)) and len(source) == 2 \
             and isinstance(source[0], FuzzyChain):
         fc = source[0]
         laws = _check_laws(fc, source[1])
-        table = _CdfTable([law.weights for law in laws], [law.first for law in laws], fc.q)
-
-        def increment(a, b, rng, u, out, scratch):
-            r = np.subtract(b, a, out=out)
-            # r in (-q, q): add q where r < 0, that is where r >> 63 is -1
-            # (np.remainder's integer division costs about 5x more)
-            term = scratch.term[:len(r)]
-            np.right_shift(r, 63, out=term)
-            term &= fc.q
-            r += term
-            return table.draw(r, rng.random(out=u), out, scratch)
-        return np.arange(fc.q), fc.alpha, fc.P, increment
+        table = _CdfTable([law.weights for law in laws], [law.first for law in laws],
+                          fc.q, guide)
+        return np.arange(fc.q), fc.alpha, fc.P, table
     raise ConfigError(
         "source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair"
     )
@@ -665,11 +753,11 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     Returns (increments, states): states has length n+1 and holds heights
     in gibbs mode, classes in ggm mode.  Equal (seed, replicate) always
     reproduces the same path; replicates are independent streams.  The
-    increments are drawn a block of steps at a time, in order, from the
-    one stream.
+    states take n + 1 uniforms of the stream; class increments then take
+    one more each, drawn a block of steps at a time, in order.
     """
     _check_sizes(n)
-    labels, alpha, P, increment = _markov_additive(source)
+    labels, alpha, P, laws = _markov_additive(source)
     rng = _stream(seed, replicate)
     if len(labels) > 1:
         states = _walk(alpha, P, rng.random(n + 1))
@@ -680,7 +768,10 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     a, b = states[:-1], states[1:]
     for lo in range(0, n, _BLOCK):
         out = increments[lo:lo + _BLOCK]
-        increment(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], rng, u[:len(out)], out, scratch)
+        np.subtract(b[lo:lo + _BLOCK], a[lo:lo + _BLOCK], out=out)
+        if laws is not None:
+            _wrap_class_step(out, len(labels), scratch.term[:len(out)])
+            laws.draw(out, rng.random(out=u[:len(out)]), out, scratch)
     return increments, labels[states]
 
 
@@ -721,18 +812,42 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     Returns an int64 array of length ``replicates``.  The uniforms come
     from one PCG64DXSM stream keyed by (seed, replicate), as sample_path's
     Philox stream is; parallel batches should use distinct replicate keys.
+    Both walks read one uniform per walker and step, after one for the
+    start: a height step draws the next height from the kernel's
+    `_CdfTable`, a class step draws the next class and its increment
+    together from `_StepTable` (one uniform where an earlier class step
+    read two, so class W_n changed bytes with it; height W_n kept theirs).
     Each block of at most `_BLOCK` walkers runs its whole walk in its own
     block-sized buffers, reading its slice of every call of the stream by
     advancing past the other walkers' positions (`_SliceStream`), so no
-    step allocates and W_n has the same bytes for any number of threads.
-    A pool of threads, one per CPU the process may use and at most
-    `_MAX_THREADS` (only 2 threads on 2 CPUs were measured), maps over the
-    blocks; numpy releases the GIL in the draws, ufuncs and gathers.
+    step allocates beyond the draws' fallback index lists and W_n has the
+    same bytes for any number of threads.  A pool of threads, one per CPU
+    the process may use and at most `_MAX_THREADS` (only 2 threads on 2
+    CPUs were measured), maps over the blocks; numpy releases the GIL in
+    the draws, ufuncs and gathers.
     """
     _check_sizes(n, replicates)
     seq = _seed_sequence(seed, replicate)
-    _, alpha, P, increment = _markov_additive(source)
-    start, kernel = _CdfTable([alpha]), _CdfTable(P)
+    _, alpha, P, laws = _markov_additive(source, guide=False)
+    start = _CdfTable([alpha])
+    if laws is None:
+        table = _CdfTable(P)
+
+        # t holds the row of the next height (rows are consecutive heights)
+        def advance(s, t, Wb):
+            Wb += t
+            Wb -= s
+            return t, s
+    else:
+        table = _StepTable(P, laws)
+        bits, mask = table.bits, (1 << table.bits) - 1
+
+        # t holds (increment << bits) | next class
+        def advance(s, t, Wb):
+            np.bitwise_and(t, mask, out=s)
+            t >>= bits
+            Wb += t
+            return s, t
     N = int(replicates)
     W = np.zeros(N, dtype=np.int64)
 
@@ -741,12 +856,11 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
         size = len(Wb)
         rng, scratch = _SliceStream(seq, N, lo), _Scratch(size)
         u, s = np.empty(size), np.zeros(size, dtype=np.int64)  # every walker starts on row 0
-        t, dW = np.empty_like(s), np.empty_like(s)
+        t = np.empty_like(s)
         start.draw(s, rng.random(out=u), s, scratch)
         for _ in range(n):
-            kernel.draw(s, rng.random(out=u), t, scratch)
-            Wb += increment(s, t, rng, u, dW, scratch)
-            s, t = t, s
+            table.draw(s, rng.random(out=u), t, scratch)
+            s, t = advance(s, t, Wb)
 
     # imported here: the pool's imports (logging) cost every CLI command
     # 5-6 ms of start-up, and no command samples W_n

@@ -10,6 +10,7 @@ the closed sech algebra for the two-class chain.
 import concurrent.futures
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from treegibbs.pathsim import (
     _BLOCK,
     PathDistribution,
     _CdfTable,
+    _Guided,
     _Scratch,
+    _StepTable,
     _cumulative_rows,
     _height_kernel,
     _stream,
@@ -596,10 +599,41 @@ class TestSamplePathReference:
             assert len(np.unique(inc)) > 1
 
 
+def _reference_class_step(P, weights, firsts, classes, u):
+    """One class step from one uniform each, as an oracle: per-class
+    searchsorted for the next class b, the second uniform
+    v = min((u - C) / P[a, b], 1 - 2^-53) (C the kernel's running sum
+    before b), then per-residue searchsorted at v, for the point
+    firsts[s] + q slot of law s = (b - a) mod q.  Returns (b, increment)."""
+    q = len(P)
+    cumP = _cumulative_rows(np.asarray(P, dtype=float))
+    nxt = np.empty_like(classes)
+    v = np.empty(len(u))
+    for i in range(q):
+        mask = classes == i
+        if mask.any():
+            b = np.searchsorted(cumP[i], u[mask], side="right")
+            before = np.concatenate([[0.0], cumP[i][:-1]])[b]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v[mask] = np.fmin((u[mask] - before) / P[i][b], 1.0 - 2.0**-53)
+            nxt[mask] = b
+    residues = (nxt - classes) % q
+    increments = np.zeros(len(u), dtype=np.int64)
+    for s in range(q):
+        mask = residues == s
+        if mask.any():
+            slot = np.searchsorted(_cumulative_rows(weights[s]), v[mask], side="right")
+            increments[mask] = firsts[s] + q * slot
+    return nxt, increments
+
+
 def _reference_wn(source, n, replicates, seed, replicate=0):
-    """The two-branch sample_wn that one Markov-additive walk replaced, as an
-    oracle, on its own sequential PCG64DXSM stream: call k of the walk reads
-    positions [kN, (k+1)N) of that stream."""
+    """sample_wn by per-state searchsorted loops, as an oracle, on its own
+    sequential PCG64DXSM stream: call 0 draws the start and call k the
+    step k, each reading positions [kN, (k+1)N) of that stream.  The height
+    branch is the two-branch sampler that one Markov-additive walk
+    replaced; the class branch draws the next class and its increment from
+    one uniform (`_reference_class_step`)."""
     rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([seed, replicate])))
     N = int(replicates)
     if isinstance(source, BoundaryLaw):
@@ -618,33 +652,18 @@ def _reference_wn(source, n, replicates, seed, replicate=0):
         idx = source.indices
         return (idx[states] - idx[start]).astype(np.int64)
     fc, laws = source
-    q = fc.q
-    cum_alpha = _cumulative_rows(fc.alpha)
-    cumP = _cumulative_rows(fc.P)
-    cumw = [_cumulative_rows(law.weights) for law in laws]
-    classes = np.searchsorted(cum_alpha, rng.random(N), side="right")
+    weights, firsts = _law_rows(laws)
+    classes = np.searchsorted(_cumulative_rows(fc.alpha), rng.random(N), side="right")
     W = np.zeros(N, dtype=np.int64)
     for _ in range(n):
-        u = rng.random(N)
-        nxt = np.empty_like(classes)
-        for i in range(q):
-            mask = classes == i
-            if mask.any():
-                nxt[mask] = np.searchsorted(cumP[i], u[mask], side="right")
-        residues = (nxt - classes) % q
-        u = rng.random(N)
-        for s in range(q):
-            mask = residues == s
-            if mask.any():
-                W[mask] += laws[s].support[
-                    np.searchsorted(cumw[s], u[mask], side="right")
-                ]
-        classes = nxt
+        classes, increments = _reference_class_step(
+            fc.P, weights, firsts, classes, rng.random(N))
+        W += increments
     return W
 
 
 class TestSampleWnReference:
-    """sample_wn draws the same W_n, bit for bit, as the two-branch sampler."""
+    """sample_wn draws the same W_n, bit for bit, as the searchsorted oracle."""
 
     @pytest.mark.parametrize("source", [
         "sos20", "sos25", "chain_free", "chain2", "chain3", "chain_log", "chain_log30"])
@@ -688,13 +707,14 @@ class TestSampleWnReference:
             sys.setswitchinterval(interval)
 
     def test_slice_error_reaches_the_caller(self, monkeypatch, chain2):
-        draw = _CdfTable.draw
+        # the class walk draws each step from its _StepTable
+        draw = _StepTable.draw
 
         def fail(self, keys, u, out, scratch):
             if len(u) < _BLOCK:  # only the last, short block fails
                 raise MemoryError("block")
             return draw(self, keys, u, out, scratch)
-        monkeypatch.setattr(_CdfTable, "draw", fail)
+        monkeypatch.setattr(_StepTable, "draw", fail)
         for workers in (1, 2, 3):
             monkeypatch.setattr(pathsim, "_MAX_THREADS", workers)
             monkeypatch.setattr(pathsim, "_cpus", lambda w=workers: w)
@@ -862,6 +882,183 @@ class TestCdfTableSearch:
             table = _CdfTable([np.full(m, 1.0 / m), np.ones(1)])
             assert table.cum.shape == (2, width)
             assert np.all(table.cum[:, -1] == 1.0)
+
+
+def _law_rows(laws):
+    return [law.weights for law in laws], [law.first for law in laws]
+
+
+def _step_table(P, weights, firsts):
+    """The _StepTable that sample_wn builds for kernel P and these laws."""
+    return _StepTable(P, _CdfTable(weights, firsts, len(P), guide=False))
+
+
+def _held_bytes(table):
+    """Bytes of the arrays a table holds, its sub-tables' included."""
+    total = 0
+    for name in table.__slots__ + _Guided.__slots__:
+        value = getattr(table, name)
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif isinstance(value, _Guided):
+            total += _held_bytes(value)
+    return total
+
+
+class TestStepTable:
+    """The one-uniform class step (`_StepTable`) against
+    `_reference_class_step`, on a kernel built for the rule's edges."""
+
+    P = np.array([
+        # a running sum that rounds up: fl(3 2^-54 + 0.75) = 0.75 + 2^-52,
+        # so at u = 0.75 + 2^-53 the second uniform rounds to 1.0
+        [3 * 2.0**-54, 0.75, 0.125, 0.125 - 3 * 2.0**-54],
+        # sums to 1 - 2^-40: the forced 1.0 draws the last class above it
+        [0.5, 0.125, 0.125, 0.25 - 2.0**-40],
+        # zeros inside and at the end, summing to 1.0
+        [0.5, 0.0, 0.5, 0.0],
+        # zeros, summing to 1 - 2^-40: the forced 1.0 draws the zero at the end
+        [0.25, 0.0, 0.75 - 2.0**-40, 0.0],
+    ])
+    WEIGHTS = [np.ones(1), np.full(5, 0.2), np.array([0.5, 0.25, 0.25 - 2.0**-30]),
+               np.array([0.1, 0.0, 0.6, 0.3])]
+    FIRSTS = [-8, -3, 6, -1]  # first = residue mod 4
+
+    def _edges(self):
+        """Every bucket's two ends, each kernel running sum and its
+        neighbours, the tops of [0, 1), and random u."""
+        buckets = 1 << pathsim._GUIDE_BITS
+        lo = np.arange(buckets) / buckets
+        sums = _cumulative_rows(self.P).ravel()
+        u = np.concatenate([lo, np.nextafter(lo + 1.0 / buckets, 0.0), sums,
+                            np.nextafter(sums, 0.0), np.nextafter(sums, 1.0),
+                            [0.0, 1.0 - 2.0**-41, np.nextafter(1.0, 0.0)],
+                            np.random.default_rng(8).random(3000)])
+        return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+    def _draw(self, a, u):
+        """(next class, increment) of the table's draw from class a at u."""
+        table = _step_table(self.P, self.WEIGHTS, self.FIRSTS)
+        keys = np.full(len(u), a)
+        code = table.draw(keys, u, np.empty(len(u), dtype=np.int64), _Scratch(len(u)))
+        return code & ((1 << table.bits) - 1), code >> table.bits
+
+    @pytest.mark.parametrize("bits", GUIDE_BITS)
+    def test_matches_reference_on_the_edges(self, monkeypatch, bits):
+        monkeypatch.setattr(pathsim, "_GUIDE_BITS", bits)
+        u = self._edges()
+        for a in range(len(self.P)):
+            b, k = self._draw(a, u)
+            want_b, want_k = _reference_class_step(
+                self.P, self.WEIGHTS, self.FIRSTS, np.full(len(u), a), u)
+            np.testing.assert_array_equal(b, want_b, err_msg=f"class {a}")
+            np.testing.assert_array_equal(k, want_k, err_msg=f"class {a}")
+
+    def test_second_uniform_clipped_below_a_running_sum(self):
+        C, p = self.P[0, 0], self.P[0, 1]
+        u = np.array([0.75 + 2.0**-53])
+        assert u[0] == np.nextafter(_cumulative_rows(self.P[0])[1], 0.0)
+        assert (u[0] - C) / p >= 1.0  # unclipped, v would leave [0, 1)
+        b, k = self._draw(0, u)
+        # class 1, residue 1: the last of the law's five points, where
+        # searchsorted at v = 1.0 would return a sixth slot
+        assert np.searchsorted(_cumulative_rows(self.WEIGHTS[1]), 1.0, side="right") == 5
+        assert b.tolist() == [1] and k.tolist() == [-3 + 4 * 4]
+
+    def test_forced_last_class(self):
+        row = self.P[1]
+        total = math.fsum(row.tolist())
+        assert np.cumsum(row)[-1] == total == 1.0 - 2.0**-40
+        u = np.array([total, 1.0 - 2.0**-41, np.nextafter(1.0, 0.0)])
+        assert np.all((u - 0.75) / row[3] >= 1.0)  # unclipped, v would leave [0, 1)
+        b, k = self._draw(1, u)
+        # class 3, residue 2: the law's last point, 6 + 4 * 2
+        assert b.tolist() == [3, 3, 3] and k.tolist() == [14, 14, 14]
+        # just below fl(sum P) the second uniform stays below 1 unclipped
+        assert (np.nextafter(total, 0.0) - 0.75) / row[3] < 1.0
+
+    @pytest.mark.parametrize("bits", GUIDE_BITS)
+    def test_zero_weights_are_not_drawn(self, monkeypatch, bits):
+        monkeypatch.setattr(pathsim, "_GUIDE_BITS", bits)
+        u = self._edges()
+        b, _ = self._draw(2, u)
+        assert set(b.tolist()) == {0, 2}
+        b, k = self._draw(3, u)
+        assert set(b.tolist()) == {0, 2, 3}
+        # the zero last class only where the forced 1.0 leaves it the mass
+        # the kernel's rounding lost; its 0/0 or inf is clipped like any v
+        np.testing.assert_array_equal(b == 3, u >= 1.0 - 2.0**-40)
+        assert np.all(k[b == 3] == -8)
+
+    @pytest.mark.parametrize("source", ["chain2", "chain_log30"])
+    def test_joint_guide_entries_hold_across_their_bucket(self, request, source):
+        # a joint guide entry is the rule's code (k << bits) | b at both ends
+        # of its bucket; the sentinel marks exactly the buckets where the
+        # two ends differ
+        fc, laws = request.getfixturevalue(source)
+        weights, firsts = _law_rows(laws)
+        table = _step_table(fc.P, weights, firsts)
+        assert table.bits == max(1, (fc.q - 1).bit_length())
+        buckets = table.guide.shape[1]
+        lo = np.arange(buckets) / buckets
+        for a in range(fc.q):
+            keys = np.full(buckets, a)
+            ends = []
+            for u in (lo, np.nextafter(lo + 1.0 / buckets, 0.0)):
+                b, k = _reference_class_step(fc.P, weights, firsts, keys, u)
+                want = (k << table.bits) | b
+                got = table._search(keys, u, np.empty(buckets, dtype=np.int64),
+                                    _Scratch(buckets))
+                np.testing.assert_array_equal(got, want)
+                ends.append(want)
+            same = ends[0] == ends[1]
+            np.testing.assert_array_equal(table.guide[a][same], ends[0][same])
+            assert np.all(table.guide[a][~same] == pathsim._SENTINEL)
+            assert same.any()
+
+    def test_class_block_allocates_only_its_index_list(self, monkeypatch, chain2):
+        # at one bucket per row every walker goes to the two-level rule,
+        # which works in the scratch buffers: the fallback index list of
+        # np.flatnonzero, 8 bytes a walker, is the one block-sized array.
+        # The rest of the peak is the same at a 4x larger block: numpy's
+        # casting buffer of the search's bool x int step (8192 entries)
+        monkeypatch.setattr(pathsim, "_GUIDE_BITS", 0)
+        fc, laws = chain2
+        table = _step_table(fc.P, *_law_rows(laws))
+        assert np.all(table.guide == pathsim._SENTINEL)
+        rng = np.random.default_rng(4)
+        beyond = []
+        for size in (_BLOCK, 4 * _BLOCK):
+            keys, u = rng.integers(0, fc.q, size), rng.random(size)
+            out, scratch = np.empty(size, dtype=np.int64), _Scratch(size)
+            table.draw(keys, u, out, scratch)
+            tracemalloc.start()
+            try:
+                table.draw(keys, u, out, scratch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            beyond.append(peak - 8 * size)
+        assert 0 <= beyond[0] < 96 * 1024
+        assert abs(beyond[1] - beyond[0]) < 4096, beyond
+
+    def test_tables_take_no_more_than_two_guided_tables(self, monkeypatch, chain_log30):
+        # the class walk holds the kernel and law running sums and one joint
+        # guide, where two guided tables held one guide each
+        fc, laws = chain_log30
+        built = []
+
+        class Recorded(_StepTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+        monkeypatch.setattr(pathsim, "_StepTable", Recorded)
+        sample_wn((fc, laws), 1, 10, seed=1)
+        (table,) = built
+        assert table.kernel.guide is None and table.laws.guide is None
+        weights, firsts = _law_rows(laws)
+        guided = _held_bytes(_CdfTable(fc.P)) + _held_bytes(_CdfTable(weights, firsts, fc.q))
+        assert _held_bytes(table) <= guided
 
 
 def _reference_wn_ggm(fc, laws, n, K):
