@@ -5,12 +5,16 @@ here.  Every subcommand resolves a model, runs the matching library call,
 and emits CSV (metadata comment block, value columns at 17 significant digits
 plus a rounded 4-digit display column, written block by block once every
 value is computed) or JSON (a "meta" object plus the payload, keys sorted,
-as one string).  One table, `_FLAGS`, specifies every flag; each
-subcommand takes only the flags its handler reads, and the metadata records
-every value parsed (bar --out and the flags the run's mode leaves unread:
-`goodset --gamma/--delta` reads no model flag, `simulate` tables read no
-seed or replicate, and sampled paths no --n or --truncation) plus the
-package and numpy versions, so equal flags reproduce byte-identical files.
+as one string).  Every number is printed by Python's own formatting, on
+one path with no fallback: a CSV field is str(i), format(x, ".17g") or
+format(x, ".4g"), large tables going through one `%` template per block
+of rows, and a JSON number is json's repr(x).  One table, `_FLAGS`,
+specifies every flag; each subcommand takes only the flags its handler
+reads, and the metadata records every value parsed (bar --out and the
+flags the run's mode leaves unread: `goodset --gamma/--delta` reads no
+model flag, `simulate` tables read no seed or replicate, and sampled paths
+no --n or --truncation) plus the package and numpy versions, so equal
+flags reproduce byte-identical files.
 `--truncation` is always the radius of the truncated law a command builds;
 W_n tables take the window the library derives from that law, and `ggm`
 the least window whose certified leak is at most 1e-9, printed as `leak`.
@@ -138,240 +142,34 @@ def _f4(x) -> str:
 # numeric columns
 # ---------------------------------------------------------------------------
 
-# A column kernel returns a uint8 matrix, one row per value, holding the
-# bytes of the value's text left to right with _PAD in the unused cells;
-# _csv_rows joins the matrices of a block and drops every _PAD at once.
-_PAD = 0
-# rows per block: at 2^16 a block's temporaries (about 30 MB for four
-# columns) raised the peak RSS of a 1.5 M-row solve table from 310 to 336 MB
+# rows per block: a block's values and text take about 3 MB at 2^14 rows.
+# The 407 291-row ggm table of log beta = 2.6, q = 5 peaked at 38, 42 and
+# 54 MB with 2^12, 2^14 and 2^16 rows per block, in 0.32 to 0.34 s each
+# (2-core x86 host)
 _BLOCK_ROWS = 1 << 14
-# k range of the 10^k table: |v| in [1e-280, 1e280] needs k = P-1-e for
-# e in [-281, 280] and P in {4, 17}; 10^299 still splits without overflow
-_POW10_MIN, _POW10_MAX = -290, 299
-_DEKKER = 134217729.0  # 2^27 + 1
-_EXP_BIAS = 300  # suffix table index of exponent 0
-_U = np.uint64
-# SWAR constants: one byte lane per character of a little-endian word
-_ZEROS = _U(0x3030303030303030)  # eight "0"
-_HIGH_BITS = _U(0x8080808080808080)
-_LOW_BITS = _U(0x7F7F7F7F7F7F7F7F)
-_ALL = _U(0xFFFFFFFFFFFFFFFF)
-
-
-def _split(a):
-    """Dekker's split: a = hi + lo with each half on 26 bits."""
-    c = _DEKKER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-@functools.cache
-def _tables() -> dict:
-    """Lookup tables, built on the first float column.
-
-    pow10: (hi1, hi2, lo) by k - _POW10_MIN, where hi = hi1 + hi2 is 10^k
-    correctly rounded, split for Dekker's product, and lo is 10^k - hi
-    correctly rounded, so hi + lo carries 10^k to about 2^-106.  Both come
-    from exact int arithmetic: int-to-float and int / int round correctly
-    in CPython.  suffix[e + _EXP_BIAS]: the exponent text "e-05" of the
-    scientific layout; the fixed layout goes to format()."""
-    hi, lo = [], []
-    for k in range(_POW10_MIN, _POW10_MAX + 1):
-        if k >= 0:
-            n = 10**k
-            h = float(n)
-            rest = float(n - int(h))
-        else:
-            m = 10**-k
-            h = 1 / m
-            num, den = h.as_integer_ratio()
-            rest = (den - num * m) / (den * m)
-        hi.append(h)
-        lo.append(rest)
-    return {
-        "pow10": (*_split(np.array(hi)), np.array(lo)),
-        "suffix": np.array([int.from_bytes(f"e{e:+03d}".encode(), "little")
-                            for e in range(-_EXP_BIAS, _EXP_BIAS)], dtype=_U),
-    }
-
-
-def _bytes_set(t: np.ndarray) -> np.ndarray:
-    """0xFF in each byte lane of t that is not zero, 0 elsewhere; each
-    lane must hold at most 0x7F."""
-    return (((t + _LOW_BITS) & _HIGH_BITS) >> _U(7)) * _U(0xFF)
-
-
-def _digit_words(x: np.ndarray, words: int) -> np.ndarray:
-    """(n, words) uint64: the 8 * words ASCII digits of each uint64
-    x < 10^(8 * words), zero-padded, most significant in the lowest byte.
-
-    Eight digits come from one word in lanes: 2 of 4 digits, 4 of 2, then
-    8 of 1, dividing by 100 and 10 by multiply-and-shift (exact below 10^4
-    and 10^2)."""
-    out = np.empty((len(x), words), dtype=_U)
-    for w in range(words - 1, -1, -1):
-        q = x // _U(10**8)
-        v = x - q * _U(10**8)
-        x = q
-        hi = v // _U(10000)
-        v -= hi * _U(10000)
-        v <<= _U(32)
-        v |= hi
-        q = v * _U(10486)
-        q >>= _U(20)
-        q &= _U(0x0000007F0000007F)
-        v -= q * _U(100)
-        v <<= _U(16)
-        v |= q
-        np.multiply(v, _U(103), out=q)
-        q >>= _U(10)
-        q &= _U(0x000F000F000F000F)
-        v -= q * _U(10)
-        v <<= _U(8)
-        v |= q
-        v |= _ZEROS
-        out[:, w] = v
-    return out
-
-
-def _g_chars(values: np.ndarray, prec: int) -> np.ndarray:
-    """Rows of the bytes of format(v, f".{prec}g") for each float v.
-
-    The digits are N = round-half-even(|v| 10^k), k = prec-1-floor(log10|v|):
-    |v| times the double-double 10^k is formed exactly by Dekker's
-    TwoProduct, so y = |v| 10^k is known to about 1e-14 absolute.  Zeros
-    and the scientific layout print natively.  A value goes to format()
-    itself when it takes the fixed layout (-4 <= e < prec: a probability
-    column holds at most 10^4 such entries), is not finite, lies outside
-    [1e-280, 1e280], sits within 1e-9 of a rounding tie, or when floor(y)
-    is outside [10^(prec-1), 10^prec) or N carries to 10^prec: a log10
-    exponent off by one shows only there, as for the double nearest 1e-19,
-    which lies below 10^-19."""
-    tables = _tables()
-    v = np.asarray(values, dtype=np.float64)
-    a = np.abs(v)
-    zero = a == 0
-    fast = (a >= 1e-280) & (a <= 1e280)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    hi1, hi2, lo = (t.take(prec - 1 - _POW10_MIN - e) for t in tables["pow10"])
-    a1, a2 = _split(a)
-    p = a * (hi1 + hi2)
-    t = (((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2) + a * lo
-    whole = np.floor(p)
-    r = (p - whole) + t
-    carry = np.floor(r)
-    frac = r - carry
-    floor_y = whole.astype(np.int64) + carry.astype(np.int64)
-    n = floor_y + (frac > 0.5)
-    scale = 10 ** (prec - 1)
-    fast &= (floor_y >= scale) & (n < 10 * scale) & (np.abs(frac - 0.5) >= 1e-9)
-    fast &= (e < -4) | (e >= prec)  # the scientific layout
-    fast |= zero
-    n[zero] = 0
-
-    # words of 8 characters: sign, first digit, point | the prec-1 digits
-    # after the first, right-aligned, trailing zeros dropped | exponent text
-    first = n // scale
-    rest = (n - first * scale).astype(_U)
-    nrest = -(-(prec - 1) // 8)
-    skip = 8 * nrest - (prec - 1)  # leading bytes of the rest words that are not digits
-    field = np.empty((len(v), nrest + 2), dtype="<u8")
-    head = np.signbit(v) * _U(ord("-"))
-    head |= (first.astype(_U) + _U(ord("0"))) << _U(8)
-    head |= (rest != 0) * _U(ord(".") << 16)
-    field[:, 0] = head
-    digits = _digit_words(rest, nrest)
-    # a digit stays when a non-zero digit sits at it or after it
-    nonzero = digits ^ _ZEROS
-    keep = nonzero | (nonzero >> _U(8))
-    keep |= keep >> _U(16)
-    keep |= keep >> _U(32)
-    keep = _bytes_set(keep)
-    later = np.zeros(len(v), dtype=bool)
-    for w in range(nrest - 1, -1, -1):
-        keep[:, w] = np.where(later, _ALL, keep[:, w])
-        later |= nonzero[:, w] != 0
-    keep[:, 0] &= ~_U((1 << 8 * skip) - 1)
-    field[:, 1:-1] = digits & keep
-    field[:, -1] = tables["suffix"].take(e + _EXP_BIAS) * ~zero
-    out = field.view(np.uint8)
-
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        width = out.shape[1]
-        text = "".join(format(x, f".{prec}g").ljust(width, chr(_PAD))
-                       for x in v[slow].tolist())
-        out[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, width)
-    return out
-
-
-def _d_chars(values: np.ndarray) -> np.ndarray:
-    """Rows of the bytes of str(i) for each integer i of an integer column."""
-    v = np.asarray(values)
-    if v.dtype.kind not in "iu":
-        raise TypeError(f"integer column expected, got dtype {v.dtype}")
-    negative = v < 0
-    mag = v.astype(_U)
-    np.negative(mag, out=mag, where=negative)  # two's complement: |int64 min| fits
-    nwords = -(-len(str(int(mag.max()))) // 8) if len(v) else 1
-    digits = _digit_words(mag, nwords)
-    # a digit stays when a non-zero digit sits at it or before it; the
-    # units digit always stays
-    nonzero = digits ^ _ZEROS
-    keep = nonzero | (nonzero << _U(8))
-    keep |= keep << _U(16)
-    keep |= keep << _U(32)
-    keep = _bytes_set(keep)
-    keep[:, -1] |= _U(0xFF << 56)
-    earlier = np.zeros(len(v), dtype=bool)
-    for w in range(nwords):
-        keep[:, w] = np.where(earlier, _ALL, keep[:, w])
-        earlier |= nonzero[:, w] != 0
-    out = np.empty((len(v), 1 + 8 * nwords), dtype=np.uint8)
-    np.multiply(negative, np.uint8(ord("-")), out=out[:, 0])
-    out[:, 1:].view("<u8")[:] = digits & keep
-    return out
-
-
-_KERNELS = {
-    "d": _d_chars,
-    ".17g": functools.partial(_g_chars, prec=17),
-    ".4g": functools.partial(_g_chars, prec=4),
-}
 
 
 def _csv_rows(*columns):
-    """The lines of a table, printed by the kernels `_BLOCK_ROWS` rows at a
-    time and yielded as one string of newline-joined lines per block.
+    """The lines of a table, printed `_BLOCK_ROWS` rows at a time and
+    yielded as one string of newline-joined lines per block.
 
-    A column is (array, spec) with spec one of `_KERNELS`, printed as
-    format(value, spec) would print it, or a str, printed on every row."""
+    A column is (array, spec) with spec "d", ".17g" or ".4g", printed by
+    the `%` operator as format(value, spec) prints it, or a str, printed
+    on every row.  One template covers a block: each block is one `%` over
+    its columns' tolist() values, interleaved row by row."""
     sizes = {len(c[0]) for c in columns if not isinstance(c, str)}
     if len(sizes) != 1:
         raise ValueError(f"columns of unequal lengths {sorted(sizes)}")
     (size,) = sizes
+    arrays = [c[0] for c in columns if not isinstance(c, str)]
+    row = ",".join(c.replace("%", "%%") if isinstance(c, str) else "%" + c[1]
+                   for c in columns)
     for start in range(0, size, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, size - start)
-        fields = []
-        for c in columns:
-            if isinstance(c, str):
-                text = np.frombuffer(c.encode("ascii"), np.uint8)
-                fields.append(np.broadcast_to(text, (rows, len(text))))
-            else:
-                fields.append(_KERNELS[c[1]](c[0][start:start + rows]))
-            fields.append(np.full((rows, 1), ord(","), np.uint8))
-        fields[-1] = np.full((rows, 1), ord("\n"), np.uint8)
-        block = bytearray(rows * sum(f.shape[1] for f in fields))
-        np.concatenate(fields, axis=1, out=np.frombuffer(block, np.uint8).reshape(rows, -1))
-        # translate deletes the padding in one pass, four times faster
-        # than a boolean mask over the same matrix
-        yield str(memoryview(block.translate(None, bytes([_PAD])))[:-1], "ascii")
-
-
-class _Numbers(list):
-    """The elements of a 1-d int or all-finite float array, which
-    `_emit_json` prints itself: json prints each as its repr."""
+        values = [None] * (rows * len(arrays))
+        for i, a in enumerate(arrays):
+            values[i::len(arrays)] = a[start:start + rows].tolist()
+        yield "\n".join([row] * rows) % tuple(values)
 
 
 def _jsonify(obj):
@@ -382,9 +180,7 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         # the element-wise path below would return these elements unchanged
-        if obj.dtype.kind in "iu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            return _Numbers(obj.tolist()) if obj.ndim == 1 and obj.size else obj.tolist()
-        if obj.dtype.kind == "b":
+        if obj.dtype.kind in "iub" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
             return obj.tolist()
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
@@ -423,11 +219,8 @@ def _emit_csv(meta: dict, header: str, rows) -> Iterator[str]:
 
     Byte contract: a numeric field is exactly what Python prints for it,
     str(i) for an integer and format(x, ".17g") or format(x, ".4g") for a
-    float, whether a row is formatted by hand, by the `_csv_rows` kernels,
-    or by the format() call those kernels fall back to for the values
-    they leave to it (the fixed layout, non-finite, |x| outside [1e-280,
-    1e280], near a rounding tie, or a missed decimal exponent: see
-    `_g_chars`)."""
+    float, whether a row is formatted by hand or by the `%` templates of
+    `_csv_rows`, which print through the same conversions."""
     yield "".join(f"# {key}={meta[key]}\n" for key in sorted(meta)) + header + "\n"
     for row in rows:
         yield row
@@ -435,37 +228,9 @@ def _emit_csv(meta: dict, header: str, rows) -> Iterator[str]:
 
 
 def _emit_json(meta: dict, payload: dict) -> list[str]:
-    """[json.dumps(..., indent=2, sort_keys=True)] of the payload, one string
-    byte for byte.  With indent, json runs its pure-Python encoder, so each
-    `_Numbers` list goes in as a placeholder string and its elements are
-    spliced in as text: the reprs joined with the line break and indent of
-    the placeholder's line plus two spaces, json's layout of a list."""
-    numbers = []
-
-    def hide(obj):
-        if isinstance(obj, _Numbers):
-            numbers.append(obj)
-            return f"\0{len(numbers) - 1}"
-        if isinstance(obj, dict):
-            return {k: hide(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [hide(v) for v in obj]
-        return obj
-
-    text = json.dumps(hide(_jsonify({"meta": meta, **payload})), indent=2, sort_keys=True)
-    pieces = text.split('"\\u0000')
-    if len(pieces) != len(numbers) + 1:  # a string of the payload held a NUL
-        return [json.dumps(_jsonify({"meta": meta, **payload}),
-                           indent=2, sort_keys=True) + "\n"]
-    out = [pieces[0]]
-    for before, piece in zip(pieces, pieces[1:]):
-        line = before[before.rfind("\n") + 1:]
-        indent = " " * (len(line) - len(line.lstrip(" ")))
-        index, rest = piece.split('"', 1)
-        out += ["[\n", indent, "  ", f",\n{indent}  ".join(map(repr, numbers[int(index)])),
-                "\n", indent, "]", rest]
-    out.append("\n")
-    return ["".join(out)]
+    """[json.dumps(..., indent=2, sort_keys=True)] of the "meta" object
+    and the payload, as one string: json prints every number as its repr."""
+    return [json.dumps(_jsonify({"meta": meta, **payload}), indent=2, sort_keys=True) + "\n"]
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,8 @@ class Potential:
     def Q(self, j):
         """Transfer operator exp(-beta U(j)); accepts scalars or arrays."""
         out = self._fresh_U(j)
-        np.multiply(out, -self.beta, out=out)
+        with np.errstate(over="ignore"):  # -beta U = -inf is Q = 0
+            np.multiply(out, -self.beta, out=out)
         np.exp(out, out=out)
         return out if out.ndim else float(out)
 
@@ -1004,6 +1005,10 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
 
     if pot.kind == "sos":
         b = pot.beta
+        if math.isinf(b * q):
+            # only past b = 2.7e300 (q <= 2^26), where every e^{-bj}, j >= 1,
+            # is 0: the classes are exactly (1, 0, ..., 0)
+            return FuzzyOperator(q, np.eye(1, q)[0], np.zeros(q))
         j = np.arange(q, dtype=float)
         denom = -math.expm1(-b * q)
         values = (np.exp(-b * j) + np.exp(-b * (q - j))) / denom

@@ -1062,7 +1062,7 @@ class TestOneCertificateRecord:
 # The ggm ones print the edge marginal, and in JSON the increment laws, on
 # the least window whose certified leak is at most 1e-9.  Each hash skips the
 # one line that names the installed numpy, `# numpy=` in CSV and `"numpy": `
-# in JSON
+# in JSON.  Every command the README shows is pinned too.
 PINNED_STDOUT = {
     "table --model sos --d 2,3,6,7,100,1000":
         "40ae3fa9515c6f0a832de03fa84eeb8bc6c3e0e2c982b2621a3a746787229529",
@@ -1080,6 +1080,24 @@ PINNED_STDOUT = {
         "5f56ccc33725a6f60a50865f7d56b7a12b559af8de08e3dd193284670b77761c",
     "simulate --model log --beta 4.0 --d 2 --q 3 --sample-steps 1000 --seed 7":
         "f6b887620d826ee49774faab46118c8447312f55b21f5f7f659c888b4afaefb9",
+    "norms --model sos --beta 2.5 --d 2":
+        "e3ef9b546312c34baa2d2f7e06aa872caad5919bc8a278f1f327e393e7d4e599",
+    "goodset --d 2 --gamma 1.5 --delta 0.05":
+        "41226506ab531a4cfab796ec388de5c016c9f9070c262f0ff14ed77e63ee887f",
+    "threshold --model sos --d 2":
+        "04fe608cc4220734ff117794f2cc1ffe5bdb27c89f4ce0e075b0ea7fa5390be1",
+    "solve --model sos --beta 2.5 --d 2 --format json":
+        "aa92dca58ca337e602fa0245804a6780f7b3399bba5677653b841c8501b9dbd4",
+    "periodic --model sos --beta 2 --d 2 --q 2":
+        "5d9d2d32a735d799277edf0114f0c65c2dfdbbb0f480e1026567b3f2911a8283",
+    "ggm --model sos --beta 2 --d 2 --q 2":
+        "e39171846adecee74f5d4d9c124cd7dd7037bfb4f98ece42f0429dd2bf65b0a8",
+    "simulate --model sos --beta 2 --d 2 --q 2 --n 1,8,64":
+        "71ef5e915bfec9472432d2ad16d22dfe609f7d16ba6d1ba40c921b91e0402abb",
+    "simulate --model sos --beta 2 --d 2 --q 2 --sample-steps 1000 --seed 7":
+        "ea2005ee7e2b1a79edd80531b3d64325b775d591bcce58fb1de574f56d798703",
+    "phase-diagram --model sos --beta-range 1.5:2.5:0.25 --d-list 2,3":
+        "9c7e7d2d4fe9ec6c4539097205489374549a13c79dd1ea311f67fb7b8cbe5ed5",
 }
 
 
@@ -1092,6 +1110,14 @@ def test_pinned_stdout_bytes(capsys, command):
             if not line.startswith(("# numpy=", '    "numpy": '))]
     assert len(kept) == len(lines) - 1
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+def test_readme_commands_are_pinned():
+    src = os.path.dirname(os.path.dirname(treegibbs.__file__))
+    with open(os.path.join(os.path.dirname(src), "README.md")) as fh:
+        commands = [line.strip()[len("treegibbs "):] for line in fh
+                    if line.startswith("treegibbs ")]
+    assert len(commands) == 10 and set(commands) <= set(PINNED_STDOUT)
 
 
 class TestCustomModel:
@@ -1193,6 +1219,34 @@ class TestOutputFile:
         meta, _, _ = parse_csv(out)
         assert meta["version"] and meta["numpy"]
         assert "scipy" not in meta
+
+
+# the commands that read beta, at beta = 1e308; log periodic, ggm and
+# simulate --q are left out: they refuse through hurwitz_zeta, slowly
+_EXTREME_BETA_ARGV = [
+    *[(cmd, "--model", model) for model in ("sos", "log")
+      for cmd in ("norms", "goodset", "solve")],
+    ("periodic", "--model", "sos", "--q", "2"),
+    ("periodic", "--model", "sos", "--q", "5", "--format", "json"),
+    ("ggm", "--model", "sos", "--q", "3"),
+    ("simulate", "--model", "sos", "--n", "1,8"),
+    ("simulate", "--model", "log", "--sample-steps", "10"),
+    ("simulate", "--model", "sos", "--q", "2", "--n", "4"),
+    ("simulate", "--model", "sos", "--q", "2", "--sample-steps", "10"),
+]
+
+
+@pytest.mark.parametrize("argv", _EXTREME_BETA_ARGV, ids=" ".join)
+def test_extreme_beta_ends_in_a_result_or_a_typed_error(capsys, argv):
+    # -beta U overflows to -inf and a class sum's exponent b q to inf: each
+    # run prints its result or one JSON error line, and no RuntimeWarning
+    # (an error under this suite's warning filter)
+    code, out, err = run(capsys, *argv, "--beta", "1e308")
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert code in (3, 4) and out == ""
+        assert json.loads(err)["error"]["exit_code"] == code
 
 
 # one valid invocation of each subcommand that takes --tol

@@ -412,6 +412,16 @@ class TestFuzzyOperator:
                                    + mpmath.zeta(b, mpmath.mpf(q + 1 - j) / q))
                 assert abs(mpmath.mpf(fq.values[j]) - exact) <= fq.errors[j], j
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1e308, 1.7e308])
+    @pytest.mark.parametrize("q", [2, 5])
+    def test_sos_classes_where_beta_q_overflows(self, beta, q):
+        # b q overflows: every e^{-bj}, j >= 1, is 0, and so are Q off 0
+        fq = fuzzy_Q(sos(beta), q)
+        assert fq.values.tolist() == [1.0] + [0.0] * (q - 1)
+        assert fq.errors.tolist() == [0.0] * q
+        assert sos(beta).Q(np.arange(-2, 3)).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
     def test_normalized(self):
         fq = fuzzy_Q(sos(2.0), 4).normalized_op()
         assert fq.values[0] == 1.0
