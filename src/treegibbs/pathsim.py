@@ -13,27 +13,24 @@ decays to zero at a diffusive rate.
 The module computes W_n laws exactly (matrix powers for heights; for
 classes, dynamic programming over (class, displacement) with one linear
 convolution per class row and class step, direct or by FFT, and a rigorous
-bound on its rounding), samples both walks with streams keyed by
-(seed, replicate), and recovers the height period
+bound on its rounding), samples both walks, and recovers the height period
 of an unknown source from the empirical distribution of its partial sums
-mod q-tilde.  The sampler's unit of work is one block of at most
-`_BLOCK` walkers or steps: `sample_wn` runs each block's whole walk in
-block-sized buffers, on a pool of threads, one per CPU the process may
-use and at most `_MAX_THREADS` (the count measured so far).  Its uniforms
-come from one PCG64DXSM stream, which advances by any distance at once,
-so each block reads its share of the stream directly and W_n has the
-same bytes for any thread count; `sample_path` reads a Philox stream in
-order.
+mod q-tilde.  Both samplers read one PCG64DXSM stream keyed by
+(seed, replicate): `sample_path` reads it in order, and is the walk of
+`sample_wn`'s one walker.  The sampler's unit of work is one block of at
+most `_BLOCK` walkers or steps: `sample_wn` runs each block's whole walk
+in block-sized buffers, on a pool of threads, one per CPU the process may
+use and at most `_MAX_THREADS` (the count measured so far).  The stream
+advances by any distance at once, so each block reads its share of it
+directly and W_n has the same bytes for any thread count.
 
-Both walks of `sample_wn` read one uniform per walker and step.  A height
-step is an inverse-CDF draw from the padded running sums of the kernel
-(`_CdfTable`, rows padded with 1.0 to one power-of-two width w < 2m for
-rows of length at most m).  A class step draws the next class and its
-increment together (`_StepTable`): the uniform picks the next class from
-the kernel row, and its position inside that class's share of the row,
-rescaled to [0, 1), picks the increment from the law of the class step.
-The class walk drew two uniforms per step before, so its W_n bytes
-changed with this rule, while height W_n kept theirs.  A guide of 2^b
+Every walk reads one uniform per walker and step.  A height step is an
+inverse-CDF draw from the padded running sums of the kernel (`_CdfTable`,
+rows padded with 1.0 to one power-of-two width w < 2m for rows of length
+at most m).  A class step draws the next class and its increment together
+(`_StepTable`): the uniform picks the next class from the kernel row, and
+its position inside that class's share of the row, rescaled to [0, 1),
+picks the increment from the law of the class step.  A guide of 2^b
 buckets per row (Chen & Asau, 1974; b = `_GUIDE_BITS`, 8 KiB per row)
 answers by one gather each walker whose bucket [t/2^b, (t+1)/2^b) holds
 one answer throughout; the others, 0.4-2% of a block on the tables
@@ -116,7 +113,7 @@ _MAX_THREADS = 2
 _GUIDE_BITS = 10
 # the guide entry of a bucket that straddles a running sum; no draw is this
 _SENTINEL = np.iinfo(np.int64).min
-# the largest double below 1.0: the clip of the second uniform of a class step
+# the largest double below 1.0: the clip of the rescaled uniform of a class step
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
@@ -422,10 +419,6 @@ def _seed_sequence(seed: int, replicate: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), int(replicate)])
 
 
-def _stream(seed: int, replicate: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, replicate)))
-
-
 def _cumulative_rows(P: np.ndarray) -> np.ndarray:
     """Running sums along the last axis, the last slot forced to 1.0."""
     cum = np.cumsum(P, axis=-1)
@@ -444,7 +437,7 @@ class _Scratch:
     np.flatnonzero, which takes no out=, is the one array a draw allocates
     (0.4-1.7% of the block on the tables measured).  ``state`` holds the
     next class of the two-level rule of `_StepTable`, which works out its
-    second uniform in ``uniform``.
+    rescaled uniform in ``uniform``.
     """
 
     __slots__ = ("entry", "below", "term", "key", "uniform", "state")
@@ -549,11 +542,7 @@ class _CdfTable(_Guided):
     prefix length is non-decreasing in u, as the guide needs.  The guide
     of the largest dense kernel, 4096 rows, takes 32 MiB beside its 128 MiB
     table and took 0.3 s to build against 0.1 s for its running sums (so
-    `_walk` builds no table).  The joint guide of `_StepTable`, which takes
-    its place in the class walk of `sample_wn`, took 0.25 s beyond 0.07 s
-    of running sums on the 4096-row SOS beta=2 kernel (where 0.18 s built
-    the kernel guide; its increment laws underflow at that q, so one-point
-    laws stood in), and 0.5 ms at log 3.0, q = 5 (2-core x86 host).
+    `_walk` builds no table).
     """
 
     __slots__ = ("cum", "base", "stride")
@@ -631,7 +620,11 @@ class _StepTable(_Guided):
     the forced last slot can draw, is clipped too), so the joint guide,
     one row per class, is exact as `_Guided` says.  No joint table is
     built: the rule reads the kernel and law running sums, built without
-    guides, and this one guide replaces the kernel guide.
+    guides, and this one guide replaces the kernel guide.  It took 0.25 s
+    to build beyond 0.07 s of running sums on the 4096-row SOS beta=2
+    kernel (where 0.18 s built the kernel guide; its increment laws
+    underflow at that q, so one-point laws stood in), and 0.5 ms at
+    log 3.0, q = 5 (2-core x86 host).
     """
 
     __slots__ = ("kernel", "laws", "P", "q", "bits")
@@ -648,7 +641,7 @@ class _StepTable(_Guided):
                 scratch: _Scratch) -> np.ndarray:
         """out[k] = the code of the two-level rule from class keys[k] at u[k];
         keys may be out itself, and u may be scratch.uniform (`draw` passes
-        it), where the second uniform v is worked out."""
+        it), where the rescaled uniform v is worked out."""
         size = len(u)
         entry, below, term = scratch.views(size)
         b, v = scratch.state[:size], scratch.uniform[:size]
@@ -713,24 +706,21 @@ def _check_sizes(n, *replicates) -> None:
             "use smaller runs on distinct replicate keys")
 
 
-def _markov_additive(source, guide=True):
-    """(labels, alpha, P, laws) of a sampling source.
+def _markov_additive(source):
+    """(labels, alpha, P, table) of a sampling source.
 
     alpha and P are the start law and the kernel of the state chain:
-    sample_path walks them with `_walk`, sample_wn draws from them through
-    `_CdfTable`s.  For a truncated BoundaryLaw (labels = heights,
-    consecutive integers) laws is None: the increment of a step a -> b is
-    the deterministic b - a.  For a (FuzzyChain, laws) pair (labels =
-    classes) laws is a `_CdfTable` whose rows are the increment laws, with
-    a guide unless guide=False: the slot drawn from row (b - a) mod q maps
-    to first + q * slot, and the guide holds the mapped points.
-    sample_path draws each class increment from it by one more uniform;
-    sample_wn searches it inside the one-uniform class step of
-    `_StepTable`, which has its own guide.  The table pads its rows with
-    1.0 to a power-of-two width w below twice the longest law, so it takes
-    q w < 2 q (longest law) slots; heavy tails give the residues of small
-    mass the longest laws, so that can be a few times the laws' own
-    length, while a guide takes only 8 q KiB.
+    sample_path walks them with `_walk`, sample_wn draws its start, and
+    its height steps, from them through `_CdfTable`s.  For a truncated
+    BoundaryLaw (labels = heights, consecutive integers) table is None: the
+    increment of a step a -> b is the deterministic b - a.  For a
+    (FuzzyChain, laws) pair (labels = classes) table is the `_StepTable` of
+    the chain, which both samplers draw each class step from: the next
+    class and its increment from one uniform.  Its laws are a `_CdfTable`
+    without a guide whose rows are the increment laws, slot k of row s the
+    point first + q * k; heavy tails give the residues of small mass the
+    longest laws, so the padded rows can take a few times the laws' own
+    length, while the step guide takes only 8 q KiB.
     """
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)
@@ -740,8 +730,8 @@ def _markov_additive(source, guide=True):
         fc = source[0]
         laws = _check_laws(fc, source[1])
         table = _CdfTable([law.weights for law in laws], [law.first for law in laws],
-                          fc.q, guide)
-        return np.arange(fc.q), fc.alpha, fc.P, table
+                          fc.q, guide=False)
+        return np.arange(fc.q), fc.alpha, fc.P, _StepTable(fc.P, table)
     raise ConfigError(
         "source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair"
     )
@@ -753,25 +743,26 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     Returns (increments, states): states has length n+1 and holds heights
     in gibbs mode, classes in ggm mode.  Equal (seed, replicate) always
     reproduces the same path; replicates are independent streams.  The
-    states take n + 1 uniforms of the stream; class increments then take
-    one more each, drawn a block of steps at a time, in order.
+    path reads positions 0..n of the PCG64DXSM stream that sample_wn reads
+    for the same key, so it is the walk of sample_wn's one walker:
+    u[0] draws the start and u[k] step k.  `_walk` draws the states in
+    order; a class step's increment is the one `_StepTable` draws with the
+    next class from the same uniform, a block of steps at a time.
     """
     _check_sizes(n)
-    labels, alpha, P, laws = _markov_additive(source)
-    rng = _stream(seed, replicate)
+    labels, alpha, P, table = _markov_additive(source)
+    u = np.random.Generator(np.random.PCG64DXSM(_seed_sequence(seed, replicate))).random(n + 1)
     if len(labels) > 1:
-        states = _walk(alpha, P, rng.random(n + 1))
+        states = _walk(alpha, P, u)
     else:
         states = np.zeros(n + 1, dtype=np.int64)
-    increments = np.empty(n, dtype=np.int64)
-    u, scratch = np.empty(min(n, _BLOCK)), _Scratch(min(n, _BLOCK))
-    a, b = states[:-1], states[1:]
-    for lo in range(0, n, _BLOCK):
-        out = increments[lo:lo + _BLOCK]
-        np.subtract(b[lo:lo + _BLOCK], a[lo:lo + _BLOCK], out=out)
-        if laws is not None:
-            _wrap_class_step(out, len(labels), scratch.term[:len(out)])
-            laws.draw(out, rng.random(out=u[:len(out)]), out, scratch)
+    increments = np.diff(states)
+    if table is not None:
+        scratch = _Scratch(min(n, _BLOCK))
+        for lo in range(0, n, _BLOCK):
+            out = increments[lo:lo + _BLOCK]
+            table.draw(states[lo:lo + len(out)], u[lo + 1:lo + 1 + len(out)], out, scratch)
+            out >>= table.bits
     return increments, labels[states]
 
 
@@ -810,13 +801,13 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     """W_n over independent walkers, vectorized; one stream per call.
 
     Returns an int64 array of length ``replicates``.  The uniforms come
-    from one PCG64DXSM stream keyed by (seed, replicate), as sample_path's
-    Philox stream is; parallel batches should use distinct replicate keys.
-    Both walks read one uniform per walker and step, after one for the
-    start: a height step draws the next height from the kernel's
-    `_CdfTable`, a class step draws the next class and its increment
-    together from `_StepTable` (one uniform where an earlier class step
-    read two, so class W_n changed bytes with it; height W_n kept theirs).
+    from one PCG64DXSM stream keyed by (seed, replicate); a one-walker
+    call reads the positions sample_path reads, so its W_n is the sum of
+    that path.  Parallel batches should use distinct replicate keys.  Both
+    walks read one uniform per walker and step, after one for the start: a
+    height step draws the next height from the kernel's `_CdfTable`, a
+    class step draws the next class and its increment together from
+    `_StepTable`.
     Each block of at most `_BLOCK` walkers runs its whole walk in its own
     block-sized buffers, reading its slice of every call of the stream by
     advancing past the other walkers' positions (`_SliceStream`), so no
@@ -828,9 +819,9 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     """
     _check_sizes(n, replicates)
     seq = _seed_sequence(seed, replicate)
-    _, alpha, P, laws = _markov_additive(source, guide=False)
+    _, alpha, P, table = _markov_additive(source)
     start = _CdfTable([alpha])
-    if laws is None:
+    if table is None:
         table = _CdfTable(P)
 
         # t holds the row of the next height (rows are consecutive heights)
@@ -839,7 +830,6 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
             Wb -= s
             return t, s
     else:
-        table = _StepTable(P, laws)
         bits, mask = table.bits, (1 << table.bits) - 1
 
         # t holds (increment << bits) | next class

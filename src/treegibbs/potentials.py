@@ -1010,11 +1010,18 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
             # is 0: the classes are exactly (1, 0, ..., 0)
             return FuzzyOperator(q, np.eye(1, q)[0], np.zeros(q))
         j = np.arange(q, dtype=float)
+        m = np.stack([j, q - j])  # class j holds the terms e^{-bj} and e^{-b(q-j)}
         denom = -math.expm1(-b * q)
-        values = (np.exp(-b * j) + np.exp(-b * (q - j))) / denom
+        terms = np.exp(-b * m)
+        values = (terms[0] + terms[1]) / denom
         # the zero class includes l = 0 once: (1 + e^{-bq})/(1 - e^{-bq}); a rounded
-        # exponent b*m errs e^{-bm} by b*m*u relative, the other steps by < 16 u
-        return FuzzyOperator(q, values, values * _UNIT_ROUNDOFF * (b * np.maximum(j, q - j) + 16))
+        # exponent b*m errs e^{-bm} by b*m*u relative, the other steps by < 16 u.
+        # A term that is 0 in float had an exponent below -745, so e^{-bm} is
+        # below one subnormal unit (and denom is 1): it adds that unit, not b*m*u
+        reach = np.where(terms > 0.0, m, 0.0).max(axis=0)
+        errors = (values * _UNIT_ROUNDOFF * (b * reach + 16)
+                  + np.count_nonzero(terms == 0.0, axis=0) * math.ulp(0.0))
+        return FuzzyOperator(q, values, errors)
 
     # arm r sums Q(r + nq) over n >= 0 for r = 0..q; class j joins the arm
     # l = j + nq and the mirrored arm |l| = (q-j) + nq

@@ -707,7 +707,8 @@ def _neighbours(x, steps):
 
 
 class TestNumericKernels:
-    """The vectorised columns print exactly the bytes of Python's format()."""
+    """Each `_csv_rows` column, printed by one `%` template per block, holds
+    exactly the bytes of Python's format()."""
 
     @staticmethod
     def _assert_format(values):
@@ -888,8 +889,8 @@ class TestEmitterBytes:
         assert run(capsys, *argv, "--format", "json")[1] == out
 
     def test_emit_json_is_json_dumps(self):
-        # spliced numeric arrays at every depth, next to what json prints
-        # itself: bools, non-finite floats, empty and 2-d arrays, None
+        # numeric arrays at every depth, next to bools, non-finite floats,
+        # empty and 2-d arrays and None: all printed by one json.dumps
         meta = {"version": "x", "pair": [np.int64(2), np.float64(0.5)]}
         payload = {
             "law": {"x": np.array([1.0, 0.25, 5e-324, -0.0, 1e22, 1e-7, 1e16]),
@@ -906,7 +907,7 @@ class TestEmitterBytes:
         expected = json.dumps(_old_jsonify({"meta": meta, **payload}),
                               indent=2, sort_keys=True) + "\n"
         assert cli._emit_json(meta, payload) == [expected]
-        # a NUL in a string of the payload takes json's own path
+        # a NUL in a string of the payload is escaped as json escapes it
         payload["text"] = "\x00" + "0"
         expected = json.dumps(_old_jsonify({"meta": meta, **payload}),
                               indent=2, sort_keys=True) + "\n"
@@ -1079,7 +1080,7 @@ PINNED_STDOUT = {
     "simulate --model log --beta 2.6 --d 2 --q 3 --n 16 --truncation 200":
         "5f56ccc33725a6f60a50865f7d56b7a12b559af8de08e3dd193284670b77761c",
     "simulate --model log --beta 4.0 --d 2 --q 3 --sample-steps 1000 --seed 7":
-        "f6b887620d826ee49774faab46118c8447312f55b21f5f7f659c888b4afaefb9",
+        "340a24feeb2800a13a0a1ba1389f80836681b22b6760c278157e29dda2328b8e",
     "norms --model sos --beta 2.5 --d 2":
         "e3ef9b546312c34baa2d2f7e06aa872caad5919bc8a278f1f327e393e7d4e599",
     "goodset --d 2 --gamma 1.5 --delta 0.05":
@@ -1095,7 +1096,7 @@ PINNED_STDOUT = {
     "simulate --model sos --beta 2 --d 2 --q 2 --n 1,8,64":
         "71ef5e915bfec9472432d2ad16d22dfe609f7d16ba6d1ba40c921b91e0402abb",
     "simulate --model sos --beta 2 --d 2 --q 2 --sample-steps 1000 --seed 7":
-        "ea2005ee7e2b1a79edd80531b3d64325b775d591bcce58fb1de574f56d798703",
+        "82f30b75ac1c223b2518d188b469d01e88107cc71cd6e5d55fbcb6baa161f5fd",
     "phase-diagram --model sos --beta-range 1.5:2.5:0.25 --d-list 2,3":
         "9c7e7d2d4fe9ec6c4539097205489374549a13c79dd1ea311f67fb7b8cbe5ed5",
 }
@@ -1247,6 +1248,18 @@ def test_extreme_beta_ends_in_a_result_or_a_typed_error(capsys, argv):
     else:
         assert code in (3, 4) and out == ""
         assert json.loads(err)["error"]["exit_code"] == code
+
+
+@pytest.mark.parametrize("beta", ["1e16", "1e100", "1e308"])
+def test_sos_one_class_at_huge_beta(capsys, beta):
+    # Q_1(0) = 1: the class mass is kept, not refused as an underflow, and
+    # the edge marginal is the point mass at 0
+    code, out, err = run(capsys, "ggm", "--model", "sos", "--beta", beta, "--q", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-3:] == ["-1,0,0", "0,1,1", "1,0,0"]
+    code, out, err = run(capsys, "simulate", "--model", "sos", "--beta", beta,
+                         "--q", "1", "--n", "1")
+    assert code == 0 and err == ""
 
 
 # one valid invocation of each subcommand that takes --tol

@@ -39,7 +39,6 @@ from treegibbs.pathsim import (
     _StepTable,
     _cumulative_rows,
     _height_kernel,
-    _stream,
     default_window,
     recover_period,
     sample_path,
@@ -521,6 +520,12 @@ def chain_log30():
     return fuzzy_chain(law, fuzzy_Q(pot, 5)), increment_laws(pot, 5)
 
 
+@pytest.fixture(scope="module")
+def heights_flat():
+    # a flat law on [-10, 10] under sos 0.5: W_7 is nonzero for 92% of walkers
+    return BoundaryLaw(kind=SUPPORT_TRUNCATED, d=2, x=np.ones(21), radius=10, pot=sos(0.5))
+
+
 # _GUIDE_BITS = 0 leaves one bucket per row, so every multi-slot row falls
 # back to the search for every walker
 GUIDE_BITS = (0, pathsim._GUIDE_BITS)
@@ -537,35 +542,36 @@ def _reference_states(cum_start, cum_rows, u):
     return states
 
 
+def _reference_stream(seed, replicate):
+    """The samplers' PCG64DXSM stream keyed by (seed, replicate), read in order."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([seed, replicate])))
+
+
 def _reference_ggm_path(fc, laws, n, seed, replicate):
-    """Classes (no draws for q = 1), then one per-residue searchsorted loop."""
-    q = fc.q
-    rng = _stream(seed, replicate)
-    if q > 1:
-        classes = _reference_states(
-            _cumulative_rows(fc.alpha), _cumulative_rows(fc.P), rng.random(n + 1))
-    else:
-        classes = np.zeros(n + 1, dtype=np.int64)
-    residues = (classes[1:] - classes[:-1]) % q
-    u = rng.random(n)
-    increments = np.empty(n, dtype=np.int64)
-    for s, law in enumerate(laws):
-        mask = residues == s
-        increments[mask] = law.support[
-            np.searchsorted(_cumulative_rows(law.weights), u[mask], side="right")]
+    """Classes from the searchsorted loop, then each step's increment from
+    the one-uniform class step (`_reference_class_step`) at the uniform that
+    drew its next class."""
+    u = _reference_stream(seed, replicate).random(n + 1)
+    classes = _reference_states(
+        _cumulative_rows(fc.alpha), _cumulative_rows(fc.P), u)
+    weights, firsts = _law_rows(laws)
+    nxt, increments = _reference_class_step(fc.P, weights, firsts, classes[:-1], u[1:])
+    np.testing.assert_array_equal(nxt, classes[1:])
     return increments, classes
 
 
 class TestSamplePathReference:
-    """sample_path draws the same states as the searchsorted loop it replaced.
-    Class increments are checked with the guide and with the search alone
-    (GUIDE_BITS); the height walk reads no `_CdfTable`."""
+    """sample_path draws the same states as the searchsorted loop it replaced,
+    reading the PCG64DXSM stream in order, and the class increments of the
+    one-uniform class step.  Class paths are checked with the guide and
+    with the search alone (GUIDE_BITS); the height walk reads no
+    `_CdfTable`."""
 
     @pytest.mark.parametrize("seed,replicate", [(7, 0), (11, 3), (20260814, 1)])
     def test_gibbs_heights(self, sos20, seed, replicate):
         n = 5000
         P, alpha = _height_kernel(sos20)
-        u = _stream(seed, replicate).random(n + 1)
+        u = _reference_stream(seed, replicate).random(n + 1)
         states = _reference_states(_cumulative_rows(alpha), _cumulative_rows(P), u)
         assert len(np.unique(states)) > 1
         inc, heights = sample_path(sos20, n, seed=seed, replicate=replicate)
@@ -597,6 +603,21 @@ class TestSamplePathReference:
             np.testing.assert_array_equal(got, classes)
             np.testing.assert_array_equal(inc, increments)
             assert len(np.unique(inc)) > 1
+
+    @pytest.mark.parametrize("bits", GUIDE_BITS)
+    @pytest.mark.parametrize("source", ["sos25", "heights_flat", "chain2", "chain_log30"])
+    def test_path_is_the_one_walker_of_sample_wn(self, request, source, bits, monkeypatch):
+        # one stream and one step rule: a one-walker sample_wn reads the
+        # positions the path reads and draws the same steps from them.  The
+        # sos 2.5 heights rarely move, so W_n is mostly 0 on any stream; the
+        # flat law moves at nearly every step
+        src = request.getfixturevalue(source)
+        monkeypatch.setattr(pathsim, "_GUIDE_BITS", bits)
+        for n in (1, 7, 100):
+            for seed, replicate in ((1, 0), (7, 0), (11, 3), (20260814, 1), (3705, 2)):
+                inc, _ = sample_path(src, n, seed=seed, replicate=replicate)
+                w = sample_wn(src, n, 1, seed=seed, replicate=replicate)
+                assert w[0] == inc.sum(), (n, seed, replicate)
 
 
 def _reference_class_step(P, weights, firsts, classes, u):
@@ -634,7 +655,7 @@ def _reference_wn(source, n, replicates, seed, replicate=0):
     branch is the two-branch sampler that one Markov-additive walk
     replaced; the class branch draws the next class and its increment from
     one uniform (`_reference_class_step`)."""
-    rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([seed, replicate])))
+    rng = _reference_stream(seed, replicate)
     N = int(replicates)
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)

@@ -422,6 +422,20 @@ class TestFuzzyOperator:
         assert fq.errors.tolist() == [0.0] * q
         assert sos(beta).Q(np.arange(-2, 3)).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1e16, 1e308])
+    def test_sos_class_bound_where_a_term_is_zero(self, beta):
+        # Q_1(0) = (1 + e^{-b})/(1 - e^{-b}) = 1 within far less than a
+        # subnormal unit; the zero term e^{-b} costs that unit, not b u
+        fq = fuzzy_Q(sos(beta), 1)
+        assert fq.values.tolist() == [1.0]
+        assert 0.0 < fq.errors[0] <= 16 * 2.0**-53 + 2.0**-1074
+        # q = 3: classes 1 and 2 hold two zero terms each, e^{-b} and e^{-2b}
+        fq = fuzzy_Q(sos(1e16), 3)
+        assert fq.values.tolist() == [1.0, 0.0, 0.0]
+        assert fq.errors.tolist()[1:] == [2 * 2.0**-1074] * 2
+        assert fq.errors[0] <= 16 * 2.0**-53 + 2.0**-1074
+
     def test_normalized(self):
         fq = fuzzy_Q(sos(2.0), 4).normalized_op()
         assert fq.values[0] == 1.0
