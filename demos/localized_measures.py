@@ -22,7 +22,8 @@ pot = sos(2.5)
 d = 2
 
 # The solver runs a certified contraction iteration: the returned report
-# carries the a priori and a posteriori error bounds.
+# names the certificate and carries one bound, total_error_bound, on the
+# distance of the returned law from the fixed point.
 law, report = solve_fixed_point(pot, d)
 print(f"converged in {report.iterations} iterations, "
       f"residual {report.final_residual:.3e}")

@@ -38,8 +38,8 @@ and w(x^) is w of x^ on the core plus f^d, so Young's inequality (gamma =
 (gamma + eps delta) c_c^d, rho_c the core residual.  The part of x^ beyond
 R is at most the `_cut_bound` of x_c at R, and the closure's slots lie
 within its bound of x^, so the returned window lies within those two plus
-|T x^ - x^|/(1 - L) of the fixed point on Z; the rounding of the near band
-and of the core is not counted.  The core radius fits the far term into
+|T x^ - x^|/(1 - L) of the fixed point on Z, and a law on Z_q within
+|T x - x|/(1 - L) of its own; rounding is not counted.  The core radius fits the far term into
 _FAR_SHARE (1 - L) tol and the core's Banach stop takes _CORE_SHARE tol; a
 core whose bound misses that budget is doubled and solved again.  The
 default window is sized for what that leaves the truncation, at least
@@ -104,6 +104,11 @@ SUPPORT_PERIODIC = "Z_q"
 
 MODE_CERTIFIED = "certified"
 MODE_AUTO = "auto"
+
+# what backs a solve's law (`SolveReport.certificate`)
+CERTIFICATE_GOOD_SET = "good_set"
+CERTIFICATE_NONE = "none"
+CERTIFICATE_EXACT = "exact"
 
 _FFT_WINDOW = 2048
 _MAX_WINDOW_RADIUS = 1 << 25
@@ -205,62 +210,57 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Certificate trail of one Banach solve and its only record: the law
-    keeps just ``certified``.  epsilon is the certified ball radius.
+    """Certificate trail of one solve and its only record: the law keeps
+    just ``certified``, which reads "certificate is not none".
 
-    On a window the Banach steps run on a core [-R_c, R_c]: coarse_radius
-    is R_c (None when the core is the whole window), and iterations counts
-    the steps of every core solved (a core whose bound misses its budget is
-    doubled and solved again).  contraction_estimate is the largest
-    observed ratio of successive step norms (measured while steps are well
-    above rounding noise); certified runs keep it at or below the good-set
-    Lipschitz constant.  a_priori and a_posteriori are the standard Banach
-    error bounds of the last iteration for the fixed point of the operator
-    it iterates (T on Z_q, T cut to the core on a window), from its start
-    and from its last step; both None without a contraction certificate.
+    certificate is "good_set" when the norm pair lies in G_d (epsilon the
+    certified ball radius, lipschitz L), "none" outside it, where mode
+    "auto" iterates plainly and epsilon, L and every bound are None, and
+    "exact" for the q = 1 free state lambda == 1, the fixed point itself.
 
-    A certified window returns x, the cut to [-R, R] of the extension
-    x^ = T(x_c) of the core's fixed point x_c, zero-padded.  final_residual
-    bounds |T x^ - x^| in l_{d+1} on Z by L rho_c + (gamma + eps delta)
-    c_c^d, with rho_c the core residual and c_c the `_cut_bound` of x_c at
-    R_c.  truncation_bound, the `_cut_bound` of x_c at R, bounds the part
-    of x^ beyond the window.  Beyond closure_radius r0 = 8 R_c + J the
-    window holds the far-field closure of x^ (`_far_field`), and
-    closure_bound bounds its distance from x^ in l_{d+1}; both are None
-    where no closure ran (R <= r0).  total_error_bound adds truncation_bound,
-    closure_bound and final_residual/(1 - L): x lies within it of the fixed
-    point on Z in the off-zero l_{d+1} norm.  Like the Banach bounds, the
-    total does not add the rounding of the core's and the near band's
-    convolutions.  A default window whose total exceeds tol is evaluated
-    wider; an explicit radius only reports it.
-    Both are None on Z_q and without a contraction certificate, where
-    final_residual is computed: the residual of x on Z_q, and |x - x_c| on
-    an uncertified window.
+    total_error_bound, the one bound on both supports, bounds the distance
+    of the printed x from the fixed point in the off-zero l_{d+1} norm:
+    final_residual/(1 - L) plus the window's spill, rounded up, and 0.0 for
+    the free state.  On Z_q final_residual is |T x - x| at x itself, so the
+    total is the one-apply Banach bound.  On a window x is the cut to
+    [-R, R] of the extension x^ = T(x_c) of the core's fixed point (see
+    the module docstring): final_residual bounds |T x^ - x^| on Z
+    (`_extension_residual`), and the spill adds truncation_bound, the
+    `_cut_bound` of x_c at R, and closure_bound, the distance from x^ of
+    the far-field closure beyond closure_radius r0 = 8 R_c + J (both
+    closure fields None where none ran, R <= r0).  The total leaves out the
+    rounding of the final apply, of the core's and the near band's
+    convolutions and of Qbar_q.  Without a certificate final_residual is
+    still computed: the residual of x on Z_q, |x - x_c| on a window.
 
-    The step norms behind final_residual and the bounds are the upper
-    ends of rounding bands around the exactly rounded norms, at most about
-    7.3e-12/(d+1) above them; contraction_estimate divides such an upper end
-    by the previous step's lower end.  So the reported values stay upper
-    bounds, while iterations and the certificate are decided on the exact
-    norms.
+    coarse_radius is R_c (None when the core is the whole window), and
+    iterations counts the steps of every core solved.  contraction_estimate,
+    a diagnostic, is the largest observed ratio of successive step norms
+    well above rounding noise; certified runs keep it at or below L.  Step
+    norms are the upper ends of rounding bands, at most about 7.3e-12/(d+1)
+    above the exactly rounded norms, and the estimate divides one by the
+    previous step's lower end: the reported values stay upper bounds, while
+    iterations and the certificate are decided on the exact norms.
     """
 
     iterations: int
     final_residual: float
     contraction_estimate: float | None
-    a_priori_bound: float | None
-    a_posteriori_bound: float | None
     lipschitz: float | None
     epsilon: float | None
     gamma: float
     delta: float
-    certified: bool
+    certificate: str
     mode: str
     coarse_radius: int | None = None
     truncation_bound: float | None = None
     total_error_bound: float | None = None
     closure_radius: int | None = None
     closure_bound: float | None = None
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate != CERTIFICATE_NONE
 
 
 # ---------------------------------------------------------------------------
@@ -786,19 +786,17 @@ class _OffzeroNorm:
 
 
 def _iterate(op, d: int, tol: float, L: float | None):
-    """Banach loop from ``op.start()``; returns (x, iterations, step_norms,
+    """Banach loop from ``op.start()``; returns (x, iterations,
     contraction_estimate).
 
     With L the stop is the certified a-posteriori bound; without it, plain
     step smallness plus divergence detection.  The threshold never exceeds
     tol so the final residual stays below tol even for tiny L.  Every test
-    is decided on the exactly rounded step norm; the reported step norms
-    are the upper ends of their bands.  The contraction estimate is the
-    largest ratio of successive steps both above max(100 tol, 1e-13), each
-    ratio taken as the upper end of its band.
+    is decided on the exactly rounded step norm.  The contraction estimate
+    is the largest ratio of successive steps both above max(100 tol,
+    1e-13), each ratio taken as the upper end of its band.
     """
     x = op.start()
-    steps: list[float] = []
     if L is not None and L > 0:
         threshold = tol * min(1.0, (1.0 - L) / L)
     else:
@@ -810,7 +808,6 @@ def _iterate(op, d: int, tol: float, L: float | None):
     for n in range(1, _MAX_ITER + 1):
         x_next = op.apply(x)
         step = _OffzeroNorm(x_next - x, op.zero, d)
-        steps.append(step.hi)
         x = x_next
         if not np.all(np.isfinite(x)) or step.exceeds(1e12):
             raise NumericalError(
@@ -819,7 +816,7 @@ def _iterate(op, d: int, tol: float, L: float | None):
         if above and prev_above:
             rho = max(rho or 0.0, step.hi / prev_lo)
         if not step.exceeds(threshold):
-            return x, n, steps, rho
+            return x, n, rho
         if L is None:
             grow = grow + 1 if prev is not None and step.exceeds(prev) else 0
             if grow >= 50:
@@ -870,29 +867,30 @@ def _certificate(d: int, gamma: NormReport, delta: NormReport, config: SolveConf
     return verdict
 
 
-def _report(verdict, mode: str, iterations: int, steps: list[float], rho: float | None,
-            residual: float, **window) -> SolveReport:
-    """The SolveReport of a solve whose last Banach iteration took ``steps``."""
+def _report(verdict, mode: str, iterations: int, rho: float | None, residual: float,
+            spill: float = 0.0, **window) -> SolveReport:
+    """The SolveReport of a solve with the `norm_membership` verdict
+    ``verdict``, or of the free state when it is None.
+
+    A certified total is final_residual/(1 - L) plus ``spill``, each
+    rounded up: the window's `_spill` on Z, and 0 on Z_q, which leaves the
+    quotient itself.  The free state is the fixed point: its total is 0.0,
+    its norm pair that of Qbar_1 = (1).
+    """
+    if verdict is None:
+        return SolveReport(iterations, residual, rho, None, None, 1.0, 0.0,
+                           CERTIFICATE_EXACT, mode, total_error_bound=0.0, **window)
     certified = verdict.in_good_set
     L = verdict.lipschitz if certified else None
-    a_priori = a_post = None
-    if L is not None and L > 0:
-        a_priori = L ** len(steps) / (1.0 - L) * steps[0]
-        a_post = steps[-1] * L / (1.0 - L)
-    return SolveReport(
-        iterations=iterations,
-        final_residual=residual,
-        contraction_estimate=rho,
-        a_priori_bound=a_priori,
-        a_posteriori_bound=a_post,
-        lipschitz=L,
-        epsilon=verdict.epsilon if certified else None,
-        gamma=verdict.gamma,
-        delta=verdict.delta,
-        certified=certified,
-        mode=mode,
-        **window,
-    )
+    total = None
+    if certified:
+        total = _per_gap(residual, L)
+        if spill:
+            total = math.nextafter(spill + total, math.inf)
+    return SolveReport(iterations, residual, rho, L, verdict.epsilon if certified else None,
+                       verdict.gamma, verdict.delta,
+                       CERTIFICATE_GOOD_SET if certified else CERTIFICATE_NONE, mode,
+                       total_error_bound=total, **window)
 
 
 def _extension_residual(pot: Potential, d: int, verdict, x: np.ndarray,
@@ -966,7 +964,7 @@ def solve_fixed_point(
     iterations, rho = 0, None
     while True:
         op = _window_operator(pot, d, R_c)
-        x_c, n, steps, core_rho = _iterate(op, d, _CORE_SHARE * config.tol, L)
+        x_c, n, core_rho = _iterate(op, d, _CORE_SHARE * config.tol, L)
         iterations += n
         if core_rho is not None:
             rho = max(rho or 0.0, core_rho)
@@ -978,7 +976,7 @@ def solve_fixed_point(
             break
         R_c = min(2 * R_c, R)
     x, closure = _extend(pot, d, x_c, R)
-    truncation = total = None
+    truncation = None
     if certified:
         truncation = _cut_bound(pot, d, x_c, R)
         room = config.tol - _per_gap(residual, L)
@@ -987,13 +985,12 @@ def solve_fixed_point(
                                   0.5 * room * _tail_norm(pot, R, d + 1) / truncation)
             x, closure = _extend(pot, d, x_c, R)
             truncation = _cut_bound(pot, d, x_c, R)
-        total = math.nextafter(_spill(truncation, closure) + _per_gap(residual, L),
-                               math.inf)
     else:
         residual = _OffzeroNorm(x - np.pad(x_c, R - R_c), R, d).hi
-    report = _report(verdict, config.mode, iterations, steps, rho, residual,
+    report = _report(verdict, config.mode, iterations, rho, residual,
+                     _spill(truncation, closure) if certified else 0.0,
                      coarse_radius=R_c if R_c < R else None,
-                     truncation_bound=truncation, total_error_bound=total,
+                     truncation_bound=truncation,
                      closure_radius=closure and closure.radius,
                      closure_bound=closure and closure.bound)
     return BoundaryLaw(kind=SUPPORT_TRUNCATED, d=d, x=x, radius=R, certified=certified,
@@ -1016,22 +1013,16 @@ def periodic_solve(
         raise ConfigError(f"d must be >= 2, got {d}")
     qbar = fuzzy_Q(pot, q, rel_tol=min(1e-12, config.tol)).normalized_op()
     if q == 1:
-        law = BoundaryLaw(kind=SUPPORT_PERIODIC, d=d, x=np.ones(1), q=1,
-                          free_state=True, pot=pot)
-        report = SolveReport(
-            iterations=0, final_residual=0.0, contraction_estimate=None,
-            a_priori_bound=None, a_posteriori_bound=None, lipschitz=None,
-            epsilon=None, gamma=1.0, delta=0.0, certified=True, mode=config.mode,
-        )
-        return law, report
+        return (BoundaryLaw(kind=SUPPORT_PERIODIC, d=d, x=np.ones(1), q=1,
+                            free_state=True, pot=pot),
+                _report(None, config.mode, 0, None, 0.0))
 
     verdict = _certificate(d, qbar.p_norm((d + 1) / 2.0),
                            qbar.p_norm(float(d + 1), without_zero=True), config,
                            f"(gamma_q, delta_q) outside good set for q={q}")
     certified = verdict.in_good_set
     op = _periodic_operator(qbar, d)
-    x, n, steps, rho = _iterate(op, d, config.tol,
-                                verdict.lipschitz if certified else None)
+    x, n, rho = _iterate(op, d, config.tol, verdict.lipschitz if certified else None)
     lam = x**d
     if float(lam.max() - lam.min()) < 1e-6:
         raise NumericalError(
@@ -1040,7 +1031,7 @@ def periodic_solve(
         )
     if certified:
         _check_ball(x, op, d, verdict.epsilon, "solution")
-    report = _report(verdict, config.mode, n, steps, rho,
+    report = _report(verdict, config.mode, n, rho,
                      _OffzeroNorm(op.apply(x) - x, op.zero, d).hi)
     return BoundaryLaw(kind=SUPPORT_PERIODIC, d=d, x=x, q=q, certified=certified,
                        pot=pot), report

@@ -331,7 +331,12 @@ def cmd_threshold(args) -> Iterable[str]:
 
 
 def _report_fields(report) -> dict:
-    return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+    """The report's fields that hold a value, and ``certified`` beside the
+    certificate it is read from."""
+    fields = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+    if "certificate" in fields:
+        fields["certified"] = report.certified
+    return fields
 
 
 def _law_output(args, law, report) -> Iterable[str]:

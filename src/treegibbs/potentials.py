@@ -1005,14 +1005,13 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
 
     if pot.kind == "sos":
         b = pot.beta
-        if math.isinf(b * q):
-            # only past b = 2.7e300 (q <= 2^26), where every e^{-bj}, j >= 1,
-            # is 0: the classes are exactly (1, 0, ..., 0)
-            return FuzzyOperator(q, np.eye(1, q)[0], np.zeros(q))
         j = np.arange(q, dtype=float)
         m = np.stack([j, q - j])  # class j holds the terms e^{-bj} and e^{-b(q-j)}
         denom = -math.expm1(-b * q)
-        terms = np.exp(-b * m)
+        # past b = 2.7e300 (q <= 2^26) b*m overflows to inf, and e^{-inf} = 0
+        # is a term that is 0 in float like any other
+        with np.errstate(over="ignore"):
+            terms = np.exp(-b * m)
         values = (terms[0] + terms[1]) / denom
         # the zero class includes l = 0 once: (1 + e^{-bq})/(1 - e^{-bq}); a rounded
         # exponent b*m errs e^{-bm} by b*m*u relative, the other steps by < 16 u.

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,8 +325,9 @@ class TestSolveTruncated:
         assert report.gamma == pytest.approx(SOS25_GAMMA, rel=1e-10)
         assert report.delta == pytest.approx(SOS25_DELTA, rel=1e-10)
         assert report.contraction_estimate <= report.lipschitz + 1e-9
-        assert report.a_posteriori_bound <= 1e-12
-        assert report.a_posteriori_bound <= report.a_priori_bound * (1 + 1e-9)
+        assert report.certificate == "good_set"
+        assert report.total_error_bound <= 1e-12
+        assert report.total_error_bound >= report.final_residual / (1.0 - report.lipschitz)
         assert report.iterations > 1
 
     def test_residual_recheck(self, sos25):
@@ -408,7 +410,8 @@ class TestSolveTruncated:
         )
         assert not law.certified
         assert report.epsilon is None
-        assert report.lipschitz is None and report.a_posteriori_bound is None
+        assert report.lipschitz is None and report.total_error_bound is None
+        assert report.certificate == "none" and not report.certified
         assert law.x_at(1) == pytest.approx(SOS15_X1, rel=1e-6)
         assert law.offzero_norm() ** 3 == pytest.approx(SOS15_NORM3, rel=1e-6)
         again = apply_T(sos(1.5), 2, law.x, law.radius)
@@ -492,12 +495,17 @@ class TestTwoStageSolve:
         assert windows == [R_c] and set(calls) == {R_c}
         assert extended == [(R_c, R)]
         # the core's Banach steps plus its residual
-        ((_, n, steps, _),) = stages
+        ((_, n, _),) = stages
         assert report.iterations == n == calls[R_c] - 1
         L = report.lipschitz
-        assert report.a_priori_bound == L**n / (1.0 - L) * steps[0]
-        assert report.a_posteriori_bound == steps[-1] * L / (1.0 - L)
-        assert report.a_posteriori_bound <= bl._CORE_SHARE * SolveConfig().tol
+        # the residual fits the core's and the far term's shares of tol, and
+        # the total adds the spill beyond the near band and the window
+        assert bl._per_gap(report.final_residual, L) <= (
+            (bl._CORE_SHARE + bl._FAR_SHARE) * SolveConfig().tol)
+        assert report.certificate == "good_set" and report.closure_bound is not None
+        assert report.total_error_bound == math.nextafter(
+            report.truncation_bound + report.closure_bound
+            + bl._per_gap(report.final_residual, L), math.inf)
         assert report.contraction_estimate <= report.lipschitz
         assert report.total_error_bound <= SolveConfig().tol
 
@@ -523,8 +531,10 @@ class TestTwoStageSolve:
         law, report = solve_fixed_point(pot, 2, config)
         assert report.coarse_radius is not None
         L, R = report.lipschitz, law.radius
-        x, _, steps, _ = bl._iterate(bl._window_operator(pot, 2, R), 2, config.tol, L)
-        cold_bound = (steps[-1] * L + bl._cut_bound(pot, 2, x, R)) / (1.0 - L)
+        op = bl._window_operator(pot, 2, R)
+        x, _, _ = bl._iterate(op, 2, config.tol, L)
+        residual = offzero_norm(op.apply(x) - x, R, 2)
+        cold_bound = (residual + bl._cut_bound(pot, 2, x, R)) / (1.0 - L)
         gap = offzero_norm(law.x - x, R, 2)
         assert gap <= report.total_error_bound + cold_bound
 
@@ -715,9 +725,13 @@ class TestTruncationBound:
         _, report = solve_fixed_point(sos(1.5), 2, SolveConfig(mode=MODE_AUTO))
         assert not report.certified
         assert report.truncation_bound is None and report.total_error_bound is None
+        # Z_q has no window: no truncation bound, and the total is the
+        # one-apply Banach bound (0.0 for the free state)
         for q, mode in ((2, MODE_AUTO), (2, MODE_CERTIFIED), (1, MODE_AUTO)):
             _, report = periodic_solve(sos(3.0), 2, q, SolveConfig(mode=mode))
-            assert report.truncation_bound is None and report.total_error_bound is None
+            assert report.truncation_bound is None
+            assert report.total_error_bound == (
+                0.0 if q == 1 else bl._per_gap(report.final_residual, report.lipschitz))
 
     def test_radius_beyond_the_cap_refused(self):
         with pytest.raises(NumericalError, match="truncation radius beyond 33554432"):
@@ -920,6 +934,9 @@ class TestPeriodicSolve:
         assert law.kind == SUPPORT_PERIODIC and law.q == 1
         assert law.lam.tolist() == [1.0]
         assert report.iterations == 0
+        # the free state is the fixed point itself
+        assert report.certificate == "exact" and report.certified
+        assert report.total_error_bound == 0.0 and report.final_residual == 0.0
 
     def test_q2_certified_frozen(self):
         law, report = periodic_solve(sos(2.5), 2, 2)
@@ -932,12 +949,34 @@ class TestPeriodicSolve:
         assert report.lipschitz == pytest.approx(Q2_L_B25, rel=1e-7)
         assert law.offzero_norm() <= report.epsilon
 
+    # the total leaves out the rounding of the final apply and of Qbar_2,
+    # charged here as this many units u of |x^(1)|
+    Q2_ROUNDING_UNITS = 4
+
+    @pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0])
+    def test_q2_total_bounds_the_closed_form(self, beta):
+        # on Z_2 the law is the smaller root of a x^2 + (a - 1) x + a = 0,
+        # a = sech(beta), the cubic of the module docstring less its root 1;
+        # at beta = 6 the error is 99 % of the total
+        law, report = periodic_solve(sos(beta), 2, 2)
+        assert report.certificate == "good_set"
+        assert report.total_error_bound == bl._per_gap(report.final_residual,
+                                                       report.lipschitz)
+        with mpmath.workdps(40):
+            a = mpmath.sech(mpmath.mpf(beta))
+            root = ((1 - a) - mpmath.sqrt((1 - a) ** 2 - 4 * a * a)) / (2 * a)
+            error = float(abs(mpmath.mpf(law.x[1]) - root))
+        allowance = self.Q2_ROUNDING_UNITS * 2.0**-53 * law.x[1]
+        assert error <= report.total_error_bound + allowance
+
     def test_q2_best_effort_frozen(self):
         # outside the good set (4*gamma_q*delta_q > 1) but the scalar
         # iteration still lands on the smaller positive root of the cubic
         law, report = periodic_solve(sos(2.0), 2, 2)
         assert not law.certified
         assert report.lipschitz is None
+        assert report.certificate == "none" and not report.certified
+        assert report.total_error_bound is None
         assert law.lam_at(1) == pytest.approx(Q2_LAM_B20, abs=1e-9)
         marg = single_site_marginal(law)
         assert marg[0] == pytest.approx(Q2_ALPHA_B20[0], abs=1e-9)
@@ -1246,8 +1285,7 @@ def _banded_outcome(solve):
     except (ConfigError, NumericalError, OutsideGoodSetError) as exc:
         return f"{type(exc).__name__}: {exc}"
     fields = (law.radius, law.q, law.certified)
-    steps = ("final_residual", "contraction_estimate", "a_priori_bound",
-             "a_posteriori_bound", "total_error_bound")
+    steps = ("final_residual", "contraction_estimate", "total_error_bound")
     exact = {k: v for k, v in dataclasses.asdict(report).items() if k not in steps}
     return (law.x.tobytes(), fields, exact, [getattr(report, k) for k in steps])
 
@@ -1322,16 +1360,23 @@ class TestBandedDecisions:
         # L = 0.25 makes the stop threshold tol itself; tol at the k-th exact
         # step stops there, one ulp below it does not
         op = bl._window_operator(log_potential(4.0), 2, 1500)
+        steps = []
+
+        class Recorded(_FsumNorm):
+            def __init__(self, v, zero_slot, d):
+                super().__init__(v, zero_slot, d)
+                steps.append(self.hi)
+
         with monkeypatch.context() as m:
-            m.setattr(bl, "_OffzeroNorm", _FsumNorm)
-            _, n_ref, steps, _ = bl._iterate(op, 2, 1e-12, 0.25)
+            m.setattr(bl, "_OffzeroNorm", Recorded)
+            _, n_ref, _ = bl._iterate(op, 2, 1e-12, 0.25)
         assert n_ref > k
         for tol, stops_at_k in ((steps[k - 1], True),
                                 (math.nextafter(steps[k - 1], 0.0), False)):
-            x, n, _, _ = bl._iterate(op, 2, tol, 0.25)
+            x, n, _ = bl._iterate(op, 2, tol, 0.25)
             with monkeypatch.context() as m:
                 m.setattr(bl, "_OffzeroNorm", _FsumNorm)
-                x_ref, n_ref, _, _ = bl._iterate(op, 2, tol, 0.25)
+                x_ref, n_ref, _ = bl._iterate(op, 2, tol, 0.25)
             assert n == n_ref
             assert np.array_equal(x, x_ref)
             assert n >= k and (n == k) is stops_at_k

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import treegibbs
+import treegibbs.boundary_law as bl
 from treegibbs import cli, ggm, potentials
 from treegibbs.boundary_law import (
     MODE_AUTO,
@@ -615,17 +616,22 @@ class TestCsvEmitters:
         assert meta["radius"] == str(law.radius) and "q" not in meta
 
     def test_solve_reports_its_truncation_bound(self, capsys):
-        # a certified window prints both bounds; a law on Z_q has none
+        # a certified window prints its truncation bound and the total; a
+        # law on Z_q has no truncation bound, and its total is the one-apply
+        # Banach bound
         code, out, _ = run(capsys, "solve", "--model", "sos", "--beta", "2.5")
         assert code == 0
         _, report = solve_fixed_point(sos(2.5), 2)
         meta = parse_csv(out)[0]
         assert float(meta["truncation_bound"]) == report.truncation_bound <= 1e-12
         assert float(meta["total_error_bound"]) == report.total_error_bound
+        assert meta["certificate"] == "good_set"
         code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "2.5",
                            "--q", "3", "--format", "json")
         report = json.loads(out)["report"]
-        assert "truncation_bound" not in report and "total_error_bound" not in report
+        assert "truncation_bound" not in report and report["certificate"] == "good_set"
+        assert report["total_error_bound"] == bl._per_gap(report["final_residual"],
+                                                          report["lipschitz"])
 
     def test_periodic_rows_are_the_law(self, capsys):
         code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "2.5",
@@ -635,6 +641,24 @@ class TestCsvEmitters:
         meta = self._assert_law_rows(out, law, report)
         assert meta["q"] == "3" and "radius" not in meta
 
+    @pytest.mark.parametrize("beta,q,certificate", [
+        ("2", "1", "exact"), ("2", "2", "none"), ("2.5", "3", "good_set")])
+    def test_periodic_prints_one_certificate(self, capsys, beta, q, certificate):
+        # one certificate line; a total beside every certificate but "none",
+        # and 0 for the free state
+        code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", beta,
+                           "--d", "2", "--q", q)
+        assert code == 0
+        lines = out.splitlines()
+        assert [ln for ln in lines if ln.startswith("# certificate=")] == [
+            f"# certificate={certificate}"]
+        totals = [ln for ln in lines if ln.startswith("# total_error_bound=")]
+        assert len(totals) == (certificate != "none")
+        if certificate == "exact":
+            assert totals == ["# total_error_bound=0"]
+        meta = parse_csv(out)[0]
+        assert meta["certified"] == str(certificate != "none").lower()
+
     def test_flags_and_report_win_over_the_law(self, capsys, monkeypatch):
         real = cli.periodic_solve
 
@@ -642,7 +666,7 @@ class TestCsvEmitters:
             # a law whose d and certificate disagree with the flag and report
             law, report = real(pot, d, q, config)
             return (dataclasses.replace(law, d=d + 1, certified=False),
-                    dataclasses.replace(report, certified=True))
+                    dataclasses.replace(report, certificate="good_set"))
 
         monkeypatch.setattr(cli, "periodic_solve", skewed)
         code, out, _ = run(capsys, "periodic", "--model", "sos", "--beta", "2",
@@ -1009,7 +1033,9 @@ class TestTable:
         assert rows[1][3] == "1.321"
 
 
-_REPORT_KEYS = {f.name for f in dataclasses.fields(SolveReport)}
+_REPORT_FIELDS = {f.name for f in dataclasses.fields(SolveReport)}
+# the report's fields and the flag it prints beside its certificate
+_REPORT_KEYS = _REPORT_FIELDS | {"certified"}
 # the solve behind each law command, and its argv
 _LAW_COMMANDS = {
     "solve_fixed_point": ["solve", "--model", "sos", "--beta", "2.5"],
@@ -1037,7 +1063,7 @@ class TestOneCertificateRecord:
 
         def blanked(*args):
             law, report = real(*args)
-            return law, dataclasses.replace(report, **dict.fromkeys(_REPORT_KEYS))
+            return law, dataclasses.replace(report, **dict.fromkeys(_REPORT_FIELDS))
 
         monkeypatch.setattr(cli, solver, blanked)
         argv = _LAW_COMMANDS[solver]
@@ -1072,11 +1098,11 @@ PINNED_STDOUT = {
     "threshold --model sos --d 2 --tol 1e-17":
         "6cfc576d12b9edad1951ab0446be90f79abf0904a0f02eb0864d61be4d2f1873",
     "periodic --model log --beta 2.6 --d 2 --q 5":
-        "fb24eeab8a86cafc83dfc13edc627e7300055c8ef43598b4acf4d00983438638",
+        "2595e1fa95e4f3663bd19f4d77b185a1931e6ea8bbd79405dc0cab81c238a7ec",
     "ggm --model log --beta 3.0 --q 5":
         "45730b94791aa477df55908981f296cbc4a4c6acde666d288df59a55f9674373",
     "ggm --model log --beta 4.0 --q 3 --format json":
-        "8064778695832091860bbf7c5fda5fad23461048afe33896adcaf345ac41e221",
+        "445d5c9eff1874a82b27d95e9f37ddc00c037a586be250e1b8909c66a424a887",
     "simulate --model log --beta 2.6 --d 2 --q 3 --n 16 --truncation 200":
         "5f56ccc33725a6f60a50865f7d56b7a12b559af8de08e3dd193284670b77761c",
     "simulate --model log --beta 4.0 --d 2 --q 3 --sample-steps 1000 --seed 7":
@@ -1088,9 +1114,9 @@ PINNED_STDOUT = {
     "threshold --model sos --d 2":
         "04fe608cc4220734ff117794f2cc1ffe5bdb27c89f4ce0e075b0ea7fa5390be1",
     "solve --model sos --beta 2.5 --d 2 --format json":
-        "aa92dca58ca337e602fa0245804a6780f7b3399bba5677653b841c8501b9dbd4",
+        "43ad67b9f71e677bbecba4cbcdcd68646a9c4f715a0a70eb541dda88c3e944cb",
     "periodic --model sos --beta 2 --d 2 --q 2":
-        "5d9d2d32a735d799277edf0114f0c65c2dfdbbb0f480e1026567b3f2911a8283",
+        "8f39878dbf67ac5968fe113c637d62765f5a8b301fc997df47b4c201c00232e9",
     "ggm --model sos --beta 2 --d 2 --q 2":
         "e39171846adecee74f5d4d9c124cd7dd7037bfb4f98ece42f0429dd2bf65b0a8",
     "simulate --model sos --beta 2 --d 2 --q 2 --n 1,8,64":

@@ -416,10 +416,12 @@ class TestFuzzyOperator:
     @pytest.mark.parametrize("beta", [1e308, 1.7e308])
     @pytest.mark.parametrize("q", [2, 5])
     def test_sos_classes_where_beta_q_overflows(self, beta, q):
-        # b q overflows: every e^{-bj}, j >= 1, is 0, and so are Q off 0
+        # b q overflows: every e^{-bj}, j >= 1, is 0, and so are Q off 0; the
+        # closed form charges those zero terms as it does at beta = 1e16,
+        # one subnormal unit each, and class 0 its 16 u besides
         fq = fuzzy_Q(sos(beta), q)
         assert fq.values.tolist() == [1.0] + [0.0] * (q - 1)
-        assert fq.errors.tolist() == [0.0] * q
+        assert fq.errors.tolist() == [16 * 2.0**-53 + 2.0**-1074] + [2 * 2.0**-1074] * (q - 1)
         assert sos(beta).Q(np.arange(-2, 3)).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     @pytest.mark.filterwarnings("error")
