@@ -24,17 +24,19 @@ use and at most `_MAX_THREADS` (the count measured so far).  The stream
 advances by any distance at once, so each block reads its share of it
 directly and W_n has the same bytes for any thread count.
 
-Every walk reads one uniform per walker and step.  A height step is an
-inverse-CDF draw from the padded running sums of the kernel (`_CdfTable`,
+Every walk reads one uniform per walker and step, and each step draws
+the next state and its increment together (`_StepTable`): the uniform
+picks the next state by inverse CDF from the kernel row (`_CdfTable`,
 rows padded with 1.0 to one power-of-two width w < 2m for rows of length
-at most m).  A class step draws the next class and its increment together
-(`_StepTable`): the uniform picks the next class from the kernel row, and
-its position inside that class's share of the row, rescaled to [0, 1),
-picks the increment from the law of the class step.  A guide of 2^b
-buckets per row (Chen & Asau, 1974; b = `_GUIDE_BITS`, 8 KiB per row)
-answers by one gather each walker whose bucket [t/2^b, (t+1)/2^b) holds
-one answer throughout; the others, 0.4-2% of a block on the tables
-measured, are searched at once by branchless upper-bound searches.
+at most m); a height moves by the difference, and a class step rescales
+the uniform's position inside the next class's share of the row to
+[0, 1) to pick the increment from the law of the class step.  A walker
+is one int64 that packs W_n above its state, and a step adds one code to
+it.  A guide of 2^b buckets per row (Chen & Asau, 1974; b = `_GUIDE_BITS`,
+8 KiB per row) holds that code for each walker whose bucket
+[t/2^b, (t+1)/2^b) has one answer throughout; the others, 0.4-2% of a
+block on the tables measured, are searched by branchless upper-bound
+searches.
 Because the entries <= u form a prefix of each row, a search returns
 exactly searchsorted(row, u, side="right"), and the guide holds the
 search's own answer wherever it is the same at both ends of a bucket, so
@@ -99,9 +101,13 @@ _N_EFF_FACTOR = 10.0
 # uniforms of a path, the int64 result W of sample_wn
 _MAX_BUFFER = 1 << 26
 
-# the sampler works on blocks of at most this many walkers (or path steps),
-# so that their positions and uniforms stay in cache across the search
-_BLOCK = 1 << 15
+# the sampler works on blocks of at most this many walkers (or path steps):
+# 2^17 stepped 10^6 walkers fastest of 2^15-2^18 on 2 threads; on one, 2^12
+# ran 3-5x slower than 2^17 (numpy's per-call cost) and 2^19 1.2x (cache)
+_BLOCK = 1 << 17
+# a step searches the walkers its guide leaves to the search at most this
+# many at a time, in buffers of this size
+_SEARCH_CHUNK = 1 << 12
 # sample_wn threads: the speed-up was measured on 2 CPUs only (where 8 and
 # 31 threads ran 1.3-1.7x and 2.1-2.8x slower than 2); raise this once a
 # larger host has been measured
@@ -427,22 +433,23 @@ def _cumulative_rows(P: np.ndarray) -> np.ndarray:
 
 
 class _Scratch:
-    """Buffers for the draws of one block (`_Guided.draw`, the searches).
+    """Buffers for the steps of one block (`_Guided.step`) and their searches.
 
     A walk that passes the same scratch to every step allocates no
-    block-sized buffer per step; block-sized temporaries on worker threads
-    would make each thread's malloc arena shrink and regrow.  ``key`` and
-    ``uniform`` hold the compacted keys (then results) and uniforms of the
-    walkers that `draw` hands to the search; their index list, from
-    np.flatnonzero, which takes no out=, is the one array a draw allocates
-    (0.4-1.7% of the block on the tables measured).  ``state`` holds the
-    next class of the two-level rule of `_StepTable`, which works out its
-    rescaled uniform in ``uniform``.
+    block-sized buffer per step (on worker threads, such temporaries make
+    each malloc arena shrink and regrow).  ``code`` and ``hit`` hold the
+    codes of the block's ``block`` walkers and the misses of their guide;
+    the search buffers take ``size`` walkers at a time: ``key`` and
+    ``uniform`` the compacted rows (then codes) and uniforms of the misses,
+    ``state`` the next state of `_StepTable`, which works out its rescaled
+    uniform in ``uniform``.  The misses' index list, from np.flatnonzero,
+    which takes no out=, is the one array a step allocates.
     """
 
-    __slots__ = ("entry", "below", "term", "key", "uniform", "state")
+    __slots__ = ("code", "hit", "entry", "below", "term", "key", "uniform", "state")
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, block: int = 0):
+        self.code, self.hit = np.empty(block, dtype=np.int64), np.empty(block, dtype=bool)
         self.entry = np.empty(size)
         self.below = np.empty(size, dtype=bool)
         self.term = np.empty(size, dtype=np.int64)
@@ -456,25 +463,38 @@ class _Scratch:
 
 class _Guided:
     """A draw rule per table row with a guide table that answers most draws
-    by one gather.
+    by one gather, stepping walkers packed in one int64 each.
 
-    A subclass defines ``_search(keys, u, out, scratch)``: the draw of row
-    keys[k] at u[k] for u in [0, 1), non-decreasing in u on every row, run
-    in the buffers of scratch (len(u) entries); keys may be out itself.
-    The guide (Chen & Asau, On generating random variates from an empirical
-    distribution, 1974) splits [0, 1) into 2^b buckets, b = `_GUIDE_BITS`.
-    Entry (s, t) holds the draw of row s for every u in [t/2^b, (t+1)/2^b),
-    found by `_search` at the bucket's two ends, t/2^b and the largest
-    double below (t+1)/2^b, or `_SENTINEL` where the two differ.  This is
-    exact: the draw is non-decreasing in u, so equal answers at the ends
-    hold for every u between them, and t = floor(u 2^b) is exact, since
-    scaling by a power of two only moves the exponent.  `draw` reads the
-    guide for the whole block and searches only the walkers whose bucket
-    the guide leaves to the search.  The guide takes 8 * 2^b bytes per row
-    (8 KiB at b = 10).
+    A subclass defines ``_search(keys, u, out, scratch)``: the code of a
+    draw from row keys[k] at u[k] in [0, 1), non-decreasing in u on every
+    row, in the buffers of scratch (len(u) entries); keys may be out.  The
+    guide (Chen & Asau, On generating random variates from an empirical
+    distribution, 1974) splits [0, 1) into 2^b buckets, b = ``bits`` =
+    `_GUIDE_BITS` when the table is built.  Entry (s, t) holds the code of
+    row s for every u in
+    [t/2^b, (t+1)/2^b), found by `_search` at the bucket's two ends, t/2^b
+    and the largest double below (t+1)/2^b, or `_SENTINEL` where the two
+    differ.  This is exact: the draw is non-decreasing in u, so equal
+    answers at the ends hold for every u between them, and t = floor(u 2^b)
+    is exact, since scaling by a power of two only moves the exponent.
+    The guide takes 8 * 2^b bytes per row (8 KiB at b = 10).
+
+    A walker is one int64 X whose bits [b, S) hold its row, S = ``shift``
+    = b + bit_length(rows - 1), and whose bits below b are 0.  Its guide
+    entry is then at (X | floor(u 2^b)) & (2^S - 1), whatever X holds above
+    S; `step` gathers it for a whole block, searches the misses and adds
+    each code to X.
     """
 
     __slots__ = ("guide",)
+
+    @property
+    def bits(self) -> int:
+        return self.guide.shape[1].bit_length() - 1
+
+    @property
+    def shift(self) -> int:
+        return self.bits + (len(self.guide) - 1).bit_length()
 
     def _build_guide(self, rows: int) -> None:
         buckets = 1 << _GUIDE_BITS
@@ -491,29 +511,33 @@ class _Guided:
             at = at.reshape(len(block), 2, buckets)
             block[...] = np.where(at[:, 0] == at[:, 1], at[:, 0], _SENTINEL)
 
-    def draw(self, keys, u: np.ndarray, out: np.ndarray,
-             scratch: _Scratch) -> np.ndarray:
-        """What `_search` writes, for one block of walkers: one gather from
-        the guide, then `_search` on the walkers it leaves to the search,
-        compacted into the scratch buffers; keys may be out itself.  scratch
-        must hold len(u) entries."""
-        guide = self.guide
-        bits = guide.shape[1].bit_length() - 1
-        _, hit, index = scratch.views(len(u))
-        # index = key 2^b + floor(u 2^b); the float -> int cast truncates
-        np.multiply(u, guide.shape[1], out=index, casting="unsafe")
-        np.left_shift(keys, bits, out=out)
-        index += out
-        np.take(guide.ravel(), index, out=out, mode="wrap")
-        np.equal(out, _SENTINEL, out=hit)
+    def step(self, X: np.ndarray, u: np.ndarray, scratch: _Scratch) -> np.ndarray:
+        """X += the codes of the draws at u from the rows X holds, in place:
+        one gather from the guide, then `_search` on the walkers it leaves
+        to the search, compacted into the search buffers of scratch, whose
+        code and hit buffers must hold len(u) entries."""
+        bits, mask, size = self.bits, (1 << self.shift) - 1, len(u)
+        code, hit = scratch.code[:size], scratch.hit[:size]
+        # the float -> int cast truncates; X has no bits below b
+        np.multiply(u, 1 << bits, out=code, casting="unsafe")
+        code |= X
+        code &= mask
+        # every index is in range, so mode="wrap" never wraps (and take never
+        # buffers); each index is read before its own slot is written
+        np.take(self.guide.ravel(), code, out=code, mode="wrap")
+        np.equal(code, _SENTINEL, out=hit)
         miss = np.flatnonzero(hit)
-        if miss.size:
-            key, uniform = scratch.key[:miss.size], scratch.uniform[:miss.size]
-            np.take(index, miss, out=key, mode="wrap")
-            np.right_shift(key, bits, out=key)
-            np.take(u, miss, out=uniform, mode="wrap")
-            out[miss] = self._search(key, uniform, key, scratch)
-        return out
+        chunk = len(scratch.key)
+        for lo in range(0, miss.size, chunk):
+            at = miss[lo:lo + chunk]
+            key, uniform = scratch.key[:at.size], scratch.uniform[:at.size]
+            np.take(X, at, out=key, mode="wrap")
+            key &= mask
+            key >>= bits
+            np.take(u, at, out=uniform, mode="wrap")
+            code[at] = self._search(key, uniform, key, scratch)
+        X += code
+        return X
 
 
 class _CdfTable(_Guided):
@@ -603,67 +627,73 @@ def _wrap_class_step(r: np.ndarray, q: int, term: np.ndarray) -> np.ndarray:
 
 
 class _StepTable(_Guided):
-    """One class step of a (FuzzyChain, laws) source: the next class b and the
-    increment k drawn together from one uniform, as the code (k << bits) | b,
-    bits = max(1, bit_length(q - 1)).
+    """One step of a Markov-additive chain: the next state b and the
+    increment k drawn together from one uniform, as the additive code
+    (k << shift) + ((b - a) << bits) of a step from state a, which moves
+    a packed walker (`_Guided`) X = (W << shift) + (a << bits) to
+    ((W + k) << shift) + (b << bits).
 
     The rule is the composition step of a Markov-additive chain (Devroye,
     Non-Uniform Random Variate Generation, 1986, II.2 and III.2), in two
     levels from row a of the kernel: b = searchsorted(cumP[a], u, "right")
     on the running sums of the kernel (its `_CdfTable`, last slot forced
-    to 1.0); then v = min(fl(fl(u - C) / P[a, b]), 1 - 2^-53), C the
-    running sum before b (0 for b = 0), and k = first + q slot, slot =
-    searchsorted on the running sums of the law of the class step
-    (b - a) mod q at v.  Every level is non-decreasing in u (rounding is
-    monotone, and v is clipped below 1 where the forced 1.0 or rounding
-    would take it to 1 or beyond; a 0/0 at a zero P[a, b], which only
-    the forced last slot can draw, is clipped too), so the joint guide,
-    one row per class, is exact as `_Guided` says.  No joint table is
-    built: the rule reads the kernel and law running sums, built without
-    guides, and this one guide replaces the kernel guide.  It took 0.25 s
-    to build beyond 0.07 s of running sums on the 4096-row SOS beta=2
-    kernel (where 0.18 s built the kernel guide; its increment laws
-    underflow at that q, so one-point laws stood in), and 0.5 ms at
-    log 3.0, q = 5 (2-core x86 host).
+    to 1.0).  Without laws (the height chain, whose rows are consecutive
+    heights) the increment is b - a.  With laws, v = min(fl(fl(u - C) /
+    P[a, b]), 1 - 2^-53), C the running sum before b (0 for b = 0), and
+    k = first + q slot, slot = searchsorted on the running sums of the law
+    of the class step (b - a) mod q at v.  Every level is non-decreasing
+    in u (rounding is monotone, and v is clipped below 1 where the forced
+    1.0 or rounding would take it to 1 or beyond; a 0/0 at a zero P[a, b],
+    which only the forced last slot can draw, is clipped too), and the
+    code is one-to-one in (b, k), since |b - a| < 2^(shift - bits), so the
+    guide, one row per state, is exact as `_Guided` says.  The rule reads
+    the kernel and law running sums, built without guides.  Its guide took
+    0.25 s to build beyond 0.07 s of running sums on the 4096-row SOS
+    beta=2 kernel (with one-point laws), and 0.5 ms at log 3.0, q = 5
+    (2-core x86 host).
     """
 
-    __slots__ = ("kernel", "laws", "P", "q", "bits")
+    __slots__ = ("kernel", "laws", "P", "q")
 
-    def __init__(self, P: np.ndarray, laws: _CdfTable):
+    def __init__(self, P: np.ndarray, laws: _CdfTable | None = None):
         self.q = len(P)
         self.kernel = _CdfTable(P, guide=False)
         self.P = np.ascontiguousarray(P, dtype=np.float64).ravel()
         self.laws = laws
-        self.bits = max(1, (self.q - 1).bit_length())
         self._build_guide(self.q)
 
     def _search(self, keys, u: np.ndarray, out: np.ndarray,
                 scratch: _Scratch) -> np.ndarray:
-        """out[k] = the code of the two-level rule from class keys[k] at u[k];
-        keys may be out itself, and u may be scratch.uniform (`draw` passes
+        """out[k] = the code of the two-level rule from state keys[k] at u[k];
+        keys may be out itself, and u may be scratch.uniform (`step` passes
         it), where the rescaled uniform v is worked out."""
         size = len(u)
         entry, below, term = scratch.views(size)
-        b, v = scratch.state[:size], scratch.uniform[:size]
+        b = scratch.state[:size]
         self.kernel._search(keys, u, b, scratch)
-        # C = cum[a, b - 1], taken where b > 0 and set to 0 where b = 0
-        np.multiply(keys, self.kernel.cum.shape[1], out=term)
-        term += b
-        term -= 1
-        np.take(self.kernel.cum.ravel(), term, out=entry, mode="wrap")
-        np.equal(b, 0, out=below)
-        np.copyto(entry, 0.0, where=below)
-        np.subtract(u, entry, out=v)
-        np.multiply(keys, self.q, out=term)
-        term += b
-        np.take(self.P, term, out=entry, mode="wrap")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(v, entry, out=v)
-        np.fmin(v, _BELOW_ONE, out=v)
-        _wrap_class_step(np.subtract(b, keys, out=out), self.q, term)
-        self.laws._search(out, v, out, scratch)
+        if self.laws is not None:
+            v = scratch.uniform[:size]
+            # C = cum[a, b - 1], taken where b > 0 and set to 0 where b = 0
+            np.multiply(keys, self.kernel.cum.shape[1], out=term)
+            term += b
+            term -= 1
+            np.take(self.kernel.cum.ravel(), term, out=entry, mode="wrap")
+            np.equal(b, 0, out=below)
+            np.copyto(entry, 0.0, where=below)
+            np.subtract(u, entry, out=v)
+            np.multiply(keys, self.q, out=term)
+            term += b
+            np.take(self.P, term, out=entry, mode="wrap")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(v, entry, out=v)
+            np.fmin(v, _BELOW_ONE, out=v)
+        np.subtract(b, keys, out=b)  # the state step b - a
+        np.copyto(out, b)  # keys may be out: read for the last time above
+        if self.laws is not None:
+            self.laws._search(_wrap_class_step(out, self.q, term), v, out, scratch)
+        out <<= self.shift - self.bits
+        out += b
         out <<= self.bits
-        out |= b
         return out
 
 
@@ -706,35 +736,43 @@ def _check_sizes(n, *replicates) -> None:
             "use smaller runs on distinct replicate keys")
 
 
-def _markov_additive(source):
-    """(labels, alpha, P, table) of a sampling source.
+def _markov_additive(source, n: int):
+    """(labels, alpha, P, table) of a sampling source, for walks of n steps.
 
-    alpha and P are the start law and the kernel of the state chain:
-    sample_path walks them with `_walk`, sample_wn draws its start, and
-    its height steps, from them through `_CdfTable`s.  For a truncated
-    BoundaryLaw (labels = heights, consecutive integers) table is None: the
-    increment of a step a -> b is the deterministic b - a.  For a
-    (FuzzyChain, laws) pair (labels = classes) table is the `_StepTable` of
-    the chain, which both samplers draw each class step from: the next
-    class and its increment from one uniform.  Its laws are a `_CdfTable`
-    without a guide whose rows are the increment laws, slot k of row s the
-    point first + q * k; heavy tails give the residues of small mass the
-    longest laws, so the padded rows can take a few times the laws' own
-    length, while the step guide takes only 8 q KiB.
+    alpha and P are the start law and the kernel of the state chain, and
+    table its `_StepTable`, which both samplers draw each step from:
+    sample_path walks the states with `_walk` and reads each increment
+    from the code drawn at the same uniform, sample_wn draws its start from
+    alpha and its steps from table.  For a truncated BoundaryLaw (labels =
+    heights, consecutive integers) the table has no laws: the increment of
+    a step a -> b is b - a.  For a (FuzzyChain, laws) pair (labels =
+    classes) its laws are a `_CdfTable` without a guide whose rows are the
+    increment laws, slot k of row s the point first + q * k; heavy tails
+    give the residues of small mass the longest laws, so the padded rows
+    can take a few times the laws' own length, while the step guide takes
+    only 8 q KiB.  A walk whose |W|, n times the largest |increment|,
+    could reach 2^(63 - shift) does not fit a packed walker (`_Guided`):
+    it is refused before any walker buffer is allocated.
     """
     if isinstance(source, BoundaryLaw):
         P, alpha = _height_kernel(source)
-        return source.indices, alpha, P, None
-    if isinstance(source, (tuple, list)) and len(source) == 2 \
+        labels, laws, reach = source.indices, None, len(alpha) - 1
+    elif isinstance(source, (tuple, list)) and len(source) == 2 \
             and isinstance(source[0], FuzzyChain):
-        fc = source[0]
-        laws = _check_laws(fc, source[1])
-        table = _CdfTable([law.weights for law in laws], [law.first for law in laws],
-                          fc.q, guide=False)
-        return np.arange(fc.q), fc.alpha, fc.P, _StepTable(fc.P, table)
-    raise ConfigError(
-        "source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair"
-    )
+        fc, laws = source[0], _check_laws(*source)
+        labels, alpha, P = np.arange(fc.q), fc.alpha, fc.P
+        reach = max(law.radius for law in laws)
+        laws = _CdfTable([law.weights for law in laws], [law.first for law in laws],
+                         fc.q, guide=False)
+    else:
+        raise ConfigError(
+            "source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair"
+        )
+    table = _StepTable(P, laws)
+    if int(n) * reach >= 1 << (63 - table.shift):
+        raise NumericalError(f"n={n} steps of increments up to {reach} could reach |W| = "
+                             f"2^{63 - table.shift}, beyond the int64 packing of {len(P)} states")
+    return labels, alpha, P, table
 
 
 def sample_path(source, n: int, seed: int, replicate: int = 0):
@@ -746,23 +784,22 @@ def sample_path(source, n: int, seed: int, replicate: int = 0):
     path reads positions 0..n of the PCG64DXSM stream that sample_wn reads
     for the same key, so it is the walk of sample_wn's one walker:
     u[0] draws the start and u[k] step k.  `_walk` draws the states in
-    order; a class step's increment is the one `_StepTable` draws with the
-    next class from the same uniform, a block of steps at a time.
+    order; each step's increment is read from the code `_StepTable` draws
+    from the same uniform, a block of steps at a time, each step a packed
+    walker with W = 0.
     """
     _check_sizes(n)
-    labels, alpha, P, table = _markov_additive(source)
+    labels, alpha, P, table = _markov_additive(source, 1)  # each step packs W = 0
     u = np.random.Generator(np.random.PCG64DXSM(_seed_sequence(seed, replicate))).random(n + 1)
-    if len(labels) > 1:
-        states = _walk(alpha, P, u)
-    else:
-        states = np.zeros(n + 1, dtype=np.int64)
-    increments = np.diff(states)
-    if table is not None:
-        scratch = _Scratch(min(n, _BLOCK))
-        for lo in range(0, n, _BLOCK):
-            out = increments[lo:lo + _BLOCK]
-            table.draw(states[lo:lo + len(out)], u[lo + 1:lo + 1 + len(out)], out, scratch)
-            out >>= table.bits
+    states = _walk(alpha, P, u) if len(labels) > 1 else np.zeros(n + 1, dtype=np.int64)
+    increments = np.empty(n, dtype=np.int64)
+    size = min(n, _BLOCK)
+    scratch = _Scratch(min(size, _SEARCH_CHUNK), size)
+    for lo in range(0, n, _BLOCK):
+        X = increments[lo:lo + _BLOCK]
+        np.left_shift(states[lo:lo + len(X)], table.bits, out=X)
+        table.step(X, u[lo + 1:lo + 1 + len(X)], scratch)
+        X >>= table.shift
     return increments, labels[states]
 
 
@@ -803,54 +840,35 @@ def sample_wn(source, n: int, replicates: int, seed: int, replicate: int = 0):
     Returns an int64 array of length ``replicates``.  The uniforms come
     from one PCG64DXSM stream keyed by (seed, replicate); a one-walker
     call reads the positions sample_path reads, so its W_n is the sum of
-    that path.  Parallel batches should use distinct replicate keys.  Both
-    walks read one uniform per walker and step, after one for the start: a
-    height step draws the next height from the kernel's `_CdfTable`, a
-    class step draws the next class and its increment together from
-    `_StepTable`.
-    Each block of at most `_BLOCK` walkers runs its whole walk in its own
-    block-sized buffers, reading its slice of every call of the stream by
-    advancing past the other walkers' positions (`_SliceStream`), so no
-    step allocates beyond the draws' fallback index lists and W_n has the
-    same bytes for any number of threads.  A pool of threads, one per CPU
-    the process may use and at most `_MAX_THREADS` (only 2 threads on 2
-    CPUs were measured), maps over the blocks; numpy releases the GIL in
-    the draws, ufuncs and gathers.
+    that path.  Parallel batches should use distinct replicate keys.  Each
+    walker is packed in its own entry of W, (W << shift) + (state << bits)
+    (`_Guided`): one uniform draws the start, and each step one code from
+    `_StepTable` by one guide gather, which one add applies.  Each block of
+    at most `_BLOCK` walkers runs its whole walk in its own buffers, 17
+    bytes a walker beside the misses' search buffers, reading its slice of
+    every call of the stream by advancing past the other walkers'
+    positions (`_SliceStream`), so no step allocates beyond the misses'
+    index lists and W_n has the same bytes for any number of threads.  A
+    pool of threads, one per CPU the process may use and at most
+    `_MAX_THREADS` (only 2 threads on 2 CPUs were measured), maps over the
+    blocks; numpy releases the GIL in the draws, ufuncs and gathers.
     """
     _check_sizes(n, replicates)
     seq = _seed_sequence(seed, replicate)
-    _, alpha, P, table = _markov_additive(source)
-    start = _CdfTable([alpha])
-    if table is None:
-        table = _CdfTable(P)
-
-        # t holds the row of the next height (rows are consecutive heights)
-        def advance(s, t, Wb):
-            Wb += t
-            Wb -= s
-            return t, s
-    else:
-        bits, mask = table.bits, (1 << table.bits) - 1
-
-        # t holds (increment << bits) | next class
-        def advance(s, t, Wb):
-            np.bitwise_and(t, mask, out=s)
-            t >>= bits
-            Wb += t
-            return s, t
+    _, alpha, _, table = _markov_additive(source, n)
+    # the start is a step from row 0 that moves the row only: code s << bits
+    start = _CdfTable([alpha], [0], 1 << table.bits)
     N = int(replicates)
-    W = np.zeros(N, dtype=np.int64)
+    W = np.zeros(N, dtype=np.int64)  # every walker starts packed on row 0 at W = 0
 
     def walk(lo):
-        Wb = W[lo:lo + _BLOCK]
-        size = len(Wb)
-        rng, scratch = _SliceStream(seq, N, lo), _Scratch(size)
-        u, s = np.empty(size), np.zeros(size, dtype=np.int64)  # every walker starts on row 0
-        t = np.empty_like(s)
-        start.draw(s, rng.random(out=u), s, scratch)
+        X = W[lo:lo + _BLOCK]
+        rng, u = _SliceStream(seq, N, lo), np.empty(len(X))
+        scratch = _Scratch(min(len(X), _SEARCH_CHUNK), len(X))
+        start.step(X, rng.random(out=u), scratch)
         for _ in range(n):
-            table.draw(s, rng.random(out=u), t, scratch)
-            s, t = advance(s, t, Wb)
+            table.step(X, rng.random(out=u), scratch)
+        X >>= table.shift
 
     # imported here: the pool's imports (logging) cost every CLI command
     # 5-6 ms of start-up, and no command samples W_n

@@ -554,9 +554,12 @@ def _certified_sum(base, power: float, tail, starts, rel_tol: float, what,
     rounded[i]), the power multiplies that relative error by |power| and
     pow adds one ulp, and the value adds half an ulp; a factor
     1 + (|power| + 4) u covers second-order terms.  N doubles from
-    starts[i] until the bound certifies rel_tol; a subnormal value, which
-    no N can certify, is reported as 0 with its upper end as the bound,
-    and an infinite bracket stops the row at once.  ``what(i)`` names row
+    starts[i] until the bound certifies rel_tol.  The value's half ulp
+    alone charges u/2 of it times that factor, so where that exceeds
+    rel_tol (|power| near 1e308 at an extreme beta) the first N is
+    refused, as is a rounding floor that no N brings under rel_tol; a
+    subnormal value, which no N can certify, is reported as 0 with its
+    upper end as the bound, and an infinite bracket stops the row at once.  ``what(i)`` names row
     i in a refusal.
 
     The rows that share a start and a rounding flag run in lockstep, in
@@ -569,6 +572,8 @@ def _certified_sum(base, power: float, tail, starts, rel_tol: float, what,
     """
     out: list = [None] * len(starts)
     second_order = 1.0 + (abs(power) + 4) * _UNIT_ROUNDOFF
+    # err >= u/2 value second_order at every N
+    hopeless = 0.5 * _UNIT_ROUNDOFF * second_order > rel_tol
     # rounds to run, the next one last: (rows, terms summed, N, rounded),
     # a row being (i, [fsum, residual of each chunk], [rounding of each chunk])
     if len(starts) == 1:  # the common one-row call needs no grouping
@@ -628,10 +633,11 @@ def _certified_sum(base, power: float, tail, starts, rel_tol: float, what,
                 out[i] = (0.0, value + err, N)
             # slop only grows with N, and an M that certifies has
             # floor <= err_M <= rel_tol * value_M <= rel_tol * (value + err) / (1 - rel_tol)
-            elif floor * (1.0 - rel_tol) > rel_tol * (value + err):
+            elif hopeless or floor * (1.0 - rel_tol) > rel_tol * (value + err):
                 raise NumericalError(
-                    f"{what(i)}: the rounding floor of the terms ({floor:.3g}) exceeds "
-                    f"rel_tol={rel_tol} of the sum ({value:.6g}) after {N} terms, "
+                    f"{what(i)}: the rounding floor of the terms "
+                    f"({floor * second_order:.3g}) exceeds rel_tol={rel_tol} of the sum "
+                    f"({value:.6g}) after {N} terms, "
                     "so no number of terms certifies it; loosen rel_tol"
                 )
             elif N >= _MAX_RADIUS:

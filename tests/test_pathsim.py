@@ -8,6 +8,7 @@ the closed sech algebra for the two-class chain.
 """
 
 import concurrent.futures
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -727,15 +728,47 @@ class TestSampleWnReference:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("source,digest", [
+        ("sos25", "1176ab4bd1fe1cfe2816115d91fcf666e82418df8dc7abde86b876e1883e5152"),
+        ("chain2", "0329e5904047e6e7334458389d7c54e4f6d4f8474fabdc2f2ced1f1ed8dee660"),
+    ])
+    def test_multi_block_bytes(self, request, source, digest):
+        # sha256 of the int64 W_8 of 3 * 2^17 + 17 walkers, keyed by (1, 0),
+        # from the walk of 2^15-walker blocks before the packed walk: four
+        # blocks, the last one short, keep their bytes
+        N = 3 * (1 << 17) + 17
+        assert N > 3 * _BLOCK and N % _BLOCK
+        W = sample_wn(request.getfixturevalue(source), 8, N, seed=1)
+        assert hashlib.sha256(W.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("source", ["sos25", "chain_log30"])
+    def test_packed_overflow_refused_before_allocating(self, request, source):
+        # a walker is one int64 (W << shift) + (state << bits): n steps whose
+        # |W| could reach 2^(63 - shift) are refused before the 80 MB of W
+        src = request.getfixturevalue(source)
+        _, alpha, _, table = pathsim._markov_additive(src, 1)
+        reach = len(alpha) - 1 if source == "sos25" else max(law.radius for law in src[1])
+        n = ((1 << (63 - table.shift)) - 1) // reach  # the most steps that fit
+        pathsim._markov_additive(src, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match=rf"n={n + 1} steps .* up to {reach} "
+                               rf"could reach \|W\| = 2\^{63 - table.shift}"):
+                sample_wn(src, n + 1, 10**7, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
+
     def test_slice_error_reaches_the_caller(self, monkeypatch, chain2):
         # the class walk draws each step from its _StepTable
-        draw = _StepTable.draw
+        step = _StepTable.step
 
-        def fail(self, keys, u, out, scratch):
+        def fail(self, X, u, scratch):
             if len(u) < _BLOCK:  # only the last, short block fails
                 raise MemoryError("block")
-            return draw(self, keys, u, out, scratch)
-        monkeypatch.setattr(_StepTable, "draw", fail)
+            return step(self, X, u, scratch)
+        monkeypatch.setattr(_StepTable, "step", fail)
         for workers in (1, 2, 3):
             monkeypatch.setattr(pathsim, "_MAX_THREADS", workers)
             monkeypatch.setattr(pathsim, "_cpus", lambda w=workers: w)
@@ -802,8 +835,7 @@ class TestCdfTableSearch:
         u = np.where(rng.random(walkers) < 0.5, tie, u)
         u[(u >= 1.0) | (rng.random(walkers) < 0.05)] = 0.0
 
-        slots = plain.draw(keys, u, np.empty(walkers, dtype=np.int64), _Scratch(walkers))
-        values = table.draw(keys, u, np.empty(walkers, dtype=np.int64), _Scratch(walkers))
+        slots, values = _codes(plain, keys, u), _codes(table, keys, u)
         want = np.empty(walkers, dtype=np.int64)
         for s, cum in enumerate(cums):
             mask = keys == s
@@ -815,7 +847,7 @@ class TestCdfTableSearch:
     def _check_draws(rows, first, stride, keys, u):
         """draw on (keys, u) against searchsorted on each key row."""
         table = _CdfTable(rows, first, stride)
-        got = table.draw(keys, u, np.empty(len(u), dtype=np.int64), _Scratch(len(u)))
+        got = _codes(table, keys, u)
         for s, row in enumerate(rows):
             mask = keys == s
             slot = np.searchsorted(_cumulative_rows(row), u[mask], side="right")
@@ -905,6 +937,14 @@ class TestCdfTableSearch:
             assert np.all(table.cum[:, -1] == 1.0)
 
 
+def _codes(table, keys, u):
+    """The codes a table's `step` adds to walkers packed on rows keys at u,
+    searched _SEARCH_CHUNK walkers at a time as the walk searches them."""
+    X = np.asarray(keys, dtype=np.int64) << table.bits
+    scratch = _Scratch(min(len(u), pathsim._SEARCH_CHUNK), len(u))
+    return table.step(X.copy(), u, scratch) - X
+
+
 def _law_rows(laws):
     return [law.weights for law in laws], [law.first for law in laws]
 
@@ -958,11 +998,10 @@ class TestStepTable:
         return np.unique(u[(u >= 0.0) & (u < 1.0)])
 
     def _draw(self, a, u):
-        """(next class, increment) of the table's draw from class a at u."""
+        """(next class, increment) of the table's step from class a at u."""
         table = _step_table(self.P, self.WEIGHTS, self.FIRSTS)
-        keys = np.full(len(u), a)
-        code = table.draw(keys, u, np.empty(len(u), dtype=np.int64), _Scratch(len(u)))
-        return code & ((1 << table.bits) - 1), code >> table.bits
+        X = table.step(np.full(len(u), a << table.bits), u, _Scratch(len(u), len(u)))
+        return (X & ((1 << table.shift) - 1)) >> table.bits, X >> table.shift
 
     @pytest.mark.parametrize("bits", GUIDE_BITS)
     def test_matches_reference_on_the_edges(self, monkeypatch, bits):
@@ -1013,13 +1052,13 @@ class TestStepTable:
 
     @pytest.mark.parametrize("source", ["chain2", "chain_log30"])
     def test_joint_guide_entries_hold_across_their_bucket(self, request, source):
-        # a joint guide entry is the rule's code (k << bits) | b at both ends
-        # of its bucket; the sentinel marks exactly the buckets where the
-        # two ends differ
+        # a joint guide entry is the rule's code (k << shift) + ((b - a) << bits)
+        # at both ends of its bucket; the sentinel marks exactly the buckets
+        # where the two ends differ
         fc, laws = request.getfixturevalue(source)
         weights, firsts = _law_rows(laws)
         table = _step_table(fc.P, weights, firsts)
-        assert table.bits == max(1, (fc.q - 1).bit_length())
+        assert table.shift == table.bits + (fc.q - 1).bit_length()
         buckets = table.guide.shape[1]
         lo = np.arange(buckets) / buckets
         for a in range(fc.q):
@@ -1027,7 +1066,7 @@ class TestStepTable:
             ends = []
             for u in (lo, np.nextafter(lo + 1.0 / buckets, 0.0)):
                 b, k = _reference_class_step(fc.P, weights, firsts, keys, u)
-                want = (k << table.bits) | b
+                want = (k << table.shift) + ((b - a) << table.bits)
                 got = table._search(keys, u, np.empty(buckets, dtype=np.int64),
                                     _Scratch(buckets))
                 np.testing.assert_array_equal(got, want)
@@ -1039,10 +1078,11 @@ class TestStepTable:
 
     def test_class_block_allocates_only_its_index_list(self, monkeypatch, chain2):
         # at one bucket per row every walker goes to the two-level rule,
-        # which works in the scratch buffers: the fallback index list of
-        # np.flatnonzero, 8 bytes a walker, is the one block-sized array.
-        # The rest of the peak is the same at a 4x larger block: numpy's
-        # casting buffer of the search's bool x int step (8192 entries)
+        # which works in the scratch buffers, _SEARCH_CHUNK walkers at a
+        # time: the fallback index list of np.flatnonzero, 8 bytes a walker,
+        # is the one block-sized array.  The rest of the peak is the same at
+        # a 4x larger block: numpy's casting buffer of the search's bool x
+        # int step (8192 entries)
         monkeypatch.setattr(pathsim, "_GUIDE_BITS", 0)
         fc, laws = chain2
         table = _step_table(fc.P, *_law_rows(laws))
@@ -1050,12 +1090,12 @@ class TestStepTable:
         rng = np.random.default_rng(4)
         beyond = []
         for size in (_BLOCK, 4 * _BLOCK):
-            keys, u = rng.integers(0, fc.q, size), rng.random(size)
-            out, scratch = np.empty(size, dtype=np.int64), _Scratch(size)
-            table.draw(keys, u, out, scratch)
+            X, u = rng.integers(0, fc.q, size) << table.bits, rng.random(size)
+            scratch = _Scratch(pathsim._SEARCH_CHUNK, size)
+            table.step(X, u, scratch)
             tracemalloc.start()
             try:
-                table.draw(keys, u, out, scratch)
+                table.step(X, u, scratch)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
