@@ -5,10 +5,11 @@ with transitions P(ibar, jbar) = Q_q(ibar - jbar) lam(jbar) / N(ibar) and
 stationary law alpha = lam^((d+1)/d) normalized.  The visible layer draws
 the integer increment of an edge from the class-conditional law
 rho(j | sbar) = Q(j) / Q_q(sbar) on the progression of the residue class;
-an `IncrementLaw` is that formula with certified class tails, evaluated on
-request.  Edge and star marginals come out exactly by enumerating the root
-class; along any finite tree the classes are determined by the root class
-and the edge increments, so the enumeration never grows beyond q terms.
+an `IncrementLaw` is that formula with certified class tails, evaluated in
+blocks into the caller's array.  Edge and star marginals come out exactly
+by enumerating the root class; along any finite tree the classes are
+determined by the root class and the edge increments, so the enumeration
+never grows beyond q terms.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _STATIONARITY_TOL = 1e-10
 
 # the default increment radius leaves class mass at most this far out
 _TAIL_BOUND = 1e-10
+_EVAL_BLOCK = 1 << 14  # points `IncrementLaw.write` evaluates at a time
 
 # dense kernels (the q x q class chain here, the m x m height chain in
 # pathsim) refuse sizes beyond this many states per side
@@ -76,8 +78,8 @@ class IncrementLaw:
 
     A formula, not a table: the support is the step-q progression of the
     residue class with |j| <= ``radius`` (the largest |j| it holds), and
-    `clip` and `weights` evaluate pot.Q on the points they are asked for,
-    divided by ``mass`` = Q_q(residue).  `tail` certifies the law's mass
+    `write` (under `clip` and `weights`) evaluates pot.Q on the points asked
+    for, divided by ``mass`` = Q_q(residue).  `tail` certifies the law's mass
     beyond a radius from the class's own terms, over ``mass_lo``, the class
     mass rounded down, and ``tail_mass_bound`` is `tail` at ``radius``.
     """
@@ -91,7 +93,7 @@ class IncrementLaw:
 
     @property
     def first(self) -> int:
-        return (self.residue + self.radius) % self.q - self.radius
+        return self.span(-self.radius, self.radius)[0]
 
     @property
     def support(self) -> np.ndarray:
@@ -101,13 +103,28 @@ class IncrementLaw:
     def weights(self) -> np.ndarray:
         return self.clip(self.radius)[1]
 
+    def span(self, lo: int, hi: int) -> tuple[int, int]:
+        """(j0, n): the support points in [lo, hi] are j0 + kq, k < n."""
+        lo, hi = max(lo, -self.radius), min(hi, self.radius)
+        j0 = lo + (self.residue - lo) % self.q
+        return j0, max(0, (hi - j0) // self.q + 1)
+
+    def write(self, j0: int, out: np.ndarray, scale=1.0) -> np.ndarray:
+        """out[k] = scale * Q(j) / mass at the support points j = j0 + kq, by one
+        Q, divide and multiply each, _EVAL_BLOCK points at a time; returns out,
+        which may be any strided view."""
+        for a in range(0, out.size, _EVAL_BLOCK):
+            b = min(a + _EVAL_BLOCK, out.size)
+            w = self.pot.Q(np.arange(j0 + a * self.q, j0 + b * self.q, self.q))
+            np.divide(w, self.mass, out=w)
+            np.multiply(w, scale, out=out[a:b])
+        return out
+
     def clip(self, radius: int) -> tuple[int, np.ndarray]:
-        """(j0, w): the points j0, j0 + q, ... of the support with |j| <= radius
-        and their weights, evaluated here (w is empty when there are none)."""
-        r = min(radius, self.radius)
-        j0 = (self.residue + r) % self.q - r
-        w = self.pot.Q(np.arange(j0, r + 1, self.q))
-        return j0, np.divide(w, self.mass, out=w)
+        """(j0, w): the support points j0, j0 + q, ... with |j| <= radius and
+        their weights, by `write` into a fresh array."""
+        j0, n = self.span(-radius, radius)
+        return j0, self.write(j0, np.empty(n))
 
     def tail(self, R: int) -> float:
         """Upper bound on the law's mass beyond R: the class's terms Q(j) with
@@ -123,13 +140,14 @@ class IncrementLaw:
         return math.fsum((self.support.astype(float) ** 2 * self.weights).tolist())
 
 
-def _dense_chain(bl: BoundaryLaw, kernel,
-                 refusal: str) -> tuple[np.ndarray, np.ndarray]:
+def _dense_chain(bl: BoundaryLaw, kernel) -> tuple[np.ndarray, np.ndarray]:
     """(P, alpha) for P(a, b) = kernel(a - b) lam(b) / N(a) on the law's sites;
-    beyond _MAX_DENSE sites, NumericalError(refusal) before anything is allocated,
-    and NumericalError for a row whose mass N(a) underflows to 0."""
-    if len(bl.x) > _MAX_DENSE:
-        raise NumericalError(refusal)
+    beyond _MAX_DENSE sites, NumericalError naming both before anything is
+    allocated, and NumericalError for a row whose mass N(a) underflows to 0."""
+    m = len(bl.x)
+    if m > _MAX_DENSE:
+        raise NumericalError(f"the law's {m} sites exceed the {_MAX_DENSE}-site cap of a dense "
+                             f"chain: its {m}x{m} matrix would take {m * m * 8 / 2**30:.3g} GiB")
     idx = bl.indices
     num = kernel(idx[:, None] - idx[None, :]) * bl.lam[None, :]
     N = num.sum(axis=1, keepdims=True)
@@ -153,9 +171,7 @@ def fuzzy_chain(bl: BoundaryLaw, qq: FuzzyOperator) -> FuzzyChain:
         raise ConfigError(f"operator has q={qq.q}, boundary law has q={bl.q}")
     q = bl.q
     values = np.asarray(qq.values, dtype=float)
-    P, alpha = _dense_chain(bl, lambda diff: values[diff % q], (
-        f"q={q} exceeds {_MAX_DENSE}: the dense class chain needs a "
-        f"{q}x{q} matrix ({q * q * 8 / 2**30:.3g} GiB)"))
+    P, alpha = _dense_chain(bl, lambda diff: values[diff % q])
     if q > 1:
         resid = float(np.max(np.abs(alpha @ P - alpha)))
         if resid > _STATIONARITY_TOL:
@@ -275,66 +291,49 @@ def _edge_leak(steps: np.ndarray, laws: list[IncrementLaw], K: int) -> float:
                           math.inf)
 
 
-def _least_window(steps: np.ndarray, laws: list[IncrementLaw], start: int) -> int:
-    """Least K >= start whose `_edge_leak` is at most _LEAK_TOL, for laws
-    whose leak at the largest increment radius fits."""
-    return _smallest_radius(lambda K: _edge_leak(steps, laws, K) <= _LEAK_TOL,
-                            start, 2 * max(law.radius for law in laws), "")
-
-
-def _check_leak(steps: np.ndarray, laws: list[IncrementLaw], window: int) -> None:
-    """NumericalError when the `_edge_leak` at window exceeds _LEAK_TOL,
-    naming the least window that fits or, when none does, the increment
-    radius."""
-    leaked = _edge_leak(steps, laws, window)
-    if leaked > _LEAK_TOL:
-        need = max(law.radius for law in laws)
+def _edge_window(fc: FuzzyChain, laws, window: int | None = None) -> tuple[int, float]:
+    """(K, leak) for fc's q increment laws in class order: the given window,
+    or the least K >= 1 whose certified leak `_edge_leak` is at most
+    _LEAK_TOL, and that leak.  A leak above _LEAK_TOL is refused with
+    NumericalError naming the least window that fits or, when none does
+    (the leak stops falling past the largest increment radius), that radius."""
+    steps, need = _class_step_law(fc), max(law.radius for law in laws)
+    K = need if window is None else window
+    leaked = _edge_leak(steps, laws, K)
+    if leaked <= _LEAK_TOL and window is not None:
+        return K, leaked
+    if _edge_leak(steps, laws, need) > _LEAK_TOL:
         hint = (f"the increment laws are truncated at radius {need}; "
-                "raise the increment radius (--truncation)"
-                if _edge_leak(steps, laws, need) > _LEAK_TOL else
-                f"use window >= {_least_window(steps, laws, window + 1)}")
-        raise NumericalError(
-            f"window {window} leaks mass {leaked:.3g} > {_LEAK_TOL:.3g}; {hint}")
-
-
-def _edge_window(fc: FuzzyChain, laws) -> tuple[int, float]:
-    """(K, leak): the least window K >= 1 whose certified edge-marginal leak
-    is at most _LEAK_TOL, and that leak.  Past the largest increment radius
-    the leak no longer falls, so when it exceeds _LEAK_TOL there, the
-    refusal of `ggm_edge_marginal` at that radius."""
-    laws = _check_laws(fc, laws)
-    steps = _class_step_law(fc)
-    _check_leak(steps, laws, max(law.radius for law in laws))
-    K = _least_window(steps, laws, 1)
-    return K, _edge_leak(steps, laws, K)
+                "raise the increment radius (--truncation)")
+    else:
+        least = _smallest_radius(lambda R: _edge_leak(steps, laws, R) <= _LEAK_TOL,
+                                 1, 2 * need, "")
+        if window is None:
+            return least, _edge_leak(steps, laws, least)
+        hint = f"use window >= {least}"
+    raise NumericalError(f"window {K} leaks mass {leaked:.3g} > {_LEAK_TOL:.3g}; {hint}")
 
 
 def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
     """Single-edge increment law nu(j) on the window [-K, K].
 
     nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
-    jbar = j mod q.  The result is symmetric with zero tilt.  Each residue
-    class s writes step(s) * rho(. | s) straight into one stride-q slice of
-    the window; the classes fill disjoint slots, and class q - s, when its
-    law is that of s reflected (same radius, mass and potential), takes the
-    weights of s reversed.  The leak is `_edge_leak`, not a sum over the
-    window; a leak above `_LEAK_TOL` is refused before the window is built
-    (`_check_leak`).
+    jbar = j mod q.  The result is symmetric with zero tilt.  Stretch by
+    stretch of q * _EVAL_BLOCK slots, `IncrementLaw.write` puts
+    step(s) * rho(. | s) of each class s straight into its stride-q slice:
+    no other array spans a law, and each stretch is filled while in cache.
+    The leak is `_edge_leak`, not a sum over the window; `_edge_window`
+    refuses a leak above `_LEAK_TOL` before the window is built.
     """
     laws = _check_laws(fc, laws)
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
-    q, steps = fc.q, _class_step_law(fc)
-    _check_leak(steps, laws, window)
-    nu = np.zeros(2 * window + 1)
-    for s in range(q // 2 + 1):
-        law, twin = laws[s], laws[-s]  # twin: the law of class q - s
-        j0, w = law.clip(window)  # evaluated up to the law's radius
-        np.multiply(w, steps[s], out=nu[j0 + window::q][:w.size])
-        if twin is not law:  # s is neither 0 nor q / 2
-            mirror = (twin.radius, twin.mass, twin.pot) == (law.radius, law.mass, law.pot)
-            j0, w = (-(j0 + (w.size - 1) * q), w[::-1]) if mirror else twin.clip(window)
-            np.multiply(w, steps[q - s], out=nu[j0 + window::q][:w.size])
+    _edge_window(fc, laws, window)
+    q, steps, nu = fc.q, _class_step_law(fc), np.zeros(2 * window + 1)
+    for lo in range(-window, window + 1, q * _EVAL_BLOCK):
+        for law, step in zip(laws, steps):
+            j0, n = law.span(lo, min(lo + q * _EVAL_BLOCK, window + 1) - 1)
+            law.write(j0, nu[j0 + window::q][:n], step)
     return nu
 
 

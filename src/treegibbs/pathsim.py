@@ -225,9 +225,7 @@ def _height_kernel(bl: BoundaryLaw) -> tuple[np.ndarray, np.ndarray]:
     if bl.pot is None:
         raise ConfigError("boundary law carries no potential; rebuild it "
                           "with solve_fixed_point")
-    return _dense_chain(bl, bl.pot.Q, (
-        f"window holds {len(bl.x)} sites; the dense height kernel needs m^2 "
-        "entries, solve with a looser tol or smaller radius"))
+    return _dense_chain(bl, bl.pot.Q)
 
 
 def _slice_to_window(full: np.ndarray, center: int, window: int) -> np.ndarray:
@@ -752,27 +750,25 @@ def _markov_additive(source, n: int):
     can take a few times the laws' own length, while the step guide takes
     only 8 q KiB.  A walk whose |W|, n times the largest |increment|,
     could reach 2^(63 - shift) does not fit a packed walker (`_Guided`):
-    it is refused before any walker buffer is allocated.
+    the state count fixes the shift, so it is refused before any table.
     """
     if isinstance(source, BoundaryLaw):
-        P, alpha = _height_kernel(source)
-        labels, laws, reach = source.indices, None, len(alpha) - 1
+        labels, reach = source.indices, len(source.x) - 1
     elif isinstance(source, (tuple, list)) and len(source) == 2 \
             and isinstance(source[0], FuzzyChain):
         fc, laws = source[0], _check_laws(*source)
-        labels, alpha, P = np.arange(fc.q), fc.alpha, fc.P
-        reach = max(law.radius for law in laws)
-        laws = _CdfTable([law.weights for law in laws], [law.first for law in laws],
-                         fc.q, guide=False)
+        labels, reach = np.arange(fc.q), max(law.radius for law in laws)
     else:
-        raise ConfigError(
-            "source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair"
-        )
-    table = _StepTable(P, laws)
-    if int(n) * reach >= 1 << (63 - table.shift):
+        raise ConfigError("source must be a truncated BoundaryLaw or a (FuzzyChain, laws) pair")
+    shift = _GUIDE_BITS + (len(labels) - 1).bit_length()  # `_Guided.shift`
+    if int(n) * reach >= 1 << (63 - shift):
         raise NumericalError(f"n={n} steps of increments up to {reach} could reach |W| = "
-                             f"2^{63 - table.shift}, beyond the int64 packing of {len(P)} states")
-    return labels, alpha, P, table
+                             f"2^{63 - shift}, beyond the int64 packing of {len(labels)} states")
+    if isinstance(source, BoundaryLaw):
+        P, alpha = _height_kernel(source)
+        return labels, alpha, P, _StepTable(P)
+    return labels, fc.alpha, fc.P, _StepTable(fc.P, _CdfTable(
+        [law.weights for law in laws], [law.first for law in laws], fc.q, guide=False))
 
 
 def sample_path(source, n: int, seed: int, replicate: int = 0):

@@ -572,8 +572,8 @@ def _certified_sum(base, power: float, tail, starts, rel_tol: float, what,
     """
     out: list = [None] * len(starts)
     second_order = 1.0 + (abs(power) + 4) * _UNIT_ROUNDOFF
-    # err >= u/2 value second_order at every N
-    hopeless = 0.5 * _UNIT_ROUNDOFF * second_order > rel_tol
+    # err >= u/2 value second_order at every N, so rel_tol below this is hopeless
+    least_tol = 0.5 * _UNIT_ROUNDOFF * second_order
     # rounds to run, the next one last: (rows, terms summed, N, rounded),
     # a row being (i, [fsum, residual of each chunk], [rounding of each chunk])
     if len(starts) == 1:  # the common one-row call needs no grouping
@@ -633,13 +633,13 @@ def _certified_sum(base, power: float, tail, starts, rel_tol: float, what,
                 out[i] = (0.0, value + err, N)
             # slop only grows with N, and an M that certifies has
             # floor <= err_M <= rel_tol * value_M <= rel_tol * (value + err) / (1 - rel_tol)
-            elif hopeless or floor * (1.0 - rel_tol) > rel_tol * (value + err):
+            elif least_tol > rel_tol or floor * (1.0 - rel_tol) > rel_tol * (value + err):
                 raise NumericalError(
                     f"{what(i)}: the rounding floor of the terms "
                     f"({floor * second_order:.3g}) exceeds rel_tol={rel_tol} of the sum "
-                    f"({value:.6g}) after {N} terms, "
-                    "so no number of terms certifies it; loosen rel_tol"
-                )
+                    f"({value:.6g}) after {N} terms, so no number of terms certifies it; "
+                    + (f"no rel_tol below {least_tol:.3g} can" if least_tol > rel_tol
+                       else "loosen rel_tol"))
             elif N >= _MAX_RADIUS:
                 raise NumericalError(
                     f"{what(i)} did not certify rel_tol={rel_tol} within {N} terms; "

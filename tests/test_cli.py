@@ -478,6 +478,19 @@ class TestGgm:
 
 
 class TestSimulate:
+    def test_dense_height_refusal_names_the_sites_and_the_cap(self, capsys):
+        # simulate has no --tol and refuses --truncation 50, so the refusal
+        # names the law's sites and the dense cap, and advises no flag
+        code, out, err = run(capsys, "simulate", "--model", "log", "--beta", "3.0",
+                             "--d", "2", "--n", "1,8,64")
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)["error"]
+        assert payload["type"] == "NumericalError" and payload["exit_code"] == 3
+        assert payload["message"] == (
+            "the law's 115991 sites exceed the 4096-site cap of a dense chain: "
+            "its 115991x115991 matrix would take 100 GiB")
+
     def test_exact_tables_csv(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", "sos", "--beta",
                            "2", "--d", "2", "--q", "2", "--n", "1,8")

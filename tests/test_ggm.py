@@ -35,7 +35,7 @@ from treegibbs.ggm import (
     increment_laws,
     star_marginal,
 )
-from treegibbs.potentials import Potential, TailModel, custom, fuzzy_Q, log_potential, sos
+from treegibbs.potentials import TailModel, custom, fuzzy_Q, log_potential, sos
 
 Q2_S_B25 = 0.16307123192997783
 Q2_LAM_B25 = 0.041153547508175042
@@ -549,7 +549,7 @@ class TestEdgeMarginalBitIdentity:
         if past:
             assert isinstance(got, str) == (deficit > ggm_mod._LEAK_TOL)
         if not isinstance(got, str):
-            assert np.array_equal(got, ref)
+            assert got.tobytes() == ref.tobytes()
             assert deficit <= _certified_leak(fc, laws, window) + _ROUNDING
         return got, deficit
 
@@ -584,25 +584,43 @@ class TestEdgeMarginalBitIdentity:
                 assert np.array_equal(got, want)
         assert messages == 2
 
-    @pytest.mark.parametrize("q", [5, 6])
-    def test_mirror_classes_share_one_evaluation(self, q, monkeypatch):
-        # class q - s is class s reflected, so the marginal evaluates Q only
-        # on the classes s <= q / 2
-        pot = _BIT_POTENTIALS["log"]
+    @pytest.mark.parametrize("q", [2, 5, 6])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_streamed_blocks_match_reference_loop(self, q, block, monkeypatch):
+        # stretches of q * block slots, so each class crosses many block
+        # boundaries: one radius makes classes s and q - s reflections of
+        # each other, mixed radii do not, and both keep the loop's bits
+        pot, fc = _BIT_POTENTIALS["log"], _bit_chain("log", q)
+        monkeypatch.setattr(ggm_mod, "_EVAL_BLOCK", block)
+        radii = (300, 41, 170, 299, 120, 300)
+        for laws in (increment_laws(pot, q, radius=300),
+                     [increment_law(pot, q, s, radius=r) for s, r in enumerate(radii[:q])]):
+            for window in (0, 2, 7, 40, 41, 169, 300, 311):
+                self._check(fc, laws, window)
+
+    def test_default_block_boundaries_match_reference_loop(self):
+        # 160 001 slots: three whole stretches of q * _EVAL_BLOCK slots and a
+        # part, each class ending in a different one
+        pot, q = _BIT_POTENTIALS["log"], 3
         fc = _bit_chain("log", q)
-        laws = increment_laws(pot, q)
-        window = max(law.radius for law in laws) + q
-        points, evaluate = [], Potential.Q
+        laws = [increment_law(pot, q, s, radius=r) for s, r in enumerate((70000, 50001, 90000))]
+        assert 3 * q * ggm_mod._EVAL_BLOCK < 2 * 80000 + 1 < 4 * q * ggm_mod._EVAL_BLOCK
+        assert not isinstance(self._check(fc, laws, 80000)[0], str)
 
-        def spy(self, j):
-            points.append(np.size(j))
-            return evaluate(self, j)
-
-        monkeypatch.setattr(Potential, "Q", spy)
-        nu = ggm_edge_marginal(fc, laws, window)
-        monkeypatch.undo()
-        assert sum(points) == sum(laws[s].support.size for s in range(q // 2 + 1))
-        assert np.array_equal(nu, _reference_edge_marginal(fc, laws, window))
+    def test_marginal_allocates_little_beyond_nu(self):
+        # 2^21 + 1 slots, each of the two laws 2^20 points (8 MiB of weights):
+        # the marginal is written a block at a time, so no array spans a law
+        pot, q = _BIT_POTENTIALS["log"], 2
+        fc = _bit_chain("log", q)
+        laws = increment_laws(pot, q, radius=1 << 20)
+        tracemalloc.start()
+        try:
+            nu = _edge_marginal_at(math.inf, fc, laws, 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nu.size == (1 << 21) + 1 and laws[1].span(-(1 << 20), 1 << 20)[1] == 1 << 20
+        assert peak <= nu.nbytes + 4 * 2**20
 
 
 class TestStarMarginal:

@@ -760,6 +760,19 @@ class TestSampleWnReference:
             tracemalloc.stop()
         assert peak < 8 * 10**6
 
+    @pytest.mark.parametrize("source", ["sos25", "chain_log30"])
+    def test_packed_overflow_refused_before_any_table(self, request, monkeypatch, source):
+        # the state count alone fixes the packing shift, so the refusal comes
+        # before the height kernel, the law table or the step guide is built
+        src = request.getfixturevalue(source)
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a table was built for a refused walk")
+        for name in ("_height_kernel", "_CdfTable", "_StepTable"):
+            monkeypatch.setattr(pathsim, name, unbuilt)
+        with pytest.raises(NumericalError, match="beyond the int64 packing of "):
+            sample_wn(src, 10**18, 10, seed=1)
+
     def test_slice_error_reaches_the_caller(self, monkeypatch, chain2):
         # the class walk draws each step from its _StepTable
         step = _StepTable.step

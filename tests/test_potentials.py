@@ -324,6 +324,17 @@ class TestHurwitzZeta:
         with pytest.raises(NumericalError, match=r"rounding floor .* after 64 terms"):
             hurwitz_zeta(2.0, 1.5, rel_tol=1e-17)
 
+    def test_hopeless_power_names_its_own_floor(self):
+        # at beta = 1e308 the power's rounding alone, u/2 (1 + (|s| + 4) u),
+        # is about 6e275 of the sum: no rel_tol below 1 certifies it, so the
+        # refusal names that floor and does not advise loosening rel_tol
+        with pytest.raises(NumericalError, match=r"rounding floor .* after 64 terms") as exc:
+            fuzzy_Q(log_potential(1e308), 3)
+        message = str(exc.value)
+        assert "loosen rel_tol" not in message
+        assert message.endswith("so no number of terms certifies it; "
+                                "no rel_tol below 6.16e+275 can")
+
 
 class TestFuzzyOperator:
     def test_log_beta2_q3(self):
