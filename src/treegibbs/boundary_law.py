@@ -44,10 +44,11 @@ _FAR_SHARE (1 - L) tol and the core's Banach stop takes _CORE_SHARE tol; a
 core whose bound misses that budget is doubled and solved again.  The
 default window is sized for what that leaves the truncation, at least
 (1 - _CORE_SHARE - _FAR_SHARE) tol, and a default window whose total
-misses tol is evaluated wider, with no new solve.  Outside the good set
-"certified" mode refuses and "auto" iterates plainly (divergence and
-trivial-branch detection), labelling the result uncertified; an infinite
-norm is refused in both.
+misses tol is evaluated wider, with no new solve.  A window solve outside
+the good set is refused in every mode.  On Z_q, outside it, "certified"
+mode refuses and "auto" iterates plainly (divergence and trivial-branch
+detection), labelling the result uncertified; an infinite norm is refused
+in both.
 
 Step norms are known as rounding bands (`potentials._banded_sum`): every
 stop, growth, divergence and ball test is decided exactly as on the exactly
@@ -192,9 +193,9 @@ class BoundaryLaw:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solve controls: radius None picks the certified truncation; mode
-    "certified" refuses outside the good set, "auto" iterates uncertified
-    there."""
+    """Solve controls: radius None picks the certified truncation.  Only
+    `periodic_solve` reads mode: outside the good set "certified" refuses
+    and "auto" iterates uncertified there; a window solve refuses in both."""
 
     radius: int | None = None
     tol: float = _SOLVE_TOL
@@ -214,9 +215,11 @@ class SolveReport:
     just ``certified``, which reads "certificate is not none".
 
     certificate is "good_set" when the norm pair lies in G_d (epsilon the
-    certified ball radius, lipschitz L), "none" outside it, where mode
-    "auto" iterates plainly and epsilon, L and every bound are None, and
-    "exact" for the q = 1 free state lambda == 1, the fixed point itself.
+    certified ball radius, lipschitz L), "none" outside it, where a Z_q
+    solve in mode "auto" iterates plainly and epsilon, L and every bound are
+    None, and "exact" for the q = 1 free state lambda == 1, the fixed point
+    itself.  A window solve outside the good set is refused, so its
+    certificate is always "good_set".
 
     total_error_bound, the one bound on both supports, bounds the distance
     of the printed x from the fixed point in the off-zero l_{d+1} norm:
@@ -231,7 +234,7 @@ class SolveReport:
     closure fields None where none ran, R <= r0).  The total leaves out the
     rounding of the final apply, of the core's and the near band's
     convolutions and of Qbar_q.  Without a certificate final_residual is
-    still computed: the residual of x on Z_q, |x - x_c| on a window.
+    still the residual of x on Z_q.
 
     coarse_radius is R_c (None when the core is the whole window), and
     iterations counts the steps of every core solved.  contraction_estimate,
@@ -650,21 +653,18 @@ def truncation_radius(pot: Potential, p: float, bound: float) -> int:
     )
 
 
-def _window_radius(pot: Potential, d: int, config: SolveConfig,
-                   L: float | None) -> int:
+def _window_radius(pot: Potential, d: int, config: SolveConfig, L: float) -> int:
     """The configured radius (at most _MAX_WINDOW_RADIUS) if its dropped
     tail stays below tol, else the smallest R >= 4 with _KAPPA tau(R) <=
-    max(1 - L, 1 - _CORE_SHARE - _FAR_SHARE) tol: tau(R) is the tail norm of
-    Q at exponent d+1, and the factor is read as 1 without a certificate.
-    The core's solve leaves final_residual/(1 - L) at most (_CORE_SHARE +
-    _FAR_SHARE) tol of the total, and the rest is the truncation's.  A
-    window's `_cut_bound` is about tau(R) times the weight of x^d near
-    zero, so the default keeps the truncation bound below half that share
-    unless the weight exceeds _KAPPA.
+    max(1 - L, 1 - _CORE_SHARE - _FAR_SHARE) tol, tau(R) the tail norm of
+    Q at exponent d+1.  The core's solve leaves final_residual/(1 - L) at
+    most (_CORE_SHARE + _FAR_SHARE) tol of the total, and the rest is the
+    truncation's.  A window's `_cut_bound` is about tau(R) times the
+    weight of x^d near zero, so the default keeps the truncation bound
+    below half that share unless the weight exceeds _KAPPA.
     """
     if config.radius is None:
-        gap = 1.0 if L is None else max(1.0 - L, 1.0 - _CORE_SHARE - _FAR_SHARE)
-        budget = gap * config.tol
+        budget = max(1.0 - L, 1.0 - _CORE_SHARE - _FAR_SHARE) * config.tol
         return max(truncation_radius(pot, d + 1, budget / _KAPPA), 4)
     R = config.radius
     if R > _MAX_WINDOW_RADIUS:
@@ -678,19 +678,18 @@ def _window_radius(pot: Potential, d: int, config: SolveConfig,
     return R
 
 
-def _core_radius(pot: Potential, d: int, tol: float, far: float,
-                 L: float | None, R: int) -> int:
+def _core_radius(pot: Potential, d: int, tol: float, far: float, L: float,
+                 R: int) -> int:
     """The radius R_c <= R of the core solve that the window [-R, R] extends.
 
     The far term far c_c^d of the window's residual bound (far = gamma +
-    eps delta) must fit _FAR_SHARE (1 - L) tol; without a certificate eps
-    is read as 0 and 1 - L as 1.  The core's `_cut_bound` c_c is about tau(R_c) times the
-    weight of x^d near zero, taken as _KAPPA as for the window, so R_c =
-    max(4, the least radius with _KAPPA tau(R_c) <= (_FAR_SHARE (1 - L) tol
-    / far)^(1/d)); the search never passes R, and R_c = R otherwise.
+    eps delta) must fit _FAR_SHARE (1 - L) tol.  The core's `_cut_bound`
+    c_c is about tau(R_c) times the weight of x^d near zero, taken as
+    _KAPPA as for the window, so R_c = max(4, the least radius with _KAPPA
+    tau(R_c) <= (_FAR_SHARE (1 - L) tol / far)^(1/d)); the search never
+    passes R, and R_c = R otherwise.
     """
-    gap = 1.0 if L is None else 1.0 - L
-    bound = (_FAR_SHARE * gap * tol / far) ** (1.0 / d) / _KAPPA
+    bound = (_FAR_SHARE * (1.0 - L) * tol / far) ** (1.0 / d) / _KAPPA
     if R <= 4 or _tail_norm(pot, R - 1, d + 1) > bound:
         return R
     return max(4, truncation_radius(pot, d + 1, bound))
@@ -846,8 +845,7 @@ def _per_gap(v: float, L: float) -> float:
     return math.nextafter(v / math.nextafter(1.0 - L, 0.0), math.inf)
 
 
-def _certificate(d: int, gamma: NormReport, delta: NormReport, config: SolveConfig,
-                 refusal: str):
+def _certificate(d: int, gamma: NormReport, delta: NormReport, mode: str, refusal: str):
     """The `norm_membership` verdict of the NormReports (gamma, delta).
 
     Certified mode refuses outside the good set with ``refusal`` as the
@@ -856,13 +854,13 @@ def _certificate(d: int, gamma: NormReport, delta: NormReport, config: SolveConf
     verdict = norm_membership(d, gamma, delta)
     if verdict.reason == REASON_NORM_INFINITE:
         witness = gamma.witness or delta.witness
-        if config.mode == MODE_CERTIFIED:
+        if mode == MODE_CERTIFIED:
             raise OutsideGoodSetError(f"{refusal} (a norm is infinite: {witness})",
                                       verdict=verdict)
         raise NumericalError(
             f"a norm of Q is infinite ({witness}); no meaningful truncated solve exists"
         )
-    if not verdict.in_good_set and config.mode == MODE_CERTIFIED:
+    if not verdict.in_good_set and mode == MODE_CERTIFIED:
         raise OutsideGoodSetError(f"{refusal} (reason: {verdict.reason})", verdict=verdict)
     return verdict
 
@@ -933,34 +931,32 @@ def _spill(truncation: float, closure: _Closure | None) -> float:
 def solve_fixed_point(
     pot: Potential, d: int, config: SolveConfig = SolveConfig()
 ) -> tuple[BoundaryLaw, SolveReport]:
-    """Solve x = T(x) on a truncated window, certified inside the good set.
+    """Solve x = T(x) on a truncated window: certified inside the good set,
+    refused outside it.
 
-    The norm pair is computed with series cross-checks, membership decides
-    whether the contraction certificate applies, and the window radius R
-    comes from `_window_radius`.  Banach iteration from Q solves the core
+    The norm pair is computed with series cross-checks, a pair outside the
+    good set, or an infinite norm, raises OutsideGoodSetError in every mode
+    (config.mode is not read here), and the window radius R comes from
+    `_window_radius`.  Banach iteration from Q solves the core
     [-R_c, R_c] (`_core_radius`, at most R) to _CORE_SHARE tol, and the
     core's fixed point x_c, checked to lie in the eps-ball, is extended to
     the window by one more application of T (`_extend`: a near band by
-    convolution, the far field by its closure).  A certified
-    solve bounds the extension's residual (`_extension_residual`): while
-    its share of the total, final_residual/(1 - L), exceeds (_CORE_SHARE +
-    _FAR_SHARE) tol and R_c < R, the core is doubled and solved again.  The
-    closure's bound counts like the truncation bound.  With
-    the default radius, a total above tol then evaluates the extension on
-    a wider window, sized from the measured ratio of the cut to tau(R) with
-    a margin of 2; no new solve is needed.  Outside the good set the
-    default mode refuses; "auto" iterates uncertified instead.
+    convolution, the far field by its closure).  The solve bounds the
+    extension's residual (`_extension_residual`): while its share of the
+    total, final_residual/(1 - L), exceeds (_CORE_SHARE + _FAR_SHARE) tol
+    and R_c < R, the core is doubled and solved again.  The closure's bound
+    counts like the truncation bound.  With the default radius, a total
+    above tol then evaluates the extension on a wider window, sized from
+    the measured ratio of the cut to tau(R) with a margin of 2; no new
+    solve is needed.
     """
     if d < 2:
         raise ConfigError(f"d must be >= 2, got {d}")
-    verdict = _certificate(d, *norm_pair(pot, d, "half"), config,
+    verdict = _certificate(d, *norm_pair(pot, d, "half"), MODE_CERTIFIED,
                            "outside good set - no contraction certificate")
-    certified = verdict.in_good_set
-    L = verdict.lipschitz if certified else None
-    eps = verdict.epsilon if certified else None
+    L, eps = verdict.lipschitz, verdict.epsilon
     R = _window_radius(pot, d, config, L)
-    R_c = _core_radius(pot, d, config.tol, verdict.gamma + (eps or 0.0) * verdict.delta,
-                       L, R)
+    R_c = _core_radius(pot, d, config.tol, verdict.gamma + eps * verdict.delta, L, R)
     iterations, rho = 0, None
     while True:
         op = _window_operator(pot, d, R_c)
@@ -968,33 +964,26 @@ def solve_fixed_point(
         iterations += n
         if core_rho is not None:
             rho = max(rho or 0.0, core_rho)
-        if not certified:
-            break
         _check_ball(x_c, op, d, eps, "coarse start")
         residual = _extension_residual(pot, d, verdict, x_c, op.apply(x_c))
         if R_c == R or _per_gap(residual, L) <= (_CORE_SHARE + _FAR_SHARE) * config.tol:
             break
         R_c = min(2 * R_c, R)
     x, closure = _extend(pot, d, x_c, R)
-    truncation = None
-    if certified:
+    truncation = _cut_bound(pot, d, x_c, R)
+    room = config.tol - _per_gap(residual, L)
+    if config.radius is None and _spill(truncation, closure) > room > 0.0:
+        R = truncation_radius(pot, d + 1,
+                              0.5 * room * _tail_norm(pot, R, d + 1) / truncation)
+        x, closure = _extend(pot, d, x_c, R)
         truncation = _cut_bound(pot, d, x_c, R)
-        room = config.tol - _per_gap(residual, L)
-        if config.radius is None and _spill(truncation, closure) > room > 0.0:
-            R = truncation_radius(pot, d + 1,
-                                  0.5 * room * _tail_norm(pot, R, d + 1) / truncation)
-            x, closure = _extend(pot, d, x_c, R)
-            truncation = _cut_bound(pot, d, x_c, R)
-    else:
-        residual = _OffzeroNorm(x - np.pad(x_c, R - R_c), R, d).hi
     report = _report(verdict, config.mode, iterations, rho, residual,
-                     _spill(truncation, closure) if certified else 0.0,
+                     _spill(truncation, closure),
                      coarse_radius=R_c if R_c < R else None,
                      truncation_bound=truncation,
                      closure_radius=closure and closure.radius,
                      closure_bound=closure and closure.bound)
-    return BoundaryLaw(kind=SUPPORT_TRUNCATED, d=d, x=x, radius=R, certified=certified,
-                       pot=pot), report
+    return BoundaryLaw(kind=SUPPORT_TRUNCATED, d=d, x=x, radius=R, pot=pot), report
 
 
 def periodic_solve(
@@ -1018,7 +1007,7 @@ def periodic_solve(
                 _report(None, config.mode, 0, None, 0.0))
 
     verdict = _certificate(d, qbar.p_norm((d + 1) / 2.0),
-                           qbar.p_norm(float(d + 1), without_zero=True), config,
+                           qbar.p_norm(float(d + 1), without_zero=True), config.mode,
                            f"(gamma_q, delta_q) outside good set for q={q}")
     certified = verdict.in_good_set
     op = _periodic_operator(qbar, d)

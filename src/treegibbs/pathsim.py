@@ -68,7 +68,7 @@ from .boundary_law import (
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
 from .ggm import _LEAK_TOL, FuzzyChain, _check_laws, _class_step_law, _dense_chain
-from .potentials import _MAX_RADIUS, _Bracket, _float_stream, _gamma, _smallest_radius, fuzzy_Q
+from .potentials import _MAX_RADIUS, _Bracket, _float_stream, _gamma, fuzzy_Q
 
 __all__ = [
     "MODE_GIBBS",
@@ -156,9 +156,8 @@ class PathDistribution:
             raise NumericalError("negative probability in the W_n law")
         total = math.fsum(_float_stream(self.law)) + self.leaked_mass
         if not (1.0 - 1e-9 <= total <= 1.0 + 1e-12):
-            raise NumericalError(
-                f"law plus leaked mass sums to {total!r}, expected 1 within 1e-9"
-            )
+            bound = "at most 1 + 1e-12" if total > 1.0 else "at least 1 - 1e-9"
+            raise NumericalError(f"law plus leaked mass sums to {total!r}, expected {bound}")
         self.law.setflags(write=False)
         if self.limit is not None:
             self.limit.setflags(write=False)
@@ -228,62 +227,46 @@ def _height_kernel(bl: BoundaryLaw) -> tuple[np.ndarray, np.ndarray]:
     return _dense_chain(bl, bl.pot.Q)
 
 
-def _slice_to_window(full: np.ndarray, center: int, window: int) -> np.ndarray:
-    """Re-center ``full`` (zero at ``center``) on {-window..window}, padding."""
-    out = np.zeros(2 * window + 1)
-    lo = max(0, center - window)
-    hi = min(len(full), center + window + 1)
-    out[lo - center + window: hi - center + window] = full[lo:hi]
-    return out
-
-
-def _window_leak(law: np.ndarray, window: int, budget: float, hint) -> float:
+def _window_leak(law: np.ndarray, window: int, budget: float) -> float:
     """The leak max(0, 1 - sum(law)) from one exactly rounded sum; a leak above
-    budget raises NumericalError with a message ending in hint(), called only then."""
+    budget raises NumericalError."""
     leaked = max(0.0, 1.0 - math.fsum(_float_stream(law)))
     if leaked > budget:
-        raise NumericalError(
-            f"window {window} leaks mass {leaked:.3g} > {budget:.3g}; {hint()}"
-        )
+        raise NumericalError(f"window {window} leaks mass {leaked:.3g} > {budget:.3g}")
     return leaked
 
 
-def wn_localized_exact(bl: BoundaryLaw, n: int, window: int | None = None) -> PathDistribution:
-    """Exact law of W_n under the localized height chain.
+def _check_count(name: str, v) -> None:
+    """ConfigError unless v is an integer >= 1 (a bool is not)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+
+
+def wn_localized_exact(bl: BoundaryLaw, n: int) -> PathDistribution:
+    """Exact law of W_n under the localized height chain, on the chain's
+    full window m - 1 (m heights), which W_n cannot leave.
 
     nu(W_n = k) = sum_i alpha(i) P^n(i, i+k), read off the k-th diagonal of
-    the n-th kernel power.  The returned distribution carries the limit
-    vector sum_i alpha(i) alpha(i+k) on the same window, so convergence can
-    be checked without a second call.  A window below the default m - 1
-    may leak at most `ggm._LEAK_TOL`.
+    the n-th kernel power.  A power of a stochastic matrix is stochastic, so
+    each row of the computed P^n is rescaled to sum to 1: P's rows sum to 1
+    only within an ulp or so, and repeated squaring would compound that
+    into about n ulps of excess mass.  The returned distribution carries
+    the limit vector sum_i alpha(i) alpha(i+k) on the same window, so
+    convergence can be checked without a second call.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
     P, alpha = _height_kernel(bl)
     m = len(alpha)
     Pn = np.linalg.matrix_power(P, n)
-    full = np.empty(2 * m - 1)
+    Pn /= Pn.sum(axis=1, keepdims=True)
+    law = np.empty(2 * m - 1)
     for k in range(-(m - 1), m):
         diag = np.diagonal(Pn, offset=k)
         a = alpha[: m - k] if k >= 0 else alpha[-k:]
-        full[k + m - 1] = math.fsum((a * diag).tolist())
-    limit_full = np.correlate(alpha, alpha, "full")
-
-    K = m - 1 if window is None else int(window)
-    if K < 0:
-        raise ConfigError(f"window must be >= 0, got {window}")
-    law = _slice_to_window(full, m - 1, K)
-    limit = _slice_to_window(limit_full, m - 1, K)
-
-    def fits(R: int) -> bool:  # monotone: a wider window sums more entries >= 0
-        return R >= m - 1 or 1.0 - math.fsum(
-            _float_stream(_slice_to_window(full, m - 1, R))) <= _LEAK_TOL
-
-    leaked = _window_leak(law, K, _LEAK_TOL, lambda: "use window >= " + str(
-        K if K >= m - 1 else _smallest_radius(fits, K + 1, 2 * m, "")))
-    return PathDistribution(
-        n=n, window=K, law=law, leaked_mass=leaked, mode=MODE_GIBBS, limit=limit
-    )
+        law[k + m - 1] = math.fsum((a * diag).tolist())
+    leaked = _window_leak(law, m - 1, _LEAK_TOL)
+    return PathDistribution(n=n, window=m - 1, law=law, leaked_mass=leaked, mode=MODE_GIBBS,
+                            limit=np.correlate(alpha, alpha, "full"))
 
 
 def default_window(fc: FuzzyChain, laws, n: int) -> int:
@@ -328,8 +311,9 @@ def _increment_kernels(laws, K: int):
     return kernels, convolvers, np.array(coef)
 
 
-def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> PathDistribution:
-    """Exact law of W_n under the class chain with conditional increments.
+def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
+    """Exact law of W_n under the class chain with conditional increments,
+    on the window [-K, K] of `default_window`.
 
     Dynamic programming over (class, displacement): each step moves the
     class with the fuzzy kernel and convolves the displacement with the
@@ -360,13 +344,10 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> Pat
     exact DP, like the float reference DP, is nonnegative, so clipping
     never moves an entry away from it and the bound still holds.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
     laws = _check_laws(fc, laws)
     q = fc.q
-    K = default_window(fc, laws, n) if window is None else int(window)
-    if K < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
+    K = default_window(fc, laws, n)
     width = 2 * K + 1
     kernels, convolvers, coef = _increment_kernels(laws, K)
     a, b, c, G = coef.T
@@ -402,8 +383,7 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int, window: int | None = None) -> Pat
     rounds = width + q * q + (q + 3) * n + 128
     bound = (_Bracket(bound, bound) / (1.0 - _gamma(rounds))).hi
     budget = _LEAK_TOL + n * max(law_.tail_mass_bound for law_ in laws)
-    leaked = _window_leak(law, K, budget, lambda: (
-        f"use window >= {max(default_window(fc, laws, n), 2 * K)}"))
+    leaked = _window_leak(law, K, budget)
     return PathDistribution(
         n=n, window=K, law=law, leaked_mass=leaked, mode=MODE_GGM, q=q,
         roundoff_bound=bound,
@@ -722,8 +702,7 @@ def _check_sizes(n, *replicates) -> None:
     sample_wn, one entry per walker (its blocks use block-sized buffers)."""
     named = list(zip(("n", "replicates"), (n, *replicates)))
     for name, v in named:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+        _check_count(name, v)
     name, v = named[-1]
     size = int(v) + (name == "n")
     buffer = "uniforms in one buffer" if name == "n" else "entries in the int64 result W"
@@ -904,7 +883,9 @@ def recover_period(path, q_tilde_list, d: int, pot) -> list[RecoveryReport]:
     Localized sources are detected separately: when the empirical
     distribution matches the mod-q projection of the localized height
     marginal at least as well as any cyclic shift of the class marginal,
-    the report is flagged gibbs_like and left out of the gcd.
+    the report is flagged gibbs_like and left out of the gcd.  That
+    marginal comes from the certified `solve_fixed_point` of pot; where the
+    solve is refused (pot outside the good set), no report is gibbs_like.
     """
     increments = np.asarray(path)
     if increments.ndim != 1 or len(increments) < 10:
@@ -929,7 +910,7 @@ def recover_period(path, q_tilde_list, d: int, pot) -> list[RecoveryReport]:
 
     mu = None
     try:
-        ref_law, _ = solve_fixed_point(pot, d, SolveConfig(mode=MODE_AUTO))
+        ref_law, _ = solve_fixed_point(pot, d)
         mu = single_site_marginal(ref_law)
         mu_idx = ref_law.indices
     except TreeGibbsError:

@@ -59,10 +59,6 @@ LOG3_X2 = 0.041624824925075174
 LOG3_X5 = 0.0049140974925087613
 LOG3_NORM3 = 0.0064820599177001165
 
-# uncertified contraction at beta=1.5 (outside the good set, still converges)
-SOS15_X1 = 0.31396272099444605
-SOS15_NORM3 = 0.062759107397943173
-
 # exact two-class algebra, s = sech(beta)
 Q2_S_B20 = 0.26580222883407972
 Q2_X_B20 = 0.42850598175111287
@@ -202,8 +198,9 @@ class TestApplyT:
             "pot = log_potential(4.0)\n"
             "law, _ = periodic_solve(pot, 2, 2)\n"
             "pathsim._LEAK_TOL = 1.0\n"
+            "pathsim.default_window = lambda fc, laws, n: 1100\n"
             "pathsim.wn_ggm_exact(fuzzy_chain(law, fuzzy_Q(pot, 2)),\n"
-            "                     increment_laws(pot, 2), 2, window=1100)\n"
+            "                     increment_laws(pot, 2), 2)\n"
             "print('scipy.fft' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code],
@@ -404,18 +401,25 @@ class TestSolveTruncated:
             solve_fixed_point(sos(1.0), 2)
         assert exc.value.verdict.reason == REASON_NO_EPSILON
 
+    @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_AUTO])
+    @pytest.mark.parametrize("pot", [sos(1.5), sos(1.8), log_potential(0.6)],
+                             ids=["sos1.5", "sos1.8", "log0.6"])
+    def test_window_solve_certifies_or_refuses(self, pot, mode):
+        # outside G_2, or with an infinite norm, no window law is printed
+        with pytest.raises(OutsideGoodSetError) as exc:
+            solve_fixed_point(pot, 2, SolveConfig(mode=mode))
+        assert not exc.value.verdict.in_good_set
+
     def test_best_effort_outside_good_set(self):
-        law, report = solve_fixed_point(
-            sos(1.5), 2, SolveConfig(mode=MODE_AUTO)
-        )
-        assert not law.certified
-        assert report.epsilon is None
-        assert report.lipschitz is None and report.total_error_bound is None
-        assert report.certificate == "none" and not report.certified
-        assert law.x_at(1) == pytest.approx(SOS15_X1, rel=1e-6)
-        assert law.offzero_norm() ** 3 == pytest.approx(SOS15_NORM3, rel=1e-6)
-        again = apply_T(sos(1.5), 2, law.x, law.radius)
-        assert offzero_norm(again - law.x, law.radius, 2) < 1e-11
+        # a window solve certifies or refuses: mode "auto" refuses with the
+        # words and the verdict of mode "certified"
+        refusals = []
+        for mode in (MODE_CERTIFIED, MODE_AUTO):
+            with pytest.raises(OutsideGoodSetError) as exc:
+                solve_fixed_point(sos(1.5), 2, SolveConfig(mode=mode))
+            refusals.append((str(exc.value), exc.value.verdict))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][0].startswith("outside good set - no contraction certificate")
 
     def test_auto_mode_prefers_certificate(self):
         law, _ = solve_fixed_point(sos(2.5), 2, SolveConfig(mode="auto"))
@@ -435,12 +439,9 @@ class TestSolveTruncated:
 
     def test_infinite_norm_refusal(self):
         # 1.5 * 0.6 < 1 makes the gamma series diverge
-        with pytest.raises(OutsideGoodSetError, match="infinite"):
-            solve_fixed_point(log_potential(0.6), 2)
-        with pytest.raises(NumericalError, match="no meaningful truncated solve"):
-            solve_fixed_point(
-                log_potential(0.6), 2, SolveConfig(mode=MODE_AUTO)
-            )
+        for config in (SolveConfig(), SolveConfig(mode=MODE_AUTO)):
+            with pytest.raises(OutsideGoodSetError, match="infinite"):
+                solve_fixed_point(log_potential(0.6), 2, config)
 
     def test_user_radius_too_small(self):
         with pytest.raises(ConfigError, match="tail"):
@@ -568,8 +569,9 @@ class TestTwoStageSolve:
     @pytest.mark.parametrize("pot,config", [
         # R_c >= 4 = R
         (sos(2.5), SolveConfig(radius=4, tol=1e-5)),
-        # the tail beyond 4 is above (0.01 tol / gamma)^(1/d), so R_c >= 5 = R
-        (log_potential(1.0), SolveConfig(radius=5, tol=0.5, mode=MODE_AUTO)),
+        # the tail beyond 4, 7.1e-3, is above (_FAR_SHARE (1 - L) tol / (gamma +
+        # eps delta))^(1/d) / _KAPPA = 5.3e-3, so R_c >= 5 = R
+        (log_potential(2.95), SolveConfig(radius=5, tol=0.01)),
     ])
     def test_one_stage_when_the_coarse_radius_is_not_smaller(self, monkeypatch,
                                                              pot, config):
@@ -722,9 +724,6 @@ class TestTruncationBound:
         assert report.total_error_bound > report.truncation_bound
 
     def test_none_without_a_window_certificate(self):
-        _, report = solve_fixed_point(sos(1.5), 2, SolveConfig(mode=MODE_AUTO))
-        assert not report.certified
-        assert report.truncation_bound is None and report.total_error_bound is None
         # Z_q has no window: no truncation bound, and the total is the
         # one-apply Banach bound (0.0 for the free state)
         for q, mode in ((2, MODE_AUTO), (2, MODE_CERTIFIED), (1, MODE_AUTO)):
@@ -1302,7 +1301,7 @@ class TestBandedDecisions:
             lambda: solve_fixed_point(log_potential(3.0), 2,
                                       SolveConfig(radius=1100, tol=1e-8)),
             lambda: solve_fixed_point(sos(1.8), 2),
-            lambda: solve_fixed_point(sos(1.8), 2, SolveConfig(mode=MODE_AUTO)),
+            lambda: periodic_solve(sos(1.8), 2, 2),
             lambda: solve_fixed_point(sos(1.5), 3, SolveConfig(mode=MODE_AUTO)),
             lambda: periodic_solve(sos(3.0), 2, 256),
             lambda: periodic_solve(log_potential(2.6), 2, 5),
