@@ -362,10 +362,11 @@ def _linear_convolver(kernel: np.ndarray, R: int, R_out: int | None = None):
     return convolve, None
 
 
-def _convolution_error(L: int | None, m: int, g1: float, g2: float):
+def _convolution_error(L: int | None, m: int, g1: float, g2: float, rounds: int = 2):
     """(a, b, c) with |computed - exact|_inf <= a|v|_inf + b|v|_1 + c|v|_2
     for one call of a `_linear_convolver` whose kernel g has |g|_1 <= g1 and
-    |g|_2 <= g2; ``m`` is the number of terms of a direct dot product.
+    |g|_2 <= g2; ``m`` is the number of terms of a direct dot product.  g1
+    and g2 may be arrays, one kernel per entry.
 
     Direct: every output is a dot product of at most m terms, so its error
     is at most gamma_m |g|_1 |v|_inf in any summation order (Higham,
@@ -383,11 +384,14 @@ def _convolution_error(L: int | None, m: int, g1: float, g2: float):
     s = sum eta_p (evaluated in that form, free of cancellation), and the
     inverse, with its 1/L scaling, the same with phi' = (1 + phi)(1 +
     gamma_2) - 1.  Underflow is neglected here and below.  With A = Fg, B = Fv (|A|_inf <= |g|_1, |B|_inf <= |v|_1,
-    |B|_2 = sqrt(L)|v|_2) and complex products accurate to sqrt(2) gamma_2,
+    |B|_2 = sqrt(L)|v|_2) and complex products accurate to sqrt(2)
+    gamma_rounds (``rounds`` = 2 for one product; a product that is a term
+    of an inner product, or whose factors were scaled by reals, rounds
+    more often),
 
-        |C^ - AB|_2 / sqrt(L) <= (1 + sqrt(2) gamma_2) (phi |g|_2 |v|_1
+        |C^ - AB|_2 / sqrt(L) <= (1 + sqrt(2) gamma_rounds) (phi |g|_2 |v|_1
             + phi^2 sqrt(L) |g|_2 |v|_2 + phi |g|_1 |v|_2)
-            + sqrt(2) gamma_2 |g|_1 |v|_2,
+            + sqrt(2) gamma_rounds |g|_1 |v|_2,
 
     and the inverse transform adds phi' |g|_1 |v|_2 while scaling that
     difference by (1 + phi').  The inf-norm of the kept slice is at most
@@ -404,7 +408,7 @@ def _convolution_error(L: int | None, m: int, g1: float, g2: float):
             total += math.sqrt(p) * e_p
     phi = total / (1.0 - total)
     phi_inv = phi + _gamma(2) * (1.0 + phi)
-    mult = math.sqrt(2.0) * _gamma(2)
+    mult = math.sqrt(2.0) * _gamma(rounds)
     b = (1.0 + phi_inv) * (1.0 + mult) * phi * g2
     c = phi_inv * g1 + (1.0 + phi_inv) * (
         (1.0 + mult) * (phi * phi * math.sqrt(L) * g2 + phi * g1) + mult * g1)

@@ -11,9 +11,9 @@ vector sum_i alpha(i) alpha(i+k), under a class chain the sup of the law
 decays to zero at a diffusive rate.
 
 The module computes W_n laws exactly (matrix powers for heights; for
-classes, dynamic programming over (class, displacement) with one linear
-convolution per class row and class step, direct or by FFT, and a rigorous
-bound on its rounding), samples both walks, and recovers the height period
+classes, binary powering of the one-step kernel over (class, displacement)
+on a window, each product one batch of transforms, with a rigorous bound
+on its rounding), samples both walks, and recovers the height period
 of an unknown source from the empirical distribution of its partial sums
 mod q-tilde.  Both samplers read one PCG64DXSM stream keyed by
 (seed, replicate): `sample_path` reads it in order, and is the walk of
@@ -60,7 +60,7 @@ from .boundary_law import (
     BoundaryLaw,
     SolveConfig,
     _convolution_error,
-    _linear_convolver,
+    _next_fast_len,
     apply_T_periodic,
     single_site_marginal,
     solve_fixed_point,
@@ -101,6 +101,15 @@ _N_EFF_FACTOR = 10.0
 # uniforms of a path, the int64 result W of sample_wn
 _MAX_BUFFER = 1 << 26
 
+# a transform product of `wn_ggm_exact` multiplies this many frequencies at a
+# time, and by np.matmul only over this many rows: at q <= 3 its cost per
+# matrix made a product 4-25x slower than q broadcast products, which at
+# q >= 8 run 1.6-6x slower than matmul
+_FREQ_BLOCK = 1 << 12
+_BROADCAST_ROWS = 5
+# its transforms take at most this many 8-byte entries of sequences per call
+_FFT_ENTRIES = 1 << 20
+
 # the sampler works on blocks of at most this many walkers (or path steps):
 # 2^17 stepped 10^6 walkers fastest of 2^15-2^18 on 2 threads; on one, 2^12
 # ran 3-5x slower than 2^17 (numpy's per-call cost) and 2^19 1.2x (cache)
@@ -128,11 +137,14 @@ class PathDistribution:
     """Law of the total increment W_n on the window {-window, ..., window}.
 
     ``leaked_mass`` is 1 - sum of the computed law (an exactly rounded sum,
-    clipped at 0): probability that the walk left the window, plus whatever
-    the increment truncation already gave away, plus the law's rounding.
+    clipped at 0): probability that the walk left the window (in ggm mode,
+    what the window's cuts drop), plus whatever the increment truncation
+    already gave away, plus the law's rounding.
     ``roundoff_bound`` is set in ggm mode only: a rigorous bound on
-    max_k |law_k - the same dynamic programming in exact arithmetic|_k (see
-    `wn_ggm_exact`); it is None in gibbs mode, where it is not computed.
+    max_k |law_k - the same powering, with the same cuts, in exact
+    arithmetic|_k (see `wn_ggm_exact`), so law plus leaked mass may exceed
+    1 by up to that much per entry; it is None in gibbs mode, where it is
+    not computed.
     ``limit`` is only set in gibbs mode and holds the n -> inf vector
     sum_i alpha(i) alpha(i+k) on the same window.
     """
@@ -155,8 +167,12 @@ class PathDistribution:
         if float(self.law.min()) < -1e-12:
             raise NumericalError("negative probability in the W_n law")
         total = math.fsum(_float_stream(self.law)) + self.leaked_mass
-        if not (1.0 - 1e-9 <= total <= 1.0 + 1e-12):
-            bound = "at most 1 + 1e-12" if total > 1.0 else "at least 1 - 1e-9"
+        # a ggm entry may sit roundoff_bound above the exact law, which sums
+        # to at most 1: transform rounding clipped at 0 in the far tails
+        excess = 1e-12 if self.roundoff_bound is None else \
+            1e-12 + len(self.law) * self.roundoff_bound
+        if not (1.0 - 1e-9 <= total <= 1.0 + excess):
+            bound = f"at most 1 + {excess:.3g}" if total > 1.0 else "at least 1 - 1e-9"
             raise NumericalError(f"law plus leaked mass sums to {total!r}, expected {bound}")
         self.law.setflags(write=False)
         if self.limit is not None:
@@ -270,7 +286,7 @@ def wn_localized_exact(bl: BoundaryLaw, n: int) -> PathDistribution:
 
 
 def default_window(fc: FuzzyChain, laws, n: int) -> int:
-    """Gaussian-scale window ceil(8 sigma sqrt(n)) + q for the exact DP,
+    """Gaussian-scale window ceil(8 sigma sqrt(n)) + q for the exact W_n law,
     sigma^2 the second moment of the stationary one-step increment.
 
     One single-step radius is added on top: the increment laws have heavier
@@ -283,17 +299,15 @@ def default_window(fc: FuzzyChain, laws, n: int) -> int:
     return math.ceil(8.0 * sigma * math.sqrt(n)) + fc.q + reach
 
 
-def _increment_kernels(laws, K: int):
-    """(kernels, convolvers, coef) of the increment laws for the DP on [-K, K],
-    from one evaluation of each law on |j| <= 2K.
+def _law_kernels(laws, K: int):
+    """(kernels, G, g2) of the increment laws for a window [-K, K], from one
+    evaluation of each law on |j| <= 2K.
 
     Kernel s holds the weights of law s on lags [-r, r], r the largest
-    |j| <= 2K with a nonzero weight (farther points cannot reach the
-    window).  Row s of coef holds (a, b, c) of its convolver's rounding
-    (`_convolution_error`) and G >= sum |w|, which bounds the 1-norm of the
-    exact kernel.
+    |j| <= 2K with a nonzero weight.  G_s >= sum |w| and g2_s >= |w|_2
+    bound the 1- and 2-norms of the exact kernel.
     """
-    kernels, convolvers, coef = [], [], []
+    kernels, G, g2 = [], [], []
     for law in laws:
         j0, w = law.clip(2 * K)
         k = np.flatnonzero(w)
@@ -301,86 +315,239 @@ def _increment_kernels(laws, K: int):
         r = int(np.abs(nz).max()) if nz.size else 0
         kernel = np.zeros(2 * r + 1)
         kernel[nz + r] = w[k]
-        convolve, L = _linear_convolver(kernel, K)
         size = max(kernel.size, nz.size)
-        G = float(np.abs(w[k]).sum()) / (1.0 - _gamma(size))
-        g2 = math.sqrt(float(kernel @ kernel)) / (1.0 - _gamma(size + 2))
         kernels.append(kernel)
-        convolvers.append(convolve)
-        coef.append((*_convolution_error(L, min(kernel.size, 2 * K + 1), G, g2), G))
-    return kernels, convolvers, np.array(coef)
+        G.append(float(np.abs(w[k]).sum()) / (1.0 - _gamma(size)))
+        g2.append(math.sqrt(float(kernel @ kernel)) / (1.0 - _gamma(size + 2)))
+    return kernels, np.array(G), np.array(g2)
+
+
+def _squarings(n: int, q: int, width: int, L: int) -> int:
+    """How many squarings `wn_ggm_exact` runs: none unless the q^2 squared
+    kernels (width entries each) and their transforms (L // 2 + 1 complex
+    entries each) fit in _MAX_BUFFER 8-byte entries, and then one more
+    while more than q steps are left above it.  A square transforms q^2
+    sequences and a vector step q, so a square at level j costs about as
+    much as the q vector steps by M_j it saves once n >> (j + 1) > q."""
+    J = 0
+    if q * q * (width + 2 * (L // 2 + 1)) <= _MAX_BUFFER:
+        while n >> (J + 1) > q:
+            J += 1
+    return J
+
+
+def _residue_spectra(kernels, K: int, L: int) -> np.ndarray:
+    """The length-L real transforms of the law kernels, each placed with lag
+    0 at slot K and wrapped where its radius exceeds K: lag j at slot
+    (K + j) mod L, the slots of the windowed sequences it multiplies."""
+    out = np.empty((len(kernels), L // 2 + 1), dtype=complex)
+    for s, kernel in enumerate(kernels):
+        h = kernel.size // 2
+        buf = np.zeros(L)
+        np.put(buf, np.arange(K - h, K + h + 1), kernel, mode="wrap")
+        out[s] = np.fft.rfft(buf)
+    return out
+
+
+def _spectral_product(x: np.ndarray, y) -> np.ndarray:
+    """x[..., f] = x[..., f] @ y(f) at every frequency f, in place, and x.
+
+    x holds the (a, q, F) spectra of the left factor; y(block) returns the
+    (q, q, B) spectra of the right factor at the frequencies of a block
+    (a view, or the block of a scaled gather).  Each block of `_FREQ_BLOCK`
+    frequencies is multiplied as one batch of a x q by q x q complex
+    matrices and written back over x, so y may read x itself.  Over
+    `_BROADCAST_ROWS` rows the batch goes through np.matmul; at fewer rows
+    it is q broadcast products, which skip matmul's cost per matrix.
+    """
+    a, q, F = x.shape
+    for f0 in range(0, F, _FREQ_BLOCK):
+        block = slice(f0, f0 + _FREQ_BLOCK)
+        xb, yb = x[..., block], y(block)
+        if a > _BROADCAST_ROWS:
+            zb = np.matmul(xb.transpose(2, 0, 1), yb.transpose(2, 0, 1)).transpose(1, 2, 0)
+        else:
+            zb = xb[:, 0, None] * yb[None, 0]
+            for m in range(1, q):
+                zb += xb[:, m, None] * yb[None, m]
+        x[..., block] = zb
+    return x
+
+
+def _rfft_rows(a: np.ndarray, L: int) -> np.ndarray:
+    """The length-L real transforms of a's sequences (its last axis), at
+    most _FFT_ENTRIES // L of them per call, so that numpy's zero-padded
+    copy stays small."""
+    rows = a.reshape(-1, a.shape[-1])
+    out = np.empty((len(rows), L // 2 + 1), dtype=complex)
+    per = max(1, _FFT_ENTRIES // L)
+    for lo in range(0, len(rows), per):
+        out[lo:lo + per] = np.fft.rfft(rows[lo:lo + per], L)
+    return out.reshape(*a.shape[:-1], -1)
+
+
+def _irfft_rows(spectra: np.ndarray, L: int, lo: int, width: int) -> np.ndarray:
+    """Entries [lo, lo + width) of the length-L inverse transforms of the
+    spectra (their last axis), at most _FFT_ENTRIES // L of them per call."""
+    rows = spectra.reshape(-1, spectra.shape[-1])
+    out = np.empty((len(rows), width))
+    per = max(1, _FFT_ENTRIES // L)
+    for r0 in range(0, len(rows), per):
+        out[r0:r0 + per] = np.fft.irfft(rows[r0:r0 + per], L)[:, lo:lo + width]
+    return out.reshape(*spectra.shape[:-1], width)
+
+
+def _norms(a: np.ndarray):
+    """The 1- and 2-norms of a's sequences along its last axis."""
+    return np.abs(a).sum(axis=-1), np.sqrt((a * a).sum(axis=-1))
 
 
 def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
-    """Exact law of W_n under the class chain with conditional increments,
-    on the window [-K, K] of `default_window`.
+    """Law of W_n under the class chain with conditional increments, on the
+    window [-K, K] of `default_window`, by binary powering of the one-step
+    class kernel.
 
-    Dynamic programming over (class, displacement): each step moves the
-    class with the fuzzy kernel and convolves the displacement with the
-    increment law of the class difference.  The first step writes each law's
-    kernel from the point mass at 0 into the window; every later step is one
-    linear convolution per (row i, residue s) against the kernel of law s
-    (`_linear_convolver`: direct for narrow kernels or windows, FFT beyond),
-    scaled by P(i, i+s).  Results are kept on the window, so states that
-    leave it are dropped each step and counted in leaked_mass, together
-    with the mass the increment truncation gives away (at most n times the
-    per-law tail bound, allowed on top of `ggm._LEAK_TOL`: reported, not refused).
+    The kernel M(i, c) = P(i, c) rho_{(c - i) mod q} moves a class and its
+    displacement one step on, and W_n has the law alpha^T M^n 1, summed
+    over the end class (a Markov-additive process: Ney & Nummelin, Ann.
+    Probab. 15, 1987).  M keeps each law's lags |j| <= r, r the largest
+    |j| <= 2K with a nonzero weight.  Right-to-left binary powering (Knuth,
+    TAOCP vol. 2, 4.6.3) squares M_{j+1} = M_j * M_j, kept on lags [-K, K],
+    for j < J, and moves a row vector v <- v * M_j, kept on positions
+    [-K, K], for each set bit j < J of n, then n >> J times by M_J.
+    `_squarings` picks J: squares while more than q steps are left above
+    them (a square transforms q^2 sequences, a vector step q), and none
+    where the q^2 squared kernels and their transforms do not fit in
+    `_MAX_BUFFER` 8-byte entries, so that n runs as n vector steps.  The
+    first vector step, from the point mass alpha at 0, is written directly:
+    by M as each law's kernel scaled by alpha(i) P(i, i+s), and by a square
+    as sum_i alpha(i) M_j(i, .).  Every other product is one
+    `_spectral_product`: the operands' transforms at L = _next_fast_len(K +
+    2 max(r, K) + 1) points, q residue spectra for M (each law's kernel,
+    scaled by P(i, c)) and q^2 for a square, multiplied frequency by
+    frequency as q x q matrices, and one inverse transform per sequence,
+    kept on [-K, K]; L leaves the kept lags alias-free.
 
-    roundoff_bound bounds max_k |law_k - the same DP in exact arithmetic on
-    the same float inputs|.  With E_t = sum_c |D^_t[c] - D_t[c]|_inf over the
-    class rows of the computed and exact DP, the exact step maps E to at
-    most kappa E, kappa = max_i sum_s P(i, i+s) G_s.  Step 1 errs by at most
-    gamma_{q+1} kappa sum_i alpha(i) (at most q terms per entry, two
-    roundings each).  A later step from rows v_i errs by
-    sum_{i,s} P(i, i+s) [eps_is + gamma_q (G_s |v_i|_inf + eps_is)], where
-    eps_is = a_s|v_i|_inf + b_s|v_i|_1 + c_s|v_i|_2 is the convolution's
-    rounding and gamma_q covers the q products and sums into row c.
-    Summing the rows adds gamma_{q-1} sum_c |D^_n[c]|_inf.  Every term is
-    evaluated from the computed rows, in floating point on nonnegative
-    numbers with fewer than width + q^2 + (q + 3) n + 128 roundings on any
-    path (a row norm, kappa^n, the convolver coefficients), and the result
-    is divided by one minus gamma of that count.  Underflow is neglected.
-    The law is clipped at 0 (FFT rounding leaves entries near -1e-16): the
-    exact DP, like the float reference DP, is nonnegative, so clipping
-    never moves an entry away from it and the bound still holds.
+    The cuts drop the steps beyond 2K and the paths whose displacement over
+    some dyadic block of steps (or over the steps before a vector step)
+    leaves [-K, K]; at J = 0 that is every walk that leaves the window at
+    some step.
+    What is dropped is counted in leaked_mass = 1 - sum(law), together with
+    the mass the increment truncation gives away (at most n times the
+    per-law tail bound, allowed on top of `ggm._LEAK_TOL`: reported, not
+    refused).  Every dropped term is nonnegative, so law(k) <= P(W_n = k)
+    + roundoff_bound for every k, P taken under the truncated laws.
+
+    roundoff_bound bounds max_k |law_k - the same powering in exact
+    arithmetic on the same float inputs|.  For a kernel X (rows i, columns
+    c, sequences X_ic) let E(X) bound max_i sum_c |X^_ic - X_ic|_inf for the
+    computed X^, and let |X| = max_i sum_c |X_ic|_1 be its row mass.  The
+    row mass of M is at most kappa = max_i sum_s P(i, i+s) G_s, G_s >=
+    |rho_s|_1, so an exact kernel of m steps has row mass at most kappa^m
+    and the exact v at most |alpha|_1 kappa^m, cuts included.  Since
+    |f * g|_inf <= |f|_inf |g|_1, a product errs by
+
+        E(X Y) <= E(X) |Y^| + |X| E(Y) + eps,
+
+    eps the transform product's own rounding: `_convolution_error` applied
+    to each of the q products summed at an output frequency (its analysis
+    is linear in them), with the complex q-term inner products, and the
+    scaling of M's residue spectra by P(i, c) on both sides, accurate to
+    sqrt(2) gamma_{q+3} (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.6).  So eps = max_i sum_m (b_im R1_m +
+    c_im R2_m), with (0, b_im, c_im) the coefficients of the sequence
+    X^_im and R1_m, R2_m the sums over c of |Y^_mc|_1 and |Y^_mc|_2.  M is
+    exact, E(M) = 0: the error of its transform is in eps.  The first step
+    errs by at most gamma_{q+1} kappa |alpha|_1 by M (at most q terms per
+    entry, two roundings each), and by at most |alpha|_1 E(M_j) +
+    gamma_q sum_{i,c} |alpha(i)| |M^_j(i, c)|_inf by a square.  Summing the
+    class rows adds gamma_{q-1} sum_c |v^_c|_inf.  Every term is evaluated
+    from the computed arrays, in floating point on nonnegative numbers with
+    fewer than width + q^2 + (q + 3) n + 128 + products (2 width + 3q + 128)
+    roundings on any path (the norms, a power of kappa, the coefficients of
+    eps), and the result is divided by one minus gamma of that count.
+    Underflow is neglected.  The law is clipped at 0 (transform rounding
+    leaves entries near -1e-16 in the far tails): the exact powering is
+    nonnegative, so clipping never moves an entry away from it and the
+    bound still holds.
     """
     _check_count("n", n)
     laws = _check_laws(fc, laws)
-    q = fc.q
+    q, alpha = fc.q, fc.alpha
     K = default_window(fc, laws, n)
     width = 2 * K + 1
-    kernels, convolvers, coef = _increment_kernels(laws, K)
-    a, b, c, G = coef.T
+    kernels, G, g2 = _law_kernels(laws, K)
     idx = np.arange(q)
+    res = (idx[None, :] - idx[:, None]) % q  # the residue (c - i) mod q of entry (i, c)
     step = fc.P[idx[:, None], (idx[:, None] + idx[None, :]) % q]  # P(i, i+s)
     kappa = float(np.max(step @ G))
+    mass = float(np.abs(alpha).sum())
+    r = max(kernel.size // 2 for kernel in kernels)
+    L = _next_fast_len(K + 2 * max(r, K) + 1)
+    J = _squarings(n, q, width, L)
+    term_rounds = q + 3  # the roundings of one term of a transform product
 
-    D = np.zeros((q, width))
-    for s, kernel in enumerate(kernels):
-        r = kernel.size // 2
-        h = min(r, K)  # window lags [-h, h]; zero entries and p = 0 add exactly 0.0
-        for i in range(q):
-            D[(i + s) % q, K - h:K + h + 1] += kernel[r - h:r + h + 1] * (fc.alpha[i] * step[i, s])
-    bound = _gamma(q + 1) * kappa * float(np.abs(fc.alpha).sum())
+    R = S = real = None  # M's residue spectra, M_j's spectra, M_j's window (j >= 1)
 
-    for _ in range(n - 1):
-        absD = np.abs(D)
-        vinf = absD.max(axis=1)[:, None]
-        v1 = absD.sum(axis=1)[:, None]
-        v2 = np.sqrt((D * D).sum(axis=1))[:, None]
-        eps = vinf * a + v1 * b + v2 * c
-        bound = kappa * bound + float(
-            (step * (eps + _gamma(q) * (vinf * G + eps))).sum())
-        newD = np.zeros_like(D)
-        for i in range(q):
-            for s in range(q):
-                p = step[i, s]
-                if p != 0.0:
-                    newD[(i + s) % q] += p * convolvers[s](D[i])
-        D = newD
-    bound += _gamma(q - 1) * float(np.abs(D).max(axis=1).sum())
-    law = np.maximum(D.sum(axis=0), 0.0)
-    rounds = width + q * q + (q + 3) * n + 128
+    def spectra(j):
+        """The block getter of M_j's spectra, transformed on first use.  M's
+        are P(i, c) times the residue spectrum of law (c - i) mod q: formed
+        once for the squares, and block by block without them."""
+        nonlocal R, S
+        if j == 0 and R is None and S is None:
+            R = _residue_spectra(kernels, K, L)
+            kernels.clear()  # read only by the first step by M, which came first
+            if J:
+                S, R = R[res], None
+                S *= fc.P[:, :, None]
+        if R is not None:
+            return lambda block: fc.P[:, :, None] * R[:, block][res]
+        if S is None:
+            S = _rfft_rows(real, L)
+        return lambda block: S[..., block]
+
+    # M_j's entrywise 1- and 2-norm bounds, E(M_j) and its exact row mass bound
+    n1, n2 = fc.P * G[res], fc.P * g2[res]
+    err, rowmass = 0.0, kappa
+    v, verr, vmass, products = None, 0.0, mass, 0
+    for j in range(J + 1):
+        for _ in range((n >> j) & 1 if j < J else n >> J):
+            if v is None and j == 0:  # the first step, by M
+                v = np.zeros((q, width))
+                for s, kernel in enumerate(kernels):
+                    h = kernel.size // 2
+                    w = min(h, K)  # window lags [-w, w]; zero entries and p = 0 add exactly 0.0
+                    for i in range(q):
+                        v[(i + s) % q, K - w:K + w + 1] += \
+                            kernel[h - w:h + w + 1] * (alpha[i] * step[i, s])
+                verr = _gamma(q + 1) * kappa * mass
+            elif v is None:  # the first step, by a square
+                v = np.tensordot(alpha, real, axes=1)
+                verr = mass * err + _gamma(q) * float(
+                    np.abs(alpha) @ np.abs(real).max(axis=-1).sum(axis=1))
+            else:
+                a1, a2 = _norms(v)
+                _, b, c = _convolution_error(L, 0, a1, a2, term_rounds)
+                verr = verr * float(n1.sum(axis=1).max()) + vmass * err + float(
+                    b @ n1.sum(axis=1) + c @ n2.sum(axis=1))
+                X, v = _rfft_rows(v, L)[None], None
+                v = _irfft_rows(_spectral_product(X, spectra(j))[0], L, K, width)
+                products += 1
+            vmass *= rowmass
+        if j < J:
+            spectra(j)
+            real = None  # the square reads M_j's spectra only
+            R1, R2 = n1.sum(axis=1), n2.sum(axis=1)
+            _, b, c = _convolution_error(L, 0, n1, n2, term_rounds)
+            err = err * float(R1.max()) + rowmass * err + float(np.max(b @ R1 + c @ R2))
+            rowmass *= rowmass
+            real = _irfft_rows(_spectral_product(S, lambda block: S[..., block]), L, K, width)
+            S = None
+            n1, n2 = _norms(real)
+            products += 1
+    bound = verr + _gamma(q - 1) * float(np.abs(v).max(axis=1).sum())
+    law = np.maximum(v.sum(axis=0), 0.0)
+    rounds = width + q * q + (q + 3) * n + 128 + products * (2 * width + 3 * q + 128)
     bound = (_Bracket(bound, bound) / (1.0 - _gamma(rounds))).hi
     budget = _LEAK_TOL + n * max(law_.tail_mass_bound for law_ in laws)
     leaked = _window_leak(law, K, budget)

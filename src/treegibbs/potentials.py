@@ -492,18 +492,43 @@ def _power_tail(logC: float, x0: float, s: float, step: float) -> _Bracket:
 def _tail_bracket(pot: Potential, l0: int, step: int, p: float) -> _Bracket:
     """Bracket [lo, hi] of sum_{n>=0} Q(l0 + n*step)^p, requires l0 beyond the table.
 
-    Exp tails are an exact geometric sum (lo == hi).  Power tails
-    C (1+l)^(-s) go through ``_power_tail``.  Divergent power tails bracket
-    as (inf, inf), and so does float overflow.
+    Exp tails are a geometric sum in closed form, its first term
+    e^{p lq - s (l0 - J)} over 1 - e^{-s step}, whose terms round: the ends
+    are widened by a relative allowance for them and rounded outward, as
+    ``_power_tail`` widens its ends, and a tail that flushes to zero
+    brackets as (0, 0).  Power tails C (1+l)^(-s) go through
+    ``_power_tail``.  Divergent power tails bracket as (inf, inf), and so
+    does float overflow.
     """
     kind, expo, lq, J = pot._decay()
     if l0 <= J:
         raise ValueError("tail bracket requires l0 beyond the table end")
     s = p * pot.beta * expo
     if kind == "exp":
-        # Q(l)^p = e^{p*lq} e^{-s*(l-J)}, a geometric series of ratio e^{-s*step}
-        t = _exp(p * lq - s * (l0 - J) - _log1mexp(s * step))
-        return _Bracket(t, t)
+        # Q(l)^p = e^{p*lq} e^{-s*(l-J)}, a geometric series of ratio e^{-s*step}:
+        # its first term over 1 - e^{-s*step}, in log space below the normal range
+        a, b = p * lq, s * (l0 - J)
+        d = a - b
+        first = _exp(d)
+        if first >= _TINY:
+            t = first / -math.expm1(-s * step)
+            e = abs(a) + abs(b) + abs(d) + 7.0
+        else:
+            c = _log1mexp(s * step)
+            E = d - c
+            t = _exp(E)
+            e = abs(a) + abs(b) + abs(d) + abs(E) + 2.0 * abs(c) + 7.0
+        if t == 0.0 or t == math.inf:
+            return _Bracket(t, t)
+        # s as computed, as the power branch passes it to _power_tail: a, b, d
+        # and E round once each, s * step once, exp, expm1 and log are within
+        # one ulp (so 1 - e^{-s*step} is within 3u and its log within
+        # 2u|c| + 3u) and the quotient rounds once: e^(e u) - 1 bounds the
+        # relative error of t.  The allowance is relative, so it holds down
+        # to the smallest normal float
+        slack = t * math.expm1(e * _UNIT_ROUNDOFF)
+        return _Bracket(max(0.0, math.nextafter(t - slack, -math.inf)),
+                        math.nextafter(t + slack, math.inf))
     # Q(l)^p = C (1+l)^{-s} with log C = p*lq + s*log(1+J)
     return _power_tail(p * lq + s * math.log1p(J), 1.0 + l0, s, step)
 

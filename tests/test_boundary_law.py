@@ -1223,18 +1223,22 @@ class TestOperatorOracle:
             ref = _RefPeriodicOperator(qq.normalized_op(), d).apply(x.copy())
             assert np.array_equal(apply_T_periodic(qq, d, x), ref)
 
-    @pytest.mark.parametrize("mode", [MODE_CERTIFIED, MODE_AUTO])
-    def test_window_solves(self, monkeypatch, mode):
+    def test_window_solves(self, monkeypatch):
+        # a window solve reads no mode: in mode "auto" it returns the
+        # certified law's bytes and the same report, its mode field aside
         import treegibbs.boundary_law as bl
 
         cases = [
-            (sos(2.5), 2, SolveConfig(mode=mode)),
-            (sos(2.5), 3, SolveConfig(mode=mode)),
-            (sos(1.5), 2, SolveConfig(mode=mode)),
-            (sos(2.5), 2, SolveConfig(radius=1100, mode=mode)),
-            (log_potential(3.0), 2, SolveConfig(radius=1100, tol=1e-8, mode=mode)),
+            (sos(2.5), 2, SolveConfig()),
+            (sos(2.5), 3, SolveConfig()),
+            (sos(1.5), 2, SolveConfig()),
+            (sos(2.5), 2, SolveConfig(radius=1100)),
+            (log_potential(3.0), 2, SolveConfig(radius=1100, tol=1e-8)),
         ]
         new = [_outcome(lambda: solve_fixed_point(*c)) for c in cases]
+        law, report = solve_fixed_point(sos(2.5), 2, SolveConfig(mode=MODE_AUTO))
+        assert report.mode == MODE_AUTO
+        assert _outcome(lambda: (law, dataclasses.replace(report, mode=MODE_CERTIFIED))) == new[0]
         monkeypatch.setattr(bl, "_window_operator", _RefWindowOperator)
         ref = [_outcome(lambda: solve_fixed_point(*c)) for c in cases]
         assert new == ref
@@ -1302,7 +1306,7 @@ class TestBandedDecisions:
                                       SolveConfig(radius=1100, tol=1e-8)),
             lambda: solve_fixed_point(sos(1.8), 2),
             lambda: periodic_solve(sos(1.8), 2, 2),
-            lambda: solve_fixed_point(sos(1.5), 3, SolveConfig(mode=MODE_AUTO)),
+            lambda: solve_fixed_point(sos(1.5), 3),
             lambda: periodic_solve(sos(3.0), 2, 256),
             lambda: periodic_solve(log_potential(2.6), 2, 5),
             lambda: periodic_solve(sos(2.0), 2, 2),

@@ -1117,7 +1117,7 @@ PINNED_STDOUT = {
     "ggm --model log --beta 4.0 --q 3 --format json":
         "445d5c9eff1874a82b27d95e9f37ddc00c037a586be250e1b8909c66a424a887",
     "simulate --model log --beta 2.6 --d 2 --q 3 --n 16 --truncation 200":
-        "5f56ccc33725a6f60a50865f7d56b7a12b559af8de08e3dd193284670b77761c",
+        "214543178e547195371d2b1777370818cd861495ac3bc8a44ccbd8f630d92218",
     "simulate --model log --beta 4.0 --d 2 --q 3 --sample-steps 1000 --seed 7":
         "340a24feeb2800a13a0a1ba1389f80836681b22b6760c278157e29dda2328b8e",
     "norms --model sos --beta 2.5 --d 2":
@@ -1127,13 +1127,13 @@ PINNED_STDOUT = {
     "threshold --model sos --d 2":
         "04fe608cc4220734ff117794f2cc1ffe5bdb27c89f4ce0e075b0ea7fa5390be1",
     "solve --model sos --beta 2.5 --d 2 --format json":
-        "43ad67b9f71e677bbecba4cbcdcd68646a9c4f715a0a70eb541dda88c3e944cb",
+        "f01cd26a771a69b02776bc8f388240a460dce3624cbd50ce25c78955327b55e6",
     "periodic --model sos --beta 2 --d 2 --q 2":
         "8f39878dbf67ac5968fe113c637d62765f5a8b301fc997df47b4c201c00232e9",
     "ggm --model sos --beta 2 --d 2 --q 2":
-        "e39171846adecee74f5d4d9c124cd7dd7037bfb4f98ece42f0429dd2bf65b0a8",
+        "d62bf6a2ff4f24cef0040e171d265edcfb98850a97a10999b375a2b5f1a96ddb",
     "simulate --model sos --beta 2 --d 2 --q 2 --n 1,8,64":
-        "71ef5e915bfec9472432d2ad16d22dfe609f7d16ba6d1ba40c921b91e0402abb",
+        "74a0375961575ad29c3302808831122a7cd799f5b3adc2417ea04c7aac8113ab",
     "simulate --model sos --beta 2 --d 2 --q 2 --sample-steps 1000 --seed 7":
         "82f30b75ac1c223b2518d188b469d01e88107cc71cd6e5d55fbcb6baa161f5fd",
     "phase-diagram --model sos --beta-range 1.5:2.5:0.25 --d-list 2,3":

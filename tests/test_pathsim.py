@@ -2,13 +2,15 @@
 
 Reference values were frozen from independent evaluations: an iterative
 joint-law evolution for the localized chain (the module uses binary matrix
-powers), a sparse augmented-space transition for the class DP (the module
-uses slice convolutions), plain convolution powers for the free state, and
-the closed sech algebra for the two-class chain.
+powers), a per-support-point DP, characteristic matrices and an exact
+integer powering for the class chain (the module uses binary powering of
+the windowed kernel by transforms), plain convolution powers for the free
+state, and the closed sech algebra for the two-class chain.
 """
 
 import concurrent.futures
 import hashlib
+from fractions import Fraction
 import math
 import re
 import sys
@@ -280,12 +282,17 @@ class TestWnGgm:
         assert dist.prob_at(2) == pytest.approx(Q2_NU2_EXACT, rel=5e-9)
 
     def test_free_state_convolution(self, chain_free, monkeypatch):
+        # W_1 is the kernel itself (alpha = P = 1, radius 11 <= 40), so W_2 is
+        # its exact self-convolution on the window, within roundoff_bound
         fc, laws = chain_free
         monkeypatch.setattr(pathsim, "default_window", lambda fc, laws, n: 40)
         d1 = wn_ggm_exact(fc, laws, 1)
         d2 = wn_ggm_exact(fc, laws, 2)
-        conv = np.convolve(d1.law, d1.law)[40:121]
-        np.testing.assert_allclose(d2.law, conv, atol=1e-16, rtol=0)
+        w = [Fraction(x) for x in d1.law.tolist()]
+        bound = Fraction(d2.roundoff_bound)
+        for k, got in enumerate(d2.law.tolist()):
+            exact = sum(w[a] * w[k + 40 - a] for a in range(max(0, k - 40), min(81, k + 41)))
+            assert abs(Fraction(got) - exact) <= bound, k
 
     def test_free_state_sqrt_n_decay(self, chain_free):
         fc, laws = chain_free
@@ -295,12 +302,25 @@ class TestWnGgm:
         assert p0[256] / p0[64] == pytest.approx(0.5, abs=0.025)
 
     def test_zero_tilt_and_symmetry(self, chain2):
+        # the exact powering of the symmetric chain is symmetric, so the
+        # mirror images differ by the rounding that roundoff_bound counts
         fc, laws = chain2
         for n in (1, 8, 64):
             dist = wn_ggm_exact(fc, laws, n)
             assert abs(dist.mean()) < 1e-12
             np.testing.assert_allclose(dist.law, dist.law[::-1],
-                                       atol=1e-15, rtol=0)
+                                       atol=dist.roundoff_bound, rtol=0)
+
+    def test_clipped_rounding_stays_within_the_bound(self):
+        # at q = 32 the laws leak almost nothing, and the products' rounding,
+        # clipped at 0 in the far tails, lifts the total above 1 + 1e-12: by
+        # less than roundoff_bound per entry, which the sum check allows
+        pot = sos(3.0)
+        law, _ = periodic_solve(pot, 2, 32)
+        dist = wn_ggm_exact(fuzzy_chain(law, fuzzy_Q(pot, 32)), increment_laws(pot, 32), 4096)
+        total = math.fsum(dist.law.tolist())
+        assert dist.leaked_mass == 0.0 and float(dist.law.min()) >= 0.0
+        assert total <= 1.0 + 1e-12 + len(dist.law) * dist.roundoff_bound
 
     def test_leak_within_increment_truncation(self, chain2):
         fc, laws = chain2
@@ -1113,6 +1133,97 @@ def _reference_wn_ggm(fc, laws, n, K):
     return D.sum(axis=0)
 
 
+def _nokill_reference(fc, laws, n, K):
+    """W_n under the same truncated laws, each cut at |j| <= 2K as the
+    powering's kernel is, cut nowhere: alpha^T M(theta)^n 1 from
+    characteristic matrices at a length no W_n wraps, on [-(K + n r),
+    K + n r], r the largest |j| with a weight."""
+    q = fc.q
+    points = [law.clip(2 * K) for law in laws]
+    r = max(int(np.abs(j0 + q * np.flatnonzero(w)).max()) for j0, w in points)
+    R = K + n * r
+    L = 1 << (2 * R).bit_length()
+    spectra = []
+    for j0, w in points:
+        buf = np.zeros(L)
+        buf[(j0 + q * np.arange(len(w))) % L] = w
+        spectra.append(np.fft.fft(buf))
+    M = np.empty((L, q, q), dtype=complex)
+    for i in range(q):
+        for c in range(q):
+            M[:, i, c] = fc.P[i, c] * spectra[(c - i) % q]
+    phi = np.einsum("i,fic->f", fc.alpha, np.linalg.matrix_power(M, n))
+    return np.roll(np.fft.ifft(phi).real, R)[:2 * R + 1]
+
+
+def _check_below_nokill(dist, fc, laws):
+    """law <= ref + roundoff_bound at every k, and the mass the cuts drop,
+    ref - law summed over the window, within what leaked_mass counts."""
+    K, n, bound = dist.window, dist.n, dist.roundoff_bound
+    ref = _nokill_reference(fc, laws, n, K)
+    R = len(ref) // 2
+    inside = ref[R - K:R + K + 1]
+    assert float(np.max(dist.law - inside)) <= bound
+    outside = math.fsum(ref[:R - K].tolist() + ref[R + K + 1:].tolist())
+    dropped = math.fsum(inside.tolist() + (-dist.law).tolist())
+    assert dropped <= dist.leaked_mass - outside + (2 * K + 1) * bound
+
+
+def _exact_powering(fc, laws, n, K, J):
+    """The law of `wn_ggm_exact` in exact arithmetic on the same float
+    inputs, with the same cuts and its J squarings: every float an integer
+    multiple of 2^-1100, a sequence a dict lag -> integer at one scale per
+    kernel."""
+    q, S = fc.q, 1100
+
+    def ex(x):
+        return int(Fraction(x) * 2**S)
+
+    def conv(a, b):  # kept on [-K, K]
+        out = {}
+        for s, x in a.items():
+            for t, y in b.items():
+                if abs(s + t) <= K:
+                    out[s + t] = out.get(s + t, 0) + x * y
+        return out
+
+    def times(X, Y, rows):
+        Z = {}
+        for i in range(rows):
+            for c in range(q):
+                acc = {}
+                for m in range(q):
+                    for t, x in conv(X[i, m], Y[m, c]).items():
+                        acc[t] = acc.get(t, 0) + x
+                Z[i, c] = acc
+        return Z
+
+    M, scale = {}, 2 * S
+    for i in range(q):
+        for c in range(q):
+            j0, w = laws[(c - i) % q].clip(2 * K)
+            p = ex(fc.P[i, c])
+            M[i, c] = {j0 + q * k: p * ex(x) for k, x in enumerate(w.tolist()) if x}
+    v, vscale = None, 0
+    for j in range(J + 1):
+        for _ in range((n >> j) & 1 if j < J else n >> J):
+            if v is None:
+                v = {(0, c): {} for c in range(q)}
+                for i in range(q):
+                    a = ex(fc.alpha[i])
+                    for c in range(q):
+                        for t, x in M[i, c].items():
+                            if abs(t) <= K:
+                                v[0, c][t] = v[0, c].get(t, 0) + a * x
+                vscale = S + scale
+            else:
+                v, vscale = times(v, M, 1), vscale + scale
+        if j < J:
+            M, scale = times(M, M, q), 2 * scale
+    law = [sum(v[0, c].get(t, 0) for c in range(q)) for t in range(-K, K + 1)]
+    return [Fraction(x, 2**vscale) for x in law]
+
+
 def _sos_chain(q):
     pot = sos(2.0)
     law, _ = periodic_solve(pot, 2, q)
@@ -1120,18 +1231,16 @@ def _sos_chain(q):
 
 
 class TestWnGgmOracle:
-    """The per-residue convolution DP against the per-support-point loop:
-    bit for bit at n = 1, within roundoff_bound beyond."""
+    """The powering against the per-support-point DP loop bit for bit at
+    n = 1, and below the no-kill reference within roundoff_bound at every n."""
 
     @staticmethod
     def _check(chain, n):
         fc, laws = chain
         dist = wn_ggm_exact(fc, laws, n)
-        ref = _reference_wn_ggm(fc, laws, n, dist.window)
         if n == 1:
-            assert np.array_equal(dist.law, ref)
-        err = float(np.max(np.abs(dist.law - ref)))
-        assert err <= dist.roundoff_bound, (err, dist.roundoff_bound)
+            assert np.array_equal(dist.law, _reference_wn_ggm(fc, laws, n, dist.window))
+        _check_below_nokill(dist, fc, laws)
         return dist
 
     @pytest.mark.parametrize("q", [1, 2, 3, 5])
@@ -1142,6 +1251,7 @@ class TestWnGgmOracle:
     @pytest.mark.parametrize("window", [1023, 1100])
     @pytest.mark.parametrize("n", [1, 3])
     def test_log_both_sides_of_the_fft_switch(self, chain_log, window, n, monkeypatch):
+        # the log 4 laws reach 2909 > K, so M's kernels wrap at both windows
         monkeypatch.setattr(pathsim, "_LEAK_TOL", 1.0)
         monkeypatch.setattr(pathsim, "default_window", lambda fc, laws, n: window)
         self._check(chain_log, n)
@@ -1171,6 +1281,43 @@ class TestWnGgmOracle:
 
     def test_gibbs_mode_has_no_bound(self, sos25):
         assert wn_localized_exact(sos25, 2).roundoff_bound is None
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_exact_powering(self, chain2, n, monkeypatch):
+        # q = 2 on K = 10: the laws reach 11 > K, so M's kernels wrap; n = 8
+        # and 32 square once and three times, and start from a square
+        fc, laws = chain2
+        monkeypatch.setattr(pathsim, "_LEAK_TOL", 1.0)
+        monkeypatch.setattr(pathsim, "default_window", lambda fc, laws, n: 10)
+        used, squarings = [], pathsim._squarings
+        monkeypatch.setattr(pathsim, "_squarings",
+                            lambda *args: used.append(squarings(*args)) or used[-1])
+        dist = wn_ggm_exact(fc, laws, n)
+        assert used == [{2: 0, 3: 0, 8: 1, 32: 3}[n]]
+        exact = _exact_powering(fc, laws, n, 10, used[0])
+        bound = Fraction(dist.roundoff_bound)
+        assert all(abs(Fraction(got) - want) <= bound
+                   for got, want in zip(dist.law.tolist(), exact))
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_squaring_cap(self, chain2, cap, monkeypatch):
+        # 0 squarings run n as vector steps, 1 runs the rest by M_1; both
+        # keep below the no-kill law and agree with full powering within
+        # their deficits and bounds
+        fc, laws = chain2
+        n = 13
+        full = wn_ggm_exact(fc, laws, n)
+        rows, product = [], pathsim._spectral_product
+        monkeypatch.setattr(pathsim, "_squarings", lambda n, q, width, L: cap)
+        monkeypatch.setattr(pathsim, "_spectral_product",
+                            lambda x, y: rows.append(len(x)) or product(x, y))
+        capped = wn_ggm_exact(fc, laws, n)
+        assert rows == ([1] * (n - 1) if cap == 0 else [2] + [1] * (n >> 1))
+        _check_below_nokill(capped, fc, laws)
+        assert capped.window == full.window
+        slack = capped.leaked_mass + full.leaked_mass + (2 * full.window + 1) * (
+            capped.roundoff_bound + full.roundoff_bound)
+        assert float(np.max(np.abs(capped.law - full.law))) <= slack
 
 
 def test_fft_law_is_nonnegative(chain_log):

@@ -905,6 +905,24 @@ class TestTailBracket:
         assert 2.0 * brute <= bound * (1.0 + 1e-12) + 1e-300
         assert bound <= 2.0 * (brute + remainder(L) + (hi - lo)) * (1.0 + 1e-12) + 1e-300
 
+    @pytest.mark.parametrize("beta", [2.0, 40.0, 400.0])
+    def test_exp_bracket_holds_the_mpmath_value(self, beta):
+        # the closed form e^(-s l0) / (1 - e^(-s step)), s = p beta, rounds:
+        # its bracket must hold the 50-digit value wherever that is normal
+        cases = 0
+        for l0 in (1, 2, 3):
+            for step in (1, 2, 5):
+                for p in (1.0, 1.5, 3.0):
+                    with mpmath.workdps(50):
+                        s = mpmath.mpf(p) * mpmath.mpf(beta)
+                        exact = mpmath.exp(-s * l0) / -mpmath.expm1(-s * step)
+                    if exact < 2.0**-1022:
+                        continue
+                    lo, hi = _tail_bracket(sos(beta), l0, step, p)
+                    assert lo <= exact <= hi, (l0, step, p)
+                    cases += 1
+        assert cases >= 6
+
     def test_divergent_and_overflowing_tails_are_infinite(self):
         assert _tail_bracket(log_potential(0.8), 1, 1, 1.0) == (math.inf, math.inf)
         assert _tail_bracket(sos(1e-320), 65, 1, 1.5) == (math.inf, math.inf)
