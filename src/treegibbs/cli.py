@@ -15,9 +15,10 @@ flags the run's mode leaves unread: `goodset --gamma/--delta` reads no
 model flag, `simulate` tables read no seed or replicate, and sampled paths
 no --n or --truncation) plus the package and numpy versions, so equal
 flags reproduce byte-identical files.
-`--truncation` is always the radius of the truncated law a command builds;
-W_n tables take the window the library derives from that law, and `ggm`
-the least window whose certified leak is at most 1e-9, printed as `leak`.
+`--truncation` is always the radius of the truncated law a command builds.
+`ggm` prints the edge marginal on the least window whose certified leak is
+at most 1e-9, with that `leak`, and the n = 1 table of `simulate --q` has the
+same rows; other W_n tables take the window the library derives from the law.
 
 Exit codes: 0 success, 1 a reader that closed stdout early (a broken pipe,
 no traceback), 2 configuration errors (including non-summable operators),

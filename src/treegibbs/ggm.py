@@ -293,48 +293,50 @@ def _edge_leak(steps: np.ndarray, laws: list[IncrementLaw], K: int) -> float:
 
 def _edge_window(fc: FuzzyChain, laws, window: int | None = None) -> tuple[int, float]:
     """(K, leak) for fc's q increment laws in class order: the given window,
-    or the least K >= 1 whose certified leak `_edge_leak` is at most
-    _LEAK_TOL, and that leak.  A leak above _LEAK_TOL is refused with
-    NumericalError naming the least window that fits or, when none does
-    (the leak stops falling past the largest increment radius), that radius."""
+    or the least K >= 1 whose certified leak `_edge_leak` is at most _LEAK_TOL
+    (the largest increment radius where none is), and K's leak.  A given
+    window leaking more is refused with NumericalError naming that K."""
     steps, need = _class_step_law(fc), max(law.radius for law in laws)
-    K = need if window is None else window
-    leaked = _edge_leak(steps, laws, K)
-    if leaked <= _LEAK_TOL and window is not None:
-        return K, leaked
-    if _edge_leak(steps, laws, need) > _LEAK_TOL:
-        hint = (f"the increment laws are truncated at radius {need}; "
-                "raise the increment radius (--truncation)")
-    else:
-        least = _smallest_radius(lambda R: _edge_leak(steps, laws, R) <= _LEAK_TOL,
-                                 1, 2 * need, "")
-        if window is None:
-            return least, _edge_leak(steps, laws, least)
-        hint = f"use window >= {least}"
-    raise NumericalError(f"window {K} leaks mass {leaked:.3g} > {_LEAK_TOL:.3g}; {hint}")
+    leaked = math.inf if window is None else _edge_leak(steps, laws, window)
+    if leaked <= _LEAK_TOL:
+        return window, leaked
+    fits = _edge_leak(steps, laws, need) <= _LEAK_TOL
+    least = _smallest_radius(lambda R: _edge_leak(steps, laws, R) <= _LEAK_TOL,
+                             1, 2 * need, "") if fits else need
+    if window is None:
+        return least, _edge_leak(steps, laws, least)
+    hint = f"use window >= {least}" if fits else (
+        f"the increment laws are truncated at radius {need}; "
+        "raise the increment radius (--truncation)")
+    raise NumericalError(f"window {window} leaks mass {leaked:.3g} > {_LEAK_TOL:.3g}; {hint}")
 
 
-def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
-    """Single-edge increment law nu(j) on the window [-K, K].
-
-    nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
-    jbar = j mod q.  The result is symmetric with zero tilt.  Stretch by
-    stretch of q * _EVAL_BLOCK slots, `IncrementLaw.write` puts
-    step(s) * rho(. | s) of each class s straight into its stride-q slice:
-    no other array spans a law, and each stretch is filled while in cache.
-    The leak is `_edge_leak`, not a sum over the window; `_edge_window`
-    refuses a leak above `_LEAK_TOL` before the window is built.
-    """
-    laws = _check_laws(fc, laws)
-    if window < 0:
-        raise ConfigError(f"window must be >= 0, got {window}")
-    _edge_window(fc, laws, window)
+def _edge_rows(fc: FuzzyChain, laws: list[IncrementLaw], window: int) -> np.ndarray:
+    """`ggm_edge_marginal`'s law on the window, its leak unchecked."""
     q, steps, nu = fc.q, _class_step_law(fc), np.zeros(2 * window + 1)
     for lo in range(-window, window + 1, q * _EVAL_BLOCK):
         for law, step in zip(laws, steps):
             j0, n = law.span(lo, min(lo + q * _EVAL_BLOCK, window + 1) - 1)
             law.write(j0, nu[j0 + window::q][:n], step)
     return nu
+
+
+def ggm_edge_marginal(fc: FuzzyChain, laws, window: int) -> np.ndarray:
+    """Single-edge increment law nu(j) on the window [-K, K].
+
+    nu(j) = sum_ibar alpha(ibar) P(ibar, ibar+jbar) rho(j | jbar) with
+    jbar = j mod q.  The result is symmetric with zero tilt.  `_edge_rows`
+    writes it in stretches of q * _EVAL_BLOCK slots: `IncrementLaw.write`
+    puts step(s) * rho(. | s) of each class s straight into its stride-q
+    slice, so no other array spans a law, and each stretch is filled while
+    in cache.  The leak is `_edge_leak`, not a sum over the window;
+    `_edge_window` refuses a leak above `_LEAK_TOL` before the window is built.
+    """
+    laws = _check_laws(fc, laws)
+    if window < 0:
+        raise ConfigError(f"window must be >= 0, got {window}")
+    _edge_window(fc, laws, window)
+    return _edge_rows(fc, laws, window)
 
 
 _LEAK_TOL = 1e-9  # mass a W_n or edge-marginal window may leak

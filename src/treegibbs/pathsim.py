@@ -11,13 +11,13 @@ vector sum_i alpha(i) alpha(i+k), under a class chain the sup of the law
 decays to zero at a diffusive rate.
 
 The module computes W_n laws exactly (matrix powers for heights; for
-classes, binary powering of the one-step kernel over (class, displacement)
-on a window, each product one batch of transforms, with a rigorous bound
-on its rounding), samples both walks, and recovers the height period
-of an unknown source from the empirical distribution of its partial sums
-mod q-tilde.  Both samplers read one PCG64DXSM stream keyed by
-(seed, replicate): `sample_path` reads it in order, and is the walk of
-`sample_wn`'s one walker.  The sampler's unit of work is one block of at
+classes, the edge marginal at n = 1, and binary powering of the one-step
+kernel over (class, displacement) on a window beyond, each product one
+batch of transforms, with a rigorous bound on its rounding), samples both
+walks, and recovers the height period of an unknown source from the
+empirical distribution of its partial sums mod q-tilde.  Both samplers
+read one PCG64DXSM stream keyed by (seed, replicate): `sample_path` reads
+it in order, and is the walk of `sample_wn`'s one walker.  The sampler's unit of work is one block of at
 most `_BLOCK` walkers or steps: `sample_wn` runs each block's whole walk
 in block-sized buffers, on a pool of threads, one per CPU the process may
 use and at most `_MAX_THREADS` (the count measured so far).  The stream
@@ -67,7 +67,8 @@ from .boundary_law import (
     periodic_solve,
 )
 from .errors import ConfigError, NotSummableError, NumericalError, TreeGibbsError
-from .ggm import _LEAK_TOL, FuzzyChain, _check_laws, _class_step_law, _dense_chain
+from .ggm import (_LEAK_TOL, FuzzyChain, _check_laws, _class_step_law, _dense_chain, _edge_rows,
+                  _edge_window)
 from .potentials import _MAX_RADIUS, _Bracket, _float_stream, _gamma, fuzzy_Q
 
 __all__ = [
@@ -139,12 +140,11 @@ class PathDistribution:
     ``leaked_mass`` is 1 - sum of the computed law (an exactly rounded sum,
     clipped at 0): probability that the walk left the window (in ggm mode,
     what the window's cuts drop), plus whatever the increment truncation
-    already gave away, plus the law's rounding.
-    ``roundoff_bound`` is set in ggm mode only: a rigorous bound on
-    max_k |law_k - the same powering, with the same cuts, in exact
-    arithmetic|_k (see `wn_ggm_exact`), so law plus leaked mass may exceed
-    1 by up to that much per entry; it is None in gibbs mode, where it is
-    not computed.
+    already gave away, plus the law's rounding; None takes it from the sum
+    that the sum check reads.  ``roundoff_bound``, None in gibbs mode, is a
+    rigorous bound on max_k |law_k - the same formula (n = 1) or powering
+    with the same cuts, in exact arithmetic|_k (see `wn_ggm_exact`), so law
+    plus leaked mass may exceed 1 by up to that much per entry.
     ``limit`` is only set in gibbs mode and holds the n -> inf vector
     sum_i alpha(i) alpha(i+k) on the same window.
     """
@@ -152,7 +152,7 @@ class PathDistribution:
     n: int
     window: int
     law: np.ndarray
-    leaked_mass: float
+    leaked_mass: float | None
     mode: str
     q: int | None = None
     limit: np.ndarray | None = None
@@ -166,7 +166,10 @@ class PathDistribution:
             )
         if float(self.law.min()) < -1e-12:
             raise NumericalError("negative probability in the W_n law")
-        total = math.fsum(_float_stream(self.law)) + self.leaked_mass
+        total = math.fsum(_float_stream(self.law))
+        if self.leaked_mass is None:
+            object.__setattr__(self, "leaked_mass", max(0.0, 1.0 - total))
+        total += self.leaked_mass
         # a ggm entry may sit roundoff_bound above the exact law, which sums
         # to at most 1: transform rounding clipped at 0 in the far tails
         excess = 1e-12 if self.roundoff_bound is None else \
@@ -243,13 +246,11 @@ def _height_kernel(bl: BoundaryLaw) -> tuple[np.ndarray, np.ndarray]:
     return _dense_chain(bl, bl.pot.Q)
 
 
-def _window_leak(law: np.ndarray, window: int, budget: float) -> float:
-    """The leak max(0, 1 - sum(law)) from one exactly rounded sum; a leak above
-    budget raises NumericalError."""
-    leaked = max(0.0, 1.0 - math.fsum(_float_stream(law)))
-    if leaked > budget:
-        raise NumericalError(f"window {window} leaks mass {leaked:.3g} > {budget:.3g}")
-    return leaked
+def _within(dist: PathDistribution, budget: float) -> PathDistribution:
+    """dist, unless its leaked mass exceeds budget: NumericalError."""
+    if dist.leaked_mass <= budget:
+        return dist
+    raise NumericalError(f"window {dist.window} leaks mass {dist.leaked_mass:.3g} > {budget:.3g}")
 
 
 def _check_count(name: str, v) -> None:
@@ -280,13 +281,12 @@ def wn_localized_exact(bl: BoundaryLaw, n: int) -> PathDistribution:
         diag = np.diagonal(Pn, offset=k)
         a = alpha[: m - k] if k >= 0 else alpha[-k:]
         law[k + m - 1] = math.fsum((a * diag).tolist())
-    leaked = _window_leak(law, m - 1, _LEAK_TOL)
-    return PathDistribution(n=n, window=m - 1, law=law, leaked_mass=leaked, mode=MODE_GIBBS,
-                            limit=np.correlate(alpha, alpha, "full"))
+    return _within(PathDistribution(n=n, window=m - 1, law=law, leaked_mass=None, mode=MODE_GIBBS,
+                                    limit=np.correlate(alpha, alpha, "full")), _LEAK_TOL)
 
 
 def default_window(fc: FuzzyChain, laws, n: int) -> int:
-    """Gaussian-scale window ceil(8 sigma sqrt(n)) + q for the exact W_n law,
+    """Gaussian-scale window ceil(8 sigma sqrt(n)) + q for the W_n law at n >= 2,
     sigma^2 the second moment of the stationary one-step increment.
 
     One single-step radius is added on top: the increment laws have heavier
@@ -300,26 +300,21 @@ def default_window(fc: FuzzyChain, laws, n: int) -> int:
 
 
 def _law_kernels(laws, K: int):
-    """(kernels, G, g2) of the increment laws for a window [-K, K], from one
-    evaluation of each law on |j| <= 2K.
-
-    Kernel s holds the weights of law s on lags [-r, r], r the largest
-    |j| <= 2K with a nonzero weight.  G_s >= sum |w| and g2_s >= |w|_2
-    bound the 1- and 2-norms of the exact kernel.
-    """
-    kernels, G, g2 = [], [], []
+    """(points, r, G, g2) of the increment laws for a window [-K, K]: points[s]
+    = (j0, w), law s's weights w >= 0 at j0, j0 + q, ... with |j| <= 2K from
+    one `IncrementLaw.clip`, trimmed to its nonzero ends; r the largest |j|
+    of a nonzero weight; G_s >= sum w and g2_s >= |w|_2, norm bounds."""
+    points, r, G, g2 = [], 0, [], []
     for law in laws:
         j0, w = law.clip(2 * K)
         k = np.flatnonzero(w)
-        nz = j0 + law.q * k  # the points with a nonzero weight
-        r = int(np.abs(nz).max()) if nz.size else 0
-        kernel = np.zeros(2 * r + 1)
-        kernel[nz + r] = w[k]
-        size = max(kernel.size, nz.size)
-        kernels.append(kernel)
-        G.append(float(np.abs(w[k]).sum()) / (1.0 - _gamma(size)))
-        g2.append(math.sqrt(float(kernel @ kernel)) / (1.0 - _gamma(size + 2)))
-    return kernels, np.array(G), np.array(g2)
+        if k.size:
+            j0, w = j0 + law.q * int(k[0]), w[k[0]:k[-1] + 1]
+            r = max(r, -j0, j0 + law.q * (w.size - 1))
+        points.append((j0, w))
+        G.append(float(w.sum()) / (1.0 - _gamma(w.size)))
+        g2.append(math.sqrt(float(w @ w)) / (1.0 - _gamma(w.size + 2)))
+    return points, r, np.array(G), np.array(g2)
 
 
 def _squarings(n: int, q: int, width: int, L: int) -> int:
@@ -336,15 +331,14 @@ def _squarings(n: int, q: int, width: int, L: int) -> int:
     return J
 
 
-def _residue_spectra(kernels, K: int, L: int) -> np.ndarray:
-    """The length-L real transforms of the law kernels, each placed with lag
-    0 at slot K and wrapped where its radius exceeds K: lag j at slot
-    (K + j) mod L, the slots of the windowed sequences it multiplies."""
-    out = np.empty((len(kernels), L // 2 + 1), dtype=complex)
-    for s, kernel in enumerate(kernels):
-        h = kernel.size // 2
+def _residue_spectra(points, q: int, K: int, L: int) -> np.ndarray:
+    """The length-L real transforms of the `_law_kernels` points, weight j at
+    slot (K + j) mod L, the slots of the windowed sequences it multiplies
+    (wrapped where |j| > K; L > 2r, so no two weights share a slot)."""
+    out = np.empty((len(points), L // 2 + 1), dtype=complex)
+    for s, (j0, w) in enumerate(points):
         buf = np.zeros(L)
-        np.put(buf, np.arange(K - h, K + h + 1), kernel, mode="wrap")
+        buf[(K + j0 + q * np.arange(w.size)) % L] = w
         out[s] = np.fft.rfft(buf)
     return out
 
@@ -403,48 +397,52 @@ def _norms(a: np.ndarray):
 
 
 def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
-    """Law of W_n under the class chain with conditional increments, on the
-    window [-K, K] of `default_window`, by binary powering of the one-step
-    class kernel.
+    """Law of W_n under the class chain with conditional increments: W_1 is
+    `ggm`'s edge marginal on `ggm._edge_window`'s window, and W_n, n >= 2,
+    comes on `default_window`'s [-K, K] by binary powering of the kernel.
 
     The kernel M(i, c) = P(i, c) rho_{(c - i) mod q} moves a class and its
     displacement one step on, and W_n has the law alpha^T M^n 1, summed
     over the end class (a Markov-additive process: Ney & Nummelin, Ann.
-    Probab. 15, 1987).  M keeps each law's lags |j| <= r, r the largest
-    |j| <= 2K with a nonzero weight.  Right-to-left binary powering (Knuth,
-    TAOCP vol. 2, 4.6.3) squares M_{j+1} = M_j * M_j, kept on lags [-K, K],
-    for j < J, and moves a row vector v <- v * M_j, kept on positions
-    [-K, K], for each set bit j < J of n, then n >> J times by M_J.
+    Probab. 15, 1987).  M keeps each law's stride-q weights with |j| <= 2K
+    (`_law_kernels`), r the largest such |j|.  Right-to-left binary powering
+    (Knuth, TAOCP vol. 2, 4.6.3) squares M_{j+1} = M_j * M_j, kept on lags
+    [-K, K], for j < J, and moves a row vector v <- v * M_j, kept on
+    positions [-K, K], for each set bit j < J of n, then n >> J times by M_J.
     `_squarings` picks J: squares while more than q steps are left above
     them (a square transforms q^2 sequences, a vector step q), and none
     where the q^2 squared kernels and their transforms do not fit in
     `_MAX_BUFFER` 8-byte entries, so that n runs as n vector steps.  The
     first vector step, from the point mass alpha at 0, is written directly:
-    by M as each law's kernel scaled by alpha(i) P(i, i+s), and by a square
+    by M as law s's weights scaled by alpha(i) P(i, i+s), and by a square
     as sum_i alpha(i) M_j(i, .).  Every other product is one
     `_spectral_product`: the operands' transforms at L = _next_fast_len(K +
-    2 max(r, K) + 1) points, q residue spectra for M (each law's kernel,
-    scaled by P(i, c)) and q^2 for a square, multiplied frequency by
-    frequency as q x q matrices, and one inverse transform per sequence,
-    kept on [-K, K]; L leaves the kept lags alias-free.
+    2 max(r, K) + 1) points, q residue spectra for M (each weight at its
+    wrapped slot, scaled by P(i, c)) and q^2 for a square, multiplied
+    frequency by frequency as q x q matrices, and one inverse transform per
+    sequence, kept on [-K, K]; L leaves the kept lags alias-free.
 
     The cuts drop the steps beyond 2K and the paths whose displacement over
     some dyadic block of steps (or over the steps before a vector step)
     leaves [-K, K]; at J = 0 that is every walk that leaves the window at
-    some step.
-    What is dropped is counted in leaked_mass = 1 - sum(law), together with
-    the mass the increment truncation gives away (at most n times the
-    per-law tail bound, allowed on top of `ggm._LEAK_TOL`: reported, not
-    refused).  Every dropped term is nonnegative, so law(k) <= P(W_n = k)
-    + roundoff_bound for every k, P taken under the truncated laws.
+    some step.  What is dropped (at n = 1, what lies past the window) is
+    counted in leaked_mass = 1 - sum(law), with the mass the increment
+    truncation gives away (at most n times the per-law tail bound, allowed
+    on top of `ggm._LEAK_TOL`: reported, not refused).  Every dropped term
+    is nonnegative, so law(k) <= P(W_n = k) + roundoff_bound for every k.
 
-    roundoff_bound bounds max_k |law_k - the same powering in exact
-    arithmetic on the same float inputs|.  For a kernel X (rows i, columns
-    c, sequences X_ic) let E(X) bound max_i sum_c |X^_ic - X_ic|_inf for the
-    computed X^, and let |X| = max_i sum_c |X_ic|_1 be its row mass.  The
-    row mass of M is at most kappa = max_i sum_s P(i, i+s) G_s, G_s >=
-    |rho_s|_1, so an exact kernel of m steps has row mass at most kappa^m
-    and the exact v at most |alpha|_1 kappa^m, cuts included.  Since
+    roundoff_bound bounds max_k |law_k - the same computation in exact
+    arithmetic on the same float inputs|.  At n = 1, entry j is w_s(j), s =
+    j mod q, times the exactly rounded sum of the q products alpha(i) P(i,
+    i+s): three roundings on nonnegative terms, which gamma_{q+3} max_k
+    law_k, rounded up, covers in any order of the sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1).
+    At n >= 2, for a kernel X (rows i, columns c, sequences X_ic) let E(X)
+    bound max_i sum_c |X^_ic - X_ic|_inf for the computed X^, and let |X| =
+    max_i sum_c |X_ic|_1 be its row mass.  The row mass of M is at most
+    kappa = max_i sum_s P(i, i+s) G_s, G_s >= |rho_s|_1, so an exact kernel
+    of m steps has row mass at most kappa^m and the exact v at most
+    |alpha|_1 kappa^m, cuts included.  Since
     |f * g|_inf <= |f|_inf |g|_1, a product errs by
 
         E(X Y) <= E(X) |Y^| + |X| E(Y) + eps,
@@ -453,8 +451,7 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
     to each of the q products summed at an output frequency (its analysis
     is linear in them), with the complex q-term inner products, and the
     scaling of M's residue spectra by P(i, c) on both sides, accurate to
-    sqrt(2) gamma_{q+3} (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 3.6).  So eps = max_i sum_m (b_im R1_m +
+    sqrt(2) gamma_{q+3} (Higham, 3.6).  So eps = max_i sum_m (b_im R1_m +
     c_im R2_m), with (0, b_im, c_im) the coefficients of the sequence
     X^_im and R1_m, R2_m the sums over c of |Y^_mc|_1 and |Y^_mc|_2.  M is
     exact, E(M) = 0: the error of its transform is in eps.  The first step
@@ -474,15 +471,20 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
     _check_count("n", n)
     laws = _check_laws(fc, laws)
     q, alpha = fc.q, fc.alpha
+    budget = _LEAK_TOL + n * max(law_.tail_mass_bound for law_ in laws)
+    if n == 1:
+        law = _edge_rows(fc, laws, _edge_window(fc, laws)[0])
+        bound = math.nextafter(_gamma(q + 3) * float(law.max()), math.inf)
+        return _within(PathDistribution(n=1, window=law.size // 2, law=law, leaked_mass=None,
+                                        mode=MODE_GGM, q=q, roundoff_bound=bound), budget)
     K = default_window(fc, laws, n)
     width = 2 * K + 1
-    kernels, G, g2 = _law_kernels(laws, K)
+    points, r, G, g2 = _law_kernels(laws, K)
     idx = np.arange(q)
     res = (idx[None, :] - idx[:, None]) % q  # the residue (c - i) mod q of entry (i, c)
     step = fc.P[idx[:, None], (idx[:, None] + idx[None, :]) % q]  # P(i, i+s)
     kappa = float(np.max(step @ G))
     mass = float(np.abs(alpha).sum())
-    r = max(kernel.size // 2 for kernel in kernels)
     L = _next_fast_len(K + 2 * max(r, K) + 1)
     J = _squarings(n, q, width, L)
     term_rounds = q + 3  # the roundings of one term of a transform product
@@ -495,8 +497,8 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
         once for the squares, and block by block without them."""
         nonlocal R, S
         if j == 0 and R is None and S is None:
-            R = _residue_spectra(kernels, K, L)
-            kernels.clear()  # read only by the first step by M, which came first
+            R = _residue_spectra(points, q, K, L)
+            points.clear()  # read only by the first step by M, which came first
             if J:
                 S, R = R[res], None
                 S *= fc.P[:, :, None]
@@ -514,12 +516,11 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
         for _ in range((n >> j) & 1 if j < J else n >> J):
             if v is None and j == 0:  # the first step, by M
                 v = np.zeros((q, width))
-                for s, kernel in enumerate(kernels):
-                    h = kernel.size // 2
-                    w = min(h, K)  # window lags [-w, w]; zero entries and p = 0 add exactly 0.0
-                    for i in range(q):
-                        v[(i + s) % q, K - w:K + w + 1] += \
-                            kernel[h - w:h + w + 1] * (alpha[i] * step[i, s])
+                for s, (j0, w) in enumerate(points):
+                    a = max(0, -((K + j0) // q))  # the points j0 + qk in [-K, K]
+                    b = max(a, min(w.size, (K - j0) // q + 1))
+                    at = K + j0 + q * a
+                    v[(idx + s) % q, at:at + q * (b - a):q] = np.outer(alpha * step[:, s], w[a:b])
                 verr = _gamma(q + 1) * kappa * mass
             elif v is None:  # the first step, by a square
                 v = np.tensordot(alpha, real, axes=1)
@@ -549,12 +550,8 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
     law = np.maximum(v.sum(axis=0), 0.0)
     rounds = width + q * q + (q + 3) * n + 128 + products * (2 * width + 3 * q + 128)
     bound = (_Bracket(bound, bound) / (1.0 - _gamma(rounds))).hi
-    budget = _LEAK_TOL + n * max(law_.tail_mass_bound for law_ in laws)
-    leaked = _window_leak(law, K, budget)
-    return PathDistribution(
-        n=n, window=K, law=law, leaked_mass=leaked, mode=MODE_GGM, q=q,
-        roundoff_bound=bound,
-    )
+    return _within(PathDistribution(n=n, window=K, law=law, leaked_mass=None, mode=MODE_GGM,
+                                    q=q, roundoff_bound=bound), budget)
 
 
 # ---------------------------------------------------------------------------

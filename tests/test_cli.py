@@ -596,6 +596,35 @@ class TestSimulate:
         assert table["window"] == 328
         assert table["leaked_mass"] == pytest.approx(1.97e-3, rel=1e-2)
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "sos", "--beta", "2", "--d", "2", "--q", "2"),
+        ("--model", "log", "--beta", "3.0", "--d", "2", "--q", "5"),
+    ], ids=["sos2", "log3"])
+    def test_one_step_table_is_the_ggm_table(self, capsys, argv):
+        # W_1 is the edge marginal: its (k, prob) rows are ggm's, byte for
+        # byte, on ggm's least window
+        code, out, _ = run(capsys, "ggm", *argv)
+        assert code == 0
+        meta, _, rows = parse_csv(out)
+        code, out, _ = run(capsys, "simulate", *argv, "--n", "1")
+        assert code == 0
+        _, header, table = parse_csv(out)
+        assert header == "n,k,prob,leaked_mass"
+        assert len(rows) == 2 * int(meta["window"]) + 1
+        assert [r[1:3] for r in table] == [r[:2] for r in rows]
+
+    def test_one_step_table_of_truncated_laws(self, capsys):
+        # the radius-200 laws leak more than 1e-9 on every window, which ggm
+        # refuses: W_1 is their edge marginal on that radius, its leak reported
+        argv = ("--model", "log", "--beta", "2.6", "--d", "2", "--q", "3",
+                "--truncation", "200")
+        code, out, err = run(capsys, "simulate", *argv, "--n", "1")
+        assert code == 0 and err == ""
+        _, _, table = parse_csv(out)
+        assert [int(r[1]) for r in table] == list(range(-200, 201))
+        assert len({r[3] for r in table}) == 1 and float(table[0][3]) > 1e-9
+        assert run(capsys, "ggm", *argv)[0] == 3
+
 
 def _ggm_chain(beta, q):
     """(fc, laws) of the q-periodic chain `simulate --q` builds at d = 2."""
@@ -1100,7 +1129,8 @@ class TestOneCertificateRecord:
 # one-pass class sums keep, taken from the midpoint bisection and per-arm sums;
 # the periodic one is those bytes less the law's sup-norm `# residual=` line.
 # The ggm ones print the edge marginal, and in JSON the increment laws, on
-# the least window whose certified leak is at most 1e-9.  Each hash skips the
+# the least window whose certified leak is at most 1e-9, and so does the
+# n = 1 table of `simulate --q`.  Each hash skips the
 # one line that names the installed numpy, `# numpy=` in CSV and `"numpy": `
 # in JSON.  Every command the README shows is pinned too.
 PINNED_STDOUT = {
@@ -1133,7 +1163,7 @@ PINNED_STDOUT = {
     "ggm --model sos --beta 2 --d 2 --q 2":
         "d62bf6a2ff4f24cef0040e171d265edcfb98850a97a10999b375a2b5f1a96ddb",
     "simulate --model sos --beta 2 --d 2 --q 2 --n 1,8,64":
-        "74a0375961575ad29c3302808831122a7cd799f5b3adc2417ea04c7aac8113ab",
+        "d1277a68e8667f71c69ebf1efd951a34f14cc7dfeb2638e013beac0545cd3ca3",
     "simulate --model sos --beta 2 --d 2 --q 2 --sample-steps 1000 --seed 7":
         "82f30b75ac1c223b2518d188b469d01e88107cc71cd6e5d55fbcb6baa161f5fd",
     "phase-diagram --model sos --beta-range 1.5:2.5:0.25 --d-list 2,3":

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from treegibbs import pathsim
+from treegibbs import ggm, pathsim
 from treegibbs.boundary_law import (
     SUPPORT_TRUNCATED,
     BoundaryLaw,
@@ -266,11 +266,14 @@ class TestWnGgm:
         assert wn_ggm_exact(fc, laws, 1024).sup() < 0.05
 
     def test_one_step_matches_edge_marginal(self, chain2, monkeypatch):
+        # W_1 is the table `ggm` prints: the edge marginal's bytes on the
+        # least window `_edge_window` certifies, with no default window read
         fc, laws = chain2
-        monkeypatch.setattr(pathsim, "default_window", lambda fc, laws, n: 20)
+        monkeypatch.setattr(pathsim, "default_window", _unread)
         dist = wn_ggm_exact(fc, laws, 1)
-        np.testing.assert_allclose(
-            dist.law, ggm_edge_marginal(fc, laws, 20), atol=1e-16, rtol=0)
+        window, _ = ggm._edge_window(fc, laws)
+        assert dist.window == window == 10
+        assert dist.law.tobytes() == ggm_edge_marginal(fc, laws, window).tobytes()
 
     def test_one_step_exact_algebra(self, chain2):
         # closed form from the sech fixed-point root; the solve is only
@@ -286,9 +289,8 @@ class TestWnGgm:
         # its exact self-convolution on the window, within roundoff_bound
         fc, laws = chain_free
         monkeypatch.setattr(pathsim, "default_window", lambda fc, laws, n: 40)
-        d1 = wn_ggm_exact(fc, laws, 1)
         d2 = wn_ggm_exact(fc, laws, 2)
-        w = [Fraction(x) for x in d1.law.tolist()]
+        w = [Fraction(x) for x in ggm_edge_marginal(fc, laws, 40).tolist()]
         bound = Fraction(d2.roundoff_bound)
         for k, got in enumerate(d2.law.tolist()):
             exact = sum(w[a] * w[k + 40 - a] for a in range(max(0, k - 40), min(81, k + 41)))
@@ -363,6 +365,33 @@ def test_exact_laws_refuse_a_non_integer_n(sos25, chain2, exact, n):
             wn_localized_exact(sos25, n)
         else:
             wn_ggm_exact(*chain2, n)
+
+
+class _CountedMath:
+    """The math module as pathsim sees it, with the length of every fsum."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, xs):
+        xs = list(xs)
+        self.lengths.append(len(xs))
+        return math.fsum(xs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("exact", ["localized", "ggm"])
+def test_each_law_is_summed_once(sos25, chain2, exact, n, monkeypatch):
+    # the leak and the sum check read one exactly rounded sum of the law
+    counted = _CountedMath()
+    monkeypatch.setattr(pathsim, "math", counted)
+    dist = wn_localized_exact(sos25, n) if exact == "localized" else wn_ggm_exact(*chain2, n)
+    assert counted.lengths.count(len(dist.law)) == 1
+    assert max(counted.lengths) == len(dist.law)
+    assert dist.leaked_mass == max(0.0, 1.0 - math.fsum(dist.law.tolist()))
 
 
 class TestSampling:
@@ -1230,16 +1259,23 @@ def _sos_chain(q):
     return fuzzy_chain(law, fuzzy_Q(pot, q)), increment_laws(pot, q)
 
 
+def _unread(*args):
+    raise AssertionError("W_1 reads no default window")
+
+
 class TestWnGgmOracle:
-    """The powering against the per-support-point DP loop bit for bit at
-    n = 1, and below the no-kill reference within roundoff_bound at every n."""
+    """W_1 against the edge marginal bit for bit and the per-support-point DP
+    loop within roundoff_bound, and every law below the no-kill reference
+    within roundoff_bound."""
 
     @staticmethod
     def _check(chain, n):
         fc, laws = chain
         dist = wn_ggm_exact(fc, laws, n)
         if n == 1:
-            assert np.array_equal(dist.law, _reference_wn_ggm(fc, laws, n, dist.window))
+            assert dist.law.tobytes() == ggm_edge_marginal(fc, laws, dist.window).tobytes()
+            ref = _reference_wn_ggm(fc, laws, n, dist.window)
+            assert float(np.max(np.abs(dist.law - ref))) <= dist.roundoff_bound
         _check_below_nokill(dist, fc, laws)
         return dist
 
@@ -1251,10 +1287,17 @@ class TestWnGgmOracle:
     @pytest.mark.parametrize("window", [1023, 1100])
     @pytest.mark.parametrize("n", [1, 3])
     def test_log_both_sides_of_the_fft_switch(self, chain_log, window, n, monkeypatch):
-        # the log 4 laws reach 2909 > K, so M's kernels wrap at both windows
+        # the log 4 laws reach 2909 > K, so M's kernels wrap at both windows;
+        # W_1 reads no default window, and its rows are the edge marginal's
+        # on the window's lags too
         monkeypatch.setattr(pathsim, "_LEAK_TOL", 1.0)
-        monkeypatch.setattr(pathsim, "default_window", lambda fc, laws, n: window)
-        self._check(chain_log, n)
+        monkeypatch.setattr(pathsim, "default_window",
+                            (lambda fc, laws, n: window) if n > 1 else _unread)
+        dist = self._check(chain_log, n)
+        if n == 1:
+            m, K = min(window, dist.window), dist.window
+            rows = ggm._edge_rows(*chain_log, window)
+            assert rows[window - m:window + m + 1].tobytes() == dist.law[K - m:K + m + 1].tobytes()
 
     def test_bench_wide_case(self, chain_log):
         dist = self._check(chain_log, 32)
@@ -1264,6 +1307,7 @@ class TestWnGgmOracle:
     def test_zero_weights_are_trimmed(self, n, monkeypatch):
         # zero weights at the ends of a law change neither the kernel radius
         # nor G, so the law and its bound keep their bits; one inside stays.
+        # W_1 sits on the same edge window for both and reads no default one.
         # Q(+-2) = e^-3000 flushes to 0 inside the support, and the exp tail
         # of rate 100 flushes Q to 0 from |j| = 8 on
         fc, _ = _sos_chain(3)
@@ -1273,7 +1317,8 @@ class TestWnGgmOracle:
         inner, padded = increment_laws(pot, 3, radius=7), increment_laws(pot, 3, radius=13)
         assert all(law.weights[-1] == law.weights[0] == 0.0 for law in padded)
         assert all(0.0 in law.weights[1:-1] for law in inner[1:])
-        monkeypatch.setattr(pathsim, "default_window", lambda fc, laws, n: 30)
+        monkeypatch.setattr(pathsim, "default_window",
+                            (lambda fc, laws, n: 30) if n > 1 else _unread)
         want = self._check((fc, inner), n)
         got = self._check((fc, padded), n)
         assert np.array_equal(got.law, want.law)
