@@ -110,6 +110,11 @@ _FREQ_BLOCK = 1 << 12
 _BROADCAST_ROWS = 5
 # its transforms take at most this many 8-byte entries of sequences per call
 _FFT_ENTRIES = 1 << 20
+# it refuses more vector steps than this: with the squarings on there are at
+# most J + 2q + 1 < 2^10 of them (they need q^2 * 5q <= _MAX_BUFFER, q <= 237),
+# so the cap binds only where the squared kernels do not fit; a step there
+# takes about 5 s at log 2.6, q = 5 (2-core x86 host)
+_MAX_VECTOR_STEPS = 1 << 10
 
 # the sampler works on blocks of at most this many walkers (or path steps):
 # 2^17 stepped 10^6 walkers fastest of 2^15-2^18 on 2 threads; on one, 2^12
@@ -259,23 +264,34 @@ def _check_count(name: str, v) -> None:
         raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
 
 
+def _rows_to_one(A: np.ndarray) -> np.ndarray:
+    return A / A.sum(axis=1, keepdims=True)
+
+
 def wn_localized_exact(bl: BoundaryLaw, n: int) -> PathDistribution:
     """Exact law of W_n under the localized height chain, on the chain's
     full window m - 1 (m heights), which W_n cannot leave.
 
     nu(W_n = k) = sum_i alpha(i) P^n(i, i+k), read off the k-th diagonal of
     the n-th kernel power.  A power of a stochastic matrix is stochastic, so
-    each row of the computed P^n is rescaled to sum to 1: P's rows sum to 1
-    only within an ulp or so, and repeated squaring would compound that
-    into about n ulps of excess mass.  The returned distribution carries
-    the limit vector sum_i alpha(i) alpha(i+k) on the same window, so
-    convergence can be checked without a second call.
+    binary powering rescales each row of every product to sum to 1: P's
+    rows sum to 1 only within an ulp or so, and repeated squaring would
+    compound that into about n ulps of excess mass, past n ~ 1e18 into an
+    overflow.  The returned distribution carries the limit vector sum_i
+    alpha(i) alpha(i+k) on the same window, so convergence can be checked
+    without a second call.
     """
     _check_count("n", n)
     P, alpha = _height_kernel(bl)
     m = len(alpha)
-    Pn = np.linalg.matrix_power(P, n)
-    Pn /= Pn.sum(axis=1, keepdims=True)
+    Pn, power, bits = None, _rows_to_one(P), int(n)
+    while True:  # right to left over the bits of n
+        if bits & 1:
+            Pn = power if Pn is None else _rows_to_one(Pn @ power)
+        bits >>= 1
+        if not bits:
+            break
+        power = _rows_to_one(power @ power)
     law = np.empty(2 * m - 1)
     for k in range(-(m - 1), m):
         diag = np.diagonal(Pn, offset=k)
@@ -487,6 +503,14 @@ def wn_ggm_exact(fc: FuzzyChain, laws, n: int) -> PathDistribution:
     mass = float(np.abs(alpha).sum())
     L = _next_fast_len(K + 2 * max(r, K) + 1)
     J = _squarings(n, q, width, L)
+    if q * max(width, 2 * (L // 2 + 1)) > _MAX_BUFFER:
+        raise NumericalError(f"n={n}: the window [-{K}, {K}] takes {q} sequences of {L} "
+                             f"transform points, beyond {_MAX_BUFFER} 8-byte entries")
+    steps = (int(n) & ((1 << J) - 1)).bit_count() + (n >> J)
+    if steps > _MAX_VECTOR_STEPS:
+        raise NumericalError(f"n={n}: {steps} vector steps on the window [-{K}, {K}] exceed "
+                             f"the cap of {_MAX_VECTOR_STEPS} (squarings that fit in "
+                             f"{_MAX_BUFFER} 8-byte entries: {J})")
     term_rounds = q + 3  # the roundings of one term of a transform product
 
     R = S = real = None  # M's residue spectra, M_j's spectra, M_j's window (j >= 1)

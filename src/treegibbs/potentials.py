@@ -19,8 +19,9 @@ Built-in families:
 
 Certified enclosures are ``_Bracket`` pairs lo <= hi of floats or arrays,
 every operation rounding both ends outward by one ulp; class sums carry one
-error per class.  Series values carry certified error bounds from one tail
-engine.  Every tail the package bounds is sum_{n>=0} Q(l0 + n*step)^p
+error per class, a log class summing its two integer progressions
+(1 + r + nq)^(-beta).  Series values carry certified error bounds from one
+tail engine.  Every tail the package bounds is sum_{n>=0} Q(l0 + n*step)^p
 beyond the table, and ``_tail_bracket`` brackets it: exp tails in closed
 geometric form, power tails C (x0 + n*step)^(-s) through ``_power_tail``,
 the one Euler-Maclaurin bracket (integral, half the first term, Bernoulli
@@ -1013,12 +1014,13 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
 
     Requires Q in l1(Z); otherwise raises NotSummableError since q-periodic
     boundary laws are undefined.  A q above the term cap _MAX_RADIUS is
-    refused with NumericalError before anything is allocated.  sos classes are exact geometric sums, log
-    classes evaluate as q^(-beta) (zeta(beta,(1+j)/q) + zeta(beta,(q+1-j)/q))
-    from the certified Hurwitz rows (past a normal q^(-beta), as rows of
-    (1 + r + nq)^(-beta)), and custom classes sum the same two arms as
-    progressions.  Either way the q + 1 arms are the rows of one
-    ``_certified_sum`` pass, each bit for bit the one-row sum of
+    refused with NumericalError before anything is allocated.  sos classes
+    are exact geometric sums.  Log class j sums the integer progressions
+    (1 + r + nq)^(-beta), n >= 0, of its arms r = j and q - j as certified
+    Hurwitz rows of step q, off by the arms' errors plus u times the value
+    for the one rounding of their sum; custom classes sum the same arms as
+    progressions of Q, with (beta + 8) u for u.  The q + 1 arms are the
+    rows of one ``_certified_sum`` pass, each bit for bit the one-row sum of
     ``_hurwitz_rows`` or ``_progression_sums`` for it.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
@@ -1054,21 +1056,15 @@ def fuzzy_Q(pot: Potential, q: int, rel_tol: float = 1e-12) -> FuzzyOperator:
         return FuzzyOperator(q, values, errors)
 
     # arm r sums Q(r + nq) over n >= 0 for r = 0..q; class j joins the arm
-    # l = j + nq and the mirrored arm |l| = (q-j) + nq
-    scale = q ** (-pot.beta) if pot.kind == "log" else 1.0
-    if pot.kind != "log":
-        arms = _progression_sums(pot, range(q + 1), q, 1.0, rel_tol / 4)
-    elif scale >= _TINY:
-        # (1 + r + nq)^(-beta) summed over n is q^(-beta) zeta(beta, (1+r)/q)
-        arms = _hurwitz_rows(pot.beta, [(1 + r) / q for r in range(q + 1)], rel_tol / 4)
-    else:  # zeta(beta, 1/q) holds q^beta, which overflows or nearly so
-        scale, arms = 1.0, _hurwitz_rows(pot.beta, [1.0 + r for r in range(q + 1)],
-                                         rel_tol / 4, q)
-    values = np.array([scale * (arms[j][0] + arms[q - j][0]) for j in range(q)])
-    # the arms' errors, beta u relative for a rounded a = (1+r)/q (since
-    # a zeta(s+1, a) <= zeta(s, a)) and 8 u for scale, the sum and the product
-    errors = np.array([scale * (arms[j][1] + arms[q - j][1]) for j in range(q)])
-    return FuzzyOperator(q, values, errors + (pot.beta + 8) * _UNIT_ROUNDOFF * values)
+    # l = j + nq and the mirrored arm |l| = (q-j) + nq.  A class is off by its
+    # arms' errors plus u for their sum, or (beta + 8) u for a custom class
+    if pot.kind == "log":  # rows of (1 + r + nq)^(-beta), integral bases exact
+        arms, rounding = _hurwitz_rows(pot.beta, [1.0 + r for r in range(q + 1)], rel_tol / 4, q), 1
+    else:
+        arms, rounding = _progression_sums(pot, range(q + 1), q, 1.0, rel_tol / 4), pot.beta + 8
+    values = np.array([arms[j][0] + arms[q - j][0] for j in range(q)])
+    errors = np.array([arms[j][1] + arms[q - j][1] for j in range(q)])
+    return FuzzyOperator(q, values, errors + rounding * _UNIT_ROUNDOFF * values)
 
 
 # ---------------------------------------------------------------------------

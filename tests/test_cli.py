@@ -1132,7 +1132,8 @@ class TestOneCertificateRecord:
 # the least window whose certified leak is at most 1e-9, and so does the
 # n = 1 table of `simulate --q`.  Each hash skips the
 # one line that names the installed numpy, `# numpy=` in CSV and `"numpy": `
-# in JSON.  Every command the README shows is pinned too.
+# in JSON.  Every command the README shows is pinned too.  The log class
+# sums are those of the integer progressions (1 + r + nq)^(-beta).
 PINNED_STDOUT = {
     "table --model sos --d 2,3,6,7,100,1000":
         "40ae3fa9515c6f0a832de03fa84eeb8bc6c3e0e2c982b2621a3a746787229529",
@@ -1141,13 +1142,13 @@ PINNED_STDOUT = {
     "threshold --model sos --d 2 --tol 1e-17":
         "6cfc576d12b9edad1951ab0446be90f79abf0904a0f02eb0864d61be4d2f1873",
     "periodic --model log --beta 2.6 --d 2 --q 5":
-        "2595e1fa95e4f3663bd19f4d77b185a1931e6ea8bbd79405dc0cab81c238a7ec",
+        "0119d69598666f9ab11d494e3e524bb0693cbd6a50936dbc403a714f777fc35f",
     "ggm --model log --beta 3.0 --q 5":
-        "45730b94791aa477df55908981f296cbc4a4c6acde666d288df59a55f9674373",
+        "4749481cda99d9664882334c734ea91e9690709313b61262c915659e5ca1914a",
     "ggm --model log --beta 4.0 --q 3 --format json":
-        "445d5c9eff1874a82b27d95e9f37ddc00c037a586be250e1b8909c66a424a887",
+        "9404d9cf761cfc361f52a93a13629d1b252845a48321cbe30a0ce0ffd69712b1",
     "simulate --model log --beta 2.6 --d 2 --q 3 --n 16 --truncation 200":
-        "214543178e547195371d2b1777370818cd861495ac3bc8a44ccbd8f630d92218",
+        "0c3afb87290aaa73218a26386341697135bf8bcd2fcf350512d5f99d226040cb",
     "simulate --model log --beta 4.0 --d 2 --q 3 --sample-steps 1000 --seed 7":
         "340a24feeb2800a13a0a1ba1389f80836681b22b6760c278157e29dda2328b8e",
     "norms --model sos --beta 2.5 --d 2":
@@ -1407,6 +1408,30 @@ class TestErrorContract:
         payload = json.loads(lines[0])["error"]
         assert payload["type"] == "NumericalError"
         assert "100000000001 uniforms" in payload["message"]
+
+    @pytest.mark.parametrize("n, message", [
+        # 353 GiB of window sequences; 10^12 vector steps, no squaring fits
+        ("9223372036854775807", "the window [-11860941200, 11860941200] takes 2 sequences"),
+        ("1000000000000", "1000000000000 vector steps on the window [-3905492, 3905492]"),
+    ], ids=["window", "steps"])
+    def test_huge_class_chain_n_is_a_typed_error(self, capsys, n, message):
+        code, out, err = run(capsys, "simulate", "--model", "sos", "--beta", "2",
+                             "--d", "2", "--q", "2", "--n", n)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])["error"]
+        assert payload["type"] == "NumericalError"
+        assert message in payload["message"]
+
+    def test_localized_law_at_the_largest_n(self, capsys):
+        # the rows of every product are rescaled, so no square overflows
+        code, out, err = run(capsys, "simulate", "--model", "sos", "--beta", "2.5",
+                             "--d", "2", "--n", str(2**63 - 1))
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()
+                if not line.startswith("#") and not line.startswith("n,")]
+        assert rows and all(float(row[3]) <= 1e-9 for row in rows)
 
     def test_truncation_leak_points_at_increment_radius(self, capsys):
         # window 4 already holds every radius-4 increment; widening it cannot help

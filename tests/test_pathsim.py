@@ -221,8 +221,9 @@ class TestWnLocalized:
 
     def test_large_n_stays_stochastic(self, sos25):
         # P's rows sum to 1 only within an ulp, and P^n compounded that into
-        # about n ulps of excess mass: n = 10^4 was refused
-        for n in (10**4, 10**8):
+        # about n ulps of excess mass: n = 10^4 was refused; at 2^63 - 1 the
+        # unscaled squares overflowed, with a warning and a nan law
+        for n in (10**4, 10**8, 2**63 - 1):
             dist = wn_localized_exact(sos25, n)
             assert dist.leaked_mass <= 1e-15
             assert float(np.max(np.abs(dist.law - dist.limit))) <= 1e-15
@@ -353,6 +354,23 @@ class TestWnGgm:
             wn_ggm_exact(fc, laws, 0)
         with pytest.raises(ConfigError):
             wn_ggm_exact(fc, laws[:1], 1)
+
+
+def test_huge_n_is_refused_before_allocating(chain2, monkeypatch):
+    # 2^63 - 1 steps would take 353 GiB of window sequences; at 10^12 the
+    # squared kernels do not fit, which left 10^12 vector steps to run
+    with pytest.raises(NumericalError, match=r"n=9223372036854775807: the window "
+                       r"\[-11860941200, 11860941200\] takes 2 sequences"):
+        wn_ggm_exact(*chain2, 2**63 - 1)
+    with pytest.raises(NumericalError, match=r"n=1000000000000: 1000000000000 vector "
+                       r"steps .* exceed the cap of 1024 \(squarings .*: 0\)"):
+        wn_ggm_exact(*chain2, 10**12)
+    # the cap counts vector steps: n = 8 is one squaring and 4 steps by M_1
+    monkeypatch.setattr(pathsim, "_MAX_VECTOR_STEPS", 4)
+    assert wn_ggm_exact(*chain2, 8).n == 8
+    monkeypatch.setattr(pathsim, "_MAX_VECTOR_STEPS", 3)
+    with pytest.raises(NumericalError, match=r"n=8: 4 vector steps .*: 1\)"):
+        wn_ggm_exact(*chain2, 8)
 
 
 @pytest.mark.parametrize("n", [True, 2.5, 2.0, "3", None])

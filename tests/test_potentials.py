@@ -4,6 +4,7 @@ Reference values were frozen from an independent mpmath script (40 digits,
 brute summation over windows up to 3e6 plus crude remainder brackets).
 """
 
+import hashlib
 import json
 import math
 import statistics
@@ -407,13 +408,44 @@ class TestFuzzyOperator:
                 assert abs(mpmath.mpf(norm.values[j]) - ratio) <= norm.errors[j], j
                 assert fq.errors[j] <= 1e-12 * fq.values[j]
 
+    @pytest.mark.parametrize("beta", [1.05, 1.5, 2.3, 2.6, 3.0, 5.0, 8.0, 20.0, 120.0, 650.0])
+    def test_log_classes_against_40_digits(self, beta):
+        # a log class is off by its two arms' certified errors plus u for
+        # their sum; at beta >= 20 the arms' tails are far below u, so the
+        # class is within 4e-16 and its bound within 1e-15, relative
+        for q in (2, 3, 5, 8, 17, 64, 1000):
+            fq = fuzzy_Q(log_potential(beta), q)
+            assert fq.values[1:].tobytes() == fq.values[:0:-1].tobytes()
+            classes = range(q) if q <= 17 else sorted({*range(9), q // 4, q // 3, q // 2})
+            with mpmath.workdps(40):
+                b = mpmath.mpf(beta)
+                for j in classes:
+                    value, error = fq.values[j], fq.errors[j]
+                    if value < 2.0**-1022:  # below the normal range
+                        continue
+                    exact = mpmath.mpf(q) ** -b * (mpmath.zeta(b, mpmath.mpf(1 + j) / q)
+                                                   + mpmath.zeta(b, mpmath.mpf(q + 1 - j) / q))
+                    miss = abs(mpmath.mpf(value) - exact)
+                    assert miss <= error, (q, j)
+                    if beta >= 20:
+                        assert miss <= 4e-16 * exact and error <= 1e-15 * value, (q, j)
+
+    @pytest.mark.parametrize("beta,q,digest", [
+        (4.0, 2, "b360fbded754efdd"), (3.0, 16, "d7d3136a35104395"),
+    ])
+    def test_log_classes_keep_the_bytes_of_the_scaled_form(self, beta, q, digest):
+        # the chains of the bench's wide W_n law and of periodic log 3.0,
+        # q = 16 read these classes; q^(-beta) zeta(beta, (1 + r)/q) gave them
+        values = fuzzy_Q(log_potential(beta), q).values
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("beta,q", [
         (650.0, 3), (700.0, 3), (1000.0, 3), (1022.0, 2), (1023.5, 2), (120.0, 1000),
     ])
     def test_log_classes_where_q_to_the_beta_overflows(self, beta, q):
-        # zeta(beta, 1/q) holds q^beta: past q^(-beta) = 2^-1022 the arms
-        # are summed as progressions of Q, with no overflow warning
+        # zeta(beta, 1/q) holds q^beta, which overflows; the arms are
+        # progressions of Q, summed with no overflow warning
         fq = fuzzy_Q(log_potential(beta), q)
         assert np.all(np.isfinite(fq.values)) and fq.values[0] >= 1.0
         with mpmath.workdps(40):
@@ -498,14 +530,14 @@ def _fuzzy_from_one_row_arms(pot, q, rel_tol=1e-12):
     """fuzzy_Q's log and custom class sums from one one-row call per arm, as
     it took them before its arms shared one summation pass."""
     if pot.kind == "log":
-        scale = q ** (-pot.beta)
-        arms = [hurwitz_zeta(pot.beta, (1 + r) / q, rel_tol / 4) for r in range(q + 1)]
+        rounding = 1.0
+        arms = [_hurwitz_rows(pot.beta, [1.0 + r], rel_tol / 4, q)[0][:2] for r in range(q + 1)]
     else:
-        scale = 1.0
+        rounding = pot.beta + 8
         arms = [_progression_sum(pot, r, q, 1.0, rel_tol / 4)[:2] for r in range(q + 1)]
-    values = np.array([scale * (arms[j][0] + arms[q - j][0]) for j in range(q)])
-    errors = np.array([scale * (arms[j][1] + arms[q - j][1]) for j in range(q)])
-    return values, errors + (pot.beta + 8) * _UNIT_ROUNDOFF * values
+    values = np.array([arms[j][0] + arms[q - j][0] for j in range(q)])
+    errors = np.array([arms[j][1] + arms[q - j][1] for j in range(q)])
+    return values, errors + rounding * _UNIT_ROUNDOFF * values
 
 
 # U = j / 10 tabulated on 1..199: at q = 1 and 2 the arms start past the
